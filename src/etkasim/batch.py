@@ -1,16 +1,18 @@
 """Single-run and multi-run drivers.
 
 Batch runs are embarrassingly parallel: each run gets its own seed and an
-independent random stream, inputs are shared read-only (workers inherit
-them via fork), and results are keyed by run index so the output does not
-depend on worker scheduling.
+independent random stream, and results are keyed by run index so the output
+does not depend on worker scheduling.  Every run, serial or in a pool
+worker, goes through one function that simulates it, computes its
+statistics and writes its files.  Pool workers receive the read-only inputs
+once, through the pool initializer, so a batch runs under every
+multiprocessing start method.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -35,7 +37,6 @@ def _inputs_for_run(inputs: SimulationInputs, run_index: int) -> SimulationInput
         return inputs
     cand_path = streams[run_index % len(streams)]
     status_streams = inputs.status_stream_paths
-    from dataclasses import replace
     new = replace(inputs,
                   registrations=load_registrations(cand_path,
                                                    inputs.antigen_table))
@@ -45,14 +46,30 @@ def _inputs_for_run(inputs: SimulationInputs, run_index: int) -> SimulationInput
     return new
 
 
-_FORK_INPUTS: SimulationInputs | None = None
+def _run_indexed(inputs: SimulationInputs, run_index: int, seed: int,
+                 runs_dir: Path | None) -> dict[str, float]:
+    """Simulate run ``run_index``; with ``runs_dir`` also write its files
+    under ``runs_dir/run_<index>/``.  Returns the run's statistics."""
+    output = run_once(_inputs_for_run(inputs, run_index), seed)
+    stats = reporting.stats_from_output(output)
+    if runs_dir is not None:
+        reporting.write_run_files(runs_dir / f"run_{run_index:03d}", output,
+                                  stats)
+    return stats
 
 
-def _worker(args: tuple[int, int]) -> tuple[int, dict[str, float]]:
-    run_index, seed = args
-    inputs = _inputs_for_run(_FORK_INPUTS, run_index)
-    output = run_once(inputs, seed)
-    return run_index, reporting.stats_from_output(output)
+# set by the pool initializer, in worker processes only
+_worker_inputs: SimulationInputs | None = None
+
+
+def _init_worker(inputs: SimulationInputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker(run_index: int, seed: int,
+            runs_dir: Path | None) -> dict[str, float]:
+    return _run_indexed(_worker_inputs, run_index, seed, runs_dir)
 
 
 @dataclass
@@ -76,44 +93,15 @@ def run_batch(inputs: SimulationInputs, seeds: Sequence[int],
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    stats_by_index: dict[int, dict[str, float]] = {}
-
-    if workers <= 1 or len(seeds) == 1:
-        for i, seed in enumerate(seeds):
-            run_inputs = _inputs_for_run(inputs, i)
-            output = run_once(run_inputs, seed)
-            stats_by_index[i] = reporting.stats_from_output(output)
-            if write_runs and out_dir is not None:
-                _write_run(out_dir, i, output, stats_by_index[i])
+    n = len(seeds)
+    runs_dir = Path(out_dir) if write_runs and out_dir is not None else None
+    if workers <= 1 or n == 1:
+        per_run = [_run_indexed(inputs, i, seed, runs_dir)
+                   for i, seed in enumerate(seeds)]
     else:
-        global _FORK_INPUTS
-        _FORK_INPUTS = inputs
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for run_index, stats in pool.map(
-                        _worker, list(enumerate(seeds)),
-                        chunksize=max(1, len(seeds) // (workers * 4))):
-                    stats_by_index[run_index] = stats
-        finally:
-            _FORK_INPUTS = None
-        if write_runs and out_dir is not None:
-            # re-run writes serially; parallel batch keeps only statistics
-            for i, seed in enumerate(seeds):
-                output = run_once(_inputs_for_run(inputs, i), seed)
-                _write_run(out_dir, i, output, stats_by_index[i])
-
-    per_run = [stats_by_index[i] for i in range(len(seeds))]
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_init_worker,
+                                 initargs=(inputs,)) as pool:
+            per_run = list(pool.map(_worker, range(n), seeds, [runs_dir] * n,
+                                    chunksize=max(1, n // (workers * 4))))
     return BatchResult(seeds=list(seeds), per_run_stats=per_run)
-
-
-def _write_run(out_dir: Path, index: int, output: SimulationOutput,
-               stats: dict[str, float]) -> None:
-    run_dir = Path(out_dir) / f"run_{index:03d}"
-    os.makedirs(run_dir, exist_ok=True)
-    reporting.write_transplants_csv(run_dir / "transplants.csv",
-                                    output.transplants)
-    reporting.write_final_states_csv(run_dir / "final_states.csv", output)
-    reporting.write_stats_csv(run_dir / "stats.csv", stats)
-    if output.offer_traces:
-        reporting.write_trace_csv(run_dir / "offer_trace.csv",
-                                  output.offer_traces)

@@ -12,6 +12,7 @@ from . import batch as batch_mod
 from . import reporting
 from .common import InputError
 from .engine import verify_replay
+from .entities import TERMINAL_CODES
 from .io import load_inputs, load_settings
 from .policy import PolicyError, load_policy
 
@@ -47,15 +48,11 @@ def cmd_run(args) -> int:
     policy = load_policy(args.policy) if args.policy else None
     inputs = load_inputs(settings, policy=policy)
     seed = args.seed if args.seed is not None else settings.seed
-    output = batch_mod.run_once(inputs, seed,
-                                collect_trace=args.trace or settings.write_trace)
+    trace = args.trace or settings.write_trace
+    output = batch_mod.run_once(inputs, seed, collect_trace=trace)
     stats = reporting.stats_from_output(output)
     out = _out_dir(args, settings)
-    reporting.write_transplants_csv(out / "transplants.csv", output.transplants)
-    reporting.write_final_states_csv(out / "final_states.csv", output)
-    reporting.write_stats_csv(out / "stats.csv", stats)
-    if args.trace or settings.write_trace:
-        reporting.write_trace_csv(out / "offer_trace.csv", output.offer_traces)
+    reporting.write_run_files(out, output, stats, trace=trace)
     problems = verify_replay(output)
     if problems:
         print("replay check failed: " + "; ".join(problems), file=sys.stderr)
@@ -136,10 +133,10 @@ def cmd_check_inputs(args) -> int:
     problems: list[str] = []
     for cand_id, updates in inputs.updates.items():
         terminal = [u for u in updates
-                    if u.kind == "URG" and u.payload.strip() in ("R", "D")]
+                    if u.kind == "URG" and u.payload.strip() in TERMINAL_CODES]
         if not terminal:
             problems.append(f"candidate {cand_id}: status stream does not "
-                            "end in a removal or death")
+                            "end in a removal, death or transplant")
     known = {r.id for r in inputs.registrations}
     for cand_id in inputs.updates:
         if cand_id not in known:

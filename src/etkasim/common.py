@@ -48,15 +48,6 @@ def from_days(days: int) -> date:
 DAYS_PER_YEAR = 365.25
 
 
-def age_years(dob_days: int, now_days: int) -> int:
-    """Whole-year age used everywhere age thresholds apply.
-
-    Defined as floor(days/365.25) so the scalar rules and the vectorized
-    match engine agree exactly.
-    """
-    return int((now_days - dob_days) // DAYS_PER_YEAR)
-
-
 def parse_date(text: str, path=None, line=None) -> date:
     try:
         return date.fromisoformat(text.strip())
@@ -71,13 +62,6 @@ def parse_bool(text: str, path=None, line=None) -> bool:
     if t in ("0", "false", "no", "n", ""):
         return False
     raise InputError(f"invalid boolean {text!r}", path, line)
-
-
-def parse_float(text: str, field: str, path=None, line=None) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise InputError(f"invalid number {text!r} for {field}", path, line)
 
 
 def read_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:

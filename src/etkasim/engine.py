@@ -17,7 +17,7 @@ import numpy as np
 
 from .balances import BalanceEvent, BalanceLedger, donor_age_group
 from .common import DAYS_PER_YEAR, InputError, from_days, to_days
-from .entities import DonorArrival, StatusUpdate
+from .entities import TERMINAL_CODES, DonorArrival, StatusUpdate
 from .fastmatch import (ACTIVE_CODES, CandidateStore, HlaIndex, HU,
                         MatchArrays, build_match_arrays, GEO_LABELS)
 from .io import SimulationInputs
@@ -147,12 +147,12 @@ class SimState:
 
     def apply_urgency_counters(self, row: int, old: str, new: str,
                                when_days: int) -> None:
-        if new == "D" and old not in ("R", "D", "FU"):
+        if new == "D" and old not in TERMINAL_CODES:
             self.counters["wl.deaths"] += 1
             country = self.store.registrations[row].country
             self.counters[f"country.{country}.wl_deaths"] = (
                 self.counters.get(f"country.{country}.wl_deaths", 0) + 1)
-        if new == "R" and old not in ("R", "D", "FU"):
+        if new == "R" and old not in TERMINAL_CODES:
             self.counters["wl.removals"] += 1
 
 
@@ -170,7 +170,6 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
     """
     state = SimState(inputs, seed, check_invariants, collect_trace)
     store = state.store
-    store.begin_deferred_derivation()
     start, end = state.start_days, state.end_days
 
     seen_ids: dict[str, int] = {}
@@ -203,7 +202,7 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
                 first_pending = i
                 break
         terminal_before = any(
-            u.kind == "URG" and u.payload.strip() in ("R", "D", "FU")
+            u.kind == "URG" and u.payload.strip() in TERMINAL_CODES
             for u in folded)
         if terminal_before:
             continue
@@ -235,7 +234,7 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
                 a_updates = state.updates_of.get(a_row, [])
                 a_end = None
                 for u in a_updates:
-                    if u.kind == "URG" and u.payload.strip() in ("R", "D", "FU"):
+                    if u.kind == "URG" and u.payload.strip() in TERMINAL_CODES:
                         a_end = to_days(u.when)
                 if a_end is not None and b_start < a_end:
                     raise InputError(
@@ -328,7 +327,7 @@ def _handle_balance(state: SimState, event: BalanceEvent, when: int) -> None:
 def _handle_patient(state: SimState, row: int, upd_idx: int, when: int) -> None:
     store = state.store
     current = store.status_code(row)
-    if current in ("R", "D", "FU"):
+    if current in TERMINAL_CODES:
         return  # spell already ended (e.g. transplanted by the simulation)
     updates = state.updates_of.get(row, [])
     if upd_idx >= len(updates):
@@ -361,7 +360,7 @@ def _handle_failure(state: SimState, person_id: str, expected_count: int,
         return  # never re-listed (death happens off the waiting list)
     store = state.store
     current = store.status_code(row)
-    if current in ("R", "D", "FU"):
+    if current in TERMINAL_CODES:
         return
     old = current
     store.set_status(row, "D")

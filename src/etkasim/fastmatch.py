@@ -23,8 +23,8 @@ from .entities import (AllocationProfile, CandidateRegistration, CenterRegistry,
                        DonorArrival, StatusUpdate, URGENCY_CODES,
                        expand_mm_patterns, parse_profile)
 from .hla import (AntigenTable, BloodGroupFrequencies, DonorPanel,
-                  FrequencyTable, HlaTyping, MmpInputs, carried_codes,
-                  compute_hmpp_fraction, compute_mmp)
+                  FrequencyTable, HlaTyping, carried_codes,
+                  compute_hmpp_fraction)
 from .policy import PolicyConfig, sliding_scale_points
 
 # status codes; PRE marks a synthetic re-listing created but not yet listed
@@ -109,7 +109,13 @@ def _freq_by_bit(bits: LocusBits, dist: Mapping[str, float]) -> np.ndarray:
 
 
 class CandidateStore:
-    """Structure-of-arrays over all registrations in a run (single-writer)."""
+    """Structure-of-arrays over all registrations in a run (single-writer).
+
+    ``add`` and ``apply_update`` only mark rows whose HLA or unacceptables
+    changed; their p<=1mm, vPRA and immunization points are derived in one
+    batch by ``finalize_derived_values``, which ``build_match_arrays`` calls
+    before it reads them.
+    """
 
     GROW = 256
 
@@ -136,7 +142,7 @@ class CandidateStore:
         self.registrations: list[CandidateRegistration] = []
         self.ids: list[str] = []
         self.row_of: dict[str, int] = {}
-        self._deferred: set[int] | None = None
+        self._pending: set[int] = set()
 
         if panel is not None:
             self._panel_words = np.stack(
@@ -269,32 +275,6 @@ class CandidateStore:
                         raise InputError(
                             f"candidate antigen {code!r} missing from "
                             f"frequency table at locus {locus}")
-            if self._deferred is not None:
-                self._deferred.add(row)
-            else:
-                self.p1mm[row] = self._p1mm_analytic_row(row)
-
-    def _p1mm_analytic_row(self, row: int) -> float:
-        probs = []
-        for locus, mask_arr in (("A", self.mask_a), ("B", self.mask_b),
-                                ("DR", self.mask_dr)):
-            fb = self._freq_bits[locus]
-            bits = ((mask_arr[row] >> np.arange(64, dtype=np.uint64))
-                    & np.uint64(1)).astype(np.float64)
-            s = float(fb @ bits)
-            sq_all = float((fb ** 2).sum())
-            sq_in = float(((fb ** 2) * bits).sum())
-            p0 = s * s
-            p1 = 2 * s * (1 - s) + (sq_all - sq_in)
-            probs.append((p0, p1))
-        p = probs[0][0] * probs[1][0] * probs[2][0]
-        for i in range(3):
-            term = probs[i][1]
-            for j in range(3):
-                if j != i:
-                    term *= probs[j][0]
-            p += term
-        return p
 
     def _p1mm_batch(self, rows: np.ndarray) -> None:
         shifts = np.arange(64, dtype=np.uint64)[None, :]
@@ -334,32 +314,26 @@ class CandidateStore:
                 raise InputError(f"unacceptable antigen {code!r} not in the "
                                  "antigen table")
         self.unacc[row] = self.hla_index.words.words(unacc)
-        if self._deferred is not None:
-            self._deferred.add(row)
-            return
-        self.vpra[row] = self._vpra_row(row)
-        self.refresh_immunization_points(row)
+        self._pending.add(row)
 
-    # -- batched derivation at initialization -------------------------------
-
-    def begin_deferred_derivation(self) -> None:
-        """Postpone per-row vPRA / immunization-point computation until
-        finalize_derived_values(); initialization folds thousands of rows and
-        the batch forms are far cheaper."""
-        self._deferred = set()
+    # -- derived values ---------------------------------------------------
 
     def finalize_derived_values(self, chunk: int = 512) -> None:
-        pending = sorted(self._deferred or ())
-        self._deferred = None
-        if not pending:
+        """Derive p<=1mm, vPRA and the immunization points (unrounded;
+        reports round per component) of every row added or given new
+        unacceptables since the last call, all pending rows in one batch."""
+        if not self._pending:
             return
-        rows = np.array(pending, dtype=np.int64)
+        rows = np.array(sorted(self._pending), dtype=np.int64)
+        self._pending.clear()
         if self._freq_bits is not None:
             with_hla = rows[self.hla_known[rows]]
             if len(with_hla):
                 self._p1mm_batch(with_hla)
         if self._panel_words is not None:
             has_unacc = self.unacc[rows].any(axis=1)
+            # a runtime update can empty the set of unacceptables
+            self.vpra[rows[~has_unacc]] = 0.0
             need = rows[has_unacc]
             for lo in range(0, len(need), chunk):
                 sub = need[lo:lo + chunk]
@@ -371,19 +345,19 @@ class CandidateStore:
                 self.vpra[sub] = hits.mean(axis=1)
         cfg = self.policy
         if cfg.sliding_scale.enabled:
-            for row in pending:
-                self.refresh_immunization_points(int(row))
+            for row in rows.tolist():
+                pts = sliding_scale_points(float(self.vpra[row]), cfg)
+                if cfg.sliding_scale.hmpp_replaces_mmp:
+                    if self.f1mm[row] < 0:
+                        self.f1mm[row] = self._f1mm_row(row)
+                    pts += cfg.mmp_weight * compute_hmpp_fraction(
+                        float(self.f1mm[row]))
+                self.immun_pts[row] = pts
             return
         x = self.f_bg[rows] * (1.0 - self.vpra[rows]) * self.p1mm[rows]
         mmp = np.where(x >= 1.0, 0.0, np.exp(1000.0 * np.log1p(-np.minimum(x, 1.0))))
         mmp = np.clip(mmp, 0.0, 1.0)
         self.immun_pts[rows] = cfg.mmp_weight * mmp
-
-    def _vpra_row(self, row: int) -> float:
-        if self._panel_words is None or not self.unacc[row].any():
-            return 0.0
-        hits = (self._panel_words & self.unacc[row]).any(axis=1)
-        return float(hits.mean())
 
     def _f1mm_row(self, row: int) -> float:
         """Empirical fraction of panel donors with <= 1 ABDR mismatch."""
@@ -397,24 +371,6 @@ class CandidateStore:
             total += ((b1 & ~cand) != 0).astype(np.int8)
             total += (((b2 != b1) & ((b2 & ~cand) != 0))).astype(np.int8)
         return float((total <= 1).mean())
-
-    def refresh_immunization_points(self, row: int) -> None:
-        """Re-derive cached immunization-related points under the policy
-        (unrounded; reports round per component)."""
-        cfg = self.policy
-        if cfg.sliding_scale.enabled:
-            pts = sliding_scale_points(float(self.vpra[row]), cfg)
-            if cfg.sliding_scale.hmpp_replaces_mmp:
-                if self.f1mm[row] < 0:
-                    self.f1mm[row] = self._f1mm_row(row)
-                pts += cfg.mmp_weight * compute_hmpp_fraction(
-                    float(self.f1mm[row]))
-            self.immun_pts[row] = pts
-        else:
-            mmp = compute_mmp(MmpInputs(f_bg=float(self.f_bg[row]),
-                                        vpra=float(self.vpra[row]),
-                                        p_leq1mm=float(self.p1mm[row])))
-            self.immun_pts[row] = cfg.mmp_weight * mmp
 
     def apply_update(self, row: int, update: StatusUpdate) -> None:
         kind, payload = update.kind, update.payload
@@ -513,6 +469,7 @@ GEO_LABELS = ("local_regional", "national", "international")
 def build_match_arrays(store: CandidateStore, donor: DonorArrival,
                        ledger: BalanceLedger, cfg: PolicyConfig,
                        now_days: int) -> MatchArrays:
+    store.finalize_derived_values()
     program = "ESP" if donor.age >= cfg.esp_donor_age_from else "ETKAS"
     n = store.n
     idx = store.hla_index

@@ -377,11 +377,8 @@ def compute_mmp(inputs: MmpInputs) -> float:
     f_bg * (1 - vPRA) * p_leq1mm and the MMP is the 1,000-donor complement.
     Evaluated in the log domain for precision.
     """
-    x = inputs.f_bg * (1.0 - inputs.vpra) * inputs.p_leq1mm
-    if x >= 1.0:
-        return 0.0
-    value = math.exp(1000.0 * math.log1p(-x))
-    return min(1.0, max(0.0, value))
+    return compute_hmpp_fraction(
+        inputs.f_bg * (1.0 - inputs.vpra) * inputs.p_leq1mm)
 
 
 def compute_hmpp_fraction(f_leq1mm: float) -> float:

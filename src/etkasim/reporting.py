@@ -349,6 +349,18 @@ def write_trace_csv(path: Path, traces: Sequence[tuple]) -> None:
                         "" if prob is None else f"{prob:.6f}"])
 
 
+def write_run_files(out_dir: Path, output: SimulationOutput,
+                    stats: Mapping[str, float], trace: bool = False) -> None:
+    """Write one run's transplants.csv, final_states.csv and stats.csv into
+    ``out_dir`` (created if missing), and offer_trace.csv with ``trace``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_transplants_csv(out_dir / "transplants.csv", output.transplants)
+    write_final_states_csv(out_dir / "final_states.csv", output)
+    write_stats_csv(out_dir / "stats.csv", stats)
+    if trace:
+        write_trace_csv(out_dir / "offer_trace.csv", output.offer_traces)
+
+
 def write_summary_csv(path: Path, table: SummaryTable) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

@@ -51,6 +51,20 @@ class TestCheckInputs:
         assert rc == 1
         assert "does not end" in capsys.readouterr().err
 
+    def test_transplant_terminated_stream_passes(self, fixture_dir, tmp_path,
+                                                 capsys):
+        # FU (transplanted) ends a spell for the engine, so it ends one here
+        import shutil
+        copy = tmp_path / "fu"
+        shutil.copytree(fixture_dir, copy)
+        statuses = copy / "statuses.csv"
+        text = statuses.read_text()
+        assert ",URG,R\n" in text
+        statuses.write_text(text.replace(",URG,R\n", ",URG,FU\n", 1))
+        rc = main(["check-inputs", "--settings", str(copy / "settings.yaml")])
+        assert rc == 0, capsys.readouterr().err
+        assert "inputs ok" in capsys.readouterr().out
+
     def test_missing_settings_key_is_diagnosed(self, tmp_path, capsys):
         bad = tmp_path / "settings.yaml"
         bad.write_text("window: {start: 2021-04-01, end: 2022-04-01}\n"

@@ -10,7 +10,8 @@ import pytest
 
 from etkasim.common import to_days
 from etkasim.entities import (AllocationProfile, CandidateRegistration,
-                              CandidateState, expand_mm_patterns)
+                              CandidateState, StatusUpdate,
+                              expand_mm_patterns)
 from etkasim.fastmatch import CandidateStore, HlaIndex, build_match_arrays
 from etkasim.hla import HlaTyping, compute_vpra
 from etkasim.matchlist import (AGE_NOT_ELIGIBLE, AM_ACTIVE, BLOOD_GROUP,
@@ -542,3 +543,66 @@ class TestScalarVectorEquivalence:
         for i, rec in enumerate(ml.records):
             assert float(arrays.total[i]) == pytest.approx(rec.total)
             assert float(arrays.comp_mmp[i]) == pytest.approx(rec.points.mmp)
+
+
+class TestRuntimeDerivedValues:
+    """Rows added or given new unacceptables during a run derive exactly the
+    vPRA, p<=1mm and immunization points a freshly loaded store gives them."""
+
+    @pytest.fixture(params=["mmp", "sliding_scale"])
+    def cfg(self, request, fx):
+        from etkasim.policy import SlidingScaleConfig
+        if request.param == "mmp":
+            return fx["policy"]
+        return replace(fx["policy"], sliding_scale=SlidingScaleConfig(
+            enabled=True, max_points=133.0, base=5.0, hmpp_replaces_mmp=True))
+
+    @staticmethod
+    def _store(fx, regs, cfg):
+        store = CandidateStore(HlaIndex(fx["table"]), fx["centers"],
+                               fx["panel"], fx["freq"], fx["bg"], cfg)
+        for reg in regs:
+            store.add(reg)
+        store.finalize_derived_values()
+        return store
+
+    @staticmethod
+    def _assert_same_derived(store, fresh):
+        n = fresh.n
+        assert store.n == n
+        for name in ("vpra", "p1mm", "immun_pts"):
+            np.testing.assert_array_equal(getattr(store, name)[:n],
+                                          getattr(fresh, name)[:n],
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("payload", ["AX3 AX7", ""])
+    def test_unacceptables_update(self, fx, cfg, payload):
+        regs = _random_population(fx, 60, np.random.default_rng(4),
+                                  MATCH_DATE)
+        store = self._store(fx, regs, cfg)
+        row = int(np.flatnonzero(store.vpra[:store.n] > 0)[0])
+        before = float(store.vpra[row])
+        store.apply_update(row, StatusUpdate(regs[row].id, MATCH_DATE, "UNA",
+                                             payload))
+        build_match_arrays(store, fx["donor"], fx["ledger"], cfg,
+                           to_days(MATCH_DATE))
+        regs[row] = replace(regs[row],
+                            unacceptables=frozenset(payload.split()))
+        fresh = self._store(fx, regs, cfg)
+        self._assert_same_derived(store, fresh)
+        assert float(store.vpra[row]) != before
+        if not payload:
+            assert store.vpra[row] == 0.0
+
+    def test_runtime_add(self, fx, cfg):
+        regs = _random_population(fx, 60, np.random.default_rng(5),
+                                  MATCH_DATE)
+        regs.append(replace(regs[0], id="LATE", patient_id="LATE",
+                            unacceptables=frozenset({"AX1", "AX4"})))
+        store = self._store(fx, regs[:-1], cfg)
+        store.add(regs[-1])
+        build_match_arrays(store, fx["donor"], fx["ledger"], cfg,
+                           to_days(MATCH_DATE))
+        fresh = self._store(fx, regs, cfg)
+        self._assert_same_derived(store, fresh)
+        assert store.vpra[store.row_of["LATE"]] > 0.0
