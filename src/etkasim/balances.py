@@ -117,6 +117,9 @@ class BalanceLedger:
     def snapshot(self) -> dict[tuple[str, str], int]:
         return dict(self._net)
 
+    def regional_snapshot(self) -> dict[tuple[str, str], int]:
+        return dict(self._regional)
+
 
 def init_ledger(history: Sequence[BalanceEvent], start: date,
                 countries: Iterable[str],

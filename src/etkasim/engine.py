@@ -80,6 +80,7 @@ class SimulationOutput:
     event_log: list[tuple]
     init_statuses: dict[str, tuple[str, int]]
     init_ledger_snapshot: dict
+    init_regional_snapshot: dict
     offer_traces: list[tuple] = field(default_factory=list)
     invariant_failures: list[str] = field(default_factory=list)
 
@@ -303,6 +304,7 @@ def run(state: SimState) -> SimulationOutput:
         event_log=state.event_log,
         init_statuses=state.init_statuses,
         init_ledger_snapshot=state.init_ledger.snapshot(),
+        init_regional_snapshot=state.init_ledger.regional_snapshot(),
         offer_traces=state.offer_traces,
         invariant_failures=state.invariant_failures,
     )
@@ -372,12 +374,12 @@ def _handle_failure(state: SimState, person_id: str, expected_count: int,
 # ---------------------------------------------------------------------------
 # Donor events
 
-def _patient_prob_vector(model, donor: DonorArrival, arrays: MatchArrays,
+def _patient_prob_vector(model, donor: DonorArrival,
+                         donor_scalar: dict[str, float], arrays: MatchArrays,
                          store: CandidateStore, cfg) -> np.ndarray:
     """Vectorized patient-level acceptance probabilities, matching
     offering.patient_offer_features value for value."""
     n = len(arrays.rows)
-    donor_scalar = donor_features(donor)
 
     def col(name: str):
         if name in donor_scalar:
@@ -447,13 +449,14 @@ class ArrayOffers:
     def probability(self, i: int, patient_model) -> float:
         return float(self.probs[i])
 
-    def vicinity_order(self, indices) -> list[int]:
-        if not indices:
-            return []
-        idx = np.asarray(indices)
-        order = np.lexsort((idx, ~self.arrays.same_country[idx],
-                            ~self.arrays.same_region[idx]))
-        return [int(i) for i in idx[order]]
+    def vicinity_order(self, touched) -> list[int]:
+        keep = np.ones(len(self), dtype=bool)
+        keep[np.fromiter(touched, dtype=np.int64, count=len(touched))] = False
+        rest = np.flatnonzero(keep)
+        # geo_idx is the vicinity class (0 same region, 1 same country,
+        # 2 abroad); the stable sort keeps rank order within a class
+        return rest[np.argsort(self.arrays.geo_idx[rest],
+                               kind="stable")].tolist()
 
 
 def _handle_donor(state: SimState, donor: DonorArrival, when: int) -> None:
@@ -473,14 +476,15 @@ def _handle_donor(state: SimState, donor: DonorArrival, when: int) -> None:
                                 when))
         return
 
-    k_max = inputs.cox.sample(program, donor.country, donor_features(donor),
-                              state.rng)
-    probs = _patient_prob_vector(models.patient, donor, arrays, store, cfg)
+    donor_feats = donor_features(donor)
+    k_max = inputs.cox.sample(program, donor.country, donor_feats, state.rng)
+    probs = _patient_prob_vector(models.patient, donor, donor_feats, arrays,
+                                 store, cfg)
     offers = ArrayOffers(store, arrays, probs)
 
     def center_feats(center_code: str):
-        return center_offer_features(donor, center_code, inputs.centers,
-                                     store.countries)
+        return center_offer_features(donor, donor_feats, center_code,
+                                     inputs.centers, store.countries)
 
     outcome = run_allocation(
         offers, donor, k_max, models, state.rng,
@@ -495,7 +499,8 @@ def _handle_donor(state: SimState, donor: DonorArrival, when: int) -> None:
                  entry.decision, entry.probability))
 
     for acc in outcome.acceptances:
-        _record_transplant(state, donor, arrays, acc.index, acc, when)
+        _record_transplant(state, donor, donor_feats, arrays, acc.index, acc,
+                           when)
 
     if outcome.unplaced:
         state.counters["kidneys.discarded"] += outcome.unplaced
@@ -503,7 +508,8 @@ def _handle_donor(state: SimState, donor: DonorArrival, when: int) -> None:
 
 
 def _record_transplant(state: SimState, donor: DonorArrival,
-                       arrays: MatchArrays, i: int, acc, when: int) -> None:
+                       donor_feats: dict[str, float], arrays: MatchArrays,
+                       i: int, acc, when: int) -> None:
     store = state.store
     inputs = state.inputs
     row = int(arrays.rows[i])
@@ -572,16 +578,17 @@ def _record_transplant(state: SimState, donor: DonorArrival,
              event.donor_age, event.program, event.donor_region,
              event.recipient_region, when))
 
-    _post_transplant(state, donor, row, record, when)
+    _post_transplant(state, donor, donor_feats, row, record, when)
 
 
-def _post_transplant(state: SimState, donor: DonorArrival, row: int,
+def _post_transplant(state: SimState, donor: DonorArrival,
+                     donor_feats: dict[str, float], row: int,
                      record: TransplantRecord, when: int) -> None:
     inputs = state.inputs
     store = state.store
     reg = store.registrations[row]
 
-    features = donor_features(donor)
+    features = dict(donor_feats)
     features.update({
         "cand_age": float(record.cand_age),
         "cand_dialysis_years": record.dialysis_days / DAYS_PER_YEAR,
@@ -652,15 +659,18 @@ def store_unacceptables(store: CandidateStore, row: int) -> set[str]:
 # ---------------------------------------------------------------------------
 # Replay check: fold the event log back into a final state
 
-def replay_final_state(output: SimulationOutput) -> tuple[dict, dict]:
+def replay_final_state(output: SimulationOutput) -> tuple[dict, dict, dict]:
     """Fold the run's event log over the initial snapshot.
 
-    Returns (statuses, ledger_net) which must equal the run's own final
-    state exactly; any divergence means the engine mutated state without
-    logging it (or vice versa).
+    Returns (statuses, ledger_net, regional_net) which must equal the run's
+    own final state exactly; any divergence means the engine mutated state
+    without logging it (or vice versa).  Balance entries fold by the rules
+    of ``BalanceLedger.record_transfer``.
     """
     statuses: dict[str, tuple[str, int]] = dict(output.init_statuses)
     net: dict = dict(output.init_ledger_snapshot)
+    regional: dict = dict(output.init_regional_snapshot)
+    austria = output.ledger.austria_code
     for entry in output.event_log:
         kind = entry[0]
         if kind == "status":
@@ -672,16 +682,22 @@ def replay_final_state(output: SimulationOutput) -> tuple[dict, dict]:
         elif kind == "balance":
             (_, donor_c, recip_c, donor_age, program, d_region, r_region,
              when) = entry
+            group = donor_age_group(donor_age)
             if donor_c != recip_c:
-                group = donor_age_group(donor_age)
                 net[(donor_c, group)] = net.get((donor_c, group), 0) + 1
                 net[(recip_c, group)] = net.get((recip_c, group), 0) - 1
-    return statuses, net
+            if donor_c == austria and d_region:
+                key = (d_region, group)
+                regional[key] = regional.get(key, 0) + 1
+            if recip_c == austria and r_region:
+                key = (r_region, group)
+                regional[key] = regional.get(key, 0) - 1
+    return statuses, net, regional
 
 
 def verify_replay(output: SimulationOutput) -> list[str]:
     """Differences between the replayed log and the recorded final state."""
-    statuses, net = replay_final_state(output)
+    statuses, net, regional = replay_final_state(output)
     problems = []
     final = {cid: (code, day) for cid, code, day in output.final_states}
     if statuses != final:
@@ -691,4 +707,6 @@ def verify_replay(output: SimulationOutput) -> list[str]:
                         f"(e.g. {sorted(diff)[:3]})")
     if net != output.ledger.snapshot():
         problems.append("ledger mismatch after replay")
+    if regional != output.ledger.regional_snapshot():
+        problems.append("Austrian regional ledger mismatch after replay")
     return problems

@@ -143,6 +143,9 @@ class CandidateStore:
         self.ids: list[str] = []
         self.row_of: dict[str, int] = {}
         self._pending: set[int] = set()
+        # regions (indices) of Austrian registrations: the keys the
+        # regional tie-break reads from the ledger
+        self.austrian_regions: set[int] = set()
 
         if panel is not None:
             self._panel_words = np.stack(
@@ -236,6 +239,8 @@ class CandidateStore:
         self.bg[row] = BG_CODES[reg.blood_group]
         self.country_idx[row] = self.country_of[reg.country]
         self.region_idx[row] = self.region_of[center.region]
+        if reg.country == "AT":
+            self.austrian_regions.add(self.region_of[center.region])
         self.subregion_idx[row] = self.subregion_of.get(center.esp_subregion, -1)
         self.center_codes.append(reg.center)
         self.dob_days[row] = to_days(reg.date_of_birth)
@@ -421,6 +426,16 @@ class CandidateStore:
         return int((now_days - int(self.dob_days[row])) // DAYS_PER_YEAR)
 
 
+def _age_years(now_days: int, dob_days: np.ndarray) -> np.ndarray:
+    """Whole years of age, floor((now - dob) / DAYS_PER_YEAR), in int32.
+
+    DAYS_PER_YEAR is 1461 / 4, so integer floor division by 1461 of four
+    times the day count is exact, and several times faster than floor
+    division by the float.
+    """
+    return ((now_days - dob_days) * 4 // 1461).astype(np.int32, copy=False)
+
+
 def _pattern_mask(patterns: frozenset[tuple[int, int, int]]) -> int:
     mask = 0
     for a, b, dr in patterns:
@@ -456,8 +471,6 @@ class MatchArrays:
     comp_distance: np.ndarray
     filter_fraction: np.ndarray
     age: np.ndarray
-    same_region: np.ndarray
-    same_country: np.ndarray
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -469,6 +482,14 @@ GEO_LABELS = ("local_regional", "national", "international")
 def build_match_arrays(store: CandidateStore, donor: DonorArrival,
                        ledger: BalanceLedger, cfg: PolicyConfig,
                        now_days: int) -> MatchArrays:
+    """The donor's match list: eligible rows with their points, in rank order.
+
+    Rank keys, in order: tier desc, total desc, Austrian regional key asc
+    (ETKAS only; the net export of the candidate's region, 0 elsewhere),
+    registration date asc, registration id asc.  The numeric sort need not
+    be stable, because a last pass re-sorts by id every run of rows tied on
+    all four numeric keys, which makes the order exact.
+    """
     store.finalize_derived_values()
     program = "ESP" if donor.age >= cfg.esp_donor_age_from else "ETKAS"
     n = store.n
@@ -484,14 +505,16 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
     if len(cand) == 0:
         return _empty_arrays(donor, program)
 
-    age = ((now_days - store.dob_days[cand]) // DAYS_PER_YEAR).astype(np.int32)
+    age = _age_years(now_days, store.dob_days[cand])
 
     # eligibility
     elig = store.hla_known[cand].copy()
     elig &= store.screening[cand] >= now_days - cfg.screening_max_age_days
+    # one test per word the donor's antigens occupy, not a reduction over
+    # every word of every row
     donor_words = idx.carried_words(donor.hla)
-    hit = (store.unacc[cand] & donor_words).any(axis=1)
-    elig &= ~hit
+    for w in np.flatnonzero(donor_words):
+        elig &= (store.unacc[:, w][cand] & donor_words[w]) == 0
     elig &= ~store.am[cand]
     if program == "ETKAS":
         if "DE" in store.country_of:
@@ -562,8 +585,8 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
             german_etkas = ((store.country_idx[rows] == store.country_of["DE"])
                             & (store.choice[rows] == 1))
         filtered = profile_ok & ~under_65 & ~german_etkas
-        tier = _esp_tier_array(store, donor, cfg, rows, age, d_region, d_sub,
-                               same_country)
+        tier = _esp_tier_array(store, donor, cfg, rows, age, d_sub,
+                               same_region, same_country)
         total = dial.astype(np.float64)
         comps = {name: np.zeros(len(rows)) for name in
                  ("dialysis", "hla", "pediatric", "hu", "mmp", "balance",
@@ -572,22 +595,16 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         fraction = np.ones(len(rows))
         order_total = total
 
-    # rank: tier desc, total desc, Austrian regional key asc, registration
-    # date asc, id asc (string order, fixed up after the numeric sort)
     regional = np.zeros(len(rows), dtype=np.int32)
-    austria = store.country_of.get("AT")
-    if austria is not None and program == "ETKAS":
-        at_rows = np.flatnonzero(store.country_idx[rows] == austria)
-        if len(at_rows):
-            group = donor_age_group(donor.age)
-            for i in at_rows:
-                region = store.regions[int(store.region_idx[rows[i]])]
-                regional[i] = ledger.regional_net_export(region, group)
+    if program == "ETKAS" and store.austrian_regions:
+        group = donor_age_group(donor.age)
+        by_region = np.zeros(len(store.regions), dtype=np.int32)
+        for r in store.austrian_regions:
+            by_region[r] = ledger.regional_net_export(store.regions[r], group)
+        at = store.country_idx[rows] == store.country_of["AT"]
+        regional[at] = by_region[store.region_idx[rows[at]]]
     reg_days = store.reg_days[rows]
-    order = np.lexsort((reg_days, regional, -order_total,
-                        -tier.astype(np.int32)))
-    order = _break_full_ties_by_id(store, rows, order, tier, order_total,
-                                   regional, reg_days)
+    order = _rank_order(store, rows, tier, order_total, regional, reg_days)
 
     rows = rows[order]
     return MatchArrays(
@@ -600,39 +617,56 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         comp_pediatric=comps["pediatric"][order], comp_hu=comps["hu"][order],
         comp_mmp=comps["mmp"][order], comp_balance=comps["balance"][order],
         comp_distance=comps["distance"][order],
-        filter_fraction=fraction[order], age=age[order],
-        same_region=same_region[order], same_country=same_country[order])
+        filter_fraction=fraction[order], age=age[order])
 
 
-def _break_full_ties_by_id(store, rows, order, tier, total, regional,
-                           reg_days) -> np.ndarray:
-    """Re-sort by registration id inside groups tied on every numeric key.
+def _rank_order(store, rows, tier, total, regional, reg_days) -> np.ndarray:
+    """Positions of ``rows`` in rank order (keys as in build_match_arrays).
 
-    Exact ties are rare (identical tier, float total, regional key, and
-    registration date), so the id tie-break costs nothing on the hot path.
+    A float argsort on the total, then a stable radix sort on the int16
+    tier, order the whole list on the first two keys.  Only the runs tied on
+    both are lexsorted on the regional key and the registration date, and
+    then by id where those tie too.  This costs a fraction of the four
+    stable sorts that a lexsort on all keys makes over the whole list.
     """
+    order = np.argsort(-total)
+    order = order[np.argsort(-tier[order], kind="stable")]
     t = tier[order]
     tot = total[order]
+    tied = (t[1:] == t[:-1]) & (tot[1:] == tot[:-1])
+    if not tied.any():
+        return order
+    in_run = np.zeros(len(order), dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    run_id = np.concatenate(([0], np.cumsum(~tied)))
+    pos = np.flatnonzero(in_run)
+    sub = order[pos]
+    order[pos] = sub[np.lexsort((reg_days[sub], regional[sub], run_id[pos]))]
+    return _break_full_ties_by_id(store, rows, order, tied, regional,
+                                  reg_days)
+
+
+def _break_full_ties_by_id(store, rows, order, tied, regional,
+                           reg_days) -> np.ndarray:
+    """Re-sort by registration id each run tied on every numeric key.
+
+    ``tied[i]`` says whether positions i and i+1 of ``order`` tie on tier
+    and total.  Exact ties are rare (identical tier, float total, regional
+    key, and registration date), so only their runs meet Python.
+    """
     reg = regional[order]
     rd = reg_days[order]
-    same = ((t[1:] == t[:-1]) & (tot[1:] == tot[:-1])
-            & (reg[1:] == reg[:-1]) & (rd[1:] == rd[:-1]))
+    same = tied & (reg[1:] == reg[:-1]) & (rd[1:] == rd[:-1])
     if not same.any():
         return order
-    order = order.copy()
-    i = 0
-    n = len(order)
-    while i < n - 1:
-        if same[i]:
-            j = i + 1
-            while j < n - 1 and same[j]:
-                j += 1
-            group = sorted(order[i:j + 1],
-                           key=lambda k: store.ids[int(rows[k])])
-            order[i:j + 1] = group
-            i = j + 1
-        else:
-            i += 1
+    # a run starts where ``same`` turns True and ends one past where it
+    # turns False again
+    edges = np.flatnonzero(np.diff(same, prepend=False, append=False))
+    ids = store.ids
+    for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        order[lo:hi + 1] = sorted(order[lo:hi + 1].tolist(),
+                                  key=lambda k: ids[rows[k]])
     return order
 
 
@@ -645,8 +679,7 @@ def _empty_arrays(donor: DonorArrival, program: str) -> MatchArrays:
         tier=np.zeros(0, dtype=np.int16), total=z, mm_a=zi, mm_b=zi,
         mm_dr=zi, geo_idx=zi, dial_days=zi, comp_dialysis=z, comp_hla=z,
         comp_pediatric=z, comp_hu=z, comp_mmp=z, comp_balance=z,
-        comp_distance=z, filter_fraction=z, age=zi, same_region=zb,
-        same_country=zb)
+        comp_distance=z, filter_fraction=z, age=zi)
 
 
 def _etkas_tier_array(store, donor, cfg, rows, age, mm_total):
@@ -706,13 +739,13 @@ def _etkas_points_arrays(store, donor, ledger, cfg, rows, age, mm_a, mm_b,
     return total, comps, fraction
 
 
-def _esp_tier_array(store, donor, cfg, rows, age, d_region, d_sub, same_country):
+def _esp_tier_array(store, donor, cfg, rows, age, d_sub, same_region,
+                    same_country):
     dc = store.centers.get(donor.center)
     table = cfg.esp_tier_table(dc.country)
     n_tiers = len(table)
     tier_rank = np.full(len(rows), n_tiers, dtype=np.int16)
     age_class_65 = age >= cfg.esp_candidate_age_from
-    same_region = same_country & (store.region_idx[rows] == d_region)
     same_sub = (store.subregion_idx[rows] == d_sub) & (d_sub >= 0)
     scope_masks = {
         "subregion": same_sub,

@@ -179,10 +179,13 @@ def donor_features(donor: DonorArrival) -> dict[str, float]:
     return feats
 
 
-def center_offer_features(donor: DonorArrival, center_code: str,
+def center_offer_features(donor: DonorArrival,
+                          donor_feats: Mapping[str, float], center_code: str,
                           centers: CenterRegistry,
                           countries: Sequence[str]) -> dict[str, float]:
-    feats = donor_features(donor)
+    """``donor_feats`` (the donor's ``donor_features``) plus the center's
+    geography and country indicators, in a new dict."""
+    feats = dict(donor_feats)
     center = centers.get(center_code)
     geo = geography_class(centers.get(donor.center), center)
     feats["match_local"] = float(geo == "local_regional")
@@ -309,10 +312,11 @@ class SequenceOffers:
             return record.patient_probability
         return patient_model.predict(record.patient_features or {})
 
-    def vicinity_order(self, indices: Sequence[int]) -> list[int]:
-        """Vicinity first (same region, then same country), original rank
-        as the final key."""
-        return sorted(indices, key=lambda i: (
+    def vicinity_order(self, touched: set[int]) -> list[int]:
+        """Every index not in ``touched``: vicinity first (same region, then
+        same country), original rank as the final key."""
+        remaining = (i for i in range(len(self.records)) if i not in touched)
+        return sorted(remaining, key=lambda i: (
             not self.records[i].same_region,
             not self.records[i].same_country, i))
 
@@ -441,8 +445,7 @@ def run_allocation(offers, donor: DonorArrival,
     # non-standard phase: remaining records (now including unfiltered-only
     # candidates), vicinity first, then original rank
     if kidneys_left > 0:
-        remaining = [i for i in range(n) if i not in touched]
-        for i in offers.vicinity_order(remaining):
+        for i in offers.vicinity_order(touched):
             if kidneys_left == 0:
                 break
             try_candidate(i, NON_STANDARD)

@@ -10,12 +10,15 @@ import pytest
 from etkasim.balances import BalanceEvent
 from etkasim.batch import run_batch, run_once
 from etkasim.common import InputError, to_days
-from etkasim.engine import initialize, run, verify_replay
-from etkasim.entities import StatusUpdate
+from etkasim.engine import ArrayOffers, initialize, run, verify_replay
+from etkasim.entities import StatusUpdate, expand_mm_patterns
+from etkasim.fastmatch import build_match_arrays
+from etkasim.offering import (AcceptanceModels, OfferRecord, SequenceOffers,
+                              run_allocation)
 from etkasim import reporting
 
 from engine_fixture import (WINDOW_END, WINDOW_START, always_relist_curves,
-                            candidate, donor, make_inputs,
+                            candidate, constant_logistic, donor, make_inputs,
                             quick_failure_weibull, terminal_updates)
 
 
@@ -259,6 +262,48 @@ class TestConservation:
         assert reporting.reconciliation_problems(stats) == []
 
 
+class TestRegionalReplay:
+    """The replay check folds the Austrian regional sub-ledger too."""
+
+    def _run(self):
+        # Austrian candidates take only blood group A, Belgian ones only O,
+        # so every transplant crosses the Austrian border
+        regs = ([candidate(f"A{i}", country="AT", center="ATC01")
+                 for i in range(4)]
+                + [candidate(f"B{i}", bg="O") for i in range(4)])
+        donors = [donor("D1", 10, kidneys=1),
+                  donor("D2", 20, bg="O", country="AT", center="ATC01",
+                        kidneys=1),
+                  donor("D3", 30, kidneys=2)]
+        events = [
+            BalanceEvent(WINDOW_START - timedelta(days=10), "AT", "DE", 40,
+                         "AM", donor_region="AT-R1"),
+            BalanceEvent(WINDOW_START + timedelta(days=5), "AT", "AT", 40,
+                         "AM", donor_region="AT-R1",
+                         recipient_region="AT-R2"),
+            BalanceEvent(WINDOW_START + timedelta(days=15), "DE", "AT", 70,
+                         "ESP", recipient_region="AT-R1")]
+        inputs = make_inputs(regs, donors, balance_events=events)
+        return run(initialize(inputs, seed=1))
+
+    def test_regional_ledger_replays(self):
+        output = self._run()
+        assert len(output.transplants) == 4
+        regional = output.ledger.regional_snapshot()
+        assert regional != output.init_regional_snapshot
+        assert regional[("AT-R2", "18-49")] == -1
+        assert verify_replay(output) == []
+
+    def test_unlogged_regional_move_is_reported(self):
+        output = self._run()
+        # a domestic transfer moves only the regional sub-ledger
+        output.ledger.record_transfer(BalanceEvent(
+            WINDOW_END, "AT", "AT", 40, "AM", donor_region="AT-R1",
+            recipient_region="AT-R2"))
+        assert verify_replay(output) == [
+            "Austrian regional ledger mismatch after replay"]
+
+
 class TestPostTransplantFlow:
     def test_relisting_created_and_activated(self):
         inputs = make_inputs(
@@ -421,3 +466,74 @@ class TestBatch:
                 float(np.percentile(values, 2.5)))
             assert row.hi == pytest.approx(
                 float(np.percentile(values, 97.5)))
+
+
+class TestArrayOffers:
+    """The engine's array-backed offer accessor walks a match list exactly
+    as the record-based SequenceOffers does."""
+
+    PLACES = [("BE", "BEC01"), ("BE", "BEC02"), ("DE", "DEC01"),
+              ("NL", "NLC01"), ("AT", "ATC01")]
+
+    def _walk_both(self, seed, mode, max_prob):
+        rng = np.random.default_rng(seed)
+        regs = []
+        for i in range(80):
+            country, center = self.PLACES[int(rng.integers(0, 5))]
+            regs.append(candidate(
+                f"C{i:03d}", country=country, center=center,
+                age=float(rng.uniform(20, 75)),
+                mm=[(0, 0, 0), (1, 1, 1), (1, 0, 1), (2, 0, 2)][i % 4],
+                dialysis_days=int(rng.integers(0, 3000)),
+                mm_criteria=(expand_mm_patterns("**2") if i % 5 == 0
+                             else frozenset())))
+        state = initialize(make_inputs(regs, []), seed=1)
+        arrival = donor("D1", 10)
+        arrays = build_match_arrays(state.store, arrival, state.ledger,
+                                    state.policy,
+                                    to_days(arrival.report_date))
+        # the list mixes same-region, same-country and foreign rows, and
+        # rows that only the non-standard phase may offer to
+        assert set(arrays.geo_idx.tolist()) == {0, 1, 2}
+        assert not arrays.filtered.all()
+        probs = rng.uniform(0.0, max_prob, len(arrays))
+        records = [OfferRecord(
+            candidate_id=state.store.ids[row],
+            center=state.store.center_codes[row],
+            filtered_visible=bool(arrays.filtered[i]), rank=i + 1,
+            same_region=bool(arrays.geo_idx[i] == 0),
+            same_country=bool(arrays.geo_idx[i] < 2),
+            candidate_age=float(arrays.age[i]),
+            patient_probability=float(probs[i]))
+            for i, row in enumerate(arrays.rows.tolist())]
+        models = AcceptanceModels(center=constant_logistic(0.6, "center"),
+                                  patient=constant_logistic(0.5, "patient"),
+                                  dual=constant_logistic(0.5, "dual"))
+        outcomes = [
+            run_allocation(offers, arrival, 3, models,
+                           np.random.default_rng(seed), unplaced_mode=mode,
+                           collect_trace=True)
+            for offers in (ArrayOffers(state.store, arrays, probs),
+                           SequenceOffers(records))]
+        return outcomes
+
+    @staticmethod
+    def _assert_same(a, s):
+        assert a.acceptances == s.acceptances
+        assert a.trace == s.trace
+        assert a.unplaced == s.unplaced
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_non_standard_phase(self, seed):
+        a, s = self._walk_both(seed, "discard", 0.15)
+        self._assert_same(a, s)
+        assert any(acc.mechanism == "non_standard" and not acc.forced
+                   for acc in a.acceptances)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_force_mode(self, seed):
+        a, s = self._walk_both(seed, "force", 0.002)
+        self._assert_same(a, s)
+        assert any(acc.forced for acc in a.acceptances)
+        assert any(e.stage == "non_standard" and e.decision == "decline"
+                   for e in a.trace)

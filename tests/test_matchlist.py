@@ -8,16 +8,17 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from etkasim.balances import BalanceEvent, BalanceLedger
 from etkasim.common import to_days
 from etkasim.entities import (AllocationProfile, CandidateRegistration,
-                              CandidateState, StatusUpdate,
-                              expand_mm_patterns)
+                              CandidateState, Center, CenterRegistry,
+                              StatusUpdate, expand_mm_patterns)
 from etkasim.fastmatch import CandidateStore, HlaIndex, build_match_arrays
 from etkasim.hla import HlaTyping, compute_vpra
 from etkasim.matchlist import (AGE_NOT_ELIGIBLE, AM_ACTIVE, BLOOD_GROUP,
                                GERMAN_CHOICE, HLA_UNKNOWN, NOT_OFFERABLE,
                                SCREENING_STALE, UNACCEPTABLE,
-                               build_match_list,
+                               MatchPointContext, build_match_list,
                                esp_eligible, esp_filtered, esp_tier,
                                etkas_eligible, etkas_filtered, etkas_points,
                                etkas_tier)
@@ -544,6 +545,79 @@ class TestScalarVectorEquivalence:
             assert float(arrays.total[i]) == pytest.approx(rec.total)
             assert float(arrays.comp_mmp[i]) == pytest.approx(rec.points.mmp)
 
+    @pytest.mark.parametrize("donor_age", [45, 70])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_paths_agree_under_heavy_ties(self, fx, donor_age, seed):
+        """Few distinct HLA typings, dialysis starts and registration dates
+        make (tier, total) ties common; two Austrian regions with different
+        non-zero regional balances make the regional key decide some of
+        them, and registration date and id decide the rest."""
+        centers = CenterRegistry(list(fx["centers"].centers())
+                                 + [Center("ATC02", "AT", "AT-R2")])
+        ledger = BalanceLedger(centers.countries, ["AT-R1", "AT-R2"])
+        when = MATCH_DATE - timedelta(days=30)
+        for _ in range(3):
+            ledger.record_transfer(BalanceEvent(when, "AT", "DE", 30, "AM",
+                                                donor_region="AT-R1"))
+        for _ in range(2):
+            ledger.record_transfer(BalanceEvent(when, "DE", "AT", 30, "AM",
+                                                recipient_region="AT-R2"))
+        ctx = MatchPointContext(fx["table"], centers, fx["bg"], fx["freq"])
+
+        rng = np.random.default_rng(seed)
+        places = [("AT", "ATC01"), ("AT", "ATC02"), ("AT", "ATC01"),
+                  ("AT", "ATC02"), ("BE", "BEC01"), ("BE", "BEC02"),
+                  ("DE", "DEC01"), ("NL", "NLC01")]
+        typings = [TYPING_BY_MM[(1, 1, 1)], TYPING_BY_MM[(2, 0, 2)]]
+        reg_dates = [date(2016, 3, 1), date(2017, 3, 1), date(2018, 3, 1)]
+        dial_starts = [None, date(2018, 1, 1), date(2019, 1, 1)]
+        n = 200
+        # ids run against registration order, so neither date nor id order
+        # matches the order rows enter the store
+        ids = rng.permutation(n)
+        regs = []
+        for i in range(n):
+            country, center = places[int(rng.integers(0, len(places)))]
+            age = 40.0 if rng.random() < 0.5 else 70.0
+            regs.append(CandidateRegistration(
+                id=f"Q{ids[i]:03d}", patient_id=f"Q{ids[i]:03d}",
+                country=country, center=center, blood_group="A",
+                date_of_birth=MATCH_DATE - timedelta(days=int(age * 365.25)),
+                registration_date=reg_dates[-1 - (i * 3) // n],
+                hla=HlaTyping(typings[int(rng.integers(0, 2))]),
+                dialysis_start=dial_starts[int(rng.integers(0, 3))],
+                last_screening_date=MATCH_DATE - timedelta(days=10),
+                initial_urgency="T",
+                kaoo=bool(rng.random() < 0.1)))
+        donor = replace(fx["donor"], age=donor_age)
+
+        states = [CandidateState.initial(
+            reg, vpra=compute_vpra(reg.unacceptables, fx["panel"]))
+            for reg in regs]
+        ml = build_match_list(donor, states, ledger, fx["policy"], ctx,
+                              MATCH_DATE)
+        store = CandidateStore(HlaIndex(fx["table"]), centers, fx["panel"],
+                               fx["freq"], fx["bg"], fx["policy"])
+        for reg in regs:
+            store.add(reg)
+        arrays = build_match_arrays(store, donor, ledger, fx["policy"],
+                                    to_days(MATCH_DATE))
+
+        assert arrays.program == ml.program == (
+            "ETKAS" if donor_age < 65 else "ESP")
+        keys = list(zip(arrays.tier.tolist(), arrays.total.tolist()))
+        assert len(set(keys)) * 4 < len(keys)
+        if ml.program == "ETKAS":
+            # the regional key separates rows tied on tier and total
+            tied_regions = {}
+            for key, row in zip(keys, arrays.rows):
+                if store.country_idx[row] == store.country_of["AT"]:
+                    tied_regions.setdefault(key, set()).add(
+                        store.regions[int(store.region_idx[row])])
+            assert any(len(r) == 2 for r in tied_regions.values())
+        assert ([store.ids[int(r)] for r in arrays.rows]
+                == [r.candidate_id for r in ml.records])
+
 
 class TestRuntimeDerivedValues:
     """Rows added or given new unacceptables during a run derive exactly the
@@ -606,3 +680,12 @@ class TestRuntimeDerivedValues:
         fresh = self._store(fx, regs, cfg)
         self._assert_same_derived(store, fresh)
         assert store.vpra[store.row_of["LATE"]] > 0.0
+
+
+def test_integer_age_equals_float_floor_division():
+    from etkasim.common import DAYS_PER_YEAR
+    from etkasim.fastmatch import _age_years
+    dob = np.arange(-80000, 40000, dtype=np.int32)
+    now = to_days(MATCH_DATE)
+    expected = ((now - dob) // DAYS_PER_YEAR).astype(np.int32)
+    np.testing.assert_array_equal(_age_years(now, dob), expected)
