@@ -42,7 +42,8 @@ def _inputs_for_run(inputs: SimulationInputs, run_index: int) -> SimulationInput
                                                    inputs.antigen_table))
     if status_streams:
         status_path = status_streams[run_index % len(status_streams)]
-        new = replace(new, updates=load_status_updates(status_path))
+        updates, screenings = load_status_updates(status_path)
+        new = replace(new, updates=updates, screenings=screenings)
     return new
 
 

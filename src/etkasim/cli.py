@@ -131,19 +131,21 @@ def cmd_check_inputs(args) -> int:
     settings = load_settings(args.settings)
     inputs = load_inputs(settings)
     problems: list[str] = []
-    for cand_id, updates in inputs.updates.items():
-        terminal = [u for u in updates
+    # a candidate's status stream is its updates plus its screenings
+    streams = dict.fromkeys([*inputs.updates, *inputs.screenings])
+    for cand_id in streams:
+        terminal = [u for u in inputs.updates.get(cand_id, ())
                     if u.kind == "URG" and u.payload.strip() in TERMINAL_CODES]
         if not terminal:
             problems.append(f"candidate {cand_id}: status stream does not "
                             "end in a removal, death or transplant")
     known = {r.id for r in inputs.registrations}
-    for cand_id in inputs.updates:
+    for cand_id in streams:
         if cand_id not in known:
             problems.append(f"status updates reference unknown candidate "
                             f"{cand_id!r}")
     for reg in inputs.registrations:
-        if reg.id not in inputs.updates:
+        if reg.id not in streams:
             problems.append(f"candidate {reg.id}: no status updates")
     if problems:
         for p in problems[:50]:

@@ -8,6 +8,8 @@ from datetime import date, datetime
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Malformed input data (carries file/line location when known)."""
@@ -55,6 +57,34 @@ def parse_date(text: str, path=None, line=None) -> date:
         raise InputError(f"invalid date {text!r} (expected YYYY-MM-DD)", path, line)
 
 
+_DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9]  # YYYY-MM-DD
+
+
+def iso_days(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Parse date texts in one numpy pass: (days since the epoch, ok mask).
+
+    A text counts as parsed (ok) only in strict YYYY-MM-DD form naming a real
+    calendar date, i.e. exactly when the parsed day formats back to the same
+    text.  Every other text, including forms that parse_date also accepts
+    (such as 20210501), is left to parse_date; its day reads 0.
+    """
+    n = len(texts)
+    ok = np.fromiter(map(len, texts), dtype=np.int64, count=n) == 10
+    # code points of the first 10 characters, one row per text
+    cp = np.array(texts, dtype="U10").view(np.uint32).reshape(n, 10)
+    digits = cp[:, _DIGIT_AT] - np.uint32(48)  # non-digits wrap past 9
+    ok &= (digits <= 9).all(axis=1) & (cp[:, 4] == 45) & (cp[:, 7] == 45)
+    d = digits.astype(np.int64)
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month = d[:, 4] * 10 + d[:, 5]
+    day = d[:, 6] * 10 + d[:, 7]
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    months = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("M8[M]")
+    first = months.astype("M8[D]").astype(np.int64)
+    ok &= day <= (months + 1).astype("M8[D]").astype(np.int64) - first
+    return np.where(ok, first + day - 1, 0), ok
+
+
 def parse_bool(text: str, path=None, line=None) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "y"):
@@ -62,6 +92,24 @@ def parse_bool(text: str, path=None, line=None) -> bool:
     if t in ("0", "false", "no", "n", ""):
         return False
     raise InputError(f"invalid boolean {text!r}", path, line)
+
+
+def read_csv_header(fh) -> tuple[int, list[str]] | None:
+    """Skip the '#' metadata and blank lines of an open delimited file and
+    read its header row: (header line number, field names), or None for a
+    file without one.  Data row i (0-based, as csv.reader counts rows) then
+    sits on line header_line + 1 + i."""
+    pos = 0
+    for raw in fh:
+        pos += 1
+        if raw.startswith("#") or not raw.strip():
+            continue
+        return pos, next(csv.reader([raw]))
+    return None
+
+
+def is_blank_row(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
 
 
 def read_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
@@ -72,20 +120,12 @@ def read_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        pos = 0
-        header_line = None
-        for raw in fh:
-            pos += 1
-            if raw.startswith("#") or not raw.strip():
-                continue
-            header_line = raw
-            break
-        if header_line is None:
+        header = read_csv_header(fh)
+        if header is None:
             return
-        fieldnames = next(csv.reader([header_line]))
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if not row or (len(row) == 1 and not row[0].strip()):
+        pos, fieldnames = header
+        for i, row in enumerate(csv.reader(fh)):
+            if is_blank_row(row):
                 continue
             if len(row) != len(fieldnames):
                 raise InputError(

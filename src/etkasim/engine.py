@@ -2,9 +2,12 @@
 
 Three event kinds drive a run: balance updates (international transplants
 outside the simulated programs), patient status updates, and donor arrivals.
-Same-timestamp events process balance first, then patient, then donor, with
-an insertion sequence number as the final tie-break, so replays under a
-fixed seed are bit-identical.
+Antibody-screening refreshes ride along as one patient-priority event per
+day, which writes that day into the screening column of every row refreshed
+on it; post-transplant failures are patient events too.  Same-timestamp
+events process balance first, then patient, then donor, with an insertion
+sequence number as the final tie-break, so replays under a fixed seed are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -135,6 +138,15 @@ class SimState:
         self._seq += 1
         heapq.heappush(self.fes, (when_days, prio, self._seq, kind, payload))
 
+    def schedule_screenings(self, days: np.ndarray, rows: np.ndarray) -> None:
+        """One screening event per distinct day up to the window end; its
+        payload holds the rows refreshed that day.  ``days`` is sorted."""
+        n = int(np.searchsorted(days, self.end_days, side="right"))
+        starts = np.flatnonzero(np.diff(days[:n], prepend=days[:1] - 1))
+        for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), n]):
+            self.schedule(int(days[lo]), PRIO_PATIENT, "screening",
+                          rows[lo:hi])
+
     # -- bookkeeping ------------------------------------------------------
 
     def _mark_listed(self, row: int) -> None:
@@ -162,12 +174,13 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
                collect_trace: bool = False) -> SimState:
     """Build the initial system state and future event set.
 
-    Pre-window status updates fold into candidate states; pre-window balance
+    Pre-window status updates fold into candidate states, and each row's
+    screening date becomes its last pre-window refresh; pre-window balance
     events fold into the ledger; each candidate gets exactly one pending
-    patient event (their first in-window update); in-window donors and
-    balance updates are scheduled.  Repeat registrations whose previous
-    transplant falls inside the window are excluded - the simulation itself
-    generates those re-listings.
+    patient event (their first in-window update); in-window screening
+    refreshes, donors and balance updates are scheduled.  Repeat
+    registrations whose previous transplant falls inside the window are
+    excluded - the simulation itself generates those re-listings.
     """
     state = SimState(inputs, seed, check_invariants, collect_trace)
     store = state.store
@@ -175,6 +188,8 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
 
     seen_ids: dict[str, int] = {}
     spells: dict[str, list[tuple[int, int, str]]] = {}
+    scr_rows: list[int] = []  # rows with screenings, and their days
+    scr_days: list[np.ndarray] = []
 
     for reg in inputs.registrations:
         if reg.id in seen_ids:
@@ -216,6 +231,10 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
         state.person_active_row[reg.patient_id] = row
         for upd in folded:
             store.apply_update(row, upd)
+        days = inputs.screenings.get(reg.id)
+        if days is not None and len(days):
+            scr_rows.append(row)
+            scr_days.append(days)
         state.updates_of[row] = updates
         if first_pending is not None:
             upd = updates[first_pending]
@@ -242,6 +261,9 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
                         f"registrations {a_id!r} and {b_id!r} for patient "
                         f"{pid!r} overlap in time")
 
+    if scr_rows:
+        _fold_screenings(state, np.array(scr_rows, dtype=np.int64), scr_days)
+
     # balance stream: fold history, schedule in-window events
     for event in inputs.balance_events:
         when = to_days(event.when)
@@ -263,6 +285,25 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
     return state
 
 
+def _fold_screenings(state: SimState, rows: np.ndarray,
+                     days_of: list[np.ndarray]) -> None:
+    """Set each row's screening date to its last pre-window refresh, and
+    schedule the in-window refreshes; ``days_of[i]`` holds the sorted,
+    non-empty refresh days of ``rows[i]``."""
+    lens = np.fromiter(map(len, days_of), dtype=np.int64, count=len(days_of))
+    firsts = np.cumsum(lens) - lens
+    days = np.concatenate(days_of)
+    before = days < state.start_days
+    n_before = np.add.reduceat(before, firsts, dtype=np.int64)
+    folded = n_before > 0
+    state.store.screening[rows[folded]] = days[
+        (firsts + n_before - 1)[folded]]
+    later = np.repeat(rows, lens)[~before]
+    days = days[~before]
+    order = np.argsort(days, kind="stable")
+    state.schedule_screenings(days[order], later[order])
+
+
 def run(state: SimState) -> SimulationOutput:
     """Process the future event set until it drains or passes the window end."""
     inputs = state.inputs
@@ -276,6 +317,8 @@ def run(state: SimState) -> SimulationOutput:
         heapq.heappop(state.fes)
         if kind == "balance":
             _handle_balance(state, payload[0], when)
+        elif kind == "screening":
+            store.screening[payload[0]] = when
         elif kind == "patient":
             _handle_patient(state, payload[0], payload[1], when)
         elif kind == "failure":
@@ -636,24 +679,19 @@ def _post_transplant(state: SimState, donor: DonorArrival,
     # copied urgency stream, with a screening refresh at every status so the
     # synthetic spell stays visible to eligibility the way a followed-up
     # repeat candidate would
-    updates = []
-    for offset, code in match.status_updates:
-        upd_date = from_days(relist_days + offset)
-        updates.append(StatusUpdate(synthetic.id, upd_date, "SCR", ""))
-        updates.append(StatusUpdate(synthetic.id, upd_date, "URG", code))
-    state.updates_of[new_row] = updates
+    state.updates_of[new_row] = [
+        StatusUpdate(synthetic.id, from_days(relist_days + offset), "URG", code)
+        for offset, code in match.status_updates]
+    days = np.unique([relist_days + offset
+                      for offset, _ in match.status_updates])
+    state.schedule_screenings(days, np.full(len(days), new_row))
     state.schedule(relist_days + match.status_updates[0][0], PRIO_PATIENT,
                    "patient", new_row, 0)
 
 
 def store_unacceptables(store: CandidateStore, row: int) -> set[str]:
     """Decode the candidate's current unacceptable set from its bit words."""
-    out = set()
-    words = store.unacc[row]
-    for code, (w, b) in store.hla_index.words.position.items():
-        if words[w] & (np.uint64(1) << np.uint64(b)):
-            out.add(code)
-    return out
+    return store.hla_index.words.codes(store.unacc[row])
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,25 @@ class CodeWords:
         self.n_words = max(1, (len(ordered) + 63) // 64)
         self.position: dict[str, tuple[int, int]] = {
             code: divmod(i, 64) for i, code in enumerate(ordered)}
+        # (word, bit) -> code, as word * 64 + bit
+        self.code_at: list[str] = ordered
 
     def words(self, codes: Iterable[str]) -> np.ndarray:
         out = np.zeros(self.n_words, dtype=np.uint64)
         for code in codes:
             w, b = self.position[code]
             out[w] |= np.uint64(1) << np.uint64(b)
+        return out
+
+    def codes(self, words: np.ndarray) -> set[str]:
+        """The codes whose bits are set in ``words``, visiting set bits only."""
+        out = set()
+        for w in np.flatnonzero(words).tolist():
+            x = int(words[w])
+            while x:
+                low = x & -x
+                out.add(self.code_at[w * 64 + low.bit_length() - 1])
+                x ^= low
         return out
 
 
@@ -378,6 +391,8 @@ class CandidateStore:
         return float((total <= 1).mean())
 
     def apply_update(self, row: int, update: StatusUpdate) -> None:
+        """Apply one status update.  Screening refreshes (``SCR``) are not
+        updates here: the engine writes their days into ``screening``."""
         kind, payload = update.kind, update.payload
         if kind == "URG":
             code = payload.strip()
@@ -390,8 +405,6 @@ class CandidateStore:
             self._set_unacceptables(row, frozenset(payload.split()))
         elif kind == "MMC":
             self.patmask[row] = _pattern_mask(expand_mm_patterns(payload))
-        elif kind == "SCR":
-            self.screening[row] = to_days(update.when)
         elif kind == "DIA":
             text = payload.strip()
             self.dial_start[row] = to_days(date.fromisoformat(text)) if text \

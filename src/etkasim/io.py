@@ -4,17 +4,24 @@ omitted data paths fall back to the packaged defaults under data/."""
 
 from __future__ import annotations
 
+import csv
+import gc
 from dataclasses import dataclass, field, replace
 from datetime import date
 from importlib import resources
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .balances import BalanceEvent, read_balance_events
-from .common import InputError, parse_bool, parse_date, read_csv_rows
-from .entities import (CandidateRegistration, CenterRegistry, DonorArrival,
-                       StatusUpdate, expand_mm_patterns, parse_profile)
+from .common import (InputError, is_blank_row, iso_days, parse_bool,
+                     parse_date, read_csv_header, read_csv_rows, to_days)
+from .entities import (UPDATE_KINDS, CandidateRegistration, CenterRegistry,
+                       DonorArrival, StatusUpdate, expand_mm_patterns,
+                       parse_profile)
 from .hla import (AntigenTable, BloodGroupFrequencies, DonorPanel,
                   FrequencyTable, HlaTyping)
 from .offering import AcceptanceModels, CoxSampler, LogisticModel
@@ -164,27 +171,153 @@ def load_registrations(path: str | Path,
     return regs
 
 
-def load_status_updates(path: str | Path) -> dict[str, list[StatusUpdate]]:
-    """Updates per candidate, sorted by date with input order as tie-break."""
-    updates: dict[str, list[tuple[int, StatusUpdate]]] = {}
-    for line, row in read_csv_rows(path):
-        try:
-            upd = StatusUpdate(
-                candidate_id=row["candidate_id"].strip(),
-                when=parse_date(row["date"], path, line),
-                kind=row["kind"].strip(),
-                payload=row.get("payload", "").strip(),
-            )
-        except (KeyError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(f"malformed status update: {exc}", path, line)
-        updates.setdefault(upd.candidate_id, []).append((line, upd))
-    out = {}
-    for cand, pairs in updates.items():
-        pairs.sort(key=lambda p: (p[1].when, p[0]))
-        out[cand] = [u for _, u in pairs]
-    return out
+Screenings = dict[str, np.ndarray]
+
+
+def load_status_updates(path: str | Path
+                        ) -> tuple[dict[str, list[StatusUpdate]], Screenings]:
+    """Candidate status streams as (updates, screenings).
+
+    ``updates`` maps a candidate id to its status updates other than ``SCR``,
+    sorted by date with input order as the tie-break.  ``screenings`` maps a
+    candidate id to the sorted days (since the epoch; read-only int32) of its
+    ``SCR`` antibody-screening refreshes, which carry nothing but a date.
+    Both dicts list candidates in order of first appearance.
+
+    The file is read once and parsed column-wise, a block of rows at a time.
+    A malformed row raises InputError at its line, the first one in file
+    order, as a row-at-a-time read would: a wrong field count, a missing
+    column, a bad date or an unknown kind.
+    """
+    gc_was_enabled = gc.isenabled()
+    # many small lists per block: a paused cyclic GC does not rescan them
+    gc.disable()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = read_csv_header(fh)
+            if header is None:
+                return {}, {}
+            return _read_status_rows(path, *header, csv.reader(fh))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+# rows per block: bounds what parsing holds beyond its result
+_STATUS_BLOCK = 1 << 16
+
+
+def _read_status_rows(path, header_line: int, fieldnames: list[str],
+                      reader) -> tuple[dict[str, list[StatusUpdate]],
+                                       Screenings]:
+    col = {name: i for i, name in enumerate(fieldnames)}
+    missing = next((name for name in ("candidate_id", "date", "kind")
+                    if name not in col), None)
+    number: dict[str, int] = {}  # candidate id -> order of first appearance
+    blocks = []  # (candidate number, day, is SCR) arrays per block
+    rest: list[tuple[str, str, str]] = []  # non-SCR (id, kind, payload)
+    first_line = header_line + 1
+    while rows := list(islice(reader, _STATUS_BLOCK)):
+        lines = first_line + np.arange(len(rows))
+        first_line += len(rows)
+        rows, lines, width_error = _cut_status_block(path, len(fieldnames),
+                                                     rows, lines)
+        if rows:
+            if missing is not None:
+                raise InputError(f"malformed status update: {missing!r}",
+                                 path, int(lines[0]))
+            blocks.append(_parse_status_block(path, col, rows, lines, number,
+                                              rest))
+        if width_error is not None:
+            raise width_error
+    if not blocks:
+        return {}, {}
+    code, days, is_scr = (np.concatenate(arrays) for arrays in zip(*blocks))
+    names = list(number)
+
+    # screenings: one sorted day array per candidate, views of one buffer
+    scr = np.flatnonzero(is_scr)
+    scr = scr[np.lexsort((days[scr], code[scr]))]
+    scr_days = days[scr]
+    scr_days.flags.writeable = False
+    scr_code = code[scr]
+    bounds = np.flatnonzero(np.diff(scr_code)) + 1
+    firsts = scr_code[np.r_[0, bounds]] if len(scr) else []
+    screenings = dict(zip((names[c] for c in firsts),
+                          np.split(scr_days, bounds)))
+
+    # everything else: StatusUpdate lists by date, then input order (the
+    # sort is stable)
+    others = np.flatnonzero(~is_scr)
+    order = np.lexsort((days[others], code[others]))
+    whens = days[others[order]].astype("M8[D]").astype(object)
+    updates: dict[str, list[StatusUpdate]] = {}
+    for j, when in zip(order.tolist(), whens):
+        cid, kind, payload = rest[j]
+        updates.setdefault(cid, []).append(
+            StatusUpdate(cid, when, kind, payload))
+    return updates, screenings
+
+
+def _cut_status_block(path, nf: int, rows: list[list[str]],
+                      lines: np.ndarray):
+    """Drop blank rows, and end the block before its first row of the wrong
+    width: (rows, their lines, that row's InputError or None)."""
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    width_error = None
+    blank = []
+    # a blank row has at most one field
+    for i in np.flatnonzero((widths != nf) | (widths <= 1)).tolist():
+        if is_blank_row(rows[i]):
+            blank.append(i)
+        elif widths[i] != nf:
+            width_error = InputError(f"expected {nf} fields, got {widths[i]}",
+                                     path, int(lines[i]))
+            del rows[i:]
+            lines = lines[:i]
+            break
+    if blank:
+        keep = np.delete(np.arange(len(rows)), blank)
+        rows = [rows[i] for i in keep.tolist()]
+        lines = lines[keep]
+    return rows, lines, width_error
+
+
+def _parse_status_block(path, col: dict[str, int], rows: list[list[str]],
+                        lines: np.ndarray, number: dict[str, int],
+                        rest: list[tuple[str, str, str]]):
+    """Validate and parse one block of rows: its (candidate number, day,
+    is SCR) arrays; the block's non-SCR rows are appended to ``rest``."""
+    cids = list(map(str.strip, map(itemgetter(col["candidate_id"]), rows)))
+    raw_dates = list(map(itemgetter(col["date"]), rows))
+    kinds = list(map(str.strip, map(itemgetter(col["kind"]), rows)))
+
+    # a row's date is parsed before its kind is checked
+    bad_kind = None
+    if not set(kinds) <= set(UPDATE_KINDS):
+        bad_kind = next(i for i, k in enumerate(kinds)
+                        if k not in UPDATE_KINDS)
+    days, ok = iso_days(list(map(str.strip, raw_dates)))
+    for i in np.flatnonzero(~ok).tolist():
+        if bad_kind is not None and i > bad_kind:
+            break
+        days[i] = to_days(parse_date(raw_dates[i], path, int(lines[i])))
+    if bad_kind is not None:
+        raise InputError(f"malformed status update: unknown update kind "
+                         f"{kinds[bad_kind]!r}", path, int(lines[bad_kind]))
+
+    for cid in dict.fromkeys(cids):
+        number.setdefault(cid, len(number))
+    code = np.fromiter(map(number.__getitem__, cids), dtype=np.int64,
+                       count=len(cids))
+    is_scr = np.fromiter(map("SCR".__eq__, kinds), dtype=bool,
+                         count=len(kinds))
+    payload_col = col.get("payload")
+    for i in np.flatnonzero(~is_scr).tolist():
+        payload = rows[i][payload_col].strip() if payload_col is not None \
+            else ""
+        rest.append((cids[i], kinds[i], payload))
+    return code, days.astype(np.int32), is_scr
 
 
 def load_donors(path: str | Path, table: AntigenTable) -> list[DonorArrival]:
@@ -244,8 +377,29 @@ class SimulationInputs:
     weibull: WeibullModel
     relist_curves: RelistCurveSet
     relist_pool: RelistingPool
+    screenings: Screenings = field(default_factory=dict)
     candidate_stream_paths: list[Path] = field(default_factory=list)
     status_stream_paths: list[Path] = field(default_factory=list)
+
+    def __post_init__(self):
+        # SCR refreshes live in ``screenings`` only: a hand-built ``updates``
+        # that holds some sets those candidates' screenings
+        if not any(u.kind == "SCR" for stream in self.updates.values()
+                   for u in stream):
+            return
+        updates = {}
+        screenings = dict(self.screenings)
+        for cid, stream in self.updates.items():
+            kept = [u for u in stream if u.kind != "SCR"]
+            if kept:
+                updates[cid] = kept
+            if len(kept) < len(stream):
+                days = np.sort(np.array([to_days(u.when) for u in stream
+                                         if u.kind == "SCR"], dtype=np.int32))
+                days.flags.writeable = False
+                screenings[cid] = days
+        self.updates = updates
+        self.screenings = screenings
 
     def with_policy(self, policy: PolicyConfig) -> "SimulationInputs":
         return replace(self, policy=policy)
@@ -305,6 +459,8 @@ def load_inputs(settings: SimulationSettings,
         settings.resolve("relist_pool", "relist_pool.csv"),
         settings.resolve("relist_pool_updates", "relist_pool_updates.csv"))
 
+    registrations = load_registrations(cand_path, table)
+    updates, screenings = load_status_updates(status_path)
     return SimulationInputs(
         settings=settings,
         antigen_table=table,
@@ -313,8 +469,9 @@ def load_inputs(settings: SimulationSettings,
         freq_table=freq_table,
         panel=panel,
         policy=policy,
-        registrations=load_registrations(cand_path, table),
-        updates=load_status_updates(status_path),
+        registrations=registrations,
+        updates=updates,
+        screenings=screenings,
         donors=load_donors(donor_path, table),
         balance_events=balance_events,
         cox=cox,

@@ -260,6 +260,15 @@ class PoolEntry:
 class RelistingPool:
     def __init__(self, entries: Sequence[PoolEntry]):
         self.entries = tuple(entries)
+        # the fields caliper matching reads, as columns in entry order
+        e = self.entries
+        self.age = np.array([x.age_at_relist for x in e], dtype=np.float64)
+        self.r_days = np.array([x.r_days for x in e], dtype=np.float64)
+        self.t_days = np.array([x.t_days for x in e], dtype=np.float64)
+        self.dialysis_days = np.array([x.dialysis_days_at_relist for x in e])
+        self.country = np.array([x.country for x in e], dtype=object)
+        self.within_1y = np.array([x.relisted_within_1y for x in e],
+                                  dtype=bool)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -314,33 +323,20 @@ class RecipientProfile:
         return self.r_days <= 365.25
 
 
-def _within_calipers(profile: RecipientProfile, entry: PoolEntry) -> bool:
-    return (abs(entry.age_at_relist - profile.age_at_relist) <= CALIPER_AGE_YEARS
-            and abs(entry.r_days - profile.r_days) <= CALIPER_R_DAYS
-            and abs(entry.t_days - profile.t_days) <= CALIPER_T_DAYS
-            and abs(entry.dialysis_days_at_relist
-                    - profile.dialysis_days_at_relist) <= CALIPER_DIALYSIS_DAYS)
-
-
 def _candidate_matches(profile: RecipientProfile,
                        pool: RelistingPool) -> list[PoolEntry]:
-    """In-caliper matches, relaxing country and then the within-1-year flag
-    whenever fewer than MIN_MATCHES entries survive."""
-    def select(require_country: bool, require_flag: bool) -> list[PoolEntry]:
-        out = []
-        for entry in pool.entries:
-            if require_country and entry.country != profile.country:
-                continue
-            if require_flag and (entry.relisted_within_1y
-                                 != profile.relisted_within_1y):
-                continue
-            if _within_calipers(profile, entry):
-                out.append(entry)
-        return out
-
-    for require_country, require_flag in ((True, True), (False, True),
-                                          (False, False)):
-        matches = select(require_country, require_flag)
+    """In-caliper matches in pool order, relaxing country and then the
+    within-1-year flag whenever fewer than MIN_MATCHES entries survive."""
+    within = ((np.abs(pool.age - profile.age_at_relist) <= CALIPER_AGE_YEARS)
+              & (np.abs(pool.r_days - profile.r_days) <= CALIPER_R_DAYS)
+              & (np.abs(pool.t_days - profile.t_days) <= CALIPER_T_DAYS)
+              & (np.abs(pool.dialysis_days - profile.dialysis_days_at_relist)
+                 <= CALIPER_DIALYSIS_DAYS))
+    same_country = pool.country == profile.country
+    same_flag = pool.within_1y == profile.relisted_within_1y
+    for mask in (within & same_country & same_flag, within & same_flag,
+                 within):
+        matches = [pool.entries[i] for i in np.flatnonzero(mask).tolist()]
         if len(matches) >= MIN_MATCHES:
             return matches
     return matches  # may be short or empty after full relaxation

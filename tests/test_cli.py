@@ -65,6 +65,37 @@ class TestCheckInputs:
         assert rc == 0, capsys.readouterr().err
         assert "inputs ok" in capsys.readouterr().out
 
+    def test_screening_only_stream_is_unterminated(self, fixture_dir,
+                                                  tmp_path, capsys):
+        # keep only the SCR rows of one candidate's stream
+        import shutil
+        copy = tmp_path / "scr_only"
+        shutil.copytree(fixture_dir, copy)
+        statuses = copy / "statuses.csv"
+        rows = statuses.read_text().splitlines()
+        victim = next(r.split(",")[0] for r in rows if ",SCR," in r)
+        statuses.write_text("\n".join(
+            r for r in rows
+            if not r.startswith(victim + ",") or ",SCR," in r) + "\n")
+        rc = main(["check-inputs", "--settings", str(copy / "settings.yaml")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert (f"candidate {victim}: status stream does not end in a "
+                "removal, death or transplant") in err
+        assert f"candidate {victim}: no status updates" not in err
+
+    def test_screenings_of_unknown_candidate_detected(self, fixture_dir,
+                                                     tmp_path, capsys):
+        import shutil
+        copy = tmp_path / "ghost"
+        shutil.copytree(fixture_dir, copy)
+        with open(copy / "statuses.csv", "a") as fh:
+            fh.write("GHOST,2021-05-01,SCR,\n")
+        rc = main(["check-inputs", "--settings", str(copy / "settings.yaml")])
+        assert rc == 1
+        assert ("status updates reference unknown candidate 'GHOST'"
+                in capsys.readouterr().err)
+
     def test_missing_settings_key_is_diagnosed(self, tmp_path, capsys):
         bad = tmp_path / "settings.yaml"
         bad.write_text("window: {start: 2021-04-01, end: 2022-04-01}\n"

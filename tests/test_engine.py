@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace as dc_replace
 from datetime import timedelta
 
 import numpy as np
@@ -10,11 +11,13 @@ import pytest
 from etkasim.balances import BalanceEvent
 from etkasim.batch import run_batch, run_once
 from etkasim.common import InputError, to_days
-from etkasim.engine import ArrayOffers, initialize, run, verify_replay
+from etkasim.engine import (ArrayOffers, initialize, run,
+                            store_unacceptables, verify_replay)
 from etkasim.entities import StatusUpdate, expand_mm_patterns
 from etkasim.fastmatch import build_match_arrays
 from etkasim.offering import (AcceptanceModels, OfferRecord, SequenceOffers,
                               run_allocation)
+from etkasim.posttransplant import PoolEntry, RelistingPool
 from etkasim import reporting
 
 from engine_fixture import (WINDOW_END, WINDOW_START, always_relist_curves,
@@ -96,8 +99,11 @@ class TestInitialization:
         }
         state = initialize(make_inputs(regs, donors, updates=updates), seed=1)
         got = sorted((e[0], e[3]) for e in state.fes)
+        # C1's in-window refresh is a screening event, so its first pending
+        # patient event is the removal after the window
         want = sorted([
-            (to_days(WINDOW_START + timedelta(days=5)), "patient"),
+            (to_days(WINDOW_START + timedelta(days=5)), "screening"),
+            (to_days(WINDOW_END + timedelta(days=10)), "patient"),
             (to_days(WINDOW_START + timedelta(days=30)), "patient"),
             (to_days(WINDOW_START + timedelta(days=90)), "patient"),
             (to_days(WINDOW_START + timedelta(days=10)), "donor"),
@@ -361,6 +367,117 @@ class TestPostTransplantFlow:
         assert {"A1", "A2", "B5", "B7", "DR1", "DR4"} <= unacc
 
 
+def _screening_run(refresh_offsets, donor_offsets, screening_offset=-400):
+    """C1 with the given screening refreshes (days from the window start)
+    and one single-kidney donor per offset; the donors C1 received."""
+    reg = candidate("C1", screening_offset=screening_offset)
+    stream = [StatusUpdate("C1", WINDOW_START + timedelta(days=d), "SCR", "")
+              for d in refresh_offsets]
+    stream.append(StatusUpdate("C1", WINDOW_END + timedelta(days=10), "URG",
+                               "R"))
+    donors = [donor(f"D{d}", d, kidneys=1) for d in donor_offsets]
+    inputs = make_inputs([reg], donors, updates={"C1": stream})
+    output = run(initialize(inputs, seed=1))
+    return [t.donor_id for t in output.transplants]
+
+
+class TestScreenings:
+    """SCR refreshes are day arrays applied once per day, with the freshness
+    semantics of one status update each."""
+
+    def test_hand_built_scr_rows_move_to_screenings(self):
+        inputs = make_inputs([candidate("C1")], [])
+        assert all(u.kind != "SCR" for u in inputs.updates["C1"])
+        days = inputs.screenings["C1"]
+        assert days.dtype == np.int32 and list(days) == sorted(days)
+        assert days[0] == to_days(WINDOW_START - timedelta(days=30))
+
+    def test_donor_on_refresh_day_sees_it(self):
+        # stale from the registration; refreshed on day 50 only
+        assert _screening_run([50], [49, 50]) == ["D50"]
+
+    def test_stale_181_days_after_last_refresh(self):
+        assert _screening_run([-100, 10], [190]) == ["D190"]
+        assert _screening_run([-100, 10], [191]) == []
+
+    def test_older_refresh_overwrites_registration_date(self):
+        # the registration says day -10 (fresh); a pre-window refresh dated
+        # day -300 comes later in the stream and wins
+        assert _screening_run([], [10], screening_offset=-10) == ["D10"]
+        assert _screening_run([-300], [10], screening_offset=-10) == []
+        reg = candidate("C1", screening_offset=-10)
+        stream = [StatusUpdate("C1", WINDOW_START - timedelta(days=300),
+                               "SCR", ""),
+                  StatusUpdate("C1", WINDOW_END + timedelta(days=10), "URG",
+                               "R")]
+        state = initialize(make_inputs([reg], [], updates={"C1": stream}))
+        assert state.store.screening[state.store.row_of["C1"]] == to_days(
+            WINDOW_START - timedelta(days=300))
+
+    def test_in_window_refreshes_are_one_event_per_day(self):
+        regs = [candidate(f"C{i}") for i in range(3)]
+        updates = {reg.id: [
+            StatusUpdate(reg.id, WINDOW_START + timedelta(days=d), "SCR", "")
+            for d in (-30, -5, 20, 40 + i)] for i, reg in enumerate(regs)}
+        state = initialize(make_inputs(regs, [], updates=updates))
+        events = sorted((e[0], e[4][0].tolist()) for e in state.fes
+                        if e[3] == "screening")
+        day = to_days(WINDOW_START)
+        assert events == [(day + 20, [0, 1, 2]), (day + 40, [0]),
+                          (day + 41, [1]), (day + 42, [2])]
+        # pre-window days are folded: the last one before the window
+        assert state.store.screening[:3].tolist() == [day - 5] * 3
+
+    def test_relisted_row_stays_eligible_through_status_refreshes(self):
+        # the re-listing's stream is T at 0 and T again at 100 days; a donor
+        # 250 days after re-listing finds it fresh only through the second
+        # status's refresh
+        entries = [PoolEntry(id=f"P{j}", country="BE", age_at_relist=50.0,
+                             dialysis_days_at_relist=1000,
+                             relisted_within_1y=True, r_days=60.0,
+                             t_days=600.0,
+                             status_updates=((0, "T"), (100, "T"),
+                                             (1500, "R")))
+                   for j in range(6)]
+        window = (WINDOW_START, WINDOW_START + timedelta(days=1000))
+
+        def run_with(donors):
+            inputs = make_inputs(
+                [candidate("C1", age=50.0)], donors,
+                weibull=quick_failure_weibull(600.0),
+                curves=always_relist_curves(0.1),
+                pool=RelistingPool(entries), window=window)
+            # no de novo antibodies against the second donor's antigens
+            inputs.settings = dc_replace(inputs.settings,
+                                         de_novo_immunization_p=0.0)
+            return run(initialize(inputs, seed=3))
+
+        first = run_with([donor("D1", 10, kidneys=1)])
+        relist_day = next(e[2] for e in first.event_log if e[0] == "relist")
+        offset = relist_day - to_days(WINDOW_START)
+        second = run_with([donor("D1", 10, kidneys=1),
+                           donor("D2", offset + 250, kidneys=1)])
+        assert [(t.donor_id, t.candidate_id) for t in second.transplants] == [
+            ("D1", "C1"), ("D2", "C1.r1")]
+        # 181 days after the last refresh the row is stale again
+        third = run_with([donor("D1", 10, kidneys=1),
+                          donor("D2", offset + 281, kidneys=1)])
+        assert [t.donor_id for t in third.transplants] == ["D1"]
+
+
+class TestUnacceptableDecoding:
+    def test_set_bits_decode_to_their_codes(self):
+        state = initialize(make_inputs([candidate("C1")], []))
+        store = state.store
+        words = store.hla_index.words
+        codes = sorted(words.position)
+        rng = np.random.default_rng(2)
+        for size in (0, 1, 5, len(codes)):
+            chosen = set(rng.choice(codes, size=size, replace=False).tolist())
+            store.unacc[0] = words.words(chosen)
+            assert store_unacceptables(store, 0) == chosen
+
+
 class TestDeterminism:
     def _inputs(self):
         rng = np.random.default_rng(77)
@@ -447,6 +564,36 @@ class TestBatch:
         second = result.per_run_stats[1]
         assert first["etkas.age.under65"] == 1.0
         assert second["etkas.age.65plus"] == 1.0
+
+    def test_status_streams_rotate_with_their_screenings(self, tmp_path):
+        # stream 1 is stream 0 without its SCR rows: identical updates, so
+        # only the screenings tell the two runs apart
+        import yaml
+        from etkasim.batch import _inputs_for_run
+        from etkasim.io import load_inputs, load_settings
+        from etkasim.synthetic import generate_population
+        settings_path = generate_population(
+            tmp_path, n_candidates=80, n_donors=30,
+            start=WINDOW_START, end=WINDOW_END, seed=4, panel_size=300)
+        rows = (tmp_path / "statuses.csv").read_text().splitlines()
+        (tmp_path / "no_scr.csv").write_text(
+            "\n".join(r for r in rows if ",SCR," not in r) + "\n")
+        doc = yaml.safe_load(settings_path.read_text())
+        doc["paths"]["candidate_streams"] = ["registrations.csv"] * 2
+        doc["paths"]["status_streams"] = ["statuses.csv", "no_scr.csv"]
+        settings_path.write_text(yaml.safe_dump(doc))
+        inputs = load_inputs(load_settings(settings_path))
+
+        first, second = (_inputs_for_run(inputs, i) for i in (0, 1))
+        assert first.updates == second.updates
+        assert first.screenings and second.screenings == {}
+
+        def stats_of(run_inputs):
+            return reporting.stats_from_output(run_once(run_inputs, 5))
+
+        result = run_batch(inputs, seeds=[5, 5])
+        assert result.per_run_stats == [stats_of(first), stats_of(second)]
+        assert result.per_run_stats[0] != result.per_run_stats[1]
 
     def test_iqr_bands_contain_means_on_synthetic_fixture(self):
         rng = np.random.default_rng(1)

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from datetime import date
 
+import numpy as np
 import pytest
 
-from etkasim.common import InputError
+from etkasim.common import (InputError, from_days, iso_days, parse_date,
+                            read_csv_rows, to_days)
+from etkasim.entities import StatusUpdate
 from etkasim.hla import AntigenTable
+from etkasim import io as io_module
 from etkasim.io import (data_path, load_donors, load_registrations,
                         load_settings, load_status_updates)
 
@@ -74,17 +78,78 @@ class TestRegistrations:
             load_registrations(path, table)
 
 
+def _row_reference(path):
+    """The row-at-a-time status loader the column-wise one must equal:
+    (updates, screenings as day lists), or the InputError text."""
+    streams: dict[str, list] = {}
+    try:
+        for line, row in read_csv_rows(path):
+            try:
+                upd = StatusUpdate(
+                    candidate_id=row["candidate_id"].strip(),
+                    when=parse_date(row["date"], path, line),
+                    kind=row["kind"].strip(),
+                    payload=row.get("payload", "").strip())
+            except (KeyError, ValueError) as exc:
+                if isinstance(exc, InputError):
+                    raise
+                raise InputError(f"malformed status update: {exc}", path,
+                                 line)
+            streams.setdefault(upd.candidate_id, []).append((line, upd))
+    except InputError as exc:
+        return str(exc)
+    updates, screenings = {}, {}
+    for cid, pairs in streams.items():
+        pairs.sort(key=lambda p: (p[1].when, p[0]))
+        kept = [u for _, u in pairs if u.kind != "SCR"]
+        days = [to_days(u.when) for _, u in pairs if u.kind == "SCR"]
+        if kept:
+            updates[cid] = kept
+        if days:
+            screenings[cid] = days
+    return updates, screenings
+
+
+def _column_loader(path):
+    try:
+        updates, screenings = load_status_updates(path)
+    except InputError as exc:
+        return str(exc)
+    for days in screenings.values():
+        assert days.dtype == np.int32 and not days.flags.writeable
+    return updates, {cid: days.tolist() for cid, days in screenings.items()}
+
+
+def _assert_parity(path):
+    got, want = _column_loader(path), _row_reference(path)
+    assert got == want
+    if isinstance(want, tuple):  # same candidate order as well
+        assert [list(d) for d in got] == [list(d) for d in want]
+    return got
+
+
+STATUS_HEADER = "candidate_id,date,kind,payload\n"
+
+
+SORT_CASE = (STATUS_HEADER
+             + "C1,2021-05-01,URG,NT\n"
+             "C1,2021-02-01,SCR,\n"
+             "C1,2021-05-01,URG,T\n"
+             "C1,2021-03-01,PRF,\n"
+             "C1,2021-01-15,SCR,\n")
+
+
 class TestStatusUpdates:
     def test_sorted_per_candidate_with_input_order_ties(self, tmp_path):
         path = tmp_path / "updates.csv"
-        path.write_text(
-            "candidate_id,date,kind,payload\n"
-            "C1,2021-05-01,URG,NT\n"
-            "C1,2021-02-01,SCR,\n"
-            "C1,2021-05-01,URG,T\n")
-        updates = load_status_updates(path)
-        assert [u.kind for u in updates["C1"]] == ["SCR", "URG", "URG"]
-        assert [u.payload for u in updates["C1"][1:]] == ["NT", "T"]
+        path.write_text(SORT_CASE)
+        updates, screenings = load_status_updates(path)
+        # dates sorted, ties kept in input order
+        assert [(u.when, u.kind, u.payload) for u in updates["C1"]] == [
+            (date(2021, 3, 1), "PRF", ""), (date(2021, 5, 1), "URG", "NT"),
+            (date(2021, 5, 1), "URG", "T")]
+        assert screenings["C1"].tolist() == [to_days(date(2021, 1, 15)),
+                                             to_days(date(2021, 2, 1))]
 
     def test_bad_kind_rejected(self, tmp_path):
         path = tmp_path / "updates.csv"
@@ -92,6 +157,152 @@ class TestStatusUpdates:
                         "C1,2021-05-01,XXX,\n")
         with pytest.raises(InputError):
             load_status_updates(path)
+
+
+class TestStatusParity:
+    """The column-wise loader equals the row-at-a-time reference."""
+
+    @pytest.fixture(autouse=True, params=[None, 2], ids=["block", "blocks"])
+    def block_size(self, request, monkeypatch):
+        # the loader parses a block of rows at a time; tiny blocks put block
+        # boundaries between every pair of rows
+        if request.param is not None:
+            monkeypatch.setattr(io_module, "_STATUS_BLOCK", request.param)
+
+    def test_parity_sorted_with_input_order_ties(self, tmp_path):
+        path = tmp_path / "updates.csv"
+        path.write_text(SORT_CASE)
+        _assert_parity(path)
+
+    def test_parity_whitespace_padded_fields(self, tmp_path):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER
+                        + " C1 , 2021-05-01 , URG , T \n"
+                        "C2,\t2021-02-01\t, SCR ,\n"
+                        " C1,2021-01-01 ,SCR,  \n")
+        updates, screenings = _assert_parity(path)
+        assert updates["C1"][0].payload == "T"
+        assert screenings == {"C2": [to_days(date(2021, 2, 1))],
+                              "C1": [to_days(date(2021, 1, 1))]}
+
+    def test_parity_alternative_iso_forms_load(self, tmp_path):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER
+                        + "C1,20210501,URG,T\n"
+                        "C1,2021-W17-6,SCR,\n"
+                        "C1,2021-05-02,SCR,\n")
+        updates, screenings = _assert_parity(path)
+        assert updates["C1"][0].when == date(2021, 5, 1)
+        assert screenings["C1"] == [to_days(date(2021, 5, 1)),
+                                    to_days(date(2021, 5, 2))]
+
+    @pytest.mark.parametrize("text", ["", "2021-05", "2021-02-29",
+                                      "0000-01-01", "2021-13-01", "21-05-01",
+                                      "2021/05/01"])
+    def test_parity_bad_dates_rejected_with_their_line(self, tmp_path, text):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER
+                        + "C1,2021-05-01,URG,T\n"
+                        f"C1,{text},SCR,\n"
+                        "C1,2021-06-01,URG,R\n")
+        message = _assert_parity(path)
+        assert isinstance(message, str)
+        assert f"updates.csv:3: invalid date {text!r}" in message
+
+    def test_parity_quoted_payload_with_comma(self, tmp_path):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER
+                        + 'C1,2021-05-01,PRF,"min_age=18, max_age=70"\n'
+                        'C1,2021-05-02,UNA,"A1,A2"\n')
+        updates, _ = _assert_parity(path)
+        assert [u.payload for u in updates["C1"]] == [
+            "min_age=18, max_age=70", "A1,A2"]
+
+    def test_parity_comment_and_blank_lines(self, tmp_path):
+        path = tmp_path / "updates.csv"
+        body = ("# source=registry\n\n" + STATUS_HEADER
+                + "C1,2021-05-01,URG,T\n\n   \n"
+                "C2,2021-05-03,SCR,\n\n"
+                "C1,2021-05-02,SCR,\n")
+        path.write_text(body)
+        updates, screenings = _assert_parity(path)
+        assert list(screenings) == ["C1", "C2"]
+        # line numbers still count the skipped lines
+        path.write_text(body + "\nC1,2021-05,URG,R\n")
+        assert "updates.csv:11: invalid date" in _assert_parity(path)
+
+    def test_parity_first_bad_row_in_file_order(self, tmp_path):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER
+                        + "C1,2021-05-01,URG,T\n"
+                        "C1,2021-05-02,XXX,\n"
+                        "C1,2021-05-03,SCR,\n"
+                        "C1,2021-05,SCR,\n")
+        message = _assert_parity(path)
+        assert "updates.csv:3: malformed status update: unknown update kind" \
+            in message
+
+    @pytest.mark.parametrize("rows", [
+        # a bad date before a bad kind; both on one row: the date
+        "C1,2021-05,URG,T\nC1,2021-05-02,XXX,\n",
+        "C1,2021-05,XXX,T\n",
+        # wrong field counts, before and after other errors
+        "C1,2021-05-01,URG\nC1,2021-05,URG,T\n",
+        "C1,2021-05,URG,T\nC1,2021-05-01,URG\n",
+        "C1,2021-05-01,XXX,\nC1,2021-05-01,URG,T,extra\n",
+        "C1,2021-05-01,URG,T\n# a comment row\n",
+    ])
+    def test_parity_error_precedence(self, tmp_path, rows):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER + rows)
+        assert isinstance(_assert_parity(path), str)
+
+    @pytest.mark.parametrize("text", [
+        "", "# only metadata\n", STATUS_HEADER,
+        "candidate_id,date,payload\nC1,2021-05-01,T\n",
+        "candidate_id,kind\n\nC1,URG\n",
+        "date,kind\nC1,URG,x\n",
+        "candidate_id,date,kind\nC1,2021-05-01,SCR\n",
+        "candidate_id\nC1\n\n \n",
+    ])
+    def test_parity_headers_and_missing_columns(self, tmp_path, text):
+        path = tmp_path / "updates.csv"
+        path.write_text(text)
+        _assert_parity(path)
+
+    def test_parity_random_streams(self, tmp_path):
+        rng = np.random.default_rng(5)
+        texts = ["2021-05-01", "2020-02-29", "20210501", " 2021-01-31",
+                 "1999-12-31", "2021-W01-1", "2021-02-29", "2021-05", ""]
+        kinds = ["SCR", "SCR", "SCR", "URG", "PRF", "UNA"]
+        for trial in range(40):
+            # odd trials load; even ones may hold a bad date
+            pick = texts[:6] if trial % 2 else texts
+            lines = [f"C{rng.integers(0, 6)},{rng.choice(pick)},"
+                     f"{rng.choice(kinds)},p{i}"
+                     for i in range(int(rng.integers(1, 30)))]
+            path = tmp_path / f"u{trial}.csv"
+            path.write_text(STATUS_HEADER + "\n".join(lines) + "\n")
+            _assert_parity(path)
+
+
+class TestIsoDays:
+    def test_agrees_with_fromisoformat(self):
+        texts = ["2021-05-01", "0001-01-01", "9999-12-31", "2024-02-29",
+                 "2023-02-29", "1900-02-29", "2000-02-29", "2021-04-31",
+                 "2021-00-10", "2021-10-00", "2021-1-01", "20210501",
+                 "2021-05-01 ", "2021-05-0\x00", "\uff12021-05-01", "",
+                 "2021-05-01T00", "abcd-ef-gh"]
+        days, ok = iso_days(texts)
+        for text, d, good in zip(texts, days.tolist(), ok.tolist()):
+            # parsed exactly when the text round-trips through a date
+            try:
+                round_trips = date.fromisoformat(text).isoformat() == text
+            except ValueError:
+                round_trips = False
+            assert good == round_trips, text
+            if good:
+                assert from_days(d) == date.fromisoformat(text)
 
 
 class TestDonors:

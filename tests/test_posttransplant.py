@@ -15,6 +15,7 @@ from etkasim.posttransplant import (AGE_BUCKETS, TIME_BUCKETS, InvalidScaleError
                                     mahalanobis_top_m, sample_failure_time,
                                     sample_relist_time, select_pool_match,
                                     simulate_de_novo_immunization, time_bucket)
+from etkasim.posttransplant import _candidate_matches
 
 from fixtures_tables import TYPING_BY_MM, build_antigen_table
 
@@ -276,6 +277,55 @@ class TestPoolMatching:
                                 np.random.default_rng(1))
         assert got.id.startswith("NL")
         assert got.relisted_within_1y is False
+
+    def test_column_matching_equals_entry_loop(self):
+        # oracle: the entry-at-a-time caliper test and relaxation ladder
+        def within(prof, e):
+            return (abs(e.age_at_relist - prof.age_at_relist) <= 20.0
+                    and abs(e.r_days - prof.r_days) <= 2 * 365.25
+                    and abs(e.t_days - prof.t_days) <= 1 * 365.25
+                    and abs(e.dialysis_days_at_relist
+                            - prof.dialysis_days_at_relist) <= 3 * 365.25)
+
+        def oracle(prof, pool):
+            for need_country, need_flag in ((True, True), (False, True),
+                                            (False, False)):
+                got = [e for e in pool.entries
+                       if (not need_country or e.country == prof.country)
+                       and (not need_flag or e.relisted_within_1y
+                            == prof.relisted_within_1y)
+                       and within(prof, e)]
+                if len(got) >= 5:
+                    return got
+            return got
+
+        rng = np.random.default_rng(11)
+        country_relaxed = set()
+        for trial in range(200):
+            pool = RelistingPool([
+                entry(f"P{i}", country=str(rng.choice(["DE", "NL", "BE"])),
+                      age=float(rng.uniform(20, 80)),
+                      dial=int(rng.integers(0, 3000)),
+                      r=float(rng.uniform(30, 1500)),
+                      t=float(rng.uniform(300, 3000)))
+                for i in range(int(rng.integers(0, 60)))])
+            # near a pool entry, so every step of the ladder gets used
+            e = pool.entries[0] if len(pool) else entry("X")
+            prof = profile(country=str(rng.choice(["DE", "NL", "AT"])),
+                           age=e.age_at_relist + float(rng.uniform(-25, 25)),
+                           dial=e.dialysis_days_at_relist
+                           + int(rng.integers(-1200, 1200)),
+                           r=e.r_days + float(rng.uniform(-800, 800)),
+                           t=e.t_days + float(rng.uniform(-400, 400)))
+            # caliper edges exactly on the bound stay in
+            if trial % 3 == 0:
+                prof = profile(country=e.country, age=e.age_at_relist + 20.0,
+                               dial=e.dialysis_days_at_relist, r=e.r_days,
+                               t=e.t_days + 365.25)
+            got = _candidate_matches(prof, pool)
+            assert [e.id for e in got] == [e.id for e in oracle(prof, pool)]
+            country_relaxed.add(any(e.country != prof.country for e in got))
+        assert country_relaxed == {True, False}
 
     def test_mahalanobis_top_selection_matches_oracle(self):
         entries = [entry(f"P{i}", r=float(r), t=float(t))

@@ -6,6 +6,7 @@ from datetime import date
 
 import pytest
 
+from etkasim.common import from_days
 from etkasim.io import load_inputs, load_settings
 from etkasim.synthetic import generate_population
 
@@ -36,7 +37,9 @@ class TestGeneratedPopulation:
         # gaps between screenings stay under the 180-day staleness bound
         for reg in inputs.registrations[:30]:
             dates = [u.when for u in inputs.updates[reg.id]
-                     if u.kind in ("SCR", "URG")]
+                     if u.kind == "URG"]
+            dates += [from_days(int(d))
+                      for d in inputs.screenings.get(reg.id, ())]
             terminal = max(u.when for u in inputs.updates[reg.id]
                            if u.kind == "URG")
             last = reg.registration_date
