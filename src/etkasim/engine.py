@@ -8,10 +8,16 @@ on it; post-transplant failures are patient events too.  Same-timestamp
 events process balance first, then patient, then donor, with an insertion
 sequence number as the final tie-break, so replays under a fixed seed are
 bit-identical.
+
+``initialize`` draws no random numbers: its state is the same for every
+seed.  A batch builds it once per process and input stream and starts each
+run from ``SimState.fork(seed)``, a copy of what runs write that shares
+what they only read.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 from dataclasses import dataclass, field
 from datetime import date
@@ -110,6 +116,10 @@ class SimState:
             c.region for c in inputs.centers.centers() if c.country == "AT"})
         self.ledger = BalanceLedger(inputs.centers.countries, austrian_regions)
 
+        # per input donor: (DonorHla, donor_features), filled on first use
+        # and shared by every fork, since both depend on the donor alone
+        self.donor_memo: list[tuple | None] = [None] * len(inputs.donors)
+
         self.fes: list[tuple] = []
         self._seq = 0
         self.updates_of: dict[int, list] = {}
@@ -117,10 +127,7 @@ class SimState:
         self.person_active_row: dict[str, int] = {}
         self.relist_serial: dict[str, int] = {}
 
-        self.transplants: list[TransplantRecord] = []
-        self.event_log: list[tuple] = []
-        self.offer_traces: list[tuple] = []
-        self.invariant_failures: list[str] = []
+        self._new_outputs()
         self.counters: dict[str, float] = {
             "kidneys.available": 0, "kidneys.transplanted": 0,
             "kidneys.discarded": 0, "wl.listings": 0, "wl.relists_created": 0,
@@ -131,6 +138,33 @@ class SimState:
         self.status_day: dict[int, int] = {}
         self.init_statuses: dict[str, tuple[str, int]] = {}
         self.init_ledger: BalanceLedger | None = None
+
+    def _new_outputs(self) -> None:
+        self.transplants: list[TransplantRecord] = []
+        self.event_log: list[tuple] = []
+        self.offer_traces: list[tuple] = []
+        self.invariant_failures: list[str] = []
+
+    def fork(self, seed: int) -> SimState:
+        """An independent state that runs on from this one under ``seed``.
+
+        What a run writes is copied: the store, the ledger, the FES, the
+        row and person bookkeeping and the counters.  What no run writes is
+        shared: the inputs, the HLA index, the FES payloads, the update
+        lists, the donor memo and the initial snapshots.  Outputs start
+        empty.  A fork of a freshly initialized state runs exactly as a
+        fresh ``initialize(inputs, seed)`` would.
+        """
+        new = copy.copy(self)
+        new.rng = np.random.default_rng(seed)
+        new.store = self.store.copy()
+        new.ledger = self.ledger.copy()
+        new.fes = list(self.fes)
+        for name in ("updates_of", "person_tx_count", "person_active_row",
+                     "relist_serial", "counters", "status_day", "_listed"):
+            setattr(new, name, copy.copy(getattr(self, name)))
+        new._new_outputs()
+        return new
 
     # -- future event set -----------------------------------------------
 
@@ -324,7 +358,7 @@ def run(state: SimState) -> SimulationOutput:
         elif kind == "failure":
             _handle_failure(state, payload[0], payload[1], when)
         elif kind == "donor":
-            _handle_donor(state, inputs.donors[payload[0]], when)
+            _handle_donor(state, payload[0], when)
         else:  # pragma: no cover
             raise AssertionError(f"unknown event kind {kind!r}")
         if state.check_invariants:
@@ -502,14 +536,21 @@ class ArrayOffers:
                                kind="stable")].tolist()
 
 
-def _handle_donor(state: SimState, donor: DonorArrival, when: int) -> None:
+def _handle_donor(state: SimState, index: int, when: int) -> None:
     inputs = state.inputs
     store = state.store
     cfg = state.policy
+    donor = inputs.donors[index]
+    memo = state.donor_memo[index]
+    if memo is None:
+        memo = state.donor_memo[index] = (state.hla_index.donor_hla(donor.hla),
+                                          donor_features(donor))
+    donor_hla, donor_feats = memo
     state.counters["donors.seen"] += 1
     state.counters["kidneys.available"] += donor.kidneys_available
 
-    arrays = build_match_arrays(store, donor, state.ledger, cfg, when)
+    arrays = build_match_arrays(store, donor, donor_hla, state.ledger, cfg,
+                                when)
     program = arrays.program
     models = inputs.etkas_models if program == ETKAS else inputs.esp_models
 
@@ -519,7 +560,6 @@ def _handle_donor(state: SimState, donor: DonorArrival, when: int) -> None:
                                 when))
         return
 
-    donor_feats = donor_features(donor)
     k_max = inputs.cox.sample(program, donor.country, donor_feats, state.rng)
     probs = _patient_prob_vector(models.patient, donor, donor_feats, arrays,
                                  store, cfg)

@@ -11,6 +11,7 @@ identical output.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Mapping
@@ -36,6 +37,45 @@ ACTIVE_CODES = (T, NT, HU, I)
 BG_CODES = {"O": 0, "A": 1, "B": 2, "AB": 3}
 
 _NO_DATE = np.int32(-(2 ** 31) + 1)
+
+# CandidateStore columns: name, fill of an unused row, dtype, trailing shape
+# ("words": one per 64-bit word of the antigen table's code bits)
+_COLUMNS = (
+    ("status", NT, np.int8, ()),
+    ("bg", 0, np.int8, ()),
+    ("country_idx", 0, np.int16, ()),
+    ("region_idx", 0, np.int16, ()),
+    ("subregion_idx", -1, np.int16, ()),
+    ("dob_days", 0, np.int32, ()),
+    ("reg_days", 0, np.int32, ()),
+    ("dial_start", _NO_DATE, np.int32, ()),
+    ("screening", _NO_DATE, np.int32, ()),
+    ("prior_tx", False, bool, ()),
+    ("am", False, bool, ()),
+    ("kaoo", False, bool, ()),
+    ("opt_in", False, bool, ()),
+    ("hla_known", False, bool, ()),
+    ("choice", 0, np.int8, ()),  # 0 none, 1 ETKAS, 2 ESP
+    ("mask_a", 0, np.uint64, ()),
+    ("mask_b", 0, np.uint64, ()),
+    ("mask_dr", 0, np.uint64, ()),
+    ("homo_level", 0, np.int8, ()),
+    ("homo_b", False, bool, ()),
+    ("homo_dr", False, bool, ()),
+    ("unacc", 0, np.uint64, "words"),
+    ("patmask", 0, np.int32, ()),
+    ("prof_min_age", 0, np.int16, ()),
+    ("prof_max_age", 130, np.int16, ()),
+    ("prof_dcd", True, bool, ()),
+    ("prof_ext", True, bool, ()),
+    ("prof_hcv", True, bool, ()),
+    ("prof_hbs", True, bool, ()),
+    ("vpra", 0.0, np.float64, ()),
+    ("p1mm", 0.0, np.float64, ()),
+    ("f1mm", -1.0, np.float64, ()),
+    ("immun_pts", 0.0, np.float64, ()),
+    ("f_bg", 0.0, np.float64, ()),
+)
 
 
 class LocusBits:
@@ -112,6 +152,21 @@ class HlaIndex:
         return [1 << self.bits[locus].bit_of[c]
                 for c in sorted(typing.normalized(self.table, locus))]
 
+    def donor_hla(self, typing: HlaTyping) -> DonorHla:
+        words = self.carried_words(typing)
+        words.setflags(write=False)
+        return DonorHla(words, {locus: self.donor_locus_bits(typing, locus)
+                                for locus in ("A", "B", "DR")})
+
+
+@dataclass(frozen=True)
+class DonorHla:
+    """A donor's typing in the bit layouts of an HlaIndex.  It depends on
+    the typing alone, so one value can serve every run that sees the donor."""
+
+    words: np.ndarray                 # carried codes, laid out as ``unacc``
+    locus_bits: dict[str, list[int]]  # A, B, DR: one bit per antigen
+
 
 def _freq_by_bit(bits: LocusBits, dist: Mapping[str, float]) -> np.ndarray:
     out = np.zeros(64)
@@ -154,6 +209,7 @@ class CandidateStore:
         self._cap = 0
         self.registrations: list[CandidateRegistration] = []
         self.ids: list[str] = []
+        self.center_codes: list[str] = []
         self.row_of: dict[str, int] = {}
         self._pending: set[int] = set()
         # regions (indices) of Austrian registrations: the keys the
@@ -186,53 +242,34 @@ class CandidateStore:
     # -- storage ------------------------------------------------------------
 
     def _alloc(self, cap: int) -> None:
-        def grow(arr, fill, dtype, shape=()):
-            new = np.full((cap, *shape), fill, dtype=dtype)
-            if arr is not None:
-                new[: len(arr)] = arr
-            return new
-
-        w = self.hla_index.words.n_words
-        self.status = grow(getattr(self, "status", None), NT, np.int8)
-        self.bg = grow(getattr(self, "bg", None), 0, np.int8)
-        self.country_idx = grow(getattr(self, "country_idx", None), 0, np.int16)
-        self.region_idx = grow(getattr(self, "region_idx", None), 0, np.int16)
-        self.subregion_idx = grow(getattr(self, "subregion_idx", None), -1, np.int16)
-        self.center_codes: list[str] = getattr(self, "center_codes", [])
-        self.dob_days = grow(getattr(self, "dob_days", None), 0, np.int32)
-        self.reg_days = grow(getattr(self, "reg_days", None), 0, np.int32)
-        self.dial_start = grow(getattr(self, "dial_start", None), _NO_DATE, np.int32)
-        self.screening = grow(getattr(self, "screening", None), _NO_DATE, np.int32)
-        self.prior_tx = grow(getattr(self, "prior_tx", None), False, bool)
-        self.am = grow(getattr(self, "am", None), False, bool)
-        self.kaoo = grow(getattr(self, "kaoo", None), False, bool)
-        self.opt_in = grow(getattr(self, "opt_in", None), False, bool)
-        self.hla_known = grow(getattr(self, "hla_known", None), False, bool)
-        self.choice = grow(getattr(self, "choice", None), 0, np.int8)  # 0/1 ETKAS/2 ESP
-        self.mask_a = grow(getattr(self, "mask_a", None), 0, np.uint64)
-        self.mask_b = grow(getattr(self, "mask_b", None), 0, np.uint64)
-        self.mask_dr = grow(getattr(self, "mask_dr", None), 0, np.uint64)
-        self.homo_level = grow(getattr(self, "homo_level", None), 0, np.int8)
-        self.homo_b = grow(getattr(self, "homo_b", None), False, bool)
-        self.homo_dr = grow(getattr(self, "homo_dr", None), False, bool)
-        self.unacc = grow(getattr(self, "unacc", None), 0, np.uint64, (w,))
-        self.patmask = grow(getattr(self, "patmask", None), 0, np.int32)
-        self.prof_min_age = grow(getattr(self, "prof_min_age", None), 0, np.int16)
-        self.prof_max_age = grow(getattr(self, "prof_max_age", None), 130, np.int16)
-        self.prof_dcd = grow(getattr(self, "prof_dcd", None), True, bool)
-        self.prof_ext = grow(getattr(self, "prof_ext", None), True, bool)
-        self.prof_hcv = grow(getattr(self, "prof_hcv", None), True, bool)
-        self.prof_hbs = grow(getattr(self, "prof_hbs", None), True, bool)
-        self.vpra = grow(getattr(self, "vpra", None), 0.0, np.float64)
-        self.p1mm = grow(getattr(self, "p1mm", None), 0.0, np.float64)
-        self.f1mm = grow(getattr(self, "f1mm", None), -1.0, np.float64)
-        self.immun_pts = grow(getattr(self, "immun_pts", None), 0.0, np.float64)
-        self.f_bg = grow(getattr(self, "f_bg", None), 0.0, np.float64)
+        words = self.hla_index.words.n_words
+        for name, fill, dtype, shape in _COLUMNS:
+            trailing = (words,) if shape == "words" else shape
+            new = np.full((cap, *trailing), fill, dtype=dtype)
+            old = getattr(self, name, None)
+            if old is not None:
+                new[: len(old)] = old
+            setattr(self, name, new)
         self._cap = cap
 
     def _ensure(self, extra: int) -> None:
         if self.n + extra > self._cap:
             self._alloc(max(self._cap * 2, self.n + extra + self.GROW))
+
+    def copy(self) -> CandidateStore:
+        """An independent store with the same rows.  Columns and row
+        bookkeeping are copied; the bit layouts, panel words, frequency bits
+        and registration objects, which no store writes, are shared."""
+        dup = copy.copy(self)
+        for name, *_ in _COLUMNS:
+            setattr(dup, name, getattr(self, name).copy())
+        dup.registrations = list(self.registrations)
+        dup.ids = list(self.ids)
+        dup.center_codes = list(self.center_codes)
+        dup.row_of = dict(self.row_of)
+        dup._pending = set(self._pending)
+        dup.austrian_regions = set(self.austrian_regions)
+        return dup
 
     # -- registration and updates -------------------------------------------
 
@@ -493,20 +530,20 @@ GEO_LABELS = ("local_regional", "national", "international")
 
 
 def build_match_arrays(store: CandidateStore, donor: DonorArrival,
-                       ledger: BalanceLedger, cfg: PolicyConfig,
-                       now_days: int) -> MatchArrays:
+                       donor_hla: DonorHla, ledger: BalanceLedger,
+                       cfg: PolicyConfig, now_days: int) -> MatchArrays:
     """The donor's match list: eligible rows with their points, in rank order.
 
     Rank keys, in order: tier desc, total desc, Austrian regional key asc
     (ETKAS only; the net export of the candidate's region, 0 elsewhere),
     registration date asc, registration id asc.  The numeric sort need not
     be stable, because a last pass re-sorts by id every run of rows tied on
-    all four numeric keys, which makes the order exact.
+    all four numeric keys, which makes the order exact.  ``donor_hla`` is
+    ``store.hla_index.donor_hla(donor.hla)``.
     """
     store.finalize_derived_values()
     program = "ESP" if donor.age >= cfg.esp_donor_age_from else "ETKAS"
     n = store.n
-    idx = store.hla_index
     dc = store.centers.get(donor.center)
     d_country = store.country_of[dc.country]
     d_region = store.region_of[dc.region]
@@ -525,7 +562,7 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
     elig &= store.screening[cand] >= now_days - cfg.screening_max_age_days
     # one test per word the donor's antigens occupy, not a reduction over
     # every word of every row
-    donor_words = idx.carried_words(donor.hla)
+    donor_words = donor_hla.words
     for w in np.flatnonzero(donor_words):
         elig &= (store.unacc[:, w][cand] & donor_words[w]) == 0
     elig &= ~store.am[cand]
@@ -545,7 +582,7 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
 
     # per-locus mismatches
     def locus_mm(mask_arr, locus):
-        bits = idx.donor_locus_bits(donor.hla, locus)
+        bits = donor_hla.locus_bits[locus]
         m = mask_arr[rows]
         mm = ((m & np.uint64(bits[0])) == 0).astype(np.int8)
         if len(bits) > 1:

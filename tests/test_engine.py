@@ -636,8 +636,9 @@ class TestArrayOffers:
                              else frozenset())))
         state = initialize(make_inputs(regs, []), seed=1)
         arrival = donor("D1", 10)
-        arrays = build_match_arrays(state.store, arrival, state.ledger,
-                                    state.policy,
+        arrays = build_match_arrays(state.store, arrival,
+                                    state.hla_index.donor_hla(arrival.hla),
+                                    state.ledger, state.policy,
                                     to_days(arrival.report_date))
         # the list mixes same-region, same-country and foreign rows, and
         # rows that only the non-standard phase may offer to

@@ -71,8 +71,9 @@ class TestEtkasTable:
                                fx["bg"], fx["policy"])
         for reg in fx["regs"]:
             store.add(reg)
-        arrays = build_match_arrays(store, fx["donor"], fx["ledger"],
-                                    fx["policy"], to_days(MATCH_DATE))
+        arrays = build_match_arrays(
+            store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
+            fx["ledger"], fx["policy"], to_days(MATCH_DATE))
         ids = [store.ids[int(r)] for r in arrays.rows]
         assert ids == [f"R{i:02d}" for i in range(1, 15)]
         for rank in range(1, 15):
@@ -134,8 +135,9 @@ class TestEspTable:
                                fx["bg"], fx["policy"])
         for reg in fx["regs"]:
             store.add(reg)
-        arrays = build_match_arrays(store, fx["donor"], fx["ledger"],
-                                    fx["policy"], to_days(MATCH_DATE))
+        arrays = build_match_arrays(
+            store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
+            fx["ledger"], fx["policy"], to_days(MATCH_DATE))
         assert arrays.program == "ESP"
         ids = [store.ids[int(r)] for r in arrays.rows]
         assert ids == [f"E{i:02d}" for i in range(1, 12)]

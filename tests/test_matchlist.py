@@ -489,8 +489,9 @@ class TestScalarVectorEquivalence:
                                fx["bg"], fx["policy"])
         for reg in regs:
             store.add(reg)
-        arrays = build_match_arrays(store, donor, fx["ledger"], fx["policy"],
-                                    to_days(now))
+        arrays = build_match_arrays(store, donor,
+                                    store.hla_index.donor_hla(donor.hla),
+                                    fx["ledger"], fx["policy"], to_days(now))
 
         assert arrays.program == ml.program
         vec_ids = [store.ids[int(r)] for r in arrays.rows]
@@ -537,8 +538,9 @@ class TestScalarVectorEquivalence:
                                fx["bg"], cfg)
         for reg in regs:
             store.add(reg)
-        arrays = build_match_arrays(store, fx["donor"], fx["ledger"], cfg,
-                                    to_days(MATCH_DATE))
+        arrays = build_match_arrays(
+            store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
+            fx["ledger"], cfg, to_days(MATCH_DATE))
         vec_ids = [store.ids[int(r)] for r in arrays.rows]
         assert vec_ids == [r.candidate_id for r in ml.records]
         for i, rec in enumerate(ml.records):
@@ -600,8 +602,9 @@ class TestScalarVectorEquivalence:
                                fx["freq"], fx["bg"], fx["policy"])
         for reg in regs:
             store.add(reg)
-        arrays = build_match_arrays(store, donor, ledger, fx["policy"],
-                                    to_days(MATCH_DATE))
+        arrays = build_match_arrays(store, donor,
+                                    store.hla_index.donor_hla(donor.hla),
+                                    ledger, fx["policy"], to_days(MATCH_DATE))
 
         assert arrays.program == ml.program == (
             "ETKAS" if donor_age < 65 else "ESP")
@@ -658,8 +661,9 @@ class TestRuntimeDerivedValues:
         before = float(store.vpra[row])
         store.apply_update(row, StatusUpdate(regs[row].id, MATCH_DATE, "UNA",
                                              payload))
-        build_match_arrays(store, fx["donor"], fx["ledger"], cfg,
-                           to_days(MATCH_DATE))
+        build_match_arrays(
+            store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
+            fx["ledger"], cfg, to_days(MATCH_DATE))
         regs[row] = replace(regs[row],
                             unacceptables=frozenset(payload.split()))
         fresh = self._store(fx, regs, cfg)
@@ -675,8 +679,9 @@ class TestRuntimeDerivedValues:
                             unacceptables=frozenset({"AX1", "AX4"})))
         store = self._store(fx, regs[:-1], cfg)
         store.add(regs[-1])
-        build_match_arrays(store, fx["donor"], fx["ledger"], cfg,
-                           to_days(MATCH_DATE))
+        build_match_arrays(
+            store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
+            fx["ledger"], cfg, to_days(MATCH_DATE))
         fresh = self._store(fx, regs, cfg)
         self._assert_same_derived(store, fresh)
         assert store.vpra[store.row_of["LATE"]] > 0.0
