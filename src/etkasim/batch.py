@@ -36,16 +36,16 @@ def run_once(inputs: SimulationInputs, seed: int,
 
 
 def _inputs_for_run(inputs: SimulationInputs, run_index: int) -> SimulationInputs:
-    """Rotate through alternate candidate streams when the settings supply
-    them (one imputed trajectory file per run)."""
-    streams = inputs.candidate_stream_paths
-    if not streams:
-        return inputs
-    cand_path = streams[run_index % len(streams)]
+    """Rotate through alternate candidate streams and alternate status
+    streams when the settings supply them (one imputed trajectory file per
+    run); each list rotates on its own."""
+    new = inputs
+    cand_streams = inputs.candidate_stream_paths
+    if cand_streams:
+        cand_path = cand_streams[run_index % len(cand_streams)]
+        new = replace(new, registrations=load_registrations(
+            cand_path, inputs.antigen_table))
     status_streams = inputs.status_stream_paths
-    new = replace(inputs,
-                  registrations=load_registrations(cand_path,
-                                                   inputs.antigen_table))
     if status_streams:
         status_path = status_streams[run_index % len(status_streams)]
         updates, screenings = load_status_updates(status_path)
@@ -56,9 +56,7 @@ def _inputs_for_run(inputs: SimulationInputs, run_index: int) -> SimulationInput
 def _stream_period(inputs: SimulationInputs) -> int:
     """Runs whose indices agree modulo this period get the same inputs from
     ``_inputs_for_run``."""
-    if not inputs.candidate_stream_paths:
-        return 1
-    return math.lcm(len(inputs.candidate_stream_paths),
+    return math.lcm(len(inputs.candidate_stream_paths) or 1,
                     len(inputs.status_stream_paths) or 1)
 
 

@@ -12,6 +12,7 @@ identical output.
 from __future__ import annotations
 
 import copy
+import sys
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Mapping
@@ -24,8 +25,7 @@ from .entities import (AllocationProfile, CandidateRegistration, CenterRegistry,
                        DonorArrival, StatusUpdate, URGENCY_CODES,
                        expand_mm_patterns, parse_profile)
 from .hla import (AntigenTable, BloodGroupFrequencies, DonorPanel,
-                  FrequencyTable, HlaTyping, carried_codes,
-                  compute_hmpp_fraction)
+                  FrequencyTable, HlaTyping, compute_hmpp_fraction)
 from .policy import PolicyConfig, sliding_scale_points
 
 # status codes; PRE marks a synthetic re-listing created but not yet listed
@@ -99,22 +99,33 @@ class LocusBits:
 
 
 class CodeWords:
-    """Bit positions for raw antigen codes across W 64-bit words."""
+    """Bit positions for raw antigen codes across W 64-bit words.
+
+    A set of codes packs into one Python int (bit ``64 * word + bit``),
+    which ``unpack`` lays out as the W words of an ``unacc`` row.
+    """
 
     def __init__(self, codes: Iterable[str]):
         ordered = sorted(set(codes))
         self.n_words = max(1, (len(ordered) + 63) // 64)
-        self.position: dict[str, tuple[int, int]] = {
-            code: divmod(i, 64) for i, code in enumerate(ordered)}
-        # (word, bit) -> code, as word * 64 + bit
+        self.position: dict[str, int] = {code: i
+                                          for i, code in enumerate(ordered)}
         self.code_at: list[str] = ordered
 
-    def words(self, codes: Iterable[str]) -> np.ndarray:
-        out = np.zeros(self.n_words, dtype=np.uint64)
+    def pack(self, codes: Iterable[str]) -> int:
+        x = 0
         for code in codes:
-            w, b = self.position[code]
-            out[w] |= np.uint64(1) << np.uint64(b)
-        return out
+            x |= 1 << self.position[code]
+        return x
+
+    def unpack(self, packed: Iterable[int]) -> np.ndarray:
+        """Words of each packed int, one read-only row each."""
+        size = 8 * self.n_words
+        buf = b"".join(x.to_bytes(size, sys.byteorder) for x in packed)
+        return np.frombuffer(buf, dtype=np.uint64).reshape(-1, self.n_words)
+
+    def words(self, codes: Iterable[str]) -> np.ndarray:
+        return self.unpack([self.pack(codes)])[0]
 
     def codes(self, words: np.ndarray) -> set[str]:
         """The codes whose bits are set in ``words``, visiting set bits only."""
@@ -128,8 +139,26 @@ class CodeWords:
         return out
 
 
+@dataclass(frozen=True)
+class LocusHla:
+    """One locus of a typing in the bit layouts of an HlaIndex."""
+
+    normalized: frozenset[str]  # counting-level codes
+    mask: int                   # their LocusBits mask (0 beyond A, B, DR)
+    bits: tuple[int, ...]       # one bit per counting-level code, by code
+    homozygous: bool
+    carried: int                # CodeWords bits of the codes and broads
+
+
 class HlaIndex:
-    """Shared bit layouts derived from the antigen equivalence table."""
+    """Shared bit layouts derived from the antigen equivalence table.
+
+    Everything a typing turns into is derived once per distinct locus
+    typing, a (locus, raw codes) pair, and memoized: far fewer of those
+    exist than typings.  A typing's carried codes are a per-code union, so
+    its carried words are the OR of its loci's.  Packed sets of
+    unacceptable antigens are memoized per distinct set the same way.
+    """
 
     def __init__(self, table: AntigenTable):
         self.table = table
@@ -141,22 +170,51 @@ class HlaIndex:
         self.bits = {locus: LocusBits(locus, codes)
                      for locus, codes in by_locus.items()}
         self.words = CodeWords(table.codes())
+        self._loci: dict[tuple[str, tuple[str, ...]], LocusHla] = {}
+        self._unacceptables: dict[frozenset[str], np.ndarray] = {}
 
-    def locus_mask(self, typing: HlaTyping, locus: str) -> int:
-        return self.bits[locus].mask(typing.normalized(self.table, locus))
+    def locus(self, locus: str, codes: tuple[str, ...]) -> LocusHla:
+        """A typing's raw ``codes`` at ``locus``, in the bit layouts."""
+        key = (locus, codes)
+        entry = self._loci.get(key)
+        if entry is None:
+            entry = self._loci[key] = self._derive(locus, codes)
+        return entry
 
-    def carried_words(self, typing: HlaTyping) -> np.ndarray:
-        return self.words.words(carried_codes(self.table, typing))
+    def _derive(self, locus: str, codes: tuple[str, ...]) -> LocusHla:
+        table = self.table
+        normalized = frozenset(table.normalize(c) for c in codes)
+        carried = self.words.pack({*codes,
+                                   *(table.resolve(c).broad for c in codes)})
+        bits = self.bits.get(locus)
+        if bits is None:
+            return LocusHla(normalized, 0, (), len(set(codes)) == 1, carried)
+        return LocusHla(normalized, bits.mask(normalized),
+                        tuple(1 << bits.bit_of[c] for c in sorted(normalized)),
+                        len(set(codes)) == 1, carried)
 
-    def donor_locus_bits(self, typing: HlaTyping, locus: str) -> list[int]:
-        return [1 << self.bits[locus].bit_of[c]
-                for c in sorted(typing.normalized(self.table, locus))]
+    def carried(self, typing: HlaTyping) -> int:
+        """Packed codes a donor carries (``hla.carried_codes``)."""
+        x = 0
+        for locus, codes in typing.antigens.items():
+            x |= self.locus(locus, codes).carried
+        return x
 
     def donor_hla(self, typing: HlaTyping) -> DonorHla:
-        words = self.carried_words(typing)
-        words.setflags(write=False)
-        return DonorHla(words, {locus: self.donor_locus_bits(typing, locus)
-                                for locus in ("A", "B", "DR")})
+        return DonorHla(self.words.unpack([self.carried(typing)])[0],
+                        {locus: self.locus(locus, typing.antigens[locus]).bits
+                         for locus in ("A", "B", "DR")})
+
+    def unacceptable_words(self, codes: frozenset[str]) -> np.ndarray:
+        """The read-only ``unacc`` row of a set of unacceptable antigens."""
+        words = self._unacceptables.get(codes)
+        if words is None:
+            for code in codes:
+                if code not in self.words.position:
+                    raise InputError(f"unacceptable antigen {code!r} not in "
+                                     "the antigen table")
+            words = self._unacceptables[codes] = self.words.words(codes)
+        return words
 
 
 @dataclass(frozen=True)
@@ -164,8 +222,27 @@ class DonorHla:
     """A donor's typing in the bit layouts of an HlaIndex.  It depends on
     the typing alone, so one value can serve every run that sees the donor."""
 
-    words: np.ndarray                 # carried codes, laid out as ``unacc``
-    locus_bits: dict[str, list[int]]  # A, B, DR: one bit per antigen
+    words: np.ndarray  # carried codes, laid out as ``unacc``
+    locus_bits: dict[str, tuple[int, ...]]  # A, B, DR: one bit per antigen
+
+
+def _bits(words: np.ndarray) -> np.ndarray:
+    """Rows of W 64-bit words as rows of 64 W zero-or-one bytes: column i
+    holds bit i (bit ``i % 64`` of word ``i // 64``)."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
+                         bitorder="little")
+
+
+def _carriers(panel_words: np.ndarray) -> np.ndarray:
+    """The transpose of the panel's carried words: per code bit, the panel
+    donors that carry the code, one bit per donor, in 64-bit words."""
+    bits = np.ascontiguousarray(_bits(panel_words).T)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view("<u8")
+
+
+# set bits per byte value
+_BIT_COUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def _freq_by_bit(bits: LocusBits, dist: Mapping[str, float]) -> np.ndarray:
@@ -217,21 +294,22 @@ class CandidateStore:
         self.austrian_regions: set[int] = set()
 
         if panel is not None:
-            self._panel_words = np.stack(
-                [hla_index.carried_words(t) for t in panel])
+            self._panel_carriers = _carriers(hla_index.words.unpack(
+                [hla_index.carried(t) for t in panel]))
             self._panel_locus_bits = {}
             for locus in ("A", "B", "DR"):
-                b1, b2 = [], []
-                for t in panel:
-                    bits = hla_index.donor_locus_bits(t, locus)
-                    b1.append(bits[0])
-                    b2.append(bits[-1])
+                bits = [hla_index.locus(locus, t.antigens[locus]).bits
+                        for t in panel]
                 self._panel_locus_bits[locus] = (
-                    np.array(b1, dtype=np.uint64), np.array(b2, dtype=np.uint64))
+                    np.array([b[0] for b in bits], dtype=np.uint64),
+                    np.array([b[-1] for b in bits], dtype=np.uint64))
         else:
-            self._panel_words = None
+            self._panel_carriers = None
 
         self._freq_bits = None
+        # (locus, raw codes) of candidate loci already checked against the
+        # frequency table
+        self._freq_checked: set[tuple[str, tuple[str, ...]]] = set()
         if freq_table is not None:
             self._freq_bits = {
                 locus: _freq_by_bit(hla_index.bits[locus], freq_table.locus(locus))
@@ -268,6 +346,7 @@ class CandidateStore:
         dup.center_codes = list(self.center_codes)
         dup.row_of = dict(self.row_of)
         dup._pending = set(self._pending)
+        dup._freq_checked = set(self._freq_checked)
         dup.austrian_regions = set(self.austrian_regions)
         return dup
 
@@ -313,23 +392,29 @@ class CandidateStore:
         return row
 
     def _set_hla(self, row: int, typing: HlaTyping) -> None:
-        idx = self.hla_index
+        idx, antigens = self.hla_index, typing.antigens
+        a = idx.locus("A", antigens["A"])
+        b = idx.locus("B", antigens["B"])
+        dr = idx.locus("DR", antigens["DR"])
         self.hla_known[row] = True
-        self.mask_a[row] = idx.locus_mask(typing, "A")
-        self.mask_b[row] = idx.locus_mask(typing, "B")
-        self.mask_dr[row] = idx.locus_mask(typing, "DR")
-        homo = [typing.is_homozygous(loc) for loc in ("A", "B", "DR")]
-        self.homo_level[row] = sum(homo)
-        self.homo_b[row] = homo[1]
-        self.homo_dr[row] = homo[2]
+        self.mask_a[row] = a.mask
+        self.mask_b[row] = b.mask
+        self.mask_dr[row] = dr.mask
+        self.homo_level[row] = a.homozygous + b.homozygous + dr.homozygous
+        self.homo_b[row] = b.homozygous
+        self.homo_dr[row] = dr.homozygous
         if self.freq_table is not None:
-            for locus in ("A", "B", "DR"):
+            for locus, entry in zip(("A", "B", "DR"), (a, b, dr)):
+                key = (locus, antigens[locus])
+                if key in self._freq_checked:
+                    continue
                 dist = self.freq_table.locus(locus)
-                for code in typing.normalized(idx.table, locus):
+                for code in entry.normalized:
                     if code not in dist:
                         raise InputError(
                             f"candidate antigen {code!r} missing from "
                             f"frequency table at locus {locus}")
+                self._freq_checked.add(key)
 
     def _p1mm_batch(self, rows: np.ndarray) -> None:
         shifts = np.arange(64, dtype=np.uint64)[None, :]
@@ -364,11 +449,7 @@ class CandidateStore:
         self.prof_hbs[row] = p.accept_hbsag_positive
 
     def _set_unacceptables(self, row: int, unacc: frozenset[str]) -> None:
-        for code in unacc:
-            if code not in self.hla_index.words.position:
-                raise InputError(f"unacceptable antigen {code!r} not in the "
-                                 "antigen table")
-        self.unacc[row] = self.hla_index.words.words(unacc)
+        self.unacc[row] = self.hla_index.unacceptable_words(unacc)
         self._pending.add(row)
 
     # -- derived values ---------------------------------------------------
@@ -385,19 +466,20 @@ class CandidateStore:
             with_hla = rows[self.hla_known[rows]]
             if len(with_hla):
                 self._p1mm_batch(with_hla)
-        if self._panel_words is not None:
+        if self._panel_carriers is not None:
             has_unacc = self.unacc[rows].any(axis=1)
             # a runtime update can empty the set of unacceptables
             self.vpra[rows[~has_unacc]] = 0.0
             need = rows[has_unacc]
             for lo in range(0, len(need), chunk):
                 sub = need[lo:lo + chunk]
-                words = self.unacc[sub]
-                hits = np.zeros((len(sub), len(self._panel_words)), dtype=bool)
-                for w in range(words.shape[1]):
-                    hits |= (self._panel_words[:, w][None, :]
-                             & words[:, w][:, None]) != 0
-                self.vpra[sub] = hits.mean(axis=1)
+                # per row, the OR of its unacceptable codes' carrier sets
+                pair_row, code = np.nonzero(_bits(self.unacc[sub]))
+                starts = np.searchsorted(pair_row, np.arange(len(sub)))
+                hits = np.bitwise_or.reduceat(self._panel_carriers[code],
+                                              starts, axis=0)
+                self.vpra[sub] = (_BIT_COUNT[hits.view(np.uint8)].sum(axis=1)
+                                  / len(self.panel))
         cfg = self.policy
         if cfg.sliding_scale.enabled:
             for row in rows.tolist():
@@ -416,9 +498,9 @@ class CandidateStore:
 
     def _f1mm_row(self, row: int) -> float:
         """Empirical fraction of panel donors with <= 1 ABDR mismatch."""
-        if self._panel_words is None:
+        if self.panel is None:
             return 0.0
-        total = np.zeros(len(self._panel_words), dtype=np.int8)
+        total = np.zeros(len(self.panel), dtype=np.int8)
         for locus, mask_arr in (("A", self.mask_a), ("B", self.mask_b),
                                 ("DR", self.mask_dr)):
             b1, b2 = self._panel_locus_bits[locus]

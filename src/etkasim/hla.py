@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -134,6 +135,83 @@ class HlaTyping:
         return frozenset(c for codes in self.antigens.values() for c in codes)
 
 
+#: Typing columns of candidate, donor and panel files, two per locus; a
+#: blank second column means homozygous.
+HLA_COLUMNS = ("a1", "a2", "b1", "b2", "dr1", "dr2")
+
+
+class TypingReader:
+    """Typings from the stripped texts of the HLA_COLUMNS, as
+    ``HlaTyping.from_codes`` and ``validate`` build and check them from the
+    nonblank texts; all blank reads None.
+
+    Codes are grouped by their table locus, not by column.  When each
+    column pair holds one or two codes of its own locus, that grouping is
+    the pairs themselves, so a row costs three lookups in a memo of
+    distinct pairs.  Any other row takes the general path, which raises
+    what it always has.
+    """
+
+    _PAIRS = ((0, 1, "A"), (2, 3, "B"), (4, 5, "DR"))
+
+    def __init__(self, table: AntigenTable):
+        self.table = table
+        # per locus: (first text, second text) -> its codes, or None where
+        # the pair leaves the fast path
+        self._pairs: dict[str, dict[tuple[str, str], tuple[str, ...] | None]]
+        self._pairs = {locus: {} for *_, locus in self._PAIRS}
+
+    def __call__(self, texts: Sequence[str]) -> HlaTyping | None:
+        """One row's typing."""
+        antigens = {}
+        for i, j, locus in self._PAIRS:
+            key = (texts[i], texts[j])
+            memo = self._pairs[locus]
+            if key not in memo:
+                memo[key] = self._pair(locus, *key)
+            if memo[key] is None:
+                return self._general(texts)
+            antigens[locus] = memo[key]
+        return HlaTyping(antigens)
+
+    def read(self, columns: Sequence[Sequence[str]]) -> list[HlaTyping | None]:
+        """The typings of six text columns' rows, up to (not including) the
+        first row that the general path rejects."""
+        loci = []
+        for i, j, locus in self._PAIRS:
+            memo = self._pairs[locus]
+            keys = list(zip(columns[i], columns[j]))
+            for key in set(keys).difference(memo):
+                memo[key] = self._pair(locus, *key)
+            loci.append(map(memo.__getitem__, keys))
+        typings = [HlaTyping({"A": a, "B": b, "DR": dr}) if a and b and dr
+                   else None for a, b, dr in zip(*loci)]
+        for row in [i for i, t in enumerate(typings) if t is None]:
+            try:
+                typings[row] = self._general([c[row] for c in columns])
+            except (KeyError, ValueError):
+                return typings[:row]
+        return typings
+
+    def _pair(self, locus: str, first: str, second: str
+              ) -> tuple[str, ...] | None:
+        codes = tuple(c for c in (first, second) if c)
+        try:
+            if codes and all(self.table.locus_of(c) == locus for c in codes):
+                return codes
+        except UnknownAntigenError:
+            pass
+        return None
+
+    def _general(self, texts: Sequence[str]) -> HlaTyping | None:
+        codes = [c for c in texts if c]
+        if not codes:
+            return None
+        typing = HlaTyping.from_codes(self.table, codes)
+        typing.validate(self.table)
+        return typing
+
+
 @dataclass(frozen=True)
 class MismatchCount:
     mm_a: int
@@ -189,11 +267,14 @@ class DonorPanel:
         if not typings:
             raise ValueError("donor panel must be nonempty")
         self._typings = tuple(typings)
-        if table is not None:
-            self._carried_sets = tuple(carried_codes(table, t)
-                                       for t in self._typings)
-        else:
-            self._carried_sets = tuple(t.all_codes() for t in self._typings)
+        self._table = table
+
+    @cached_property
+    def _carried_sets(self) -> tuple[frozenset[str], ...]:
+        # read by the scalar vPRA and p<=1mm only, so derived on first use
+        if self._table is not None:
+            return tuple(carried_codes(self._table, t) for t in self._typings)
+        return tuple(t.all_codes() for t in self._typings)
 
     def __len__(self) -> int:
         return len(self._typings)
@@ -207,15 +288,12 @@ class DonorPanel:
 
         A blank second field means the donor is homozygous at that locus.
         """
+        reader = TypingReader(table)
         typings = []
-        for line, row in read_csv_rows(path):
-            codes = []
-            for col in ("a1", "a2", "b1", "b2", "dr1", "dr2"):
-                value = row.get(col, "").strip()
-                if value:
-                    codes.append(value)
-            typing = HlaTyping.from_codes(table, codes)
-            typing.validate(table)
+        for _, row in read_csv_rows(path):
+            typing = reader([row.get(col, "").strip() for col in HLA_COLUMNS])
+            if typing is None:  # a blank row lacks every locus
+                HlaTyping({}).validate(table)
             typings.append(typing)
         return cls(typings, table)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date
 from importlib import resources
@@ -22,8 +23,8 @@ from .common import (InputError, is_blank_row, iso_days, parse_bool,
 from .entities import (UPDATE_KINDS, CandidateRegistration, CenterRegistry,
                        DonorArrival, StatusUpdate, expand_mm_patterns,
                        parse_profile)
-from .hla import (AntigenTable, BloodGroupFrequencies, DonorPanel,
-                  FrequencyTable, HlaTyping)
+from .hla import (HLA_COLUMNS, AntigenTable, BloodGroupFrequencies,
+                  DonorPanel, FrequencyTable, TypingReader)
 from .offering import AcceptanceModels, CoxSampler, LogisticModel
 from .policy import PolicyConfig, load_policy
 from .posttransplant import RelistCurveSet, RelistingPool, WeibullModel
@@ -116,59 +117,178 @@ def load_settings(path: str | Path) -> SimulationSettings:
 # ---------------------------------------------------------------------------
 # Candidate and donor streams
 
-_HLA_COLS = ("a1", "a2", "b1", "b2", "dr1", "dr2")
+def _text(text: str, path=None, line=None) -> str:
+    return text.strip()
 
 
-def _typing_from_row(table: AntigenTable, row: dict[str, str], path, line):
-    codes = [row[c].strip() for c in _HLA_COLS if row.get(c, "").strip()]
-    if not codes:
-        return None
-    typing = HlaTyping.from_codes(table, codes)
-    typing.validate(table)
-    return typing
+def _urgency(text: str, path=None, line=None) -> str:
+    return text.strip() or "NT"
+
+
+def _program_choice(text: str, path=None, line=None) -> str | None:
+    return text.strip() or None
+
+
+def _optional_date(text: str, path=None, line=None) -> date | None:
+    return parse_date(text, path, line) if text.strip() else None
+
+
+def _unacceptables(text: str, path=None, line=None) -> frozenset[str]:
+    return frozenset(text.split())
+
+
+def _mm_criteria(text: str, path=None, line=None):
+    return expand_mm_patterns(text)
+
+
+# CandidateRegistration's fields but ``hla`` (which the HLA_COLUMNS give),
+# in their order: (column, text of the column when the file lacks it, or
+# None if it is required, parser).  A row's typing is parsed first, then
+# these in order, so the first of them that fails names a row's error.
+_REGISTRATION_FIELDS = (
+    ("id", None, _text),
+    ("patient_id", "", _text),  # blank: the registration id
+    ("country", None, _text),
+    ("center", None, _text),
+    ("bg", None, _text),
+    ("dob", None, parse_date),
+    ("registration_date", None, parse_date),
+    ("unacceptables", "", _unacceptables),
+    ("dialysis_start", "", _optional_date),
+    ("prior_tx", "0", parse_bool),
+    ("prev_tx_date", "", _optional_date),
+    ("screening_date", "", _optional_date),
+    ("urgency", "", _urgency),
+    ("profile", "", parse_profile),
+    ("mm_criteria", "", _mm_criteria),
+    ("am", "0", parse_bool),
+    ("kaoo", "0", parse_bool),
+    ("esp_opt_in", "0", parse_bool),
+    ("program_choice", "", _program_choice),
+)
+_HLA_AT = 7  # position of ``hla`` among CandidateRegistration's fields
+
+# rows per block: bounds what parsing holds beyond its result
+_REGISTRATION_BLOCK = 1 << 13
+
+
+@contextmanager
+def _gc_paused():
+    # many small objects per block: a paused cyclic GC does not rescan them
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def load_registrations(path: str | Path,
                        table: AntigenTable) -> list[CandidateRegistration]:
-    regs = []
-    for line, row in read_csv_rows(path):
+    """Candidate registrations, in file order.
+
+    The file is read once and parsed column-wise, a block of rows at a
+    time.  Each distinct text of a column (of a pair of typing columns)
+    is parsed once.  A malformed row raises InputError at its line, the
+    first one in file order, with the message a row-at-a-time read gives:
+    within a row the typing fails first, then the fields in the order of
+    CandidateRegistration's.
+    """
+    with _gc_paused(), open(path, newline="", encoding="utf-8") as fh:
+        header = read_csv_header(fh)
+        if header is None:
+            return []
+        header_line, fieldnames = header
+        parser = _RegistrationParser(path, table, fieldnames)
+        regs: list[CandidateRegistration] = []
+        for rows, lines in _blocks(path, header_line, len(fieldnames),
+                                   csv.reader(fh), _REGISTRATION_BLOCK):
+            parser.parse_block(rows, lines, regs)
+        return regs
+
+
+_MALFORMED = object()  # memo entry of a text its parser rejects
+
+
+class _RegistrationParser:
+    def __init__(self, path, table: AntigenTable, fieldnames: list[str]):
+        self.path = path
+        self.fieldnames = fieldnames
+        self.col = {name: i for i, name in enumerate(fieldnames)}
+        self.typing = TypingReader(table)
+        # parsed value (or _MALFORMED) per distinct text, per column
+        self.memo: dict[str, dict] = {
+            column: {} for column, _, parse in _REGISTRATION_FIELDS
+            if parse is not _text}
+
+    def parse_block(self, rows: list[list[str]], lines: np.ndarray,
+                    regs: list[CandidateRegistration]) -> None:
+        """Append the block's registrations to ``regs``; raise at its first
+        malformed row."""
+        n = len(rows)
+        by_column = list(zip(*rows))
+        typings = self.typing.read(
+            [list(map(str.strip, by_column[self.col[c]])) if c in self.col
+             else [""] * n for c in HLA_COLUMNS])
+        good = len(typings)  # rows before the first malformed one
+        fields = []
+        for column, default, parse in _REGISTRATION_FIELDS:
+            values, bad = self._column(by_column, n, column, default, parse)
+            good = min(good, bad)
+            fields.append(values[:good])
+        ids, pids = fields[0], fields[1]
+        fields[1] = [pid or cid for pid, cid in zip(pids, ids)]
+        fields.insert(_HLA_AT, typings[:good])
+        start = len(regs)
         try:
-            hla = _typing_from_row(table, row, path, line)
-            reg = CandidateRegistration(
-                id=row["id"].strip(),
-                patient_id=(row.get("patient_id", "").strip() or row["id"].strip()),
-                country=row["country"].strip(),
-                center=row["center"].strip(),
-                blood_group=row["bg"].strip(),
-                date_of_birth=parse_date(row["dob"], path, line),
-                registration_date=parse_date(row["registration_date"], path, line),
-                hla=hla,
-                unacceptables=frozenset(row.get("unacceptables", "").split()),
-                dialysis_start=(parse_date(row["dialysis_start"], path, line)
-                                if row.get("dialysis_start", "").strip() else None),
-                prior_transplant=parse_bool(row.get("prior_tx", "0"), path, line),
-                previous_transplant_date=(
-                    parse_date(row["prev_tx_date"], path, line)
-                    if row.get("prev_tx_date", "").strip() else None),
-                last_screening_date=(
-                    parse_date(row["screening_date"], path, line)
-                    if row.get("screening_date", "").strip() else None),
-                initial_urgency=(row.get("urgency", "").strip() or "NT"),
-                profile=parse_profile(row.get("profile", ""), path, line),
-                mm_criteria=expand_mm_patterns(row.get("mm_criteria", "")),
-                am_program=parse_bool(row.get("am", "0"), path, line),
-                kaoo=parse_bool(row.get("kaoo", "0"), path, line),
-                esp_extended_opt_in=parse_bool(row.get("esp_opt_in", "0"),
-                                               path, line),
-                german_program_choice=(row.get("program_choice", "").strip()
-                                       or None),
-            )
+            regs.extend(map(CandidateRegistration, *fields))
+        except ValueError as exc:
+            # extend keeps the registrations made before the failing one
+            raise InputError(f"malformed registration: {exc}", self.path,
+                             int(lines[len(regs) - start]))
+        if good < n:
+            self._raise_row_error(rows[good], int(lines[good]))
+
+    def _column(self, by_column: list[tuple[str, ...]], n: int, column: str,
+                default: str | None, parse) -> tuple[list, int]:
+        """One field's values for the block's ``n`` rows, and the index of
+        the first row whose text the parser rejects (``n`` if none)."""
+        if column not in self.col:
+            if default is None:
+                return [], 0  # a required column: every row lacks it
+            return [parse(default)] * n, n
+        texts = by_column[self.col[column]]
+        if parse is _text:
+            return list(map(str.strip, texts)), n
+        memo = self.memo[column]
+        malformed = set()
+        for text in set(texts).difference(memo):
+            try:
+                memo[text] = parse(text)
+            except (KeyError, ValueError):
+                memo[text] = _MALFORMED
+                malformed.add(text)
+        values = list(map(memo.__getitem__, texts))
+        if not malformed:
+            return values, n
+        return values, next(i for i, text in enumerate(texts)
+                            if text in malformed)
+
+    def _raise_row_error(self, fields: list[str], line: int) -> None:
+        """Parse one row as a row-at-a-time read does, raising its first
+        error (every row handed in has one)."""
+        row = dict(zip(self.fieldnames, fields))
+        path = self.path
+        try:
+            self.typing([row.get(c, "").strip() for c in HLA_COLUMNS])
+            for column, default, parse in _REGISTRATION_FIELDS:
+                parse(row[column] if default is None
+                      else row.get(column, default), path, line)
         except (KeyError, ValueError) as exc:
             if isinstance(exc, InputError):
                 raise
             raise InputError(f"malformed registration: {exc}", path, line)
-        regs.append(reg)
-    return regs
 
 
 Screenings = dict[str, np.ndarray]
@@ -189,18 +309,11 @@ def load_status_updates(path: str | Path
     order, as a row-at-a-time read would: a wrong field count, a missing
     column, a bad date or an unknown kind.
     """
-    gc_was_enabled = gc.isenabled()
-    # many small lists per block: a paused cyclic GC does not rescan them
-    gc.disable()
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = read_csv_header(fh)
-            if header is None:
-                return {}, {}
-            return _read_status_rows(path, *header, csv.reader(fh))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with _gc_paused(), open(path, newline="", encoding="utf-8") as fh:
+        header = read_csv_header(fh)
+        if header is None:
+            return {}, {}
+        return _read_status_rows(path, *header, csv.reader(fh))
 
 
 # rows per block: bounds what parsing holds beyond its result
@@ -216,20 +329,13 @@ def _read_status_rows(path, header_line: int, fieldnames: list[str],
     number: dict[str, int] = {}  # candidate id -> order of first appearance
     blocks = []  # (candidate number, day, is SCR) arrays per block
     rest: list[tuple[str, str, str]] = []  # non-SCR (id, kind, payload)
-    first_line = header_line + 1
-    while rows := list(islice(reader, _STATUS_BLOCK)):
-        lines = first_line + np.arange(len(rows))
-        first_line += len(rows)
-        rows, lines, width_error = _cut_status_block(path, len(fieldnames),
-                                                     rows, lines)
-        if rows:
-            if missing is not None:
-                raise InputError(f"malformed status update: {missing!r}",
-                                 path, int(lines[0]))
-            blocks.append(_parse_status_block(path, col, rows, lines, number,
-                                              rest))
-        if width_error is not None:
-            raise width_error
+    for rows, lines in _blocks(path, header_line, len(fieldnames), reader,
+                               _STATUS_BLOCK):
+        if missing is not None:
+            raise InputError(f"malformed status update: {missing!r}",
+                             path, int(lines[0]))
+        blocks.append(_parse_status_block(path, col, rows, lines, number,
+                                          rest))
     if not blocks:
         return {}, {}
     code, days, is_scr = (np.concatenate(arrays) for arrays in zip(*blocks))
@@ -259,7 +365,23 @@ def _read_status_rows(path, header_line: int, fieldnames: list[str],
     return updates, screenings
 
 
-def _cut_status_block(path, nf: int, rows: list[list[str]],
+def _blocks(path, header_line: int, nf: int, reader, size: int):
+    """The data rows of a delimited file after its header, ``size`` rows
+    at a time without the blank ones: (rows, their line numbers) per
+    nonempty block.  A row of the wrong width raises InputError after the
+    rows before it are yielded."""
+    first_line = header_line + 1
+    while rows := list(islice(reader, size)):
+        lines = first_line + np.arange(len(rows))
+        first_line += len(rows)
+        rows, lines, width_error = _cut_block(path, nf, rows, lines)
+        if rows:
+            yield rows, lines
+        if width_error is not None:
+            raise width_error
+
+
+def _cut_block(path, nf: int, rows: list[list[str]],
                       lines: np.ndarray):
     """Drop blank rows, and end the block before its first row of the wrong
     width: (rows, their lines, that row's InputError or None)."""
@@ -322,9 +444,10 @@ def _parse_status_block(path, col: dict[str, int], rows: list[list[str]],
 
 def load_donors(path: str | Path, table: AntigenTable) -> list[DonorArrival]:
     donors = []
+    typing = TypingReader(table)
     for line, row in read_csv_rows(path):
         try:
-            hla = _typing_from_row(table, row, path, line)
+            hla = typing([row.get(c, "").strip() for c in HLA_COLUMNS])
             if hla is None:
                 raise InputError("donor HLA typing is required", path, line)
             donors.append(DonorArrival(

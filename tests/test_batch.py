@@ -4,6 +4,7 @@ every multiprocessing start method."""
 from __future__ import annotations
 
 import multiprocessing
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import yaml
 
 from etkasim import batch, reporting
 from etkasim.batch import run_batch, run_once
-from etkasim.io import load_inputs, load_settings
+from etkasim.io import load_inputs, load_settings, load_status_updates
 from etkasim.synthetic import generate_population
 
 SEEDS = [3, 4, 5]
@@ -139,3 +140,18 @@ def test_unequal_stream_counts_pair_every_combination(tmp_path):
     combinations = {tuple(sorted(stats.items()))
                     for stats in result.per_run_stats[:6]}
     assert len(combinations) == 6
+
+
+def test_status_streams_rotate_without_candidate_streams(tmp_path):
+    names = ("statuses_all.csv", "no_urg.csv")
+    inputs = _with_streams(
+        tmp_path, {},
+        {names[0]: _every, names[1]: lambda n, line: ",URG," not in line})
+    result = run_batch(inputs, [5, 5])
+    expected = []
+    for name in names:
+        updates, screenings = load_status_updates(tmp_path / name)
+        intended = replace(inputs, updates=updates, screenings=screenings)
+        expected.append(reporting.stats_from_output(run_once(intended, 5)))
+    assert expected[0] != expected[1]
+    assert result.per_run_stats == expected

@@ -33,7 +33,7 @@ SHARED_BY_STATE = {
 SHARED_BY_STORE = {
     "hla_index", "centers", "panel", "freq_table", "bg_freqs", "policy",
     "countries", "country_of", "regions", "region_of", "subregion_of",
-    "_panel_words", "_panel_locus_bits", "_freq_bits", "n", "_cap"}
+    "_panel_carriers", "_panel_locus_bits", "_freq_bits", "n", "_cap"}
 SHARED_BY_LEDGER = {"austria_code"}
 
 

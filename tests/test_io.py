@@ -7,10 +7,11 @@ from datetime import date
 import numpy as np
 import pytest
 
-from etkasim.common import (InputError, from_days, iso_days, parse_date,
-                            read_csv_rows, to_days)
-from etkasim.entities import StatusUpdate
-from etkasim.hla import AntigenTable
+from etkasim.common import (InputError, from_days, iso_days, parse_bool,
+                            parse_date, read_csv_rows, to_days)
+from etkasim.entities import (CandidateRegistration, StatusUpdate,
+                              expand_mm_patterns, parse_profile)
+from etkasim.hla import AntigenTable, HlaTyping
 from etkasim import io as io_module
 from etkasim.io import (data_path, load_donors, load_registrations,
                         load_settings, load_status_updates)
@@ -76,6 +77,245 @@ class TestRegistrations:
         path.write_text(REG_HEADER + "C1,DE\n")
         with pytest.raises(InputError, match="expected"):
             load_registrations(path, table)
+
+
+def _registration_reference(path, table):
+    """The row-at-a-time registration loader the column-wise one must
+    equal: the registrations, or the InputError text."""
+    regs = []
+    try:
+        for line, row in read_csv_rows(path):
+            try:
+                codes = [row[c].strip()
+                         for c in ("a1", "a2", "b1", "b2", "dr1", "dr2")
+                         if row.get(c, "").strip()]
+                hla = None
+                if codes:
+                    hla = HlaTyping.from_codes(table, codes)
+                    hla.validate(table)
+                regs.append(CandidateRegistration(
+                    id=row["id"].strip(),
+                    patient_id=(row.get("patient_id", "").strip()
+                                or row["id"].strip()),
+                    country=row["country"].strip(),
+                    center=row["center"].strip(),
+                    blood_group=row["bg"].strip(),
+                    date_of_birth=parse_date(row["dob"], path, line),
+                    registration_date=parse_date(row["registration_date"],
+                                                 path, line),
+                    hla=hla,
+                    unacceptables=frozenset(
+                        row.get("unacceptables", "").split()),
+                    dialysis_start=(
+                        parse_date(row["dialysis_start"], path, line)
+                        if row.get("dialysis_start", "").strip() else None),
+                    prior_transplant=parse_bool(row.get("prior_tx", "0"),
+                                                path, line),
+                    previous_transplant_date=(
+                        parse_date(row["prev_tx_date"], path, line)
+                        if row.get("prev_tx_date", "").strip() else None),
+                    last_screening_date=(
+                        parse_date(row["screening_date"], path, line)
+                        if row.get("screening_date", "").strip() else None),
+                    initial_urgency=(row.get("urgency", "").strip() or "NT"),
+                    profile=parse_profile(row.get("profile", ""), path,
+                                          line),
+                    mm_criteria=expand_mm_patterns(
+                        row.get("mm_criteria", "")),
+                    am_program=parse_bool(row.get("am", "0"), path, line),
+                    kaoo=parse_bool(row.get("kaoo", "0"), path, line),
+                    esp_extended_opt_in=parse_bool(
+                        row.get("esp_opt_in", "0"), path, line),
+                    german_program_choice=(
+                        row.get("program_choice", "").strip() or None),
+                ))
+            except (KeyError, ValueError) as exc:
+                if isinstance(exc, InputError):
+                    raise
+                raise InputError(f"malformed registration: {exc}", path,
+                                 line)
+    except InputError as exc:
+        return str(exc)
+    return regs
+
+
+def _assert_registration_parity(path, table):
+    try:
+        got = load_registrations(path, table)
+    except InputError as exc:
+        got = str(exc)
+    want = _registration_reference(path, table)
+    assert got == want
+    if isinstance(want, list):  # typings list their loci in the same order
+        assert [r.hla and list(r.hla.antigens.items()) for r in got] == [
+            r.hla and list(r.hla.antigens.items()) for r in want]
+    return got
+
+
+REG_ROW = ("C{i},P{i},DE,DEBER,A,1960-05-01,2019-01-01,"
+           "A1,A2,B5,B7,DR1,DR4,A9 B8,2018-06-01,1,2015-01-01,2021-01-01,"
+           "T,max_age=70;accept_dcd=0,222 **2,0,0,1,ETKAS")
+
+
+class TestRegistrationParity:
+    """The column-wise registration loader equals the row-at-a-time
+    reference: the same registrations, or the same error at the same
+    line."""
+
+    @pytest.fixture(autouse=True, params=[None, 2], ids=["block", "blocks"])
+    def block_size(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(io_module, "_REGISTRATION_BLOCK",
+                                request.param)
+
+    def _check(self, tmp_path, table, text):
+        path = tmp_path / "regs.csv"
+        path.write_text(text)
+        return _assert_registration_parity(path, table)
+
+    def _row(self, i=1, **fields):
+        values = dict(zip(REG_HEADER.strip().split(","),
+                          REG_ROW.format(i=i).split(",")))
+        values.update(fields)
+        return ",".join(values.values()) + "\n"
+
+    def test_parity_valid_rows(self, tmp_path, table):
+        rows = [self._row(1), self._row(2, patient_id="", urgency="",
+                                        program_choice="", profile="",
+                                        mm_criteria="", unacceptables=""),
+                self._row(3, a2="", dr2="", dialysis_start="",
+                          prev_tx_date="", screening_date="", prior_tx=""),
+                # blank typing: unknown
+                self._row(4, a1="", a2="", b1="", b2="", dr1="", dr2=""),
+                # codes out of their columns group by their table locus
+                self._row(5, a1="B8", b1="A1", a2="", b2=""),
+                self._row(6, dob="20210501", bg=" AB ", id=" C6 ")]
+        regs = self._check(tmp_path, table, REG_HEADER + "".join(rows))
+        assert [r.id for r in regs] == [f"C{i}" for i in range(1, 7)]
+        assert list(regs[4].hla.antigens) == ["B", "A", "DR"]
+        assert regs[3].hla is None
+        assert regs[1].patient_id == "C2" and regs[1].initial_urgency == "NT"
+
+    def test_parity_optional_columns_absent(self, tmp_path, table):
+        regs = self._check(tmp_path, table,
+                           "id,country,center,bg,dob,registration_date,"
+                           "a1,b1,dr1\n"
+                           "C1,DE,DEBER,O,1960-05-01,2019-01-01,A1,B5,DR1\n")
+        assert regs[0].hla.antigens == {"A": ("A1",), "B": ("B5",),
+                                        "DR": ("DR1",)}
+
+    @pytest.mark.parametrize("column", ["id", "country", "center", "bg",
+                                        "dob", "registration_date"])
+    def test_parity_missing_column(self, tmp_path, table, column):
+        header = REG_HEADER.strip().split(",")
+        keep = [i for i, name in enumerate(header) if name != column]
+        row = REG_ROW.format(i=1).split(",")
+        message = self._check(
+            tmp_path, table,
+            ",".join(header[i] for i in keep) + "\n"
+            + ",".join(row[i] for i in keep) + "\n")
+        assert message.endswith(f"regs.csv:2: malformed registration: "
+                                f"{column!r}")
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"dob": "banana"}, "regs.csv:3: invalid date 'banana'"),
+        ({"registration_date": "2019-02-29"}, "invalid date"),
+        ({"screening_date": "2021-13-01"}, "invalid date"),
+        ({"dialysis_start": " 2018-6-1"}, "invalid date"),
+        ({"prior_tx": "maybe"}, "regs.csv:3: invalid boolean 'maybe'"),
+        ({"esp_opt_in": "2"}, "invalid boolean"),
+        ({"profile": "foo=1"}, "unknown profile key 'foo'"),
+        ({"profile": "min_age=x"}, "bad profile value 'x' for min_age"),
+        ({"mm_criteria": "22"}, "mismatch pattern '22' must have 3"),
+        ({"mm_criteria": "2x2"}, "bad character 'x'"),
+        ({"a1": "A999"}, "unknown antigen code: 'A999'"),
+        # a B antigen in an A column: three codes on locus B
+        ({"a2": "B8"}, "locus B: expected 1-2 antigens, got 3"),
+        ({"dr1": "", "dr2": ""}, "typing lacks locus DR"),
+        ({"bg": "X"}, "C2: bad blood group 'X'"),
+        ({"urgency": "Q"}, "C2: bad urgency 'Q'"),
+        # the first failing field of a row names its error
+        ({"a1": "A999", "dob": "banana"}, "unknown antigen"),
+        ({"dob": "banana", "prior_tx": "maybe"}, "invalid date 'banana'"),
+        ({"prior_tx": "maybe", "bg": "X"}, "invalid boolean"),
+    ])
+    def test_parity_malformed_row(self, tmp_path, table, fields, error):
+        message = self._check(
+            tmp_path, table,
+            REG_HEADER + self._row(1) + self._row(2, **fields)
+            + self._row(3))
+        assert isinstance(message, str) and error in message
+        assert "regs.csv:3: " in message or "mismatch pattern" in message \
+            or "bad character" in message
+
+    def test_parity_comment_and_blank_lines(self, tmp_path, table):
+        body = ("# source=registry\n\n" + REG_HEADER + self._row(1)
+                + "\n  \n" + self._row(2) + "\n")
+        regs = self._check(tmp_path, table, body)
+        assert len(regs) == 2
+        message = self._check(tmp_path, table,
+                              body + self._row(3, dob="2021-05"))
+        assert "regs.csv:9: invalid date" in message
+
+    @pytest.mark.parametrize("rows, line", [
+        # wrong field counts, before and after other errors
+        (["C1,DE\n"], 2),
+        (["{1}", "{2}", "C3,DE\n", "{bad}"], 4),
+        (["{1}", "{bad}", "C3,DE\n"], 3),
+        # the first of two errors in file order
+        (["{1}", "{bad}", "{bad_bg}"], 3),
+        (["{1}", "{bad_bg}", "{bad}"], 3),
+        (["{bad_bool}", "{bad}"], 2),
+    ])
+    def test_parity_first_error_in_file_order(self, tmp_path, table, rows,
+                                              line):
+        named = {"1": self._row(1), "2": self._row(2),
+                 "bad": self._row(7, dob="x"), "bad_bg": self._row(8, bg="X"),
+                 "bad_bool": self._row(9, kaoo="x")}
+        text = "".join(named[r[1:-1]] if r.startswith("{") else r
+                       for r in rows)
+        message = self._check(tmp_path, table, REG_HEADER + text)
+        assert isinstance(message, str) and f"regs.csv:{line}: " in message
+
+    def test_parity_random_files(self, tmp_path, table):
+        rng = np.random.default_rng(6)
+        # per column: (valid texts, malformed texts)
+        choices = {
+            "bg": (["O", "A", "B", "AB", " AB"], ["X"]),
+            "dob": (["1960-05-01", "19700101", "1980-02-29"],
+                    ["1981-02-29"]),
+            "a1": (["A1", "A2"], ["B8", "A999"]),
+            "a2": (["A2", "A3", ""], ["DR4"]),
+            "b1": (["B5", "B7", ""], ["A1"]),
+            "dr1": (["DR1", "DR4", "DR7"], [""]),
+            "dr2": (["", "DR4", "DR11"], ["B9"]),
+            "unacceptables": (["", "A9 B8", "A1", "DR4 A2 B7"], []),
+            "dialysis_start": (["", "2018-06-01", " 2018-06-02 "],
+                               ["2018-06-31"]),
+            "prior_tx": (["0", "1", "yes", ""], ["maybe"]),
+            "urgency": (["T", "NT", "HU", ""], ["Q"]),
+            "profile": (["", "max_age=70", "min_age=5;accept_hcv=1"],
+                        ["min_age=z", "x=1"]),
+            "mm_criteria": (["", "222", "**2"], ["2*"]),
+            "program_choice": (["", "ESP", "ETKAS"], []),
+        }
+        outcomes = set()
+        for trial in range(60):
+            # odd trials load; in even ones a field is malformed at rate 1%
+            rows = []
+            for i in range(int(rng.integers(1, 25))):
+                fields = {}
+                for name, (valid, malformed) in choices.items():
+                    bad = trial % 2 == 0 and malformed and rng.random() < .01
+                    fields[name] = str(rng.choice(malformed if bad
+                                                  else valid))
+                rows.append(self._row(i, **fields))
+            path = tmp_path / f"regs{trial}.csv"
+            path.write_text(REG_HEADER + "".join(rows))
+            got = _assert_registration_parity(path, table)
+            assert isinstance(got, list) or trial % 2 == 0
+            outcomes.add(type(got))
+        assert outcomes == {list, str}
 
 
 def _row_reference(path):
