@@ -48,7 +48,8 @@ class BalanceEvent:
 
 
 class UnknownCountryError(KeyError):
-    pass
+    def __str__(self) -> str:
+        return f"unknown country {self.args[0]!r}"
 
 
 class BalanceLedger:
@@ -89,14 +90,21 @@ class BalanceLedger:
     def group_sum(self, group: str) -> int:
         return sum(self._net[(c, group)] for c in self.countries)
 
-    def record_transfer(self, event: BalanceEvent) -> None:
-        """Fold one transplantation into the ledger (domestic ones are no-ops
-        nationally but may still move the Austrian regional balance)."""
+    def check_transfer(self, event: BalanceEvent) -> str:
+        """The donor age group ``record_transfer`` books ``event`` under;
+        raises UnknownCountryError or ValueError if it cannot book it."""
         group = donor_age_group(event.donor_age)
         if event.crosses_border:
             for country in (event.donor_country, event.recipient_country):
                 if (country, group) not in self._net:
                     raise UnknownCountryError(country)
+        return group
+
+    def record_transfer(self, event: BalanceEvent) -> None:
+        """Fold one transplantation into the ledger (domestic ones are no-ops
+        nationally but may still move the Austrian regional balance)."""
+        group = self.check_transfer(event)
+        if event.crosses_border:
             self._net[(event.donor_country, group)] += 1
             self._net[(event.recipient_country, group)] -= 1
         if event.donor_country == self.austria_code and event.donor_region:

@@ -48,7 +48,8 @@ def _inputs_for_run(inputs: SimulationInputs, run_index: int) -> SimulationInput
     status_streams = inputs.status_stream_paths
     if status_streams:
         status_path = status_streams[run_index % len(status_streams)]
-        updates, screenings = load_status_updates(status_path)
+        updates, screenings = load_status_updates(status_path,
+                                                  inputs.antigen_table)
         new = replace(new, updates=updates, screenings=screenings)
     return new
 

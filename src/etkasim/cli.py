@@ -11,8 +11,7 @@ from pathlib import Path
 from . import batch as batch_mod
 from . import reporting
 from .common import InputError
-from .engine import verify_replay
-from .entities import TERMINAL_CODES
+from .engine import initialize, verify_replay
 from .io import load_inputs, load_settings
 from .policy import PolicyError, load_policy
 
@@ -134,9 +133,7 @@ def cmd_check_inputs(args) -> int:
     # a candidate's status stream is its updates plus its screenings
     streams = dict.fromkeys([*inputs.updates, *inputs.screenings])
     for cand_id in streams:
-        terminal = [u for u in inputs.updates.get(cand_id, ())
-                    if u.kind == "URG" and u.payload.strip() in TERMINAL_CODES]
-        if not terminal:
+        if not any(u.ends_spell for u in inputs.updates.get(cand_id, ())):
             problems.append(f"candidate {cand_id}: status stream does not "
                             "end in a removal, death or transplant")
     known = {r.id for r in inputs.registrations}
@@ -152,6 +149,8 @@ def cmd_check_inputs(args) -> int:
             print(p, file=sys.stderr)
         print(f"{len(problems)} problem(s) found", file=sys.stderr)
         return 1
+    # the engine's own checks on every record
+    initialize(inputs)
     print(f"inputs ok: {len(inputs.registrations)} registrations, "
           f"{len(inputs.donors)} donors, {len(inputs.balance_events)} "
           f"balance events, panel of {len(inputs.panel)}")

@@ -24,7 +24,8 @@ from datetime import date
 
 import numpy as np
 
-from .balances import BalanceEvent, BalanceLedger, donor_age_group
+from .balances import (BalanceEvent, BalanceLedger, UnknownCountryError,
+                       donor_age_group)
 from .common import DAYS_PER_YEAR, InputError, from_days, to_days
 from .entities import TERMINAL_CODES, DonorArrival, StatusUpdate
 from .fastmatch import (ACTIVE_CODES, CandidateStore, HlaIndex, HU,
@@ -251,10 +252,7 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
             else:
                 first_pending = i
                 break
-        terminal_before = any(
-            u.kind == "URG" and u.payload.strip() in TERMINAL_CODES
-            for u in folded)
-        if terminal_before:
+        if any(u.ends_spell for u in folded):
             continue
 
         # registrations dated inside the window are not listed yet; their
@@ -288,7 +286,7 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
                 a_updates = state.updates_of.get(a_row, [])
                 a_end = None
                 for u in a_updates:
-                    if u.kind == "URG" and u.payload.strip() in TERMINAL_CODES:
+                    if u.ends_spell:
                         a_end = to_days(u.when)
                 if a_end is not None and b_start < a_end:
                     raise InputError(
@@ -298,8 +296,13 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
     if scr_rows:
         _fold_screenings(state, np.array(scr_rows, dtype=np.int64), scr_days)
 
-    # balance stream: fold history, schedule in-window events
+    # balance stream: every event must be one the ledger can book; fold
+    # history, schedule in-window events
     for event in inputs.balance_events:
+        try:
+            state.ledger.check_transfer(event)
+        except (UnknownCountryError, ValueError) as exc:
+            raise InputError(f"balance event of {event.when}: {exc}") from None
         when = to_days(event.when)
         if when <= start:
             state.ledger.record_transfer(event)
@@ -309,6 +312,12 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
     for i, donor in enumerate(inputs.donors):
         when = to_days(donor.report_date)
         if start <= when <= end:
+            if donor.center not in inputs.centers:
+                raise InputError(f"donor {donor.id!r}: unknown center code "
+                                 f"{donor.center!r}")
+            if donor.country not in store.country_of:
+                raise InputError(f"donor {donor.id!r}: unknown country "
+                                 f"{donor.country!r}")
             state.schedule(when, PRIO_DONOR, "donor", i)
 
     store.finalize_derived_values()
@@ -655,11 +664,7 @@ def _record_transplant(state: SimState, donor: DonorArrival,
                           if donor.country == "AT" else None),
             recipient_region=(cand_center.region
                               if reg.country == "AT" else None))
-        state.ledger.record_transfer(event)
-        state.event_log.append(
-            ("balance", event.donor_country, event.recipient_country,
-             event.donor_age, event.program, event.donor_region,
-             event.recipient_region, when))
+        _handle_balance(state, event, when)
 
     _post_transplant(state, donor, donor_feats, row, record, when)
 

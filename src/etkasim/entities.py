@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 from .common import InputError, read_csv_rows
-from .hla import HlaTyping
+from .hla import BLOOD_GROUPS, HlaTyping
 
 # Urgency codes: T transplantable, NT non-transplantable, HU high urgency,
 # I active in the immunized (acceptable mismatch) program, R removed,
@@ -129,7 +130,8 @@ def parse_profile(text: str, path=None, line=None) -> AllocationProfile | None:
     return AllocationProfile(**kwargs)
 
 
-def expand_mm_patterns(spec: str) -> frozenset[tuple[int, int, int]]:
+def expand_mm_patterns(spec: str, path=None,
+                       line=None) -> frozenset[tuple[int, int, int]]:
     """Expand HLA mismatch criteria like '222' or '**2' into (a,b,dr) triples.
 
     Each pattern is three characters over digits 0-2 or '*' (any), in
@@ -138,7 +140,8 @@ def expand_mm_patterns(spec: str) -> frozenset[tuple[int, int, int]]:
     patterns: set[tuple[int, int, int]] = set()
     for token in spec.split():
         if len(token) != 3:
-            raise InputError(f"mismatch pattern {token!r} must have 3 characters")
+            raise InputError(f"mismatch pattern {token!r} must have 3 "
+                             "characters", path, line)
         choices = []
         for ch in token:
             if ch == "*":
@@ -147,7 +150,7 @@ def expand_mm_patterns(spec: str) -> frozenset[tuple[int, int, int]]:
                 choices.append((int(ch),))
             else:
                 raise InputError(f"bad character {ch!r} in mismatch pattern "
-                                 f"{token!r}")
+                                 f"{token!r}", path, line)
         for a in choices[0]:
             for b in choices[1]:
                 for dr in choices[2]:
@@ -185,16 +188,55 @@ class CandidateRegistration:
     german_program_choice: str | None = None  # "ETKAS" | "ESP" | None
 
     def __post_init__(self):
-        if self.blood_group not in ("O", "A", "B", "AB"):
+        if self.blood_group not in BLOOD_GROUPS:
             raise ValueError(f"{self.id}: bad blood group {self.blood_group!r}")
         if self.initial_urgency not in URGENCY_CODES:
             raise ValueError(f"{self.id}: bad urgency {self.initial_urgency!r}")
+        if self.german_program_choice not in (None, "ETKAS", "ESP"):
+            raise ValueError(f"{self.id}: bad program choice "
+                             f"{self.german_program_choice!r}")
 
 
 # update kinds: URG urgency change, PRF allocation profile, UNA unacceptable
 # antigens, MMC HLA mismatch criteria, SCR antibody screening, DIA dialysis
 # start, CHO program choice / ESP extended-allocation opt-in.
 UPDATE_KINDS = ("URG", "PRF", "UNA", "MMC", "SCR", "DIA", "CHO")
+CHOICE_PAYLOADS = ("ETKAS", "ESP", "EXT_OPT_IN", "EXT_OPT_OUT")
+
+
+@lru_cache(maxsize=1 << 16)
+def parse_payload(kind: str, text: str):
+    """The value a status update of ``kind`` sets: an urgency code, an
+    AllocationProfile or None, a set of antigen codes (not checked against
+    a table), the disallowed mismatch patterns, None (SCR), a dialysis start
+    or None, one of CHOICE_PAYLOADS.  Raises InputError, without a location,
+    if ``text`` is malformed.  Each distinct pair is parsed once per process.
+    """
+    if kind == "URG":
+        code = text.strip()
+        if code not in URGENCY_CODES:
+            raise InputError(f"bad urgency payload {text!r}")
+        return code
+    if kind == "PRF":
+        return parse_profile(text)
+    if kind == "UNA":
+        return frozenset(text.split())
+    if kind == "MMC":
+        return expand_mm_patterns(text)
+    if kind == "SCR":
+        return None
+    if kind == "DIA":
+        text = text.strip()
+        try:
+            return date.fromisoformat(text) if text else None
+        except ValueError:
+            raise InputError(f"bad dialysis start payload {text!r}") from None
+    if kind == "CHO":
+        choice = text.strip().upper()
+        if choice not in CHOICE_PAYLOADS:
+            raise InputError(f"bad choice payload {text!r}")
+        return choice
+    raise InputError(f"unknown update kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -207,6 +249,20 @@ class StatusUpdate:
     def __post_init__(self):
         if self.kind not in UPDATE_KINDS:
             raise ValueError(f"unknown update kind {self.kind!r}")
+
+    @property
+    def value(self):
+        """The parsed payload: ``parse_payload``, which parses each distinct
+        pair once (``io.load_status_updates`` checks every one on load)."""
+        return parse_payload(self.kind, self.payload)
+
+    @property
+    def ends_spell(self) -> bool:
+        """Whether this is a removal, death or transplant."""
+        return self.kind == "URG" and self.value in TERMINAL_CODES
+
+
+DEATH_CAUSE_GROUPS = ("cva", "trauma", "anoxia", "other")
 
 
 @dataclass(frozen=True)
@@ -238,11 +294,11 @@ class DonorArrival:
             raise ValueError(f"{self.id}: negative donor age")
         if self.kidneys_available not in (1, 2):
             raise ValueError(f"{self.id}: kidneys_available must be 1 or 2")
-        if self.blood_group not in ("O", "A", "B", "AB"):
+        if self.blood_group not in BLOOD_GROUPS:
             raise ValueError(f"{self.id}: bad blood group {self.blood_group!r}")
-
-
-DEATH_CAUSE_GROUPS = ("cva", "trauma", "anoxia", "other")
+        if self.death_cause not in DEATH_CAUSE_GROUPS:
+            raise ValueError(f"{self.id}: death cause {self.death_cause!r} "
+                             f"is not one of {', '.join(DEATH_CAUSE_GROUPS)}")
 
 
 @dataclass(frozen=True)
@@ -283,36 +339,3 @@ class CandidateState:
         if self.dialysis_start is None:
             return 0
         return max(0, (now - self.dialysis_start).days)
-
-    def apply(self, update: StatusUpdate, **derived) -> "CandidateState":
-        """Pure functional application of one status update."""
-        kind, payload = update.kind, update.payload
-        if kind == "URG":
-            code = payload.strip()
-            if code not in URGENCY_CODES:
-                raise InputError(f"bad urgency payload {payload!r}")
-            return replace(self, urgency=code)
-        if kind == "PRF":
-            return replace(self, profile=parse_profile(payload))
-        if kind == "UNA":
-            new = frozenset(payload.split())
-            return replace(self, unacceptables=new,
-                           vpra=derived.get("vpra", self.vpra))
-        if kind == "MMC":
-            return replace(self, mm_criteria=expand_mm_patterns(payload))
-        if kind == "SCR":
-            return replace(self, last_screening_date=update.when)
-        if kind == "DIA":
-            text = payload.strip()
-            start = date.fromisoformat(text) if text else None
-            return replace(self, dialysis_start=start)
-        if kind == "CHO":
-            choice = payload.strip().upper()
-            if choice in ("ETKAS", "ESP"):
-                return replace(self, german_program_choice=choice)
-            if choice == "EXT_OPT_IN":
-                return replace(self, esp_extended_opt_in=True)
-            if choice == "EXT_OPT_OUT":
-                return replace(self, esp_extended_opt_in=False)
-            raise InputError(f"bad choice payload {payload!r}")
-        raise InputError(f"unknown update kind {kind!r}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import sys
 from dataclasses import dataclass
-from datetime import date
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -22,10 +21,10 @@ import numpy as np
 from .balances import BalanceLedger, donor_age_group
 from .common import DAYS_PER_YEAR, InputError, to_days
 from .entities import (AllocationProfile, CandidateRegistration, CenterRegistry,
-                       DonorArrival, StatusUpdate, URGENCY_CODES,
-                       expand_mm_patterns, parse_profile)
-from .hla import (AntigenTable, BloodGroupFrequencies, DonorPanel,
-                  FrequencyTable, HlaTyping, compute_hmpp_fraction)
+                       DonorArrival, StatusUpdate, URGENCY_CODES)
+from .hla import (BLOOD_GROUPS, AntigenTable, BloodGroupFrequencies,
+                  DonorPanel, FrequencyTable, HlaTyping,
+                  compute_hmpp_fraction)
 from .policy import PolicyConfig, sliding_scale_points
 
 # status codes; PRE marks a synthetic re-listing created but not yet listed
@@ -34,7 +33,8 @@ PRE = len(URGENCY_CODES)
 T, NT, HU, I, R, D, FU = (STATUS_CODES[c] for c in ("T", "NT", "HU", "I", "R",
                                                     "D", "FU"))
 ACTIVE_CODES = (T, NT, HU, I)
-BG_CODES = {"O": 0, "A": 1, "B": 2, "AB": 3}
+BG_CODES = {bg: i for i, bg in enumerate(BLOOD_GROUPS)}
+_CHOICES = {None: 0, "ETKAS": 1, "ESP": 2}  # the ``choice`` column
 
 _NO_DATE = np.int32(-(2 ** 31) + 1)
 
@@ -55,7 +55,7 @@ _COLUMNS = (
     ("kaoo", False, bool, ()),
     ("opt_in", False, bool, ()),
     ("hla_known", False, bool, ()),
-    ("choice", 0, np.int8, ()),  # 0 none, 1 ETKAS, 2 ESP
+    ("choice", 0, np.int8, ()),  # _CHOICES
     ("mask_a", 0, np.uint64, ()),
     ("mask_b", 0, np.uint64, ()),
     ("mask_dr", 0, np.uint64, ()),
@@ -209,10 +209,7 @@ class HlaIndex:
         """The read-only ``unacc`` row of a set of unacceptable antigens."""
         words = self._unacceptables.get(codes)
         if words is None:
-            for code in codes:
-                if code not in self.words.position:
-                    raise InputError(f"unacceptable antigen {code!r} not in "
-                                     "the antigen table")
+            self.table.check_unacceptables(codes)
             words = self._unacceptables[codes] = self.words.words(codes)
         return words
 
@@ -363,6 +360,9 @@ class CandidateStore:
         self.row_of[reg.id] = row
 
         center = self.centers.get(reg.center)
+        if reg.country not in self.country_of:
+            raise InputError(f"registration {reg.id!r}: unknown country "
+                             f"{reg.country!r}")
         code = initial_status if initial_status is not None else reg.initial_urgency
         self.status[row] = PRE if code == "PRE" else STATUS_CODES[code]
         self.bg[row] = BG_CODES[reg.blood_group]
@@ -382,7 +382,7 @@ class CandidateStore:
         self.am[row] = reg.am_program
         self.kaoo[row] = reg.kaoo
         self.opt_in[row] = reg.esp_extended_opt_in
-        self.choice[row] = {None: 0, "ETKAS": 1, "ESP": 2}[reg.german_program_choice]
+        self.choice[row] = _CHOICES[reg.german_program_choice]
         if reg.hla is not None:
             self._set_hla(row, reg.hla)
         self._set_profile(row, reg.profile)
@@ -510,36 +510,26 @@ class CandidateStore:
         return float((total <= 1).mean())
 
     def apply_update(self, row: int, update: StatusUpdate) -> None:
-        """Apply one status update.  Screening refreshes (``SCR``) are not
-        updates here: the engine writes their days into ``screening``."""
-        kind, payload = update.kind, update.payload
+        """Write one status update's parsed ``value`` into the row.  Screening
+        refreshes (``SCR``) are not updates here: the engine writes their
+        days into ``screening``."""
+        kind, value = update.kind, update.value
         if kind == "URG":
-            code = payload.strip()
-            if code not in STATUS_CODES:
-                raise InputError(f"bad urgency payload {payload!r}")
-            self.status[row] = STATUS_CODES[code]
+            self.status[row] = STATUS_CODES[value]
         elif kind == "PRF":
-            self._set_profile(row, parse_profile(payload))
+            self._set_profile(row, value)
         elif kind == "UNA":
-            self._set_unacceptables(row, frozenset(payload.split()))
+            self._set_unacceptables(row, value)
         elif kind == "MMC":
-            self.patmask[row] = _pattern_mask(expand_mm_patterns(payload))
+            self.patmask[row] = _pattern_mask(value)
         elif kind == "DIA":
-            text = payload.strip()
-            self.dial_start[row] = to_days(date.fromisoformat(text)) if text \
-                else _NO_DATE
+            self.dial_start[row] = _NO_DATE if value is None \
+                else to_days(value)
         elif kind == "CHO":
-            choice = payload.strip().upper()
-            if choice in ("ETKAS", "ESP"):
-                self.choice[row] = 1 if choice == "ETKAS" else 2
-            elif choice == "EXT_OPT_IN":
-                self.opt_in[row] = True
-            elif choice == "EXT_OPT_OUT":
-                self.opt_in[row] = False
+            if value in _CHOICES:
+                self.choice[row] = _CHOICES[value]
             else:
-                raise InputError(f"bad choice payload {payload!r}")
-        else:
-            raise InputError(f"unknown update kind {kind!r}")
+                self.opt_in[row] = value == "EXT_OPT_IN"
 
     def set_status(self, row: int, code: str) -> None:
         self.status[row] = STATUS_CODES[code] if code != "PRE" else PRE

@@ -87,6 +87,15 @@ class AntigenTable:
     def codes(self) -> Iterable[str]:
         return self._by_code.keys()
 
+    def check_unacceptables(self, codes: Iterable[str], path=None,
+                            line=None) -> None:
+        """Raise InputError if a code of a set of unacceptable antigens is
+        not in the table."""
+        unknown = set(codes).difference(self._by_code)
+        if unknown:
+            raise InputError(f"unacceptable antigen {min(unknown)!r} not in "
+                             "the antigen table", path, line)
+
 
 @dataclass(frozen=True)
 class HlaTyping:

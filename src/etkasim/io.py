@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date
 from importlib import resources
+from functools import partial
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -20,8 +21,8 @@ import yaml
 from .balances import BalanceEvent, read_balance_events
 from .common import (InputError, is_blank_row, iso_days, parse_bool,
                      parse_date, read_csv_header, read_csv_rows, to_days)
-from .entities import (UPDATE_KINDS, CandidateRegistration, CenterRegistry,
-                       DonorArrival, StatusUpdate, expand_mm_patterns,
+from .entities import (CandidateRegistration, CenterRegistry, DonorArrival,
+                       StatusUpdate, expand_mm_patterns, parse_payload,
                        parse_profile)
 from .hla import (HLA_COLUMNS, AntigenTable, BloodGroupFrequencies,
                   DonorPanel, FrequencyTable, TypingReader)
@@ -133,18 +134,18 @@ def _optional_date(text: str, path=None, line=None) -> date | None:
     return parse_date(text, path, line) if text.strip() else None
 
 
-def _unacceptables(text: str, path=None, line=None) -> frozenset[str]:
-    return frozenset(text.split())
-
-
-def _mm_criteria(text: str, path=None, line=None):
-    return expand_mm_patterns(text)
+def _unacceptables(text: str, path=None, line=None, *,
+                   table: AntigenTable) -> frozenset[str]:
+    codes = frozenset(text.split())
+    table.check_unacceptables(codes, path, line)
+    return codes
 
 
 # CandidateRegistration's fields but ``hla`` (which the HLA_COLUMNS give),
 # in their order: (column, text of the column when the file lacks it, or
-# None if it is required, parser).  A row's typing is parsed first, then
-# these in order, so the first of them that fails names a row's error.
+# None if it is required, parser; ``_unacceptables`` also takes the table).
+# A row's typing is parsed first, then these in order, so the first of them
+# that fails names a row's error.
 _REGISTRATION_FIELDS = (
     ("id", None, _text),
     ("patient_id", "", _text),  # blank: the registration id
@@ -160,7 +161,7 @@ _REGISTRATION_FIELDS = (
     ("screening_date", "", _optional_date),
     ("urgency", "", _urgency),
     ("profile", "", parse_profile),
-    ("mm_criteria", "", _mm_criteria),
+    ("mm_criteria", "", expand_mm_patterns),
     ("am", "0", parse_bool),
     ("kaoo", "0", parse_bool),
     ("esp_opt_in", "0", parse_bool),
@@ -193,7 +194,7 @@ def load_registrations(path: str | Path,
     is parsed once.  A malformed row raises InputError at its line, the
     first one in file order, with the message a row-at-a-time read gives:
     within a row the typing fails first, then the fields in the order of
-    CandidateRegistration's.
+    CandidateRegistration's.  Unacceptable antigens must be in ``table``.
     """
     with _gc_paused(), open(path, newline="", encoding="utf-8") as fh:
         header = read_csv_header(fh)
@@ -217,9 +218,13 @@ class _RegistrationParser:
         self.fieldnames = fieldnames
         self.col = {name: i for i, name in enumerate(fieldnames)}
         self.typing = TypingReader(table)
+        self.fields = [
+            (column, default,
+             partial(parse, table=table) if parse is _unacceptables else parse)
+            for column, default, parse in _REGISTRATION_FIELDS]
         # parsed value (or _MALFORMED) per distinct text, per column
         self.memo: dict[str, dict] = {
-            column: {} for column, _, parse in _REGISTRATION_FIELDS
+            column: {} for column, _, parse in self.fields
             if parse is not _text}
 
     def parse_block(self, rows: list[list[str]], lines: np.ndarray,
@@ -233,7 +238,7 @@ class _RegistrationParser:
              else [""] * n for c in HLA_COLUMNS])
         good = len(typings)  # rows before the first malformed one
         fields = []
-        for column, default, parse in _REGISTRATION_FIELDS:
+        for column, default, parse in self.fields:
             values, bad = self._column(by_column, n, column, default, parse)
             good = min(good, bad)
             fields.append(values[:good])
@@ -282,7 +287,7 @@ class _RegistrationParser:
         path = self.path
         try:
             self.typing([row.get(c, "").strip() for c in HLA_COLUMNS])
-            for column, default, parse in _REGISTRATION_FIELDS:
+            for column, default, parse in self.fields:
                 parse(row[column] if default is None
                       else row.get(column, default), path, line)
         except (KeyError, ValueError) as exc:
@@ -294,7 +299,7 @@ class _RegistrationParser:
 Screenings = dict[str, np.ndarray]
 
 
-def load_status_updates(path: str | Path
+def load_status_updates(path: str | Path, table: AntigenTable
                         ) -> tuple[dict[str, list[StatusUpdate]], Screenings]:
     """Candidate status streams as (updates, screenings).
 
@@ -304,25 +309,27 @@ def load_status_updates(path: str | Path
     ``SCR`` antibody-screening refreshes, which carry nothing but a date.
     Both dicts list candidates in order of first appearance.
 
-    The file is read once and parsed column-wise, a block of rows at a time.
-    A malformed row raises InputError at its line, the first one in file
-    order, as a row-at-a-time read would: a wrong field count, a missing
-    column, a bad date or an unknown kind.
+    The file is read once and parsed column-wise, a block of rows at a time;
+    each distinct (kind, payload) pair is parsed once.  A malformed row
+    raises InputError at its line, the first one in file order, as a
+    row-at-a-time read would: a wrong field count, a missing column, a bad
+    date, an unknown kind, or a payload ``entities.parse_payload`` rejects
+    or whose ``UNA`` antigens are not in ``table``, wherever its date lies.
     """
     with _gc_paused(), open(path, newline="", encoding="utf-8") as fh:
         header = read_csv_header(fh)
         if header is None:
             return {}, {}
-        return _read_status_rows(path, *header, csv.reader(fh))
+        return _read_status_rows(path, table, *header, csv.reader(fh))
 
 
 # rows per block: bounds what parsing holds beyond its result
 _STATUS_BLOCK = 1 << 16
 
 
-def _read_status_rows(path, header_line: int, fieldnames: list[str],
-                      reader) -> tuple[dict[str, list[StatusUpdate]],
-                                       Screenings]:
+def _read_status_rows(path, table: AntigenTable, header_line: int,
+                      fieldnames: list[str], reader
+                      ) -> tuple[dict[str, list[StatusUpdate]], Screenings]:
     col = {name: i for i, name in enumerate(fieldnames)}
     missing = next((name for name in ("candidate_id", "date", "kind")
                     if name not in col), None)
@@ -334,8 +341,8 @@ def _read_status_rows(path, header_line: int, fieldnames: list[str],
         if missing is not None:
             raise InputError(f"malformed status update: {missing!r}",
                              path, int(lines[0]))
-        blocks.append(_parse_status_block(path, col, rows, lines, number,
-                                          rest))
+        blocks.append(_parse_status_block(path, table, col, rows, lines,
+                                          number, rest))
     if not blocks:
         return {}, {}
     code, days, is_scr = (np.concatenate(arrays) for arrays in zip(*blocks))
@@ -405,40 +412,53 @@ def _cut_block(path, nf: int, rows: list[list[str]],
     return rows, lines, width_error
 
 
-def _parse_status_block(path, col: dict[str, int], rows: list[list[str]],
-                        lines: np.ndarray, number: dict[str, int],
+def _parse_status_block(path, table: AntigenTable, col: dict[str, int],
+                        rows: list[list[str]], lines: np.ndarray,
+                        number: dict[str, int],
                         rest: list[tuple[str, str, str]]):
     """Validate and parse one block of rows: its (candidate number, day,
     is SCR) arrays; the block's non-SCR rows are appended to ``rest``."""
     cids = list(map(str.strip, map(itemgetter(col["candidate_id"]), rows)))
     raw_dates = list(map(itemgetter(col["date"]), rows))
     kinds = list(map(str.strip, map(itemgetter(col["kind"]), rows)))
+    is_scr = np.fromiter(map("SCR".__eq__, kinds), dtype=bool,
+                         count=len(kinds))
+    others = np.flatnonzero(~is_scr).tolist()
+    other_kinds = [kinds[i] for i in others]
+    payload_col = col.get("payload")
+    payloads = ([rows[i][payload_col].strip() for i in others]
+                if payload_col is not None else [""] * len(others))
 
-    # a row's date is parsed before its kind is checked
-    bad_kind = None
-    if not set(kinds) <= set(UPDATE_KINDS):
-        bad_kind = next(i for i, k in enumerate(kinds)
-                        if k not in UPDATE_KINDS)
+    # the first row with an unknown kind or a malformed payload
+    pairs = list(zip(other_kinds, payloads))
+    errors = {}
+    for kind, text in set(pairs):
+        try:
+            value = parse_payload(kind, text)
+            if kind == "UNA":
+                table.check_unacceptables(value)
+        except InputError as exc:
+            errors[kind, text] = exc
+    bad = error = None
+    if errors:
+        bad, error = next((i, errors[pair]) for i, pair in zip(others, pairs)
+                          if pair in errors)
+
+    # a row's date is parsed before its kind and payload are checked
     days, ok = iso_days(list(map(str.strip, raw_dates)))
     for i in np.flatnonzero(~ok).tolist():
-        if bad_kind is not None and i > bad_kind:
+        if bad is not None and i > bad:
             break
         days[i] = to_days(parse_date(raw_dates[i], path, int(lines[i])))
-    if bad_kind is not None:
-        raise InputError(f"malformed status update: unknown update kind "
-                         f"{kinds[bad_kind]!r}", path, int(lines[bad_kind]))
+    if error is not None:
+        raise InputError(f"malformed status update: {error}", path,
+                         int(lines[bad]))
 
     for cid in dict.fromkeys(cids):
         number.setdefault(cid, len(number))
     code = np.fromiter(map(number.__getitem__, cids), dtype=np.int64,
                        count=len(cids))
-    is_scr = np.fromiter(map("SCR".__eq__, kinds), dtype=bool,
-                         count=len(kinds))
-    payload_col = col.get("payload")
-    for i in np.flatnonzero(~is_scr).tolist():
-        payload = rows[i][payload_col].strip() if payload_col is not None \
-            else ""
-        rest.append((cids[i], kinds[i], payload))
+    rest.extend(zip([cids[i] for i in others], other_kinds, payloads))
     return code, days.astype(np.int32), is_scr
 
 
@@ -583,7 +603,7 @@ def load_inputs(settings: SimulationSettings,
         settings.resolve("relist_pool_updates", "relist_pool_updates.csv"))
 
     registrations = load_registrations(cand_path, table)
-    updates, screenings = load_status_updates(status_path)
+    updates, screenings = load_status_updates(status_path, table)
     return SimulationInputs(
         settings=settings,
         antigen_table=table,

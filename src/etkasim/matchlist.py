@@ -172,9 +172,6 @@ class MatchPointContext:
         self._p_leq1mm: dict[str, float] = {}
         self._f_leq1mm_emp: dict[str, float] = {}
 
-    def set_p_leq1mm(self, candidate_id: str, value: float) -> None:
-        self._p_leq1mm[candidate_id] = value
-
     def set_f_leq1mm_empirical(self, candidate_id: str, value: float) -> None:
         self._f_leq1mm_emp[candidate_id] = value
 

@@ -19,7 +19,9 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .common import read_csv_header_meta, read_csv_rows
-from .entities import CenterRegistry, DonorArrival, geography_class
+from .entities import (DEATH_CAUSE_GROUPS, CenterRegistry, DonorArrival,
+                       geography_class)
+from .hla import BLOOD_GROUPS
 
 
 class MissingFeatureError(KeyError):
@@ -172,9 +174,9 @@ def donor_features(donor: DonorArrival) -> dict[str, float]:
         "donor_malignancy": float(donor.malignancy),
         "donor_hcv": float(donor.hcv_positive),
     }
-    for cause in ("cva", "trauma", "anoxia", "other"):
+    for cause in DEATH_CAUSE_GROUPS:
         feats[f"donor_death_{cause}"] = float(donor.death_cause == cause)
-    for bg in ("O", "A", "B", "AB"):
+    for bg in BLOOD_GROUPS:
         feats[f"donor_bg_{bg}"] = float(donor.blood_group == bg)
     return feats
 
@@ -348,10 +350,6 @@ class AllocationOutcome:
     acceptances: list[Acceptance] = field(default_factory=list)
     unplaced: int = 0
     trace: list[TraceEntry] = field(default_factory=list)
-
-    @property
-    def kidneys_placed(self) -> int:
-        return sum(a.kidneys for a in self.acceptances)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ import numpy as np
 import yaml
 
 from .common import to_days
-from .entities import CenterRegistry
-from .hla import FrequencyTable
+from .entities import DEATH_CAUSE_GROUPS, CenterRegistry
+from .hla import BLOOD_GROUPS, FrequencyTable
 from .io import data_path
 
 COUNTRY_WEIGHTS = {
@@ -27,7 +27,6 @@ COUNTRY_WEIGHTS = {
     "HR": 0.07, "SI": 0.04, "LU": 0.03,
 }
 
-DEATH_CAUSES = ("cva", "trauma", "anoxia", "other")
 DEATH_CAUSE_P = (0.50, 0.22, 0.16, 0.12)
 
 
@@ -166,8 +165,7 @@ class PopulationBuilder:
                 choice = "ETKAS" if rng.random() < 0.4 else "ESP"
             opt_in = 1 if (age < 65 and rng.random() < 0.05) else 0
 
-            bg = _choice(rng, ("O", "A", "B", "AB"),
-                         (0.43, 0.40, 0.12, 0.05))
+            bg = _choice(rng, BLOOD_GROUPS, (0.43, 0.40, 0.12, 0.05))
 
             reg_rows.append([
                 cid, cid, country, center, bg,
@@ -252,9 +250,10 @@ class PopulationBuilder:
             extended = age >= 65 or (age >= 50 and (hypertension or creat > 1.5))
             rows.append([
                 did, _iso(int(rng.integers(start_d, end_d + 1))), age,
-                _choice(rng, ("O", "A", "B", "AB"), (0.43, 0.40, 0.12, 0.05)),
+                _choice(rng, BLOOD_GROUPS, (0.43, 0.40, 0.12, 0.05)),
                 *_hla_cols(self._typing_codes()),
-                country, center, _choice(rng, DEATH_CAUSES, DEATH_CAUSE_P),
+                country, center,
+                _choice(rng, DEATH_CAUSE_GROUPS, DEATH_CAUSE_P),
                 int(dcd), creat, int(diabetes), int(smoking),
                 int(proteinuria), int(hypertension), int(malignancy),
                 int(rng.random() < 0.03), int(rng.random() < 0.01),

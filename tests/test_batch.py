@@ -150,7 +150,8 @@ def test_status_streams_rotate_without_candidate_streams(tmp_path):
     result = run_batch(inputs, [5, 5])
     expected = []
     for name in names:
-        updates, screenings = load_status_updates(tmp_path / name)
+        updates, screenings = load_status_updates(tmp_path / name,
+                                                  inputs.antigen_table)
         intended = replace(inputs, updates=updates, screenings=screenings)
         expected.append(reporting.stats_from_output(run_once(intended, 5)))
     assert expected[0] != expected[1]

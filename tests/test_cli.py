@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import csv
-from datetime import date
+import shutil
+import tempfile
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etkasim.cli import main
+from etkasim.engine import initialize
+from etkasim.entities import UPDATE_KINDS
+from etkasim.io import load_inputs, load_settings
 from etkasim.synthetic import generate_population
 
 
@@ -103,6 +110,176 @@ class TestCheckInputs:
         rc = main(["check-inputs", "--settings", str(bad)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+def _append(path: Path, row: str) -> int:
+    """Append ``row`` to a CSV file; the row's line number."""
+    text = path.read_text()
+    path.write_text(text + row + "\n")
+    return text.count("\n") + 1
+
+
+def _edit(path: Path, key: str | None, column: str, value: str) -> int:
+    """Set ``column`` of the row whose first field is ``key`` (the first
+    row if None); that row's line number."""
+    lines = path.read_text().splitlines()
+    at = lines[0].split(",").index(column)
+    n = next(n for n, line in enumerate(lines[1:], start=1)
+             if key is None or line.split(",")[0] == key)
+    fields = lines[n].split(",")
+    fields[at] = value
+    lines[n] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return n + 1
+
+
+def _status_row(kind: str, payload: str, when: str = "2021-06-01"):
+    def mutate(root: Path, cid: str) -> str:
+        line = _append(root / "statuses.csv", f"{cid},{when},{kind},{payload}")
+        return f"statuses.csv:{line}: "
+    return mutate
+
+
+def _registration(column: str, value: str, located: bool):
+    def mutate(root: Path, cid: str) -> str | None:
+        line = _edit(root / "registrations.csv", cid, column, value)
+        return f"registrations.csv:{line}: " if located else None
+    return mutate
+
+
+def _duplicate_registration(root: Path, cid: str) -> None:
+    path = root / "registrations.csv"
+    row = next(line for line in path.read_text().splitlines()
+               if line.startswith(cid + ","))
+    _append(path, row)
+
+
+def _donor(column: str, value: str, located: bool):
+    def mutate(root: Path, cid: str) -> str | None:
+        line = _edit(root / "donors.csv", None, column, value)
+        return f"donors.csv:{line}: " if located else None
+    return mutate
+
+
+def _balance_row(when: str):
+    def mutate(root: Path, cid: str) -> None:
+        _append(root / "balances.csv", f"{when},DE,XX,40,combined,,")
+    return mutate
+
+
+# each: how to break a copy of the fixture (returning the file:line the
+# error names, if it is found on load), and what the error says
+MALFORMED = [
+    pytest.param(_status_row("URG", "XX"), "bad urgency payload 'XX'",
+                 id="urg"),
+    pytest.param(_status_row("PRF", "max=1"), "unknown profile key 'max'",
+                 id="prf"),
+    pytest.param(_status_row("CHO", "maybe"), "bad choice payload 'maybe'",
+                 id="cho"),
+    pytest.param(_status_row("MMC", "22"),
+                 "mismatch pattern '22' must have 3 characters", id="mmc"),
+    pytest.param(_status_row("UNA", "A1 Z99"),
+                 "unacceptable antigen 'Z99' not in the antigen table",
+                 id="una"),
+    pytest.param(_status_row("DIA", "2021-13-01"),
+                 "bad dialysis start payload '2021-13-01'",
+                 id="dia-in-window"),
+    pytest.param(_status_row("DIA", "2021-13-01", when="2020-06-01"),
+                 "bad dialysis start payload '2021-13-01'",
+                 id="dia-before-window"),
+    pytest.param(_status_row("URG", "XX", when="2030-01-01"),
+                 "bad urgency payload 'XX'", id="urg-after-window"),
+    pytest.param(_registration("unacceptables", "Z99", located=True),
+                 "unacceptable antigen 'Z99' not in the antigen table",
+                 id="registration-unacceptable"),
+    pytest.param(_registration("program_choice", "BOTH", located=True),
+                 "bad program choice 'BOTH'", id="registration-choice"),
+    pytest.param(_registration("center", "XXX", located=False),
+                 "unknown center code 'XXX'", id="registration-center"),
+    pytest.param(_registration("country", "XX", located=False),
+                 "unknown country 'XX'", id="registration-country"),
+    pytest.param(_duplicate_registration, "duplicate registration id",
+                 id="registration-duplicate"),
+    pytest.param(_donor("center", "XXX", located=False),
+                 "unknown center code 'XXX'", id="donor-center"),
+    pytest.param(_donor("country", "XX", located=False),
+                 "unknown country 'XX'", id="donor-country"),
+    pytest.param(_donor("death_cause", "stroke", located=True),
+                 "death cause 'stroke' is not one of cva, trauma, anoxia, "
+                 "other", id="donor-death-cause"),
+    pytest.param(_balance_row("2021-06-01"), "unknown country 'XX'",
+                 id="balance-in-window"),
+    pytest.param(_balance_row("2020-06-01"), "unknown country 'XX'",
+                 id="balance-before-window"),
+]
+
+
+@pytest.fixture(scope="module")
+def listed(fixture_dir) -> str:
+    """A registration the engine lists at the window start."""
+    inputs = load_inputs(load_settings(fixture_dir / "settings.yaml"))
+    return initialize(inputs).store.ids[0]
+
+
+class TestMalformedInputs:
+    """What ``run`` rejects, ``check-inputs`` rejects, with the same error,
+    before the simulation starts."""
+
+    @pytest.mark.parametrize("mutate, message", MALFORMED)
+    def test_rejected_by_check_inputs_and_run(self, fixture_dir, listed,
+                                              tmp_path, capsys, mutate,
+                                              message):
+        root = tmp_path / "broken"
+        shutil.copytree(fixture_dir, root)
+        location = mutate(root, listed)
+        settings_path = str(root / "settings.yaml")
+        assert main(["check-inputs", "--settings", settings_path]) == 1
+        check_err = capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "--settings", settings_path,
+                     "--out", str(out)]) == 1
+        run_err = capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+        for err in (check_err, run_err):
+            assert err.startswith("error: ") and message in err, err
+            if location is not None:
+                assert location in err, err
+
+
+@pytest.fixture(scope="module")
+def small_population(tmp_path_factory) -> tuple[Path, list[str]]:
+    out = tmp_path_factory.mktemp("small_population")
+    generate_population(out, n_candidates=100, n_donors=40,
+                        start=date(2021, 4, 1), end=date(2022, 4, 1),
+                        seed=12, panel_size=300)
+    with open(out / "registrations.csv", newline="") as fh:
+        ids = [row["id"] for row in csv.DictReader(fh)]
+    return out, ids
+
+
+PAYLOADS = ["T", " HU ", "NT", "R", "FU", "", "   ", "XX", "min_age=18",
+            "accept_dcd=0;max_age=70", "max=1", "A1 B8", "A1  ", "Z99",
+            "A1 Z99", "222 **2", "22", "2021-05-01", " 2020-02-29",
+            "2021-13-01", "2021-02-29", "ETKAS", "ext_opt_in", "maybe"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(UPDATE_KINDS), payload=st.sampled_from(PAYLOADS),
+       index=st.integers(0, 99), offset=st.integers(-400, 800))
+def test_check_inputs_accepts_exactly_what_run_accepts(
+        small_population, kind, payload, index, offset):
+    source, ids = small_population
+    when = date(2021, 4, 1) + timedelta(days=offset)
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "population"
+        shutil.copytree(source, root)
+        _append(root / "statuses.csv",
+                f"{ids[index]},{when.isoformat()},{kind},{payload}")
+        settings_path = str(root / "settings.yaml")
+        checked = main(["check-inputs", "--settings", settings_path])
+        ran = main(["run", "--settings", settings_path,
+                    "--out", str(root / "out")])
+    assert (checked == 0) == (ran == 0), (checked, ran)
 
 
 class TestRun:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from datetime import timedelta
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -13,8 +13,8 @@ from etkasim.batch import run_batch, run_once
 from etkasim.common import InputError, to_days
 from etkasim.engine import (ArrayOffers, initialize, run,
                             store_unacceptables, verify_replay)
-from etkasim.entities import StatusUpdate, expand_mm_patterns
-from etkasim.fastmatch import build_match_arrays
+from etkasim.entities import StatusUpdate, expand_mm_patterns, parse_profile
+from etkasim.fastmatch import _COLUMNS, build_match_arrays
 from etkasim.offering import (AcceptanceModels, OfferRecord, SequenceOffers,
                               run_allocation)
 from etkasim.posttransplant import PoolEntry, RelistingPool
@@ -112,6 +112,30 @@ class TestInitialization:
         assert got == want
         # C3 folded to NT before the window
         assert state.store.status_code(state.store.row_of["C3"]) == "NT"
+
+
+@pytest.mark.parametrize("kind, payload, fields", [
+    ("URG", " HU ", {"initial_urgency": "HU"}),
+    ("PRF", "min_age=18;accept_dcd=0",
+     {"profile": parse_profile("min_age=18;accept_dcd=0")}),
+    ("PRF", "", {"profile": None}),
+    ("MMC", "**2 221", {"mm_criteria": expand_mm_patterns("**2 221")}),
+    ("DIA", "2020-01-31", {"dialysis_start": date(2020, 1, 31)}),
+    ("DIA", "", {"dialysis_start": None}),
+    ("CHO", " esp", {"german_program_choice": "ESP"}),
+    ("CHO", "ETKAS", {"german_program_choice": "ETKAS"}),
+    ("CHO", "ext_opt_in", {"esp_extended_opt_in": True}),
+])
+def test_update_writes_what_a_registration_sets(kind, payload, fields):
+    # C1 gets the update; C2 is registered with its value from the start
+    base = candidate("C1")
+    regs = [base, dc_replace(base, id="C2", patient_id="C2", **fields)]
+    store = initialize(make_inputs(regs, [])).store
+    store.apply_update(0, StatusUpdate("C1", WINDOW_START, kind, payload))
+    store.finalize_derived_values()
+    for name, *_ in _COLUMNS:
+        np.testing.assert_array_equal(getattr(store, name)[0],
+                                      getattr(store, name)[1], err_msg=name)
 
 
 class TestRun:
