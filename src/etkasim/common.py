@@ -69,11 +69,18 @@ def iso_days(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     (such as 20210501), is left to parse_date; its day reads 0.
     """
     n = len(texts)
-    ok = np.fromiter(map(len, texts), dtype=np.int64, count=n) == 10
     # code points of the first 10 characters, one row per text
     cp = np.array(texts, dtype="U10").view(np.uint32).reshape(n, 10)
+    days, ok = iso_day_rows(cp)
+    ok &= np.fromiter(map(len, texts), dtype=np.int64, count=n) == 10
+    return np.where(ok, days, 0), ok
+
+
+def iso_day_rows(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """iso_days of the rows of an (n, 10) matrix of unsigned character codes
+    (code points or bytes): (days since the epoch, ok mask)."""
     digits = cp[:, _DIGIT_AT] - np.uint32(48)  # non-digits wrap past 9
-    ok &= (digits <= 9).all(axis=1) & (cp[:, 4] == 45) & (cp[:, 7] == 45)
+    ok = (digits <= 9).all(axis=1) & (cp[:, 4] == 45) & (cp[:, 7] == 45)
     d = digits.astype(np.int64)
     year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
     month = d[:, 4] * 10 + d[:, 5]

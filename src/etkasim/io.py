@@ -19,8 +19,9 @@ import numpy as np
 import yaml
 
 from .balances import BalanceEvent, read_balance_events
-from .common import (InputError, is_blank_row, iso_days, parse_bool,
-                     parse_date, read_csv_header, read_csv_rows, to_days)
+from .common import (InputError, is_blank_row, iso_day_rows, iso_days,
+                     parse_bool, parse_date, read_csv_header, read_csv_rows,
+                     to_days)
 from .entities import (CandidateRegistration, CenterRegistry, DonorArrival,
                        StatusUpdate, expand_mm_patterns, parse_payload,
                        parse_profile)
@@ -298,6 +299,12 @@ class _RegistrationParser:
 
 Screenings = dict[str, np.ndarray]
 
+# bytes per block of a status file: bounds what parsing holds beyond its
+# result
+_STATUS_BYTES = 1 << 21
+# rows per block when csv.reader reads a status file (one with a quote)
+_STATUS_BLOCK = 1 << 16
+
 
 def load_status_updates(path: str | Path, table: AntigenTable
                         ) -> tuple[dict[str, list[StatusUpdate]], Screenings]:
@@ -309,67 +316,255 @@ def load_status_updates(path: str | Path, table: AntigenTable
     ``SCR`` antibody-screening refreshes, which carry nothing but a date.
     Both dicts list candidates in order of first appearance.
 
-    The file is read once and parsed column-wise, a block of rows at a time;
-    each distinct (kind, payload) pair is parsed once.  A malformed row
-    raises InputError at its line, the first one in file order, as a
-    row-at-a-time read would: a wrong field count, a missing column, a bad
-    date, an unknown kind, or a payload ``entities.parse_payload`` rejects
-    or whose ``UNA`` antigens are not in ``table``, wherever its date lies.
+    The file is read once, as bytes, a block of whole lines at a time.  One
+    numpy pass per block finds its lines (ending at LF, CR LF or a lone CR,
+    as a text read splits them) and their separators, and picks out the
+    plain screenings: lines of the header's width whose kind is exactly
+    ``SCR``, whose date is strict YYYY-MM-DD and whose id is not padded.
+    They become arrays of candidate numbers and days, with no Python object
+    per line.  Every other line goes through csv.reader and is parsed
+    column-wise, each distinct (kind, payload) pair once; a file that holds
+    a quote goes through csv.reader whole.  A malformed row raises
+    InputError at its line, the first one in file order, as a row-at-a-time
+    read would: a wrong field count, a missing column, a bad date, an
+    unknown kind, or a payload ``entities.parse_payload`` rejects or whose
+    ``UNA`` antigens are not in ``table``, wherever its date lies.
     """
-    with _gc_paused(), open(path, newline="", encoding="utf-8") as fh:
-        header = read_csv_header(fh)
+    with _gc_paused():
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = read_csv_header(fh)
         if header is None:
             return {}, {}
-        return _read_status_rows(path, table, *header, csv.reader(fh))
+        reader = _StatusReader(path, table, *header)
+        if not reader.read_bytes():
+            # a quote may hide separators and line ends
+            reader = _StatusReader(path, table, *header)
+            reader.read_rows()
+        return reader.result()
 
 
-# rows per block: bounds what parsing holds beyond its result
-_STATUS_BLOCK = 1 << 16
+_EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32))
+_SCR = np.frombuffer(b"SCR", dtype=np.uint8)
 
 
-def _read_status_rows(path, table: AntigenTable, header_line: int,
-                      fieldnames: list[str], reader
-                      ) -> tuple[dict[str, list[StatusUpdate]], Screenings]:
-    col = {name: i for i, name in enumerate(fieldnames)}
-    missing = next((name for name in ("candidate_id", "date", "kind")
-                    if name not in col), None)
-    number: dict[str, int] = {}  # candidate id -> order of first appearance
-    blocks = []  # (candidate number, day, is SCR) arrays per block
-    rest: list[tuple[str, str, str]] = []  # non-SCR (id, kind, payload)
-    for rows, lines in _blocks(path, header_line, len(fieldnames), reader,
-                               _STATUS_BLOCK):
-        if missing is not None:
-            raise InputError(f"malformed status update: {missing!r}",
-                             path, int(lines[0]))
-        blocks.append(_parse_status_block(path, table, col, rows, lines,
-                                          number, rest))
-    if not blocks:
-        return {}, {}
-    code, days, is_scr = (np.concatenate(arrays) for arrays in zip(*blocks))
-    names = list(number)
+class _StatusReader:
+    """A status file's rows, taken a block at a time in file order."""
 
-    # screenings: one sorted day array per candidate, views of one buffer
-    scr = np.flatnonzero(is_scr)
-    scr = scr[np.lexsort((days[scr], code[scr]))]
-    scr_days = days[scr]
-    scr_days.flags.writeable = False
-    scr_code = code[scr]
-    bounds = np.flatnonzero(np.diff(scr_code)) + 1
-    firsts = scr_code[np.r_[0, bounds]] if len(scr) else []
-    screenings = dict(zip((names[c] for c in firsts),
-                          np.split(scr_days, bounds)))
+    def __init__(self, path, table: AntigenTable, header_line: int,
+                 fieldnames: list[str]):
+        self.path = path
+        self.table = table
+        self.header_line = header_line
+        self.nf = len(fieldnames)
+        self.col = {name: i for i, name in enumerate(fieldnames)}
+        self.missing = next((name for name in ("candidate_id", "date", "kind")
+                             if name not in self.col), None)
+        self.number: dict[str, int] = {}  # id -> order of first appearance
+        self.scr = [_EMPTY]  # (candidate number, day) arrays of SCR rows
+        self.other = [_EMPTY]  # the same for the other rows, in file order
+        self.rest: list[tuple[str, str, str]] = []  # their (id, kind, payload)
 
-    # everything else: StatusUpdate lists by date, then input order (the
-    # sort is stable)
-    others = np.flatnonzero(~is_scr)
-    order = np.lexsort((days[others], code[others]))
-    whens = days[others[order]].astype("M8[D]").astype(object)
-    updates: dict[str, list[StatusUpdate]] = {}
-    for j, when in zip(order.tolist(), whens):
-        cid, kind, payload = rest[j]
-        updates.setdefault(cid, []).append(
-            StatusUpdate(cid, when, kind, payload))
-    return updates, screenings
+    def read_rows(self) -> None:
+        """Read the file through csv.reader."""
+        with open(self.path, newline="", encoding="utf-8") as fh:
+            read_csv_header(fh)
+            for rows, lines in _blocks(self.path, self.header_line, self.nf,
+                                       csv.reader(fh), _STATUS_BLOCK):
+                cids, days, is_scr = self._parse(rows, lines)
+                self._number(cids)
+                self._keep(cids, days, is_scr)
+
+    def read_bytes(self) -> bool:
+        """Read the file as bytes; False, having read part of it, if it
+        holds a quote."""
+        line = 1  # the number of a block's first line
+        with open(self.path, "rb") as fh:
+            for block in _line_blocks(fh, _STATUS_BYTES):
+                if b'"' in block:
+                    return False
+                line = self._read_block(block, line)
+        return True
+
+    def _read_block(self, block: bytes, first_line: int) -> int:
+        """Take the lines of a block whose first line is numbered
+        ``first_line``; return the number of the line after it."""
+        if not block.isascii():
+            block.decode("utf-8")  # undecodable bytes fail as in a text read
+        a = np.frombuffer(block, dtype=np.uint8)
+        starts, ends = _line_bounds(a)
+        next_line = first_line + len(starts)
+        skip = max(0, self.header_line + 1 - first_line)  # header and above
+        starts, ends, first_line = starts[skip:], ends[skip:], first_line + skip
+        plain, days, id_lo, id_hi = self._plain_screenings(a, starts, ends)
+
+        # every other line is a csv row
+        others = np.delete(np.arange(len(starts)), plain)
+        rows = list(csv.reader([
+            block[i:j].decode("utf-8")
+            for i, j in zip(starts[others].tolist(), ends[others].tolist())]))
+        rows, lines, width_error = _cut_block(self.path, self.nf, rows,
+                                              first_line + others)
+        cids, row_days, is_scr = (self._parse(rows, lines) if rows
+                                  else ([], None, None))
+        if width_error is not None:
+            raise width_error
+
+        # plain screenings: one id per run of equal id bytes
+        runs = np.flatnonzero(~_same_as_previous(a, id_lo, id_hi))
+        run_ids = [block[i:j].decode("utf-8")
+                   for i, j in zip(id_lo[runs].tolist(), id_hi[runs].tolist())]
+        ids = run_ids + cids
+        order = np.argsort(np.concatenate([first_line + plain[runs], lines]))
+        self._number(map(ids.__getitem__, order.tolist()))
+        self.scr.append((np.repeat(self._codes(run_ids),
+                                   np.diff(np.r_[runs, len(plain)])), days))
+        if rows:
+            self._keep(cids, row_days, is_scr)
+        return next_line
+
+    def _plain_screenings(self, a: np.ndarray, starts: np.ndarray,
+                          ends: np.ndarray):
+        """The plain screenings among the lines: (their indices, days, and
+        the byte bounds of their ids).  Such a line has the header's width,
+        the kind exactly ``SCR``, a strict YYYY-MM-DD date and an id whose
+        first and last bytes are printable ASCII, so the row checks would
+        take each field as it stands."""
+        if self.missing is not None:
+            return (_EMPTY[0], _EMPTY[1], _EMPTY[0], _EMPTY[0])
+        nf = self.nf
+        commas = np.flatnonzero(a == 44)
+        first = np.searchsorted(commas, starts)  # each line's first comma
+        sel = np.flatnonzero(
+            (np.searchsorted(commas, ends) - first == nf - 1)
+            # csv.reader rejects a field longer than its limit
+            & (ends - starts <= csv.field_size_limit()))
+
+        def field(name):  # byte bounds of a column in the lines of sel
+            k = self.col[name]
+            at = first[sel] + k  # the comma after the field
+            lo = starts[sel] if k == 0 else commas[at - 1] + 1
+            hi = ends[sel] if k == nf - 1 else commas[at]
+            return lo, hi
+
+        def window(lo, width):  # bytes from lo on, clipped at the block end
+            return a.take(lo[:, None] + np.arange(width), mode="clip")
+
+        lo, hi = field("kind")
+        ok = (hi - lo == 3) & (window(lo, 3) == _SCR).all(axis=1)
+        lo, hi = field("date")
+        days, strict = iso_day_rows(window(lo, 10))
+        ok &= (hi - lo == 10) & strict
+        lo, hi = field("candidate_id")
+        edges = window(lo, 1)[:, 0], window(hi - 1, 1)[:, 0]
+        ok &= (hi > lo) & ((33 <= edges[0]) & (edges[0] <= 126)
+                           & (33 <= edges[1]) & (edges[1] <= 126))
+        return sel[ok], days[ok].astype(np.int32), lo[ok], hi[ok]
+
+    def _parse(self, rows: list[list[str]], lines: np.ndarray):
+        if self.missing is not None:
+            raise InputError(f"malformed status update: {self.missing!r}",
+                             self.path, int(lines[0]))
+        return _parse_status_block(self.path, self.table, self.col, rows,
+                                   lines, self.rest)
+
+    def _number(self, ids) -> None:
+        """Number the new ones of ``ids``, taken in file order."""
+        number = self.number
+        for cid in dict.fromkeys(ids):
+            number.setdefault(cid, len(number))
+
+    def _codes(self, ids: list[str]) -> np.ndarray:
+        return np.fromiter(map(self.number.__getitem__, ids), dtype=np.int64,
+                           count=len(ids))
+
+    def _keep(self, cids: list[str], days: np.ndarray,
+              is_scr: np.ndarray) -> None:
+        code = self._codes(cids)
+        self.scr.append((code[is_scr], days[is_scr]))
+        self.other.append((code[~is_scr], days[~is_scr]))
+
+    def result(self) -> tuple[dict[str, list[StatusUpdate]], Screenings]:
+        names = list(self.number)
+
+        # screenings: one sorted day array per candidate, views of one buffer
+        code, days = map(np.concatenate, zip(*self.scr))
+        order = _by_candidate_and_day(code, days)
+        code, days = code[order], days[order]
+        days.flags.writeable = False
+        firsts = np.flatnonzero(np.diff(code, prepend=-1))
+        bounds = np.r_[firsts, len(code)].tolist()
+        screenings = {names[c]: days[i:j] for c, i, j
+                      in zip(code[firsts].tolist(), bounds, bounds[1:])}
+
+        # everything else: StatusUpdate lists by date, then input order
+        code, days = map(np.concatenate, zip(*self.other))
+        order = _by_candidate_and_day(code, days)
+        whens = days[order].astype("M8[D]").astype(object)
+        updates: dict[str, list[StatusUpdate]] = {}
+        for j, when in zip(order.tolist(), whens):
+            cid, kind, payload = self.rest[j]
+            updates.setdefault(cid, []).append(
+                StatusUpdate(cid, when, kind, payload))
+        return updates, screenings
+
+
+def _by_candidate_and_day(code: np.ndarray, days: np.ndarray) -> np.ndarray:
+    """The order of rows by candidate number, then day, then input order (a
+    stable sort, which is fast on rows that come nearly in order)."""
+    return np.argsort((code << 32) + days, kind="stable")
+
+
+def _line_blocks(fh, size: int):
+    """An open binary file, read ``size`` bytes at a time, in pieces that
+    end after a line end: an LF, or a CR once the byte after it is known,
+    so no CR LF pair is split.  The last piece is the rest of the file."""
+    tail = b""
+    while chunk := fh.read(size):
+        buf = tail + chunk
+        cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
+        if cut:
+            yield buf[:cut]
+        tail = buf[cut:]
+    if tail:
+        yield tail
+
+
+def _line_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the lines of a block of bytes start and end (before their line
+    end).  A line ends at an LF, a CR LF or a lone CR, as a text read splits
+    lines; a last line without one counts too."""
+    n = len(a)
+    term = np.flatnonzero(a == 10)  # the last byte of each line end
+    ends = term
+    cr = np.flatnonzero(a == 13)
+    if len(cr):
+        # a CR at the end of the block is lone: the block was cut after it
+        lone = cr[a[np.minimum(cr + 1, n - 1)] != 10]
+        term = np.sort(np.concatenate([term, lone]))
+        ends = term - ((a[term] == 10) & (a[term - 1] == 13) & (term > 0))
+    starts = np.r_[0, term + 1]
+    ends = np.r_[ends, n]
+    if starts[-1] == n:  # the block ends with a line end
+        starts, ends = starts[:-1], ends[:-1]
+    return starts, ends
+
+
+def _same_as_previous(a: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray) -> np.ndarray:
+    """Whether each byte string a[lo:hi] equals the one before it (the first
+    does not).  Compares one byte column at a time, only where all earlier
+    bytes matched, so the work is at most the strings' bytes."""
+    length = hi - lo
+    same = np.zeros(len(lo), dtype=bool)
+    pairs = np.flatnonzero(length[1:] == length[:-1]) + 1
+    j = 0
+    while len(pairs):
+        done = length[pairs] == j
+        same[pairs[done]] = True
+        pairs = pairs[~done]
+        pairs = pairs[a[lo[pairs] + j] == a[lo[pairs - 1] + j]]
+        j += 1
+    return same
 
 
 def _blocks(path, header_line: int, nf: int, reader, size: int):
@@ -414,10 +609,10 @@ def _cut_block(path, nf: int, rows: list[list[str]],
 
 def _parse_status_block(path, table: AntigenTable, col: dict[str, int],
                         rows: list[list[str]], lines: np.ndarray,
-                        number: dict[str, int],
                         rest: list[tuple[str, str, str]]):
-    """Validate and parse one block of rows: its (candidate number, day,
-    is SCR) arrays; the block's non-SCR rows are appended to ``rest``."""
+    """Validate and parse one block of rows: their (candidate ids, day
+    array, is SCR mask); the block's non-SCR rows are appended to
+    ``rest``."""
     cids = list(map(str.strip, map(itemgetter(col["candidate_id"]), rows)))
     raw_dates = list(map(itemgetter(col["date"]), rows))
     kinds = list(map(str.strip, map(itemgetter(col["kind"]), rows)))
@@ -454,12 +649,8 @@ def _parse_status_block(path, table: AntigenTable, col: dict[str, int],
         raise InputError(f"malformed status update: {error}", path,
                          int(lines[bad]))
 
-    for cid in dict.fromkeys(cids):
-        number.setdefault(cid, len(number))
-    code = np.fromiter(map(number.__getitem__, cids), dtype=np.int64,
-                       count=len(cids))
     rest.extend(zip([cids[i] for i in others], other_kinds, payloads))
-    return code, days.astype(np.int32), is_scr
+    return cids, days.astype(np.int32), is_scr
 
 
 def load_donors(path: str | Path, table: AntigenTable) -> list[DonorArrival]:

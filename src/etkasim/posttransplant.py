@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .common import InputError, read_csv_header_meta, read_csv_rows
+from .entities import parse_payload
 from .hla import AntigenTable, HlaTyping
 
 log = logging.getLogger(__name__)
@@ -278,8 +279,14 @@ class RelistingPool:
                    updates_path: str | Path) -> "RelistingPool":
         updates: dict[str, list[tuple[int, str]]] = {}
         for line, row in read_csv_rows(updates_path):
-            updates.setdefault(row["pool_id"].strip(), []).append(
-                (int(row["offset_days"]), row["status"].strip()))
+            try:
+                pool_id = row["pool_id"].strip()
+                update = (int(row["offset_days"]),
+                          parse_payload("URG", row["status"]))
+            except (KeyError, ValueError) as exc:
+                raise InputError(f"malformed pool status update: {exc}",
+                                 updates_path, line)
+            updates.setdefault(pool_id, []).append(update)
         entries = []
         for line, row in read_csv_rows(entries_path):
             pool_id = row["id"].strip()

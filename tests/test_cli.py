@@ -9,13 +9,14 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etkasim.cli import main
 from etkasim.engine import initialize
 from etkasim.entities import UPDATE_KINDS
-from etkasim.io import load_inputs, load_settings
+from etkasim.io import data_path, load_inputs, load_settings
 from etkasim.synthetic import generate_population
 
 
@@ -167,6 +168,19 @@ def _balance_row(when: str):
     return mutate
 
 
+def _pool_update(column: str, value: str):
+    def mutate(root: Path, cid: str) -> str:
+        path = root / "relist_pool_updates.csv"
+        shutil.copy(data_path("relist_pool_updates.csv"), path)
+        line = _edit(path, None, column, value)
+        settings_path = root / "settings.yaml"
+        doc = yaml.safe_load(settings_path.read_text())
+        doc["paths"]["relist_pool_updates"] = path.name
+        settings_path.write_text(yaml.safe_dump(doc))
+        return f"relist_pool_updates.csv:{line}: "
+    return mutate
+
+
 # each: how to break a copy of the fixture (returning the file:line the
 # error names, if it is found on load), and what the error says
 MALFORMED = [
@@ -211,6 +225,10 @@ MALFORMED = [
                  id="balance-in-window"),
     pytest.param(_balance_row("2020-06-01"), "unknown country 'XX'",
                  id="balance-before-window"),
+    pytest.param(_pool_update("status", "XX"), "malformed pool status "
+                 "update: bad urgency payload 'XX'", id="pool-status"),
+    pytest.param(_pool_update("offset_days", "90d"), "malformed pool status "
+                 "update: invalid literal for int()", id="pool-offset"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from datetime import date
 
 import numpy as np
@@ -15,6 +16,7 @@ from etkasim.hla import AntigenTable, HlaTyping
 from etkasim import io as io_module
 from etkasim.io import (data_path, load_donors, load_registrations,
                         load_settings, load_status_updates)
+from etkasim.synthetic import generate_population
 
 
 @pytest.fixture(scope="module")
@@ -374,10 +376,17 @@ def _column_loader(path, table):
 
 
 def _assert_parity(path, table):
-    got, want = _column_loader(path, table), _row_reference(path, table)
-    assert got == want
-    if isinstance(want, tuple):  # same candidate order as well
-        assert [list(d) for d in got] == [list(d) for d in want]
+    """The loaders agree on the file, and on its twin with the other line
+    ends (CR LF for LF); the file's result."""
+    data = path.read_bytes()
+    twin = path.with_name("twin-" + path.name)
+    twin.write_bytes(data.replace(b"\r\n", b"\n") if b"\r\n" in data
+                     else data.replace(b"\n", b"\r\n"))
+    for file in (twin, path):
+        got, want = _column_loader(file, table), _row_reference(file, table)
+        assert got == want
+        if isinstance(want, tuple):  # same candidate order as well
+            assert [list(d) for d in got] == [list(d) for d in want]
     return got
 
 
@@ -416,12 +425,16 @@ class TestStatusUpdates:
 class TestStatusParity:
     """The column-wise loader equals the row-at-a-time reference."""
 
-    @pytest.fixture(autouse=True, params=[None, 2], ids=["block", "blocks"])
+    @pytest.fixture(autouse=True, params=[None, (2, 1), (3, 7)],
+                    ids=["block", "blocks", "odd-blocks"])
     def block_size(self, request, monkeypatch):
-        # the loader parses a block of rows at a time; tiny blocks put block
-        # boundaries between every pair of rows
+        # the loader reads a block of bytes (of rows, for csv.reader) at a
+        # time; one-byte reads put block boundaries between every pair of
+        # lines and inside every CR LF pair, seven-byte ones at odd places
         if request.param is not None:
-            monkeypatch.setattr(io_module, "_STATUS_BLOCK", request.param)
+            rows, size = request.param
+            monkeypatch.setattr(io_module, "_STATUS_BLOCK", rows)
+            monkeypatch.setattr(io_module, "_STATUS_BYTES", size)
 
     def test_parity_sorted_with_input_order_ties(self, tmp_path, table):
         path = tmp_path / "updates.csv"
@@ -452,7 +465,8 @@ class TestStatusParity:
 
     @pytest.mark.parametrize("text", ["", "2021-05", "2021-02-29",
                                       "0000-01-01", "2021-13-01", "21-05-01",
-                                      "2021/05/01"])
+                                      "2021/05/01", "2021-05-011",
+                                      "2021-05-01x", "x2021-05-01"])
     def test_parity_bad_dates_rejected_with_their_line(self, tmp_path, table,
                                                        text):
         path = tmp_path / "updates.csv"
@@ -560,6 +574,10 @@ class TestStatusParity:
         "C1,2021-05-01,UNA,Z99\nC1,2021-05-02,XXX,\n",
         "C1,2021-05-01,CHO,x\nC1,2021-05-01,URG\n",
         "C1,2021-05-01,URG\nC1,2021-05-01,CHO,x\n",
+        # kinds that start or end like SCR
+        "C1,2021-05-01,SCR,\nC1,2021-05-01,SCRX,\n",
+        "C1,2021-05-01,XSCR,\nC1,2021-05,SCR,\n",
+        "C1,2021-05-01,SC,\n",
     ])
     def test_parity_error_precedence(self, tmp_path, table, rows):
         path = tmp_path / "updates.csv"
@@ -573,6 +591,7 @@ class TestStatusParity:
         "date,kind\nC1,URG,x\n",
         "candidate_id,date,kind\nC1,2021-05-01,SCR\n",
         "candidate_id\nC1\n\n \n",
+        "# kind=status\ncandidate_id,date,payload\nC1,2021-05-01,\n",
     ])
     def test_parity_headers_and_missing_columns(self, tmp_path, table, text):
         path = tmp_path / "updates.csv"
@@ -605,6 +624,220 @@ class TestStatusParity:
             assert isinstance(got, tuple) or trial % 2 == 0
             outcomes.add(type(got))
         assert outcomes == {tuple, str}
+
+    @pytest.mark.parametrize("last, loads", [
+        ("C2,2021-05-03,SCR,", True), ("C2,2021-05-03,URG,T", True),
+        ("C2,2021-05,SCR,", False), ("C2,2021-05-03,SCR", False)])
+    def test_parity_last_line_without_line_end(self, tmp_path, table,
+                                               last, loads):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER + "C1,2021-05-01,SCR,\n" + last)
+        got = _assert_parity(path, table)
+        if loads:
+            assert "C2" in got[0] or "C2" in got[1]
+        else:
+            assert "updates.csv:3: " in got
+
+    @pytest.mark.parametrize("rows", [
+        # a lone CR ends a line, as it does for a text read
+        "C1,2021-05-01,SCR,\rC2,2021-05-02,SCR,\n",
+        "C1,2021-05-01,SCR,\r\rC1,2021-05-02,SCR,\n",
+        "C1,2021-05-01,SCR,a\rb\n",
+        "C1,20\r21-05-01,SCR,\n",
+        "C1,2021-05-01,S\rCR,\n",
+        "C1,2021-05-01,SCR,\rC1,2021-05-02,URG,T\rC1,2021-05,SCR,\n",
+        "C1,2021-05-01,SCR,\r",
+    ])
+    def test_parity_lone_carriage_return(self, tmp_path, table, rows):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER + rows)
+        got = _assert_parity(path, table)
+        if rows.startswith("C1,2021-05-01,SCR,\rC2"):
+            assert list(got[1]) == ["C1", "C2"]
+        if "SCR,\rC1,2021-05-02,URG" in rows:
+            assert "updates.csv:4: invalid date" in got
+
+    @pytest.mark.parametrize("text", [
+        '# source="registry"\n' + STATUS_HEADER + "C1,2021-05-01,SCR,\n",
+        'candidate_id,"date",kind,payload\nC1,2021-05-01,SCR,\n',
+        STATUS_HEADER + 'C1,2021-05-01,SCR,"x"\nC2,2021-05-01,SCR,\n',
+        STATUS_HEADER + '"C1",2021-05-01,SCR,\nC2,2021-05-01,SCR,\n',
+        STATUS_HEADER + 'C1,2021-05-01,SCR,x"y\n',
+        # a quoted line end: rows, not lines, are numbered
+        STATUS_HEADER + "C1,2021-05-01,SCR,\n" * 5
+        + 'C1,2021-05-02,UNA,"A1\nB8"\nC1,2021-05-03,URG,T\n'
+        + "C1,2021-05,SCR,\n",
+        # the quote after an error, and an error after the quote
+        STATUS_HEADER + "C1,2021-05,SCR,\n" + 'C1,2021-05-02,URG,"T"\n',
+        STATUS_HEADER + "C1,2021-05-01,SCR,\n" * 9
+        + 'C1,2021-05-02,URG,"T"\n' + "C1,2021-05,SCR,\n",
+    ])
+    def test_parity_quote_anywhere(self, tmp_path, table, text):
+        path = tmp_path / "updates.csv"
+        path.write_text(text)
+        _assert_parity(path, table)
+
+    @pytest.mark.parametrize("row", [
+        " C1,2021-05-02,SCR,", "C1 ,2021-05-02,SCR,", "\tC1,2021-05-02,SCR,",
+        "\u00a0C1,2021-05-02,SCR,", "C1\u3000,2021-05-02,SCR,",
+        "C1, 2021-05-02,SCR,", "C1,2021-05-02\t,SCR,", "C1,20210502,SCR,",
+        "C1,2021-W17-7,SCR,", "C1,2021-05-02,SCR,x", "C1,2021-05-02,SCR, x ",
+        "C1,2021-05-02, SCR,", "C1,2021-05-02,SCR ,",
+    ])
+    def test_parity_screening_forms(self, tmp_path, table, row):
+        # padded ids and dates, non-strict dates and payloads all load
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER + "C2,2021-05-01,SCR,\n"
+                        "C1,2021-05-01,SCR,\n" + row + "\n"
+                        "C1,2021-05-03,SCR,\n")
+        _, screenings = _assert_parity(path, table)
+        assert list(screenings) == ["C2", "C1"]
+        assert screenings["C1"] == [to_days(date(2021, 5, d))
+                                    for d in (1, 2, 3)]
+
+    def test_parity_blank_lines_among_screenings(self, tmp_path, table):
+        path = tmp_path / "updates.csv"
+        body = (STATUS_HEADER + "C1,2021-05-01,SCR,\n\n  \n\t\n"
+                "C1,2021-05-02,SCR,\n \nC2,2021-05-03,SCR,\n\n")
+        path.write_text(body)
+        _, screenings = _assert_parity(path, table)
+        assert list(screenings) == ["C1", "C2"]
+        path.write_text(body + "C2,2021-05-04,SCR,\nC2,2021-5-05,SCR,\n")
+        assert "updates.csv:11: invalid date" in _assert_parity(path, table)
+
+    def test_parity_non_ascii_ids(self, tmp_path, table):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER
+                        + "Ü1,2021-05-01,SCR,\n"
+                        "Ü1,2021-05-02,SCR,\n"
+                        "Cé2,2021-05-01,SCR,\n"
+                        "候補3,2021-05-01,SCR,\n"
+                        "C1é,2021-05-01,URG,T\n"
+                        "C1é,2021-05-02,SCR,\n"
+                        "C1e,2021-05-02,SCR,\n"
+                        "C1a,2021-05-02,SCR,\n"
+                        "C1b,2021-05-02,SCR,\n", encoding="utf-8")
+        updates, screenings = _assert_parity(path, table)
+        assert list(screenings) == ["Ü1", "Cé2", "候補3",
+                                    "C1é", "C1e", "C1a", "C1b"]
+        assert list(updates) == ["C1é"]
+
+    def test_parity_interleaved_id_runs(self, tmp_path, table):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER
+                        + "C1,2021-05-03,SCR,\n"
+                        "C1,2021-05-01,SCR,\n"
+                        "C2,2021-05-02,SCR,\n"
+                        "C1,2021-05-02,SCR,\n"
+                        "C10,2021-05-02,SCR,\n"
+                        "C1,2021-05-04,URG,T\n"
+                        "C2,2021-05-01,SCR,\n"
+                        "C12,2021-05-01,SCR,\n"
+                        "C21,2021-05-01,SCR,\n"
+                        "C1,2021-05-01,SCR,\n")
+        _, screenings = _assert_parity(path, table)
+        assert list(screenings) == ["C1", "C2", "C10", "C12", "C21"]
+        assert screenings["C1"] == [to_days(date(2021, 5, d))
+                                    for d in (1, 1, 2, 3)]
+
+    @pytest.mark.parametrize("row", [
+        "C1,2021-05-02,SCR", "C1,2021-05-02,SCR,,", "C1", "SCR",
+        "C1,2021-05-02,SCR,x,y", "# a comment row"])
+    def test_parity_wrong_width_between_screenings(self, tmp_path, table,
+                                                   row):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER + "C1,2021-05-01,SCR,\n" + row
+                        + "\nC1,2021-05-03,SCR,\nC1,2021-05,SCR,\n")
+        assert "updates.csv:3: expected 4 fields" in _assert_parity(path,
+                                                                    table)
+
+    @pytest.mark.parametrize("header, row", [
+        ("kind,date,candidate_id,payload", "{kind},{date},{cid},{payload}"),
+        ("payload,candidate_id,extra,kind,date",
+         "{payload},{cid},x,{kind},{date}"),
+        ("candidate_id,date,kind", "{cid},{date},{kind}"),
+        ("date,kind,candidate_id", "{date},{kind},{cid}"),
+        ("candidate_id,date,kind,payload,note",
+         "{cid},{date},{kind},{payload},n"),
+    ])
+    def test_parity_column_layouts(self, tmp_path, table, header, row):
+        rows = [("C1", "2021-05-02", "SCR", ""), ("C2", "2021-05-01", "SCR",
+                                                  ""),
+                ("C1", "2021-05-03", "PRF", ""), ("C1", "2021-04-01", "SCR",
+                                                  "")]
+        path = tmp_path / "updates.csv"
+        path.write_text("# source=registry\n#kind=status\n\n" + header + "\n"
+                        + "".join(row.format(cid=c, date=d, kind=k,
+                                             payload=p) + "\n"
+                                  for c, d, k, p in rows))
+        updates, screenings = _assert_parity(path, table)
+        assert list(screenings) == ["C1", "C2"]
+        assert [u.kind for u in updates["C1"]] == ["PRF"]
+
+    def test_parity_random_bytes(self, tmp_path, table):
+        # files of any line ends, with padding, quotes, blank and wrong-width
+        # lines and, in even trials, malformed rows
+        rng = np.random.default_rng(8)
+        ids = ["C1", "C1", "C2", "C10", " C1", "C1 ", "Ü1", "", '"C3"']
+        dates = ["2021-05-01", "2021-05-02", " 2021-05-03", "20210504",
+                 "2021-02-29", "2021-5-01"]
+        pairs = [("SCR", ""), ("SCR", ""), ("SCR", " x"), (" SCR ", ""),
+                 ("URG", "T"), ("URG", " NT "), ("scr", ""), ("URG", "")]
+        extras = ["", "  ", "\t", "C1,2021-05-01", "C1,2021-05-01,SCR,,"]
+        ends = ["\n", "\r\n", "\r"]
+        outcomes = set()
+        for trial in range(60):
+            valid = trial % 2
+            lines = [STATUS_HEADER[:-1]]
+            for _ in range(int(rng.integers(1, 25))):
+                if rng.random() < 0.1:
+                    lines.append(str(rng.choice(extras[:3 if valid else 5])))
+                    continue
+                kind, payload = pairs[rng.integers(0, 6 if valid else 8)]
+                when = rng.choice(dates[:4] if valid else dates)
+                lines.append(f"{rng.choice(ids)},{when},{kind},{payload}")
+            text = "".join(line + str(rng.choice(ends)) for line in lines)
+            if rng.random() < 0.3:
+                text = text.rstrip("\r\n")
+            path = tmp_path / f"u{trial}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            got = _assert_parity(path, table)
+            assert isinstance(got, tuple) or not valid
+            outcomes.add(type(got))
+        assert outcomes == {tuple, str}
+
+    def test_parity_undecodable_bytes(self, tmp_path, table):
+        # past the first chunk a text read of the header decodes
+        path = tmp_path / "updates.csv"
+        head = (STATUS_HEADER + "C1,2021-05-01,SCR,\n" * 600).encode()
+        for row in (b"C\xff1,2021-05-01,SCR,\n", b"C1,2021-05-01,SCR,\xff\n"):
+            path.write_bytes(head + row)
+            with pytest.raises(UnicodeDecodeError):
+                load_status_updates(path, table)
+            with pytest.raises(UnicodeDecodeError):
+                _row_reference(path, table)
+
+    def test_parity_field_size_limit(self, tmp_path, table):
+        path = tmp_path / "updates.csv"
+        path.write_text(STATUS_HEADER + "C1,2021-05-01,SCR," + "x" * 200
+                        + "\n")
+        limit = csv.field_size_limit(100)
+        try:
+            for load in (load_status_updates, _row_reference):
+                with pytest.raises(csv.Error):
+                    load(path, table)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_parity_synthetic_population(self, tmp_path, table):
+        # the file shape a real stream has: csv.writer's CR LF line ends
+        generate_population(tmp_path, n_candidates=100, n_donors=10,
+                            start=date(2021, 4, 1), end=date(2022, 4, 1),
+                            seed=3, panel_size=50)
+        path = tmp_path / "statuses.csv"
+        assert path.read_bytes().count(b"\r\n") > 100
+        updates, screenings = _assert_parity(path, table)
+        assert len(updates) == 100 and len(screenings) > 50
 
 
 class TestIsoDays:
