@@ -9,11 +9,10 @@ minus the largest importer's (a negative number), times the balance weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .common import InputError, parse_date, read_csv_rows
+from .common import InputError, parse_date, read_csv_rows, to_days
 
 DONOR_AGE_GROUPS = ("0-17", "18-49", "50-64", "65+")
 
@@ -32,9 +31,10 @@ def donor_age_group(age: int) -> str:
 
 @dataclass(frozen=True)
 class BalanceEvent:
-    """One international transplantation relevant to the balance system."""
+    """One international transplantation relevant to the balance system, on
+    ``day`` (days since 1970-01-01)."""
 
-    when: date
+    day: int
     donor_country: str
     recipient_country: str
     donor_age: int
@@ -129,13 +129,13 @@ class BalanceLedger:
         return dict(self._regional)
 
 
-def init_ledger(history: Sequence[BalanceEvent], start: date,
+def init_ledger(history: Sequence[BalanceEvent], start_day: int,
                 countries: Iterable[str],
                 austrian_regions: Iterable[str] = ()) -> BalanceLedger:
-    """Fold all pre-start events into a fresh ledger."""
+    """Fold all events up to ``start_day`` into a fresh ledger."""
     ledger = BalanceLedger(countries, austrian_regions)
     for event in history:
-        if event.when <= start:
+        if event.day <= start_day:
             ledger.record_transfer(event)
     return ledger
 
@@ -147,7 +147,7 @@ def read_balance_events(path: str | Path) -> list[BalanceEvent]:
     for line, row in read_csv_rows(path):
         try:
             events.append(BalanceEvent(
-                when=parse_date(row["date"], path, line),
+                day=to_days(parse_date(row["date"], path, line)),
                 donor_country=row["donor_country"].strip(),
                 recipient_country=row["recipient_country"].strip(),
                 donor_age=int(row["donor_age"]),

@@ -47,6 +47,12 @@ def from_days(days: int) -> date:
     return date.fromordinal(EPOCH.toordinal() + days)
 
 
+def day_text(days: int) -> str:
+    """The YYYY-MM-DD text of a day since the epoch, as inputs and outputs
+    write it."""
+    return from_days(days).isoformat()
+
+
 DAYS_PER_YEAR = 365.25
 
 

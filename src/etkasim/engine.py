@@ -26,12 +26,11 @@ import numpy as np
 
 from .balances import (BalanceEvent, BalanceLedger, UnknownCountryError,
                        donor_age_group)
-from .common import DAYS_PER_YEAR, InputError, from_days, to_days
-from .entities import TERMINAL_CODES, DonorArrival, StatusUpdate
+from .common import DAYS_PER_YEAR, InputError, day_text, from_days, to_days
+from .entities import ETKAS, TERMINAL_CODES, DonorArrival, StatusUpdate
 from .fastmatch import (ACTIVE_CODES, CandidateStore, HlaIndex, HU,
                         MatchArrays, build_match_arrays, GEO_LABELS)
 from .io import SimulationInputs
-from .matchlist import ETKAS
 from .offering import (MissingFeatureError, donor_features,
                        center_offer_features, run_allocation)
 from .posttransplant import (build_synthetic_relisting, sample_failure_time,
@@ -69,10 +68,6 @@ class TransplantRecord:
     prior_transplant: bool
     homo_b: bool
     homo_dr: bool
-
-    @property
-    def when(self) -> date:
-        return from_days(self.when_days)
 
     @property
     def mm_total(self) -> int:
@@ -232,7 +227,7 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
         seen_ids[reg.id] = 1
         updates = inputs.updates.get(reg.id, [])
         for a, b in zip(updates, updates[1:]):
-            if a.when > b.when:
+            if a.day > b.day:
                 raise InputError("status updates out of order after sorting")
 
         if (reg.previous_transplant_date is not None
@@ -247,7 +242,7 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
         folded: list = []
         first_pending: int | None = None
         for i, upd in enumerate(updates):
-            if to_days(upd.when) < start:
+            if upd.day < start:
                 folded.append(upd)
             else:
                 first_pending = i
@@ -270,8 +265,8 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
         state.updates_of[row] = updates
         if first_pending is not None:
             upd = updates[first_pending]
-            state.schedule(to_days(upd.when), PRIO_PATIENT, "patient",
-                           row, first_pending)
+            state.schedule(upd.day, PRIO_PATIENT, "patient", row,
+                           first_pending)
         state._mark_listed(row)
 
         # overlapping spells for one patient are an input error
@@ -287,7 +282,7 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
                 a_end = None
                 for u in a_updates:
                     if u.ends_spell:
-                        a_end = to_days(u.when)
+                        a_end = u.day
                 if a_end is not None and b_start < a_end:
                     raise InputError(
                         f"registrations {a_id!r} and {b_id!r} for patient "
@@ -302,23 +297,22 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
         try:
             state.ledger.check_transfer(event)
         except (UnknownCountryError, ValueError) as exc:
-            raise InputError(f"balance event of {event.when}: {exc}") from None
-        when = to_days(event.when)
-        if when <= start:
+            raise InputError(f"balance event of {day_text(event.day)}: "
+                             f"{exc}") from None
+        if event.day <= start:
             state.ledger.record_transfer(event)
-        elif when <= end:
-            state.schedule(when, PRIO_BALANCE, "balance", event)
+        elif event.day <= end:
+            state.schedule(event.day, PRIO_BALANCE, "balance", event)
 
     for i, donor in enumerate(inputs.donors):
-        when = to_days(donor.report_date)
-        if start <= when <= end:
+        if start <= donor.report_day <= end:
             if donor.center not in inputs.centers:
                 raise InputError(f"donor {donor.id!r}: unknown center code "
                                  f"{donor.center!r}")
             if donor.country not in store.country_of:
                 raise InputError(f"donor {donor.id!r}: unknown country "
                                  f"{donor.country!r}")
-            state.schedule(when, PRIO_DONOR, "donor", i)
+            state.schedule(donor.report_day, PRIO_DONOR, "donor", i)
 
     store.finalize_derived_values()
     state.init_statuses = {
@@ -434,8 +428,7 @@ def _handle_patient(state: SimState, row: int, upd_idx: int, when: int) -> None:
                 store.registrations[row].patient_id, None)
     if upd_idx + 1 < len(updates):
         nxt = updates[upd_idx + 1]
-        state.schedule(to_days(nxt.when), PRIO_PATIENT, "patient",
-                       row, upd_idx + 1)
+        state.schedule(nxt.day, PRIO_PATIENT, "patient", row, upd_idx + 1)
 
 
 def _handle_failure(state: SimState, person_id: str, expected_count: int,
@@ -657,7 +650,7 @@ def _record_transplant(state: SimState, donor: DonorArrival,
         donor_center = inputs.centers.get(donor.center)
         cand_center = inputs.centers.get(reg.center)
         event = BalanceEvent(
-            when=from_days(when), donor_country=donor.country,
+            day=when, donor_country=donor.country,
             recipient_country=reg.country, donor_age=donor.age,
             program=arrays.program,
             donor_region=(donor_center.region
@@ -725,7 +718,7 @@ def _post_transplant(state: SimState, donor: DonorArrival,
     # synthetic spell stays visible to eligibility the way a followed-up
     # repeat candidate would
     state.updates_of[new_row] = [
-        StatusUpdate(synthetic.id, from_days(relist_days + offset), "URG", code)
+        StatusUpdate(synthetic.id, relist_days + offset, "URG", code)
         for offset, code in match.status_updates]
     days = np.unique([relist_days + offset
                       for offset, _ in match.status_updates])

@@ -8,7 +8,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .common import InputError, read_csv_rows
+from .common import InputError, read_csv_rows, to_days
 from .hla import BLOOD_GROUPS, HlaTyping
 
 # Urgency codes: T transplantable, NT non-transplantable, HU high urgency,
@@ -185,32 +185,35 @@ class CandidateRegistration:
     am_program: bool = False
     kaoo: bool = False
     esp_extended_opt_in: bool = False
-    german_program_choice: str | None = None  # "ETKAS" | "ESP" | None
+    german_program_choice: str | None = None  # ETKAS | ESP | None
 
     def __post_init__(self):
         if self.blood_group not in BLOOD_GROUPS:
             raise ValueError(f"{self.id}: bad blood group {self.blood_group!r}")
         if self.initial_urgency not in URGENCY_CODES:
             raise ValueError(f"{self.id}: bad urgency {self.initial_urgency!r}")
-        if self.german_program_choice not in (None, "ETKAS", "ESP"):
+        if self.german_program_choice not in (None, ETKAS, ESP):
             raise ValueError(f"{self.id}: bad program choice "
                              f"{self.german_program_choice!r}")
 
 
-# update kinds: URG urgency change, PRF allocation profile, UNA unacceptable
-# antigens, MMC HLA mismatch criteria, SCR antibody screening, DIA dialysis
-# start, CHO program choice / ESP extended-allocation opt-in.
+# status file kinds: URG urgency change, PRF allocation profile, UNA
+# unacceptable antigens, MMC HLA mismatch criteria, SCR antibody screening
+# (loaded as screening days, not as a StatusUpdate), DIA dialysis start, CHO
+# program choice / ESP extended-allocation opt-in.
 UPDATE_KINDS = ("URG", "PRF", "UNA", "MMC", "SCR", "DIA", "CHO")
-CHOICE_PAYLOADS = ("ETKAS", "ESP", "EXT_OPT_IN", "EXT_OPT_OUT")
+ETKAS, ESP = "ETKAS", "ESP"  # the two allocation programs
+CHOICE_PAYLOADS = (ETKAS, ESP, "EXT_OPT_IN", "EXT_OPT_OUT")
 
 
 @lru_cache(maxsize=1 << 16)
 def parse_payload(kind: str, text: str):
     """The value a status update of ``kind`` sets: an urgency code, an
     AllocationProfile or None, a set of antigen codes (not checked against
-    a table), the disallowed mismatch patterns, None (SCR), a dialysis start
-    or None, one of CHOICE_PAYLOADS.  Raises InputError, without a location,
-    if ``text`` is malformed.  Each distinct pair is parsed once per process.
+    a table), the disallowed mismatch patterns, a dialysis start day (since
+    1970-01-01) or None, one of CHOICE_PAYLOADS.  Raises InputError, without
+    a location, if ``text`` is malformed.  Each distinct pair is parsed once
+    per process.
     """
     if kind == "URG":
         code = text.strip()
@@ -223,12 +226,10 @@ def parse_payload(kind: str, text: str):
         return frozenset(text.split())
     if kind == "MMC":
         return expand_mm_patterns(text)
-    if kind == "SCR":
-        return None
     if kind == "DIA":
         text = text.strip()
         try:
-            return date.fromisoformat(text) if text else None
+            return to_days(date.fromisoformat(text)) if text else None
         except ValueError:
             raise InputError(f"bad dialysis start payload {text!r}") from None
     if kind == "CHO":
@@ -241,14 +242,21 @@ def parse_payload(kind: str, text: str):
 
 @dataclass(frozen=True)
 class StatusUpdate:
+    """One status change of a candidate, on ``day`` (days since 1970-01-01,
+    as every event time the engine schedules).  ``SCR`` screening refreshes
+    are not status updates: they load as ``SimulationInputs.screenings``."""
+
     candidate_id: str
-    when: date
+    day: int
     kind: str
     payload: str = ""
 
     def __post_init__(self):
         if self.kind not in UPDATE_KINDS:
             raise ValueError(f"unknown update kind {self.kind!r}")
+        if self.kind == "SCR":
+            raise ValueError("SCR screening refreshes are screenings, not "
+                             "status updates")
 
     @property
     def value(self):
@@ -267,10 +275,11 @@ DEATH_CAUSE_GROUPS = ("cva", "trauma", "anoxia", "other")
 
 @dataclass(frozen=True)
 class DonorArrival:
-    """A reported deceased donor with 1 or 2 kidneys available."""
+    """A reported deceased donor with 1 or 2 kidneys available, reported
+    on ``report_day`` (days since 1970-01-01)."""
 
     id: str
-    report_date: date
+    report_day: int
     age: int
     blood_group: str
     country: str

@@ -20,8 +20,9 @@ import numpy as np
 
 from .balances import BalanceLedger, donor_age_group
 from .common import DAYS_PER_YEAR, InputError, to_days
-from .entities import (AllocationProfile, CandidateRegistration, CenterRegistry,
-                       DonorArrival, StatusUpdate, URGENCY_CODES)
+from .entities import (ESP, ETKAS, AllocationProfile, CandidateRegistration,
+                       CenterRegistry, DonorArrival, StatusUpdate,
+                       URGENCY_CODES)
 from .hla import (BLOOD_GROUPS, AntigenTable, BloodGroupFrequencies,
                   DonorPanel, FrequencyTable, HlaTyping,
                   compute_hmpp_fraction)
@@ -34,7 +35,7 @@ T, NT, HU, I, R, D, FU = (STATUS_CODES[c] for c in ("T", "NT", "HU", "I", "R",
                                                     "D", "FU"))
 ACTIVE_CODES = (T, NT, HU, I)
 BG_CODES = {bg: i for i, bg in enumerate(BLOOD_GROUPS)}
-_CHOICES = {None: 0, "ETKAS": 1, "ESP": 2}  # the ``choice`` column
+_CHOICES = {None: 0, ETKAS: 1, ESP: 2}  # the ``choice`` column
 
 _NO_DATE = np.int32(-(2 ** 31) + 1)
 
@@ -523,8 +524,7 @@ class CandidateStore:
         elif kind == "MMC":
             self.patmask[row] = _pattern_mask(value)
         elif kind == "DIA":
-            self.dial_start[row] = _NO_DATE if value is None \
-                else to_days(value)
+            self.dial_start[row] = _NO_DATE if value is None else value
         elif kind == "CHO":
             if value in _CHOICES:
                 self.choice[row] = _CHOICES[value]
@@ -614,7 +614,7 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
     ``store.hla_index.donor_hla(donor.hla)``.
     """
     store.finalize_derived_values()
-    program = "ESP" if donor.age >= cfg.esp_donor_age_from else "ETKAS"
+    program = ESP if donor.age >= cfg.esp_donor_age_from else ETKAS
     n = store.n
     dc = store.centers.get(donor.center)
     d_country = store.country_of[dc.country]
@@ -638,7 +638,7 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
     for w in np.flatnonzero(donor_words):
         elig &= (store.unacc[:, w][cand] & donor_words[w]) == 0
     elig &= ~store.am[cand]
-    if program == "ETKAS":
+    if program == ETKAS:
         if "DE" in store.country_of:
             german_rule = ((store.country_idx[cand] == store.country_of["DE"])
                            & (age >= cfg.esp_candidate_age_from)
@@ -688,7 +688,7 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         if donor.hbsag_positive:
             profile_ok &= store.prof_hbs[rows]
 
-    if program == "ETKAS":
+    if program == ETKAS:
         pat_idx = (mm_a.astype(np.int32) * 9 + mm_b * 3 + mm_dr)
         pattern_hit = ((store.patmask[rows] >> pat_idx) & 1).astype(bool)
         filtered = profile_ok & ~(pattern_hit
@@ -718,7 +718,7 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         order_total = total
 
     regional = np.zeros(len(rows), dtype=np.int32)
-    if program == "ETKAS" and store.austrian_regions:
+    if program == ETKAS and store.austrian_regions:
         group = donor_age_group(donor.age)
         by_region = np.zeros(len(store.regions), dtype=np.int32)
         for r in store.austrian_regions:

@@ -310,11 +310,13 @@ def load_status_updates(path: str | Path, table: AntigenTable
                         ) -> tuple[dict[str, list[StatusUpdate]], Screenings]:
     """Candidate status streams as (updates, screenings).
 
-    ``updates`` maps a candidate id to its status updates other than ``SCR``,
-    sorted by date with input order as the tie-break.  ``screenings`` maps a
-    candidate id to the sorted days (since the epoch; read-only int32) of its
-    ``SCR`` antibody-screening refreshes, which carry nothing but a date.
-    Both dicts list candidates in order of first appearance.
+    Each row's date is stored as its day: days since 1970-01-01, the time
+    unit of the engine's event queue.  ``updates`` maps a candidate id to
+    its status updates other than ``SCR``, sorted by ``StatusUpdate.day``
+    with input order as the tie-break.  ``screenings`` maps a candidate id
+    to the sorted days (read-only int32) of its ``SCR`` antibody-screening
+    refreshes, which carry nothing but a date.  Both dicts list candidates
+    in order of first appearance.
 
     The file is read once, as bytes, a block of whole lines at a time.  One
     numpy pass per block finds its lines (ending at LF, CR LF or a lone CR,
@@ -496,15 +498,14 @@ class _StatusReader:
         screenings = {names[c]: days[i:j] for c, i, j
                       in zip(code[firsts].tolist(), bounds, bounds[1:])}
 
-        # everything else: StatusUpdate lists by date, then input order
+        # everything else: StatusUpdate lists by day, then input order
         code, days = map(np.concatenate, zip(*self.other))
         order = _by_candidate_and_day(code, days)
-        whens = days[order].astype("M8[D]").astype(object)
         updates: dict[str, list[StatusUpdate]] = {}
-        for j, when in zip(order.tolist(), whens):
+        for j, day in zip(order.tolist(), days[order].tolist()):
             cid, kind, payload = self.rest[j]
             updates.setdefault(cid, []).append(
-                StatusUpdate(cid, when, kind, payload))
+                StatusUpdate(cid, day, kind, payload))
         return updates, screenings
 
 
@@ -663,7 +664,8 @@ def load_donors(path: str | Path, table: AntigenTable) -> list[DonorArrival]:
                 raise InputError("donor HLA typing is required", path, line)
             donors.append(DonorArrival(
                 id=row["id"].strip(),
-                report_date=parse_date(row["report_date"], path, line),
+                report_day=to_days(parse_date(row["report_date"], path,
+                                              line)),
                 age=int(row["age"]),
                 blood_group=row["bg"].strip(),
                 country=row["country"].strip(),
@@ -711,29 +713,10 @@ class SimulationInputs:
     weibull: WeibullModel
     relist_curves: RelistCurveSet
     relist_pool: RelistingPool
+    # SCR refresh days per candidate, as ``load_status_updates`` gives them
     screenings: Screenings = field(default_factory=dict)
     candidate_stream_paths: list[Path] = field(default_factory=list)
     status_stream_paths: list[Path] = field(default_factory=list)
-
-    def __post_init__(self):
-        # SCR refreshes live in ``screenings`` only: a hand-built ``updates``
-        # that holds some sets those candidates' screenings
-        if not any(u.kind == "SCR" for stream in self.updates.values()
-                   for u in stream):
-            return
-        updates = {}
-        screenings = dict(self.screenings)
-        for cid, stream in self.updates.items():
-            kept = [u for u in stream if u.kind != "SCR"]
-            if kept:
-                updates[cid] = kept
-            if len(kept) < len(stream):
-                days = np.sort(np.array([to_days(u.when) for u in stream
-                                         if u.kind == "SCR"], dtype=np.int32))
-                days.flags.writeable = False
-                screenings[cid] = days
-        self.updates = updates
-        self.screenings = screenings
 
     def with_policy(self, policy: PolicyConfig) -> "SimulationInputs":
         return replace(self, policy=policy)

@@ -19,16 +19,14 @@ from typing import Iterable
 
 from .balances import BalanceLedger, donor_age_group
 from .common import DAYS_PER_YEAR, round_half_up, to_days
-from .entities import (CandidateState, CenterRegistry, DonorArrival,
-                       OFFERABLE_CODES, geography_class)
+from .entities import (ESP, ETKAS, CandidateState, CenterRegistry,
+                       DonorArrival, OFFERABLE_CODES, geography_class)
 from .hla import (AntigenTable, BloodGroupFrequencies, FrequencyTable,
                   MismatchCount, MmpInputs, carried_codes,
                   compute_hmpp_fraction, compute_mmp, count_mismatches,
                   homozygosity_level)
 from .policy import PolicyConfig, age_filter_fraction, sliding_scale_points
 
-ETKAS = "ETKAS"
-ESP = "ESP"
 
 # eligibility reason codes
 BLOOD_GROUP = "BLOOD_GROUP"

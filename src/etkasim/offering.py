@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .common import read_csv_header_meta, read_csv_rows
-from .entities import (DEATH_CAUSE_GROUPS, CenterRegistry, DonorArrival,
+from .entities import (DEATH_CAUSE_GROUPS, ESP, CenterRegistry, DonorArrival,
                        geography_class)
 from .hla import BLOOD_GROUPS
 
@@ -34,6 +34,18 @@ class UnknownStratumError(KeyError):
     pass
 
 
+def linear_predictor(start: float, coefficients: Mapping[str, float],
+                     features: Mapping[str, float], model_id: str) -> float:
+    """``start`` plus each coefficient times its feature, summed in the
+    coefficients' order; MissingFeatureError names an absent feature."""
+    lp = start
+    for name, beta in coefficients.items():
+        if name not in features:
+            raise MissingFeatureError(name, model_id)
+        lp += beta * features[name]
+    return lp
+
+
 @dataclass(frozen=True)
 class LogisticModel:
     """Named-coefficient logistic model; prediction is sigmoid(lp)."""
@@ -43,16 +55,9 @@ class LogisticModel:
     coefficients: Mapping[str, float]
     feature_schema: str = "1"
 
-    def linear_predictor(self, features: Mapping[str, float]) -> float:
-        lp = self.intercept
-        for name, beta in self.coefficients.items():
-            if name not in features:
-                raise MissingFeatureError(name, self.model_id)
-            lp += beta * features[name]
-        return lp
-
     def predict(self, features: Mapping[str, float]) -> float:
-        lp = self.linear_predictor(features)
+        lp = linear_predictor(self.intercept, self.coefficients, features,
+                              self.model_id)
         if lp >= 0:
             return 1.0 / (1.0 + math.exp(-lp))
         z = math.exp(lp)
@@ -110,25 +115,18 @@ class CoxSampler:
         self.model_id = model_id
 
     def stratum_key(self, program: str, donor_country: str) -> str:
-        return "ESP" if program == "ESP" else f"ETKAS:{donor_country}"
-
-    def linear_predictor(self, features: Mapping[str, float]) -> float:
-        lp = 0.0
-        for name, beta in self.coefficients.items():
-            if name not in features:
-                raise MissingFeatureError(name, self.model_id)
-            lp += beta * features[name]
-        return lp
+        return "ESP" if program == ESP else f"ETKAS:{donor_country}"
 
     def sample(self, program: str, donor_country: str,
                features: Mapping[str, float], rng) -> int | None:
         key = self.stratum_key(program, donor_country)
         base = self.baselines.get(key)
-        if base is None and program != "ESP":
+        if base is None and program != ESP:
             base = self.baselines.get("ETKAS:default")
         if base is None:
             raise UnknownStratumError(key)
-        rel_risk = math.exp(self.linear_predictor(features))
+        rel_risk = math.exp(linear_predictor(0.0, self.coefficients, features,
+                                             self.model_id))
         u = float(rng.random())
         # S0 is non-increasing, so S0**rr is too; find first index with
         # S(k) <= u via bisect over the negated values.

@@ -12,7 +12,9 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import stats as sps
 
+from .common import day_text, round_half_up
 from .engine import SimulationOutput, TransplantRecord
+from .entities import ETKAS
 
 VPRA_BANDS = (("zero", 0.0, 0.0), ("low", 0.0, 0.849), ("mid", 0.85, 0.949),
               ("high", 0.95, 1.0))
@@ -260,10 +262,9 @@ def write_match_list_csv(path: Path, match_list) -> None:
     """Dump an ordered match list: the ETKAS layout carries the tier, match
     quality, dialysis years, rank, total, and the point components; the ESP
     layout reduces to geography and dialysis days."""
-    from .common import round_half_up
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        if match_list.program == "ETKAS":
+        if match_list.program == ETKAS:
             w.writerow(["rank", "candidate_id", "tier", "match_quality",
                         "dialysis_years", "total", "dialysis", "hla",
                         "pediatric", "hu", "balance", "distance", "mmp",
@@ -311,7 +312,7 @@ def write_transplants_csv(path: Path, records: Sequence[TransplantRecord]) -> No
                     "dialysis_days", "vpra", "prior_tx"])
         for r in records:
             w.writerow([
-                r.donor_id, r.candidate_id, r.when.isoformat(), r.program,
+                r.donor_id, r.candidate_id, day_text(r.when_days), r.program,
                 r.mechanism, int(r.forced), int(r.dual), r.kidneys, r.rank,
                 r.mm_a, r.mm_b, r.mm_dr, r.geography,
                 f"{r.total_points:.4f}",
@@ -323,12 +324,11 @@ def write_transplants_csv(path: Path, records: Sequence[TransplantRecord]) -> No
 
 
 def write_final_states_csv(path: Path, output: SimulationOutput) -> None:
-    from .common import from_days
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["candidate_id", "status", "status_date"])
         for cand_id, status, day in output.final_states:
-            w.writerow([cand_id, status, from_days(day).isoformat()])
+            w.writerow([cand_id, status, day_text(day)])
 
 
 def write_stats_csv(path: Path, stats: Mapping[str, float]) -> None:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from etkasim.common import to_days
 from etkasim.entities import (CandidateRegistration, DonorArrival,
                               StatusUpdate)
 from etkasim.hla import BloodGroupFrequencies, HlaTyping
@@ -24,6 +25,10 @@ from fixtures_tables import (F_BG_A, TYPING_BY_MM, build_antigen_table,
 
 WINDOW_START = date(2021, 4, 1)
 WINDOW_END = date(2022, 4, 1)
+# the window's bounds as days since 1970-01-01, the unit of StatusUpdate.day,
+# BalanceEvent.day and DonorArrival.report_day
+START_DAY = to_days(WINDOW_START)
+END_DAY = to_days(WINDOW_END)
 
 
 def constant_logistic(p: float, model_id: str) -> LogisticModel:
@@ -102,29 +107,36 @@ def candidate(cid: str, country="BE", center="BEC01", bg="A", age=50.0,
 def donor(did: str, offset_days: int, age=45, bg="A", country="BE",
           center="BEC01", kidneys=2, **kw) -> DonorArrival:
     return DonorArrival(
-        id=did, report_date=WINDOW_START + timedelta(days=offset_days),
+        id=did, report_day=START_DAY + offset_days,
         age=age, blood_group=bg, country=country, center=center,
         hla=HlaTyping({"A": ("A1", "A2"), "B": ("B5", "B7"),
                        "DR": ("DR1", "DR4")}),
         kidneys_available=kidneys, **kw)
 
 
-def terminal_updates(regs, when=None) -> dict[str, list[StatusUpdate]]:
-    """Minimal complete streams: screenings to stay fresh, then a removal."""
-    when = when or (WINDOW_END + timedelta(days=900))
-    updates = {}
-    for reg in regs:
-        stream = []
-        t = max(reg.registration_date, WINDOW_START - timedelta(days=30))
-        while t <= WINDOW_END:
-            stream.append(StatusUpdate(reg.id, t, "SCR", ""))
-            t += timedelta(days=150)
-        stream.append(StatusUpdate(reg.id, when, "URG", "R"))
-        updates[reg.id] = stream
-    return updates
+def screening_days(*days: int) -> np.ndarray:
+    """A screenings entry: the refresh days, sorted, read-only int32."""
+    out = np.sort(np.array(days, dtype=np.int32))
+    out.flags.writeable = False
+    return out
 
 
-def make_inputs(regs, donors, updates=None, balance_events=(),
+def terminal_updates(regs, day=None) -> dict[str, list[StatusUpdate]]:
+    """Minimal complete streams: a removal long after the window."""
+    day = END_DAY + 900 if day is None else day
+    return {reg.id: [StatusUpdate(reg.id, day, "URG", "R")] for reg in regs}
+
+
+def fresh_screenings(regs) -> dict[str, np.ndarray]:
+    """Screenings every 150 days through the window, so candidates stay
+    fresh."""
+    return {reg.id: screening_days(*range(
+        max(to_days(reg.registration_date), START_DAY - 30), END_DAY + 1,
+        150)) for reg in regs}
+
+
+def make_inputs(regs, donors, updates=None, screenings=None,
+                balance_events=(),
                 policy: PolicyConfig | None = None,
                 center_p=1.0, patient_p=1.0, dual_p=0.0,
                 cox: CoxSampler | None = None,
@@ -134,6 +146,13 @@ def make_inputs(regs, donors, updates=None, balance_events=(),
                 unplaced_mode="discard",
                 window=(WINDOW_START, WINDOW_END),
                 panel=None) -> SimulationInputs:
+    """Inputs over ``regs`` and ``donors``.  Without ``updates``, each
+    candidate gets ``terminal_updates`` and ``fresh_screenings``; with
+    them, only the ``screenings`` passed."""
+    if updates is None:
+        updates = terminal_updates(regs)
+        if screenings is None:
+            screenings = fresh_screenings(regs)
     table = build_antigen_table()
     centers = build_centers()
     settings = SimulationSettings(
@@ -153,7 +172,8 @@ def make_inputs(regs, donors, updates=None, balance_events=(),
         panel=panel or build_panel(table),
         policy=policy or build_policy(),
         registrations=list(regs),
-        updates=updates if updates is not None else terminal_updates(regs),
+        updates=updates,
+        screenings=screenings or {},
         donors=list(donors),
         balance_events=list(balance_events),
         cox=cox or flat_cox(),

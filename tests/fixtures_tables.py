@@ -18,6 +18,7 @@ import math
 from datetime import date, timedelta
 
 from etkasim.balances import BalanceEvent, BalanceLedger, init_ledger
+from etkasim.common import to_days
 from etkasim.entities import (AllocationProfile, CandidateRegistration,
                               CandidateState, Center, CenterRegistry,
                               DonorArrival)
@@ -189,7 +190,8 @@ TYPING_BY_MM = {
 
 def build_etkas_donor() -> DonorArrival:
     return DonorArrival(
-        id="DON-A1", report_date=MATCH_DATE, age=45, blood_group="A",
+        id="DON-A1", report_day=to_days(MATCH_DATE), age=45,
+        blood_group="A",
         country="BE", center="BEC01", hla=DONOR_HLA, kidneys_available=2)
 
 
@@ -234,11 +236,11 @@ def build_etkas_registrations(include_fillers: bool = False):
 
 def build_etkas_ledger(centers: CenterRegistry) -> BalanceLedger:
     events = []
-    when = date(2021, 1, 1)
-    events += [BalanceEvent(when, "AT", "DE", 30, "AM")] * 49
-    events += [BalanceEvent(when, "BE", "HU", 30, "AM")] * 6
-    events += [BalanceEvent(when, "HR", "HU", 30, "AM")] * 6
-    return init_ledger(events, MATCH_DATE, centers.countries)
+    day = to_days(date(2021, 1, 1))
+    events += [BalanceEvent(day, "AT", "DE", 30, "AM")] * 49
+    events += [BalanceEvent(day, "BE", "HU", 30, "AM")] * 6
+    events += [BalanceEvent(day, "HR", "HU", 30, "AM")] * 6
+    return init_ledger(events, to_days(MATCH_DATE), centers.countries)
 
 
 def build_etkas_fixture(include_fillers: bool = False):
@@ -275,7 +277,8 @@ ESP_CENTERS = ["DEST1", "DETU1", "DEHE1", "DETU1", "DEST1", "DETU1",
 
 def build_esp_donor() -> DonorArrival:
     return DonorArrival(
-        id="DON-O1", report_date=MATCH_DATE, age=70, blood_group="O",
+        id="DON-O1", report_day=to_days(MATCH_DATE), age=70,
+        blood_group="O",
         country="DE", center="DEST1", hla=DONOR_HLA, kidneys_available=2)
 
 

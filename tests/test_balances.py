@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 from etkasim.balances import (BalanceEvent, BalanceLedger, UnknownCountryError,
                               donor_age_group, init_ledger,
                               read_balance_events)
-from etkasim.common import InputError
+from etkasim.common import InputError, to_days
 
 COUNTRIES = ("AT", "BE", "DE", "HR", "HU", "NL", "SI")
 START = date(2021, 4, 1)
+START_DAY = to_days(START)
 
 
 def event(d, r, age=30, when=date(2021, 1, 1), **kw):
-    return BalanceEvent(when=when, donor_country=d, recipient_country=r,
-                        donor_age=age, **kw)
+    return BalanceEvent(day=to_days(when), donor_country=d,
+                        recipient_country=r, donor_age=age, **kw)
 
 
 class TestAgeGroups:
@@ -37,27 +38,27 @@ class TestAgeGroups:
 
 class TestLedger:
     def test_empty_history_is_all_zero(self):
-        ledger = init_ledger([], START, COUNTRIES)
+        ledger = init_ledger([], START_DAY, COUNTRIES)
         for c in COUNTRIES:
             for g in ("0-17", "18-49", "50-64", "65+"):
                 assert ledger.net_export(c, g) == 0
 
     def test_single_transfer(self):
-        ledger = init_ledger([event("AT", "BE", age=30)], START, COUNTRIES)
+        ledger = init_ledger([event("AT", "BE", age=30)], START_DAY, COUNTRIES)
         assert ledger.net_export("AT", "18-49") == 1
         assert ledger.net_export("BE", "18-49") == -1
         assert ledger.net_export("AT", "50-64") == 0
 
     def test_balanced_pair_cancels(self):
         ledger = init_ledger([event("AT", "BE"), event("BE", "AT")],
-                             START, COUNTRIES)
+                             START_DAY, COUNTRIES)
         assert ledger.net_export("AT", "18-49") == 0
         assert ledger.net_export("BE", "18-49") == 0
 
     def test_three_event_fold_oracle(self):
         events = [event("AT", "BE", 10), event("DE", "AT", 55),
                   event("AT", "DE", 70)]
-        ledger = init_ledger(events, START, COUNTRIES)
+        ledger = init_ledger(events, START_DAY, COUNTRIES)
         # hand-computed fold
         assert ledger.net_export("AT", "0-17") == 1
         assert ledger.net_export("BE", "0-17") == -1
@@ -81,7 +82,7 @@ class TestLedger:
         events = [event("AT", "BE", when=date(2021, 3, 31)),
                   event("AT", "BE", when=START),
                   event("AT", "BE", when=date(2021, 4, 2))]
-        ledger = init_ledger(events, START, COUNTRIES)
+        ledger = init_ledger(events, START_DAY, COUNTRIES)
         assert ledger.net_export("AT", "18-49") == 2
 
     @settings(max_examples=40, deadline=None)
@@ -156,10 +157,12 @@ class TestAustrianRegional:
         ledger = BalanceLedger(COUNTRIES, austrian_regions=("AT-East",
                                                             "AT-West"))
         ledger.record_transfer(BalanceEvent(
-            when=date(2021, 1, 1), donor_country="AT", recipient_country="DE",
+            day=to_days(date(2021, 1, 1)), donor_country="AT",
+            recipient_country="DE",
             donor_age=40, donor_region="AT-East"))
         ledger.record_transfer(BalanceEvent(
-            when=date(2021, 1, 2), donor_country="DE", recipient_country="AT",
+            day=to_days(date(2021, 1, 2)), donor_country="DE",
+            recipient_country="AT",
             donor_age=40, recipient_region="AT-West"))
         assert ledger.regional_net_export("AT-East", "18-49") == 1
         assert ledger.regional_net_export("AT-West", "18-49") == -1
@@ -177,6 +180,7 @@ class TestParsing:
         events = read_balance_events(path)
         assert len(events) == 2
         assert events[0].donor_country == "AT"
+        assert events[0].day == to_days(date(2021, 1, 5))
         assert events[1].donor_age == 67
 
     def test_malformed_row_reports_line(self, tmp_path):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
@@ -13,6 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etkasim
 from etkasim.cli import main
 from etkasim.engine import initialize
 from etkasim.entities import UPDATE_KINDS
@@ -166,6 +170,30 @@ def _balance_row(when: str):
     def mutate(root: Path, cid: str) -> None:
         _append(root / "balances.csv", f"{when},DE,XX,40,combined,,")
     return mutate
+
+
+def test_check_inputs_names_a_balance_event_by_its_date(fixture_dir,
+                                                       tmp_path, capsys):
+    root = tmp_path / "broken"
+    shutil.copytree(fixture_dir, root)
+    _balance_row("2021-06-01")(root, None)
+    assert main(["check-inputs", "--settings",
+                 str(root / "settings.yaml")]) == 1
+    assert capsys.readouterr().err == (
+        "error: balance event of 2021-06-01: unknown country 'XX'\n")
+
+
+def test_cli_does_not_import_the_reference_rules():
+    # the engine and the command line run without the record-at-a-time
+    # rules of ``etkasim.matchlist``, which the tests use as an oracle
+    src = str(Path(etkasim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, etkasim.cli; print(sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "'etkasim.engine'" in out
+    assert "'etkasim.matchlist'" not in out
 
 
 def _pool_update(column: str, value: str):

@@ -20,9 +20,11 @@ from etkasim.offering import (AcceptanceModels, OfferRecord, SequenceOffers,
 from etkasim.posttransplant import PoolEntry, RelistingPool
 from etkasim import reporting
 
-from engine_fixture import (WINDOW_END, WINDOW_START, always_relist_curves,
-                            candidate, constant_logistic, donor, make_inputs,
-                            quick_failure_weibull, terminal_updates)
+from engine_fixture import (END_DAY, START_DAY, WINDOW_END, WINDOW_START,
+                            always_relist_curves, candidate,
+                            constant_logistic, donor, make_inputs,
+                            quick_failure_weibull, screening_days,
+                            terminal_updates)
 
 
 class TestInitialization:
@@ -37,11 +39,12 @@ class TestInitialization:
     def test_pre_window_updates_fold_into_state(self):
         reg = candidate("C1")
         updates = {"C1": [
-            StatusUpdate("C1", WINDOW_START - timedelta(days=100), "URG", "NT"),
-            StatusUpdate("C1", WINDOW_START - timedelta(days=10), "SCR", ""),
-            StatusUpdate("C1", WINDOW_END + timedelta(days=30), "URG", "R"),
+            StatusUpdate("C1", START_DAY - 100, "URG", "NT"),
+            StatusUpdate("C1", END_DAY + 30, "URG", "R"),
         ]}
-        state = initialize(make_inputs([reg], [], updates=updates), seed=1)
+        screenings = {"C1": screening_days(START_DAY - 10)}
+        state = initialize(make_inputs([reg], [], updates=updates,
+                                       screenings=screenings), seed=1)
         row = state.store.row_of["C1"]
         assert state.store.status_code(row) == "NT"
         # exactly one pending patient event, timed at the first in-window one
@@ -51,7 +54,7 @@ class TestInitialization:
     def test_terminal_before_window_excluded(self):
         reg = candidate("C1")
         updates = {"C1": [
-            StatusUpdate("C1", WINDOW_START - timedelta(days=5), "URG", "R"),
+            StatusUpdate("C1", START_DAY - 5, "URG", "R"),
         ]}
         state = initialize(make_inputs([reg], [], updates=updates), seed=1)
         assert "C1" not in state.store.row_of
@@ -77,27 +80,50 @@ class TestInitialization:
         with pytest.raises(InputError, match="overlap"):
             initialize(inputs, seed=1)
 
+    def test_window_bounds(self):
+        # an update on the window start stays pending (only earlier ones
+        # fold); a balance event on the start folds (events up to and
+        # including it do); donors and balance events on either bound are
+        # scheduled
+        reg = candidate("C1", urgency="T")
+        updates = {"C1": [StatusUpdate("C1", START_DAY, "URG", "NT"),
+                          StatusUpdate("C1", END_DAY + 10, "URG", "R")]}
+        events = [BalanceEvent(START_DAY, "AT", "DE", 40, "AM"),
+                  BalanceEvent(START_DAY + 1, "AT", "DE", 40, "AM"),
+                  BalanceEvent(END_DAY, "AT", "DE", 40, "AM"),
+                  BalanceEvent(END_DAY + 1, "AT", "DE", 40, "AM")]
+        donors = [donor("D0", 0), donor("D1", END_DAY - START_DAY),
+                  donor("D2", END_DAY - START_DAY + 1)]
+        state = initialize(make_inputs([reg], donors, updates=updates,
+                                       balance_events=events))
+        assert state.store.status_code(state.store.row_of["C1"]) == "T"
+        assert state.ledger.net_export("AT", "18-49") == 1
+        assert sorted((e[0], e[3], e[4]) for e in state.fes) == [
+            (START_DAY, "donor", (0,)), (START_DAY, "patient", (0, 0)),
+            (START_DAY + 1, "balance", (events[1],)),
+            (END_DAY, "balance", (events[2],)), (END_DAY, "donor", (1,))]
+
     def test_manual_schedule_oracle(self):
         regs = [candidate("C1"), candidate("C2", reg_offset=30),
                 candidate("C3")]
         donors = [donor("D1", 10), donor("D2", 200)]
         updates = {
-            "C1": [StatusUpdate("C1", WINDOW_START + timedelta(days=5),
-                                "SCR", ""),
-                   StatusUpdate("C1", WINDOW_END + timedelta(days=10),
+            "C1": [StatusUpdate("C1", END_DAY + 10,
                                 "URG", "R")],
-            "C2": [StatusUpdate("C2", WINDOW_START + timedelta(days=30),
+            "C2": [StatusUpdate("C2", START_DAY + 30,
                                 "URG", "T"),
-                   StatusUpdate("C2", WINDOW_END + timedelta(days=10),
+                   StatusUpdate("C2", END_DAY + 10,
                                 "URG", "R")],
-            "C3": [StatusUpdate("C3", WINDOW_START - timedelta(days=3),
+            "C3": [StatusUpdate("C3", START_DAY - 3,
                                 "URG", "NT"),
-                   StatusUpdate("C3", WINDOW_START + timedelta(days=90),
+                   StatusUpdate("C3", START_DAY + 90,
                                 "URG", "T"),
-                   StatusUpdate("C3", WINDOW_END + timedelta(days=10),
+                   StatusUpdate("C3", END_DAY + 10,
                                 "URG", "R")],
         }
-        state = initialize(make_inputs(regs, donors, updates=updates), seed=1)
+        screenings = {"C1": screening_days(START_DAY + 5)}
+        state = initialize(make_inputs(regs, donors, updates=updates,
+                                       screenings=screenings), seed=1)
         got = sorted((e[0], e[3]) for e in state.fes)
         # C1's in-window refresh is a screening event, so its first pending
         # patient event is the removal after the window
@@ -131,7 +157,7 @@ def test_update_writes_what_a_registration_sets(kind, payload, fields):
     base = candidate("C1")
     regs = [base, dc_replace(base, id="C2", patient_id="C2", **fields)]
     store = initialize(make_inputs(regs, [])).store
-    store.apply_update(0, StatusUpdate("C1", WINDOW_START, kind, payload))
+    store.apply_update(0, StatusUpdate("C1", START_DAY, kind, payload))
     store.finalize_derived_values()
     for name, *_ in _COLUMNS:
         np.testing.assert_array_equal(getattr(store, name)[0],
@@ -161,13 +187,14 @@ class TestRun:
         # candidate registers on day 100; a day-30 donor must not see them
         reg = candidate("C1", reg_offset=100)
         updates = {"C1": [
-            StatusUpdate("C1", WINDOW_START + timedelta(days=100), "URG", "T"),
-            StatusUpdate("C1", WINDOW_START + timedelta(days=100), "SCR", ""),
-            StatusUpdate("C1", WINDOW_END + timedelta(days=10), "URG", "R"),
+            StatusUpdate("C1", START_DAY + 100, "URG", "T"),
+            StatusUpdate("C1", END_DAY + 10, "URG", "R"),
         ]}
         inputs = make_inputs([reg], [donor("D1", 30, kidneys=1),
                                      donor("D2", 150, kidneys=1)],
-                             updates=updates)
+                             updates=updates,
+                             screenings={"C1": screening_days(START_DAY
+                                                              + 100)})
         state = initialize(inputs, seed=1)
         assert state.store.status_code(state.store.row_of["C1"]) == "PRE"
         output = run(state)
@@ -178,9 +205,9 @@ class TestRun:
         # C1 is NT when the donor arrives, returns to T afterwards
         reg = candidate("C1")
         updates = {"C1": [
-            StatusUpdate("C1", WINDOW_START + timedelta(days=1), "URG", "NT"),
-            StatusUpdate("C1", WINDOW_START + timedelta(days=60), "URG", "T"),
-            StatusUpdate("C1", WINDOW_END + timedelta(days=10), "URG", "R"),
+            StatusUpdate("C1", START_DAY + 1, "URG", "NT"),
+            StatusUpdate("C1", START_DAY + 60, "URG", "T"),
+            StatusUpdate("C1", END_DAY + 10, "URG", "R"),
         ]}
         inputs = make_inputs([reg], [donor("D1", 30, kidneys=1)],
                              updates=updates)
@@ -191,8 +218,8 @@ class TestRun:
     def test_transplanted_candidates_pending_updates_cancelled(self):
         reg = candidate("C1")
         updates = {"C1": [
-            StatusUpdate("C1", WINDOW_START + timedelta(days=60), "URG", "NT"),
-            StatusUpdate("C1", WINDOW_START + timedelta(days=90), "URG", "D"),
+            StatusUpdate("C1", START_DAY + 60, "URG", "NT"),
+            StatusUpdate("C1", START_DAY + 90, "URG", "D"),
         ]}
         inputs = make_inputs([reg], [donor("D1", 10, kidneys=1)],
                              updates=updates)
@@ -216,11 +243,11 @@ class TestRun:
         assert all(v == 0 for v in output.ledger.snapshot().values())
 
     def test_balance_events_fold_and_schedule(self):
-        history = BalanceEvent(WINDOW_START - timedelta(days=10),
+        history = BalanceEvent(START_DAY - 10,
                                "AT", "DE", 40, "AM")
-        in_window = BalanceEvent(WINDOW_START + timedelta(days=10),
+        in_window = BalanceEvent(START_DAY + 10,
                                  "AT", "DE", 40, "AM")
-        after = BalanceEvent(WINDOW_END + timedelta(days=10),
+        after = BalanceEvent(END_DAY + 10,
                              "AT", "DE", 40, "AM")
         inputs = make_inputs([], [], balance_events=[history, in_window,
                                                      after])
@@ -306,12 +333,12 @@ class TestRegionalReplay:
                         kidneys=1),
                   donor("D3", 30, kidneys=2)]
         events = [
-            BalanceEvent(WINDOW_START - timedelta(days=10), "AT", "DE", 40,
+            BalanceEvent(START_DAY - 10, "AT", "DE", 40,
                          "AM", donor_region="AT-R1"),
-            BalanceEvent(WINDOW_START + timedelta(days=5), "AT", "AT", 40,
+            BalanceEvent(START_DAY + 5, "AT", "AT", 40,
                          "AM", donor_region="AT-R1",
                          recipient_region="AT-R2"),
-            BalanceEvent(WINDOW_START + timedelta(days=15), "DE", "AT", 70,
+            BalanceEvent(START_DAY + 15, "DE", "AT", 70,
                          "ESP", recipient_region="AT-R1")]
         inputs = make_inputs(regs, donors, balance_events=events)
         return run(initialize(inputs, seed=1))
@@ -328,7 +355,7 @@ class TestRegionalReplay:
         output = self._run()
         # a domestic transfer moves only the regional sub-ledger
         output.ledger.record_transfer(BalanceEvent(
-            WINDOW_END, "AT", "AT", 40, "AM", donor_region="AT-R1",
+            END_DAY, "AT", "AT", 40, "AM", donor_region="AT-R1",
             recipient_region="AT-R2"))
         assert verify_replay(output) == [
             "Austrian regional ledger mismatch after replay"]
@@ -395,12 +422,12 @@ def _screening_run(refresh_offsets, donor_offsets, screening_offset=-400):
     """C1 with the given screening refreshes (days from the window start)
     and one single-kidney donor per offset; the donors C1 received."""
     reg = candidate("C1", screening_offset=screening_offset)
-    stream = [StatusUpdate("C1", WINDOW_START + timedelta(days=d), "SCR", "")
-              for d in refresh_offsets]
-    stream.append(StatusUpdate("C1", WINDOW_END + timedelta(days=10), "URG",
-                               "R"))
+    stream = [StatusUpdate("C1", END_DAY + 10, "URG", "R")]
+    screenings = {"C1": screening_days(*(START_DAY + d
+                                         for d in refresh_offsets))}
     donors = [donor(f"D{d}", d, kidneys=1) for d in donor_offsets]
-    inputs = make_inputs([reg], donors, updates={"C1": stream})
+    inputs = make_inputs([reg], donors, updates={"C1": stream},
+                         screenings=screenings)
     output = run(initialize(inputs, seed=1))
     return [t.donor_id for t in output.transplants]
 
@@ -408,13 +435,6 @@ def _screening_run(refresh_offsets, donor_offsets, screening_offset=-400):
 class TestScreenings:
     """SCR refreshes are day arrays applied once per day, with the freshness
     semantics of one status update each."""
-
-    def test_hand_built_scr_rows_move_to_screenings(self):
-        inputs = make_inputs([candidate("C1")], [])
-        assert all(u.kind != "SCR" for u in inputs.updates["C1"])
-        days = inputs.screenings["C1"]
-        assert days.dtype == np.int32 and list(days) == sorted(days)
-        assert days[0] == to_days(WINDOW_START - timedelta(days=30))
 
     def test_donor_on_refresh_day_sees_it(self):
         # stale from the registration; refreshed on day 50 only
@@ -430,20 +450,20 @@ class TestScreenings:
         assert _screening_run([], [10], screening_offset=-10) == ["D10"]
         assert _screening_run([-300], [10], screening_offset=-10) == []
         reg = candidate("C1", screening_offset=-10)
-        stream = [StatusUpdate("C1", WINDOW_START - timedelta(days=300),
-                               "SCR", ""),
-                  StatusUpdate("C1", WINDOW_END + timedelta(days=10), "URG",
-                               "R")]
-        state = initialize(make_inputs([reg], [], updates={"C1": stream}))
+        stream = [StatusUpdate("C1", END_DAY + 10, "URG", "R")]
+        state = initialize(make_inputs(
+            [reg], [], updates={"C1": stream},
+            screenings={"C1": screening_days(START_DAY - 300)}))
         assert state.store.screening[state.store.row_of["C1"]] == to_days(
             WINDOW_START - timedelta(days=300))
 
     def test_in_window_refreshes_are_one_event_per_day(self):
         regs = [candidate(f"C{i}") for i in range(3)]
-        updates = {reg.id: [
-            StatusUpdate(reg.id, WINDOW_START + timedelta(days=d), "SCR", "")
-            for d in (-30, -5, 20, 40 + i)] for i, reg in enumerate(regs)}
-        state = initialize(make_inputs(regs, [], updates=updates))
+        screenings = {reg.id: screening_days(
+            *(START_DAY + d for d in (-30, -5, 20, 40 + i)))
+            for i, reg in enumerate(regs)}
+        state = initialize(make_inputs(regs, [], updates={},
+                                       screenings=screenings))
         events = sorted((e[0], e[4][0].tolist()) for e in state.fes
                         if e[3] == "screening")
         day = to_days(WINDOW_START)
@@ -663,7 +683,7 @@ class TestArrayOffers:
         arrays = build_match_arrays(state.store, arrival,
                                     state.hla_index.donor_hla(arrival.hla),
                                     state.ledger, state.policy,
-                                    to_days(arrival.report_date))
+                                    arrival.report_day)
         # the list mixes same-region, same-country and foreign rows, and
         # rows that only the non-standard phase may offer to
         assert set(arrays.geo_idx.tolist()) == {0, 1, 2}

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from etkasim import reporting
 from etkasim.balances import BalanceEvent
 from etkasim.batch import run_batch, run_once
+from etkasim.common import to_days
 from etkasim.engine import initialize, run
 from etkasim.entities import StatusUpdate
 from etkasim.fastmatch import _COLUMNS
@@ -44,12 +45,12 @@ def _with_unacceptable_updates(inputs):
     codes = sorted(inputs.antigen_table.codes())
     updates = dict(inputs.updates)
     for reg in inputs.registrations[::7]:
-        when = START + timedelta(days=int(rng.integers(0, 180)))
+        day = to_days(START) + int(rng.integers(0, 180))
         payload = " ".join(rng.choice(codes, int(rng.integers(0, 3)),
                                       replace=False))
         stream = [*updates.get(reg.id, []),
-                  StatusUpdate(reg.id, when, "UNA", payload)]
-        updates[reg.id] = sorted(stream, key=lambda u: u.when)
+                  StatusUpdate(reg.id, day, "UNA", payload)]
+        updates[reg.id] = sorted(stream, key=lambda u: u.day)
     return replace(inputs, updates=updates)
 
 
@@ -165,7 +166,7 @@ def test_writes_to_a_fork_stay_in_the_fork(inputs):
     store.austrian_regions.add(len(store.regions))
     countries = fork.ledger.countries
     fork.ledger.record_transfer(BalanceEvent(
-        START, countries[0], countries[1], 40, donor_region="new"))
+        to_days(START), countries[0], countries[1], 40, donor_region="new"))
     fork.schedule(0, 0, "balance", None)
     fork.updates_of[0] = []
     fork.updates_of[-1] = []

@@ -10,7 +10,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from etkasim.common import InputError
+from etkasim.common import InputError, to_days
 from etkasim.entities import StatusUpdate
 from etkasim.fastmatch import CandidateStore, HlaIndex
 from etkasim.hla import (FrequencyTable, HlaTyping, MmpInputs, carried_codes,
@@ -104,12 +104,12 @@ def test_unacceptable_updates(inputs, store):
     rng = np.random.default_rng(4)
     sets = [frozenset(rng.choice(codes, int(rng.integers(0, 4)),
                                  replace=False).tolist()) for _ in range(12)]
-    when = date(2021, 6, 1)
+    day = to_days(date(2021, 6, 1))
     chosen = {}
     for row in range(0, dup.n, 3):
         unacc = sets[int(rng.integers(0, len(sets)))]
         chosen[row] = unacc
-        dup.apply_update(row, StatusUpdate(dup.ids[row], when, "UNA",
+        dup.apply_update(row, StatusUpdate(dup.ids[row], day, "UNA",
                                            " ".join(sorted(unacc))))
     dup.finalize_derived_values()
     for row, unacc in chosen.items():
@@ -122,7 +122,8 @@ def test_unacceptable_updates(inputs, store):
 
 def test_unknown_unacceptable_rejected_every_time(inputs, store):
     dup = store.copy()
-    update = StatusUpdate(dup.ids[0], date(2021, 6, 1), "UNA", "A1 Z99")
+    update = StatusUpdate(dup.ids[0], to_days(date(2021, 6, 1)), "UNA",
+                          "A1 Z99")
     for _ in range(2):
         with pytest.raises(InputError, match="unacceptable antigen 'Z99'"):
             dup.apply_update(0, update)

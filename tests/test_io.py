@@ -337,27 +337,29 @@ def _row_reference(path, table):
     try:
         for line, row in read_csv_rows(path):
             try:
-                upd = StatusUpdate(
-                    candidate_id=row["candidate_id"].strip(),
-                    when=parse_date(row["date"], path, line),
-                    kind=row["kind"].strip(),
-                    payload=row.get("payload", "").strip())
-                value = upd.value  # parses the payload
-                if upd.kind == "UNA":
-                    table.check_unacceptables(value)
+                cid = row["candidate_id"].strip()
+                day = to_days(parse_date(row["date"], path, line))
+                kind = row["kind"].strip()
+                upd = None  # an SCR row is a screening day
+                if kind != "SCR":
+                    upd = StatusUpdate(cid, day, kind,
+                                       row.get("payload", "").strip())
+                    value = upd.value  # parses the payload
+                    if upd.kind == "UNA":
+                        table.check_unacceptables(value)
             except (KeyError, ValueError) as exc:
                 if isinstance(exc, InputError) and exc.path is not None:
                     raise
                 raise InputError(f"malformed status update: {exc}", path,
                                  line)
-            streams.setdefault(upd.candidate_id, []).append((line, upd))
+            streams.setdefault(cid, []).append((day, line, upd))
     except InputError as exc:
         return str(exc)
     updates, screenings = {}, {}
-    for cid, pairs in streams.items():
-        pairs.sort(key=lambda p: (p[1].when, p[0]))
-        kept = [u for _, u in pairs if u.kind != "SCR"]
-        days = [to_days(u.when) for _, u in pairs if u.kind == "SCR"]
+    for cid, rows in streams.items():
+        rows.sort(key=lambda r: r[:2])
+        kept = [u for _, _, u in rows if u is not None]
+        days = [day for day, _, u in rows if u is None]
         if kept:
             updates[cid] = kept
         if days:
@@ -408,11 +410,17 @@ class TestStatusUpdates:
         path.write_text(SORT_CASE)
         updates, screenings = load_status_updates(path, table)
         # dates sorted, ties kept in input order
-        assert [(u.when, u.kind, u.payload) for u in updates["C1"]] == [
-            (date(2021, 3, 1), "PRF", ""), (date(2021, 5, 1), "URG", "NT"),
-            (date(2021, 5, 1), "URG", "T")]
+        assert [(u.day, u.kind, u.payload) for u in updates["C1"]] == [
+            (to_days(date(2021, 3, 1)), "PRF", ""),
+            (to_days(date(2021, 5, 1)), "URG", "NT"),
+            (to_days(date(2021, 5, 1)), "URG", "T")]
         assert screenings["C1"].tolist() == [to_days(date(2021, 1, 15)),
                                              to_days(date(2021, 2, 1))]
+
+    def test_scr_rows_are_not_status_updates(self):
+        # screenings load as day arrays; no StatusUpdate carries one
+        with pytest.raises(ValueError, match="SCR"):
+            StatusUpdate("C1", to_days(date(2021, 5, 1)), "SCR")
 
     def test_bad_kind_rejected(self, tmp_path, table):
         path = tmp_path / "updates.csv"
@@ -459,7 +467,7 @@ class TestStatusParity:
                         "C1,2021-W17-6,SCR,\n"
                         "C1,2021-05-02,SCR,\n")
         updates, screenings = _assert_parity(path, table)
-        assert updates["C1"][0].when == date(2021, 5, 1)
+        assert updates["C1"][0].day == to_days(date(2021, 5, 1))
         assert screenings["C1"] == [to_days(date(2021, 5, 1)),
                                     to_days(date(2021, 5, 2))]
 
@@ -509,7 +517,7 @@ class TestStatusParity:
         assert [u.value for u in updates["C1"]] == [
             "HU", parse_profile("min_age=18;accept_dcd=0"), None,
             frozenset({"A1", "B8"}), frozenset(),
-            expand_mm_patterns("222 **2"), date(2020, 1, 31), None,
+            expand_mm_patterns("222 **2"), to_days(date(2020, 1, 31)), None,
             "ETKAS", "EXT_OPT_OUT"]
 
     @pytest.mark.parametrize("kind, payload, error", [

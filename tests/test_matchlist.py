@@ -557,12 +557,12 @@ class TestScalarVectorEquivalence:
         centers = CenterRegistry(list(fx["centers"].centers())
                                  + [Center("ATC02", "AT", "AT-R2")])
         ledger = BalanceLedger(centers.countries, ["AT-R1", "AT-R2"])
-        when = MATCH_DATE - timedelta(days=30)
+        day = to_days(MATCH_DATE) - 30
         for _ in range(3):
-            ledger.record_transfer(BalanceEvent(when, "AT", "DE", 30, "AM",
+            ledger.record_transfer(BalanceEvent(day, "AT", "DE", 30, "AM",
                                                 donor_region="AT-R1"))
         for _ in range(2):
-            ledger.record_transfer(BalanceEvent(when, "DE", "AT", 30, "AM",
+            ledger.record_transfer(BalanceEvent(day, "DE", "AT", 30, "AM",
                                                 recipient_region="AT-R2"))
         ctx = MatchPointContext(fx["table"], centers, fx["bg"], fx["freq"])
 
@@ -659,7 +659,8 @@ class TestRuntimeDerivedValues:
         store = self._store(fx, regs, cfg)
         row = int(np.flatnonzero(store.vpra[:store.n] > 0)[0])
         before = float(store.vpra[row])
-        store.apply_update(row, StatusUpdate(regs[row].id, MATCH_DATE, "UNA",
+        store.apply_update(row, StatusUpdate(regs[row].id,
+                                             to_days(MATCH_DATE), "UNA",
                                              payload))
         build_match_arrays(
             store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),

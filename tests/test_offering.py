@@ -7,6 +7,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from etkasim.common import to_days
 from etkasim.entities import DonorArrival
 from etkasim.hla import HlaTyping
 from etkasim.offering import (AcceptanceModels, CoxSampler, LogisticModel,
@@ -18,7 +19,8 @@ from etkasim.offering import (AcceptanceModels, CoxSampler, LogisticModel,
 
 def make_donor(kidneys=2, age=45):
     return DonorArrival(
-        id="D1", report_date=date(2021, 6, 1), age=age, blood_group="A",
+        id="D1", report_day=to_days(date(2021, 6, 1)), age=age,
+        blood_group="A",
         country="BE", center="BEC01",
         hla=HlaTyping({"A": ("A1", "A2"), "B": ("B5", "B7"),
                        "DR": ("DR1", "DR4")}),

@@ -36,12 +36,12 @@ class TestGeneratedPopulation:
     def test_screenings_keep_candidates_fresh(self, inputs):
         # gaps between screenings stay under the 180-day staleness bound
         for reg in inputs.registrations[:30]:
-            dates = [u.when for u in inputs.updates[reg.id]
+            dates = [from_days(u.day) for u in inputs.updates[reg.id]
                      if u.kind == "URG"]
             dates += [from_days(int(d))
                       for d in inputs.screenings.get(reg.id, ())]
-            terminal = max(u.when for u in inputs.updates[reg.id]
-                           if u.kind == "URG")
+            terminal = from_days(max(u.day for u in inputs.updates[reg.id]
+                                     if u.kind == "URG"))
             last = reg.registration_date
             for d in sorted(dates):
                 if d > terminal:
