@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .common import InputError, parse_date, read_csv_rows, to_days
+from .common import InputError, parse_day, read_csv_rows
 
 DONOR_AGE_GROUPS = ("0-17", "18-49", "50-64", "65+")
 
@@ -147,7 +147,7 @@ def read_balance_events(path: str | Path) -> list[BalanceEvent]:
     for line, row in read_csv_rows(path):
         try:
             events.append(BalanceEvent(
-                day=to_days(parse_date(row["date"], path, line)),
+                day=parse_day(row["date"], path, line),
                 donor_country=row["donor_country"].strip(),
                 recipient_country=row["recipient_country"].strip(),
                 donor_age=int(row["donor_age"]),

@@ -63,6 +63,12 @@ def parse_date(text: str, path=None, line=None) -> date:
         raise InputError(f"invalid date {text!r} (expected YYYY-MM-DD)", path, line)
 
 
+def parse_day(text: str, path=None, line=None) -> int:
+    """The day (since the epoch) of a YYYY-MM-DD text, as parse_date reads
+    it: the one place input text becomes an event or registration day."""
+    return to_days(parse_date(text, path, line))
+
+
 _DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9]  # YYYY-MM-DD
 
 

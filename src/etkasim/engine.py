@@ -20,7 +20,6 @@ from __future__ import annotations
 import copy
 import heapq
 from dataclasses import dataclass, field
-from datetime import date
 
 import numpy as np
 
@@ -76,8 +75,6 @@ class TransplantRecord:
 
 @dataclass
 class SimulationOutput:
-    start: date
-    end: date
     transplants: list[TransplantRecord]
     final_states: list[tuple[str, str, int]]  # id, status, status day
     counters: dict[str, float]
@@ -230,10 +227,10 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
             if a.day > b.day:
                 raise InputError("status updates out of order after sorting")
 
-        if (reg.previous_transplant_date is not None
-                and start <= to_days(reg.previous_transplant_date) <= end):
+        if (reg.previous_transplant_day is not None
+                and start <= reg.previous_transplant_day <= end):
             continue
-        reg_days = to_days(reg.registration_date)
+        reg_days = reg.registration_day
         if reg_days > end:
             continue
 
@@ -343,7 +340,6 @@ def _fold_screenings(state: SimState, rows: np.ndarray,
 
 def run(state: SimState) -> SimulationOutput:
     """Process the future event set until it drains or passes the window end."""
-    inputs = state.inputs
     store = state.store
     end = state.end_days
 
@@ -375,8 +371,6 @@ def run(state: SimState) -> SimulationOutput:
         1 for row in range(store.n)
         if int(store.status[row]) in ACTIVE_CODES)
     return SimulationOutput(
-        start=inputs.settings.window_start,
-        end=inputs.settings.window_end,
         transplants=state.transplants,
         final_states=final_states,
         counters=counters,
@@ -700,7 +694,7 @@ def _post_transplant(state: SimState, donor: DonorArrival,
     state.relist_serial[reg.patient_id] = serial
     current_unacc = frozenset(store_unacceptables(store, row))
     built = build_synthetic_relisting(
-        reg, current_unacc, from_days(when), t_days,
+        reg, current_unacc, when, record.dialysis_days, t_days,
         float(relist_days - when), donor.hla, inputs.relist_pool,
         inputs.antigen_table, inputs.settings.de_novo_immunization_p,
         state.rng, new_id=f"{reg.patient_id}.r{serial}")

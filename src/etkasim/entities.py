@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .common import InputError, read_csv_rows, to_days
+from .common import InputError, parse_day, read_csv_rows
 from .hla import BLOOD_GROUPS, HlaTyping
 
 # Urgency codes: T transplantable, NT non-transplantable, HU high urgency,
@@ -162,8 +161,11 @@ def expand_mm_patterns(spec: str, path=None,
 class CandidateRegistration:
     """Static attributes of one waiting-list registration.
 
-    Dynamic state (urgency, profile, unacceptables, screening date, dialysis
-    start) starts from the values here and evolves through status updates.
+    Its five dates are day numbers (days since 1970-01-01, the engine's one
+    time unit); an optional one is None when unknown, and day 0 is a date
+    like any other.  Dynamic state (urgency, profile, unacceptables,
+    screening day, dialysis start) starts from the values here and evolves
+    through status updates.
     """
 
     id: str
@@ -171,14 +173,14 @@ class CandidateRegistration:
     country: str
     center: str
     blood_group: str
-    date_of_birth: date
-    registration_date: date
+    birth_day: int
+    registration_day: int
     hla: HlaTyping | None = None
     unacceptables: frozenset[str] = frozenset()
-    dialysis_start: date | None = None
+    dialysis_start_day: int | None = None
     prior_transplant: bool = False
-    previous_transplant_date: date | None = None
-    last_screening_date: date | None = None
+    previous_transplant_day: int | None = None
+    last_screening_day: int | None = None
     initial_urgency: str = "NT"
     profile: AllocationProfile | None = None
     mm_criteria: frozenset[tuple[int, int, int]] = frozenset()
@@ -229,8 +231,8 @@ def parse_payload(kind: str, text: str):
     if kind == "DIA":
         text = text.strip()
         try:
-            return to_days(date.fromisoformat(text)) if text else None
-        except ValueError:
+            return parse_day(text) if text else None
+        except InputError:
             raise InputError(f"bad dialysis start payload {text!r}") from None
     if kind == "CHO":
         choice = text.strip().upper()
@@ -315,7 +317,8 @@ class CandidateState:
     """Snapshot of one registration's dynamic state (used by scalar rules).
 
     The vectorized engine keeps the same information in arrays; this view is
-    the readable reference form.
+    the readable reference form.  Like the registration it holds day numbers
+    (days since 1970-01-01), or None when unknown.
     """
 
     registration: CandidateRegistration
@@ -323,8 +326,8 @@ class CandidateState:
     unacceptables: frozenset[str]
     profile: AllocationProfile | None
     mm_criteria: frozenset[tuple[int, int, int]]
-    last_screening_date: date | None
-    dialysis_start: date | None
+    last_screening_day: int | None
+    dialysis_start_day: int | None
     esp_extended_opt_in: bool
     german_program_choice: str | None
     vpra: float = 0.0
@@ -337,14 +340,14 @@ class CandidateState:
             unacceptables=reg.unacceptables,
             profile=reg.profile,
             mm_criteria=reg.mm_criteria,
-            last_screening_date=reg.last_screening_date,
-            dialysis_start=reg.dialysis_start,
+            last_screening_day=reg.last_screening_day,
+            dialysis_start_day=reg.dialysis_start_day,
             esp_extended_opt_in=reg.esp_extended_opt_in,
             german_program_choice=reg.german_program_choice,
             vpra=vpra,
         )
 
-    def dialysis_days(self, now: date) -> int:
-        if self.dialysis_start is None:
+    def dialysis_days(self, now_day: int) -> int:
+        if self.dialysis_start_day is None:
             return 0
-        return max(0, (now - self.dialysis_start).days)
+        return max(0, now_day - self.dialysis_start_day)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .balances import BalanceLedger, donor_age_group
-from .common import DAYS_PER_YEAR, InputError, to_days
+from .common import DAYS_PER_YEAR, InputError
 from .entities import (ESP, ETKAS, AllocationProfile, CandidateRegistration,
                        CenterRegistry, DonorArrival, StatusUpdate,
                        URGENCY_CODES)
@@ -351,6 +351,9 @@ class CandidateStore:
     # -- registration and updates -------------------------------------------
 
     def add(self, reg: CandidateRegistration, initial_status: str | None = None) -> int:
+        """Append a row for ``reg`` and return its index: the registration's
+        day numbers are stored as they stand, and ``initial_status`` ("PRE":
+        not listed yet), when given, overrides its urgency."""
         self._ensure(1)
         row = self.n
         self.n += 1
@@ -373,12 +376,12 @@ class CandidateStore:
             self.austrian_regions.add(self.region_of[center.region])
         self.subregion_idx[row] = self.subregion_of.get(center.esp_subregion, -1)
         self.center_codes.append(reg.center)
-        self.dob_days[row] = to_days(reg.date_of_birth)
-        self.reg_days[row] = to_days(reg.registration_date)
-        if reg.dialysis_start is not None:
-            self.dial_start[row] = to_days(reg.dialysis_start)
-        if reg.last_screening_date is not None:
-            self.screening[row] = to_days(reg.last_screening_date)
+        self.dob_days[row] = reg.birth_day
+        self.reg_days[row] = reg.registration_day
+        if reg.dialysis_start_day is not None:
+            self.dial_start[row] = reg.dialysis_start_day
+        if reg.last_screening_day is not None:
+            self.screening[row] = reg.last_screening_day
         self.prior_tx[row] = reg.prior_transplant
         self.am[row] = reg.am_program
         self.kaoo[row] = reg.kaoo
@@ -537,12 +540,6 @@ class CandidateStore:
     def status_code(self, row: int) -> str:
         s = int(self.status[row])
         return "PRE" if s == PRE else URGENCY_CODES[s]
-
-    def dialysis_days(self, row: int, now_days: int) -> int:
-        start = int(self.dial_start[row])
-        if start == int(_NO_DATE):
-            return 0
-        return max(0, now_days - start)
 
     def age_years(self, row: int, now_days: int) -> int:
         return int((now_days - int(self.dob_days[row])) // DAYS_PER_YEAR)

@@ -20,8 +20,8 @@ import yaml
 
 from .balances import BalanceEvent, read_balance_events
 from .common import (InputError, is_blank_row, iso_day_rows, iso_days,
-                     parse_bool, parse_date, read_csv_header, read_csv_rows,
-                     to_days)
+                     parse_bool, parse_date, parse_day, read_csv_header,
+                     read_csv_rows)
 from .entities import (CandidateRegistration, CenterRegistry, DonorArrival,
                        StatusUpdate, expand_mm_patterns, parse_payload,
                        parse_profile)
@@ -131,8 +131,8 @@ def _program_choice(text: str, path=None, line=None) -> str | None:
     return text.strip() or None
 
 
-def _optional_date(text: str, path=None, line=None) -> date | None:
-    return parse_date(text, path, line) if text.strip() else None
+def _optional_day(text: str, path=None, line=None) -> int | None:
+    return parse_day(text, path, line) if text.strip() else None
 
 
 def _unacceptables(text: str, path=None, line=None, *,
@@ -153,13 +153,13 @@ _REGISTRATION_FIELDS = (
     ("country", None, _text),
     ("center", None, _text),
     ("bg", None, _text),
-    ("dob", None, parse_date),
-    ("registration_date", None, parse_date),
+    ("dob", None, parse_day),
+    ("registration_date", None, parse_day),
     ("unacceptables", "", _unacceptables),
-    ("dialysis_start", "", _optional_date),
+    ("dialysis_start", "", _optional_day),
     ("prior_tx", "0", parse_bool),
-    ("prev_tx_date", "", _optional_date),
-    ("screening_date", "", _optional_date),
+    ("prev_tx_date", "", _optional_day),
+    ("screening_date", "", _optional_day),
     ("urgency", "", _urgency),
     ("profile", "", parse_profile),
     ("mm_criteria", "", expand_mm_patterns),
@@ -645,7 +645,7 @@ def _parse_status_block(path, table: AntigenTable, col: dict[str, int],
     for i in np.flatnonzero(~ok).tolist():
         if bad is not None and i > bad:
             break
-        days[i] = to_days(parse_date(raw_dates[i], path, int(lines[i])))
+        days[i] = parse_day(raw_dates[i], path, int(lines[i]))
     if error is not None:
         raise InputError(f"malformed status update: {error}", path,
                          int(lines[bad]))
@@ -664,8 +664,7 @@ def load_donors(path: str | Path, table: AntigenTable) -> list[DonorArrival]:
                 raise InputError("donor HLA typing is required", path, line)
             donors.append(DonorArrival(
                 id=row["id"].strip(),
-                report_day=to_days(parse_date(row["report_date"], path,
-                                              line)),
+                report_day=parse_day(row["report_date"], path, line),
                 age=int(row["age"]),
                 blood_group=row["bg"].strip(),
                 country=row["country"].strip(),

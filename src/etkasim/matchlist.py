@@ -14,11 +14,10 @@ days.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
 from typing import Iterable
 
 from .balances import BalanceLedger, donor_age_group
-from .common import DAYS_PER_YEAR, round_half_up, to_days
+from .common import DAYS_PER_YEAR, round_half_up
 from .entities import (ESP, ETKAS, CandidateState, CenterRegistry,
                        DonorArrival, OFFERABLE_CODES, geography_class)
 from .hla import (AntigenTable, BloodGroupFrequencies, FrequencyTable,
@@ -39,22 +38,22 @@ AM_ACTIVE = "AM_ACTIVE"
 AGE_NOT_ELIGIBLE = "AGE_NOT_ELIGIBLE"
 
 
-def candidate_age(state: CandidateState, now: date) -> int:
-    return int((to_days(now) - to_days(state.registration.date_of_birth))
-               // DAYS_PER_YEAR)
+def candidate_age(state: CandidateState, now_day: int) -> int:
+    return int((now_day - state.registration.birth_day) // DAYS_PER_YEAR)
 
 
 def program_for_donor(donor: DonorArrival, cfg: PolicyConfig) -> str:
     return ESP if donor.age >= cfg.esp_donor_age_from else ETKAS
 
 
-def screening_fresh(state: CandidateState, now: date, cfg: PolicyConfig) -> bool:
-    if state.last_screening_date is None:
+def screening_fresh(state: CandidateState, now_day: int,
+                    cfg: PolicyConfig) -> bool:
+    if state.last_screening_day is None:
         return False
-    return (now - state.last_screening_date).days <= cfg.screening_max_age_days
+    return now_day - state.last_screening_day <= cfg.screening_max_age_days
 
 
-def etkas_eligible(state: CandidateState, donor: DonorArrival, now: date,
+def etkas_eligible(state: CandidateState, donor: DonorArrival, now_day: int,
                    cfg: PolicyConfig, table: AntigenTable) -> tuple[bool, list[str]]:
     """ETKAS eligibility with a reason code per failed clause."""
     reasons: list[str] = []
@@ -68,10 +67,10 @@ def etkas_eligible(state: CandidateState, donor: DonorArrival, now: date,
     elif state.unacceptables and (state.unacceptables
                                   & carried_codes(table, donor.hla)):
         reasons.append(UNACCEPTABLE)
-    if not screening_fresh(state, now, cfg):
+    if not screening_fresh(state, now_day, cfg):
         reasons.append(SCREENING_STALE)
     if (reg.country == "DE"
-            and candidate_age(state, now) >= cfg.esp_candidate_age_from
+            and candidate_age(state, now_day) >= cfg.esp_candidate_age_from
             and state.german_program_choice != ETKAS):
         reasons.append(GERMAN_CHOICE)
     if reg.am_program or state.urgency == "I":
@@ -93,7 +92,7 @@ def etkas_filtered(state: CandidateState, donor: DonorArrival,
 
 
 def etkas_tier(state: CandidateState, donor: DonorArrival, mm: MismatchCount,
-               now: date, cfg: PolicyConfig) -> tuple[int, int]:
+               now_day: int, cfg: PolicyConfig) -> tuple[int, int]:
     """Tier key, higher sorts first.
 
     (3, homozygosity subtier) for zero-mismatch candidates (the subtier only
@@ -106,7 +105,7 @@ def etkas_tier(state: CandidateState, donor: DonorArrival, mm: MismatchCount,
             level, _ = homozygosity_level(state.registration.hla)
             subtier = level
         return (3, subtier)
-    cand_ped = candidate_age(state, now) < cfg.pediatric_candidate_age_below
+    cand_ped = candidate_age(state, now_day) < cfg.pediatric_candidate_age_below
     donor_ped = donor.age < cfg.pediatric_donor_age_below
     if cand_ped and donor_ped:
         return (2, 0)
@@ -211,9 +210,10 @@ def immunization_points(state: CandidateState, ctx: MatchPointContext,
 
 def etkas_points(state: CandidateState, donor: DonorArrival, mm: MismatchCount,
                  ledger: BalanceLedger, cfg: PolicyConfig,
-                 ctx: MatchPointContext, now: date) -> PointBreakdown:
+                 ctx: MatchPointContext, now_day: int) -> PointBreakdown:
     reg = state.registration
-    dial = cfg.dialysis_points_per_year * state.dialysis_days(now) / DAYS_PER_YEAR
+    dial = (cfg.dialysis_points_per_year * state.dialysis_days(now_day)
+            / DAYS_PER_YEAR)
 
     hla = (cfg.hla_base_points
            + mm.mm_a * cfg.hla_mm_beta_a
@@ -221,7 +221,7 @@ def etkas_points(state: CandidateState, donor: DonorArrival, mm: MismatchCount,
            + mm.mm_dr * cfg.hla_mm_beta_dr)
     hla = max(0.0, hla)
     pediatric = 0.0
-    if candidate_age(state, now) < cfg.pediatric_candidate_age_below:
+    if candidate_age(state, now_day) < cfg.pediatric_candidate_age_below:
         if cfg.pediatric_hla_double:
             hla *= 2.0
         pediatric = cfg.pediatric_bonus
@@ -243,7 +243,7 @@ def etkas_points(state: CandidateState, donor: DonorArrival, mm: MismatchCount,
                           mmp=immun, balance=balance, distance=distance)
 
 
-def esp_eligible(state: CandidateState, donor: DonorArrival, now: date,
+def esp_eligible(state: CandidateState, donor: DonorArrival, now_day: int,
                  cfg: PolicyConfig, table: AntigenTable) -> tuple[bool, list[str]]:
     """ESP eligibility (donor aged 65+): active status, 65+ or extended
     opt-in, identical blood group, known typing with fresh screening, no
@@ -252,7 +252,7 @@ def esp_eligible(state: CandidateState, donor: DonorArrival, now: date,
     reg = state.registration
     if state.urgency not in OFFERABLE_CODES:
         reasons.append(NOT_OFFERABLE)
-    age = candidate_age(state, now)
+    age = candidate_age(state, now_day)
     if age < cfg.esp_candidate_age_from and not state.esp_extended_opt_in:
         reasons.append(AGE_NOT_ELIGIBLE)
     if reg.blood_group != donor.blood_group:
@@ -262,19 +262,19 @@ def esp_eligible(state: CandidateState, donor: DonorArrival, now: date,
     elif state.unacceptables and (state.unacceptables
                                   & carried_codes(table, donor.hla)):
         reasons.append(UNACCEPTABLE)
-    if not screening_fresh(state, now, cfg):
+    if not screening_fresh(state, now_day, cfg):
         reasons.append(SCREENING_STALE)
     if reg.am_program or state.urgency == "I":
         reasons.append(AM_ACTIVE)
     return (not reasons), reasons
 
 
-def esp_filtered(state: CandidateState, donor: DonorArrival, now: date,
+def esp_filtered(state: CandidateState, donor: DonorArrival, now_day: int,
                  cfg: PolicyConfig) -> bool:
     """ESP filtering removes under-65 candidates, German candidates who chose
     ETKAS, and profile-incompatible donors.  HLA mismatch criteria are not
     applied in ESP."""
-    if candidate_age(state, now) < cfg.esp_candidate_age_from:
+    if candidate_age(state, now_day) < cfg.esp_candidate_age_from:
         return False
     reg = state.registration
     if reg.country == "DE" and state.german_program_choice == ETKAS:
@@ -285,14 +285,14 @@ def esp_filtered(state: CandidateState, donor: DonorArrival, now: date,
     return True
 
 
-def esp_tier(state: CandidateState, donor: DonorArrival, now: date,
+def esp_tier(state: CandidateState, donor: DonorArrival, now_day: int,
              cfg: PolicyConfig, centers: CenterRegistry) -> tuple[int, ...]:
     """Tier key (higher first): position in the per-country geography table,
     with HU before KAOO before other candidates inside each tier."""
     donor_center = centers.get(donor.center)
     cand_center = centers.get(state.registration.center)
     age_class = ("65plus"
-                 if candidate_age(state, now) >= cfg.esp_candidate_age_from
+                 if candidate_age(state, now_day) >= cfg.esp_candidate_age_from
                  else "under65")
     table = cfg.esp_tier_table(donor_center.country)
 
@@ -323,8 +323,8 @@ def esp_tier(state: CandidateState, donor: DonorArrival, now: date,
     return (-tier_rank, subtier)
 
 
-def esp_points(state: CandidateState, now: date) -> int:
-    return state.dialysis_days(now)
+def esp_points(state: CandidateState, now_day: int) -> int:
+    return state.dialysis_days(now_day)
 
 
 @dataclass
@@ -339,14 +339,14 @@ class MatchList:
 
 def _etkas_record(state: CandidateState, donor: DonorArrival,
                   ledger: BalanceLedger, cfg: PolicyConfig,
-                  ctx: MatchPointContext, now: date) -> MatchRecord:
+                  ctx: MatchPointContext, now_day: int) -> MatchRecord:
     mm = count_mismatches(ctx.table, donor.hla, state.registration.hla)
-    tier = etkas_tier(state, donor, mm, now, cfg)
-    points = etkas_points(state, donor, mm, ledger, cfg, ctx, now)
+    tier = etkas_tier(state, donor, mm, now_day, cfg)
+    points = etkas_points(state, donor, mm, ledger, cfg, ctx, now_day)
     fraction = 1.0
     if cfg.age_filter.enabled:
-        fraction = age_filter_fraction(candidate_age(state, now), donor.age,
-                                       cfg.age_filter.curve)
+        fraction = age_filter_fraction(candidate_age(state, now_day),
+                                       donor.age, cfg.age_filter.curve)
     total = fraction * points.raw_total
     geo = geography_class(ctx.centers.get(donor.center),
                           ctx.centers.get(state.registration.center))
@@ -363,27 +363,27 @@ def _etkas_record(state: CandidateState, donor: DonorArrival,
         program=ETKAS, tier=tier, points=points, total=total, mm=mm,
         geography=geo, filtered_visible=visible,
         rank_keys=(tier, total, -regional,
-                   -to_days(state.registration.registration_date),
+                   -state.registration.registration_day,
                    state.registration.id),
-        dialysis_days=state.dialysis_days(now),
+        dialysis_days=state.dialysis_days(now_day),
         age_filter_fraction=fraction)
 
 
 def _esp_record(state: CandidateState, donor: DonorArrival, cfg: PolicyConfig,
-                ctx: MatchPointContext, now: date) -> MatchRecord:
+                ctx: MatchPointContext, now_day: int) -> MatchRecord:
     mm = count_mismatches(ctx.table, donor.hla, state.registration.hla)
-    tier = esp_tier(state, donor, now, cfg, ctx.centers)
-    days = esp_points(state, now)
+    tier = esp_tier(state, donor, now_day, cfg, ctx.centers)
+    days = esp_points(state, now_day)
     geo = geography_class(ctx.centers.get(donor.center),
                           ctx.centers.get(state.registration.center))
-    visible = esp_filtered(state, donor, now, cfg)
+    visible = esp_filtered(state, donor, now_day, cfg)
     return MatchRecord(
         candidate_id=state.registration.id,
         program=ESP, tier=tier, points=PointBreakdown(dialysis=float(days)),
         total=float(days), mm=mm, geography=geo, filtered_visible=visible,
         rank_keys=(tier, float(days),
                    0,
-                   -to_days(state.registration.registration_date),
+                   -state.registration.registration_day,
                    state.registration.id),
         dialysis_days=days)
 
@@ -401,7 +401,7 @@ def _sort_records(records: list[MatchRecord]) -> list[MatchRecord]:
 
 def build_match_list(donor: DonorArrival, states: Iterable[CandidateState],
                      ledger: BalanceLedger, cfg: PolicyConfig,
-                     ctx: MatchPointContext, now: date,
+                     ctx: MatchPointContext, now_day: int,
                      program: str | None = None) -> MatchList:
     """Ordered match list for one donor: every eligible candidate, sorted by
     (tier, points, tie-breaks), with filtering visibility flags set."""
@@ -410,12 +410,13 @@ def build_match_list(donor: DonorArrival, states: Iterable[CandidateState],
     records: list[MatchRecord] = []
     for state in states:
         if program == ETKAS:
-            ok, _ = etkas_eligible(state, donor, now, cfg, ctx.table)
+            ok, _ = etkas_eligible(state, donor, now_day, cfg, ctx.table)
             if ok:
-                records.append(_etkas_record(state, donor, ledger, cfg, ctx, now))
+                records.append(_etkas_record(state, donor, ledger, cfg, ctx,
+                                             now_day))
         else:
-            ok, _ = esp_eligible(state, donor, now, cfg, ctx.table)
+            ok, _ = esp_eligible(state, donor, now_day, cfg, ctx.table)
             if ok:
-                records.append(_esp_record(state, donor, cfg, ctx, now))
+                records.append(_esp_record(state, donor, cfg, ctx, now_day))
     return MatchList(donor=donor, program=program,
                      records=_sort_records(records))

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .common import InputError, read_csv_header_meta, read_csv_rows
-from .entities import parse_payload
+from .entities import CandidateRegistration, parse_payload
 from .hla import AntigenTable, HlaTyping
 
 log = logging.getLogger(__name__)
@@ -395,35 +395,31 @@ def select_pool_match(profile: RecipientProfile, pool: RelistingPool,
     return top[idx]
 
 
-def build_synthetic_relisting(recipient, current_unacceptables: frozenset[str],
-                              transplant_date, t_days: float, r_days: float,
+def build_synthetic_relisting(recipient: CandidateRegistration,
+                              current_unacceptables: frozenset[str],
+                              transplant_day: int, dialysis_days: int,
+                              t_days: float, r_days: float,
                               donor_hla: HlaTyping, pool: RelistingPool,
                               table: AntigenTable, immunization_p: float,
                               rng, new_id: str):
     """Combine the recipient's static data with a matched pool entry's
     urgency stream into a repeat registration.
 
-    The recipient keeps their HLA, blood group, country, and center; the
-    unacceptable set grows by simulated de novo immunization against the
-    mismatched donor antigens; the initial dialysis time at re-listing comes
-    from the matched entry, as does the urgency-status stream (and nothing
-    else).  Returns (registration, matched entry) or None when no pool entry
-    survives caliper matching.
-
-    Imported lazily to avoid a module cycle with entities.
+    ``transplant_day`` is the transplant's day since 1970-01-01 and
+    ``dialysis_days`` the recipient's accrued dialysis time on it, which the
+    pool matcher compares.  The recipient keeps their HLA, blood group,
+    country, and center; the unacceptable set grows by simulated de novo
+    immunization against the mismatched donor antigens; the initial dialysis
+    time at re-listing comes from the matched entry, as does the
+    urgency-status stream (and nothing else).  Returns (registration,
+    matched entry) or None when no pool entry survives caliper matching.
     """
-    from datetime import timedelta
-
-    from .entities import CandidateRegistration
-
-    relist_date = transplant_date + timedelta(days=int(round(r_days)))
-    age_at_relist = ((relist_date - recipient.date_of_birth).days / 365.25)
+    relist_day = transplant_day + int(round(r_days))
+    age_at_relist = (relist_day - recipient.birth_day) / 365.25
     profile = RecipientProfile(
         country=recipient.country,
         age_at_relist=float(int(age_at_relist)),
-        dialysis_days_at_relist=(
-            max(0, (transplant_date - recipient.dialysis_start).days)
-            if recipient.dialysis_start else 0),
+        dialysis_days_at_relist=dialysis_days,
         r_days=float(r_days),
         t_days=float(t_days))
     match = select_pool_match(profile, pool, rng)
@@ -437,12 +433,11 @@ def build_synthetic_relisting(recipient, current_unacceptables: frozenset[str],
         country=recipient.country,
         center=recipient.center,
         blood_group=recipient.blood_group,
-        date_of_birth=recipient.date_of_birth,
-        registration_date=relist_date,
+        birth_day=recipient.birth_day,
+        registration_day=relist_day,
         hla=recipient.hla,
         unacceptables=frozenset(current_unacceptables) | additions,
-        dialysis_start=relist_date - timedelta(
-            days=match.dialysis_days_at_relist),
+        dialysis_start_day=relist_day - match.dialysis_days_at_relist,
         prior_transplant=True,
         initial_urgency="NT",
     )

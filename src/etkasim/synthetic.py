@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import os
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .common import to_days
+from .common import day_text, to_days
 from .entities import DEATH_CAUSE_GROUPS, CenterRegistry
 from .hla import BLOOD_GROUPS, FrequencyTable
 from .io import data_path
@@ -346,7 +346,7 @@ class PopulationBuilder:
 
 
 def _iso(days: int) -> str:
-    return (date(1970, 1, 1) + timedelta(days=int(days))).isoformat()
+    return day_text(int(days))
 
 
 def _hla_cols(codes: list[list[str]]) -> list[str]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -90,16 +90,15 @@ def default_pool() -> RelistingPool:
 def candidate(cid: str, country="BE", center="BEC01", bg="A", age=50.0,
               mm=(1, 1, 1), reg_offset=-400, dialysis_days=1000,
               screening_offset=-30, urgency="T", **kw) -> CandidateRegistration:
-    reg_date = WINDOW_START + timedelta(days=reg_offset)
     return CandidateRegistration(
         id=cid, patient_id=kw.pop("patient_id", cid), country=country,
         center=center, blood_group=bg,
-        date_of_birth=WINDOW_START - timedelta(days=int(age * 365.25)),
-        registration_date=reg_date,
+        birth_day=START_DAY - int(age * 365.25),
+        registration_day=START_DAY + reg_offset,
         hla=HlaTyping(TYPING_BY_MM[mm]),
-        dialysis_start=(WINDOW_START - timedelta(days=dialysis_days)
-                        if dialysis_days else None),
-        last_screening_date=WINDOW_START + timedelta(days=screening_offset),
+        dialysis_start_day=(START_DAY - dialysis_days
+                            if dialysis_days else None),
+        last_screening_day=START_DAY + screening_offset,
         initial_urgency=urgency,
         **kw)
 
@@ -131,7 +130,7 @@ def fresh_screenings(regs) -> dict[str, np.ndarray]:
     """Screenings every 150 days through the window, so candidates stay
     fresh."""
     return {reg.id: screening_days(*range(
-        max(to_days(reg.registration_date), START_DAY - 30), END_DAY + 1,
+        max(reg.registration_day, START_DAY - 30), END_DAY + 1,
         150)) for reg in regs}
 
 

@@ -15,7 +15,7 @@ purely by accrued dialysis days.
 from __future__ import annotations
 
 import math
-from datetime import date, timedelta
+from datetime import date
 
 from etkasim.balances import BalanceEvent, BalanceLedger, init_ledger
 from etkasim.common import to_days
@@ -27,7 +27,8 @@ from etkasim.hla import (Antigen, AntigenTable, BloodGroupFrequencies,
 from etkasim.matchlist import MatchPointContext
 from etkasim.policy import PolicyConfig, validated
 
-MATCH_DATE = date(2021, 6, 15)
+# the match date, 2021-06-15, as days since 1970-01-01
+MATCH_DAY = to_days(date(2021, 6, 15))
 
 A_CODES = ["A1", "A2", "A3", "A9", "A10", "A11", "A19", "A28"]
 B_CODES = ["B5", "B7", "B8", "B12", "B13", "B14", "B15", "B16"]
@@ -190,7 +191,7 @@ TYPING_BY_MM = {
 
 def build_etkas_donor() -> DonorArrival:
     return DonorArrival(
-        id="DON-A1", report_day=to_days(MATCH_DATE), age=45,
+        id="DON-A1", report_day=MATCH_DAY, age=45,
         blood_group="A",
         country="BE", center="BEC01", hla=DONOR_HLA, kidneys_available=2)
 
@@ -207,13 +208,12 @@ def build_etkas_registrations(include_fillers: bool = False):
             id=f"R{rank:02d}",
             patient_id=f"R{rank:02d}",
             country=country, center=center, blood_group="A",
-            date_of_birth=MATCH_DATE - timedelta(days=int(age * 365.25) + 10),
-            registration_date=date(2015, 1, 1) + timedelta(days=rank),
+            birth_day=MATCH_DAY - (int(age * 365.25) + 10),
+            registration_day=to_days(date(2015, 1, 1)) + rank,
             hla=HlaTyping(TYPING_BY_MM[mm]),
             unacceptables=stripes,
-            dialysis_start=(MATCH_DATE - timedelta(days=days)
-                            if days else None),
-            last_screening_date=MATCH_DATE - timedelta(days=30),
+            dialysis_start_day=MATCH_DAY - days if days else None,
+            last_screening_day=MATCH_DAY - 30,
             initial_urgency="T",
         ))
     if include_fillers:
@@ -223,11 +223,11 @@ def build_etkas_registrations(include_fillers: bool = False):
                 id=f"F{i:02d}",
                 patient_id=f"F{i:02d}",
                 country="BE", center="BEC01", blood_group="A",
-                date_of_birth=MATCH_DATE - timedelta(days=int(55 * 365.25)),
-                registration_date=date(2016, 1, 1) + timedelta(days=i),
+                birth_day=MATCH_DAY - int(55 * 365.25),
+                registration_day=to_days(date(2016, 1, 1)) + i,
                 hla=HlaTyping(TYPING_BY_MM[(1, 1, 1)]),
-                dialysis_start=MATCH_DATE - timedelta(days=days),
-                last_screening_date=MATCH_DATE - timedelta(days=30),
+                dialysis_start_day=MATCH_DAY - days,
+                last_screening_day=MATCH_DAY - 30,
                 initial_urgency="T",
                 profile=AllocationProfile(max_donor_age=40),
             ))
@@ -240,7 +240,7 @@ def build_etkas_ledger(centers: CenterRegistry) -> BalanceLedger:
     events += [BalanceEvent(day, "AT", "DE", 30, "AM")] * 49
     events += [BalanceEvent(day, "BE", "HU", 30, "AM")] * 6
     events += [BalanceEvent(day, "HR", "HU", 30, "AM")] * 6
-    return init_ledger(events, to_days(MATCH_DATE), centers.countries)
+    return init_ledger(events, MATCH_DAY, centers.countries)
 
 
 def build_etkas_fixture(include_fillers: bool = False):
@@ -277,7 +277,7 @@ ESP_CENTERS = ["DEST1", "DETU1", "DEHE1", "DETU1", "DEST1", "DETU1",
 
 def build_esp_donor() -> DonorArrival:
     return DonorArrival(
-        id="DON-O1", report_day=to_days(MATCH_DATE), age=70,
+        id="DON-O1", report_day=MATCH_DAY, age=70,
         blood_group="O",
         country="DE", center="DEST1", hla=DONOR_HLA, kidneys_available=2)
 
@@ -298,11 +298,11 @@ def build_esp_fixture():
             id=f"E{i:02d}",
             patient_id=f"E{i:02d}",
             country="DE", center=center, blood_group="O",
-            date_of_birth=MATCH_DATE - timedelta(days=int(70 * 365.25) + i),
-            registration_date=date(2017, 1, 1) + timedelta(days=i),
+            birth_day=MATCH_DAY - (int(70 * 365.25) + i),
+            registration_day=to_days(date(2017, 1, 1)) + i,
             hla=HlaTyping(TYPING_BY_MM[(1, 1, 1)]),
-            dialysis_start=MATCH_DATE - timedelta(days=days),
-            last_screening_date=MATCH_DATE - timedelta(days=20),
+            dialysis_start_day=MATCH_DAY - days,
+            last_screening_day=MATCH_DAY - 20,
             initial_urgency="T",
         ))
     ledger = BalanceLedger(centers.countries)

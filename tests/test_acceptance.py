@@ -31,7 +31,7 @@ from etkasim.posttransplant import (AGE_BUCKETS, TIME_BUCKETS, RelistCurveSet,
                                     sample_failure_time, sample_relist_time)
 from etkasim.synthetic import generate_population
 
-from fixtures_tables import (ESP_DIALYSIS_DAYS, ETKAS_ROWS, MATCH_DATE,
+from fixtures_tables import (ESP_DIALYSIS_DAYS, ETKAS_ROWS, MATCH_DAY,
                              build_esp_fixture, build_etkas_fixture)
 from test_fixture_tables import expected_hla_points
 
@@ -51,7 +51,7 @@ class TestCriterion1MatchListFidelity:
         with criterion(1, "match-list fidelity"):
             fx = build_etkas_fixture()
             ml = build_match_list(fx["donor"], fx["states"], fx["ledger"],
-                                  fx["policy"], fx["ctx"], MATCH_DATE)
+                                  fx["policy"], fx["ctx"], MATCH_DAY)
             assert [r.candidate_id for r in ml.records] == [
                 f"R{i:02d}" for i in range(1, 15)]
             for rank, rec in enumerate(ml.records, start=1):
@@ -75,7 +75,7 @@ class TestCriterion1MatchListFidelity:
 
             esp = build_esp_fixture()
             ml2 = build_match_list(esp["donor"], esp["states"], esp["ledger"],
-                                   esp["policy"], esp["ctx"], MATCH_DATE)
+                                   esp["policy"], esp["ctx"], MATCH_DAY)
             assert [r.dialysis_days for r in ml2.records] == ESP_DIALYSIS_DAYS
             assert [int(r.total) for r in ml2.records] == ESP_DIALYSIS_DAYS
 

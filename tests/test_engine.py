@@ -10,7 +10,7 @@ import pytest
 
 from etkasim.balances import BalanceEvent
 from etkasim.batch import run_batch, run_once
-from etkasim.common import InputError, to_days
+from etkasim.common import InputError, day_text, to_days
 from etkasim.engine import (ArrayOffers, initialize, run,
                             store_unacceptables, verify_replay)
 from etkasim.entities import StatusUpdate, expand_mm_patterns, parse_profile
@@ -18,12 +18,13 @@ from etkasim.fastmatch import _COLUMNS, build_match_arrays
 from etkasim.offering import (AcceptanceModels, OfferRecord, SequenceOffers,
                               run_allocation)
 from etkasim.posttransplant import PoolEntry, RelistingPool
-from etkasim import reporting
+from etkasim import posttransplant, reporting
 
 from engine_fixture import (END_DAY, START_DAY, WINDOW_END, WINDOW_START,
                             always_relist_curves, candidate,
-                            constant_logistic, donor, make_inputs,
-                            quick_failure_weibull, screening_days,
+                            constant_logistic, donor, fresh_screenings,
+                            make_inputs, quick_failure_weibull,
+                            screening_days,
                             terminal_updates)
 
 
@@ -61,11 +62,9 @@ class TestInitialization:
 
     def test_repeat_listing_with_in_window_transplant_excluded(self):
         reg = candidate("C1", prior_transplant=True,
-                        previous_transplant_date=WINDOW_START
-                        + timedelta(days=50))
+                        previous_transplant_day=START_DAY + 50)
         kept = candidate("C2", prior_transplant=True,
-                         previous_transplant_date=WINDOW_START
-                         - timedelta(days=400))
+                         previous_transplant_day=START_DAY - 400)
         inputs = make_inputs([reg, kept], [])
         state = initialize(inputs, seed=1)
         assert "C1" not in state.store.row_of
@@ -146,8 +145,8 @@ class TestInitialization:
      {"profile": parse_profile("min_age=18;accept_dcd=0")}),
     ("PRF", "", {"profile": None}),
     ("MMC", "**2 221", {"mm_criteria": expand_mm_patterns("**2 221")}),
-    ("DIA", "2020-01-31", {"dialysis_start": date(2020, 1, 31)}),
-    ("DIA", "", {"dialysis_start": None}),
+    ("DIA", "2020-01-31", {"dialysis_start_day": to_days(date(2020, 1, 31))}),
+    ("DIA", "", {"dialysis_start_day": None}),
     ("CHO", " esp", {"german_program_choice": "ESP"}),
     ("CHO", "ETKAS", {"german_program_choice": "ETKAS"}),
     ("CHO", "ext_opt_in", {"esp_extended_opt_in": True}),
@@ -416,6 +415,33 @@ class TestPostTransplantFlow:
         unacc = store_unacceptables(state.store, synth_rows[0])
         # every mismatched donor antigen became unacceptable at p = 1
         assert {"A1", "A2", "B5", "B7", "DR1", "DR4"} <= unacc
+
+    def test_relisting_matches_on_dialysis_time_after_dia_updates(
+            self, monkeypatch):
+        # registered without a dialysis start; a pre-window DIA update sets
+        # one 700 days before the window, so the transplant on day 10 has
+        # 710 dialysis days, and the pool matcher must see the same
+        profiles = []
+        real = posttransplant.select_pool_match
+
+        def spy(profile, pool, rng):
+            profiles.append(profile)
+            return real(profile, pool, rng)
+
+        monkeypatch.setattr(posttransplant, "select_pool_match", spy)
+        reg = candidate("C1", dialysis_days=0)
+        assert reg.dialysis_start_day is None
+        updates = {"C1": [
+            StatusUpdate("C1", START_DAY - 30, "DIA",
+                         day_text(START_DAY - 700)),
+            StatusUpdate("C1", END_DAY + 900, "URG", "R")]}
+        out = run(initialize(make_inputs(
+            [reg], [donor("D1", 10, kidneys=1)], updates=updates,
+            screenings=fresh_screenings([reg]),
+            weibull=quick_failure_weibull(600.0),
+            curves=always_relist_curves(0.1)), seed=3))
+        assert [t.dialysis_days for t in out.transplants] == [710]
+        assert [p.dialysis_days_at_relist for p in profiles] == [710]
 
 
 def _screening_run(refresh_offsets, donor_offsets, screening_offset=-400):

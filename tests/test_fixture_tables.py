@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from etkasim.common import round_half_up, to_days
+from etkasim.common import round_half_up
 from etkasim.fastmatch import CandidateStore, HlaIndex, build_match_arrays
 from etkasim.matchlist import build_match_list
 
-from fixtures_tables import (ETKAS_ROWS, MATCH_DATE, build_esp_fixture,
+from fixtures_tables import (ETKAS_ROWS, MATCH_DAY, build_esp_fixture,
                              build_etkas_fixture, ESP_DIALYSIS_DAYS)
 
 
@@ -34,7 +34,7 @@ class TestEtkasTable:
     def test_scalar_ordering_and_breakdowns(self, etkas_fx):
         fx = etkas_fx
         ml = build_match_list(fx["donor"], fx["states"], fx["ledger"],
-                              fx["policy"], fx["ctx"], MATCH_DATE)
+                              fx["policy"], fx["ctx"], MATCH_DAY)
         assert [r.candidate_id for r in ml.records] == [
             f"R{i:02d}" for i in range(1, 15)]
 
@@ -59,7 +59,7 @@ class TestEtkasTable:
     def test_zero_mismatch_tier_beats_higher_points(self, etkas_fx):
         fx = etkas_fx
         ml = build_match_list(fx["donor"], fx["states"], fx["ledger"],
-                              fx["policy"], fx["ctx"], MATCH_DATE)
+                              fx["policy"], fx["ctx"], MATCH_DAY)
         top = ml.records[0]
         assert top.total < max(r.total for r in ml.records[1:])
         assert top.candidate_id == "R01"
@@ -73,7 +73,7 @@ class TestEtkasTable:
             store.add(reg)
         arrays = build_match_arrays(
             store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
-            fx["ledger"], fx["policy"], to_days(MATCH_DATE))
+            fx["ledger"], fx["policy"], MATCH_DAY)
         ids = [store.ids[int(r)] for r in arrays.rows]
         assert ids == [f"R{i:02d}" for i in range(1, 15)]
         for rank in range(1, 15):
@@ -93,14 +93,14 @@ class TestEtkasTable:
         for _ in range(3):
             perm = [states[i] for i in rng.permutation(len(states))]
             ml = build_match_list(fx["donor"], perm, fx["ledger"],
-                                  fx["policy"], fx["ctx"], MATCH_DATE)
+                                  fx["policy"], fx["ctx"], MATCH_DAY)
             assert [r.candidate_id for r in ml.records] == [
                 f"R{i:02d}" for i in range(1, 15)]
 
     def test_unfiltered_position_with_filtered_fillers(self):
         fx = build_etkas_fixture(include_fillers=True)
         ml = build_match_list(fx["donor"], fx["states"], fx["ledger"],
-                              fx["policy"], fx["ctx"], MATCH_DATE)
+                              fx["policy"], fx["ctx"], MATCH_DAY)
         assert len(ml.records) == 67
         assert len(ml.filtered()) == 14
         # the filler rows (higher points, filtered out by their allocation
@@ -118,7 +118,7 @@ class TestEspTable:
     def test_scalar_dialysis_day_ordering(self, esp_fx):
         fx = esp_fx
         ml = build_match_list(fx["donor"], fx["states"], fx["ledger"],
-                              fx["policy"], fx["ctx"], MATCH_DATE)
+                              fx["policy"], fx["ctx"], MATCH_DAY)
         assert ml.program == "ESP"
         assert [r.candidate_id for r in ml.records] == [
             f"E{i:02d}" for i in range(1, 12)]
@@ -137,7 +137,7 @@ class TestEspTable:
             store.add(reg)
         arrays = build_match_arrays(
             store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
-            fx["ledger"], fx["policy"], to_days(MATCH_DATE))
+            fx["ledger"], fx["policy"], MATCH_DAY)
         assert arrays.program == "ESP"
         ids = [store.ids[int(r)] for r in arrays.rows]
         assert ids == [f"E{i:02d}" for i in range(1, 12)]

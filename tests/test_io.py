@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from etkasim.common import (InputError, from_days, iso_days, parse_bool,
                             parse_date, read_csv_rows, to_days)
-from etkasim.entities import (CandidateRegistration, StatusUpdate,
-                              expand_mm_patterns, parse_profile)
+from etkasim.entities import (CandidateRegistration, CandidateState,
+                              StatusUpdate, expand_mm_patterns,
+                              parse_profile)
 from etkasim.hla import AntigenTable, HlaTyping
 from etkasim import io as io_module
 from etkasim.io import (data_path, load_donors, load_registrations,
@@ -48,6 +51,24 @@ class TestRegistrations:
         assert (0, 0, 1) not in reg.mm_criteria
         assert reg.esp_extended_opt_in
         assert reg.german_program_choice == "ETKAS"
+        # dates load as days since 1970-01-01
+        assert (reg.birth_day, reg.registration_day, reg.dialysis_start_day,
+                reg.previous_transplant_day, reg.last_screening_day) == tuple(
+            to_days(date.fromisoformat(t)) for t in (
+                "1960-05-01", "2019-01-01", "2018-06-01", "2015-01-01",
+                "2021-01-01"))
+
+    def test_epoch_is_day_zero_not_missing(self, tmp_path, table):
+        path = tmp_path / "regs.csv"
+        path.write_text(REG_HEADER + (
+            "C1,C1,DE,DEBER,A,1960-05-01,1970-01-01,"
+            "A1,,B5,B7,DR1,DR4,,1970-01-01,1,1970-01-01,1970-01-01,"
+            "T,,,0,0,0,\n"))
+        reg = load_registrations(path, table)[0]
+        assert (reg.registration_day, reg.dialysis_start_day,
+                reg.previous_transplant_day, reg.last_screening_day) == (
+            0, 0, 0, 0)
+        assert CandidateState.initial(reg).dialysis_days(100) == 100
 
     def test_homozygous_blank_second_column(self, tmp_path, table):
         path = tmp_path / "regs.csv"
@@ -102,22 +123,22 @@ def _registration_reference(path, table):
                     country=row["country"].strip(),
                     center=row["center"].strip(),
                     blood_group=row["bg"].strip(),
-                    date_of_birth=parse_date(row["dob"], path, line),
-                    registration_date=parse_date(row["registration_date"],
-                                                 path, line),
+                    birth_day=_day(row["dob"], path, line),
+                    registration_day=_day(row["registration_date"], path,
+                                          line),
                     hla=hla,
                     unacceptables=_known_unacceptables(
                         table, row.get("unacceptables", ""), path, line),
-                    dialysis_start=(
-                        parse_date(row["dialysis_start"], path, line)
+                    dialysis_start_day=(
+                        _day(row["dialysis_start"], path, line)
                         if row.get("dialysis_start", "").strip() else None),
                     prior_transplant=parse_bool(row.get("prior_tx", "0"),
                                                 path, line),
-                    previous_transplant_date=(
-                        parse_date(row["prev_tx_date"], path, line)
+                    previous_transplant_day=(
+                        _day(row["prev_tx_date"], path, line)
                         if row.get("prev_tx_date", "").strip() else None),
-                    last_screening_date=(
-                        parse_date(row["screening_date"], path, line)
+                    last_screening_day=(
+                        _day(row["screening_date"], path, line)
                         if row.get("screening_date", "").strip() else None),
                     initial_urgency=(row.get("urgency", "").strip() or "NT"),
                     profile=parse_profile(row.get("profile", ""), path,
@@ -139,6 +160,10 @@ def _registration_reference(path, table):
     except InputError as exc:
         return str(exc)
     return regs
+
+
+def _day(text, path, line):
+    return to_days(parse_date(text, path, line))
 
 
 def _known_unacceptables(table, text, path, line):
@@ -338,7 +363,7 @@ def _row_reference(path, table):
         for line, row in read_csv_rows(path):
             try:
                 cid = row["candidate_id"].strip()
-                day = to_days(parse_date(row["date"], path, line))
+                day = _day(row["date"], path, line)
                 kind = row["kind"].strip()
                 upd = None  # an SCR row is a screening day
                 if kind != "SCR":
@@ -944,3 +969,20 @@ class TestSettings:
         path.write_text("window: {start: 2021-04-01, end: 2024-01-01}\n"
                         "seed: 40\n")
         assert load_settings(path).seed_list(3) == [40, 41, 42]
+
+
+def test_only_readers_and_writers_import_datetime():
+    # past the loaders every time is a day since 1970-01-01: the calendar
+    # is used only where text is read (common, io) or generated (synthetic)
+    importers = set()
+    for path in Path(io_module.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "datetime" for n in names):
+                importers.add(path.stem)
+    assert importers == {"common", "io", "synthetic"}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from etkasim.matchlist import (AGE_NOT_ELIGIBLE, AM_ACTIVE, BLOOD_GROUP,
 from etkasim.hla import count_mismatches
 from etkasim.policy import AgeFilterConfig
 
-from fixtures_tables import (MATCH_DATE, TYPING_BY_MM, build_etkas_fixture,
+from fixtures_tables import (MATCH_DAY, TYPING_BY_MM, build_etkas_fixture,
                              build_esp_fixture)
 
 
@@ -38,10 +38,10 @@ def base_state(fx, **overrides) -> CandidateState:
     reg = CandidateRegistration(
         id="X01", patient_id="X01", country="BE", center="BEC01",
         blood_group="A",
-        date_of_birth=MATCH_DATE - timedelta(days=int(50 * 365.25)),
-        registration_date=date(2018, 1, 1),
+        birth_day=MATCH_DAY - int(50 * 365.25),
+        registration_day=to_days(date(2018, 1, 1)),
         hla=HlaTyping(TYPING_BY_MM[(1, 1, 1)]),
-        last_screening_date=MATCH_DATE - timedelta(days=10),
+        last_screening_day=MATCH_DAY - 10,
         initial_urgency="T",
     )
     reg_overrides = {k: v for k, v in overrides.items()
@@ -58,77 +58,77 @@ def base_state(fx, **overrides) -> CandidateState:
 
 class TestEtkasEligibility:
     def test_clean_candidate_is_eligible(self, fx):
-        ok, reasons = etkas_eligible(base_state(fx), fx["donor"], MATCH_DATE,
+        ok, reasons = etkas_eligible(base_state(fx), fx["donor"], MATCH_DAY,
                                      fx["policy"], fx["table"])
         assert ok and reasons == []
 
     def test_blood_group_must_be_identical(self, fx):
         ok, reasons = etkas_eligible(base_state(fx, blood_group="O"),
-                                     fx["donor"], MATCH_DATE, fx["policy"],
+                                     fx["donor"], MATCH_DAY, fx["policy"],
                                      fx["table"])
         assert not ok and BLOOD_GROUP in reasons
 
     def test_nt_candidates_never_offered(self, fx):
         ok, reasons = etkas_eligible(base_state(fx, urgency="NT"),
-                                     fx["donor"], MATCH_DATE, fx["policy"],
+                                     fx["donor"], MATCH_DAY, fx["policy"],
                                      fx["table"])
         assert not ok and NOT_OFFERABLE in reasons
 
     def test_unknown_hla_blocks(self, fx):
         ok, reasons = etkas_eligible(base_state(fx, hla=None), fx["donor"],
-                                     MATCH_DATE, fx["policy"], fx["table"])
+                                     MATCH_DAY, fx["policy"], fx["table"])
         assert not ok and HLA_UNKNOWN in reasons
 
     def test_unacceptable_antigen_blocks(self, fx):
         state = base_state(fx, unacceptables=frozenset({"A1"}))
-        ok, reasons = etkas_eligible(state, fx["donor"], MATCH_DATE,
+        ok, reasons = etkas_eligible(state, fx["donor"], MATCH_DAY,
                                      fx["policy"], fx["table"])
         assert not ok and reasons == [UNACCEPTABLE]
 
     def test_screening_boundary_at_180_days(self, fx):
         fresh = base_state(
-            fx, last_screening_date=MATCH_DATE - timedelta(days=180))
+            fx, last_screening_day=MATCH_DAY - 180)
         stale = base_state(
-            fx, last_screening_date=MATCH_DATE - timedelta(days=181))
-        ok_fresh, _ = etkas_eligible(fresh, fx["donor"], MATCH_DATE,
+            fx, last_screening_day=MATCH_DAY - 181)
+        ok_fresh, _ = etkas_eligible(fresh, fx["donor"], MATCH_DAY,
                                      fx["policy"], fx["table"])
-        ok_stale, reasons = etkas_eligible(stale, fx["donor"], MATCH_DATE,
+        ok_stale, reasons = etkas_eligible(stale, fx["donor"], MATCH_DAY,
                                            fx["policy"], fx["table"])
         assert ok_fresh
         assert not ok_stale and reasons == [SCREENING_STALE]
 
     def test_never_screened_is_stale(self, fx):
-        ok, reasons = etkas_eligible(base_state(fx, last_screening_date=None),
-                                     fx["donor"], MATCH_DATE, fx["policy"],
+        ok, reasons = etkas_eligible(base_state(fx, last_screening_day=None),
+                                     fx["donor"], MATCH_DAY, fx["policy"],
                                      fx["table"])
         assert not ok and SCREENING_STALE in reasons
 
     def test_german_over_65_needs_etkas_choice(self, fx):
-        old_dob = MATCH_DATE - timedelta(days=int(70 * 365.25))
+        old_dob = MATCH_DAY - int(70 * 365.25)
         undecided = base_state(fx, country="DE", center="DEC01",
-                               date_of_birth=old_dob)
-        ok, reasons = etkas_eligible(undecided, fx["donor"], MATCH_DATE,
+                               birth_day=old_dob)
+        ok, reasons = etkas_eligible(undecided, fx["donor"], MATCH_DAY,
                                      fx["policy"], fx["table"])
         assert not ok and GERMAN_CHOICE in reasons
         chooser = base_state(fx, country="DE", center="DEC01",
-                             date_of_birth=old_dob,
+                             birth_day=old_dob,
                              german_program_choice="ETKAS")
-        ok, _ = etkas_eligible(chooser, fx["donor"], MATCH_DATE,
+        ok, _ = etkas_eligible(chooser, fx["donor"], MATCH_DAY,
                                fx["policy"], fx["table"])
         assert ok
         # non-German 70-year-olds stay eligible without any choice
-        foreign = base_state(fx, date_of_birth=old_dob)
-        ok, _ = etkas_eligible(foreign, fx["donor"], MATCH_DATE,
+        foreign = base_state(fx, birth_day=old_dob)
+        ok, _ = etkas_eligible(foreign, fx["donor"], MATCH_DAY,
                                fx["policy"], fx["table"])
         assert ok
 
     def test_am_program_blocks(self, fx):
         ok, reasons = etkas_eligible(base_state(fx, am_program=True),
-                                     fx["donor"], MATCH_DATE, fx["policy"],
+                                     fx["donor"], MATCH_DAY, fx["policy"],
                                      fx["table"])
         assert not ok and AM_ACTIVE in reasons
         ok, reasons = etkas_eligible(base_state(fx, urgency="I"), fx["donor"],
-                                     MATCH_DATE, fx["policy"], fx["table"])
+                                     MATCH_DAY, fx["policy"], fx["table"])
         assert not ok and AM_ACTIVE in reasons and NOT_OFFERABLE in reasons
 
 
@@ -169,19 +169,19 @@ class TestTiers:
         state = base_state(fx, hla=HlaTyping(TYPING_BY_MM[(0, 0, 0)]))
         mm = count_mismatches(fx["table"], fx["donor"].hla,
                               state.registration.hla)
-        assert etkas_tier(state, fx["donor"], mm, MATCH_DATE,
+        assert etkas_tier(state, fx["donor"], mm, MATCH_DAY,
                           fx["policy"]) == (3, 0)
 
     def test_pediatric_tier_needs_pediatric_donor(self, fx):
-        young_dob = MATCH_DATE - timedelta(days=int(10 * 365.25))
-        state = base_state(fx, date_of_birth=young_dob)
+        young_dob = MATCH_DAY - int(10 * 365.25)
+        state = base_state(fx, birth_day=young_dob)
         mm = count_mismatches(fx["table"], fx["donor"].hla,
                               state.registration.hla)
         adult_donor = fx["donor"]  # 45
-        assert etkas_tier(state, adult_donor, mm, MATCH_DATE,
+        assert etkas_tier(state, adult_donor, mm, MATCH_DAY,
                           fx["policy"]) == (1, 0)
         ped_donor = replace(adult_donor, age=10)
-        assert etkas_tier(state, ped_donor, mm, MATCH_DATE,
+        assert etkas_tier(state, ped_donor, mm, MATCH_DAY,
                           fx["policy"]) == (2, 0)
 
     def test_homozygosity_subtier_only_for_homozygous_donor(self, fx):
@@ -194,7 +194,7 @@ class TestTiers:
         mm = count_mismatches(fx["table"], homo_donor.hla,
                               state.registration.hla)
         assert mm.total == 0
-        assert etkas_tier(state, homo_donor, mm, MATCH_DATE,
+        assert etkas_tier(state, homo_donor, mm, MATCH_DAY,
                           fx["policy"]) == (3, 2)
 
 
@@ -206,7 +206,7 @@ class TestEtkasPoints:
         mm = count_mismatches(fx["table"], fx["donor"].hla,
                               state.registration.hla)
         pts = etkas_points(state, fx["donor"], mm, fx["ledger"], cfg,
-                           fx["ctx"], MATCH_DATE)
+                           fx["ctx"], MATCH_DAY)
         assert pts.hla == 0.0
         # and never negative even when the raw sum would be
         cfg2 = fx["policy"].with_hla_betas(-100.0, -100.0, -100.0)
@@ -214,7 +214,7 @@ class TestEtkasPoints:
         mm2 = count_mismatches(fx["table"], fx["donor"].hla,
                                state2.registration.hla)
         pts2 = etkas_points(state2, fx["donor"], mm2, fx["ledger"], cfg2,
-                            fx["ctx"], MATCH_DATE)
+                            fx["ctx"], MATCH_DAY)
         assert pts2.hla == 0.0
 
     def test_beta_a_zero_makes_points_invariant_to_mma(self, fx):
@@ -227,9 +227,9 @@ class TestEtkasPoints:
                                s2.registration.hla)
         assert (mm1.mm_a, mm2.mm_a) == (0, 1)
         p1 = etkas_points(s1, fx["donor"], mm1, fx["ledger"], cfg, fx["ctx"],
-                          MATCH_DATE)
+                          MATCH_DAY)
         p2 = etkas_points(s2, fx["donor"], mm2, fx["ledger"], cfg, fx["ctx"],
-                          MATCH_DATE)
+                          MATCH_DAY)
         assert p1.hla == p2.hla
 
     def test_hu_points(self, fx):
@@ -237,15 +237,15 @@ class TestEtkasPoints:
         mm = count_mismatches(fx["table"], fx["donor"].hla,
                               state.registration.hla)
         pts = etkas_points(state, fx["donor"], mm, fx["ledger"], fx["policy"],
-                           fx["ctx"], MATCH_DATE)
+                           fx["ctx"], MATCH_DAY)
         assert pts.hu == 500.0
 
     def test_dialysis_time_clamped_at_zero(self, fx):
-        state = base_state(fx, dialysis_start=MATCH_DATE + timedelta(days=30))
+        state = base_state(fx, dialysis_start_day=MATCH_DAY + 30)
         mm = count_mismatches(fx["table"], fx["donor"].hla,
                               state.registration.hla)
         pts = etkas_points(state, fx["donor"], mm, fx["ledger"], fx["policy"],
-                           fx["ctx"], MATCH_DATE)
+                           fx["ctx"], MATCH_DAY)
         assert pts.dialysis == 0.0
 
     def test_age_filter_scales_total_not_components(self, fx):
@@ -254,14 +254,14 @@ class TestEtkasPoints:
         cfg = replace(fx["policy"],
                       age_filter=AgeFilterConfig(enabled=True, curve=curve))
         ml = build_match_list(fx["donor"], fx["states"], fx["ledger"], cfg,
-                              fx["ctx"], MATCH_DATE)
+                              fx["ctx"], MATCH_DAY)
         for rec in ml.records:
             assert rec.total == pytest.approx(
                 rec.age_filter_fraction * rec.points.raw_total)
 
     def test_without_age_filter_total_is_raw(self, fx):
         ml = build_match_list(fx["donor"], fx["states"], fx["ledger"],
-                              fx["policy"], fx["ctx"], MATCH_DATE)
+                              fx["policy"], fx["ctx"], MATCH_DAY)
         for rec in ml.records:
             assert rec.age_filter_fraction == 1.0
             assert rec.total == pytest.approx(rec.points.raw_total)
@@ -270,63 +270,63 @@ class TestEtkasPoints:
 class TestEspRules:
     def test_under_65_needs_opt_in(self):
         fx = build_esp_fixture()
-        young_dob = MATCH_DATE - timedelta(days=int(50 * 365.25))
-        state = base_state(fx, date_of_birth=young_dob, blood_group="O")
-        ok, reasons = esp_eligible(state, fx["donor"], MATCH_DATE,
+        young_dob = MATCH_DAY - int(50 * 365.25)
+        state = base_state(fx, birth_day=young_dob, blood_group="O")
+        ok, reasons = esp_eligible(state, fx["donor"], MATCH_DAY,
                                    fx["policy"], fx["table"])
         assert not ok and reasons == [AGE_NOT_ELIGIBLE]
-        opted = base_state(fx, date_of_birth=young_dob, blood_group="O",
+        opted = base_state(fx, birth_day=young_dob, blood_group="O",
                            esp_extended_opt_in=True)
-        ok, _ = esp_eligible(opted, fx["donor"], MATCH_DATE, fx["policy"],
+        ok, _ = esp_eligible(opted, fx["donor"], MATCH_DAY, fx["policy"],
                              fx["table"])
         assert ok
         # eligible but filtered out of standard offers
-        assert not esp_filtered(opted, fx["donor"], MATCH_DATE, fx["policy"])
+        assert not esp_filtered(opted, fx["donor"], MATCH_DAY, fx["policy"])
 
     def test_german_etkas_chooser_filtered_not_ineligible(self):
         fx = build_esp_fixture()
-        old_dob = MATCH_DATE - timedelta(days=int(70 * 365.25))
+        old_dob = MATCH_DAY - int(70 * 365.25)
         state = base_state(fx, country="DE", center="DEST1",
-                           date_of_birth=old_dob, blood_group="O",
+                           birth_day=old_dob, blood_group="O",
                            german_program_choice="ETKAS")
-        ok, _ = esp_eligible(state, fx["donor"], MATCH_DATE, fx["policy"],
+        ok, _ = esp_eligible(state, fx["donor"], MATCH_DAY, fx["policy"],
                              fx["table"])
         assert ok
-        assert not esp_filtered(state, fx["donor"], MATCH_DATE, fx["policy"])
+        assert not esp_filtered(state, fx["donor"], MATCH_DAY, fx["policy"])
 
     def test_hla_mismatch_criteria_not_applied_in_esp(self):
         fx = build_esp_fixture()
-        old_dob = MATCH_DATE - timedelta(days=int(70 * 365.25))
+        old_dob = MATCH_DAY - int(70 * 365.25)
         state = base_state(fx, country="DE", center="DEST1",
-                           date_of_birth=old_dob, blood_group="O",
+                           birth_day=old_dob, blood_group="O",
                            mm_criteria=expand_mm_patterns("***"))
-        assert esp_filtered(state, fx["donor"], MATCH_DATE, fx["policy"])
+        assert esp_filtered(state, fx["donor"], MATCH_DAY, fx["policy"])
 
     def test_tier_geography_order(self):
         fx = build_esp_fixture()
-        old_dob = MATCH_DATE - timedelta(days=int(70 * 365.25))
+        old_dob = MATCH_DAY - int(70 * 365.25)
         subregion = base_state(fx, country="DE", center="DETU1",
-                               date_of_birth=old_dob, blood_group="O")
+                               birth_day=old_dob, blood_group="O")
         national = base_state(fx, country="DE", center="DEBE1",
-                              date_of_birth=old_dob, blood_group="O")
+                              birth_day=old_dob, blood_group="O")
         international = base_state(fx, country="NL", center="NLC01",
-                                   date_of_birth=old_dob, blood_group="O")
-        tiers = [esp_tier(s, fx["donor"], MATCH_DATE, fx["policy"],
+                                   birth_day=old_dob, blood_group="O")
+        tiers = [esp_tier(s, fx["donor"], MATCH_DAY, fx["policy"],
                           fx["centers"])
                  for s in (subregion, national, international)]
         assert tiers[0] > tiers[1] > tiers[2]
 
     def test_hu_and_kaoo_subtiers(self):
         fx = build_esp_fixture()
-        old_dob = MATCH_DATE - timedelta(days=int(70 * 365.25))
+        old_dob = MATCH_DAY - int(70 * 365.25)
         plain = base_state(fx, country="DE", center="DETU1",
-                           date_of_birth=old_dob, blood_group="O")
+                           birth_day=old_dob, blood_group="O")
         kaoo = base_state(fx, country="DE", center="DETU1", kaoo=True,
-                          date_of_birth=old_dob, blood_group="O")
+                          birth_day=old_dob, blood_group="O")
         hu = base_state(fx, country="DE", center="DETU1", urgency="HU",
-                        date_of_birth=old_dob, blood_group="O")
+                        birth_day=old_dob, blood_group="O")
         t_plain, t_kaoo, t_hu = (
-            esp_tier(s, fx["donor"], MATCH_DATE, fx["policy"], fx["centers"])
+            esp_tier(s, fx["donor"], MATCH_DAY, fx["policy"], fx["centers"])
             for s in (plain, kaoo, hu))
         assert t_hu > t_kaoo > t_plain
 
@@ -340,15 +340,15 @@ class TestPointInvariances:
         mm = count_mismatches(fx["table"], fx["donor"].hla,
                               state.registration.hla)
         young = etkas_points(state, replace(fx["donor"], age=25), mm, empty,
-                             fx["policy"], fx["ctx"], MATCH_DATE)
+                             fx["policy"], fx["ctx"], MATCH_DAY)
         old = etkas_points(state, replace(fx["donor"], age=60), mm, empty,
-                           fx["policy"], fx["ctx"], MATCH_DATE)
+                           fx["policy"], fx["ctx"], MATCH_DAY)
         assert young == old
 
     def test_scaling_all_weights_preserves_ordering(self, fx):
         import dataclasses
         rng = np.random.default_rng(21)
-        regs = _random_population(fx, 100, rng, MATCH_DATE)
+        regs = _random_population(fx, 100, rng, MATCH_DAY)
         states = [CandidateState.initial(
             reg, vpra=compute_vpra(reg.unacceptables, fx["panel"]))
             for reg in regs]
@@ -370,10 +370,10 @@ class TestPointInvariances:
                     for c, sched in cfg.distance_points.items()})
             base_order = [r.candidate_id for r in build_match_list(
                 fx["donor"], states, fx["ledger"], cfg, fx["ctx"],
-                MATCH_DATE).records]
+                MATCH_DAY).records]
             scaled_order = [r.candidate_id for r in build_match_list(
                 fx["donor"], states, fx["ledger"], scaled, fx["ctx"],
-                MATCH_DATE).records]
+                MATCH_DAY).records]
             assert base_order == scaled_order, lam
 
     def test_balance_weight_scaling_keeps_relative_order(self, fx):
@@ -385,7 +385,7 @@ class TestPointInvariances:
             cfg = replace(fx["policy"],
                           balance_weight_default=BALANCE_WEIGHT_TIMES * lam)
             ml = build_match_list(fx["donor"], [a, b], fx["ledger"], cfg,
-                                  fx["ctx"], MATCH_DATE)
+                                  fx["ctx"], MATCH_DAY)
             ordered = [r.candidate_id for r in ml.records]
             assert ordered == ["X01", "X02"], lam
 
@@ -397,7 +397,7 @@ class TestOrderingProperties:
     def test_tier_one_beats_any_points(self, fx):
         rng = np.random.default_rng(2)
         ml = build_match_list(fx["donor"], fx["states"], fx["ledger"],
-                              fx["policy"], fx["ctx"], MATCH_DATE)
+                              fx["policy"], fx["ctx"], MATCH_DAY)
         tiers = [r.tier for r in ml.records]
         totals = [r.total for r in ml.records]
         for i in range(len(ml.records) - 1):
@@ -409,19 +409,19 @@ class TestOrderingProperties:
         reg_a = base_state(fx).registration
         twin_regs = [
             replace(reg_a, id="T02", patient_id="T02",
-                    registration_date=date(2019, 1, 1)),
+                    registration_day=to_days(date(2019, 1, 1))),
             replace(reg_a, id="T01", patient_id="T01",
-                    registration_date=date(2019, 1, 1)),
+                    registration_day=to_days(date(2019, 1, 1))),
             replace(reg_a, id="T03", patient_id="T03",
-                    registration_date=date(2018, 1, 1)),
+                    registration_day=to_days(date(2018, 1, 1))),
         ]
         states = [CandidateState.initial(r) for r in twin_regs]
         ml = build_match_list(fx["donor"], states, fx["ledger"], fx["policy"],
-                              fx["ctx"], MATCH_DATE)
+                              fx["ctx"], MATCH_DAY)
         assert [r.candidate_id for r in ml.records] == ["T03", "T01", "T02"]
 
 
-def _random_population(fx, n, rng, now):
+def _random_population(fx, n, rng, now_day):
     """Random registrations over the fixture's antigen/center universe."""
     mm_keys = list(TYPING_BY_MM)
     countries_centers = [("BE", "BEC01"), ("BE", "BEC02"), ("DE", "DEC01"),
@@ -451,14 +451,13 @@ def _random_population(fx, n, rng, now):
             id=f"P{i:03d}", patient_id=f"P{i:03d}", country=country,
             center=center,
             blood_group=("A" if rng.random() < 0.8 else "O"),
-            date_of_birth=now - timedelta(days=int(age * 365.25)),
-            registration_date=now - timedelta(days=int(rng.integers(10, 3000))),
+            birth_day=now_day - int(age * 365.25),
+            registration_day=now_day - int(rng.integers(10, 3000)),
             hla=HlaTyping(TYPING_BY_MM[mm_keys[int(rng.integers(0, len(mm_keys)))]]),
             unacceptables=unacc,
-            dialysis_start=(now - timedelta(days=dial_days)
-                            if dial_days else None),
-            last_screening_date=(now - timedelta(days=int(rng.integers(0, 250)))
-                                 if rng.random() < 0.95 else None),
+            dialysis_start_day=now_day - dial_days if dial_days else None,
+            last_screening_day=(now_day - int(rng.integers(0, 250))
+                                if rng.random() < 0.95 else None),
             initial_urgency=urgency,
             profile=profile,
             mm_criteria=mm_criteria,
@@ -474,15 +473,14 @@ class TestScalarVectorEquivalence:
                                                 (70, 4), (12, 5)])
     def test_paths_agree_on_random_populations(self, fx, donor_age, seed):
         rng = np.random.default_rng(seed)
-        now = MATCH_DATE
-        regs = _random_population(fx, 120, rng, now)
+        regs = _random_population(fx, 120, rng, MATCH_DAY)
         donor = replace(fx["donor"], age=donor_age)
 
         states = [CandidateState.initial(
             reg, vpra=compute_vpra(reg.unacceptables, fx["panel"]))
             for reg in regs]
         ml = build_match_list(donor, states, fx["ledger"], fx["policy"],
-                              fx["ctx"], now)
+                              fx["ctx"], MATCH_DAY)
 
         index = HlaIndex(fx["table"])
         store = CandidateStore(index, fx["centers"], fx["panel"], fx["freq"],
@@ -491,7 +489,7 @@ class TestScalarVectorEquivalence:
             store.add(reg)
         arrays = build_match_arrays(store, donor,
                                     store.hla_index.donor_hla(donor.hla),
-                                    fx["ledger"], fx["policy"], to_days(now))
+                                    fx["ledger"], fx["policy"], MATCH_DAY)
 
         assert arrays.program == ml.program
         vec_ids = [store.ids[int(r)] for r in arrays.rows]
@@ -514,7 +512,7 @@ class TestScalarVectorEquivalence:
     def test_paths_agree_under_age_filter_and_sliding_scale(self, fx):
         from etkasim.policy import SlidingScaleConfig
         rng = np.random.default_rng(9)
-        regs = _random_population(fx, 80, rng, MATCH_DATE)
+        regs = _random_population(fx, 80, rng, MATCH_DAY)
         cfg = replace(
             fx["policy"],
             age_filter=AgeFilterConfig(enabled=True),
@@ -532,7 +530,7 @@ class TestScalarVectorEquivalence:
                 reg.id, p_leq1mm_empirical(fx["table"], reg.hla, frozenset(),
                                            fx["panel"]))
         ml = build_match_list(fx["donor"], states, fx["ledger"], cfg, ctx,
-                              MATCH_DATE)
+                              MATCH_DAY)
         index = HlaIndex(fx["table"])
         store = CandidateStore(index, fx["centers"], fx["panel"], fx["freq"],
                                fx["bg"], cfg)
@@ -540,7 +538,7 @@ class TestScalarVectorEquivalence:
             store.add(reg)
         arrays = build_match_arrays(
             store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
-            fx["ledger"], cfg, to_days(MATCH_DATE))
+            fx["ledger"], cfg, MATCH_DAY)
         vec_ids = [store.ids[int(r)] for r in arrays.rows]
         assert vec_ids == [r.candidate_id for r in ml.records]
         for i, rec in enumerate(ml.records):
@@ -557,7 +555,7 @@ class TestScalarVectorEquivalence:
         centers = CenterRegistry(list(fx["centers"].centers())
                                  + [Center("ATC02", "AT", "AT-R2")])
         ledger = BalanceLedger(centers.countries, ["AT-R1", "AT-R2"])
-        day = to_days(MATCH_DATE) - 30
+        day = MATCH_DAY - 30
         for _ in range(3):
             ledger.record_transfer(BalanceEvent(day, "AT", "DE", 30, "AM",
                                                 donor_region="AT-R1"))
@@ -571,8 +569,9 @@ class TestScalarVectorEquivalence:
                   ("AT", "ATC02"), ("BE", "BEC01"), ("BE", "BEC02"),
                   ("DE", "DEC01"), ("NL", "NLC01")]
         typings = [TYPING_BY_MM[(1, 1, 1)], TYPING_BY_MM[(2, 0, 2)]]
-        reg_dates = [date(2016, 3, 1), date(2017, 3, 1), date(2018, 3, 1)]
-        dial_starts = [None, date(2018, 1, 1), date(2019, 1, 1)]
+        reg_days = [to_days(date(year, 3, 1)) for year in (2016, 2017, 2018)]
+        dial_starts = [None, to_days(date(2018, 1, 1)),
+                       to_days(date(2019, 1, 1))]
         n = 200
         # ids run against registration order, so neither date nor id order
         # matches the order rows enter the store
@@ -584,11 +583,11 @@ class TestScalarVectorEquivalence:
             regs.append(CandidateRegistration(
                 id=f"Q{ids[i]:03d}", patient_id=f"Q{ids[i]:03d}",
                 country=country, center=center, blood_group="A",
-                date_of_birth=MATCH_DATE - timedelta(days=int(age * 365.25)),
-                registration_date=reg_dates[-1 - (i * 3) // n],
+                birth_day=MATCH_DAY - int(age * 365.25),
+                registration_day=reg_days[-1 - (i * 3) // n],
                 hla=HlaTyping(typings[int(rng.integers(0, 2))]),
-                dialysis_start=dial_starts[int(rng.integers(0, 3))],
-                last_screening_date=MATCH_DATE - timedelta(days=10),
+                dialysis_start_day=dial_starts[int(rng.integers(0, 3))],
+                last_screening_day=MATCH_DAY - 10,
                 initial_urgency="T",
                 kaoo=bool(rng.random() < 0.1)))
         donor = replace(fx["donor"], age=donor_age)
@@ -597,14 +596,14 @@ class TestScalarVectorEquivalence:
             reg, vpra=compute_vpra(reg.unacceptables, fx["panel"]))
             for reg in regs]
         ml = build_match_list(donor, states, ledger, fx["policy"], ctx,
-                              MATCH_DATE)
+                              MATCH_DAY)
         store = CandidateStore(HlaIndex(fx["table"]), centers, fx["panel"],
                                fx["freq"], fx["bg"], fx["policy"])
         for reg in regs:
             store.add(reg)
         arrays = build_match_arrays(store, donor,
                                     store.hla_index.donor_hla(donor.hla),
-                                    ledger, fx["policy"], to_days(MATCH_DATE))
+                                    ledger, fx["policy"], MATCH_DAY)
 
         assert arrays.program == ml.program == (
             "ETKAS" if donor_age < 65 else "ESP")
@@ -655,16 +654,16 @@ class TestRuntimeDerivedValues:
     @pytest.mark.parametrize("payload", ["AX3 AX7", ""])
     def test_unacceptables_update(self, fx, cfg, payload):
         regs = _random_population(fx, 60, np.random.default_rng(4),
-                                  MATCH_DATE)
+                                  MATCH_DAY)
         store = self._store(fx, regs, cfg)
         row = int(np.flatnonzero(store.vpra[:store.n] > 0)[0])
         before = float(store.vpra[row])
         store.apply_update(row, StatusUpdate(regs[row].id,
-                                             to_days(MATCH_DATE), "UNA",
+                                             MATCH_DAY, "UNA",
                                              payload))
         build_match_arrays(
             store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
-            fx["ledger"], cfg, to_days(MATCH_DATE))
+            fx["ledger"], cfg, MATCH_DAY)
         regs[row] = replace(regs[row],
                             unacceptables=frozenset(payload.split()))
         fresh = self._store(fx, regs, cfg)
@@ -675,14 +674,14 @@ class TestRuntimeDerivedValues:
 
     def test_runtime_add(self, fx, cfg):
         regs = _random_population(fx, 60, np.random.default_rng(5),
-                                  MATCH_DATE)
+                                  MATCH_DAY)
         regs.append(replace(regs[0], id="LATE", patient_id="LATE",
                             unacceptables=frozenset({"AX1", "AX4"})))
         store = self._store(fx, regs[:-1], cfg)
         store.add(regs[-1])
         build_match_arrays(
             store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
-            fx["ledger"], cfg, to_days(MATCH_DATE))
+            fx["ledger"], cfg, MATCH_DAY)
         fresh = self._store(fx, regs, cfg)
         self._assert_same_derived(store, fresh)
         assert store.vpra[store.row_of["LATE"]] > 0.0
@@ -692,6 +691,6 @@ def test_integer_age_equals_float_floor_division():
     from etkasim.common import DAYS_PER_YEAR
     from etkasim.fastmatch import _age_years
     dob = np.arange(-80000, 40000, dtype=np.int32)
-    now = to_days(MATCH_DATE)
+    now = MATCH_DAY
     expected = ((now - dob) // DAYS_PER_YEAR).astype(np.int32)
     np.testing.assert_array_equal(_age_years(now, dob), expected)

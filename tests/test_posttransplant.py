@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from datetime import date
 
 import numpy as np
 import pytest
 
+from etkasim.common import to_days
+from etkasim.entities import AllocationProfile, CandidateRegistration
 from etkasim.hla import HlaTyping
 from etkasim.posttransplant import (AGE_BUCKETS, TIME_BUCKETS, InvalidScaleError,
                                     PoolEntry, RecipientProfile, RelistCurveSet,
@@ -367,16 +370,13 @@ class TestPoolMatching:
 
 class TestBuildSyntheticRelisting:
     def _recipient(self):
-        from datetime import date
-        from etkasim.entities import (AllocationProfile,
-                                      CandidateRegistration)
         return CandidateRegistration(
             id="C9", patient_id="C9", country="DE", center="DEBE1",
-            blood_group="A", date_of_birth=date(1966, 3, 1),
-            registration_date=date(2018, 1, 1),
+            blood_group="A", birth_day=to_days(date(1966, 3, 1)),
+            registration_day=to_days(date(2018, 1, 1)),
             hla=HlaTyping(TYPING_BY_MM[(1, 1, 1)]),
             unacceptables=frozenset({"AX1"}),
-            dialysis_start=date(2017, 6, 1),
+            dialysis_start_day=to_days(date(2017, 6, 1)),
             profile=AllocationProfile(max_donor_age=60),
             mm_criteria=frozenset({(2, 2, 2)}),
         )
@@ -386,15 +386,16 @@ class TestBuildSyntheticRelisting:
                           "DR": ("DR1", "DR4")})
 
     def test_combines_recipient_statics_with_match_dialysis(self, table):
-        from datetime import date, timedelta
         recipient = self._recipient()
         pool = RelistingPool([entry("M1", country="DE", age=56.0, dial=700,
                                     r=400.0, t=1200.0)])
+        tx_day = to_days(date(2021, 6, 1))
         built = build_synthetic_relisting(
-            recipient, recipient.unacceptables, date(2021, 6, 1),
-            t_days=1200.0, r_days=400.0, donor_hla=self._donor_hla(),
-            pool=pool, table=table, immunization_p=1.0,
-            rng=FixedRng([0.5]), new_id="C9.r1")
+            recipient, recipient.unacceptables, tx_day,
+            tx_day - recipient.dialysis_start_day, t_days=1200.0,
+            r_days=400.0, donor_hla=self._donor_hla(), pool=pool,
+            table=table, immunization_p=1.0, rng=FixedRng([0.5]),
+            new_id="C9.r1")
         assert built is not None
         synthetic, match = built
         assert match.id == "M1"
@@ -408,21 +409,20 @@ class TestBuildSyntheticRelisting:
         # profiles, mismatch criteria, and screenings are NOT copied
         assert synthetic.profile is None
         assert synthetic.mm_criteria == frozenset()
-        assert synthetic.last_screening_date is None
+        assert synthetic.last_screening_day is None
         # dialysis time at re-listing comes from the matched entry
-        relist_date = date(2021, 6, 1) + timedelta(days=400)
-        assert synthetic.registration_date == relist_date
-        assert (relist_date - synthetic.dialysis_start).days == 700
+        assert synthetic.birth_day == recipient.birth_day
+        assert synthetic.registration_day == tx_day + 400
+        assert synthetic.registration_day - synthetic.dialysis_start_day == 700
         # de novo immunization at p=1 adds every mismatched donor antigen
         assert synthetic.unacceptables == frozenset(
             {"AX1", "A2", "B7", "DR4"})
 
     def test_returns_none_when_pool_exhausted(self, table):
-        from datetime import date
         recipient = self._recipient()
         pool = RelistingPool([entry("M1", r=300.0, t=900.0)])
         built = build_synthetic_relisting(
-            recipient, frozenset(), date(2021, 6, 1),
+            recipient, frozenset(), to_days(date(2021, 6, 1)), 1461,
             t_days=9000.0, r_days=8000.0, donor_hla=self._donor_hla(),
             pool=pool, table=table, immunization_p=0.2,
             rng=FixedRng([0.5]), new_id="C9.r1")

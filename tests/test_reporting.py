@@ -138,11 +138,11 @@ class TestMatchListExport:
         import csv as _csv
         from etkasim.matchlist import build_match_list
         from etkasim.reporting import write_match_list_csv
-        from fixtures_tables import (MATCH_DATE, build_esp_fixture,
+        from fixtures_tables import (MATCH_DAY, build_esp_fixture,
                                      build_etkas_fixture)
         fx = build_etkas_fixture()
         ml = build_match_list(fx["donor"], fx["states"], fx["ledger"],
-                              fx["policy"], fx["ctx"], MATCH_DATE)
+                              fx["policy"], fx["ctx"], MATCH_DAY)
         path = tmp_path / "etkas.csv"
         write_match_list_csv(path, ml)
         with open(path) as fh:
@@ -155,7 +155,7 @@ class TestMatchListExport:
 
         esp = build_esp_fixture()
         ml2 = build_match_list(esp["donor"], esp["states"], esp["ledger"],
-                               esp["policy"], esp["ctx"], MATCH_DATE)
+                               esp["policy"], esp["ctx"], MATCH_DAY)
         path2 = tmp_path / "esp.csv"
         write_match_list_csv(path2, ml2)
         with open(path2) as fh:
