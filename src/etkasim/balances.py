@@ -3,14 +3,15 @@
 Every cross-border transplantation counts +1 for the exporting country and
 -1 for the importing one, tracked separately per donor age group.  Balance
 points compensate net exporters: each country's points are its export count
-minus the largest importer's (a negative number), times the balance weight.
+minus the largest importer's (a negative number), times the balance weight;
+``fastmatch`` computes them for each donor from this ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .common import InputError, parse_day, read_csv_rows
 
@@ -114,30 +115,11 @@ class BalanceLedger:
             key = (event.recipient_region, group)
             self._regional[key] = self._regional.get(key, 0) - 1
 
-    def balance_points(self, candidate_country: str, donor_age: int,
-                       weight: float) -> float:
-        """(own export - largest importer's export) * weight; never negative."""
-        group = donor_age_group(donor_age)
-        own = self.net_export(candidate_country, group)
-        floor = min(self._net[(c, group)] for c in self.countries)
-        return (own - floor) * weight
-
     def snapshot(self) -> dict[tuple[str, str], int]:
         return dict(self._net)
 
     def regional_snapshot(self) -> dict[tuple[str, str], int]:
         return dict(self._regional)
-
-
-def init_ledger(history: Sequence[BalanceEvent], start_day: int,
-                countries: Iterable[str],
-                austrian_regions: Iterable[str] = ()) -> BalanceLedger:
-    """Fold all events up to ``start_day`` into a fresh ledger."""
-    ledger = BalanceLedger(countries, austrian_regions)
-    for event in history:
-        if event.day <= start_day:
-            ledger.record_transfer(event)
-    return ledger
 
 
 def read_balance_events(path: str | Path) -> list[BalanceEvent]:

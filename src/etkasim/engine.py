@@ -26,12 +26,13 @@ import numpy as np
 from .balances import (BalanceEvent, BalanceLedger, UnknownCountryError,
                        donor_age_group)
 from .common import DAYS_PER_YEAR, InputError, day_text, from_days, to_days
-from .entities import ETKAS, TERMINAL_CODES, DonorArrival, StatusUpdate
+from .entities import (ETKAS, GEOGRAPHY_CLASSES, TERMINAL_CODES, DonorArrival,
+                       StatusUpdate)
 from .fastmatch import (ACTIVE_CODES, CandidateStore, HlaIndex, HU,
-                        MatchArrays, build_match_arrays, GEO_LABELS)
+                        POINT_COMPONENTS, MatchArrays, build_match_arrays)
 from .io import SimulationInputs
-from .offering import (MissingFeatureError, donor_features,
-                       center_offer_features, run_allocation)
+from .offering import (GEOGRAPHY_FEATURES, MissingFeatureError,
+                       center_offer_features, donor_features, run_allocation)
 from .posttransplant import (build_synthetic_relisting, sample_failure_time,
                              sample_relist_time)
 
@@ -450,8 +451,9 @@ def _handle_failure(state: SimState, person_id: str, expected_count: int,
 def _patient_prob_vector(model, donor: DonorArrival,
                          donor_scalar: dict[str, float], arrays: MatchArrays,
                          store: CandidateStore, cfg) -> np.ndarray:
-    """Vectorized patient-level acceptance probabilities, matching
-    offering.patient_offer_features value for value."""
+    """Patient-level acceptance probabilities of the whole list, from the
+    features that ``patient_offer_features`` in ``tests/oracle/offering.py``
+    builds one offer at a time, value for value."""
     n = len(arrays.rows)
 
     def col(name: str):
@@ -477,12 +479,9 @@ def _patient_prob_vector(model, donor: DonorArrival,
             return arrays.mm_dr.astype(float)
         if name == "age_diff_abs":
             return np.abs(arrays.age - donor.age).astype(float)
-        if name == "match_local":
-            return (arrays.geo_idx == 0).astype(float)
-        if name == "match_national":
-            return (arrays.geo_idx == 1).astype(float)
-        if name == "match_international":
-            return (arrays.geo_idx == 2).astype(float)
+        if name in GEOGRAPHY_FEATURES:
+            return (arrays.geo_idx
+                    == GEOGRAPHY_FEATURES.index(name)).astype(float)
         if name == "offer_rank":
             return np.arange(1, n + 1, dtype=np.float64)
         raise MissingFeatureError(name, model.model_id)
@@ -519,7 +518,7 @@ class ArrayOffers:
     def age(self, i: int) -> float:
         return float(self.arrays.age[i])
 
-    def probability(self, i: int, patient_model) -> float:
+    def probability(self, i: int) -> float:
         return float(self.probs[i])
 
     def vicinity_order(self, touched) -> list[int]:
@@ -607,17 +606,10 @@ def _record_transplant(state: SimState, donor: DonorArrival,
         rank=acc.rank,
         mm_a=int(arrays.mm_a[i]), mm_b=int(arrays.mm_b[i]),
         mm_dr=int(arrays.mm_dr[i]),
-        geography=GEO_LABELS[int(arrays.geo_idx[i])],
+        geography=GEOGRAPHY_CLASSES[int(arrays.geo_idx[i])],
         total_points=float(arrays.total[i]),
-        comp={
-            "dialysis": float(arrays.comp_dialysis[i]),
-            "hla": float(arrays.comp_hla[i]),
-            "pediatric": float(arrays.comp_pediatric[i]),
-            "hu": float(arrays.comp_hu[i]),
-            "mmp": float(arrays.comp_mmp[i]),
-            "balance": float(arrays.comp_balance[i]),
-            "distance": float(arrays.comp_distance[i]),
-        },
+        comp={name: float(getattr(arrays, f"comp_{name}")[i])
+              for name in POINT_COMPONENTS},
         cand_country=reg.country,
         donor_country=donor.country,
         cand_age=cand_age,

@@ -15,7 +15,6 @@ from .hla import BLOOD_GROUPS, HlaTyping
 # D waiting-list death, FU transplanted.
 URGENCY_CODES = ("T", "NT", "HU", "I", "R", "D", "FU")
 TERMINAL_CODES = ("R", "D", "FU")
-OFFERABLE_CODES = ("T", "HU")
 
 
 @dataclass(frozen=True)
@@ -62,13 +61,18 @@ class CenterRegistry:
         return tuple(self._by_code.values())
 
 
+# where a candidate's center lies relative to the donor's, nearest first
+GEOGRAPHY_CLASSES = ("local_regional", "national", "international")
+LOCAL_REGIONAL, NATIONAL, INTERNATIONAL = GEOGRAPHY_CLASSES
+
+
 def geography_class(donor_center: Center, candidate_center: Center) -> str:
-    """local_regional / national / international from center locations."""
+    """One of GEOGRAPHY_CLASSES, from the two centers' locations."""
     if donor_center.country != candidate_center.country:
-        return "international"
+        return INTERNATIONAL
     if donor_center.region == candidate_center.region:
-        return "local_regional"
-    return "national"
+        return LOCAL_REGIONAL
+    return NATIONAL
 
 
 @dataclass(frozen=True)
@@ -85,19 +89,6 @@ class AllocationProfile:
     accept_extended_criteria: bool = True
     accept_hcv_positive: bool = True
     accept_hbsag_positive: bool = True
-
-    def accepts(self, donor: "DonorArrival") -> bool:
-        if not self.min_donor_age <= donor.age <= self.max_donor_age:
-            return False
-        if donor.dcd and not self.accept_dcd:
-            return False
-        if donor.extended_criteria and not self.accept_extended_criteria:
-            return False
-        if donor.hcv_positive and not self.accept_hcv_positive:
-            return False
-        if donor.hbsag_positive and not self.accept_hbsag_positive:
-            return False
-        return True
 
 
 def parse_profile(text: str, path=None, line=None) -> AllocationProfile | None:
@@ -310,44 +301,3 @@ class DonorArrival:
         if self.death_cause not in DEATH_CAUSE_GROUPS:
             raise ValueError(f"{self.id}: death cause {self.death_cause!r} "
                              f"is not one of {', '.join(DEATH_CAUSE_GROUPS)}")
-
-
-@dataclass(frozen=True)
-class CandidateState:
-    """Snapshot of one registration's dynamic state (used by scalar rules).
-
-    The vectorized engine keeps the same information in arrays; this view is
-    the readable reference form.  Like the registration it holds day numbers
-    (days since 1970-01-01), or None when unknown.
-    """
-
-    registration: CandidateRegistration
-    urgency: str
-    unacceptables: frozenset[str]
-    profile: AllocationProfile | None
-    mm_criteria: frozenset[tuple[int, int, int]]
-    last_screening_day: int | None
-    dialysis_start_day: int | None
-    esp_extended_opt_in: bool
-    german_program_choice: str | None
-    vpra: float = 0.0
-
-    @classmethod
-    def initial(cls, reg: CandidateRegistration, vpra: float = 0.0) -> "CandidateState":
-        return cls(
-            registration=reg,
-            urgency=reg.initial_urgency,
-            unacceptables=reg.unacceptables,
-            profile=reg.profile,
-            mm_criteria=reg.mm_criteria,
-            last_screening_day=reg.last_screening_day,
-            dialysis_start_day=reg.dialysis_start_day,
-            esp_extended_opt_in=reg.esp_extended_opt_in,
-            german_program_choice=reg.german_program_choice,
-            vpra=vpra,
-        )
-
-    def dialysis_days(self, now_day: int) -> int:
-        if self.dialysis_start_day is None:
-            return 0
-        return max(0, now_day - self.dialysis_start_day)

@@ -4,9 +4,10 @@ One simulation run holds every registration's dynamic state in parallel
 numpy arrays (HLA sets as per-locus bitmasks, unacceptables as bitmask
 words), so building a donor's match list is a handful of vector operations
 over the blood-group-compatible subset instead of a Python loop over
-thousands of candidates.  The record-at-a-time rules in
-:mod:`etkasim.matchlist` define the semantics; tests pin the two paths to
-identical output.
+thousands of candidates.  This is the one implementation of the ETKAS and
+ESP ranking rules in the package.  The tests state the same rules one
+record at a time (``tests/oracle/matchlist.py``) and hold the two to the
+same lists, from the published example tables to whole runs.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 
 from .balances import BalanceLedger, donor_age_group
 from .common import DAYS_PER_YEAR, InputError
-from .entities import (ESP, ETKAS, AllocationProfile, CandidateRegistration,
-                       CenterRegistry, DonorArrival, StatusUpdate,
-                       URGENCY_CODES)
+from .entities import (ESP, ETKAS, LOCAL_REGIONAL, NATIONAL, AllocationProfile,
+                       CandidateRegistration, CenterRegistry, DonorArrival,
+                       StatusUpdate, URGENCY_CODES)
 from .hla import (BLOOD_GROUPS, AntigenTable, BloodGroupFrequencies,
                   DonorPanel, FrequencyTable, HlaTyping,
                   compute_hmpp_fraction)
@@ -195,7 +196,7 @@ class HlaIndex:
                         len(set(codes)) == 1, carried)
 
     def carried(self, typing: HlaTyping) -> int:
-        """Packed codes a donor carries (``hla.carried_codes``)."""
+        """Packed codes a donor carries: its typed codes and their broads."""
         x = 0
         for locus, codes in typing.antigens.items():
             x |= self.locus(locus, codes).carried
@@ -565,6 +566,11 @@ def _pattern_mask(patterns: frozenset[tuple[int, int, int]]) -> int:
 # ---------------------------------------------------------------------------
 # Vectorized match-list construction
 
+# the ETKAS point components; MatchArrays holds each as ``comp_<name>``
+POINT_COMPONENTS = ("dialysis", "hla", "pediatric", "hu", "mmp", "balance",
+                    "distance")
+
+
 @dataclass
 class MatchArrays:
     """One donor's ordered match list in columnar form (eligible rows only,
@@ -579,7 +585,7 @@ class MatchArrays:
     mm_a: np.ndarray
     mm_b: np.ndarray
     mm_dr: np.ndarray
-    geo_idx: np.ndarray       # 0 local_regional, 1 national, 2 international
+    geo_idx: np.ndarray       # index into GEOGRAPHY_CLASSES
     dial_days: np.ndarray
     comp_dialysis: np.ndarray
     comp_hla: np.ndarray
@@ -593,9 +599,6 @@ class MatchArrays:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-GEO_LABELS = ("local_regional", "national", "international")
 
 
 def build_match_arrays(store: CandidateStore, donor: DonorArrival,
@@ -707,9 +710,7 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         tier = _esp_tier_array(store, donor, cfg, rows, age, d_sub,
                                same_region, same_country)
         total = dial.astype(np.float64)
-        comps = {name: np.zeros(len(rows)) for name in
-                 ("dialysis", "hla", "pediatric", "hu", "mmp", "balance",
-                  "distance")}
+        comps = {name: np.zeros(len(rows)) for name in POINT_COMPONENTS}
         comps["dialysis"] = total.copy()
         fraction = np.ones(len(rows))
         order_total = total
@@ -796,9 +797,9 @@ def _empty_arrays(donor: DonorArrival, program: str) -> MatchArrays:
     return MatchArrays(
         donor=donor, program=program, rows=zi, filtered=zb,
         tier=np.zeros(0, dtype=np.int16), total=z, mm_a=zi, mm_b=zi,
-        mm_dr=zi, geo_idx=zi, dial_days=zi, comp_dialysis=z, comp_hla=z,
-        comp_pediatric=z, comp_hu=z, comp_mmp=z, comp_balance=z,
-        comp_distance=z, filter_fraction=z, age=zi)
+        mm_dr=zi, geo_idx=zi, dial_days=zi,
+        **{f"comp_{name}": z for name in POINT_COMPONENTS},
+        filter_fraction=z, age=zi)
 
 
 def _etkas_tier_array(store, donor, cfg, rows, age, mm_total):
@@ -837,11 +838,12 @@ def _etkas_points_arrays(store, donor, ledger, cfg, rows, age, mm_a, mm_b,
         bal_by_country[i] = (export - floor) * cfg.balance_weight(country)
     comp_bal = bal_by_country[store.country_idx[rows]]
 
+    # international rows get no distance points
     dist_table = np.zeros((len(store.countries), 3))
     for i, country in enumerate(store.countries):
         schedule = cfg.distance_schedule(country)
-        dist_table[i, 0] = schedule.get("local_regional", 0.0)
-        dist_table[i, 1] = schedule.get("national", 0.0)
+        dist_table[i, 0] = schedule.get(LOCAL_REGIONAL, 0.0)
+        dist_table[i, 1] = schedule.get(NATIONAL, 0.0)
     comp_dist = dist_table[store.country_idx[rows], geo_idx] * same_country
 
     raw_total = (comp_dial + hla + comp_ped + comp_hu + comp_mmp + comp_bal

@@ -1,21 +1,20 @@
-"""HLA typings, mismatch counting, vPRA, and mismatch-probability formulas.
+"""HLA typings, the antigen equivalence table, frequencies and panels.
 
 Mismatches on the A and B loci are counted at the broad-antigen level and
 DR mismatches at the split level, so every typing is normalized through an
 antigen equivalence table before any counting happens.  The same table
-backs vPRA computation against a reference donor panel and the analytic
-favorable-match probability used for mismatch probability points.
+maps a donor's typed codes to the codes it carries for vPRA against a
+reference donor panel (``fastmatch.HlaIndex`` lays both out as bits).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .common import InputError, read_csv_rows, round_half_up
+from .common import InputError, read_csv_rows
 
 LOCI = ("A", "B", "DR")
 
@@ -140,9 +139,6 @@ class HlaTyping:
     def is_homozygous(self, locus: str) -> bool:
         return len(set(self.antigens.get(locus, ()))) == 1
 
-    def all_codes(self) -> frozenset[str]:
-        return frozenset(c for codes in self.antigens.values() for c in codes)
-
 
 #: Typing columns of candidate, donor and panel files, two per locus; a
 #: blank second column means homozygous.
@@ -221,49 +217,8 @@ class TypingReader:
         return typing
 
 
-@dataclass(frozen=True)
-class MismatchCount:
-    mm_a: int
-    mm_b: int
-    mm_dr: int
-
-    @property
-    def total(self) -> int:
-        return self.mm_a + self.mm_b + self.mm_dr
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.mm_a, self.mm_b, self.mm_dr)
-
-
-def count_mismatches_at(table: AntigenTable, donor: HlaTyping,
-                        candidate: HlaTyping, locus: str) -> int:
-    """Donor antigens at `locus` (normalized) absent from the candidate's set.
-
-    A homozygous donor contributes its single antigen once, so counts are
-    always 0, 1, or 2.
-    """
-    donor_set = donor.normalized(table, locus)
-    cand_set = candidate.normalized(table, locus)
-    return len(donor_set - cand_set)
-
-
-def count_mismatches(table: AntigenTable, donor: HlaTyping,
-                     candidate: HlaTyping,
-                     loci: Sequence[str] = LOCI) -> MismatchCount:
-    counts = {loc: count_mismatches_at(table, donor, candidate, loc)
-              for loc in loci}
-    return MismatchCount(counts.get("A", 0), counts.get("B", 0),
-                         counts.get("DR", 0))
-
-
-def homozygosity_level(candidate: HlaTyping) -> tuple[int, dict[str, bool]]:
-    """Number of A/B/DR loci with a single antigen, plus per-locus flags."""
-    flags = {loc: candidate.is_homozygous(loc) for loc in LOCI}
-    return sum(flags.values()), flags
-
-
 # ---------------------------------------------------------------------------
-# Donor panel and vPRA
+# Donor panel
 
 class DonorPanel:
     """Immutable reference population of donor typings.
@@ -272,18 +227,10 @@ class DonorPanel:
     works, and test fixtures use much smaller ones.
     """
 
-    def __init__(self, typings: Sequence[HlaTyping], table: AntigenTable | None = None):
+    def __init__(self, typings: Sequence[HlaTyping]):
         if not typings:
             raise ValueError("donor panel must be nonempty")
         self._typings = tuple(typings)
-        self._table = table
-
-    @cached_property
-    def _carried_sets(self) -> tuple[frozenset[str], ...]:
-        # read by the scalar vPRA and p<=1mm only, so derived on first use
-        if self._table is not None:
-            return tuple(carried_codes(self._table, t) for t in self._typings)
-        return tuple(t.all_codes() for t in self._typings)
 
     def __len__(self) -> int:
         return len(self._typings)
@@ -304,49 +251,11 @@ class DonorPanel:
             if typing is None:  # a blank row lacks every locus
                 HlaTyping({}).validate(table)
             typings.append(typing)
-        return cls(typings, table)
-
-
-def carried_codes(table: AntigenTable, typing: HlaTyping) -> frozenset[str]:
-    """Antigen codes a donor effectively carries: the typed codes plus their
-    parent broads, so an unacceptable broad also blocks donors typed at the
-    split level."""
-    codes = set(typing.all_codes())
-    for code in tuple(codes):
-        codes.add(table.resolve(code).broad)
-    return frozenset(codes)
-
-
-def compute_vpra(unacceptables: frozenset[str] | set[str],
-                 panel: DonorPanel) -> float:
-    """Fraction of panel donors carrying at least one unacceptable antigen."""
-    if not unacceptables:
-        return 0.0
-    unacc = frozenset(unacceptables)
-    hits = sum(1 for codes in panel._carried_sets if codes & unacc)
-    return hits / len(panel)
-
-
-def p_leq1mm_empirical(table: AntigenTable, candidate: HlaTyping,
-                       unacceptables: frozenset[str], panel: DonorPanel,
-                       exclude_unacceptable_carriers: bool = False) -> float:
-    """Fraction of panel donors with at most 1 HLA-ABDR mismatch.
-
-    With ``exclude_unacceptable_carriers`` the fraction is taken among the
-    whole panel but donors carrying any unacceptable antigen never count as
-    favorable, which can only lower the value.
-    """
-    hits = 0
-    for typing, codes in zip(panel, panel._carried_sets):
-        if exclude_unacceptable_carriers and unacceptables and codes & unacceptables:
-            continue
-        if count_mismatches(table, typing, candidate).total <= 1:
-            hits += 1
-    return hits / len(panel)
+        return cls(typings)
 
 
 # ---------------------------------------------------------------------------
-# Analytic favorable-match probability
+# Antigen frequencies
 
 class FrequencyTable:
     """Antigen frequencies per locus, the basis of the analytic p<=1mm.
@@ -382,91 +291,14 @@ class FrequencyTable:
     def locus(self, locus: str) -> dict[str, float]:
         return self._freqs[locus]
 
-    def freq_of(self, locus: str, code: str) -> float:
-        try:
-            return self._freqs[locus][code]
-        except KeyError:
-            raise InputError(
-                f"antigen {code!r} missing from frequency table at locus {locus}")
-
     def sample_codes(self, locus: str, rng, k: int = 2) -> list[str]:
         codes = sorted(self._freqs[locus])
         weights = [self._freqs[locus][c] for c in codes]
         return list(rng.choice(codes, size=k, p=weights))
 
 
-def _locus_mismatch_probs(table: AntigenTable, freq: FrequencyTable,
-                          candidate: HlaTyping, locus: str) -> tuple[float, float]:
-    """(P[0 mismatches], P[exactly 1]) at a locus for a random donor.
-
-    The donor genotype is two independent draws from the locus frequencies;
-    a homozygous draw contributes its antigen once.  Candidate antigens must
-    all be present in the table (their frequencies define the favorable set).
-    """
-    cand = candidate.normalized(table, locus)
-    dist = freq.locus(locus)
-    for code in candidate.antigens[locus]:
-        norm = table.normalize(code)
-        if norm not in dist:
-            raise InputError(
-                f"candidate antigen {code!r} (counted as {norm!r}) missing "
-                f"from frequency table at locus {locus}")
-    s = sum(f for c, f in dist.items() if c in cand)
-    sq_out = sum(f * f for c, f in dist.items() if c not in cand)
-    p0 = s * s
-    p1 = 2.0 * s * (1.0 - s) + sq_out
-    return p0, p1
-
-
-def p_leq1mm_analytic(table: AntigenTable, candidate: HlaTyping,
-                      freq: FrequencyTable,
-                      loci: Sequence[str] = LOCI) -> float:
-    """Probability of at most 1 total mismatch under locus independence.
-
-    Sum of the zero-total-mismatch probability and, per locus, the
-    probability of exactly one mismatch there and zero elsewhere.
-    """
-    probs = [_locus_mismatch_probs(table, freq, candidate, loc) for loc in loci]
-    p_all0 = math.prod(p0 for p0, _ in probs)
-    p_exactly1 = 0.0
-    for i, (p0_i, p1_i) in enumerate(probs):
-        term = p1_i
-        for j, (p0_j, _) in enumerate(probs):
-            if j != i:
-                term *= p0_j
-        p_exactly1 += term
-    return p_all0 + p_exactly1
-
-
 # ---------------------------------------------------------------------------
-# Mismatch probability (MMP) and its HLA-only variant (HMPP)
-
-@dataclass(frozen=True)
-class MmpInputs:
-    """Inputs to the mismatch-probability formula, all fractions in [0,1]."""
-
-    f_bg: float
-    vpra: float
-    p_leq1mm: float
-
-    def __post_init__(self):
-        for name in ("f_bg", "vpra", "p_leq1mm"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
-
-
-def compute_mmp(inputs: MmpInputs) -> float:
-    """Probability that none of the next 1,000 donors is favorably matched.
-
-    A favorable donor is blood-group identical, carries no unacceptable
-    antigen, and has at most 1 ABDR mismatch, so per-donor favorability is
-    f_bg * (1 - vPRA) * p_leq1mm and the MMP is the 1,000-donor complement.
-    Evaluated in the log domain for precision.
-    """
-    return compute_hmpp_fraction(
-        inputs.f_bg * (1.0 - inputs.vpra) * inputs.p_leq1mm)
-
+# HLA-only mismatch probability (HMPP)
 
 def compute_hmpp_fraction(f_leq1mm: float) -> float:
     """HLA-only mismatch probability: [1 - f_leq1mm]^1000, in [0,1]."""
@@ -476,11 +308,6 @@ def compute_hmpp_fraction(f_leq1mm: float) -> float:
         return 0.0
     value = math.exp(1000.0 * math.log1p(-f_leq1mm))
     return min(1.0, max(0.0, value))
-
-
-def mmp_points(mmp: float, weight: float) -> int:
-    """Match points for a mismatch probability: round(weight * MMP), half-up."""
-    return round_half_up(weight * mmp)
 
 
 # ---------------------------------------------------------------------------

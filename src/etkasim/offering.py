@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .common import read_csv_header_meta, read_csv_rows
-from .entities import (DEATH_CAUSE_GROUPS, ESP, CenterRegistry, DonorArrival,
-                       geography_class)
+from .entities import (DEATH_CAUSE_GROUPS, ESP, GEOGRAPHY_CLASSES,
+                       CenterRegistry, DonorArrival, geography_class)
 from .hla import BLOOD_GROUPS
 
 
@@ -158,6 +158,14 @@ class CoxSampler:
 # ---------------------------------------------------------------------------
 # Feature extraction
 
+# the acceptance models' indicator of each of GEOGRAPHY_CLASSES, and their
+# values for each class
+GEOGRAPHY_FEATURES = ("match_local", "match_national", "match_international")
+_INDICATORS = {klass: {name: float(klass == other) for name, other
+                       in zip(GEOGRAPHY_FEATURES, GEOGRAPHY_CLASSES)}
+               for klass in GEOGRAPHY_CLASSES}
+
+
 def donor_features(donor: DonorArrival) -> dict[str, float]:
     feats = {
         "donor_age": float(donor.age),
@@ -187,49 +195,10 @@ def center_offer_features(donor: DonorArrival,
     geography and country indicators, in a new dict."""
     feats = dict(donor_feats)
     center = centers.get(center_code)
-    geo = geography_class(centers.get(donor.center), center)
-    feats["match_local"] = float(geo == "local_regional")
-    feats["match_national"] = float(geo == "national")
-    feats["match_international"] = float(geo == "international")
+    feats.update(_INDICATORS[geography_class(centers.get(donor.center),
+                                             center)])
     for country in countries:
         feats[f"center_country_{country}"] = float(center.country == country)
-    return feats
-
-
-@dataclass(frozen=True)
-class OfferContext:
-    """Per-candidate offer facts the patient-level model can draw on."""
-
-    candidate_age: float
-    pediatric: bool
-    hu: bool
-    vpra: float
-    dialysis_years: float
-    prior_transplant: bool
-    mm_total: int
-    mm_dr: int
-    geography: str
-    rank: int
-
-
-def patient_offer_features(donor: DonorArrival, ctx: OfferContext) -> dict[str, float]:
-    feats = donor_features(donor)
-    feats.update({
-        "cand_age": ctx.candidate_age,
-        "cand_age_dec": ctx.candidate_age / 10.0,
-        "cand_pediatric": float(ctx.pediatric),
-        "cand_hu": float(ctx.hu),
-        "cand_vpra": ctx.vpra,
-        "cand_dialysis_years": ctx.dialysis_years,
-        "cand_prior_tx": float(ctx.prior_transplant),
-        "mm_total": float(ctx.mm_total),
-        "mm_dr": float(ctx.mm_dr),
-        "age_diff_abs": abs(ctx.candidate_age - donor.age),
-        "match_local": float(ctx.geography == "local_regional"),
-        "match_national": float(ctx.geography == "national"),
-        "match_international": float(ctx.geography == "international"),
-        "offer_rank": float(ctx.rank),
-    })
     return feats
 
 
@@ -258,67 +227,6 @@ DECISION_CENTER_SKIP = "center_skip"
 DECISION_DECLINE = "decline"
 DECISION_ACCEPT = "accept"
 DECISION_FORCED = "forced_accept"
-
-
-@dataclass(frozen=True)
-class OfferRecord:
-    """One row the allocation walk can offer to.
-
-    The patient-level acceptance probability may be supplied precomputed
-    (the engine does this in bulk); otherwise it comes from the patient
-    model and ``patient_features``.
-    """
-
-    candidate_id: str
-    center: str
-    filtered_visible: bool
-    rank: int  # 1-based position on the unfiltered list
-    same_region: bool
-    same_country: bool
-    patient_features: Mapping[str, float] | None = None
-    candidate_age: float = 0.0
-    patient_probability: float | None = None
-
-
-class SequenceOffers:
-    """Offer accessor over a prebuilt list of OfferRecord.
-
-    The allocation walk reads records through this interface so the engine
-    can substitute an array-backed view that never materializes objects for
-    the thousands of candidates an offer cascade skips past.
-    """
-
-    def __init__(self, records: Sequence[OfferRecord]):
-        self.records = list(records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def candidate_id(self, i: int) -> str:
-        return self.records[i].candidate_id
-
-    def center(self, i: int) -> str:
-        return self.records[i].center
-
-    def filtered(self, i: int) -> bool:
-        return self.records[i].filtered_visible
-
-    def age(self, i: int) -> float:
-        return self.records[i].candidate_age
-
-    def probability(self, i: int, patient_model: LogisticModel) -> float:
-        record = self.records[i]
-        if record.patient_probability is not None:
-            return record.patient_probability
-        return patient_model.predict(record.patient_features or {})
-
-    def vicinity_order(self, touched: set[int]) -> list[int]:
-        """Every index not in ``touched``: vicinity first (same region, then
-        same country), original rank as the final key."""
-        remaining = (i for i in range(len(self.records)) if i not in touched)
-        return sorted(remaining, key=lambda i: (
-            not self.records[i].same_region,
-            not self.records[i].same_country, i))
 
 
 @dataclass(frozen=True)
@@ -364,8 +272,11 @@ def run_allocation(offers, donor: DonorArrival,
                    collect_trace: bool = True) -> AllocationOutcome:
     """Walk the match list per the offering rules and return who accepted.
 
-    ``offers`` is either a sequence of OfferRecord in unfiltered match-list
-    order or an accessor object with the SequenceOffers interface.
+    ``offers`` reads the list in unfiltered match-list order: its length,
+    and per index ``candidate_id``, ``center``, ``filtered``, ``age`` and
+    the patient-level acceptance ``probability``, plus ``vicinity_order``
+    for the non-standard phase.  The engine passes ``engine.ArrayOffers``;
+    the tests' record-at-a-time accessor is in ``tests/oracle/offering.py``.
     ``center_features`` supplies the feature mapping for a center code
     (defaults to empty, for intercept-only models).  ``unplaced_mode`` is
     'discard' or 'force'.
@@ -373,8 +284,6 @@ def run_allocation(offers, donor: DonorArrival,
     if unplaced_mode not in ("discard", "force"):
         raise ValueError(f"unplaced_mode must be 'discard' or 'force', "
                          f"got {unplaced_mode!r}")
-    if isinstance(offers, (list, tuple)):
-        offers = SequenceOffers(offers)
     n = len(offers)
     outcome = AllocationOutcome()
     kidneys_left = donor.kidneys_available
@@ -405,7 +314,7 @@ def run_allocation(offers, donor: DonorArrival,
             note(i, stage, DECISION_CENTER_SKIP if known
                  else DECISION_CENTER_DECLINE)
             return "center_known" if known else "center"
-        p = offers.probability(i, models.patient)
+        p = offers.probability(i)
         if float(rng.random()) >= p:
             note(i, stage, DECISION_DECLINE, p)
             touched.add(i)
@@ -453,11 +362,11 @@ def run_allocation(offers, donor: DonorArrival,
         else:
             order = sorted(
                 (i for i in range(n) if i not in accepted),
-                key=lambda i: (-offers.probability(i, models.patient), i))
+                key=lambda i: (-offers.probability(i), i))
             for i in order:
                 if kidneys_left == 0:
                     break
-                p = offers.probability(i, models.patient)
+                p = offers.probability(i)
                 kidneys = kidneys_left if (
                     kidneys_left == 2 and models.dual is not None
                     and simulate_dual(dual_features(donor, offers.age(i), True),

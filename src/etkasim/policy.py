@@ -15,26 +15,25 @@ from typing import Mapping, Sequence
 
 import yaml
 
+from .entities import GEOGRAPHY_CLASSES
+
 
 class PolicyError(ValueError):
     """Invalid policy configuration; message aggregates every problem."""
 
 
-# Default distance-point schedules per country.  Real schedules are national
-# business rules; these defaults are illustrative and meant to be overridden
-# from the policy file for any serious use.
+# Default distance-point schedules per country, as (local/regional,
+# national, international) points.  Real schedules are national business
+# rules; these defaults are illustrative and meant to be overridden from the
+# policy file for any serious use.
 DEFAULT_DISTANCE_POINTS: dict[str, dict[str, float]] = {
-    "AT": {"local_regional": 300.0, "national": 100.0, "international": 0.0},
-    "BE": {"local_regional": 300.0, "national": 100.0, "international": 0.0},
-    "HR": {"local_regional": 300.0, "national": 100.0, "international": 0.0},
-    "DE": {"local_regional": 200.0, "national": 100.0, "international": 0.0},
-    "HU": {"local_regional": 300.0, "national": 100.0, "international": 0.0},
-    "LU": {"local_regional": 300.0, "national": 100.0, "international": 0.0},
-    "NL": {"local_regional": 100.0, "national": 100.0, "international": 0.0},
-    "SI": {"local_regional": 300.0, "national": 100.0, "international": 0.0},
-}
-
-GEOGRAPHY_CLASSES = ("local_regional", "national", "international")
+    country: dict(zip(GEOGRAPHY_CLASSES, points))
+    for country, points in {
+        "AT": (300.0, 100.0, 0.0), "BE": (300.0, 100.0, 0.0),
+        "HR": (300.0, 100.0, 0.0), "DE": (200.0, 100.0, 0.0),
+        "HU": (300.0, 100.0, 0.0), "LU": (300.0, 100.0, 0.0),
+        "NL": (100.0, 100.0, 0.0), "SI": (300.0, 100.0, 0.0),
+    }.items()}
 
 # ESP tier tables: ordered (scope, age class) pairs, best tier first.
 # Scope is the candidate's location relative to the donor; age class splits
@@ -158,27 +157,6 @@ def sliding_scale_points(vpra: float, cfg: PolicyConfig) -> float:
     if not 0.0 <= vpra <= 1.0:
         raise ValueError(f"vpra = {vpra} outside [0, 1]")
     return ss.max_points * (ss.base ** vpra - 1.0) / (ss.base - 1.0)
-
-
-def age_filter_fraction(candidate_age: float, donor_age: float,
-                        curve: Sequence[tuple[float, float]]) -> float:
-    """Piecewise-linear fraction of total points kept at this age difference.
-
-    The curve is interpolated at candidate_age - donor_age and clamped to its
-    end values outside the configured range.
-    """
-    diff = candidate_age - donor_age
-    points = sorted(curve)
-    if diff <= points[0][0]:
-        return points[0][1]
-    if diff >= points[-1][0]:
-        return points[-1][1]
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if x0 <= diff <= x1:
-            if x1 == x0:
-                return y1
-            return y0 + (y1 - y0) * (diff - x0) / (x1 - x0)
-    raise AssertionError("unreachable")
 
 
 def validate(cfg: PolicyConfig) -> list[str]:

@@ -14,11 +14,8 @@ from scipy import stats as sps
 
 from .common import day_text, round_half_up
 from .engine import SimulationOutput, TransplantRecord
-from .entities import ETKAS
-
-VPRA_BANDS = (("zero", 0.0, 0.0), ("low", 0.0, 0.849), ("mid", 0.85, 0.949),
-              ("high", 0.95, 1.0))
-
+from .entities import ETKAS, GEOGRAPHY_CLASSES
+from .fastmatch import POINT_COMPONENTS, CandidateStore, MatchArrays
 
 def vpra_band(vpra: float) -> str:
     """Sensitization bands: 0, >0-84.9, 85-94.9, 95+ (percent)."""
@@ -258,35 +255,39 @@ def reconciliation_problems(stats: Mapping[str, float]) -> list[str]:
 # ---------------------------------------------------------------------------
 # Match-list export in the published example-table layout
 
-def write_match_list_csv(path: Path, match_list) -> None:
-    """Dump an ordered match list: the ETKAS layout carries the tier, match
-    quality, dialysis years, rank, total, and the point components; the ESP
-    layout reduces to geography and dialysis days."""
+def write_match_list_csv(path: Path, arrays: MatchArrays,
+                         store: CandidateStore) -> None:
+    """Dump one donor's ranked list, as ``fastmatch.build_match_arrays``
+    returns it for ``store``.  The ETKAS layout carries the tier, match
+    quality, dialysis years, rank, the point components rounded half-up and
+    their sum; the ESP layout reduces to geography and dialysis days."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        if match_list.program == ETKAS:
+        rows = enumerate(zip(arrays.rows.tolist(), arrays.dial_days.tolist(),
+                             arrays.geo_idx.tolist(),
+                             arrays.filtered.astype(int).tolist()))
+        if arrays.program == ETKAS:
+            names = ("dialysis", "hla", "pediatric", "hu", "balance",
+                     "distance", "mmp")
             w.writerow(["rank", "candidate_id", "tier", "match_quality",
-                        "dialysis_years", "total", "dialysis", "hla",
-                        "pediatric", "hu", "balance", "distance", "mmp",
-                        "geography", "filtered"])
-            for rank, r in enumerate(match_list.records, start=1):
-                comp = r.points.rounded()
-                quality = f"{r.mm.mm_a}{r.mm.mm_b}{r.mm.mm_dr}"
-                tier = "0MM" if r.tier[0] == 3 else (
-                    "PED" if r.tier[0] == 2 else ">0MM")
-                w.writerow([rank, r.candidate_id, tier, quality,
-                            f"{r.dialysis_days / 365.25:.1f}",
-                            r.points.display_total, comp["dialysis"],
-                            comp["hla"], comp["pediatric"], comp["hu"],
-                            comp["balance"], comp["distance"], comp["mmp"],
-                            r.geography, int(r.filtered_visible)])
+                        "dialysis_years", "total", *names, "geography",
+                        "filtered"])
+            for i, (row, days, geo, filtered) in rows:
+                comp = [round_half_up(float(getattr(arrays, f"comp_{name}")[i]))
+                        for name in names]
+                tier = {3: "0MM", 2: "PED"}.get(int(arrays.tier[i]) // 4,
+                                                ">0MM")
+                quality = f"{arrays.mm_a[i]}{arrays.mm_b[i]}{arrays.mm_dr[i]}"
+                w.writerow([i + 1, store.ids[row], tier, quality,
+                            f"{days / 365.25:.1f}", sum(comp), *comp,
+                            GEOGRAPHY_CLASSES[geo], filtered])
         else:
             w.writerow(["rank", "candidate_id", "dialysis_days", "points",
                         "geography", "filtered"])
-            for rank, r in enumerate(match_list.records, start=1):
-                w.writerow([rank, r.candidate_id, r.dialysis_days,
-                            round_half_up(r.total), r.geography,
-                            int(r.filtered_visible)])
+            for i, (row, days, geo, filtered) in rows:
+                w.writerow([i + 1, store.ids[row], days,
+                            round_half_up(float(arrays.total[i])),
+                            GEOGRAPHY_CLASSES[geo], filtered])
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +317,7 @@ def write_transplants_csv(path: Path, records: Sequence[TransplantRecord]) -> No
                 r.mechanism, int(r.forced), int(r.dual), r.kidneys, r.rank,
                 r.mm_a, r.mm_b, r.mm_dr, r.geography,
                 f"{r.total_points:.4f}",
-                *(f"{r.comp[c]:.4f}" for c in
-                  ("dialysis", "hla", "pediatric", "hu", "mmp", "balance",
-                   "distance")),
+                *(f"{r.comp[c]:.4f}" for c in POINT_COMPONENTS),
                 r.cand_country, r.donor_country, r.cand_age, r.donor_age,
                 r.dialysis_days, f"{r.vpra:.6f}", int(r.prior_transplant)])
 

@@ -17,15 +17,17 @@ from __future__ import annotations
 import math
 from datetime import date
 
-from etkasim.balances import BalanceEvent, BalanceLedger, init_ledger
+from etkasim.balances import BalanceEvent, BalanceLedger
 from etkasim.common import to_days
 from etkasim.entities import (AllocationProfile, CandidateRegistration,
-                              CandidateState, Center, CenterRegistry,
-                              DonorArrival)
+                              Center, CenterRegistry, DonorArrival)
+from etkasim.fastmatch import CandidateStore, HlaIndex, build_match_arrays
 from etkasim.hla import (Antigen, AntigenTable, BloodGroupFrequencies,
-                         DonorPanel, FrequencyTable, HlaTyping, compute_vpra)
-from etkasim.matchlist import MatchPointContext
+                         DonorPanel, FrequencyTable, HlaTyping)
 from etkasim.policy import PolicyConfig, validated
+
+from oracle.hla import compute_vpra
+from oracle.matchlist import CandidateState, MatchPointContext, init_ledger
 
 # the match date, 2021-06-15, as days since 1970-01-01
 MATCH_DAY = to_days(date(2021, 6, 15))
@@ -128,7 +130,7 @@ def build_panel(table: AntigenTable) -> DonorPanel:
                 break
         typings.append(HlaTyping({"A": tuple(a), "B": ("B5", "B7"),
                                   "DR": ("DR1", "DR4")}))
-    return DonorPanel(typings, table)
+    return DonorPanel(typings)
 
 
 def stripes_for(k: int) -> frozenset[str]:
@@ -258,7 +260,7 @@ def build_etkas_fixture(include_fillers: bool = False):
     ledger = build_etkas_ledger(centers)
     ctx = MatchPointContext(table, centers, bg, freq)
     states = [CandidateState.initial(reg, vpra=compute_vpra(reg.unacceptables,
-                                                            panel))
+                                                            panel, table))
               for reg in regs]
     return {
         "table": table, "centers": centers, "freq": freq, "bg": bg,
@@ -313,3 +315,16 @@ def build_esp_fixture():
         "panel": panel, "policy": policy, "donor": donor, "regs": regs,
         "ledger": ledger, "ctx": ctx, "states": states,
     }
+
+
+def build_engine_list(fx):
+    """The fixture's list as the engine builds it: a CandidateStore of the
+    fixture's registrations and ``build_match_arrays`` for its donor."""
+    store = CandidateStore(HlaIndex(fx["table"]), fx["centers"], fx["panel"],
+                           fx["freq"], fx["bg"], fx["policy"])
+    for reg in fx["regs"]:
+        store.add(reg)
+    arrays = build_match_arrays(
+        store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
+        fx["ledger"], fx["policy"], MATCH_DAY)
+    return store, arrays

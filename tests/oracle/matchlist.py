@@ -1,8 +1,4 @@
-"""Match-list construction: eligibility, filtering, tiers, and points.
-
-This module is the readable, record-at-a-time statement of the ETKAS and
-ESP ranking rules.  The event engine uses a vectorized twin
-(:mod:`etkasim.fastmatch`) for throughput; the two are held equal by tests.
+"""Match lists one candidate at a time: eligibility, filtering, tiers, points.
 
 ETKAS ranks candidates in three tiers (zero ABDR mismatch, pediatric donor
 to pediatric candidate, everyone else) and within tiers by points.  ESP
@@ -14,17 +10,118 @@ days.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .balances import BalanceLedger, donor_age_group
-from .common import DAYS_PER_YEAR, round_half_up
-from .entities import (ESP, ETKAS, CandidateState, CenterRegistry,
-                       DonorArrival, OFFERABLE_CODES, geography_class)
-from .hla import (AntigenTable, BloodGroupFrequencies, FrequencyTable,
-                  MismatchCount, MmpInputs, carried_codes,
-                  compute_hmpp_fraction, compute_mmp, count_mismatches,
-                  homozygosity_level)
-from .policy import PolicyConfig, age_filter_fraction, sliding_scale_points
+from etkasim.balances import BalanceEvent, BalanceLedger, donor_age_group
+from etkasim.common import DAYS_PER_YEAR, round_half_up
+from etkasim.entities import (ESP, ETKAS, AllocationProfile,
+                              CandidateRegistration, CenterRegistry,
+                              DonorArrival, geography_class)
+from etkasim.hla import (AntigenTable, BloodGroupFrequencies, FrequencyTable,
+                         compute_hmpp_fraction)
+from etkasim.policy import PolicyConfig, sliding_scale_points
+
+from .hla import (MismatchCount, MmpInputs, carried_codes, compute_mmp,
+                  count_mismatches, homozygosity_level, p_leq1mm_analytic)
+
+OFFERABLE_CODES = ("T", "HU")
+
+
+@dataclass(frozen=True)
+class CandidateState:
+    """Snapshot of one registration's dynamic state.
+
+    The engine keeps the same information in the columns of a
+    ``CandidateStore``.  Like the registration it holds day numbers (days
+    since 1970-01-01), or None when unknown.
+    """
+
+    registration: CandidateRegistration
+    urgency: str
+    unacceptables: frozenset[str]
+    profile: AllocationProfile | None
+    mm_criteria: frozenset[tuple[int, int, int]]
+    last_screening_day: int | None
+    dialysis_start_day: int | None
+    esp_extended_opt_in: bool
+    german_program_choice: str | None
+    vpra: float = 0.0
+
+    @classmethod
+    def initial(cls, reg: CandidateRegistration, vpra: float = 0.0) -> "CandidateState":
+        return cls(
+            registration=reg,
+            urgency=reg.initial_urgency,
+            unacceptables=reg.unacceptables,
+            profile=reg.profile,
+            mm_criteria=reg.mm_criteria,
+            last_screening_day=reg.last_screening_day,
+            dialysis_start_day=reg.dialysis_start_day,
+            esp_extended_opt_in=reg.esp_extended_opt_in,
+            german_program_choice=reg.german_program_choice,
+            vpra=vpra,
+        )
+
+    def dialysis_days(self, now_day: int) -> int:
+        if self.dialysis_start_day is None:
+            return 0
+        return max(0, now_day - self.dialysis_start_day)
+
+
+def profile_accepts(profile: AllocationProfile, donor: DonorArrival) -> bool:
+    """Whether a center's allocation profile admits the donor."""
+    if not profile.min_donor_age <= donor.age <= profile.max_donor_age:
+        return False
+    if donor.dcd and not profile.accept_dcd:
+        return False
+    if donor.extended_criteria and not profile.accept_extended_criteria:
+        return False
+    if donor.hcv_positive and not profile.accept_hcv_positive:
+        return False
+    if donor.hbsag_positive and not profile.accept_hbsag_positive:
+        return False
+    return True
+
+
+def init_ledger(history: Sequence[BalanceEvent], start_day: int,
+                countries: Iterable[str],
+                austrian_regions: Iterable[str] = ()) -> BalanceLedger:
+    """Fold all events up to ``start_day`` into a fresh ledger."""
+    ledger = BalanceLedger(countries, austrian_regions)
+    for event in history:
+        if event.day <= start_day:
+            ledger.record_transfer(event)
+    return ledger
+
+
+def balance_points(ledger: BalanceLedger, candidate_country: str,
+                   donor_age: int, weight: float) -> float:
+    """(own export - largest importer's export) * weight; never negative."""
+    group = donor_age_group(donor_age)
+    own = ledger.net_export(candidate_country, group)
+    floor = min(ledger.net_export(c, group) for c in ledger.countries)
+    return (own - floor) * weight
+
+
+def age_filter_fraction(candidate_age: float, donor_age: float,
+                        curve: Sequence[tuple[float, float]]) -> float:
+    """Piecewise-linear fraction of total points kept at this age difference.
+
+    The curve is interpolated at candidate_age - donor_age and clamped to its
+    end values outside the configured range.
+    """
+    diff = candidate_age - donor_age
+    points = sorted(curve)
+    if diff <= points[0][0]:
+        return points[0][1]
+    if diff >= points[-1][0]:
+        return points[-1][1]
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x0 <= diff <= x1:
+            if x1 == x0:
+                return y1
+            return y0 + (y1 - y0) * (diff - x0) / (x1 - x0)
+    raise AssertionError("unreachable")
 
 
 # eligibility reason codes
@@ -83,7 +180,7 @@ def etkas_filtered(state: CandidateState, donor: DonorArrival,
     """True when the candidate remains visible after center filtering."""
     filt = cfg.filtering
     if filt.apply_allocation_profiles and state.profile is not None:
-        if not state.profile.accepts(donor):
+        if not profile_accepts(state.profile, donor):
             return False
     if filt.apply_hla_mismatch_criteria and state.mm_criteria:
         if mm.as_tuple() in state.mm_criteria:
@@ -174,14 +271,12 @@ class MatchPointContext:
 
     def p_leq1mm(self, state: CandidateState) -> float:
         reg = state.registration
-        if reg.id in self._p_leq1mm:
-            return self._p_leq1mm[reg.id]
         if self.freq_table is None or reg.hla is None:
             return 0.0
-        from .hla import p_leq1mm_analytic
-        value = p_leq1mm_analytic(self.table, reg.hla, self.freq_table)
-        self._p_leq1mm[reg.id] = value
-        return value
+        if reg.id not in self._p_leq1mm:
+            self._p_leq1mm[reg.id] = p_leq1mm_analytic(self.table, reg.hla,
+                                                       self.freq_table)
+        return self._p_leq1mm[reg.id]
 
     def f_leq1mm_empirical(self, state: CandidateState) -> float:
         return self._f_leq1mm_emp.get(state.registration.id, 0.0)
@@ -230,8 +325,8 @@ def etkas_points(state: CandidateState, donor: DonorArrival, mm: MismatchCount,
 
     immun = immunization_points(state, ctx, cfg)
 
-    balance = ledger.balance_points(reg.country, donor.age,
-                                    cfg.balance_weight(reg.country))
+    balance = balance_points(ledger, reg.country, donor.age,
+                             cfg.balance_weight(reg.country))
 
     geo = geography_class(ctx.centers.get(donor.center),
                           ctx.centers.get(reg.center))
@@ -280,7 +375,7 @@ def esp_filtered(state: CandidateState, donor: DonorArrival, now_day: int,
     if reg.country == "DE" and state.german_program_choice == ETKAS:
         return False
     if cfg.filtering.apply_allocation_profiles and state.profile is not None:
-        if not state.profile.accepts(donor):
+        if not profile_accepts(state.profile, donor):
             return False
     return True
 
@@ -321,10 +416,6 @@ def esp_tier(state: CandidateState, donor: DonorArrival, now_day: int,
     else:
         subtier = 0
     return (-tier_rank, subtier)
-
-
-def esp_points(state: CandidateState, now_day: int) -> int:
-    return state.dialysis_days(now_day)
 
 
 @dataclass
@@ -373,7 +464,7 @@ def _esp_record(state: CandidateState, donor: DonorArrival, cfg: PolicyConfig,
                 ctx: MatchPointContext, now_day: int) -> MatchRecord:
     mm = count_mismatches(ctx.table, donor.hla, state.registration.hla)
     tier = esp_tier(state, donor, now_day, cfg, ctx.centers)
-    days = esp_points(state, now_day)
+    days = state.dialysis_days(now_day)
     geo = geography_class(ctx.centers.get(donor.center),
                           ctx.centers.get(state.registration.center))
     visible = esp_filtered(state, donor, now_day, cfg)

@@ -19,10 +19,9 @@ from etkasim import reporting
 from etkasim.batch import run_batch, run_once
 from etkasim.cli import main as cli_main
 from etkasim.engine import initialize, run, verify_replay
-from etkasim.hla import (AntigenTable, DonorPanel, HlaTyping, MmpInputs,
-                         compute_mmp, compute_vpra)
+from etkasim.common import round_half_up
+from etkasim.hla import AntigenTable, DonorPanel, HlaTyping
 from etkasim.io import data_path, load_inputs, load_settings
-from etkasim.matchlist import build_match_list
 from etkasim.offering import CoxSampler, StepSurvival
 from etkasim.policy import (AGE_FILTER_CURVES, AgeFilterConfig, PolicyConfig,
                             SlidingScaleConfig, validated)
@@ -32,7 +31,10 @@ from etkasim.posttransplant import (AGE_BUCKETS, TIME_BUCKETS, RelistCurveSet,
 from etkasim.synthetic import generate_population
 
 from fixtures_tables import (ESP_DIALYSIS_DAYS, ETKAS_ROWS, MATCH_DAY,
-                             build_esp_fixture, build_etkas_fixture)
+                             build_engine_list, build_esp_fixture,
+                             build_etkas_fixture)
+from oracle.hla import MmpInputs, compute_mmp, compute_vpra
+from oracle.matchlist import build_match_list
 from test_fixture_tables import expected_hla_points
 
 
@@ -79,6 +81,45 @@ class TestCriterion1MatchListFidelity:
             assert [r.dialysis_days for r in ml2.records] == ESP_DIALYSIS_DAYS
             assert [int(r.total) for r in ml2.records] == ESP_DIALYSIS_DAYS
 
+    def test_engine_reproduces_published_tables(self):
+        with criterion(1, "match-list fidelity, engine path"):
+            store, arrays = build_engine_list(build_etkas_fixture())
+            assert arrays.program == "ETKAS"
+            assert [store.ids[row] for row in arrays.rows.tolist()] == [
+                f"R{i:02d}" for i in range(1, 15)]
+            names = ("dialysis", "hla", "pediatric", "hu", "balance",
+                     "distance", "mmp")
+            for i, row in enumerate(ETKAS_ROWS):
+                _, _, mm, dial_pts, ped, bal, dist, mmp_pts, total = row
+                got = {name: round_half_up(float(
+                    getattr(arrays, f"comp_{name}")[i])) for name in names}
+                assert (int(arrays.mm_a[i]), int(arrays.mm_b[i]),
+                        int(arrays.mm_dr[i])) == mm
+                assert abs(got["dialysis"] - dial_pts) <= 1
+                assert abs(got["hla"] - expected_hla_points(mm, ped)) <= 1
+                assert got["pediatric"] == (100 if ped else 0)
+                assert got["hu"] == 0
+                assert abs(got["balance"] - bal) <= 1
+                assert abs(got["distance"] - dist) <= 1
+                assert abs(got["mmp"] - mmp_pts) <= 1
+                assert abs(sum(got.values()) - total) <= 1
+                if i == 0:
+                    # the exact published decomposition of rank 1
+                    assert (got["dialysis"], got["hla"], got["mmp"]) == (
+                        298, 400, 24)
+                    assert sum(got.values()) == 722
+            # zero-mismatch tier on top, everyone else in the default tier
+            assert arrays.tier.tolist() == [12] + [4] * 13
+            assert arrays.filtered.all()
+
+            store, arrays = build_engine_list(build_esp_fixture())
+            assert arrays.program == "ESP"
+            assert [store.ids[row] for row in arrays.rows.tolist()] == [
+                f"E{i:02d}" for i in range(1, 12)]
+            assert arrays.dial_days.tolist() == ESP_DIALYSIS_DAYS
+            assert [round_half_up(t) for t in arrays.total.tolist()] == (
+                ESP_DIALYSIS_DAYS)
+
 
 class TestCriterion2MmpFormula:
     def test_grid_against_long_double_log_domain(self):
@@ -121,7 +162,7 @@ class TestCriterion3VpraOracle:
                                    "B": tuple(rng.choice(b, 2)),
                                    "DR": tuple(rng.choice(dr, 2))})
                         for _ in range(200)]
-                panel = DonorPanel(rows, table)
+                panel = DonorPanel(rows)
                 for _ in range(50):
                     k = int(rng.integers(0, 7))
                     unacc = frozenset(
@@ -129,11 +170,11 @@ class TestCriterion3VpraOracle:
                                                    replace=False))
                     hits = 0
                     for t in rows:
-                        carried = set(t.all_codes())
+                        carried = {c for cs in t.antigens.values() for c in cs}
                         carried |= {table.resolve(c).broad for c in carried}
                         if carried & unacc:
                             hits += 1
-                    assert compute_vpra(unacc, panel) == hits / 200
+                    assert compute_vpra(unacc, panel, table) == hits / 200
 
 
 class TestCriterion4SamplingCorrectness:

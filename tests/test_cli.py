@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -184,8 +185,9 @@ def test_check_inputs_names_a_balance_event_by_its_date(fixture_dir,
 
 
 def test_cli_does_not_import_the_reference_rules():
-    # the engine and the command line run without the record-at-a-time
-    # rules of ``etkasim.matchlist``, which the tests use as an oracle
+    # the record-at-a-time rules are test code (``tests/oracle``): the
+    # package holds one implementation, and the command line runs it
+    assert importlib.util.find_spec("etkasim.matchlist") is None
     src = str(Path(etkasim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

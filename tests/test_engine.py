@@ -15,8 +15,7 @@ from etkasim.engine import (ArrayOffers, initialize, run,
                             store_unacceptables, verify_replay)
 from etkasim.entities import StatusUpdate, expand_mm_patterns, parse_profile
 from etkasim.fastmatch import _COLUMNS, build_match_arrays
-from etkasim.offering import (AcceptanceModels, OfferRecord, SequenceOffers,
-                              run_allocation)
+from etkasim.offering import AcceptanceModels, run_allocation
 from etkasim.posttransplant import PoolEntry, RelistingPool
 from etkasim import posttransplant, reporting
 
@@ -26,6 +25,7 @@ from engine_fixture import (END_DAY, START_DAY, WINDOW_END, WINDOW_START,
                             make_inputs, quick_failure_weibull,
                             screening_days,
                             terminal_updates)
+from oracle.offering import OfferRecord, SequenceOffers
 
 
 class TestInitialization:
@@ -687,7 +687,7 @@ class TestBatch:
 
 class TestArrayOffers:
     """The engine's array-backed offer accessor walks a match list exactly
-    as the record-based SequenceOffers does."""
+    as the record-based SequenceOffers of the tests' oracle does."""
 
     PLACES = [("BE", "BEC01"), ("BE", "BEC02"), ("DE", "DEC01"),
               ("NL", "NLC01"), ("AT", "ATC01")]
@@ -732,7 +732,7 @@ class TestArrayOffers:
                            np.random.default_rng(seed), unplaced_mode=mode,
                            collect_trace=True)
             for offers in (ArrayOffers(state.store, arrays, probs),
-                           SequenceOffers(records))]
+                           SequenceOffers(records, models.patient))]
         return outcomes
 
     @staticmethod

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from etkasim.common import round_half_up
-from etkasim.fastmatch import CandidateStore, HlaIndex, build_match_arrays
-from etkasim.matchlist import build_match_list
 
-from fixtures_tables import (ETKAS_ROWS, MATCH_DAY, build_esp_fixture,
-                             build_etkas_fixture, ESP_DIALYSIS_DAYS)
+from fixtures_tables import (ETKAS_ROWS, MATCH_DAY, build_engine_list,
+                             build_esp_fixture, build_etkas_fixture,
+                             ESP_DIALYSIS_DAYS)
+from oracle.matchlist import build_match_list
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +65,7 @@ class TestEtkasTable:
         assert top.candidate_id == "R01"
 
     def test_vector_path_matches_table(self, etkas_fx):
-        fx = etkas_fx
-        index = HlaIndex(fx["table"])
-        store = CandidateStore(index, fx["centers"], fx["panel"], fx["freq"],
-                               fx["bg"], fx["policy"])
-        for reg in fx["regs"]:
-            store.add(reg)
-        arrays = build_match_arrays(
-            store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
-            fx["ledger"], fx["policy"], MATCH_DAY)
+        store, arrays = build_engine_list(etkas_fx)
         ids = [store.ids[int(r)] for r in arrays.rows]
         assert ids == [f"R{i:02d}" for i in range(1, 15)]
         for rank in range(1, 15):
@@ -129,15 +121,7 @@ class TestEspTable:
         assert all(r.filtered_visible for r in ml.records)
 
     def test_vector_path_matches(self, esp_fx):
-        fx = esp_fx
-        index = HlaIndex(fx["table"])
-        store = CandidateStore(index, fx["centers"], fx["panel"], fx["freq"],
-                               fx["bg"], fx["policy"])
-        for reg in fx["regs"]:
-            store.add(reg)
-        arrays = build_match_arrays(
-            store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
-            fx["ledger"], fx["policy"], MATCH_DAY)
+        store, arrays = build_engine_list(esp_fx)
         assert arrays.program == "ESP"
         ids = [store.ids[int(r)] for r in arrays.rows]
         assert ids == [f"E{i:02d}" for i in range(1, 12)]

@@ -13,10 +13,12 @@ import pytest
 from etkasim.common import InputError, to_days
 from etkasim.entities import StatusUpdate
 from etkasim.fastmatch import CandidateStore, HlaIndex
-from etkasim.hla import (FrequencyTable, HlaTyping, MmpInputs, carried_codes,
-                         compute_mmp, compute_vpra, p_leq1mm_analytic)
+from etkasim.hla import FrequencyTable, HlaTyping
 from etkasim.io import load_inputs, load_settings
 from etkasim.synthetic import generate_population
+
+from oracle.hla import (MmpInputs, carried_codes, compute_mmp, compute_vpra,
+                        p_leq1mm_analytic)
 
 LOCI = ("A", "B", "DR")
 
@@ -77,7 +79,7 @@ def test_candidate_columns(inputs, store):
         assert (int(store.homo_level[row]), bool(store.homo_b[row]),
                 bool(store.homo_dr[row])) == (sum(homo), homo[1], homo[2])
         assert store.unacc[row].tolist() == _words(table, reg.unacceptables)
-        vpra = compute_vpra(reg.unacceptables, inputs.panel)
+        vpra = compute_vpra(reg.unacceptables, inputs.panel, table)
         assert store.vpra[row] == vpra
         p1mm = p_leq1mm_analytic(table, typing, inputs.freq_table)
         assert store.p1mm[row] == pytest.approx(p1mm, rel=1e-12)
@@ -114,7 +116,7 @@ def test_unacceptable_updates(inputs, store):
     dup.finalize_derived_values()
     for row, unacc in chosen.items():
         assert dup.unacc[row].tolist() == _words(table, unacc)
-        assert dup.vpra[row] == compute_vpra(unacc, inputs.panel)
+        assert dup.vpra[row] == compute_vpra(unacc, inputs.panel, table)
     # the template store is untouched
     for row, reg in enumerate(inputs.registrations):
         assert store.unacc[row].tolist() == _words(table, reg.unacceptables)

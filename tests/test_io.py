@@ -12,14 +12,15 @@ import pytest
 
 from etkasim.common import (InputError, from_days, iso_days, parse_bool,
                             parse_date, read_csv_rows, to_days)
-from etkasim.entities import (CandidateRegistration, CandidateState,
-                              StatusUpdate, expand_mm_patterns,
-                              parse_profile)
+from etkasim.entities import (CandidateRegistration, StatusUpdate,
+                              expand_mm_patterns, parse_profile)
 from etkasim.hla import AntigenTable, HlaTyping
 from etkasim import io as io_module
 from etkasim.io import (data_path, load_donors, load_registrations,
                         load_settings, load_status_updates)
 from etkasim.synthetic import generate_population
+
+from oracle.matchlist import CandidateState
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
-"""Eligibility, filtering, tiers, points, and scalar/vector agreement."""
+"""Eligibility, filtering, tiers and points of the reference rules, and
+the engine's agreement with them on random populations."""
 
 from __future__ import annotations
 
@@ -11,22 +12,22 @@ import pytest
 from etkasim.balances import BalanceEvent, BalanceLedger
 from etkasim.common import to_days
 from etkasim.entities import (AllocationProfile, CandidateRegistration,
-                              CandidateState, Center, CenterRegistry,
-                              StatusUpdate, expand_mm_patterns)
+                              Center, CenterRegistry, StatusUpdate,
+                              expand_mm_patterns)
 from etkasim.fastmatch import CandidateStore, HlaIndex, build_match_arrays
-from etkasim.hla import HlaTyping, compute_vpra
-from etkasim.matchlist import (AGE_NOT_ELIGIBLE, AM_ACTIVE, BLOOD_GROUP,
-                               GERMAN_CHOICE, HLA_UNKNOWN, NOT_OFFERABLE,
-                               SCREENING_STALE, UNACCEPTABLE,
-                               MatchPointContext, build_match_list,
-                               esp_eligible, esp_filtered, esp_tier,
-                               etkas_eligible, etkas_filtered, etkas_points,
-                               etkas_tier)
-from etkasim.hla import count_mismatches
+from etkasim.hla import HlaTyping
 from etkasim.policy import AgeFilterConfig
 
 from fixtures_tables import (MATCH_DAY, TYPING_BY_MM, build_etkas_fixture,
                              build_esp_fixture)
+from oracle.hla import compute_vpra, count_mismatches
+from oracle.matchlist import (AGE_NOT_ELIGIBLE, AM_ACTIVE, BLOOD_GROUP,
+                              GERMAN_CHOICE, HLA_UNKNOWN, NOT_OFFERABLE,
+                              SCREENING_STALE, UNACCEPTABLE, CandidateState,
+                              MatchPointContext, build_match_list,
+                              esp_eligible, esp_filtered, esp_tier,
+                              etkas_eligible, etkas_filtered, etkas_points,
+                              etkas_tier)
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +351,8 @@ class TestPointInvariances:
         rng = np.random.default_rng(21)
         regs = _random_population(fx, 100, rng, MATCH_DAY)
         states = [CandidateState.initial(
-            reg, vpra=compute_vpra(reg.unacceptables, fx["panel"]))
+            reg, vpra=compute_vpra(reg.unacceptables, fx["panel"],
+                                   fx["table"]))
             for reg in regs]
         cfg = fx["policy"]
         for lam in (2.0, 0.5):
@@ -477,7 +479,8 @@ class TestScalarVectorEquivalence:
         donor = replace(fx["donor"], age=donor_age)
 
         states = [CandidateState.initial(
-            reg, vpra=compute_vpra(reg.unacceptables, fx["panel"]))
+            reg, vpra=compute_vpra(reg.unacceptables, fx["panel"],
+                                   fx["table"]))
             for reg in regs]
         ml = build_match_list(donor, states, fx["ledger"], fx["policy"],
                               fx["ctx"], MATCH_DAY)
@@ -520,11 +523,12 @@ class TestScalarVectorEquivalence:
                                              base=5.0,
                                              hmpp_replaces_mmp=True))
         states = [CandidateState.initial(
-            reg, vpra=compute_vpra(reg.unacceptables, fx["panel"]))
+            reg, vpra=compute_vpra(reg.unacceptables, fx["panel"],
+                                   fx["table"]))
             for reg in regs]
         ctx = fx["ctx"]
         # scalar path needs the empirical 1-mismatch frequency per candidate
-        from etkasim.hla import p_leq1mm_empirical
+        from oracle.hla import p_leq1mm_empirical
         for reg in regs:
             ctx.set_f_leq1mm_empirical(
                 reg.id, p_leq1mm_empirical(fx["table"], reg.hla, frozenset(),
@@ -593,7 +597,8 @@ class TestScalarVectorEquivalence:
         donor = replace(fx["donor"], age=donor_age)
 
         states = [CandidateState.initial(
-            reg, vpra=compute_vpra(reg.unacceptables, fx["panel"]))
+            reg, vpra=compute_vpra(reg.unacceptables, fx["panel"],
+                                   fx["table"]))
             for reg in regs]
         ml = build_match_list(donor, states, ledger, fx["policy"], ctx,
                               MATCH_DAY)

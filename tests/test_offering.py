@@ -10,11 +10,14 @@ import pytest
 from etkasim.common import to_days
 from etkasim.entities import DonorArrival
 from etkasim.hla import HlaTyping
+from etkasim import offering
 from etkasim.offering import (AcceptanceModels, CoxSampler, LogisticModel,
-                              MissingFeatureError, OfferRecord, StepSurvival,
+                              MissingFeatureError, StepSurvival,
                               UnknownStratumError, donor_features,
-                              patient_offer_features, run_allocation,
-                              simulate_dual, OfferContext)
+                              simulate_dual)
+
+from oracle.offering import (OfferContext, OfferRecord, SequenceOffers,
+                             patient_offer_features)
 
 
 def make_donor(kidneys=2, age=45):
@@ -60,6 +63,12 @@ def models(center_p=1.0, patient_p=1.0, dual=None):
     return AcceptanceModels(center=constant_model(center_p, "center"),
                             patient=constant_model(patient_p, "patient"),
                             dual=dual)
+
+
+def run_allocation(records, donor, k_max, models, rng, **kwargs):
+    """``offering.run_allocation`` over a list of OfferRecord."""
+    return offering.run_allocation(SequenceOffers(records, models.patient),
+                                   donor, k_max, models, rng, **kwargs)
 
 
 def record(i, center="C1", filtered=True, same_region=True,

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etkasim.policy import (AGE_FILTER_CURVES, AgeFilterConfig, PolicyConfig,
-                            PolicyError, SlidingScaleConfig,
-                            age_filter_fraction, load_policy,
+                            PolicyError, SlidingScaleConfig, load_policy,
                             policy_from_mapping, sliding_scale_points,
                             validate, validated)
+
+from oracle.matchlist import age_filter_fraction
 
 
 class TestDefaults:

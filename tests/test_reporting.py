@@ -136,15 +136,12 @@ class TestComparePolicies:
 class TestMatchListExport:
     def test_etkas_and_esp_layouts(self, tmp_path):
         import csv as _csv
-        from etkasim.matchlist import build_match_list
         from etkasim.reporting import write_match_list_csv
-        from fixtures_tables import (MATCH_DAY, build_esp_fixture,
+        from fixtures_tables import (build_engine_list, build_esp_fixture,
                                      build_etkas_fixture)
-        fx = build_etkas_fixture()
-        ml = build_match_list(fx["donor"], fx["states"], fx["ledger"],
-                              fx["policy"], fx["ctx"], MATCH_DAY)
+        store, arrays = build_engine_list(build_etkas_fixture())
         path = tmp_path / "etkas.csv"
-        write_match_list_csv(path, ml)
+        write_match_list_csv(path, arrays, store)
         with open(path) as fh:
             rows = list(_csv.DictReader(fh))
         assert len(rows) == 14
@@ -153,11 +150,9 @@ class TestMatchListExport:
         assert rows[0]["match_quality"] == "000"
         assert rows[1]["tier"] == ">0MM"
 
-        esp = build_esp_fixture()
-        ml2 = build_match_list(esp["donor"], esp["states"], esp["ledger"],
-                               esp["policy"], esp["ctx"], MATCH_DAY)
+        store2, arrays2 = build_engine_list(build_esp_fixture())
         path2 = tmp_path / "esp.csv"
-        write_match_list_csv(path2, ml2)
+        write_match_list_csv(path2, arrays2, store2)
         with open(path2) as fh:
             rows2 = list(_csv.DictReader(fh))
         assert [int(r["points"]) for r in rows2] == [
