@@ -72,8 +72,8 @@ def cmd_batch(args) -> int:
     table = result.summary()
     out = _out_dir(args, settings)
     reporting.write_summary_csv(out / "summary.csv", table)
-    with open(out / "summary.txt", "w", encoding="utf-8") as fh:
-        fh.write(reporting.render_summary_text(table))
+    (out / "summary.txt").write_text(reporting.render_summary_text(table),
+                                     encoding="utf-8")
     print(f"batch of {len(seeds)} runs complete -> {out}")
     return 0
 
@@ -95,8 +95,7 @@ def cmd_validate(args) -> int:
     out = _out_dir(args, settings)
     reporting.write_summary_csv(out / "validation.csv", table)
     text = reporting.render_summary_text(table)
-    with open(out / "validation.txt", "w", encoding="utf-8") as fh:
-        fh.write(text)
+    (out / "validation.txt").write_text(text, encoding="utf-8")
     miscalibrated = [r.name for r in table.rows if r.calibrated is False]
     print(text)
     print(f"{len(miscalibrated)} statistic(s) outside the 95%-IQR")
@@ -120,8 +119,7 @@ def cmd_compare(args) -> int:
     out = _out_dir(args, settings)
     reporting.write_delta_csv(out / "compare.csv", rows)
     text = reporting.render_delta_text(rows)
-    with open(out / "compare.txt", "w", encoding="utf-8") as fh:
-        fh.write(text)
+    (out / "compare.txt").write_text(text, encoding="utf-8")
     print(text)
     return 0
 

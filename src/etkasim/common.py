@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import math
 from datetime import date, datetime
+from itertools import islice, takewhile
 from pathlib import Path
-from typing import Iterator
+from typing import Container, Iterator
 
 import numpy as np
 
@@ -131,11 +132,53 @@ def is_blank_row(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
+def csv_blocks(path, header_line: int, nf: int, reader, size: int):
+    """The data rows of a delimited file after its header, ``size`` rows
+    at a time without the blank ones: (rows, their line numbers) per
+    nonempty block.  A row of the wrong width raises InputError after the
+    rows before it are yielded."""
+    first_line = header_line + 1
+    while rows := list(islice(reader, size)):
+        lines = first_line + np.arange(len(rows))
+        first_line += len(rows)
+        rows, lines, width_error = cut_block(path, nf, rows, lines)
+        if rows:
+            yield rows, lines
+        if width_error is not None:
+            raise width_error
+
+
+def cut_block(path, nf: int, rows: list[list[str]], lines: np.ndarray):
+    """Drop blank rows, and end the block before its first row of the wrong
+    width: (rows, their lines, that row's InputError or None)."""
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    width_error = None
+    blank = []
+    # a blank row has at most one field
+    for i in np.flatnonzero((widths != nf) | (widths <= 1)).tolist():
+        if is_blank_row(rows[i]):
+            blank.append(i)
+        elif widths[i] != nf:
+            width_error = InputError(f"expected {nf} fields, got {widths[i]}",
+                                     path, int(lines[i]))
+            del rows[i:]
+            lines = lines[:i]
+            break
+    if blank:
+        keep = np.delete(np.arange(len(rows)), blank)
+        rows = [rows[i] for i in keep.tolist()]
+        lines = lines[keep]
+    return rows, lines, width_error
+
+
+_ROWS_BLOCK = 1 << 12  # rows per block of read_csv_rows
+
+
 def read_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
     """Yield (line_number, row_dict) from a delimited file.
 
-    Lines starting with '#' before the header carry file-level metadata and
-    are skipped here; use read_csv_header_meta() to collect them.
+    Lines starting with '#' before the header carry file-level metadata
+    (``#key=value``) and are skipped.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -143,25 +186,46 @@ def read_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
         if header is None:
             return
         pos, fieldnames = header
-        for i, row in enumerate(csv.reader(fh)):
-            if is_blank_row(row):
-                continue
-            if len(row) != len(fieldnames):
-                raise InputError(
-                    f"expected {len(fieldnames)} fields, got {len(row)}",
-                    path, pos + 1 + i)
-            yield pos + 1 + i, dict(zip(fieldnames, row))
+        for rows, lines in csv_blocks(path, pos, len(fieldnames),
+                                      csv.reader(fh), _ROWS_BLOCK):
+            for line, row in zip(lines.tolist(), rows):
+                yield line, dict(zip(fieldnames, row))
 
 
-def read_csv_header_meta(path: str | Path) -> dict[str, str]:
-    """Collect '#key=value' metadata lines preceding a file's header row."""
-    meta: dict[str, str] = {}
+def read_coefficients(path: str | Path, vocabulary: Container[str],
+                      kinds: tuple[str, ...] = (), intercept: bool = True):
+    """A fitted model's ``name,value`` file: (``#model_id`` header or file
+    stem, intercept or 0, coefficients in file order, ``{name: value}`` rows
+    of each of ``kinds``, which a ``kind`` column tells from ``coef`` rows).
+    A value that is not a number, a row of another kind or a feature
+    outside ``vocabulary`` raises InputError at its line."""
+    path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            if not raw.startswith("#"):
-                break
-            body = raw[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-    return meta
+        meta = [line[1:].partition("=") for line in
+                takewhile(lambda line: line.startswith("#"), fh)]
+    model_id = next((value.strip() for key, sep, value in meta
+                     if sep and key.strip() == "model_id"), path.stem)
+    start = 0.0
+    coefficients: dict[str, float] = {}
+    other: dict[str, dict[str, float]] = {kind: {} for kind in kinds}
+    for line, row in read_csv_rows(path):
+        kind = row.get("kind", "coef").strip()
+        name = row.get("name", "").strip()
+        try:
+            value = float(row["value"])
+        except (KeyError, ValueError):
+            raise InputError(f"coefficient {name!r}: value "
+                             f"{row.get('value')!r} is not a number",
+                             path, line) from None
+        if kind in other:
+            other[kind][name] = value
+        elif kind != "coef":
+            raise InputError(f"unknown row kind {kind!r}", path, line)
+        elif intercept and name in ("(Intercept)", "intercept"):
+            start = value
+        elif name in vocabulary:
+            coefficients[name] = value
+        else:
+            raise InputError(f"model {model_id!r} has no feature {name!r}",
+                             path, line)
+    return model_id, start, coefficients, other

@@ -23,18 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balances import (BalanceEvent, BalanceLedger, UnknownCountryError,
-                       donor_age_group)
+from .balances import (DONOR_AGE_GROUPS, BalanceEvent, BalanceLedger,
+                       UnknownCountryError)
 from .common import DAYS_PER_YEAR, InputError, day_text, from_days, to_days
 from .entities import (ETKAS, GEOGRAPHY_CLASSES, TERMINAL_CODES, DonorArrival,
                        StatusUpdate)
-from .fastmatch import (ACTIVE_CODES, CandidateStore, HlaIndex, HU,
+from .fastmatch import (ACTIVE_CODES, CandidateStore, HlaIndex,
                         POINT_COMPONENTS, MatchArrays, build_match_arrays)
 from .io import SimulationInputs
-from .offering import (GEOGRAPHY_FEATURES, MissingFeatureError,
-                       center_offer_features, donor_features, run_allocation)
-from .posttransplant import (build_synthetic_relisting, sample_failure_time,
-                             sample_relist_time)
+from .offering import (PATIENT_COLUMNS, center_offer_features, donor_features,
+                       linear_predictor, run_allocation)
+from .posttransplant import (TRANSPLANT_FEATURES, build_synthetic_relisting,
+                             sample_failure_time, sample_relist_time)
 
 # event type priorities within one day
 PRIO_BALANCE = 0
@@ -82,8 +82,7 @@ class SimulationOutput:
     ledger: BalanceLedger
     event_log: list[tuple]
     init_statuses: dict[str, tuple[str, int]]
-    init_ledger_snapshot: dict
-    init_regional_snapshot: dict
+    init_ledger: BalanceLedger  # shared with the state: never written
     offer_traces: list[tuple] = field(default_factory=list)
     invariant_failures: list[str] = field(default_factory=list)
 
@@ -378,15 +377,14 @@ def run(state: SimState) -> SimulationOutput:
         ledger=state.ledger,
         event_log=state.event_log,
         init_statuses=state.init_statuses,
-        init_ledger_snapshot=state.init_ledger.snapshot(),
-        init_regional_snapshot=state.init_ledger.regional_snapshot(),
+        init_ledger=state.init_ledger,
         offer_traces=state.offer_traces,
         invariant_failures=state.invariant_failures,
     )
 
 
 def _check_conservation(state: SimState) -> None:
-    for group in ("0-17", "18-49", "50-64", "65+"):
+    for group in DONOR_AGE_GROUPS:
         total = state.ledger.group_sum(group)
         if total != 0:
             state.invariant_failures.append(
@@ -448,47 +446,18 @@ def _handle_failure(state: SimState, person_id: str, expected_count: int,
 # ---------------------------------------------------------------------------
 # Donor events
 
-def _patient_prob_vector(model, donor: DonorArrival,
-                         donor_scalar: dict[str, float], arrays: MatchArrays,
-                         store: CandidateStore, cfg) -> np.ndarray:
+def _patient_prob_vector(model, donor_feats: dict[str, float],
+                         arrays: MatchArrays, store: CandidateStore,
+                         cfg) -> np.ndarray:
     """Patient-level acceptance probabilities of the whole list, from the
-    features that ``patient_offer_features`` in ``tests/oracle/offering.py``
-    builds one offer at a time, value for value."""
-    n = len(arrays.rows)
-
-    def col(name: str):
-        if name in donor_scalar:
-            return donor_scalar[name]
-        if name == "cand_age":
-            return arrays.age.astype(np.float64)
-        if name == "cand_age_dec":
-            return arrays.age / 10.0
-        if name == "cand_pediatric":
-            return (arrays.age < cfg.pediatric_candidate_age_below).astype(float)
-        if name == "cand_hu":
-            return (store.status[arrays.rows] == HU).astype(float)
-        if name == "cand_vpra":
-            return store.vpra[arrays.rows]
-        if name == "cand_dialysis_years":
-            return arrays.dial_days / DAYS_PER_YEAR
-        if name == "cand_prior_tx":
-            return store.prior_tx[arrays.rows].astype(float)
-        if name == "mm_total":
-            return (arrays.mm_a + arrays.mm_b + arrays.mm_dr).astype(float)
-        if name == "mm_dr":
-            return arrays.mm_dr.astype(float)
-        if name == "age_diff_abs":
-            return np.abs(arrays.age - donor.age).astype(float)
-        if name in GEOGRAPHY_FEATURES:
-            return (arrays.geo_idx
-                    == GEOGRAPHY_FEATURES.index(name)).astype(float)
-        if name == "offer_rank":
-            return np.arange(1, n + 1, dtype=np.float64)
-        raise MissingFeatureError(name, model.model_id)
-
-    lp = np.full(n, model.intercept, dtype=np.float64)
-    for name, beta in model.coefficients.items():
-        lp += beta * col(name)
+    donor's features and the model's ``offering.PATIENT_COLUMNS``: those
+    ``tests/oracle/offering.py`` builds one offer at a time."""
+    features = dict(donor_feats)
+    features.update((name, PATIENT_COLUMNS[name](arrays, store, cfg))
+                    for name in model.coefficients if name in PATIENT_COLUMNS)
+    lp = linear_predictor(np.full(len(arrays.rows), model.intercept,
+                                  dtype=np.float64),
+                          model.coefficients, features, model.model_id)
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-lp))
 
@@ -556,8 +525,8 @@ def _handle_donor(state: SimState, index: int, when: int) -> None:
         return
 
     k_max = inputs.cox.sample(program, donor.country, donor_feats, state.rng)
-    probs = _patient_prob_vector(models.patient, donor, donor_feats, arrays,
-                                 store, cfg)
+    probs = _patient_prob_vector(models.patient, donor_feats, arrays, store,
+                                 cfg)
     offers = ArrayOffers(store, arrays, probs)
 
     def center_feats(center_code: str):
@@ -568,7 +537,7 @@ def _handle_donor(state: SimState, index: int, when: int) -> None:
         offers, donor, k_max, models, state.rng,
         unplaced_mode=inputs.settings.unplaced_mode,
         center_features=center_feats,
-        collect_trace=state.collect_trace)
+        collect_trace=state.collect_trace, donor_feats=donor_feats)
 
     if state.collect_trace:
         for entry in outcome.trace:
@@ -656,17 +625,16 @@ def _post_transplant(state: SimState, donor: DonorArrival,
     reg = store.registrations[row]
 
     features = dict(donor_feats)
-    features.update({
-        "cand_age": float(record.cand_age),
-        "cand_dialysis_years": record.dialysis_days / DAYS_PER_YEAR,
-        "cand_prior_tx": float(record.prior_transplant),
-        "mm_total": float(record.mm_total),
-        "mm_dr": float(record.mm_dr),
-        "cross_border": float(donor.country != reg.country),
-        "non_standard": float(record.mechanism == "non_standard"),
-        "tx_year_index": (from_days(when).year
-                          - inputs.settings.window_start.year),
-    })
+    features.update(zip(TRANSPLANT_FEATURES, (
+        float(record.cand_age),
+        record.dialysis_days / DAYS_PER_YEAR,
+        float(record.prior_transplant),
+        float(record.mm_total),
+        float(record.mm_dr),
+        float(donor.country != reg.country),
+        float(record.mechanism == "non_standard"),
+        from_days(when).year - inputs.settings.window_start.year,
+    ), strict=True))
     t_days = sample_failure_time(features, reg.country, inputs.weibull,
                                  state.rng)
     failure_days = when + max(1, int(round(t_days)))
@@ -721,18 +689,17 @@ def store_unacceptables(store: CandidateStore, row: int) -> set[str]:
 # ---------------------------------------------------------------------------
 # Replay check: fold the event log back into a final state
 
-def replay_final_state(output: SimulationOutput) -> tuple[dict, dict, dict]:
-    """Fold the run's event log over the initial snapshot.
+def replay_final_state(output: SimulationOutput
+                       ) -> tuple[dict, BalanceLedger]:
+    """Fold the run's event log over the initial state.
 
-    Returns (statuses, ledger_net, regional_net) which must equal the run's
-    own final state exactly; any divergence means the engine mutated state
-    without logging it (or vice versa).  Balance entries fold by the rules
-    of ``BalanceLedger.record_transfer``.
+    Returns (statuses, ledger), which must equal the run's own final state
+    exactly; any divergence means the engine mutated state without logging
+    it (or vice versa).  Balance entries fold into a copy of the initial
+    ledger through ``BalanceLedger.record_transfer``.
     """
     statuses: dict[str, tuple[str, int]] = dict(output.init_statuses)
-    net: dict = dict(output.init_ledger_snapshot)
-    regional: dict = dict(output.init_regional_snapshot)
-    austria = output.ledger.austria_code
+    ledger = output.init_ledger.copy()
     for entry in output.event_log:
         kind = entry[0]
         if kind == "status":
@@ -742,24 +709,14 @@ def replay_final_state(output: SimulationOutput) -> tuple[dict, dict, dict]:
             _, cand_id, when = entry
             statuses[cand_id] = ("PRE", when)
         elif kind == "balance":
-            (_, donor_c, recip_c, donor_age, program, d_region, r_region,
-             when) = entry
-            group = donor_age_group(donor_age)
-            if donor_c != recip_c:
-                net[(donor_c, group)] = net.get((donor_c, group), 0) + 1
-                net[(recip_c, group)] = net.get((recip_c, group), 0) - 1
-            if donor_c == austria and d_region:
-                key = (d_region, group)
-                regional[key] = regional.get(key, 0) + 1
-            if recip_c == austria and r_region:
-                key = (r_region, group)
-                regional[key] = regional.get(key, 0) - 1
-    return statuses, net, regional
+            # (kind, BalanceEvent's fields but its day, day)
+            ledger.record_transfer(BalanceEvent(entry[-1], *entry[1:-1]))
+    return statuses, ledger
 
 
 def verify_replay(output: SimulationOutput) -> list[str]:
     """Differences between the replayed log and the recorded final state."""
-    statuses, net, regional = replay_final_state(output)
+    statuses, ledger = replay_final_state(output)
     problems = []
     final = {cid: (code, day) for cid, code, day in output.final_states}
     if statuses != final:
@@ -767,8 +724,8 @@ def verify_replay(output: SimulationOutput) -> list[str]:
                 if statuses.get(k) != final.get(k)}
         problems.append(f"status mismatch for {len(diff)} candidates "
                         f"(e.g. {sorted(diff)[:3]})")
-    if net != output.ledger.snapshot():
+    if ledger.snapshot() != output.ledger.snapshot():
         problems.append("ledger mismatch after replay")
-    if regional != output.ledger.regional_snapshot():
+    if ledger.regional_snapshot() != output.ledger.regional_snapshot():
         problems.append("Austrian regional ledger mismatch after replay")
     return problems

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from importlib import resources
 from functools import partial
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -19,15 +18,16 @@ import numpy as np
 import yaml
 
 from .balances import BalanceEvent, read_balance_events
-from .common import (InputError, is_blank_row, iso_day_rows, iso_days,
-                     parse_bool, parse_date, parse_day, read_csv_header,
-                     read_csv_rows)
+from .common import (InputError, csv_blocks, cut_block, iso_day_rows,
+                     iso_days, parse_bool, parse_date, parse_day,
+                     read_csv_header, read_csv_rows)
 from .entities import (CandidateRegistration, CenterRegistry, DonorArrival,
                        StatusUpdate, expand_mm_patterns, parse_payload,
                        parse_profile)
 from .hla import (HLA_COLUMNS, AntigenTable, BloodGroupFrequencies,
                   DonorPanel, FrequencyTable, TypingReader)
-from .offering import AcceptanceModels, CoxSampler, LogisticModel
+from .offering import (DUAL_FEATURES, PATIENT_FEATURES, AcceptanceModels,
+                       CoxSampler, LogisticModel, center_vocabulary)
 from .policy import PolicyConfig, load_policy
 from .posttransplant import RelistCurveSet, RelistingPool, WeibullModel
 
@@ -204,8 +204,8 @@ def load_registrations(path: str | Path,
         header_line, fieldnames = header
         parser = _RegistrationParser(path, table, fieldnames)
         regs: list[CandidateRegistration] = []
-        for rows, lines in _blocks(path, header_line, len(fieldnames),
-                                   csv.reader(fh), _REGISTRATION_BLOCK):
+        for rows, lines in csv_blocks(path, header_line, len(fieldnames),
+                                      csv.reader(fh), _REGISTRATION_BLOCK):
             parser.parse_block(rows, lines, regs)
         return regs
 
@@ -370,8 +370,9 @@ class _StatusReader:
         """Read the file through csv.reader."""
         with open(self.path, newline="", encoding="utf-8") as fh:
             read_csv_header(fh)
-            for rows, lines in _blocks(self.path, self.header_line, self.nf,
-                                       csv.reader(fh), _STATUS_BLOCK):
+            for rows, lines in csv_blocks(self.path, self.header_line,
+                                          self.nf, csv.reader(fh),
+                                          _STATUS_BLOCK):
                 cids, days, is_scr = self._parse(rows, lines)
                 self._number(cids)
                 self._keep(cids, days, is_scr)
@@ -404,8 +405,8 @@ class _StatusReader:
         rows = list(csv.reader([
             block[i:j].decode("utf-8")
             for i, j in zip(starts[others].tolist(), ends[others].tolist())]))
-        rows, lines, width_error = _cut_block(self.path, self.nf, rows,
-                                              first_line + others)
+        rows, lines, width_error = cut_block(self.path, self.nf, rows,
+                                             first_line + others)
         cids, row_days, is_scr = (self._parse(rows, lines) if rows
                                   else ([], None, None))
         if width_error is not None:
@@ -568,46 +569,6 @@ def _same_as_previous(a: np.ndarray, lo: np.ndarray,
     return same
 
 
-def _blocks(path, header_line: int, nf: int, reader, size: int):
-    """The data rows of a delimited file after its header, ``size`` rows
-    at a time without the blank ones: (rows, their line numbers) per
-    nonempty block.  A row of the wrong width raises InputError after the
-    rows before it are yielded."""
-    first_line = header_line + 1
-    while rows := list(islice(reader, size)):
-        lines = first_line + np.arange(len(rows))
-        first_line += len(rows)
-        rows, lines, width_error = _cut_block(path, nf, rows, lines)
-        if rows:
-            yield rows, lines
-        if width_error is not None:
-            raise width_error
-
-
-def _cut_block(path, nf: int, rows: list[list[str]],
-                      lines: np.ndarray):
-    """Drop blank rows, and end the block before its first row of the wrong
-    width: (rows, their lines, that row's InputError or None)."""
-    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    width_error = None
-    blank = []
-    # a blank row has at most one field
-    for i in np.flatnonzero((widths != nf) | (widths <= 1)).tolist():
-        if is_blank_row(rows[i]):
-            blank.append(i)
-        elif widths[i] != nf:
-            width_error = InputError(f"expected {nf} fields, got {widths[i]}",
-                                     path, int(lines[i]))
-            del rows[i:]
-            lines = lines[:i]
-            break
-    if blank:
-        keep = np.delete(np.arange(len(rows)), blank)
-        rows = [rows[i] for i in keep.tolist()]
-        lines = lines[keep]
-    return rows, lines, width_error
-
-
 def _parse_status_block(path, table: AntigenTable, col: dict[str, int],
                         rows: list[list[str]], lines: np.ndarray,
                         rest: list[tuple[str, str, str]]):
@@ -752,20 +713,22 @@ def load_inputs(settings: SimulationSettings,
 
     cox = CoxSampler.from_files(
         settings.resolve("cox_coefficients", "cox_max_offers.csv"),
-        settings.resolve("cox_baselines", "cox_baselines.csv"))
-    dual = LogisticModel.from_file(settings.resolve("dual_model", "dual.csv"))
+        settings.resolve("cox_baselines", "cox_baselines.csv"),
+        centers.countries)
+
+    def model(key: str, vocabulary) -> LogisticModel:
+        return LogisticModel.from_file(settings.resolve(key, f"{key}.csv"),
+                                       vocabulary)
+
+    center = center_vocabulary(centers.countries)
+    dual = LogisticModel.from_file(settings.resolve("dual_model", "dual.csv"),
+                                   DUAL_FEATURES)
     etkas_models = AcceptanceModels(
-        center=LogisticModel.from_file(
-            settings.resolve("accept_etkas_center", "accept_etkas_center.csv")),
-        patient=LogisticModel.from_file(
-            settings.resolve("accept_etkas_patient", "accept_etkas_patient.csv")),
-        dual=dual)
+        center=model("accept_etkas_center", center),
+        patient=model("accept_etkas_patient", PATIENT_FEATURES), dual=dual)
     esp_models = AcceptanceModels(
-        center=LogisticModel.from_file(
-            settings.resolve("accept_esp_center", "accept_esp_center.csv")),
-        patient=LogisticModel.from_file(
-            settings.resolve("accept_esp_patient", "accept_esp_patient.csv")),
-        dual=dual)
+        center=model("accept_esp_center", center),
+        patient=model("accept_esp_patient", PATIENT_FEATURES), dual=dual)
 
     weibull = WeibullModel.from_file(
         settings.resolve("weibull", "weibull_post_transplant.csv"))

@@ -16,28 +16,32 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
-from .common import read_csv_header_meta, read_csv_rows
-from .entities import (DEATH_CAUSE_GROUPS, ESP, GEOGRAPHY_CLASSES,
+import numpy as np
+
+from .common import DAYS_PER_YEAR, InputError, read_coefficients, read_csv_rows
+from .entities import (DEATH_CAUSE_GROUPS, ESP, ETKAS, GEOGRAPHY_CLASSES,
                        CenterRegistry, DonorArrival, geography_class)
+from .fastmatch import HU
 from .hla import BLOOD_GROUPS
 
 
-class MissingFeatureError(KeyError):
+class MissingFeatureError(InputError):
     def __init__(self, name: str, model_id: str):
         super().__init__(f"model {model_id!r} needs feature {name!r} "
                          "which the extractor did not provide")
 
 
-class UnknownStratumError(KeyError):
+class UnknownStratumError(InputError):
     pass
 
 
-def linear_predictor(start: float, coefficients: Mapping[str, float],
-                     features: Mapping[str, float], model_id: str) -> float:
+def linear_predictor(start, coefficients: Mapping[str, float],
+                     features: Mapping, model_id: str):
     """``start`` plus each coefficient times its feature, summed in the
-    coefficients' order; MissingFeatureError names an absent feature."""
+    coefficients' order; MissingFeatureError names an absent feature.  Every
+    fitted model is evaluated here, on scalars or on numpy columns."""
     lp = start
     for name, beta in coefficients.items():
         if name not in features:
@@ -53,7 +57,6 @@ class LogisticModel:
     model_id: str
     intercept: float
     coefficients: Mapping[str, float]
-    feature_schema: str = "1"
 
     def predict(self, features: Mapping[str, float]) -> float:
         lp = linear_predictor(self.intercept, self.coefficients, features,
@@ -64,38 +67,29 @@ class LogisticModel:
         return z / (1.0 + z)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "LogisticModel":
-        meta = read_csv_header_meta(path)
-        intercept = 0.0
-        coefs: dict[str, float] = {}
-        for line, row in read_csv_rows(path):
-            name = row["name"].strip()
-            value = float(row["value"])
-            if name in ("(Intercept)", "intercept"):
-                intercept = value
-            else:
-                coefs[name] = value
-        return cls(model_id=meta.get("model_id", Path(path).stem),
-                   intercept=intercept, coefficients=coefs,
-                   feature_schema=meta.get("feature_schema", "1"))
+    def from_file(cls, path: str | Path,
+                  vocabulary: Collection[str]) -> "LogisticModel":
+        model_id, intercept, coefs, _ = read_coefficients(path, vocabulary)
+        return cls(model_id, intercept, coefs)
 
 
 @dataclass(frozen=True)
 class StepSurvival:
-    """Non-increasing baseline survival over offer counts, S0(0) = 1."""
+    """Non-increasing baseline survival over offer counts, S0(0) = 1; a
+    baseline file breaking that raises InputError."""
 
     ks: tuple[int, ...]
     s0: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.ks) != len(self.s0) or not self.ks:
-            raise ValueError("baseline survival needs matching k / S0 arrays")
+            raise InputError("baseline survival needs matching k / S0 arrays")
         if any(b > a for a, b in zip(self.ks[1:], self.ks)):
-            raise ValueError("offer counts must be increasing")
+            raise InputError("offer counts must be increasing")
         if any(b > a + 1e-12 for a, b in zip(self.s0, self.s0[1:])):
-            raise ValueError("S0 must be non-increasing")
+            raise InputError("S0 must be non-increasing")
         if self.s0[0] > 1.0 + 1e-12:
-            raise ValueError("S0 must start at or below 1")
+            raise InputError("S0 must start at or below 1")
 
 
 class CoxSampler:
@@ -114,17 +108,21 @@ class CoxSampler:
         self.baselines = dict(baselines)
         self.model_id = model_id
 
-    def stratum_key(self, program: str, donor_country: str) -> str:
-        return "ESP" if program == ESP else f"ETKAS:{donor_country}"
-
-    def sample(self, program: str, donor_country: str,
-               features: Mapping[str, float], rng) -> int | None:
-        key = self.stratum_key(program, donor_country)
+    def baseline(self, program: str, donor_country: str) -> StepSurvival:
+        """The stratum's baseline: ``ESP``, else ``ETKAS:<country>`` or
+        ``ETKAS:default``."""
+        key = "ESP" if program == ESP else f"ETKAS:{donor_country}"
         base = self.baselines.get(key)
         if base is None and program != ESP:
             base = self.baselines.get("ETKAS:default")
         if base is None:
-            raise UnknownStratumError(key)
+            raise UnknownStratumError(f"no baseline survival for stratum "
+                                      f"{key!r}")
+        return base
+
+    def sample(self, program: str, donor_country: str,
+               features: Mapping[str, float], rng) -> int | None:
+        base = self.baseline(program, donor_country)
         rel_risk = math.exp(linear_predictor(0.0, self.coefficients, features,
                                              self.model_id))
         u = float(rng.random())
@@ -137,26 +135,64 @@ class CoxSampler:
         return base.ks[idx]
 
     @classmethod
-    def from_files(cls, coef_path: str | Path,
-                   baseline_path: str | Path) -> "CoxSampler":
-        meta = read_csv_header_meta(coef_path)
-        coefs: dict[str, float] = {}
-        for line, row in read_csv_rows(coef_path):
-            coefs[row["name"].strip()] = float(row["value"])
+    def from_files(cls, coef_path: str | Path, baseline_path: str | Path,
+                   countries: Sequence[str]) -> "CoxSampler":
+        """Donor-feature coefficients, and ``stratum,k,s0`` baselines with
+        every stratum a donor of one of ``countries`` can ask for."""
+        model_id, _, coefs, _ = read_coefficients(coef_path, DONOR_FEATURES,
+                                                  intercept=False)
         by_stratum: dict[str, list[tuple[int, float]]] = {}
         for line, row in read_csv_rows(baseline_path):
-            by_stratum.setdefault(row["stratum"].strip(), []).append(
-                (int(row["k"]), float(row["s0"])))
+            try:
+                by_stratum.setdefault(row["stratum"].strip(), []).append(
+                    (int(row["k"]), float(row["s0"])))
+            except (KeyError, ValueError) as exc:
+                raise InputError(f"malformed baseline row: {exc}",
+                                 baseline_path, line) from None
         baselines = {}
         for stratum, pairs in by_stratum.items():
             pairs.sort()
             baselines[stratum] = StepSurvival(
                 ks=tuple(k for k, _ in pairs), s0=tuple(s for _, s in pairs))
-        return cls(coefs, baselines, model_id=meta.get("model_id", "max_offers"))
+        sampler = cls(coefs, baselines, model_id=model_id)
+        try:
+            for country in countries:
+                for program in (ETKAS, ESP):
+                    sampler.baseline(program, country)
+        except UnknownStratumError as exc:
+            raise InputError(str(exc), baseline_path) from None
+        return sampler
 
 
 # ---------------------------------------------------------------------------
-# Feature extraction
+# Feature extraction.  Each acceptance model's vocabulary, the feature names
+# its coefficient file may use, is written once here, as the names of the
+# features built below; the graft-failure model's is in ``posttransplant``.
+
+# each donor feature and its value for a donor
+_DONOR_VALUES: dict[str, Callable[[DonorArrival], float]] = {
+    "donor_age": lambda d: float(d.age),
+    "donor_age_dec": lambda d: d.age / 10.0,
+    "donor_dcd": lambda d: float(d.dcd),
+    "donor_extended": lambda d: float(d.extended_criteria),
+    "donor_creatinine": lambda d: float(d.last_creatinine),
+    "donor_diabetes": lambda d: float(d.diabetes),
+    "donor_smoking": lambda d: float(d.smoking),
+    "donor_proteinuria": lambda d: float(d.proteinuria),
+    "donor_hypertension": lambda d: float(d.hypertension),
+    "donor_malignancy": lambda d: float(d.malignancy),
+    "donor_hcv": lambda d: float(d.hcv_positive),
+    **{f"donor_death_{cause}": (lambda d, c=cause: float(d.death_cause == c))
+       for cause in DEATH_CAUSE_GROUPS},
+    **{f"donor_bg_{bg}": (lambda d, g=bg: float(d.blood_group == g))
+       for bg in BLOOD_GROUPS},
+}
+DONOR_FEATURES = tuple(_DONOR_VALUES)  # also the max-offer model's
+
+
+def donor_features(donor: DonorArrival) -> dict[str, float]:
+    return {name: value(donor) for name, value in _DONOR_VALUES.items()}
+
 
 # the acceptance models' indicator of each of GEOGRAPHY_CLASSES, and their
 # values for each class
@@ -164,27 +200,14 @@ GEOGRAPHY_FEATURES = ("match_local", "match_national", "match_international")
 _INDICATORS = {klass: {name: float(klass == other) for name, other
                        in zip(GEOGRAPHY_FEATURES, GEOGRAPHY_CLASSES)}
                for klass in GEOGRAPHY_CLASSES}
+# a center's country indicator is this prefix plus the country code
+CENTER_COUNTRY = "center_country_"
 
 
-def donor_features(donor: DonorArrival) -> dict[str, float]:
-    feats = {
-        "donor_age": float(donor.age),
-        "donor_age_dec": donor.age / 10.0,
-        "donor_dcd": float(donor.dcd),
-        "donor_extended": float(donor.extended_criteria),
-        "donor_creatinine": float(donor.last_creatinine),
-        "donor_diabetes": float(donor.diabetes),
-        "donor_smoking": float(donor.smoking),
-        "donor_proteinuria": float(donor.proteinuria),
-        "donor_hypertension": float(donor.hypertension),
-        "donor_malignancy": float(donor.malignancy),
-        "donor_hcv": float(donor.hcv_positive),
-    }
-    for cause in DEATH_CAUSE_GROUPS:
-        feats[f"donor_death_{cause}"] = float(donor.death_cause == cause)
-    for bg in BLOOD_GROUPS:
-        feats[f"donor_bg_{bg}"] = float(donor.blood_group == bg)
-    return feats
+def center_vocabulary(countries: Sequence[str]) -> tuple[str, ...]:
+    """The center models' features in a registry of ``countries``."""
+    return (*DONOR_FEATURES, *GEOGRAPHY_FEATURES,
+            *(CENTER_COUNTRY + country for country in countries))
 
 
 def center_offer_features(donor: DonorArrival,
@@ -198,16 +221,41 @@ def center_offer_features(donor: DonorArrival,
     feats.update(_INDICATORS[geography_class(centers.get(donor.center),
                                              center)])
     for country in countries:
-        feats[f"center_country_{country}"] = float(center.country == country)
+        feats[CENTER_COUNTRY + country] = float(center.country == country)
     return feats
 
 
-def dual_features(donor: DonorArrival, candidate_age: float,
+# the patient models' features beyond the donor's, each a column over a
+# donor's match list: name -> f(MatchArrays, CandidateStore, PolicyConfig)
+PATIENT_COLUMNS = {
+    "cand_age": lambda a, store, cfg: a.age.astype(np.float64),
+    "cand_age_dec": lambda a, store, cfg: a.age / 10.0,
+    "cand_pediatric": lambda a, store, cfg: (
+        a.age < cfg.pediatric_candidate_age_below).astype(float),
+    "cand_hu": lambda a, store, cfg: (store.status[a.rows] == HU).astype(float),
+    "cand_vpra": lambda a, store, cfg: store.vpra[a.rows],
+    "cand_dialysis_years": lambda a, store, cfg: a.dial_days / DAYS_PER_YEAR,
+    "cand_prior_tx": lambda a, store, cfg: store.prior_tx[a.rows].astype(float),
+    "mm_total": lambda a, store, cfg: (a.mm_a + a.mm_b + a.mm_dr).astype(float),
+    "mm_dr": lambda a, store, cfg: a.mm_dr.astype(float),
+    "age_diff_abs": lambda a, store, cfg: np.abs(a.age - a.donor.age).astype(
+        float),
+    **{name: (lambda a, store, cfg, k=k: (a.geo_idx == k).astype(float))
+       for k, name in enumerate(GEOGRAPHY_FEATURES)},
+    "offer_rank": lambda a, store, cfg: np.arange(1, len(a.rows) + 1,
+                                                  dtype=np.float64),
+}
+PATIENT_FEATURES = (*DONOR_FEATURES, *PATIENT_COLUMNS)
+
+# the dual-kidney model's features beyond the donor's
+_DUAL_EXTRA = ("cand_age", "rescue")
+DUAL_FEATURES = (*DONOR_FEATURES, *_DUAL_EXTRA)
+
+
+def dual_features(donor_feats: Mapping[str, float], candidate_age: float,
                   non_standard: bool) -> dict[str, float]:
-    feats = donor_features(donor)
-    feats["cand_age"] = candidate_age
-    feats["rescue"] = float(non_standard)
-    return feats
+    return {**donor_feats, **dict(zip(
+        _DUAL_EXTRA, (candidate_age, float(non_standard)), strict=True))}
 
 
 def simulate_dual(features: Mapping[str, float], model: LogisticModel,
@@ -269,7 +317,9 @@ def run_allocation(offers, donor: DonorArrival,
                    k_max: int | None, models: AcceptanceModels,
                    rng, unplaced_mode: str = "discard",
                    center_features: Callable[[str], Mapping[str, float]] | None = None,
-                   collect_trace: bool = True) -> AllocationOutcome:
+                   collect_trace: bool = True,
+                   donor_feats: Mapping[str, float] | None = None
+                   ) -> AllocationOutcome:
     """Walk the match list per the offering rules and return who accepted.
 
     ``offers`` reads the list in unfiltered match-list order: its length,
@@ -278,12 +328,15 @@ def run_allocation(offers, donor: DonorArrival,
     for the non-standard phase.  The engine passes ``engine.ArrayOffers``;
     the tests' record-at-a-time accessor is in ``tests/oracle/offering.py``.
     ``center_features`` supplies the feature mapping for a center code
-    (defaults to empty, for intercept-only models).  ``unplaced_mode`` is
-    'discard' or 'force'.
+    (defaults to empty, for intercept-only models), and ``donor_feats``
+    the donor's ``donor_features`` (computed here if not given) for dual
+    decisions.  ``unplaced_mode`` is 'discard' or 'force'.
     """
     if unplaced_mode not in ("discard", "force"):
         raise ValueError(f"unplaced_mode must be 'discard' or 'force', "
                          f"got {unplaced_mode!r}")
+    if donor_feats is None:
+        donor_feats = donor_features(donor)
     n = len(offers)
     outcome = AllocationOutcome()
     kidneys_left = donor.kidneys_available
@@ -321,7 +374,7 @@ def run_allocation(offers, donor: DonorArrival,
             return "decline"
         kidneys = 1
         if kidneys_left == 2 and models.dual is not None:
-            if simulate_dual(dual_features(donor, offers.age(i),
+            if simulate_dual(dual_features(donor_feats, offers.age(i),
                                            stage == NON_STANDARD),
                              models.dual, rng):
                 kidneys = 2
@@ -369,8 +422,9 @@ def run_allocation(offers, donor: DonorArrival,
                 p = offers.probability(i)
                 kidneys = kidneys_left if (
                     kidneys_left == 2 and models.dual is not None
-                    and simulate_dual(dual_features(donor, offers.age(i), True),
-                                      models.dual, rng)) else 1
+                    and simulate_dual(
+                        dual_features(donor_feats, offers.age(i), True),
+                        models.dual, rng)) else 1
                 note(i, NON_STANDARD, DECISION_FORCED, p)
                 accepted.add(i)
                 kidneys_left -= kidneys

@@ -13,22 +13,31 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .common import InputError, read_csv_header_meta, read_csv_rows
+from .common import InputError, read_coefficients, read_csv_rows
 from .entities import CandidateRegistration, parse_payload
 from .hla import AntigenTable, HlaTyping
+from .offering import DONOR_FEATURES, linear_predictor
 
 log = logging.getLogger(__name__)
 
 
-class InvalidScaleError(ValueError):
+class InvalidScaleError(InputError):
     """The Weibull linear scale came out non-positive for these covariates."""
+
+
+# the graft-failure model's features beyond the donor's: what
+# ``engine._post_transplant`` knows of a transplant, in this order
+TRANSPLANT_FEATURES = ("cand_age", "cand_dialysis_years", "cand_prior_tx",
+                       "mm_total", "mm_dr", "cross_border", "non_standard",
+                       "tx_year_index")
+FAILURE_FEATURES = (*DONOR_FEATURES, *TRANSPLANT_FEATURES)
 
 
 @dataclass(frozen=True)
@@ -45,50 +54,27 @@ class WeibullModel:
     default_shape: float = 1.0
     model_id: str = "post_transplant"
 
-    def scale(self, features: Mapping[str, float]) -> float:
-        lam = self.intercept
-        for name, beta in self.coefficients.items():
-            if name not in features:
-                raise InputError(f"model {self.model_id!r} needs feature "
-                                 f"{name!r}")
-            lam += beta * features[name]
-        return lam
-
     def shape(self, country: str) -> float:
         return self.shape_by_country.get(country, self.default_shape)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "WeibullModel":
-        meta = read_csv_header_meta(path)
-        coefs: dict[str, float] = {}
-        shapes: dict[str, float] = {}
-        intercept = 0.0
-        default_shape = 1.0
-        for line, row in read_csv_rows(path):
-            kind = row["kind"].strip()
-            name = row["name"].strip()
-            value = float(row["value"])
-            if kind == "coef":
-                if name in ("(Intercept)", "intercept"):
-                    intercept = value
-                else:
-                    coefs[name] = value
-            elif kind == "shape":
-                if name == "default":
-                    default_shape = value
-                else:
-                    shapes[name] = value
-            else:
-                raise InputError(f"unknown row kind {kind!r}", path, line)
+        """``coef`` rows over FAILURE_FEATURES, and ``shape`` rows by
+        country, ``default`` for the rest (``common.read_coefficients``)."""
+        model_id, intercept, coefs, other = read_coefficients(
+            path, FAILURE_FEATURES, kinds=("shape",))
+        shapes = other["shape"]
+        default_shape = shapes.pop("default", 1.0)
         return cls(coefficients=coefs, shape_by_country=shapes,
                    intercept=intercept, default_shape=default_shape,
-                   model_id=meta.get("model_id", Path(path).stem))
+                   model_id=model_id)
 
 
 def sample_failure_time(features: Mapping[str, float], country: str,
                         model: WeibullModel, rng) -> float:
     """Inverse-transform draw: t = lambda * (-log u)^(1/k), in days."""
-    lam = model.scale(features)
+    lam = linear_predictor(model.intercept, model.coefficients, features,
+                           model.model_id)
     if lam <= 0:
         raise InvalidScaleError(
             f"non-positive Weibull scale {lam!r}; coefficients and covariates "
@@ -108,25 +94,17 @@ AGE_BUCKETS = ("0-17", "18-39", "40-49", "50-54", "55-59", "60-64",
                "65-69", "70-74", "75+")
 
 
+# where each bucket but the first begins
+_TIME_BOUNDS = (180, 365.25, 2 * 365.25, 5 * 365.25)
+_AGE_BOUNDS = (18, 40, 50, 55, 60, 65, 70, 75)
+
+
 def time_bucket(t_days: float) -> str:
-    if t_days < 180:
-        return "lt180d"
-    if t_days < 365.25:
-        return "180d_1y"
-    if t_days < 2 * 365.25:
-        return "1y_2y"
-    if t_days < 5 * 365.25:
-        return "2y_5y"
-    return "ge5y"
+    return TIME_BUCKETS[bisect_right(_TIME_BOUNDS, t_days)]
 
 
 def age_bucket(age: float) -> str:
-    bounds = ((18, "0-17"), (40, "18-39"), (50, "40-49"), (55, "50-54"),
-              (60, "55-59"), (65, "60-64"), (70, "65-69"), (75, "70-74"))
-    for upper, label in bounds:
-        if age < upper:
-            return label
-    return "75+"
+    return AGE_BUCKETS[bisect_right(_AGE_BOUNDS, age)]
 
 
 @dataclass(frozen=True)
@@ -143,11 +121,11 @@ class StepCurve:
 
     def __post_init__(self):
         if len(self.grid) != len(self.survival) or not self.grid:
-            raise ValueError("step curve needs matching grids")
+            raise InputError("step curve needs matching grids")
         if any(not 0.0 <= s <= 1.0 for s in self.grid):
-            raise ValueError("curve domain is [0, 1]")
+            raise InputError("curve domain is [0, 1]")
         if any(b > a + 1e-12 for a, b in zip(self.survival, self.survival[1:])):
-            raise ValueError("survival must be non-increasing")
+            raise InputError("survival must be non-increasing")
 
     def crossing(self, u: float) -> float | None:
         """First grid point where the cumulative jump mass reaches u.
@@ -177,6 +155,8 @@ class RelistCurveSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RelistCurveSet":
+        """``t_bucket,age_bucket,s,survival`` rows, with a curve for every
+        stratum of TIME_BUCKETS x AGE_BUCKETS."""
         raw: dict[tuple[str, str], list[tuple[float, float]]] = {}
         for line, row in read_csv_rows(path):
             tb = row["t_bucket"].strip()
@@ -185,11 +165,18 @@ class RelistCurveSet:
                 raise InputError(f"unknown time bucket {tb!r}", path, line)
             if ab not in AGE_BUCKETS:
                 raise InputError(f"unknown age bucket {ab!r}", path, line)
-            raw.setdefault((tb, ab), []).append(
-                (float(row["s"]), float(row["survival"])))
+            try:
+                raw.setdefault((tb, ab), []).append(
+                    (float(row["s"]), float(row["survival"])))
+            except ValueError as exc:
+                raise InputError(f"malformed curve row: {exc}", path,
+                                 line) from None
         curves = {}
-        for key, pairs in raw.items():
-            pairs.sort()
+        for key in ((tb, ab) for tb in TIME_BUCKETS for ab in AGE_BUCKETS):
+            if key not in raw:
+                raise InputError(f"no re-listing curve for stratum {key}",
+                                 path)
+            pairs = sorted(raw[key])
             curves[key] = StepCurve(grid=tuple(s for s, _ in pairs),
                                     survival=tuple(v for _, v in pairs))
         return cls(curves)

@@ -149,11 +149,7 @@ def summarize(per_run_stats: Sequence[Mapping[str, float]],
     runs, with a calibration column when actual values are supplied."""
     if not per_run_stats:
         raise ValueError("need at least one run")
-    names: list[str] = []
-    for run in per_run_stats:
-        for name in run:
-            if name not in names:
-                names.append(name)
+    names = list(dict.fromkeys(name for run in per_run_stats for name in run))
     rows = []
     for name in names:
         values = [float(run.get(name, 0.0)) for run in per_run_stats]
@@ -174,21 +170,10 @@ class DeltaRow:
     p_value: float | None
     stars: str
 
-    @property
-    def significant(self) -> bool:
-        return self.p_value is not None and self.p_value < 0.05
-
 
 def _stars(p: float | None) -> str:
-    if p is None:
-        return ""
-    if p < 0.001:
-        return "***"
-    if p < 0.01:
-        return "**"
-    if p < 0.05:
-        return "*"
-    return ""
+    """One star for p < 0.05, two for p < 0.01, three for p < 0.001."""
+    return "" if p is None else "*" * ((p < 0.05) + (p < 0.01) + (p < 0.001))
 
 
 def compare_policies(baseline: Sequence[Mapping[str, float]],
@@ -202,11 +187,8 @@ def compare_policies(baseline: Sequence[Mapping[str, float]],
     if paired and len(baseline) != len(variant):
         raise ValueError("paired comparison needs equal run counts, got "
                          f"{len(baseline)} and {len(variant)}")
-    names: list[str] = []
-    for run in (*baseline, *variant):
-        for name in run:
-            if name not in names:
-                names.append(name)
+    names = list(dict.fromkeys(name for run in (*baseline, *variant)
+                               for name in run))
     rows = []
     for name in names:
         base = np.array([float(r.get(name, 0.0)) for r in baseline])
@@ -293,6 +275,13 @@ def write_match_list_csv(path: Path, arrays: MatchArrays,
 # ---------------------------------------------------------------------------
 # File output
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _fmt(value: float) -> str:
     if value is None:
         return ""
@@ -302,50 +291,38 @@ def _fmt(value: float) -> str:
 
 
 def write_transplants_csv(path: Path, records: Sequence[TransplantRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["donor_id", "candidate_id", "date", "program", "mechanism",
-                    "forced", "dual", "kidneys", "rank", "mm_a", "mm_b",
-                    "mm_dr", "geography", "total_points", "dialysis_points",
-                    "hla_points", "pediatric_points", "hu_points",
-                    "mmp_points", "balance_points", "distance_points",
-                    "cand_country", "donor_country", "cand_age", "donor_age",
-                    "dialysis_days", "vpra", "prior_tx"])
-        for r in records:
-            w.writerow([
-                r.donor_id, r.candidate_id, day_text(r.when_days), r.program,
-                r.mechanism, int(r.forced), int(r.dual), r.kidneys, r.rank,
-                r.mm_a, r.mm_b, r.mm_dr, r.geography,
-                f"{r.total_points:.4f}",
-                *(f"{r.comp[c]:.4f}" for c in POINT_COMPONENTS),
-                r.cand_country, r.donor_country, r.cand_age, r.donor_age,
-                r.dialysis_days, f"{r.vpra:.6f}", int(r.prior_transplant)])
+    _write_csv(path, [
+        "donor_id", "candidate_id", "date", "program", "mechanism", "forced",
+        "dual", "kidneys", "rank", "mm_a", "mm_b", "mm_dr", "geography",
+        "total_points", "dialysis_points", "hla_points", "pediatric_points",
+        "hu_points", "mmp_points", "balance_points", "distance_points",
+        "cand_country", "donor_country", "cand_age", "donor_age",
+        "dialysis_days", "vpra", "prior_tx"], ([
+            r.donor_id, r.candidate_id, day_text(r.when_days), r.program,
+            r.mechanism, int(r.forced), int(r.dual), r.kidneys, r.rank,
+            r.mm_a, r.mm_b, r.mm_dr, r.geography, f"{r.total_points:.4f}",
+            *(f"{r.comp[c]:.4f}" for c in POINT_COMPONENTS),
+            r.cand_country, r.donor_country, r.cand_age, r.donor_age,
+            r.dialysis_days, f"{r.vpra:.6f}", int(r.prior_transplant)]
+            for r in records))
 
 
 def write_final_states_csv(path: Path, output: SimulationOutput) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["candidate_id", "status", "status_date"])
-        for cand_id, status, day in output.final_states:
-            w.writerow([cand_id, status, day_text(day)])
+    _write_csv(path, ["candidate_id", "status", "status_date"],
+               ([cand_id, status, day_text(day)]
+                for cand_id, status, day in output.final_states))
 
 
 def write_stats_csv(path: Path, stats: Mapping[str, float]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["statistic", "value"])
-        for name in sorted(stats):
-            w.writerow([name, _fmt(stats[name])])
+    _write_csv(path, ["statistic", "value"],
+               ([name, _fmt(stats[name])] for name in sorted(stats)))
 
 
 def write_trace_csv(path: Path, traces: Sequence[tuple]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["donor_id", "candidate_id", "center", "stage", "decision",
-                    "probability"])
-        for donor_id, cand_id, center, stage, decision, prob in traces:
-            w.writerow([donor_id, cand_id, center, stage, decision,
-                        "" if prob is None else f"{prob:.6f}"])
+    _write_csv(path, ["donor_id", "candidate_id", "center", "stage",
+                      "decision", "probability"],
+               ([*entry, "" if prob is None else f"{prob:.6f}"]
+                for *entry, prob in traces))
 
 
 def write_run_files(out_dir: Path, output: SimulationOutput,
@@ -361,15 +338,12 @@ def write_run_files(out_dir: Path, output: SimulationOutput,
 
 
 def write_summary_csv(path: Path, table: SummaryTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["statistic", "mean", "p2.5", "p97.5", "actual",
-                    "calibrated"])
-        for r in table.rows:
-            w.writerow([r.name, _fmt(r.mean), _fmt(r.lo), _fmt(r.hi),
-                        "" if r.actual is None else _fmt(r.actual),
-                        "" if r.calibrated is None else
-                        ("yes" if r.calibrated else "NO")])
+    _write_csv(path, ["statistic", "mean", "p2.5", "p97.5", "actual",
+                      "calibrated"],
+               ([r.name, _fmt(r.mean), _fmt(r.lo), _fmt(r.hi),
+                 "" if r.actual is None else _fmt(r.actual),
+                 "" if r.calibrated is None else
+                 ("yes" if r.calibrated else "NO")] for r in table.rows))
 
 
 def render_summary_text(table: SummaryTable) -> str:
@@ -386,16 +360,12 @@ def render_summary_text(table: SummaryTable) -> str:
 
 
 def write_delta_csv(path: Path, rows: Sequence[DeltaRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["statistic", "baseline_mean", "variant_mean", "delta",
-                    "t", "p", "stars"])
-        for r in rows:
-            w.writerow([r.name, _fmt(r.baseline_mean), _fmt(r.variant_mean),
-                        _fmt(r.delta),
-                        "" if r.t_stat is None else f"{r.t_stat:.4f}",
-                        "" if r.p_value is None else f"{r.p_value:.6g}",
-                        r.stars])
+    _write_csv(path, ["statistic", "baseline_mean", "variant_mean", "delta",
+                      "t", "p", "stars"],
+               ([r.name, _fmt(r.baseline_mean), _fmt(r.variant_mean),
+                 _fmt(r.delta), "" if r.t_stat is None else f"{r.t_stat:.4f}",
+                 "" if r.p_value is None else f"{r.p_value:.6g}", r.stars]
+                for r in rows))
 
 
 def render_delta_text(rows: Sequence[DeltaRow]) -> str:

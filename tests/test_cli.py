@@ -211,6 +211,37 @@ def _pool_update(column: str, value: str):
     return mutate
 
 
+def _model_file(key: str, name: str, edit):
+    """Point ``paths.<key>`` at a copy of the packaged ``name`` whose lines
+    ``edit`` rewrites, returning them and the number of the line the error
+    names (None for the file as a whole)."""
+    def mutate(root: Path, cid: str) -> str:
+        lines, line = edit(data_path(name).read_text().splitlines())
+        (root / name).write_text("\n".join(lines) + "\n")
+        settings_path = root / "settings.yaml"
+        doc = yaml.safe_load(settings_path.read_text())
+        doc["paths"][key] = name
+        settings_path.write_text(yaml.safe_dump(doc))
+        return f"{name}:{line}: " if line is not None else f"{name}: "
+    return mutate
+
+
+def _add_line(text: str):
+    return lambda lines: ([*lines, text], len(lines) + 1)
+
+
+def _replace_line(old: str, new: str):
+    def edit(lines):
+        at = lines.index(old)
+        return [*lines[:at], new, *lines[at + 1:]], at + 1
+    return edit
+
+
+def _drop_lines(prefix: str):
+    return lambda lines: ([x for x in lines if not x.startswith(prefix)],
+                          None)
+
+
 # each: how to break a copy of the fixture (returning the file:line the
 # error names, if it is found on load), and what the error says
 MALFORMED = [
@@ -259,6 +290,28 @@ MALFORMED = [
                  "update: bad urgency payload 'XX'", id="pool-status"),
     pytest.param(_pool_update("offset_days", "90d"), "malformed pool status "
                  "update: invalid literal for int()", id="pool-offset"),
+    pytest.param(_model_file("accept_etkas_center", "accept_etkas_center.csv",
+                             _add_line("bogus_feature,0.5")),
+                 "model 'etkas_center_accept' has no feature 'bogus_feature'",
+                 id="model-unknown-feature"),
+    pytest.param(_model_file("weibull", "weibull_post_transplant.csv",
+                             _replace_line("coef,mm_dr,-40.0",
+                                           "coef,mm_drr,-40.0")),
+                 "model 'post_transplant_failure' has no feature 'mm_drr'",
+                 id="weibull-unknown-feature"),
+    pytest.param(_model_file("dual_model", "dual.csv",
+                             _replace_line("donor_age_dec,0.32",
+                                           "donor_age_dec,abc")),
+                 "coefficient 'donor_age_dec': value 'abc' is not a number",
+                 id="model-malformed-value"),
+    pytest.param(_model_file("cox_baselines", "cox_baselines.csv",
+                             _drop_lines("ESP,")),
+                 "no baseline survival for stratum 'ESP'",
+                 id="cox-missing-stratum"),
+    pytest.param(_model_file("relist_curves", "relist_curves.csv",
+                             _drop_lines("1y_2y,60-64,")),
+                 "no re-listing curve for stratum ('1y_2y', '60-64')",
+                 id="relist-missing-stratum"),
 ]
 
 

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from etkasim import engine
 from etkasim.batch import run_once
+from etkasim.common import to_days
 from etkasim.entities import (ETKAS, GEOGRAPHY_CLASSES, URGENCY_CODES,
                               AllocationProfile)
 from etkasim.fastmatch import _NO_DATE, POINT_COMPONENTS, PRE, MatchArrays
@@ -68,8 +69,10 @@ def population(tmp_path_factory):
 
 def _perturbed(inputs, tweak: int):
     """The population with more of what the synthetic one rarely has: KAOO
-    and high-urgency candidates, and candidates whose screening goes stale
-    because every other refresh is dropped."""
+    and high-urgency candidates; candidates whose screening goes stale
+    because every other refresh is dropped; candidates who turn 18 in the
+    window, with donors under 18 to meet; and candidates given the typing
+    of a donor of their blood group, so that the pair has no mismatch."""
     rng = np.random.default_rng(tweak)
     registrations = [replace(reg, kaoo=True) if rng.random() < 0.1 else reg
                      for reg in inputs.registrations]
@@ -79,8 +82,27 @@ def _perturbed(inputs, tweak: int):
                for cid, stream in inputs.updates.items()}
     screenings = {cid: days[::2] if rng.random() < 0.3 else days
                   for cid, days in inputs.screenings.items()}
+
+    start = to_days(inputs.settings.window_start)
+    end = to_days(inputs.settings.window_end)
+    donors = [replace(d, age=int(rng.integers(1, 18)))
+              if rng.random() < 0.15 else d for d in inputs.donors]
+    registrations = [
+        # whole years of age reach 18 on the day 18 * 365.25 days, rounded
+        # up, after birth
+        replace(reg, birth_day=int(rng.integers(start, end + 1)) - 6575)
+        if rng.random() < 0.1 else reg for reg in registrations]
+    of_group: dict[str, list[int]] = {}
+    for i, reg in enumerate(registrations):
+        of_group.setdefault(reg.blood_group, []).append(i)
+    for donor in donors:
+        group = of_group.get(donor.blood_group)
+        if group and rng.random() < 0.2:
+            for i in rng.choice(group, size=min(3, len(group)),
+                                replace=False).tolist():
+                registrations[i] = replace(registrations[i], hla=donor.hla)
     return replace(inputs, registrations=registrations, updates=updates,
-                   screenings=screenings)
+                   screenings=screenings, donors=donors)
 
 
 def _day(value) -> int | None:

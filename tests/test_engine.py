@@ -346,7 +346,7 @@ class TestRegionalReplay:
         output = self._run()
         assert len(output.transplants) == 4
         regional = output.ledger.regional_snapshot()
-        assert regional != output.init_regional_snapshot
+        assert regional != output.init_ledger.regional_snapshot()
         assert regional[("AT-R2", "18-49")] == -1
         assert verify_replay(output) == []
 

@@ -7,14 +7,15 @@ from datetime import date
 import numpy as np
 import pytest
 
-from etkasim.common import to_days
+from etkasim.common import InputError, to_days
 from etkasim.entities import DonorArrival
 from etkasim.hla import HlaTyping
 from etkasim import offering
-from etkasim.offering import (AcceptanceModels, CoxSampler, LogisticModel,
+from etkasim.offering import (DONOR_FEATURES, PATIENT_FEATURES,
+                              AcceptanceModels, CoxSampler, LogisticModel,
                               MissingFeatureError, StepSurvival,
-                              UnknownStratumError, donor_features,
-                              simulate_dual)
+                              UnknownStratumError, center_vocabulary,
+                              donor_features, simulate_dual)
 
 from oracle.offering import (OfferContext, OfferRecord, SequenceOffers,
                              patient_offer_features)
@@ -102,11 +103,55 @@ class TestLogisticModel:
         path = tmp_path / "model.csv"
         path.write_text("#model_id=test_model\n#feature_schema=2\n"
                         "name,value\n(Intercept),0.5\ndonor_age,-0.01\n")
-        m = LogisticModel.from_file(path)
+        m = LogisticModel.from_file(path, DONOR_FEATURES)
         assert m.model_id == "test_model"
-        assert m.feature_schema == "2"
         assert m.intercept == 0.5
         assert m.coefficients == {"donor_age": -0.01}
+
+
+class TestCoefficientReader:
+    def test_center_models_take_registry_countries(self, tmp_path):
+        path = tmp_path / "center.csv"
+        path.write_text("name,value\n(Intercept),1.0\n"
+                        "center_country_DE,0.2\n")
+        m = LogisticModel.from_file(path, center_vocabulary(["DE", "NL"]))
+        assert (m.model_id, m.intercept) == ("center", 1.0)
+        assert m.coefficients == {"center_country_DE": 0.2}
+        with pytest.raises(InputError, match=r"center\.csv:3: model 'center' "
+                           r"has no feature 'center_country_DE'"):
+            LogisticModel.from_file(path, center_vocabulary(["NL"]))
+
+    def test_patient_models_take_the_column_table(self, tmp_path):
+        path = tmp_path / "patient.csv"
+        path.write_text("name,value\nmm_dr,-0.1\ncand_pediatric,0.3\n"
+                        "donor_hcv,-1\n")
+        m = LogisticModel.from_file(path, PATIENT_FEATURES)
+        assert list(m.coefficients) == ["mm_dr", "cand_pediatric",
+                                        "donor_hcv"]
+        with pytest.raises(InputError, match="no feature 'mm_dr'"):
+            LogisticModel.from_file(path, DONOR_FEATURES)
+
+    def test_cox_coefficients_have_no_intercept(self, tmp_path):
+        coefs = tmp_path / "cox.csv"
+        coefs.write_text("name,value\n(Intercept),0.5\n")
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_text("stratum,k,s0\nESP,1,0.5\nETKAS:default,1,0.5\n")
+        with pytest.raises(InputError, match=r"cox\.csv:2: .*'\(Intercept\)'"):
+            CoxSampler.from_files(coefs, baselines, ["BE"])
+        coefs.write_text("name,value\ndonor_hcv,0.5\n")
+        sampler = CoxSampler.from_files(coefs, baselines, ["BE"])
+        assert sampler.baseline("ETKAS", "BE") == sampler.baselines[
+            "ETKAS:default"]
+
+    def test_baselines_cover_every_country(self, tmp_path):
+        coefs = tmp_path / "cox.csv"
+        coefs.write_text("name,value\n")
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_text("stratum,k,s0\nESP,1,0.5\nETKAS:BE,1,0.5\n")
+        CoxSampler.from_files(coefs, baselines, ["BE"])
+        with pytest.raises(InputError, match=r"baselines\.csv: no baseline "
+                           r"survival for stratum 'ETKAS:NL'"):
+            CoxSampler.from_files(coefs, baselines, ["BE", "NL"])
 
 
 class TestCoxSampler:

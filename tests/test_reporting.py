@@ -109,7 +109,7 @@ class TestComparePolicies:
             float(2 * sps.t.sf(abs(t), df=4)))
 
     def test_star_thresholds(self):
-        assert DeltaRow("s", 0, 0, 0, 0, 0.04, "").significant
+        assert DeltaRow("s", 0, 0, 0, 0, 0.04, "").p_value < 0.05
         from etkasim.reporting import _stars
         assert _stars(0.04) == "*"
         assert _stars(0.009) == "**"
