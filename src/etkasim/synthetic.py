@@ -381,7 +381,7 @@ def write_model_files(out_dir: str | Path, countries=None, seed: int = 7) -> Non
 
     def coef_file(name: str, model_id: str, rows: dict[str, float]) -> None:
         with open(out / name, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"#model_id={model_id}\n#feature_schema=1\n")
+            fh.write(f"#model_id={model_id}\n")
             w = csv.writer(fh)
             w.writerow(["name", "value"])
             for key, value in rows.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import importlib.util
 import os
@@ -184,18 +185,34 @@ def test_check_inputs_names_a_balance_event_by_its_date(fixture_dir,
         "error: balance event of 2021-06-01: unknown country 'XX'\n")
 
 
+def _modules_after(statement: str) -> set[str]:
+    """The names in ``sys.modules`` after ``statement`` runs in a fresh
+    interpreter that imports the package from this source tree."""
+    src = str(Path(etkasim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys; {statement}; print(sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(ast.literal_eval(out))
+
+
 def test_cli_does_not_import_the_reference_rules():
     # the record-at-a-time rules are test code (``tests/oracle``): the
     # package holds one implementation, and the command line runs it
     assert importlib.util.find_spec("etkasim.matchlist") is None
-    src = str(Path(etkasim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, etkasim.cli; print(sorted(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert "'etkasim.engine'" in out
-    assert "'etkasim.matchlist'" not in out
+    modules = _modules_after("import etkasim.cli")
+    assert "etkasim.engine" in modules
+    assert "etkasim.matchlist" not in modules
+
+
+def test_run_paths_do_not_import_scipy():
+    # scipy.stats costs more than a second and ~70 MB to import; only
+    # compare_policies needs scipy, and it loads scipy.special itself
+    modules = _modules_after("import etkasim.cli, etkasim.batch")
+    assert "etkasim.batch" in modules
+    assert "scipy.stats" not in modules
+    assert "scipy.special" not in modules
 
 
 def _pool_update(column: str, value: str):

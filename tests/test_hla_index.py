@@ -4,6 +4,7 @@ panel layouts, donor layouts) must equal a derivation without them."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from datetime import date
 
@@ -120,6 +121,31 @@ def test_unacceptable_updates(inputs, store):
     # the template store is untouched
     for row, reg in enumerate(inputs.registrations):
         assert store.unacc[row].tolist() == _words(table, reg.unacceptables)
+
+
+def test_derivation_memory_does_not_grow_with_pending_rows(inputs, store):
+    # a run's start derives every row at once: eight copies of the
+    # population, 5,600 pending rows, must take no more temporary memory
+    # than a fixed bound (one rows x 64 matrix per locus would take 1.5 KB
+    # a row), and each copy must derive as the population alone does
+    copies = 8
+    big = _store(inputs)
+    for k in range(copies):
+        for reg in inputs.registrations:
+            big.add(replace(reg, id=f"{reg.id}.{k}"))
+    assert big.n >= 5000
+    tracemalloc.start()
+    try:
+        big.finalize_derived_values()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
+    n = store.n
+    for name in ("p1mm", "vpra", "immun_pts"):
+        column = getattr(store, name)[:n]
+        assert np.array_equal(getattr(big, name)[:big.n],
+                              np.tile(column, copies)), name
 
 
 def test_unknown_unacceptable_rejected_every_time(inputs, store):

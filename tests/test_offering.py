@@ -101,6 +101,7 @@ class TestLogisticModel:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "model.csv"
+        # header lines other than #model_id are ignored
         path.write_text("#model_id=test_model\n#feature_schema=2\n"
                         "name,value\n(Intercept),0.5\ndonor_age,-0.01\n")
         m = LogisticModel.from_file(path, DONOR_FEATURES)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from etkasim.reporting import (DeltaRow, age_diff_band, compare_policies,
                                homozygosity_class, match_quality_level,
@@ -88,6 +91,19 @@ class TestSummarize:
             summarize([])
 
 
+def _runs(n: int):
+    """n runs' values of one statistic: real-valued, integer-valued (counts),
+    constant, or within a few ulps of one value."""
+    value = st.floats(-1e4, 1e4, allow_subnormal=False)
+    return st.one_of(
+        st.lists(value, min_size=n, max_size=n),
+        st.lists(st.integers(0, 500).map(float), min_size=n, max_size=n),
+        value.map(lambda v: [v] * n),
+        st.tuples(value, st.lists(st.integers(-3, 3), min_size=n,
+                                  max_size=n)).map(
+            lambda t: [t[0] * (1.0 + k * 2.0 ** -52) for k in t[1]]))
+
+
 class TestComparePolicies:
     def test_identical_runs_give_zero_deltas_no_stars(self):
         runs = [{"a": float(i), "b": 2.0} for i in range(10)]
@@ -107,6 +123,33 @@ class TestComparePolicies:
         from scipy import stats as sps
         assert rows["x"].p_value == pytest.approx(
             float(2 * sps.t.sf(abs(t), df=4)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_p_values_equal_scipy_stats(self, data):
+        from scipy import stats as sps
+        paired = data.draw(st.booleans())
+        n_base = data.draw(st.integers(2, 60))
+        n_var = n_base if paired else data.draw(st.integers(2, 60))
+        base = np.array(data.draw(_runs(n_base)))
+        var = np.array(data.draw(_runs(n_var)))
+        row, = compare_policies([{"x": v} for v in base],
+                                [{"x": v} for v in var], paired=paired)
+        if paired:
+            diffs = var - base
+            sd = diffs.std(ddof=1)
+            assume(sd > 0)
+            t = float(diffs.mean() / (sd / math.sqrt(n_base)))
+            assert row.t_stat == t
+            assert row.p_value == float(2 * sps.t.sf(abs(t), df=n_base - 1))
+        else:
+            assume(base.std() > 0 or var.std() > 0)
+            with warnings.catch_warnings():
+                # scipy warns of cancellation on near-constant samples
+                warnings.simplefilter("ignore", RuntimeWarning)
+                res = sps.ttest_ind(var, base, equal_var=False)
+            assert row.t_stat == float(res.statistic)
+            assert row.p_value == float(res.pvalue)
 
     def test_star_thresholds(self):
         assert DeltaRow("s", 0, 0, 0, 0, 0.04, "").p_value < 0.05
