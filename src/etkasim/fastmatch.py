@@ -261,9 +261,9 @@ class CandidateStore:
     """Structure-of-arrays over all registrations in a run (single-writer).
 
     ``add`` and ``apply_update`` only mark rows whose HLA or unacceptables
-    changed; their p<=1mm, vPRA and immunization points are derived in one
-    batch by ``finalize_derived_values``, which ``build_match_arrays`` calls
-    before it reads them.
+    changed; their p<=1mm, vPRA and immunization points are derived later,
+    ``_DERIVE_CHUNK`` rows at a time, by ``finalize_derived_values``, which
+    ``build_match_arrays`` calls before it reads them.
     """
 
     GROW = 256

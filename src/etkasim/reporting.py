@@ -175,21 +175,6 @@ def _stars(p: float | None) -> str:
     return "" if p is None else "*" * ((p < 0.05) + (p < 0.01) + (p < 0.001))
 
 
-def _welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Welch's t statistic and degrees of freedom, each step in the order of
-    SciPy's ``stats.ttest_ind(a, b, equal_var=False)``, so that both equal
-    its results to the last bit."""
-    n1, n2 = float(len(a)), float(len(b))
-    m1, m2 = np.mean(a), np.mean(b)
-    vn1 = np.mean((a - m1) ** 2) * (n1 / (n1 - 1.0)) / n1
-    vn2 = np.mean((b - m2) ** 2) * (n2 / (n2 - 1.0)) / n2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        df = (vn1 + vn2) ** 2 / (vn1 ** 2 / (n1 - 1.0) + vn2 ** 2 / (n2 - 1.0))
-        t = (m1 - m2) / np.sqrt(vn1 + vn2)
-    # undefined only when both variances vanish; any df serves then
-    return float(t), 1.0 if np.isnan(df) else float(df)
-
-
 def compare_policies(baseline: Sequence[Mapping[str, float]],
                      variant: Sequence[Mapping[str, float]],
                      paired: bool = True) -> list[DeltaRow]:
@@ -203,7 +188,8 @@ def compare_policies(baseline: Sequence[Mapping[str, float]],
                          f"{len(baseline)} and {len(variant)}")
     # SciPy's t distribution function alone, imported only where comparisons
     # are made: its statistics subpackage takes five times as long to
-    # import, and run paths and batch workers load neither
+    # import, so only the unpaired test loads it, and run paths and batch
+    # workers load neither
     from scipy.special import stdtr
 
     names = list(dict.fromkeys(name for run in (*baseline, *variant)
@@ -224,8 +210,9 @@ def compare_policies(baseline: Sequence[Mapping[str, float]],
                 t_stat, p_value = 0.0, 1.0
         else:
             if len(base) > 1 and len(var) > 1 and (base.std() > 0 or var.std() > 0):
-                t_stat, df = _welch_t(var, base)
-                p_value = float(2.0 * stdtr(df, -abs(t_stat)))
+                from scipy import stats
+                res = stats.ttest_ind(var, base, equal_var=False)
+                t_stat, p_value = float(res.statistic), float(res.pvalue)
         rows.append(DeltaRow(name=name, baseline_mean=float(base.mean()),
                              variant_mean=float(var.mean()), delta=delta,
                              t_stat=t_stat, p_value=p_value,

@@ -133,8 +133,11 @@ class TestComparePolicies:
         n_var = n_base if paired else data.draw(st.integers(2, 60))
         base = np.array(data.draw(_runs(n_base)))
         var = np.array(data.draw(_runs(n_var)))
-        row, = compare_policies([{"x": v} for v in base],
-                                [{"x": v} for v in var], paired=paired)
+        with warnings.catch_warnings():
+            # scipy warns of cancellation on near-constant samples
+            warnings.simplefilter("ignore", RuntimeWarning)
+            row, = compare_policies([{"x": v} for v in base],
+                                    [{"x": v} for v in var], paired=paired)
         if paired:
             diffs = var - base
             sd = diffs.std(ddof=1)
@@ -145,7 +148,6 @@ class TestComparePolicies:
         else:
             assume(base.std() > 0 or var.std() > 0)
             with warnings.catch_warnings():
-                # scipy warns of cancellation on near-constant samples
                 warnings.simplefilter("ignore", RuntimeWarning)
                 res = sps.ttest_ind(var, base, equal_var=False)
             assert row.t_stat == float(res.statistic)
