@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .common import InputError, parse_day, read_csv_rows
+from .common import parse_day, read_table, text_or
 
 DONOR_AGE_GROUPS = ("0-17", "18-49", "50-64", "65+")
+AUSTRIA = "AT"  # the one country with a regional sub-ledger
 
 
 def donor_age_group(age: int) -> str:
@@ -61,12 +62,11 @@ class BalanceLedger:
     points.
     """
 
-    def __init__(self, countries: Iterable[str], austrian_regions: Iterable[str] = (),
-                 austria_code: str = "AT"):
+    def __init__(self, countries: Iterable[str],
+                 austrian_regions: Iterable[str] = ()):
         self.countries = tuple(sorted(set(countries)))
         if not self.countries:
             raise ValueError("ledger needs at least one country")
-        self.austria_code = austria_code
         self._net: dict[tuple[str, str], int] = {
             (c, g): 0 for c in self.countries for g in DONOR_AGE_GROUPS}
         self._regional: dict[tuple[str, str], int] = {
@@ -74,7 +74,7 @@ class BalanceLedger:
             for g in DONOR_AGE_GROUPS}
 
     def copy(self) -> "BalanceLedger":
-        dup = BalanceLedger(self.countries, austria_code=self.austria_code)
+        dup = BalanceLedger(self.countries)
         dup._net = dict(self._net)
         dup._regional = dict(self._regional)
         return dup
@@ -108,10 +108,10 @@ class BalanceLedger:
         if event.crosses_border:
             self._net[(event.donor_country, group)] += 1
             self._net[(event.recipient_country, group)] -= 1
-        if event.donor_country == self.austria_code and event.donor_region:
+        if event.donor_country == AUSTRIA and event.donor_region:
             key = (event.donor_region, group)
             self._regional[key] = self._regional.get(key, 0) + 1
-        if event.recipient_country == self.austria_code and event.recipient_region:
+        if event.recipient_country == AUSTRIA and event.recipient_region:
             key = (event.recipient_region, group)
             self._regional[key] = self._regional.get(key, 0) - 1
 
@@ -125,20 +125,12 @@ class BalanceLedger:
 def read_balance_events(path: str | Path) -> list[BalanceEvent]:
     """Parse a balance-history file: date, donor_country, recipient_country,
     donor_age, program (+ optional donor_region / recipient_region)."""
-    events = []
-    for line, row in read_csv_rows(path):
-        try:
-            events.append(BalanceEvent(
-                day=parse_day(row["date"], path, line),
-                donor_country=row["donor_country"].strip(),
-                recipient_country=row["recipient_country"].strip(),
-                donor_age=int(row["donor_age"]),
-                program=row.get("program", "").strip(),
-                donor_region=row.get("donor_region", "").strip() or None,
-                recipient_region=row.get("recipient_region", "").strip() or None,
-            ))
-        except (KeyError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(f"malformed balance event: {exc}", path, line)
-    return events
+    return read_table(path, (
+        ("date", None, parse_day),
+        ("donor_country", None, str.strip),
+        ("recipient_country", None, str.strip),
+        ("donor_age", None, int),
+        ("program", "", str.strip),
+        ("donor_region", "", text_or(None)),
+        ("recipient_region", "", text_or(None))),
+        "balance event", BalanceEvent)

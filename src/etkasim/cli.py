@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
 
 from . import batch as batch_mod
 from . import reporting
-from .common import InputError
+from .common import InputError, read_table
 from .engine import initialize, verify_replay
 from .io import load_inputs, load_settings
 from .policy import PolicyError, load_policy
@@ -78,20 +77,15 @@ def cmd_batch(args) -> int:
     return 0
 
 
-def _load_actual(path: str) -> dict[str, float]:
-    actual = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            actual[row["statistic"]] = float(row["value"])
-    return actual
-
-
 def cmd_validate(args) -> int:
+    actual = dict(read_table(args.actual, (("statistic", None, str),
+                                           ("value", None, float)),
+                             "statistic"))
     settings = load_settings(args.settings)
     inputs = load_inputs(settings)
     seeds = _seeds(args, args.runs, settings)
     result = batch_mod.run_batch(inputs, seeds, workers=args.workers)
-    table = result.summary(actual=_load_actual(args.actual))
+    table = result.summary(actual=actual)
     out = _out_dir(args, settings)
     reporting.write_summary_csv(out / "validation.csv", table)
     text = reporting.render_summary_text(table)

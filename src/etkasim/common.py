@@ -1,13 +1,16 @@
-"""Shared helpers: rounding, date arithmetic, and tabular-file parsing."""
+"""Shared helpers: rounding, date arithmetic, and the one reader of input
+tables."""
 
 from __future__ import annotations
 
 import csv
+import gc
 import math
+from contextlib import contextmanager
 from datetime import date, datetime
 from itertools import islice, takewhile
 from pathlib import Path
-from typing import Container, Iterator
+from typing import Container
 
 import numpy as np
 
@@ -55,6 +58,17 @@ def day_text(days: int) -> str:
 
 
 DAYS_PER_YEAR = 365.25
+
+
+def age_years(now_days, birth_days):
+    """Whole years of age on day ``now_days`` of one born on ``birth_days``
+    (ints or integer arrays): floor((now - birth) / DAYS_PER_YEAR).
+
+    DAYS_PER_YEAR is 1461 / 4, so integer floor division by 1461 of four
+    times the day count is exact, and on arrays several times faster than
+    floor division by the float.
+    """
+    return (now_days - birth_days) * 4 // 1461
 
 
 def parse_date(text: str, path=None, line=None) -> date:
@@ -171,25 +185,155 @@ def cut_block(path, nf: int, rows: list[list[str]], lines: np.ndarray):
     return rows, lines, width_error
 
 
-_ROWS_BLOCK = 1 << 12  # rows per block of read_csv_rows
+@contextmanager
+def gc_paused():
+    # many small objects per block: a paused cyclic GC does not rescan them
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
-def read_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
-    """Yield (line_number, row_dict) from a delimited file.
+def text_or(default):
+    """A parser of a column's stripped text that reads ``default`` for a
+    blank one."""
+    return lambda text: text.strip() or default
 
-    Lines starting with '#' before the header carry file-level metadata
-    (``#key=value``) and are skipped.
+
+def one_of(names: Container[str], what: str):
+    """A parser of a column's stripped text, which must be one of
+    ``names``."""
+    def parse(text: str) -> str:
+        text = text.strip()
+        if text not in names:
+            raise InputError(f"unknown {what} {text!r}")
+        return text
+    return parse
+
+
+_TABLE_BLOCK = 1 << 13  # rows per block of read_table
+
+
+def read_table(path: str | Path, fields, what: str, make=None,
+               block: int | None = None) -> list:
+    """The records of a delimited file's rows, in file order.
+
+    ``fields`` lists each field as (column, default, parse): the column's
+    name, the text its rows read when the file lacks the column (None if
+    the column is required), and the parser of that text.  A field of
+    several columns (a tuple of names) is parsed by an object that reads
+    their texts a block at a time (``parse.read(columns)``: the values of
+    the rows before the first one it rejects) and one row at a time
+    (``parse(texts)``).  ``make`` builds a row's record from its field
+    values in table order (a tuple if None); it meets the rows in file
+    order.
+
+    The file is read ``block`` rows at a time (by default _TABLE_BLOCK,
+    which bounds what parsing holds beyond its result) and parsed
+    column-wise: each distinct text of a column is parsed once.  A
+    malformed row raises InputError at its line, the first one in file
+    order, as a row-at-a-time read would: within a row the fields fail in
+    table order, then ``make``.  An InputError that a parser or ``make``
+    raises keeps its message; any other ValueError or KeyError (a missing
+    column, an int() that fails) reads ``malformed <what>: <error>``.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with gc_paused(), open(path, newline="", encoding="utf-8") as fh:
         header = read_csv_header(fh)
         if header is None:
-            return
-        pos, fieldnames = header
-        for rows, lines in csv_blocks(path, pos, len(fieldnames),
-                                      csv.reader(fh), _ROWS_BLOCK):
-            for line, row in zip(lines.tolist(), rows):
-                yield line, dict(zip(fieldnames, row))
+            return []
+        header_line, names = header
+        table = _Table(path, names, fields, what, make)
+        for rows, lines in csv_blocks(path, header_line, len(names),
+                                      csv.reader(fh), block or _TABLE_BLOCK):
+            table.parse_block(rows, lines.tolist())
+        return table.records
+
+
+_MALFORMED = object()  # memo entry of a text its parser rejects
+
+
+class _Table:
+    def __init__(self, path, names: list[str], fields, what: str, make):
+        self.path = path
+        self.names = names
+        self.col = {name: i for i, name in enumerate(names)}
+        self.fields = fields
+        self.what = what
+        self.make = make
+        # parsed value (or _MALFORMED) per distinct text, per field
+        self.memo: list[dict] = [{} for _ in fields]
+        self.records: list = []
+
+    def parse_block(self, rows: list[list[str]], lines: list[int]) -> None:
+        """Append the block's records; raise at its first malformed row."""
+        n = len(rows)
+        by_column = list(zip(*rows))
+        values = [self._column(by_column, n, field, memo)
+                  for field, memo in zip(self.fields, self.memo)]
+        records = self.records
+        start = len(records)
+        try:
+            # zip and map stop at the shortest column: the rows before the
+            # first malformed one.  extend keeps the records made before a
+            # failing one.
+            records.extend(zip(*values) if self.make is None
+                           else map(self.make, *values))
+        except (KeyError, ValueError) as exc:
+            self._raise(exc, lines[len(records) - start])
+        good = min(map(len, values))
+        if good < n:
+            self._raise_row_error(rows[good], lines[good])
+
+    def _column(self, by_column: list[tuple[str, ...]], n: int, field,
+                memo: dict) -> list:
+        """A field's values for the block's rows, up to (not including) the
+        first one that its parser rejects."""
+        column, default, parse = field
+        if isinstance(column, tuple):
+            return parse.read([by_column[self.col[c]] if c in self.col
+                               else [default] * n for c in column])
+        if column not in self.col:
+            return [] if default is None else [parse(default)] * n
+        texts = by_column[self.col[column]]
+        if parse is str.strip:
+            return list(map(str.strip, texts))
+        malformed = set()
+        for text in set(texts).difference(memo):
+            try:
+                memo[text] = parse(text)
+            except (KeyError, ValueError):
+                memo[text] = _MALFORMED
+                malformed.add(text)
+        values = list(map(memo.__getitem__, texts))
+        if not malformed:
+            return values
+        return values[:next(i for i, text in enumerate(texts)
+                            if text in malformed)]
+
+    def _raise_row_error(self, texts: list[str], line: int) -> None:
+        """Parse one row field by field, as a row-at-a-time read does,
+        raising its first error (every row handed in has one)."""
+        row = dict(zip(self.names, texts))
+        try:
+            for column, default, parse in self.fields:
+                if isinstance(column, tuple):
+                    parse([row.get(c, default) for c in column])
+                else:
+                    parse(row[column] if default is None
+                          else row.get(column, default))
+        except (KeyError, ValueError) as exc:
+            self._raise(exc, line)
+
+    def _raise(self, exc: KeyError | ValueError, line: int) -> None:
+        if not isinstance(exc, InputError):
+            raise InputError(f"malformed {self.what}: {exc}", self.path,
+                             line) from None
+        if exc.path is None:
+            raise InputError(str(exc), self.path, line) from None
+        raise exc
 
 
 def read_coefficients(path: str | Path, vocabulary: Container[str],
@@ -208,24 +352,25 @@ def read_coefficients(path: str | Path, vocabulary: Container[str],
     start = 0.0
     coefficients: dict[str, float] = {}
     other: dict[str, dict[str, float]] = {kind: {} for kind in kinds}
-    for line, row in read_csv_rows(path):
-        kind = row.get("kind", "coef").strip()
-        name = row.get("name", "").strip()
+
+    def book(kind: str, name: str, text: str) -> None:
+        nonlocal start
         try:
-            value = float(row["value"])
-        except (KeyError, ValueError):
-            raise InputError(f"coefficient {name!r}: value "
-                             f"{row.get('value')!r} is not a number",
-                             path, line) from None
+            value = float(text)
+        except ValueError:
+            raise InputError(f"coefficient {name!r}: value {text!r} is not "
+                             "a number") from None
         if kind in other:
             other[kind][name] = value
         elif kind != "coef":
-            raise InputError(f"unknown row kind {kind!r}", path, line)
+            raise InputError(f"unknown row kind {kind!r}")
         elif intercept and name in ("(Intercept)", "intercept"):
             start = value
         elif name in vocabulary:
             coefficients[name] = value
         else:
-            raise InputError(f"model {model_id!r} has no feature {name!r}",
-                             path, line)
+            raise InputError(f"model {model_id!r} has no feature {name!r}")
+
+    read_table(path, (("kind", "coef", str.strip), ("name", "", str.strip),
+                      ("value", None, str)), "coefficient", book)
     return model_id, start, coefficients, other

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balances import (DONOR_AGE_GROUPS, BalanceEvent, BalanceLedger,
-                       UnknownCountryError)
-from .common import DAYS_PER_YEAR, InputError, day_text, from_days, to_days
+from .balances import (AUSTRIA, DONOR_AGE_GROUPS, BalanceEvent,
+                       BalanceLedger, UnknownCountryError)
+from .common import (DAYS_PER_YEAR, InputError, age_years, day_text,
+                     from_days, to_days)
 from .entities import (ETKAS, GEOGRAPHY_CLASSES, TERMINAL_CODES, DonorArrival,
                        StatusUpdate)
 from .fastmatch import (ACTIVE_CODES, CandidateStore, HlaIndex,
@@ -105,8 +106,8 @@ class SimState:
             self.hla_index, inputs.centers, inputs.panel, inputs.freq_table,
             inputs.bg_freqs, inputs.policy)
 
-        austrian_regions = sorted({
-            c.region for c in inputs.centers.centers() if c.country == "AT"})
+        austrian_regions = sorted({c.region for c in inputs.centers.centers()
+                                   if c.country == AUSTRIA})
         self.ledger = BalanceLedger(inputs.centers.countries, austrian_regions)
 
         # per input donor: (DonorHla, donor_features), filled on first use
@@ -185,8 +186,7 @@ class SimState:
         self.event_log.append(("status", self.store.ids[row], code, when_days))
         self.status_day[row] = when_days
 
-    def apply_urgency_counters(self, row: int, old: str, new: str,
-                               when_days: int) -> None:
+    def apply_urgency_counters(self, row: int, old: str, new: str) -> None:
         if new == "D" and old not in TERMINAL_CODES:
             self.counters["wl.deaths"] += 1
             country = self.store.registrations[row].country
@@ -415,7 +415,7 @@ def _handle_patient(state: SimState, row: int, upd_idx: int, when: int) -> None:
     if upd.kind == "URG":
         new = store.status_code(row)
         state.log_status(row, new, when)
-        state.apply_urgency_counters(row, old, new, when)
+        state.apply_urgency_counters(row, old, new)
         if new in ("R", "D"):
             state.person_active_row.pop(
                 store.registrations[row].patient_id, None)
@@ -439,7 +439,7 @@ def _handle_failure(state: SimState, person_id: str, expected_count: int,
     old = current
     store.set_status(row, "D")
     state.log_status(row, "D", when)
-    state.apply_urgency_counters(row, old, "D", when)
+    state.apply_urgency_counters(row, old, "D")
     state.person_active_row.pop(person_id, None)
 
 
@@ -561,7 +561,7 @@ def _record_transplant(state: SimState, donor: DonorArrival,
     inputs = state.inputs
     row = int(arrays.rows[i])
     reg = store.registrations[row]
-    cand_age = store.age_years(row, when)
+    cand_age = age_years(when, int(store.dob_days[row]))
 
     record = TransplantRecord(
         donor_id=donor.id,
@@ -609,9 +609,9 @@ def _record_transplant(state: SimState, donor: DonorArrival,
             recipient_country=reg.country, donor_age=donor.age,
             program=arrays.program,
             donor_region=(donor_center.region
-                          if donor.country == "AT" else None),
+                          if donor.country == AUSTRIA else None),
             recipient_region=(cand_center.region
-                              if reg.country == "AT" else None))
+                              if reg.country == AUSTRIA else None))
         _handle_balance(state, event, when)
 
     _post_transplant(state, donor, donor_feats, row, record, when)

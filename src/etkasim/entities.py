@@ -7,7 +7,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .common import InputError, parse_day, read_csv_rows
+from .common import InputError, parse_day, read_table, text_or
 from .hla import BLOOD_GROUPS, HlaTyping
 
 # Urgency codes: T transplantable, NT non-transplantable, HU high urgency,
@@ -35,18 +35,10 @@ class CenterRegistry:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CenterRegistry":
-        centers = []
-        for line, row in read_csv_rows(path):
-            try:
-                centers.append(Center(
-                    code=row["center"].strip(),
-                    country=row["country"].strip(),
-                    region=row["region"].strip(),
-                    esp_subregion=row.get("esp_subregion", "").strip() or None,
-                ))
-            except KeyError as exc:
-                raise InputError(f"missing column {exc}", path, line)
-        return cls(centers)
+        return cls(read_table(path, (
+            ("center", None, str.strip), ("country", None, str.strip),
+            ("region", None, str.strip), ("esp_subregion", "", text_or(None))),
+            "center", Center))
 
     def get(self, code: str) -> Center:
         try:
@@ -196,6 +188,7 @@ class CandidateRegistration:
 # program choice / ESP extended-allocation opt-in.
 UPDATE_KINDS = ("URG", "PRF", "UNA", "MMC", "SCR", "DIA", "CHO")
 ETKAS, ESP = "ETKAS", "ESP"  # the two allocation programs
+GERMANY = "DE"  # the one country whose candidates choose a program
 CHOICE_PAYLOADS = (ETKAS, ESP, "EXT_OPT_IN", "EXT_OPT_OUT")
 
 

@@ -19,11 +19,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .balances import BalanceLedger, donor_age_group
-from .common import DAYS_PER_YEAR, InputError
-from .entities import (ESP, ETKAS, LOCAL_REGIONAL, NATIONAL, AllocationProfile,
-                       CandidateRegistration, CenterRegistry, DonorArrival,
-                       StatusUpdate, URGENCY_CODES)
+from .balances import AUSTRIA, BalanceLedger, donor_age_group
+from .common import DAYS_PER_YEAR, InputError, age_years
+from .entities import (ESP, ETKAS, GERMANY, LOCAL_REGIONAL, NATIONAL,
+                       AllocationProfile, CandidateRegistration,
+                       CenterRegistry, DonorArrival, StatusUpdate,
+                       URGENCY_CODES)
 from .hla import (BLOOD_GROUPS, AntigenTable, BloodGroupFrequencies,
                   DonorPanel, FrequencyTable, HlaTyping,
                   compute_hmpp_fraction)
@@ -378,7 +379,7 @@ class CandidateStore:
         self.bg[row] = BG_CODES[reg.blood_group]
         self.country_idx[row] = self.country_of[reg.country]
         self.region_idx[row] = self.region_of[center.region]
-        if reg.country == "AT":
+        if reg.country == AUSTRIA:
             self.austrian_regions.add(self.region_of[center.region])
         self.subregion_idx[row] = self.subregion_of.get(center.esp_subregion, -1)
         self.center_codes.append(reg.center)
@@ -548,18 +549,6 @@ class CandidateStore:
         s = int(self.status[row])
         return "PRE" if s == PRE else URGENCY_CODES[s]
 
-    def age_years(self, row: int, now_days: int) -> int:
-        return int((now_days - int(self.dob_days[row])) // DAYS_PER_YEAR)
-
-
-def _age_years(now_days: int, dob_days: np.ndarray) -> np.ndarray:
-    """Whole years of age, floor((now - dob) / DAYS_PER_YEAR), in int32.
-
-    DAYS_PER_YEAR is 1461 / 4, so integer floor division by 1461 of four
-    times the day count is exact, and several times faster than floor
-    division by the float.
-    """
-    return ((now_days - dob_days) * 4 // 1461).astype(np.int32, copy=False)
 
 
 def _pattern_mask(patterns: frozenset[tuple[int, int, int]]) -> int:
@@ -633,7 +622,8 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
     if len(cand) == 0:
         return _empty_arrays(donor, program)
 
-    age = _age_years(now_days, store.dob_days[cand])
+    age = age_years(now_days, store.dob_days[cand]).astype(np.int32,
+                                                       copy=False)
 
     # eligibility
     elig = store.hla_known[cand].copy()
@@ -645,8 +635,9 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         elig &= (store.unacc[:, w][cand] & donor_words[w]) == 0
     elig &= ~store.am[cand]
     if program == ETKAS:
-        if "DE" in store.country_of:
-            german_rule = ((store.country_idx[cand] == store.country_of["DE"])
+        if GERMANY in store.country_of:
+            german_rule = ((store.country_idx[cand]
+                            == store.country_of[GERMANY])
                            & (age >= cfg.esp_candidate_age_from)
                            & (store.choice[cand] != 1))
             elig &= ~german_rule
@@ -700,17 +691,16 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         filtered = profile_ok & ~(pattern_hit
                                   if cfg.filtering.apply_hla_mismatch_criteria
                                   else np.zeros(len(rows), dtype=bool))
-        arrays = _etkas_points_arrays(store, donor, ledger, cfg, rows, age,
-                                      mm_a, mm_b, mm_dr, mm_total, geo_idx,
-                                      same_country, dial, now_days)
+        total, comps, fraction = _etkas_points_arrays(
+            store, donor, ledger, cfg, rows, age, mm_a, mm_b, mm_dr, geo_idx,
+            same_country, dial)
         tier = _etkas_tier_array(store, donor, cfg, rows, age, mm_total)
-        total, comps, fraction = arrays
-        order_total = total
     else:
         under_65 = age < cfg.esp_candidate_age_from
         german_etkas = np.zeros(len(rows), dtype=bool)
-        if "DE" in store.country_of:
-            german_etkas = ((store.country_idx[rows] == store.country_of["DE"])
+        if GERMANY in store.country_of:
+            german_etkas = ((store.country_idx[rows]
+                             == store.country_of[GERMANY])
                             & (store.choice[rows] == 1))
         filtered = profile_ok & ~under_65 & ~german_etkas
         tier = _esp_tier_array(store, donor, cfg, rows, age, d_sub,
@@ -719,7 +709,6 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         comps = {name: np.zeros(len(rows)) for name in POINT_COMPONENTS}
         comps["dialysis"] = total.copy()
         fraction = np.ones(len(rows))
-        order_total = total
 
     regional = np.zeros(len(rows), dtype=np.int32)
     if program == ETKAS and store.austrian_regions:
@@ -727,16 +716,16 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         by_region = np.zeros(len(store.regions), dtype=np.int32)
         for r in store.austrian_regions:
             by_region[r] = ledger.regional_net_export(store.regions[r], group)
-        at = store.country_idx[rows] == store.country_of["AT"]
+        at = store.country_idx[rows] == store.country_of[AUSTRIA]
         regional[at] = by_region[store.region_idx[rows[at]]]
     reg_days = store.reg_days[rows]
-    order = _rank_order(store, rows, tier, order_total, regional, reg_days)
+    order = _rank_order(store, rows, tier, total, regional, reg_days)
 
     rows = rows[order]
     return MatchArrays(
         donor=donor, program=program, rows=rows,
         filtered=filtered[order], tier=tier[order],
-        total=order_total[order],
+        total=total[order],
         mm_a=mm_a[order], mm_b=mm_b[order], mm_dr=mm_dr[order],
         geo_idx=geo_idx[order], dial_days=dial[order],
         comp_dialysis=comps["dialysis"][order], comp_hla=comps["hla"][order],
@@ -822,8 +811,7 @@ def _etkas_tier_array(store, donor, cfg, rows, age, mm_total):
 
 
 def _etkas_points_arrays(store, donor, ledger, cfg, rows, age, mm_a, mm_b,
-                         mm_dr, mm_total, geo_idx, same_country, dial,
-                         now_days):
+                         mm_dr, geo_idx, same_country, dial):
     n = len(rows)
     comp_dial = cfg.dialysis_points_per_year * dial / DAYS_PER_YEAR
     hla = (cfg.hla_base_points + mm_a * cfg.hla_mm_beta_a

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .common import InputError, read_csv_rows
+from .common import InputError, one_of, read_table
 
 LOCI = ("A", "B", "DR")
 
@@ -28,6 +28,9 @@ class UnknownAntigenError(KeyError):
     def __init__(self, code: str):
         self.code = code
         super().__init__(f"unknown antigen code: {code!r}")
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 @dataclass(frozen=True)
@@ -59,15 +62,10 @@ class AntigenTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AntigenTable":
-        rows = []
-        for line, row in read_csv_rows(path):
-            try:
-                rows.append(Antigen(code=row["code"].strip(),
-                                    locus=row["locus"].strip(),
-                                    broad=row["broad"].strip() or row["code"].strip()))
-            except KeyError as exc:
-                raise InputError(f"missing column {exc}", path, line)
-        return cls(rows)
+        return cls(read_table(
+            path, (("code", None, str.strip), ("locus", None, str.strip),
+                   ("broad", None, str.strip)), "antigen",
+            lambda code, locus, broad: Antigen(code, locus, broad or code)))
 
     def resolve(self, code: str) -> Antigen:
         try:
@@ -146,42 +144,32 @@ HLA_COLUMNS = ("a1", "a2", "b1", "b2", "dr1", "dr2")
 
 
 class TypingReader:
-    """Typings from the stripped texts of the HLA_COLUMNS, as
-    ``HlaTyping.from_codes`` and ``validate`` build and check them from the
-    nonblank texts; all blank reads None.
+    """Typings from the texts of the HLA_COLUMNS, as ``HlaTyping.from_codes``
+    and ``validate`` build and check them from the nonblank stripped texts;
+    all blank reads None, or fails if the typing is ``required``.  It is
+    the parser of a ``common.read_table`` field of the HLA_COLUMNS.
 
     Codes are grouped by their table locus, not by column.  When each
     column pair holds one or two codes of its own locus, that grouping is
-    the pairs themselves, so a row costs three lookups in a memo of
-    distinct pairs.  Any other row takes the general path, which raises
-    what it always has.
+    the pairs themselves, so ``read`` costs a row three lookups in a memo
+    of distinct pairs.  Any other row takes the general path, one row's
+    typing (``__call__``), which raises what it always has.
     """
 
     _PAIRS = ((0, 1, "A"), (2, 3, "B"), (4, 5, "DR"))
 
-    def __init__(self, table: AntigenTable):
+    def __init__(self, table: AntigenTable, required: bool = False):
         self.table = table
+        self.required = required
         # per locus: (first text, second text) -> its codes, or None where
         # the pair leaves the fast path
         self._pairs: dict[str, dict[tuple[str, str], tuple[str, ...] | None]]
         self._pairs = {locus: {} for *_, locus in self._PAIRS}
 
-    def __call__(self, texts: Sequence[str]) -> HlaTyping | None:
-        """One row's typing."""
-        antigens = {}
-        for i, j, locus in self._PAIRS:
-            key = (texts[i], texts[j])
-            memo = self._pairs[locus]
-            if key not in memo:
-                memo[key] = self._pair(locus, *key)
-            if memo[key] is None:
-                return self._general(texts)
-            antigens[locus] = memo[key]
-        return HlaTyping(antigens)
-
     def read(self, columns: Sequence[Sequence[str]]) -> list[HlaTyping | None]:
         """The typings of six text columns' rows, up to (not including) the
         first row that the general path rejects."""
+        columns = [list(map(str.strip, column)) for column in columns]
         loci = []
         for i, j, locus in self._PAIRS:
             memo = self._pairs[locus]
@@ -193,7 +181,7 @@ class TypingReader:
                    else None for a, b, dr in zip(*loci)]
         for row in [i for i, t in enumerate(typings) if t is None]:
             try:
-                typings[row] = self._general([c[row] for c in columns])
+                typings[row] = self([c[row] for c in columns])
             except (KeyError, ValueError):
                 return typings[:row]
         return typings
@@ -208,9 +196,11 @@ class TypingReader:
             pass
         return None
 
-    def _general(self, texts: Sequence[str]) -> HlaTyping | None:
-        codes = [c for c in texts if c]
+    def __call__(self, texts: Sequence[str]) -> HlaTyping | None:
+        codes = [c for c in map(str.strip, texts) if c]
         if not codes:
+            if self.required:
+                raise ValueError("HLA typing is required")
             return None
         typing = HlaTyping.from_codes(self.table, codes)
         typing.validate(self.table)
@@ -244,18 +234,20 @@ class DonorPanel:
 
         A blank second field means the donor is homozygous at that locus.
         """
-        reader = TypingReader(table)
-        typings = []
-        for _, row in read_csv_rows(path):
-            typing = reader([row.get(col, "").strip() for col in HLA_COLUMNS])
-            if typing is None:  # a blank row lacks every locus
-                HlaTyping({}).validate(table)
-            typings.append(typing)
-        return cls(typings)
+        return cls(read_table(
+            path, ((HLA_COLUMNS, "", TypingReader(table, required=True)),),
+            "panel typing", lambda typing: typing))
 
 
 # ---------------------------------------------------------------------------
 # Antigen frequencies
+
+def _frequency(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InputError(f"invalid frequency {text!r}") from None
+
 
 class FrequencyTable:
     """Antigen frequencies per locus, the basis of the analytic p<=1mm.
@@ -276,16 +268,16 @@ class FrequencyTable:
     @classmethod
     def from_file(cls, path: str | Path) -> "FrequencyTable":
         freqs: dict[str, dict[str, float]] = {}
-        for line, row in read_csv_rows(path):
-            locus = row["locus"].strip()
-            code = row["code"].strip()
-            try:
-                f = float(row["freq"])
-            except ValueError:
-                raise InputError(f"invalid frequency {row['freq']!r}", path, line)
+
+        def add(locus: str, code: str, f: float) -> None:
             if f < 0:
-                raise InputError(f"negative frequency for {code}", path, line)
+                raise InputError(f"negative frequency for {code}")
             freqs.setdefault(locus, {})[code] = f
+
+        read_table(path, (("locus", None, str.strip),
+                          ("code", None, str.strip),
+                          ("freq", None, _frequency)), "antigen frequency",
+                   add)
         return cls(freqs)
 
     def locus(self, locus: str) -> dict[str, float]:
@@ -322,13 +314,9 @@ class BloodGroupFrequencies:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "BloodGroupFrequencies":
-        freqs = {}
-        for line, row in read_csv_rows(path):
-            bg = row["bg"].strip()
-            if bg not in BLOOD_GROUPS:
-                raise InputError(f"unknown blood group {bg!r}", path, line)
-            freqs[bg] = float(row["freq"])
-        return cls(freqs)
+        return cls(dict(read_table(
+            path, (("bg", None, one_of(BLOOD_GROUPS, "blood group")),
+                   ("freq", None, float)), "blood group frequency")))
 
     def freq_of(self, bg: str) -> float:
         try:

@@ -5,12 +5,9 @@ omitted data paths fall back to the packaged defaults under data/."""
 from __future__ import annotations
 
 import csv
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date
 from importlib import resources
-from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -18,9 +15,9 @@ import numpy as np
 import yaml
 
 from .balances import BalanceEvent, read_balance_events
-from .common import (InputError, csv_blocks, cut_block, iso_day_rows,
-                     iso_days, parse_bool, parse_date, parse_day,
-                     read_csv_header, read_csv_rows)
+from .common import (InputError, csv_blocks, cut_block, gc_paused,
+                     iso_day_rows, iso_days, parse_bool, parse_date,
+                     parse_day, read_csv_header, read_table, text_or)
 from .entities import (CandidateRegistration, CenterRegistry, DonorArrival,
                        StatusUpdate, expand_mm_patterns, parse_payload,
                        parse_profile)
@@ -119,182 +116,55 @@ def load_settings(path: str | Path) -> SimulationSettings:
 # ---------------------------------------------------------------------------
 # Candidate and donor streams
 
-def _text(text: str, path=None, line=None) -> str:
-    return text.strip()
+def _optional_day(text: str) -> int | None:
+    return parse_day(text) if text.strip() else None
 
-
-def _urgency(text: str, path=None, line=None) -> str:
-    return text.strip() or "NT"
-
-
-def _program_choice(text: str, path=None, line=None) -> str | None:
-    return text.strip() or None
-
-
-def _optional_day(text: str, path=None, line=None) -> int | None:
-    return parse_day(text, path, line) if text.strip() else None
-
-
-def _unacceptables(text: str, path=None, line=None, *,
-                   table: AntigenTable) -> frozenset[str]:
-    codes = frozenset(text.split())
-    table.check_unacceptables(codes, path, line)
-    return codes
-
-
-# CandidateRegistration's fields but ``hla`` (which the HLA_COLUMNS give),
-# in their order: (column, text of the column when the file lacks it, or
-# None if it is required, parser; ``_unacceptables`` also takes the table).
-# A row's typing is parsed first, then these in order, so the first of them
-# that fails names a row's error.
-_REGISTRATION_FIELDS = (
-    ("id", None, _text),
-    ("patient_id", "", _text),  # blank: the registration id
-    ("country", None, _text),
-    ("center", None, _text),
-    ("bg", None, _text),
-    ("dob", None, parse_day),
-    ("registration_date", None, parse_day),
-    ("unacceptables", "", _unacceptables),
-    ("dialysis_start", "", _optional_day),
-    ("prior_tx", "0", parse_bool),
-    ("prev_tx_date", "", _optional_day),
-    ("screening_date", "", _optional_day),
-    ("urgency", "", _urgency),
-    ("profile", "", parse_profile),
-    ("mm_criteria", "", expand_mm_patterns),
-    ("am", "0", parse_bool),
-    ("kaoo", "0", parse_bool),
-    ("esp_opt_in", "0", parse_bool),
-    ("program_choice", "", _program_choice),
-)
-_HLA_AT = 7  # position of ``hla`` among CandidateRegistration's fields
 
 # rows per block: bounds what parsing holds beyond its result
 _REGISTRATION_BLOCK = 1 << 13
 
 
-@contextmanager
-def _gc_paused():
-    # many small objects per block: a paused cyclic GC does not rescan them
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def load_registrations(path: str | Path,
                        table: AntigenTable) -> list[CandidateRegistration]:
-    """Candidate registrations, in file order.
-
-    The file is read once and parsed column-wise, a block of rows at a
-    time.  Each distinct text of a column (of a pair of typing columns)
-    is parsed once.  A malformed row raises InputError at its line, the
-    first one in file order, with the message a row-at-a-time read gives:
-    within a row the typing fails first, then the fields in the order of
-    CandidateRegistration's.  Unacceptable antigens must be in ``table``.
+    """Candidate registrations, in file order (``common.read_table``: a
+    malformed row raises InputError at its line).  Within a row the typing
+    fails first, then the fields in the order of CandidateRegistration's.
+    Unacceptable antigens must be in ``table``.
     """
-    with _gc_paused(), open(path, newline="", encoding="utf-8") as fh:
-        header = read_csv_header(fh)
-        if header is None:
-            return []
-        header_line, fieldnames = header
-        parser = _RegistrationParser(path, table, fieldnames)
-        regs: list[CandidateRegistration] = []
-        for rows, lines in csv_blocks(path, header_line, len(fieldnames),
-                                      csv.reader(fh), _REGISTRATION_BLOCK):
-            parser.parse_block(rows, lines, regs)
-        return regs
+    def unacceptables(text: str) -> frozenset[str]:
+        codes = frozenset(text.split())
+        table.check_unacceptables(codes)
+        return codes
+
+    return read_table(path, (
+        (HLA_COLUMNS, "", TypingReader(table)),
+        ("id", None, str.strip),
+        ("patient_id", "", str.strip),  # blank: the registration id
+        ("country", None, str.strip),
+        ("center", None, str.strip),
+        ("bg", None, str.strip),
+        ("dob", None, parse_day),
+        ("registration_date", None, parse_day),
+        ("unacceptables", "", unacceptables),
+        ("dialysis_start", "", _optional_day),
+        ("prior_tx", "0", parse_bool),
+        ("prev_tx_date", "", _optional_day),
+        ("screening_date", "", _optional_day),
+        ("urgency", "", text_or("NT")),
+        ("profile", "", parse_profile),
+        ("mm_criteria", "", expand_mm_patterns),
+        ("am", "0", parse_bool),
+        ("kaoo", "0", parse_bool),
+        ("esp_opt_in", "0", parse_bool),
+        ("program_choice", "", text_or(None))),
+        "registration", _registration, _REGISTRATION_BLOCK)
 
 
-_MALFORMED = object()  # memo entry of a text its parser rejects
-
-
-class _RegistrationParser:
-    def __init__(self, path, table: AntigenTable, fieldnames: list[str]):
-        self.path = path
-        self.fieldnames = fieldnames
-        self.col = {name: i for i, name in enumerate(fieldnames)}
-        self.typing = TypingReader(table)
-        self.fields = [
-            (column, default,
-             partial(parse, table=table) if parse is _unacceptables else parse)
-            for column, default, parse in _REGISTRATION_FIELDS]
-        # parsed value (or _MALFORMED) per distinct text, per column
-        self.memo: dict[str, dict] = {
-            column: {} for column, _, parse in self.fields
-            if parse is not _text}
-
-    def parse_block(self, rows: list[list[str]], lines: np.ndarray,
-                    regs: list[CandidateRegistration]) -> None:
-        """Append the block's registrations to ``regs``; raise at its first
-        malformed row."""
-        n = len(rows)
-        by_column = list(zip(*rows))
-        typings = self.typing.read(
-            [list(map(str.strip, by_column[self.col[c]])) if c in self.col
-             else [""] * n for c in HLA_COLUMNS])
-        good = len(typings)  # rows before the first malformed one
-        fields = []
-        for column, default, parse in self.fields:
-            values, bad = self._column(by_column, n, column, default, parse)
-            good = min(good, bad)
-            fields.append(values[:good])
-        ids, pids = fields[0], fields[1]
-        fields[1] = [pid or cid for pid, cid in zip(pids, ids)]
-        fields.insert(_HLA_AT, typings[:good])
-        start = len(regs)
-        try:
-            regs.extend(map(CandidateRegistration, *fields))
-        except ValueError as exc:
-            # extend keeps the registrations made before the failing one
-            raise InputError(f"malformed registration: {exc}", self.path,
-                             int(lines[len(regs) - start]))
-        if good < n:
-            self._raise_row_error(rows[good], int(lines[good]))
-
-    def _column(self, by_column: list[tuple[str, ...]], n: int, column: str,
-                default: str | None, parse) -> tuple[list, int]:
-        """One field's values for the block's ``n`` rows, and the index of
-        the first row whose text the parser rejects (``n`` if none)."""
-        if column not in self.col:
-            if default is None:
-                return [], 0  # a required column: every row lacks it
-            return [parse(default)] * n, n
-        texts = by_column[self.col[column]]
-        if parse is _text:
-            return list(map(str.strip, texts)), n
-        memo = self.memo[column]
-        malformed = set()
-        for text in set(texts).difference(memo):
-            try:
-                memo[text] = parse(text)
-            except (KeyError, ValueError):
-                memo[text] = _MALFORMED
-                malformed.add(text)
-        values = list(map(memo.__getitem__, texts))
-        if not malformed:
-            return values, n
-        return values, next(i for i, text in enumerate(texts)
-                            if text in malformed)
-
-    def _raise_row_error(self, fields: list[str], line: int) -> None:
-        """Parse one row as a row-at-a-time read does, raising its first
-        error (every row handed in has one)."""
-        row = dict(zip(self.fieldnames, fields))
-        path = self.path
-        try:
-            self.typing([row.get(c, "").strip() for c in HLA_COLUMNS])
-            for column, default, parse in self.fields:
-                parse(row[column] if default is None
-                      else row.get(column, default), path, line)
-        except (KeyError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(f"malformed registration: {exc}", path, line)
+def _registration(hla, rid, patient_id, country, center, bg, born,
+                  registered, *values) -> CandidateRegistration:
+    # the typing, read first, takes its place among the fields
+    return CandidateRegistration(rid, patient_id or rid, country, center, bg,
+                                 born, registered, hla, *values)
 
 
 Screenings = dict[str, np.ndarray]
@@ -332,7 +202,7 @@ def load_status_updates(path: str | Path, table: AntigenTable
     unknown kind, or a payload ``entities.parse_payload`` rejects or whose
     ``UNA`` antigens are not in ``table``, wherever its date lies.
     """
-    with _gc_paused():
+    with gc_paused():
         with open(path, newline="", encoding="utf-8") as fh:
             header = read_csv_header(fh)
         if header is None:
@@ -616,39 +486,34 @@ def _parse_status_block(path, table: AntigenTable, col: dict[str, int],
 
 
 def load_donors(path: str | Path, table: AntigenTable) -> list[DonorArrival]:
-    donors = []
-    typing = TypingReader(table)
-    for line, row in read_csv_rows(path):
-        try:
-            hla = typing([row.get(c, "").strip() for c in HLA_COLUMNS])
-            if hla is None:
-                raise InputError("donor HLA typing is required", path, line)
-            donors.append(DonorArrival(
-                id=row["id"].strip(),
-                report_day=parse_day(row["report_date"], path, line),
-                age=int(row["age"]),
-                blood_group=row["bg"].strip(),
-                country=row["country"].strip(),
-                center=row["center"].strip(),
-                hla=hla,
-                death_cause=(row.get("death_cause", "").strip() or "other"),
-                dcd=parse_bool(row.get("dcd", "0"), path, line),
-                last_creatinine=float(row.get("creatinine", "1.0") or 1.0),
-                diabetes=parse_bool(row.get("diabetes", "0"), path, line),
-                smoking=parse_bool(row.get("smoking", "0"), path, line),
-                proteinuria=parse_bool(row.get("proteinuria", "0"), path, line),
-                hypertension=parse_bool(row.get("hypertension", "0"), path, line),
-                malignancy=parse_bool(row.get("malignancy", "0"), path, line),
-                hcv_positive=parse_bool(row.get("hcv", "0"), path, line),
-                hbsag_positive=parse_bool(row.get("hbs", "0"), path, line),
-                extended_criteria=parse_bool(row.get("extended", "0"), path, line),
-                kidneys_available=int(row.get("kidneys", "2") or 2),
-            ))
-        except (KeyError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(f"malformed donor: {exc}", path, line)
-    return donors
+    """Donor arrivals, in file order (``common.read_table``); each needs a
+    typing, which is read first."""
+    return read_table(path, (
+        (HLA_COLUMNS, "", TypingReader(table, required=True)),
+        ("id", None, str.strip),
+        ("report_date", None, parse_day),
+        ("age", None, int),
+        ("bg", None, str.strip),
+        ("country", None, str.strip),
+        ("center", None, str.strip),
+        ("death_cause", "", text_or("other")),
+        ("dcd", "0", parse_bool),
+        ("creatinine", "1.0", lambda text: float(text or 1.0)),
+        ("diabetes", "0", parse_bool),
+        ("smoking", "0", parse_bool),
+        ("proteinuria", "0", parse_bool),
+        ("hypertension", "0", parse_bool),
+        ("malignancy", "0", parse_bool),
+        ("hcv", "0", parse_bool),
+        ("hbs", "0", parse_bool),
+        ("extended", "0", parse_bool),
+        ("kidneys", "2", lambda text: int(text or 2))), "donor", _donor)
+
+
+def _donor(hla, did, reported, age, bg, country, center,
+           *values) -> DonorArrival:
+    # the typing, read first, takes its place among the fields
+    return DonorArrival(did, reported, age, bg, country, center, hla, *values)
 
 
 # ---------------------------------------------------------------------------

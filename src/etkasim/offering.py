@@ -20,7 +20,7 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .common import DAYS_PER_YEAR, InputError, read_coefficients, read_csv_rows
+from .common import DAYS_PER_YEAR, InputError, read_coefficients, read_table
 from .entities import (DEATH_CAUSE_GROUPS, ESP, ETKAS, GEOGRAPHY_CLASSES,
                        CenterRegistry, DonorArrival, geography_class)
 from .fastmatch import HU
@@ -142,13 +142,10 @@ class CoxSampler:
         model_id, _, coefs, _ = read_coefficients(coef_path, DONOR_FEATURES,
                                                   intercept=False)
         by_stratum: dict[str, list[tuple[int, float]]] = {}
-        for line, row in read_csv_rows(baseline_path):
-            try:
-                by_stratum.setdefault(row["stratum"].strip(), []).append(
-                    (int(row["k"]), float(row["s0"])))
-            except (KeyError, ValueError) as exc:
-                raise InputError(f"malformed baseline row: {exc}",
-                                 baseline_path, line) from None
+        for stratum, k, s0 in read_table(
+                baseline_path, (("stratum", None, str.strip), ("k", None, int),
+                                ("s0", None, float)), "baseline row"):
+            by_stratum.setdefault(stratum, []).append((k, s0))
         baselines = {}
         for stratum, pairs in by_stratum.items():
             pairs.sort()

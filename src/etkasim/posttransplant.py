@@ -20,7 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .common import InputError, read_coefficients, read_csv_rows
+from .common import (DAYS_PER_YEAR, InputError, age_years, one_of,
+                     read_coefficients, read_table)
 from .entities import CandidateRegistration, parse_payload
 from .hla import AntigenTable, HlaTyping
 from .offering import DONOR_FEATURES, linear_predictor
@@ -95,7 +96,7 @@ AGE_BUCKETS = ("0-17", "18-39", "40-49", "50-54", "55-59", "60-64",
 
 
 # where each bucket but the first begins
-_TIME_BOUNDS = (180, 365.25, 2 * 365.25, 5 * 365.25)
+_TIME_BOUNDS = (180, DAYS_PER_YEAR, 2 * DAYS_PER_YEAR, 5 * DAYS_PER_YEAR)
 _AGE_BOUNDS = (18, 40, 50, 55, 60, 65, 70, 75)
 
 
@@ -158,19 +159,11 @@ class RelistCurveSet:
         """``t_bucket,age_bucket,s,survival`` rows, with a curve for every
         stratum of TIME_BUCKETS x AGE_BUCKETS."""
         raw: dict[tuple[str, str], list[tuple[float, float]]] = {}
-        for line, row in read_csv_rows(path):
-            tb = row["t_bucket"].strip()
-            ab = row["age_bucket"].strip()
-            if tb not in TIME_BUCKETS:
-                raise InputError(f"unknown time bucket {tb!r}", path, line)
-            if ab not in AGE_BUCKETS:
-                raise InputError(f"unknown age bucket {ab!r}", path, line)
-            try:
-                raw.setdefault((tb, ab), []).append(
-                    (float(row["s"]), float(row["survival"])))
-            except ValueError as exc:
-                raise InputError(f"malformed curve row: {exc}", path,
-                                 line) from None
+        for tb, ab, s, survival in read_table(path, (
+                ("t_bucket", None, one_of(TIME_BUCKETS, "time bucket")),
+                ("age_bucket", None, one_of(AGE_BUCKETS, "age bucket")),
+                ("s", None, float), ("survival", None, float)), "curve row"):
+            raw.setdefault((tb, ab), []).append((s, survival))
         curves = {}
         for key in ((tb, ab) for tb in TIME_BUCKETS for ab in AGE_BUCKETS):
             if key not in raw:
@@ -239,9 +232,9 @@ class PoolEntry:
 
     def __post_init__(self):
         if not self.status_updates:
-            raise ValueError(f"pool entry {self.id}: empty status stream")
+            raise InputError(f"pool entry {self.id}: empty status stream")
         if self.status_updates[-1][1] not in ("R", "D"):
-            raise ValueError(f"pool entry {self.id}: status stream must end "
+            raise InputError(f"pool entry {self.id}: status stream must end "
                              "in R or D")
 
 
@@ -265,39 +258,35 @@ class RelistingPool:
     def from_files(cls, entries_path: str | Path,
                    updates_path: str | Path) -> "RelistingPool":
         updates: dict[str, list[tuple[int, str]]] = {}
-        for line, row in read_csv_rows(updates_path):
-            try:
-                pool_id = row["pool_id"].strip()
-                update = (int(row["offset_days"]),
-                          parse_payload("URG", row["status"]))
-            except (KeyError, ValueError) as exc:
-                raise InputError(f"malformed pool status update: {exc}",
-                                 updates_path, line)
-            updates.setdefault(pool_id, []).append(update)
-        entries = []
-        for line, row in read_csv_rows(entries_path):
-            pool_id = row["id"].strip()
-            stream = sorted(updates.get(pool_id, []))
-            try:
-                entries.append(PoolEntry(
-                    id=pool_id,
-                    country=row["country"].strip(),
-                    age_at_relist=float(row["age_at_relist"]),
-                    dialysis_days_at_relist=int(row["dialysis_days"]),
-                    relisted_within_1y=row["within_1y"].strip() == "1",
-                    r_days=float(row["r_days"]),
-                    t_days=float(row["t_days"]),
-                    status_updates=tuple(stream)))
-            except ValueError as exc:
-                raise InputError(str(exc), entries_path, line)
-        return cls(entries)
+        for pool_id, offset, status in read_table(updates_path, (
+                ("pool_id", None, str.strip), ("offset_days", None, int),
+                ("status", None, _pool_status)), "pool status update"):
+            updates.setdefault(pool_id, []).append((offset, status))
+
+        def entry(pool_id, *values) -> PoolEntry:
+            return PoolEntry(pool_id, *values,
+                             tuple(sorted(updates.get(pool_id, []))))
+
+        return cls(read_table(entries_path, (
+            ("id", None, str.strip), ("country", None, str.strip),
+            ("age_at_relist", None, float), ("dialysis_days", None, int),
+            ("within_1y", None, lambda text: text.strip() == "1"),
+            ("r_days", None, float), ("t_days", None, float)),
+            "pool entry", entry))
+
+
+def _pool_status(text: str) -> str:
+    try:
+        return parse_payload("URG", text)
+    except InputError as exc:  # reads as a malformed row, as a bad offset does
+        raise ValueError(exc) from None
 
 
 # caliper widths for pool matching, in days where applicable
 CALIPER_AGE_YEARS = 20.0
-CALIPER_R_DAYS = 2 * 365.25
-CALIPER_T_DAYS = 1 * 365.25
-CALIPER_DIALYSIS_DAYS = 3 * 365.25
+CALIPER_R_DAYS = 2 * DAYS_PER_YEAR
+CALIPER_T_DAYS = 1 * DAYS_PER_YEAR
+CALIPER_DIALYSIS_DAYS = 3 * DAYS_PER_YEAR
 MIN_MATCHES = 5
 NEAREST_M = 5
 
@@ -314,7 +303,7 @@ class RecipientProfile:
 
     @property
     def relisted_within_1y(self) -> bool:
-        return self.r_days <= 365.25
+        return self.r_days <= DAYS_PER_YEAR
 
 
 def _candidate_matches(profile: RecipientProfile,
@@ -402,10 +391,9 @@ def build_synthetic_relisting(recipient: CandidateRegistration,
     matched entry) or None when no pool entry survives caliper matching.
     """
     relist_day = transplant_day + int(round(r_days))
-    age_at_relist = (relist_day - recipient.birth_day) / 365.25
     profile = RecipientProfile(
         country=recipient.country,
-        age_at_relist=float(int(age_at_relist)),
+        age_at_relist=float(age_years(relist_day, recipient.birth_day)),
         dialysis_days_at_relist=dialysis_days,
         r_days=float(r_days),
         t_days=float(t_days))

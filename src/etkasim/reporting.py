@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .common import day_text, round_half_up
+from .common import DAYS_PER_YEAR, day_text, round_half_up
 from .engine import SimulationOutput, TransplantRecord
 from .entities import ETKAS, GEOGRAPHY_CLASSES
 from .fastmatch import POINT_COMPONENTS, CandidateStore, MatchArrays
@@ -267,7 +267,7 @@ def write_match_list_csv(path: Path, arrays: MatchArrays,
                                                 ">0MM")
                 quality = f"{arrays.mm_a[i]}{arrays.mm_b[i]}{arrays.mm_dr[i]}"
                 w.writerow([i + 1, store.ids[row], tier, quality,
-                            f"{days / 365.25:.1f}", sum(comp), *comp,
+                            f"{days / DAYS_PER_YEAR:.1f}", sum(comp), *comp,
                             GEOGRAPHY_CLASSES[geo], filtered])
         else:
             w.writerow(["rank", "candidate_id", "dialysis_days", "points",

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from etkasim.balances import BalanceEvent, BalanceLedger, donor_age_group
+from etkasim.balances import (AUSTRIA, BalanceEvent, BalanceLedger,
+                              donor_age_group)
 from etkasim.common import DAYS_PER_YEAR, round_half_up
-from etkasim.entities import (ESP, ETKAS, AllocationProfile,
+from etkasim.entities import (ESP, ETKAS, GERMANY, AllocationProfile,
                               CandidateRegistration, CenterRegistry,
                               DonorArrival, geography_class)
 from etkasim.hla import (AntigenTable, BloodGroupFrequencies, FrequencyTable,
@@ -166,7 +167,7 @@ def etkas_eligible(state: CandidateState, donor: DonorArrival, now_day: int,
         reasons.append(UNACCEPTABLE)
     if not screening_fresh(state, now_day, cfg):
         reasons.append(SCREENING_STALE)
-    if (reg.country == "DE"
+    if (reg.country == GERMANY
             and candidate_age(state, now_day) >= cfg.esp_candidate_age_from
             and state.german_program_choice != ETKAS):
         reasons.append(GERMAN_CHOICE)
@@ -372,7 +373,7 @@ def esp_filtered(state: CandidateState, donor: DonorArrival, now_day: int,
     if candidate_age(state, now_day) < cfg.esp_candidate_age_from:
         return False
     reg = state.registration
-    if reg.country == "DE" and state.german_program_choice == ETKAS:
+    if reg.country == GERMANY and state.german_program_choice == ETKAS:
         return False
     if cfg.filtering.apply_allocation_profiles and state.profile is not None:
         if not profile_accepts(state.profile, donor):
@@ -445,7 +446,7 @@ def _etkas_record(state: CandidateState, donor: DonorArrival,
     # Austrian candidates with a more negative regional balance go first on
     # point ties; everyone else carries a neutral key.
     regional = 0
-    if state.registration.country == ledger.austria_code:
+    if state.registration.country == AUSTRIA:
         regional = ledger.regional_net_export(
             ctx.centers.get(state.registration.center).region,
             donor_age_group(donor.age))

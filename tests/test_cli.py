@@ -254,6 +254,24 @@ def _replace_line(old: str, new: str):
     return edit
 
 
+def _rename_column(header: str, new: str):
+    """Rename a column in the header line ``header``: the row after it
+    lacks a required column."""
+    def edit(lines):
+        at = lines.index(header)
+        return [*lines[:at], new, *lines[at + 1:]], at + 2
+    return edit
+
+
+def _panel(**columns):
+    """Set columns of the panel's first typing."""
+    def mutate(root: Path, cid: str) -> str:
+        for column, value in columns.items():
+            line = _edit(root / "panel.csv", None, column, value)
+        return f"panel.csv:{line}: "
+    return mutate
+
+
 def _drop_lines(prefix: str):
     return lambda lines: ([x for x in lines if not x.startswith(prefix)],
                           None)
@@ -329,6 +347,39 @@ MALFORMED = [
                              _drop_lines("1y_2y,60-64,")),
                  "no re-listing curve for stratum ('1y_2y', '60-64')",
                  id="relist-missing-stratum"),
+    pytest.param(_panel(a1="A999"),
+                 "malformed panel typing: unknown antigen code: 'A999'",
+                 id="panel-unknown-antigen"),
+    pytest.param(_panel(**dict.fromkeys(("a1", "a2", "b1", "b2", "dr1",
+                                         "dr2"), "")),
+                 "malformed panel typing: HLA typing is required",
+                 id="panel-blank-typing"),
+    pytest.param(_model_file("hla_frequencies", "hla_frequencies.csv",
+                             _rename_column("locus,code,freq",
+                                            "locus,kode,freq")),
+                 "malformed antigen frequency: 'code'",
+                 id="hla-frequencies-missing-column"),
+    pytest.param(_model_file("relist_curves", "relist_curves.csv",
+                             _rename_column("t_bucket,age_bucket,s,survival",
+                                            "t_bucket,age_bucket,s,surv")),
+                 "malformed curve row: 'survival'",
+                 id="relist-curves-missing-column"),
+    pytest.param(_model_file("relist_pool", "relist_pool.csv",
+                             _rename_column(
+                                 "id,country,age_at_relist,dialysis_days,"
+                                 "within_1y,r_days,t_days",
+                                 "id,country,age_at_relist,dialysis_days,"
+                                 "within_1y,r_days,t")),
+                 "malformed pool entry: 't_days'",
+                 id="relist-pool-missing-column"),
+    pytest.param(_model_file("blood_group_frequencies", "blood_groups.csv",
+                             _replace_line("A,0.40", "A,high")),
+                 "malformed blood group frequency: could not convert string "
+                 "to float: 'high'", id="blood-group-frequency-value"),
+    pytest.param(_model_file("blood_group_frequencies", "blood_groups.csv",
+                             _rename_column("bg,freq", "bg,f")),
+                 "malformed blood group frequency: 'freq'",
+                 id="blood-group-frequency-missing"),
 ]
 
 
@@ -477,6 +528,19 @@ class TestValidate:
             rows = {row["statistic"]: row for row in csv.DictReader(fh)}
         assert rows["transplants.total"]["actual"] == "120"
         assert rows["transplants.total"]["calibrated"] in ("yes", "NO")
+
+
+    def test_malformed_actual_statistic(self, fixture_dir, tmp_path, capsys):
+        actual = tmp_path / "actual.csv"
+        actual.write_text("statistic,value\ntransplants.total,120\n"
+                          "transplants.dual,some\n")
+        rc = main(["validate", "--settings",
+                   str(fixture_dir / "settings.yaml"), "--runs", "1",
+                   "--actual", str(actual), "--out", str(tmp_path / "val")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {actual}:3: malformed statistic: could not convert "
+            "string to float: 'some'\n")
 
 
 class TestUsage:

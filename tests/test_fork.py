@@ -35,7 +35,7 @@ SHARED_BY_STORE = {
     "hla_index", "centers", "panel", "freq_table", "bg_freqs", "policy",
     "countries", "country_of", "regions", "region_of", "subregion_of",
     "_panel_carriers", "_panel_locus_bits", "_freq_bits", "n", "_cap"}
-SHARED_BY_LEDGER = {"austria_code"}
+SHARED_BY_LEDGER: set[str] = set()
 
 
 def _with_unacceptable_updates(inputs):

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etkasim.common import (InputError, from_days, iso_days, parse_bool,
-                            parse_date, read_csv_rows, to_days)
-from etkasim.entities import (CandidateRegistration, StatusUpdate,
-                              expand_mm_patterns, parse_profile)
+from etkasim import common
+from etkasim.common import (InputError, csv_blocks, from_days, iso_days,
+                            parse_bool, parse_date, read_csv_header, to_days)
+from etkasim.entities import (CandidateRegistration, DonorArrival,
+                              StatusUpdate, expand_mm_patterns, parse_profile)
 from etkasim.hla import AntigenTable, HlaTyping
 from etkasim import io as io_module
 from etkasim.io import (data_path, load_donors, load_registrations,
@@ -26,6 +27,20 @@ from oracle.matchlist import CandidateState
 @pytest.fixture(scope="module")
 def table():
     return AntigenTable.from_file(data_path("antigens.csv"))
+
+
+def read_csv_rows(path):
+    """(line, row dict) per data row of a delimited file, read one row at a
+    time, which the row-at-a-time reference loaders below build on."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = read_csv_header(fh)
+        if header is None:
+            return
+        header_line, names = header
+        for rows, lines in csv_blocks(path, header_line, len(names),
+                                      csv.reader(fh), 1 << 12):
+            for line, row in zip(lines.tolist(), rows):
+                yield line, dict(zip(names, row))
 
 
 REG_HEADER = ("id,patient_id,country,center,bg,dob,registration_date,"
@@ -893,6 +908,228 @@ class TestIsoDays:
                 assert from_days(d) == date.fromisoformat(text)
 
 
+def _donor_reference(path, table):
+    """The row-at-a-time donor loader the column-wise one must equal: the
+    donors, or the InputError text."""
+    donors = []
+    try:
+        for line, row in read_csv_rows(path):
+            try:
+                codes = [row[c].strip()
+                         for c in ("a1", "a2", "b1", "b2", "dr1", "dr2")
+                         if row.get(c, "").strip()]
+                if not codes:
+                    raise ValueError("HLA typing is required")
+                hla = HlaTyping.from_codes(table, codes)
+                hla.validate(table)
+                donors.append(DonorArrival(
+                    id=row["id"].strip(),
+                    report_day=_day(row["report_date"], path, line),
+                    age=int(row["age"]),
+                    blood_group=row["bg"].strip(),
+                    country=row["country"].strip(),
+                    center=row["center"].strip(),
+                    hla=hla,
+                    death_cause=(row.get("death_cause", "").strip()
+                                 or "other"),
+                    dcd=parse_bool(row.get("dcd", "0"), path, line),
+                    last_creatinine=float(row.get("creatinine", "1.0")
+                                          or 1.0),
+                    diabetes=parse_bool(row.get("diabetes", "0"), path, line),
+                    smoking=parse_bool(row.get("smoking", "0"), path, line),
+                    proteinuria=parse_bool(row.get("proteinuria", "0"), path,
+                                           line),
+                    hypertension=parse_bool(row.get("hypertension", "0"),
+                                            path, line),
+                    malignancy=parse_bool(row.get("malignancy", "0"), path,
+                                          line),
+                    hcv_positive=parse_bool(row.get("hcv", "0"), path, line),
+                    hbsag_positive=parse_bool(row.get("hbs", "0"), path,
+                                              line),
+                    extended_criteria=parse_bool(row.get("extended", "0"),
+                                                 path, line),
+                    kidneys_available=int(row.get("kidneys", "2") or 2),
+                ))
+            except (KeyError, ValueError) as exc:
+                if isinstance(exc, InputError):
+                    raise
+                raise InputError(f"malformed donor: {exc}", path, line)
+    except InputError as exc:
+        return str(exc)
+    return donors
+
+
+DONOR_HEADER = ("id,report_date,age,bg,a1,a2,b1,b2,dr1,dr2,country,center,"
+                "death_cause,dcd,creatinine,diabetes,smoking,proteinuria,"
+                "hypertension,malignancy,hcv,hbs,extended,kidneys\n")
+DONOR_ROW = ("D{i},2021-06-01,45,A,A1,A2,B5,B7,DR1,DR4,BE,BEBRU,cva,1,1.4,"
+             "0,1,0,0,0,0,0,1,1")
+
+
+class TestDonorParity:
+    """The column-wise donor loader equals the row-at-a-time reference: the
+    same donors, or the same error at the same line."""
+
+    @pytest.fixture(autouse=True, params=[None, 2], ids=["block", "blocks"])
+    def block_size(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(common, "_TABLE_BLOCK", request.param)
+
+    def _check(self, tmp_path, table, text, name="donors.csv"):
+        path = tmp_path / name
+        path.write_text(text)
+        try:
+            got = load_donors(path, table)
+        except InputError as exc:
+            got = str(exc)
+        want = _donor_reference(path, table)
+        assert got == want
+        if isinstance(want, list):  # typings list their loci in the same order
+            assert [list(d.hla.antigens.items()) for d in got] == [
+                list(d.hla.antigens.items()) for d in want]
+        return got
+
+    def _row(self, i=1, **fields):
+        values = dict(zip(DONOR_HEADER.strip().split(","),
+                          DONOR_ROW.format(i=i).split(",")))
+        values.update(fields)
+        return ",".join(values.values()) + "\n"
+
+    def test_parity_valid_rows(self, tmp_path, table):
+        rows = [self._row(1),
+                self._row(2, death_cause="", dcd="", creatinine="",
+                          kidneys="", extended="yes", hcv="1"),
+                self._row(3, a2="", dr2="", report_date="20210602"),
+                # codes out of their columns group by their table locus
+                self._row(4, a1="B8", b1="A1", a2="", b2=""),
+                self._row(5, id=" D5 ", bg=" AB ", age=" 7 ", country=" NL ")]
+        donors = self._check(tmp_path, table, DONOR_HEADER + "".join(rows))
+        assert [d.id for d in donors] == [f"D{i}" for i in range(1, 6)]
+        assert list(donors[3].hla.antigens) == ["B", "A", "DR"]
+        assert (donors[1].death_cause, donors[1].last_creatinine,
+                donors[1].kidneys_available) == ("other", 1.0, 2)
+
+    def test_parity_optional_columns_absent(self, tmp_path, table):
+        donors = self._check(tmp_path, table,
+                             "id,report_date,age,bg,country,center,a1,b1,"
+                             "dr1\nD1,2021-06-01,45,O,BE,BEBRU,A1,B5,DR1\n")
+        assert donors[0].hla.antigens == {"A": ("A1",), "B": ("B5",),
+                                          "DR": ("DR1",)}
+        assert not donors[0].dcd and donors[0].kidneys_available == 2
+
+    @pytest.mark.parametrize("column", ["id", "report_date", "age", "bg",
+                                        "country", "center"])
+    def test_parity_missing_column(self, tmp_path, table, column):
+        header = DONOR_HEADER.strip().split(",")
+        keep = [i for i, name in enumerate(header) if name != column]
+        row = DONOR_ROW.format(i=1).split(",")
+        message = self._check(
+            tmp_path, table,
+            ",".join(header[i] for i in keep) + "\n"
+            + ",".join(row[i] for i in keep) + "\n")
+        assert message.endswith(f"donors.csv:2: malformed donor: {column!r}")
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"report_date": "banana"}, "donors.csv:3: invalid date 'banana'"),
+        ({"age": "x"}, "malformed donor: invalid literal for int()"),
+        ({"age": "-1"}, "malformed donor: D2: negative donor age"),
+        ({"dcd": "maybe"}, "donors.csv:3: invalid boolean 'maybe'"),
+        ({"hbs": "2"}, "invalid boolean '2'"),
+        ({"creatinine": " "}, "could not convert string to float: ' '"),
+        ({"kidneys": "x"}, "invalid literal for int()"),
+        ({"kidneys": "3"}, "kidneys_available must be 1 or 2"),
+        ({"bg": "X"}, "D2: bad blood group 'X'"),
+        ({"death_cause": "stroke"}, "death cause 'stroke' is not one of"),
+        ({"a1": "A999"}, "malformed donor: unknown antigen code: 'A999'"),
+        ({"a2": "B8"}, "locus B: expected 1-2 antigens, got 3"),
+        ({"dr1": "", "dr2": ""}, "typing lacks locus DR"),
+        ({"a1": "", "a2": "", "b1": "", "b2": "", "dr1": "", "dr2": ""},
+         "malformed donor: HLA typing is required"),
+        # the first failing field of a row names its error
+        ({"a1": "A999", "age": "x"}, "unknown antigen"),
+        ({"age": "x", "report_date": "banana"}, "invalid date"),
+        ({"dcd": "maybe", "kidneys": "3"}, "invalid boolean"),
+        ({"kidneys": "x", "bg": "X"}, "invalid literal for int()"),
+    ])
+    def test_parity_malformed_row(self, tmp_path, table, fields, error):
+        message = self._check(
+            tmp_path, table,
+            DONOR_HEADER + self._row(1) + self._row(2, **fields)
+            + self._row(3))
+        assert isinstance(message, str) and error in message
+        assert "donors.csv:3: " in message
+
+    def test_parity_comment_and_blank_lines(self, tmp_path, table):
+        body = ("# source=registry\n\n" + DONOR_HEADER + self._row(1)
+                + "\n  \n" + self._row(2) + "\n")
+        assert len(self._check(tmp_path, table, body)) == 2
+        message = self._check(tmp_path, table,
+                              body + self._row(3, report_date="2021-05"))
+        assert "donors.csv:9: invalid date" in message
+
+    @pytest.mark.parametrize("rows, line", [
+        (["D1,BE\n"], 2),
+        (["{1}", "{2}", "D3,BE\n", "{bad}"], 4),
+        (["{1}", "{bad}", "D3,BE\n"], 3),
+        (["{1}", "{bad}", "{bad_bg}"], 3),
+        (["{1}", "{bad_bg}", "{bad}"], 3),
+        (["{bad_typing}", "{bad}"], 2),
+    ])
+    def test_parity_first_error_in_file_order(self, tmp_path, table, rows,
+                                              line):
+        named = {"1": self._row(1), "2": self._row(2),
+                 "bad": self._row(7, age="x"), "bad_bg": self._row(8, bg="X"),
+                 "bad_typing": self._row(9, b1="Z1")}
+        text = "".join(named[r[1:-1]] if r.startswith("{") else r
+                       for r in rows)
+        message = self._check(tmp_path, table, DONOR_HEADER + text)
+        assert isinstance(message, str) and f"donors.csv:{line}: " in message
+
+    def test_parity_random_files(self, tmp_path, table):
+        rng = np.random.default_rng(14)
+        # per column: (valid texts, malformed texts)
+        choices = {
+            "report_date": (["2021-06-01", "20210602", " 2021-06-03"],
+                            ["2021-02-29"]),
+            "age": (["0", "45", " 70", "17"], ["x", "-3"]),
+            "bg": (["O", "A", "B", "AB", " AB"], ["X"]),
+            "a1": (["A1", "A2"], ["A999"]),
+            "a2": (["A2", "A3", ""], ["DR4"]),
+            "b1": (["B5", "B7", ""], ["A1"]),
+            "dr1": (["DR1", "DR4", "DR7"], [""]),
+            "dr2": (["", "DR4", "DR11"], ["B9"]),
+            "death_cause": (["", "cva", "trauma", " anoxia"], ["stroke"]),
+            "dcd": (["0", "1", "yes", ""], ["maybe"]),
+            "creatinine": (["", "1.0", "0.7", "2"], ["high"]),
+            "hcv": (["0", "1", "n"], ["?"]),
+            "kidneys": (["", "1", "2"], ["0", "two"]),
+        }
+        outcomes = set()
+        for trial in range(60):
+            # odd trials load; in even ones a field is malformed at rate 1%
+            rows = []
+            for i in range(int(rng.integers(1, 25))):
+                fields = {}
+                for name, (valid, malformed) in choices.items():
+                    bad = trial % 2 == 0 and rng.random() < .01
+                    fields[name] = str(rng.choice(malformed if bad
+                                                  else valid))
+                rows.append(self._row(i, **fields))
+            got = self._check(tmp_path, table, DONOR_HEADER + "".join(rows),
+                              f"donors{trial}.csv")
+            assert isinstance(got, list) or trial % 2 == 0
+            outcomes.add(type(got))
+        assert outcomes == {list, str}
+
+    def test_parity_synthetic_population(self, tmp_path, table):
+        generate_population(tmp_path / "pop", n_candidates=60, n_donors=150,
+                            start=date(2021, 4, 1), end=date(2022, 4, 1),
+                            seed=4, panel_size=50)
+        donors = self._check(tmp_path, table,
+                             (tmp_path / "pop" / "donors.csv").read_text())
+        assert len(donors) == 150
+
+
 class TestDonors:
     def test_donor_requires_typing(self, tmp_path, table):
         path = tmp_path / "donors.csv"
@@ -987,3 +1224,30 @@ def test_only_readers_and_writers_import_datetime():
             if any(n.split(".")[0] == "datetime" for n in names):
                 importers.add(path.stem)
     assert importers == {"common", "io", "synthetic"}
+
+
+def test_one_table_reader():
+    # every input table is read by common.read_table; csv.reader and
+    # read_csv_rows appear only there and in the status stream's scanner
+    found = set()
+    for path in Path(io_module.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    hit = (node.attr == "read_csv_rows"
+                           or isinstance(node.value, ast.Name)
+                           and node.value.id == "csv"
+                           and node.attr in ("reader", "DictReader"))
+                elif isinstance(node, ast.Name):
+                    hit = node.id == "read_csv_rows"
+                elif isinstance(node, ast.ImportFrom):
+                    hit = (node.module == "csv"
+                           or any(a.name == "read_csv_rows"
+                                  for a in node.names))
+                else:
+                    continue
+                if hit:
+                    found.add((path.stem, getattr(top, "name", None)))
+    assert ("io", "_StatusReader") in found
+    assert {stem for stem, name in found
+            if (stem, name) != ("io", "_StatusReader")} <= {"common"}

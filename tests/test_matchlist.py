@@ -693,9 +693,16 @@ class TestRuntimeDerivedValues:
 
 
 def test_integer_age_equals_float_floor_division():
-    from etkasim.common import DAYS_PER_YEAR
-    from etkasim.fastmatch import _age_years
+    from etkasim.common import DAYS_PER_YEAR, age_years
     dob = np.arange(-80000, 40000, dtype=np.int32)
     now = MATCH_DAY
     expected = ((now - dob) // DAYS_PER_YEAR).astype(np.int32)
-    np.testing.assert_array_equal(_age_years(now, dob), expected)
+    # the match list's int32 ages
+    np.testing.assert_array_equal(age_years(now, dob), expected)
+    # a transplant's candidate age and a re-listing's age, from Python ints;
+    # the re-listing age was int(days / 365.25), equal for days >= 0
+    ages = [age_years(now, day) for day in dob.tolist()]
+    assert ages == expected.tolist()
+    assert [int((now - day) / 365.25) for day in dob.tolist()
+            if day <= now] == [a for a, day in zip(ages, dob.tolist())
+                               if day <= now]
