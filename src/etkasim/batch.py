@@ -28,11 +28,8 @@ from .io import SimulationInputs, load_registrations, load_status_updates
 
 
 def run_once(inputs: SimulationInputs, seed: int,
-             collect_trace: bool = False,
-             check_invariants: bool = False) -> SimulationOutput:
-    state = initialize(inputs, seed, check_invariants=check_invariants,
-                       collect_trace=collect_trace)
-    return run(state)
+             collect_trace: bool = False) -> SimulationOutput:
+    return run(initialize(inputs, seed, collect_trace=collect_trace))
 
 
 def _inputs_for_run(inputs: SimulationInputs, run_index: int) -> SimulationInputs:

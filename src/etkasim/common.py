@@ -1,5 +1,5 @@
-"""Shared helpers: rounding, date arithmetic, and the one reader of input
-tables."""
+"""Shared helpers: rounding, date arithmetic, and the one reader and one
+writer of tables."""
 
 from __future__ import annotations
 
@@ -87,25 +87,16 @@ def parse_day(text: str, path=None, line=None) -> int:
 _DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9]  # YYYY-MM-DD
 
 
-def iso_days(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Parse date texts in one numpy pass: (days since the epoch, ok mask).
-
-    A text counts as parsed (ok) only in strict YYYY-MM-DD form naming a real
-    calendar date, i.e. exactly when the parsed day formats back to the same
-    text.  Every other text, including forms that parse_date also accepts
-    (such as 20210501), is left to parse_date; its day reads 0.
-    """
-    n = len(texts)
-    # code points of the first 10 characters, one row per text
-    cp = np.array(texts, dtype="U10").view(np.uint32).reshape(n, 10)
-    days, ok = iso_day_rows(cp)
-    ok &= np.fromiter(map(len, texts), dtype=np.int64, count=n) == 10
-    return np.where(ok, days, 0), ok
-
-
 def iso_day_rows(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """iso_days of the rows of an (n, 10) matrix of unsigned character codes
-    (code points or bytes): (days since the epoch, ok mask)."""
+    """Parse the rows of an (n, 10) matrix of unsigned character codes (code
+    points or bytes) as dates in one numpy pass: (days since the epoch, ok
+    mask).
+
+    A row counts as parsed (ok) only in strict YYYY-MM-DD form naming a real
+    calendar date, i.e. exactly when the parsed day formats back to the same
+    text.  Every other row, including forms that parse_date also accepts
+    (such as 20210501), is not; its day reads 0.
+    """
     digits = cp[:, _DIGIT_AT] - np.uint32(48)  # non-digits wrap past 9
     ok = (digits <= 9).all(axis=1) & (cp[:, 4] == 45) & (cp[:, 7] == 45)
     d = digits.astype(np.int64)
@@ -217,37 +208,37 @@ def one_of(names: Container[str], what: str):
 _TABLE_BLOCK = 1 << 13  # rows per block of read_table
 
 
-def read_table(path: str | Path, fields, what: str, make=None,
-               block: int | None = None) -> list:
+def read_table(path: str | Path, fields, what: str, make=None) -> list:
     """The records of a delimited file's rows, in file order.
 
     ``fields`` lists each field as (column, default, parse): the column's
     name, the text its rows read when the file lacks the column (None if
     the column is required), and the parser of that text.  A field of
-    several columns (a tuple of names) is parsed by an object that reads
-    their texts a block at a time (``parse.read(columns)``: the values of
-    the rows before the first one it rejects) and one row at a time
+    several columns (a tuple of names) is parsed from the tuple of their
+    texts, each distinct tuple once, or, by a parser with a ``read``
+    method, a block at a time (``parse.read(columns)``: the values of the
+    rows before the first one it rejects) and one row at a time
     (``parse(texts)``).  ``make`` builds a row's record from its field
     values in table order (a tuple if None); it meets the rows in file
     order.
 
-    The file is read ``block`` rows at a time (by default _TABLE_BLOCK,
-    which bounds what parsing holds beyond its result) and parsed
-    column-wise: each distinct text of a column is parsed once.  A
-    malformed row raises InputError at its line, the first one in file
-    order, as a row-at-a-time read would: within a row the fields fail in
-    table order, then ``make``.  An InputError that a parser or ``make``
-    raises keeps its message; any other ValueError or KeyError (a missing
-    column, an int() that fails) reads ``malformed <what>: <error>``.
+    The file is read _TABLE_BLOCK rows at a time, which bounds what parsing
+    holds beyond its result, and parsed column-wise by a TableParser: each
+    distinct text of a column is parsed once.  A malformed row raises
+    InputError at its line, the first one in file order, as a row-at-a-time
+    read would: within a row the fields fail in table order, then
+    ``make``.  An InputError that a parser or ``make`` raises keeps its
+    message; any other ValueError or KeyError (a missing column, an int()
+    that fails) reads ``malformed <what>: <error>``.
     """
     with gc_paused(), open(path, newline="", encoding="utf-8") as fh:
         header = read_csv_header(fh)
         if header is None:
             return []
         header_line, names = header
-        table = _Table(path, names, fields, what, make)
+        table = TableParser(path, names, fields, what, make)
         for rows, lines in csv_blocks(path, header_line, len(names),
-                                      csv.reader(fh), block or _TABLE_BLOCK):
+                                      csv.reader(fh), _TABLE_BLOCK):
             table.parse_block(rows, lines.tolist())
         return table.records
 
@@ -255,7 +246,10 @@ def read_table(path: str | Path, fields, what: str, make=None,
 _MALFORMED = object()  # memo entry of a text its parser rejects
 
 
-class _Table:
+class TableParser:
+    """The records of a table's rows, parsed a block at a time in file
+    order (``read_table`` tells how)."""
+
     def __init__(self, path, names: list[str], fields, what: str, make):
         self.path = path
         self.names = names
@@ -293,11 +287,15 @@ class _Table:
         first one that its parser rejects."""
         column, default, parse = field
         if isinstance(column, tuple):
-            return parse.read([by_column[self.col[c]] if c in self.col
-                               else [default] * n for c in column])
-        if column not in self.col:
+            columns = [by_column[self.col[c]] if c in self.col
+                       else [default] * n for c in column]
+            if hasattr(parse, "read"):
+                return parse.read(columns)
+            texts = list(zip(*columns))
+        elif column not in self.col:
             return [] if default is None else [parse(default)] * n
-        texts = by_column[self.col[column]]
+        else:
+            texts = by_column[self.col[column]]
         if parse is str.strip:
             return list(map(str.strip, texts))
         malformed = set()
@@ -320,7 +318,7 @@ class _Table:
         try:
             for column, default, parse in self.fields:
                 if isinstance(column, tuple):
-                    parse([row.get(c, default) for c in column])
+                    parse(tuple(row.get(c, default) for c in column))
                 else:
                     parse(row[column] if default is None
                           else row.get(column, default))
@@ -374,3 +372,16 @@ def read_coefficients(path: str | Path, vocabulary: Container[str],
     read_table(path, (("kind", "coef", str.strip), ("name", "", str.strip),
                       ("value", None, str)), "coefficient", book)
     return model_id, start, coefficients, other
+
+
+def write_table(path: str | Path, header, rows, model_id: str | None = None
+                ) -> None:
+    """Write a delimited file as read_table reads it: a ``#model_id`` line
+    (which read_coefficients reads) if ``model_id`` is given, the header,
+    then the rows, with csv.writer's CR LF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if model_id is not None:
+            fh.write(f"#model_id={model_id}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

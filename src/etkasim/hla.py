@@ -44,28 +44,32 @@ class AntigenTable:
     """Broad/split equivalence table, loaded from data rather than code.
 
     Each row maps an antigen code to its locus and parent broad.  Broads are
-    listed with themselves as parent.
+    listed with themselves as parent.  Codes are distinct (``from_file``
+    checks each row); an error names ``path``, the file they came from.
     """
 
-    def __init__(self, antigens: Iterable[Antigen]):
-        self._by_code: dict[str, Antigen] = {}
-        for a in antigens:
-            if a.code in self._by_code:
-                raise InputError(f"duplicate antigen code {a.code!r}")
-            self._by_code[a.code] = a
+    def __init__(self, antigens: Iterable[Antigen], path=None):
+        self._by_code = {a.code: a for a in antigens}
         for a in self._by_code.values():
             parent = self._by_code.get(a.broad)
             if parent is None or parent.locus != a.locus:
                 raise InputError(
                     f"antigen {a.code!r}: parent broad {a.broad!r} missing "
-                    f"or on a different locus")
+                    f"or on a different locus", path)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AntigenTable":
+        codes = set()
+
+        def antigen(code: str, locus: str, broad: str) -> Antigen:
+            if code in codes:
+                raise InputError(f"duplicate antigen code {code!r}")
+            codes.add(code)
+            return Antigen(code, locus, broad or code)
+
         return cls(read_table(
             path, (("code", None, str.strip), ("locus", None, str.strip),
-                   ("broad", None, str.strip)), "antigen",
-            lambda code, locus, broad: Antigen(code, locus, broad or code)))
+                   ("broad", None, str.strip)), "antigen", antigen), path)
 
     def resolve(self, code: str) -> Antigen:
         try:
@@ -214,12 +218,13 @@ class DonorPanel:
     """Immutable reference population of donor typings.
 
     The production panel holds 10,000 recently reported donors; any size
-    works, and test fixtures use much smaller ones.
+    works, and test fixtures use much smaller ones.  An empty panel raises
+    InputError naming ``path``, the file it came from.
     """
 
-    def __init__(self, typings: Sequence[HlaTyping]):
+    def __init__(self, typings: Sequence[HlaTyping], path=None):
         if not typings:
-            raise ValueError("donor panel must be nonempty")
+            raise InputError("donor panel must be nonempty", path)
         self._typings = tuple(typings)
 
     def __len__(self) -> int:
@@ -236,7 +241,7 @@ class DonorPanel:
         """
         return cls(read_table(
             path, ((HLA_COLUMNS, "", TypingReader(table, required=True)),),
-            "panel typing", lambda typing: typing))
+            "panel typing", lambda typing: typing), path)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +259,17 @@ class FrequencyTable:
 
     Frequencies are interpreted as relative weights per locus and normalized
     to a distribution, under which donor genotypes are drawn as two
-    independent antigens per locus.
+    independent antigens per locus.  An error names ``path``, the file they
+    came from.
     """
 
-    def __init__(self, freqs: Mapping[str, Mapping[str, float]]):
+    def __init__(self, freqs: Mapping[str, Mapping[str, float]], path=None):
         self._freqs: dict[str, dict[str, float]] = {}
         for locus, table in freqs.items():
             total = sum(table.values())
             if total <= 0:
-                raise InputError(f"locus {locus}: frequencies sum to {total}")
+                raise InputError(f"locus {locus}: frequencies sum to {total}",
+                                 path)
             self._freqs[locus] = {c: f / total for c, f in table.items()}
 
     @classmethod
@@ -278,7 +285,7 @@ class FrequencyTable:
                           ("code", None, str.strip),
                           ("freq", None, _frequency)), "antigen frequency",
                    add)
-        return cls(freqs)
+        return cls(freqs, path)
 
     def locus(self, locus: str) -> dict[str, float]:
         return self._freqs[locus]

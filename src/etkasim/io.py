@@ -8,16 +8,16 @@ import csv
 from dataclasses import dataclass, field, replace
 from datetime import date
 from importlib import resources
-from operator import itemgetter
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .balances import BalanceEvent, read_balance_events
-from .common import (InputError, csv_blocks, cut_block, gc_paused,
-                     iso_day_rows, iso_days, parse_bool, parse_date,
-                     parse_day, read_csv_header, read_table, text_or)
+from .common import (InputError, TableParser, cut_block, gc_paused,
+                     iso_day_rows, parse_bool, parse_date, parse_day,
+                     read_csv_header, read_table, text_or)
 from .entities import (CandidateRegistration, CenterRegistry, DonorArrival,
                        StatusUpdate, expand_mm_patterns, parse_payload,
                        parse_profile)
@@ -120,10 +120,6 @@ def _optional_day(text: str) -> int | None:
     return parse_day(text) if text.strip() else None
 
 
-# rows per block: bounds what parsing holds beyond its result
-_REGISTRATION_BLOCK = 1 << 13
-
-
 def load_registrations(path: str | Path,
                        table: AntigenTable) -> list[CandidateRegistration]:
     """Candidate registrations, in file order (``common.read_table``: a
@@ -157,7 +153,7 @@ def load_registrations(path: str | Path,
         ("kaoo", "0", parse_bool),
         ("esp_opt_in", "0", parse_bool),
         ("program_choice", "", text_or(None))),
-        "registration", _registration, _REGISTRATION_BLOCK)
+        "registration", _registration)
 
 
 def _registration(hla, rid, patient_id, country, center, bg, born,
@@ -172,8 +168,6 @@ Screenings = dict[str, np.ndarray]
 # bytes per block of a status file: bounds what parsing holds beyond its
 # result
 _STATUS_BYTES = 1 << 21
-# rows per block when csv.reader reads a status file (one with a quote)
-_STATUS_BLOCK = 1 << 16
 
 
 def load_status_updates(path: str | Path, table: AntigenTable
@@ -194,9 +188,9 @@ def load_status_updates(path: str | Path, table: AntigenTable
     plain screenings: lines of the header's width whose kind is exactly
     ``SCR``, whose date is strict YYYY-MM-DD and whose id is not padded.
     They become arrays of candidate numbers and days, with no Python object
-    per line.  Every other line goes through csv.reader and is parsed
-    column-wise, each distinct (kind, payload) pair once; a file that holds
-    a quote goes through csv.reader whole.  A malformed row raises
+    per line.  Every other line is a row of ``common.TableParser``, with
+    the fields of ``_status_fields``; a file that holds a quote is read by
+    ``common.read_table`` whole.  Either way a malformed row raises
     InputError at its line, the first one in file order, as a row-at-a-time
     read would: a wrong field count, a missing column, a bad date, an
     unknown kind, or a payload ``entities.parse_payload`` rejects or whose
@@ -207,12 +201,37 @@ def load_status_updates(path: str | Path, table: AntigenTable
             header = read_csv_header(fh)
         if header is None:
             return {}, {}
-        reader = _StatusReader(path, table, *header)
-        if not reader.read_bytes():
-            # a quote may hide separators and line ends
-            reader = _StatusReader(path, table, *header)
-            reader.read_rows()
-        return reader.result()
+        fields = _status_fields(table)
+        reader = _StatusReader(path, fields, *header)
+        if reader.read_bytes():
+            return _status_result(reader.rows.records, reader.number,
+                                  reader.scr)
+        # a quote may hide separators and line ends
+        records = read_table(path, fields, "status update")
+        number: dict[str, int] = {}
+        _number(number, [record[0] for record in records])
+        return _status_result(records, number, [])
+
+
+def _status_fields(table: AntigenTable):
+    """The fields of a status row: its candidate id, day, kind and stripped
+    payload, the fields of a StatusUpdate.  The payload of a row of another
+    kind than ``SCR`` must be one ``parse_payload`` accepts, with ``UNA``
+    antigens in ``table``."""
+    def payload(texts: tuple[str, str]) -> str:
+        kind, text = map(str.strip, texts)
+        if kind != "SCR":
+            try:
+                value = parse_payload(kind, text)
+                if kind == "UNA":
+                    table.check_unacceptables(value)
+            except InputError as exc:
+                # read_table reports it as a malformed status update
+                raise ValueError(str(exc)) from None
+        return text
+
+    return (("candidate_id", None, str.strip), ("date", None, parse_day),
+            ("kind", None, str.strip), (("kind", "payload"), "", payload))
 
 
 _EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32))
@@ -220,36 +239,21 @@ _SCR = np.frombuffer(b"SCR", dtype=np.uint8)
 
 
 class _StatusReader:
-    """A status file's rows, taken a block at a time in file order."""
+    """A status file's lines, taken as bytes a block at a time in file
+    order."""
 
-    def __init__(self, path, table: AntigenTable, header_line: int,
+    def __init__(self, path, fields, header_line: int,
                  fieldnames: list[str]):
         self.path = path
-        self.table = table
         self.header_line = header_line
-        self.nf = len(fieldnames)
-        self.col = {name: i for i, name in enumerate(fieldnames)}
-        self.missing = next((name for name in ("candidate_id", "date", "kind")
-                             if name not in self.col), None)
+        self.rows = TableParser(path, fieldnames, fields, "status update",
+                                None)
         self.number: dict[str, int] = {}  # id -> order of first appearance
-        self.scr = [_EMPTY]  # (candidate number, day) arrays of SCR rows
-        self.other = [_EMPTY]  # the same for the other rows, in file order
-        self.rest: list[tuple[str, str, str]] = []  # their (id, kind, payload)
-
-    def read_rows(self) -> None:
-        """Read the file through csv.reader."""
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            read_csv_header(fh)
-            for rows, lines in csv_blocks(self.path, self.header_line,
-                                          self.nf, csv.reader(fh),
-                                          _STATUS_BLOCK):
-                cids, days, is_scr = self._parse(rows, lines)
-                self._number(cids)
-                self._keep(cids, days, is_scr)
+        self.scr = []  # (candidate number, day) arrays of plain screenings
 
     def read_bytes(self) -> bool:
-        """Read the file as bytes; False, having read part of it, if it
-        holds a quote."""
+        """Read the file; False, having read part of it, if it holds a
+        quote."""
         line = 1  # the number of a block's first line
         with open(self.path, "rb") as fh:
             for block in _line_blocks(fh, _STATUS_BYTES):
@@ -270,15 +274,17 @@ class _StatusReader:
         starts, ends, first_line = starts[skip:], ends[skip:], first_line + skip
         plain, days, id_lo, id_hi = self._plain_screenings(a, starts, ends)
 
-        # every other line is a csv row
+        # every other line is a table row
         others = np.delete(np.arange(len(starts)), plain)
         rows = list(csv.reader([
             block[i:j].decode("utf-8")
             for i, j in zip(starts[others].tolist(), ends[others].tolist())]))
-        rows, lines, width_error = cut_block(self.path, self.nf, rows,
-                                             first_line + others)
-        cids, row_days, is_scr = (self._parse(rows, lines) if rows
-                                  else ([], None, None))
+        rows, lines, width_error = cut_block(self.path, len(self.rows.names),
+                                             rows, first_line + others)
+        records = self.rows.records
+        start = len(records)
+        if rows:
+            self.rows.parse_block(rows, lines.tolist())
         if width_error is not None:
             raise width_error
 
@@ -286,13 +292,11 @@ class _StatusReader:
         runs = np.flatnonzero(~_same_as_previous(a, id_lo, id_hi))
         run_ids = [block[i:j].decode("utf-8")
                    for i, j in zip(id_lo[runs].tolist(), id_hi[runs].tolist())]
-        ids = run_ids + cids
+        ids = run_ids + [record[0] for record in records[start:]]
         order = np.argsort(np.concatenate([first_line + plain[runs], lines]))
-        self._number(map(ids.__getitem__, order.tolist()))
-        self.scr.append((np.repeat(self._codes(run_ids),
+        _number(self.number, map(ids.__getitem__, order.tolist()))
+        self.scr.append((np.repeat(_codes(self.number, run_ids),
                                    np.diff(np.r_[runs, len(plain)])), days))
-        if rows:
-            self._keep(cids, row_days, is_scr)
         return next_line
 
     def _plain_screenings(self, a: np.ndarray, starts: np.ndarray,
@@ -302,9 +306,10 @@ class _StatusReader:
         the kind exactly ``SCR``, a strict YYYY-MM-DD date and an id whose
         first and last bytes are printable ASCII, so the row checks would
         take each field as it stands."""
-        if self.missing is not None:
+        col = self.rows.col
+        if not {"candidate_id", "date", "kind"} <= col.keys():
             return (_EMPTY[0], _EMPTY[1], _EMPTY[0], _EMPTY[0])
-        nf = self.nf
+        nf = len(col)
         commas = np.flatnonzero(a == 44)
         first = np.searchsorted(commas, starts)  # each line's first comma
         sel = np.flatnonzero(
@@ -313,7 +318,7 @@ class _StatusReader:
             & (ends - starts <= csv.field_size_limit()))
 
         def field(name):  # byte bounds of a column in the lines of sel
-            k = self.col[name]
+            k = col[name]
             at = first[sel] + k  # the comma after the field
             lo = starts[sel] if k == 0 else commas[at - 1] + 1
             hi = ends[sel] if k == nf - 1 else commas[at]
@@ -333,51 +338,51 @@ class _StatusReader:
                            & (33 <= edges[1]) & (edges[1] <= 126))
         return sel[ok], days[ok].astype(np.int32), lo[ok], hi[ok]
 
-    def _parse(self, rows: list[list[str]], lines: np.ndarray):
-        if self.missing is not None:
-            raise InputError(f"malformed status update: {self.missing!r}",
-                             self.path, int(lines[0]))
-        return _parse_status_block(self.path, self.table, self.col, rows,
-                                   lines, self.rest)
 
-    def _number(self, ids) -> None:
-        """Number the new ones of ``ids``, taken in file order."""
-        number = self.number
-        for cid in dict.fromkeys(ids):
-            number.setdefault(cid, len(number))
+def _number(number: dict[str, int], ids) -> None:
+    """Number the new ones of ``ids``, taken in file order."""
+    for cid in dict.fromkeys(ids):
+        number.setdefault(cid, len(number))
 
-    def _codes(self, ids: list[str]) -> np.ndarray:
-        return np.fromiter(map(self.number.__getitem__, ids), dtype=np.int64,
-                           count=len(ids))
 
-    def _keep(self, cids: list[str], days: np.ndarray,
-              is_scr: np.ndarray) -> None:
-        code = self._codes(cids)
-        self.scr.append((code[is_scr], days[is_scr]))
-        self.other.append((code[~is_scr], days[~is_scr]))
+def _codes(number: dict[str, int], ids) -> np.ndarray:
+    return np.fromiter(map(number.__getitem__, ids), dtype=np.int64,
+                       count=len(ids))
 
-    def result(self) -> tuple[dict[str, list[StatusUpdate]], Screenings]:
-        names = list(self.number)
 
-        # screenings: one sorted day array per candidate, views of one buffer
-        code, days = map(np.concatenate, zip(*self.scr))
-        order = _by_candidate_and_day(code, days)
-        code, days = code[order], days[order]
-        days.flags.writeable = False
-        firsts = np.flatnonzero(np.diff(code, prepend=-1))
-        bounds = np.r_[firsts, len(code)].tolist()
-        screenings = {names[c]: days[i:j] for c, i, j
-                      in zip(code[firsts].tolist(), bounds, bounds[1:])}
+def _status_result(records: list[tuple], number: dict[str, int],
+                   scr: list[tuple[np.ndarray, np.ndarray]]
+                   ) -> tuple[dict[str, list[StatusUpdate]], Screenings]:
+    """(updates, screenings) from the status rows' records, in file order,
+    and the plain screenings' (candidate number, day) arrays; ``number``
+    numbers every id in order of first appearance."""
+    names = list(number)
+    streams: dict[str, list[StatusUpdate]] = {}
+    screened = []  # the screenings among the records: not plain ones
+    for record in records:
+        if record[2] == "SCR":
+            screened.append(record)
+        else:
+            streams.setdefault(record[0], []).append(StatusUpdate(*record))
 
-        # everything else: StatusUpdate lists by day, then input order
-        code, days = map(np.concatenate, zip(*self.other))
-        order = _by_candidate_and_day(code, days)
-        updates: dict[str, list[StatusUpdate]] = {}
-        for j, day in zip(order.tolist(), days[order].tolist()):
-            cid, kind, payload = self.rest[j]
-            updates.setdefault(cid, []).append(
-                StatusUpdate(cid, day, kind, payload))
-        return updates, screenings
+    # screenings: one sorted day array per candidate, views of one buffer
+    code, days = map(np.concatenate, zip(*scr, (
+        _codes(number, [record[0] for record in screened]),
+        np.array([record[1] for record in screened], dtype=np.int32))))
+    order = _by_candidate_and_day(code, days)
+    code, days = code[order], days[order]
+    days.flags.writeable = False
+    firsts = np.flatnonzero(np.diff(code, prepend=-1))
+    bounds = np.r_[firsts, len(code)].tolist()
+    screenings = {names[c]: days[i:j] for c, i, j
+                  in zip(code[firsts].tolist(), bounds, bounds[1:])}
+
+    # everything else: StatusUpdate lists by day, then input order (a
+    # stable sort)
+    by_day = attrgetter("day")
+    for stream in streams.values():
+        stream.sort(key=by_day)
+    return {cid: streams[cid] for cid in names if cid in streams}, screenings
 
 
 def _by_candidate_and_day(code: np.ndarray, days: np.ndarray) -> np.ndarray:
@@ -437,52 +442,6 @@ def _same_as_previous(a: np.ndarray, lo: np.ndarray,
         pairs = pairs[a[lo[pairs] + j] == a[lo[pairs - 1] + j]]
         j += 1
     return same
-
-
-def _parse_status_block(path, table: AntigenTable, col: dict[str, int],
-                        rows: list[list[str]], lines: np.ndarray,
-                        rest: list[tuple[str, str, str]]):
-    """Validate and parse one block of rows: their (candidate ids, day
-    array, is SCR mask); the block's non-SCR rows are appended to
-    ``rest``."""
-    cids = list(map(str.strip, map(itemgetter(col["candidate_id"]), rows)))
-    raw_dates = list(map(itemgetter(col["date"]), rows))
-    kinds = list(map(str.strip, map(itemgetter(col["kind"]), rows)))
-    is_scr = np.fromiter(map("SCR".__eq__, kinds), dtype=bool,
-                         count=len(kinds))
-    others = np.flatnonzero(~is_scr).tolist()
-    other_kinds = [kinds[i] for i in others]
-    payload_col = col.get("payload")
-    payloads = ([rows[i][payload_col].strip() for i in others]
-                if payload_col is not None else [""] * len(others))
-
-    # the first row with an unknown kind or a malformed payload
-    pairs = list(zip(other_kinds, payloads))
-    errors = {}
-    for kind, text in set(pairs):
-        try:
-            value = parse_payload(kind, text)
-            if kind == "UNA":
-                table.check_unacceptables(value)
-        except InputError as exc:
-            errors[kind, text] = exc
-    bad = error = None
-    if errors:
-        bad, error = next((i, errors[pair]) for i, pair in zip(others, pairs)
-                          if pair in errors)
-
-    # a row's date is parsed before its kind and payload are checked
-    days, ok = iso_days(list(map(str.strip, raw_dates)))
-    for i in np.flatnonzero(~ok).tolist():
-        if bad is not None and i > bad:
-            break
-        days[i] = parse_day(raw_dates[i], path, int(lines[i]))
-    if error is not None:
-        raise InputError(f"malformed status update: {error}", path,
-                         int(lines[bad]))
-
-    rest.extend(zip([cids[i] for i in others], other_kinds, payloads))
-    return cids, days.astype(np.int32), is_scr
 
 
 def load_donors(path: str | Path, table: AntigenTable) -> list[DonorArrival]:

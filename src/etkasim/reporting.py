@@ -3,7 +3,6 @@ policy comparisons with paired t-tests under common random numbers."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .common import DAYS_PER_YEAR, day_text, round_half_up
+from .common import DAYS_PER_YEAR, day_text, round_half_up, write_table
 from .engine import SimulationOutput, TransplantRecord
 from .entities import ETKAS, GEOGRAPHY_CLASSES
 from .fastmatch import POINT_COMPONENTS, CandidateStore, MatchArrays
@@ -249,44 +248,37 @@ def write_match_list_csv(path: Path, arrays: MatchArrays,
     returns it for ``store``.  The ETKAS layout carries the tier, match
     quality, dialysis years, rank, the point components rounded half-up and
     their sum; the ESP layout reduces to geography and dialysis days."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        rows = enumerate(zip(arrays.rows.tolist(), arrays.dial_days.tolist(),
-                             arrays.geo_idx.tolist(),
-                             arrays.filtered.astype(int).tolist()))
-        if arrays.program == ETKAS:
-            names = ("dialysis", "hla", "pediatric", "hu", "balance",
-                     "distance", "mmp")
-            w.writerow(["rank", "candidate_id", "tier", "match_quality",
-                        "dialysis_years", "total", *names, "geography",
-                        "filtered"])
-            for i, (row, days, geo, filtered) in rows:
-                comp = [round_half_up(float(getattr(arrays, f"comp_{name}")[i]))
-                        for name in names]
-                tier = {3: "0MM", 2: "PED"}.get(int(arrays.tier[i]) // 4,
-                                                ">0MM")
-                quality = f"{arrays.mm_a[i]}{arrays.mm_b[i]}{arrays.mm_dr[i]}"
-                w.writerow([i + 1, store.ids[row], tier, quality,
-                            f"{days / DAYS_PER_YEAR:.1f}", sum(comp), *comp,
-                            GEOGRAPHY_CLASSES[geo], filtered])
-        else:
-            w.writerow(["rank", "candidate_id", "dialysis_days", "points",
-                        "geography", "filtered"])
-            for i, (row, days, geo, filtered) in rows:
-                w.writerow([i + 1, store.ids[row], days,
-                            round_half_up(float(arrays.total[i])),
-                            GEOGRAPHY_CLASSES[geo], filtered])
+    rows = enumerate(zip(arrays.rows.tolist(), arrays.dial_days.tolist(),
+                         arrays.geo_idx.tolist(),
+                         arrays.filtered.astype(int).tolist()))
+    if arrays.program == ETKAS:
+        names = ("dialysis", "hla", "pediatric", "hu", "balance", "distance",
+                 "mmp")
+        header = ["rank", "candidate_id", "tier", "match_quality",
+                  "dialysis_years", "total", *names, "geography", "filtered"]
+
+        def etkas_row(i, row, days, geo, filtered):
+            comp = [round_half_up(float(getattr(arrays, f"comp_{name}")[i]))
+                    for name in names]
+            tier = {3: "0MM", 2: "PED"}.get(int(arrays.tier[i]) // 4, ">0MM")
+            quality = f"{arrays.mm_a[i]}{arrays.mm_b[i]}{arrays.mm_dr[i]}"
+            return [i + 1, store.ids[row], tier, quality,
+                    f"{days / DAYS_PER_YEAR:.1f}", sum(comp), *comp,
+                    GEOGRAPHY_CLASSES[geo], filtered]
+
+        body = (etkas_row(i, *values) for i, values in rows)
+    else:
+        header = ["rank", "candidate_id", "dialysis_days", "points",
+                  "geography", "filtered"]
+        body = ([i + 1, store.ids[row], days,
+                 round_half_up(float(arrays.total[i])),
+                 GEOGRAPHY_CLASSES[geo], filtered]
+                for i, (row, days, geo, filtered) in rows)
+    write_table(path, header, body)
 
 
 # ---------------------------------------------------------------------------
 # File output
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
 
 def _fmt(value: float) -> str:
     if value is None:
@@ -297,7 +289,7 @@ def _fmt(value: float) -> str:
 
 
 def write_transplants_csv(path: Path, records: Sequence[TransplantRecord]) -> None:
-    _write_csv(path, [
+    write_table(path, [
         "donor_id", "candidate_id", "date", "program", "mechanism", "forced",
         "dual", "kidneys", "rank", "mm_a", "mm_b", "mm_dr", "geography",
         "total_points", "dialysis_points", "hla_points", "pediatric_points",
@@ -314,21 +306,21 @@ def write_transplants_csv(path: Path, records: Sequence[TransplantRecord]) -> No
 
 
 def write_final_states_csv(path: Path, output: SimulationOutput) -> None:
-    _write_csv(path, ["candidate_id", "status", "status_date"],
-               ([cand_id, status, day_text(day)]
-                for cand_id, status, day in output.final_states))
+    write_table(path, ["candidate_id", "status", "status_date"],
+                ([cand_id, status, day_text(day)]
+                 for cand_id, status, day in output.final_states))
 
 
 def write_stats_csv(path: Path, stats: Mapping[str, float]) -> None:
-    _write_csv(path, ["statistic", "value"],
-               ([name, _fmt(stats[name])] for name in sorted(stats)))
+    write_table(path, ["statistic", "value"],
+                ([name, _fmt(stats[name])] for name in sorted(stats)))
 
 
 def write_trace_csv(path: Path, traces: Sequence[tuple]) -> None:
-    _write_csv(path, ["donor_id", "candidate_id", "center", "stage",
-                      "decision", "probability"],
-               ([*entry, "" if prob is None else f"{prob:.6f}"]
-                for *entry, prob in traces))
+    write_table(path, ["donor_id", "candidate_id", "center", "stage",
+                       "decision", "probability"],
+                ([*entry, "" if prob is None else f"{prob:.6f}"]
+                 for *entry, prob in traces))
 
 
 def write_run_files(out_dir: Path, output: SimulationOutput,
@@ -344,12 +336,12 @@ def write_run_files(out_dir: Path, output: SimulationOutput,
 
 
 def write_summary_csv(path: Path, table: SummaryTable) -> None:
-    _write_csv(path, ["statistic", "mean", "p2.5", "p97.5", "actual",
-                      "calibrated"],
-               ([r.name, _fmt(r.mean), _fmt(r.lo), _fmt(r.hi),
-                 "" if r.actual is None else _fmt(r.actual),
-                 "" if r.calibrated is None else
-                 ("yes" if r.calibrated else "NO")] for r in table.rows))
+    write_table(path, ["statistic", "mean", "p2.5", "p97.5", "actual",
+                       "calibrated"],
+                ([r.name, _fmt(r.mean), _fmt(r.lo), _fmt(r.hi),
+                  "" if r.actual is None else _fmt(r.actual),
+                  "" if r.calibrated is None else
+                  ("yes" if r.calibrated else "NO")] for r in table.rows))
 
 
 def render_summary_text(table: SummaryTable) -> str:
@@ -366,12 +358,12 @@ def render_summary_text(table: SummaryTable) -> str:
 
 
 def write_delta_csv(path: Path, rows: Sequence[DeltaRow]) -> None:
-    _write_csv(path, ["statistic", "baseline_mean", "variant_mean", "delta",
-                      "t", "p", "stars"],
-               ([r.name, _fmt(r.baseline_mean), _fmt(r.variant_mean),
-                 _fmt(r.delta), "" if r.t_stat is None else f"{r.t_stat:.4f}",
-                 "" if r.p_value is None else f"{r.p_value:.6g}", r.stars]
-                for r in rows))
+    write_table(path, ["statistic", "baseline_mean", "variant_mean", "delta",
+                       "t", "p", "stars"],
+                ([r.name, _fmt(r.baseline_mean), _fmt(r.variant_mean),
+                  _fmt(r.delta), "" if r.t_stat is None else f"{r.t_stat:.4f}",
+                  "" if r.p_value is None else f"{r.p_value:.6g}", r.stars]
+                 for r in rows))
 
 
 def render_delta_text(rows: Sequence[DeltaRow]) -> str:

@@ -9,7 +9,6 @@ the shipped demo fixture, the test suite, and throughput checks.
 
 from __future__ import annotations
 
-import csv
 import os
 from datetime import date
 from pathlib import Path
@@ -17,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .common import day_text, to_days
+from .common import day_text, to_days, write_table
 from .entities import DEATH_CAUSE_GROUPS, CenterRegistry
-from .hla import BLOOD_GROUPS, FrequencyTable
+from .hla import BLOOD_GROUPS, HLA_COLUMNS, FrequencyTable
 from .io import data_path
 
 COUNTRY_WEIGHTS = {
@@ -207,21 +206,14 @@ class PopulationBuilder:
                         upd_rows.append([cid, _iso(back), "URG", "T"])
             upd_rows.append([cid, _iso(exit_days), "URG", exit_code])
 
-        with open(self.out / "registrations.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "patient_id", "country", "center", "bg", "dob",
-                        "registration_date", "a1", "a2", "b1", "b2", "dr1",
-                        "dr2", "unacceptables", "dialysis_start", "prior_tx",
-                        "prev_tx_date", "screening_date", "urgency", "profile",
-                        "mm_criteria", "am", "kaoo", "esp_opt_in",
-                        "program_choice"])
-            w.writerows(reg_rows)
-        with open(self.out / "statuses.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["candidate_id", "date", "kind", "payload"])
-            w.writerows(upd_rows)
+        write_table(self.out / "registrations.csv", [
+            "id", "patient_id", "country", "center", "bg", "dob",
+            "registration_date", *HLA_COLUMNS, "unacceptables",
+            "dialysis_start", "prior_tx", "prev_tx_date", "screening_date",
+            "urgency", "profile", "mm_criteria", "am", "kaoo", "esp_opt_in",
+            "program_choice"], reg_rows)
+        write_table(self.out / "statuses.csv",
+                    ["candidate_id", "date", "kind", "payload"], upd_rows)
 
     # -- donor stream ---------------------------------------------------
 
@@ -260,14 +252,11 @@ class PopulationBuilder:
                 int(extended), 2 if rng.random() < 0.96 else 1,
             ])
         rows.sort(key=lambda r: (r[1], r[0]))
-        with open(self.out / "donors.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "report_date", "age", "bg", "a1", "a2", "b1",
-                        "b2", "dr1", "dr2", "country", "center", "death_cause",
-                        "dcd", "creatinine", "diabetes", "smoking",
-                        "proteinuria", "hypertension", "malignancy", "hcv",
-                        "hbs", "extended", "kidneys"])
-            w.writerows(rows)
+        write_table(self.out / "donors.csv", [
+            "id", "report_date", "age", "bg", *HLA_COLUMNS, "country",
+            "center", "death_cause", "dcd", "creatinine", "diabetes",
+            "smoking", "proteinuria", "hypertension", "malignancy", "hcv",
+            "hbs", "extended", "kidneys"], rows)
 
     # -- balance history and panel ----------------------------------------
 
@@ -292,13 +281,9 @@ class PopulationBuilder:
             when = int(rng.integers(start_d + 1, end_d + 1))
             rows.append(self._balance_row(when, d_country, r_country))
         rows.sort()
-        with open(self.out / "balances.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["date", "donor_country", "recipient_country",
-                        "donor_age", "program", "donor_region",
-                        "recipient_region"])
-            w.writerows(rows)
+        write_table(self.out / "balances.csv", [
+            "date", "donor_country", "recipient_country", "donor_age",
+            "program", "donor_region", "recipient_region"], rows)
 
     def _balance_row(self, when: int, d_country: str, r_country: str):
         rng = self.rng
@@ -313,11 +298,8 @@ class PopulationBuilder:
                 _choice(rng, ("AM", "combined")), d_region, r_region]
 
     def write_panel(self, n: int = 2000) -> None:
-        with open(self.out / "panel.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["a1", "a2", "b1", "b2", "dr1", "dr2"])
-            for _ in range(n):
-                w.writerow(_hla_cols(self._typing_codes()))
+        write_table(self.out / "panel.csv", HLA_COLUMNS,
+                    (_hla_cols(self._typing_codes()) for _ in range(n)))
 
     # -- settings -----------------------------------------------------------
 
@@ -380,12 +362,7 @@ def write_model_files(out_dir: str | Path, countries=None, seed: int = 7) -> Non
     countries = list(countries or COUNTRY_WEIGHTS)
 
     def coef_file(name: str, model_id: str, rows: dict[str, float]) -> None:
-        with open(out / name, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"#model_id={model_id}\n")
-            w = csv.writer(fh)
-            w.writerow(["name", "value"])
-            for key, value in rows.items():
-                w.writerow([key, value])
+        write_table(out / name, ["name", "value"], rows.items(), model_id)
 
     coef_file("cox_max_offers.csv", "max_offers", {
         "donor_age_dec": 0.06, "donor_dcd": 0.25, "donor_extended": 0.35,
@@ -393,15 +370,14 @@ def write_model_files(out_dir: str | Path, countries=None, seed: int = 7) -> Non
         "donor_smoking": 0.05, "donor_proteinuria": 0.10, "donor_hcv": 0.6,
         "donor_death_cva": 0.05,
     })
-    with open(out / "cox_baselines.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("#model_id=max_offers\n")
-        w = csv.writer(fh)
-        w.writerow(["stratum", "k", "s0"])
-        strata = [f"ETKAS:{c}" for c in countries] + ["ETKAS:default", "ESP"]
-        for stratum in strata:
-            rate = 0.055 if stratum != "ESP" else 0.075
-            for k in range(1, 81):
-                w.writerow([stratum, k, f"{np.exp(-rate * k):.6f}"])
+    strata = [f"ETKAS:{c}" for c in countries] + ["ETKAS:default", "ESP"]
+    baselines = []
+    for stratum in strata:
+        rate = 0.055 if stratum != "ESP" else 0.075
+        baselines += ([stratum, k, f"{np.exp(-rate * k):.6f}"]
+                      for k in range(1, 81))
+    write_table(out / "cox_baselines.csv", ["stratum", "k", "s0"], baselines,
+                "max_offers")
 
     coef_file("accept_etkas_center.csv", "etkas_center_accept", {
         "(Intercept)": 2.1, "donor_age_dec": -0.12, "donor_dcd": -0.35,
@@ -433,24 +409,18 @@ def write_model_files(out_dir: str | Path, countries=None, seed: int = 7) -> Non
         "donor_creatinine": 0.25, "rescue": 0.5,
     })
 
-    with open(out / "weibull_post_transplant.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        fh.write("#model_id=post_transplant_failure\n")
-        w = csv.writer(fh)
-        w.writerow(["kind", "name", "value"])
-        for name, value in {
-                "(Intercept)": 7000.0, "donor_age_dec": -120.0,
-                "cand_age": -25.0, "mm_total": -80.0,
-                "cand_dialysis_years": -40.0, "donor_extended": -300.0,
-                "cand_prior_tx": -250.0, "non_standard": -150.0,
-                "cross_border": -30.0, "donor_dcd": -100.0,
-                "donor_creatinine": -50.0, "mm_dr": -40.0,
-                "tx_year_index": 0.0}.items():
-            w.writerow(["coef", name, value])
-        shapes = {"default": 1.15, "DE": 1.10, "AT": 1.20, "NL": 1.25,
-                  "BE": 1.15, "HR": 1.10, "HU": 1.05, "SI": 1.20, "LU": 1.15}
-        for name, value in shapes.items():
-            w.writerow(["shape", name, value])
+    coefficients = {
+        "(Intercept)": 7000.0, "donor_age_dec": -120.0, "cand_age": -25.0,
+        "mm_total": -80.0, "cand_dialysis_years": -40.0,
+        "donor_extended": -300.0, "cand_prior_tx": -250.0,
+        "non_standard": -150.0, "cross_border": -30.0, "donor_dcd": -100.0,
+        "donor_creatinine": -50.0, "mm_dr": -40.0, "tx_year_index": 0.0}
+    shapes = {"default": 1.15, "DE": 1.10, "AT": 1.20, "NL": 1.25,
+              "BE": 1.15, "HR": 1.10, "HU": 1.05, "SI": 1.20, "LU": 1.15}
+    write_table(out / "weibull_post_transplant.csv", ["kind", "name", "value"],
+                [*(["coef", *item] for item in coefficients.items()),
+                 *(["shape", *item] for item in shapes.items())],
+                "post_transplant_failure")
 
     _write_relist_curves(out / "relist_curves.csv")
     _write_relist_pool(out / "relist_pool.csv",
@@ -467,16 +437,15 @@ _T_FACTOR = {"lt180d": 0.90, "180d_1y": 0.95, "1y_2y": 1.00, "2y_5y": 1.05,
 def _write_relist_curves(path: Path) -> None:
     from .posttransplant import AGE_BUCKETS, TIME_BUCKETS
     grid = [round(0.05 + 0.05 * i, 2) for i in range(19)]  # 0.05 .. 0.95
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_bucket", "age_bucket", "s", "survival"])
-        for tb in TIME_BUCKETS:
-            for ab in AGE_BUCKETS:
-                plateau = min(0.98, _PLATEAU_BY_AGE[ab] * _T_FACTOR[tb])
-                for s in grid:
-                    ramp = (s / grid[-1]) ** 0.8
-                    surv = 1.0 - (1.0 - plateau) * ramp
-                    w.writerow([tb, ab, s, f"{surv:.6f}"])
+    rows = []
+    for tb in TIME_BUCKETS:
+        for ab in AGE_BUCKETS:
+            plateau = min(0.98, _PLATEAU_BY_AGE[ab] * _T_FACTOR[tb])
+            for s in grid:
+                ramp = (s / grid[-1]) ** 0.8
+                surv = 1.0 - (1.0 - plateau) * ramp
+                rows.append([tb, ab, s, f"{surv:.6f}"])
+    write_table(path, ["t_bucket", "age_bucket", "s", "survival"], rows)
 
 
 def _write_relist_pool(entries_path: Path, updates_path: Path, rng,
@@ -503,12 +472,7 @@ def _write_relist_pool(entries_path: Path, updates_path: Path, rng,
             updates.append([pid, t, "T"])
         exit_at = t + int(rng.integers(200, 2500))
         updates.append([pid, exit_at, "D" if rng.random() < 0.5 else "R"])
-    with open(entries_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "country", "age_at_relist", "dialysis_days",
-                    "within_1y", "r_days", "t_days"])
-        w.writerows(entries)
-    with open(updates_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pool_id", "offset_days", "status"])
-        w.writerows(updates)
+    write_table(entries_path, ["id", "country", "age_at_relist",
+                               "dialysis_days", "within_1y", "r_days",
+                               "t_days"], entries)
+    write_table(updates_path, ["pool_id", "offset_days", "status"], updates)

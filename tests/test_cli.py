@@ -277,6 +277,24 @@ def _drop_lines(prefix: str):
                           None)
 
 
+def _whole_file(edit):
+    """``edit``, for an error that names the file but no line."""
+    return lambda lines: (edit(lines)[0], None)
+
+
+def _zero_frequencies(locus: str):
+    """Set every frequency of ``locus`` to 0, an error of the whole file."""
+    return lambda lines: ([f"{locus},{x.split(',')[1]},0"
+                           if x.startswith(locus + ",") else x
+                           for x in lines], None)
+
+
+def _header_only_panel(root: Path, cid: str) -> str:
+    path = root / "panel.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    return "panel.csv: "
+
+
 # each: how to break a copy of the fixture (returning the file:line the
 # error names, if it is found on load), and what the error says
 MALFORMED = [
@@ -380,6 +398,20 @@ MALFORMED = [
                              _rename_column("bg,freq", "bg,f")),
                  "malformed blood group frequency: 'freq'",
                  id="blood-group-frequency-missing"),
+    pytest.param(_header_only_panel, "donor panel must be nonempty",
+                 id="panel-empty"),
+    pytest.param(_model_file("antigens", "antigens.csv",
+                             _add_line("A,A1,A1")),
+                 "duplicate antigen code 'A1'", id="antigen-duplicate"),
+    pytest.param(_model_file("antigens", "antigens.csv",
+                             _whole_file(_replace_line("A,A23,A9",
+                                                       "A,A23,A99"))),
+                 "antigen 'A23': parent broad 'A99' missing or on a "
+                 "different locus", id="antigen-parent-missing"),
+    pytest.param(_model_file("hla_frequencies", "hla_frequencies.csv",
+                             _zero_frequencies("DR")),
+                 "locus DR: frequencies sum to 0.0",
+                 id="hla-frequencies-zero-sum"),
 ]
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from etkasim import common
-from etkasim.common import (InputError, csv_blocks, from_days, iso_days,
+from etkasim.common import (InputError, csv_blocks, from_days, iso_day_rows,
                             parse_bool, parse_date, read_csv_header, to_days)
 from etkasim.entities import (CandidateRegistration, DonorArrival,
                               StatusUpdate, expand_mm_patterns, parse_profile)
@@ -214,8 +214,7 @@ class TestRegistrationParity:
     @pytest.fixture(autouse=True, params=[None, 2], ids=["block", "blocks"])
     def block_size(self, request, monkeypatch):
         if request.param is not None:
-            monkeypatch.setattr(io_module, "_REGISTRATION_BLOCK",
-                                request.param)
+            monkeypatch.setattr(common, "_TABLE_BLOCK", request.param)
 
     def _check(self, tmp_path, table, text):
         path = tmp_path / "regs.csv"
@@ -477,12 +476,12 @@ class TestStatusParity:
     @pytest.fixture(autouse=True, params=[None, (2, 1), (3, 7)],
                     ids=["block", "blocks", "odd-blocks"])
     def block_size(self, request, monkeypatch):
-        # the loader reads a block of bytes (of rows, for csv.reader) at a
+        # the loader reads a block of bytes (of rows, for read_table) at a
         # time; one-byte reads put block boundaries between every pair of
         # lines and inside every CR LF pair, seven-byte ones at odd places
         if request.param is not None:
             rows, size = request.param
-            monkeypatch.setattr(io_module, "_STATUS_BLOCK", rows)
+            monkeypatch.setattr(common, "_TABLE_BLOCK", rows)
             monkeypatch.setattr(io_module, "_STATUS_BYTES", size)
 
     def test_parity_sorted_with_input_order_ties(self, tmp_path, table):
@@ -646,6 +645,14 @@ class TestStatusParity:
         path = tmp_path / "updates.csv"
         path.write_text(text)
         _assert_parity(path, table)
+
+    def test_parity_missing_kind_column_after_bad_date(self, tmp_path,
+                                                       table):
+        # within a row the date is read before the kind
+        path = tmp_path / "updates.csv"
+        path.write_text("candidate_id,date,payload\nC1,2021-05,T\n")
+        assert "updates.csv:2: invalid date '2021-05'" in _assert_parity(
+            path, table)
 
     def test_parity_random_streams(self, tmp_path, table):
         rng = np.random.default_rng(5)
@@ -896,7 +903,11 @@ class TestIsoDays:
                  "2021-00-10", "2021-10-00", "2021-1-01", "20210501",
                  "2021-05-01 ", "2021-05-0\x00", "\uff12021-05-01", "",
                  "2021-05-01T00", "abcd-ef-gh"]
-        days, ok = iso_days(texts)
+        # code points of the first 10 characters, one row per text; as the
+        # status scanner does, a text of another width is not a date
+        codes = np.array(texts, dtype="U10").view(np.uint32)
+        days, ok = iso_day_rows(codes.reshape(len(texts), 10))
+        ok &= np.array([len(text) == 10 for text in texts])
         for text, d, good in zip(texts, days.tolist(), ok.tolist()):
             # parsed exactly when the text round-trips through a date
             try:
@@ -1226,28 +1237,46 @@ def test_only_readers_and_writers_import_datetime():
     assert importers == {"common", "io", "synthetic"}
 
 
+def _code_units(tree: ast.Module):
+    """(name, node) per top-level definition, and per method of a class
+    (``Class.method``)."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                yield f"{top.name}.{getattr(item, 'name', None)}", item
+        else:
+            yield getattr(top, "name", None), top
+
+
 def test_one_table_reader():
-    # every input table is read by common.read_table; csv.reader and
-    # read_csv_rows appear only there and in the status stream's scanner
-    found = set()
+    # every table is read by common.read_table and written by
+    # common.write_table: csv.writer appears only in common, and csv.reader
+    # only there and where the status scanner splits the lines that are not
+    # plain screenings
+    readers, writers = set(), set()
     for path in Path(io_module.__file__).parent.glob("*.py"):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, unit in _code_units(tree):
+            for node in ast.walk(unit):
                 if isinstance(node, ast.Attribute):
-                    hit = (node.attr == "read_csv_rows"
-                           or isinstance(node.value, ast.Name)
-                           and node.value.id == "csv"
-                           and node.attr in ("reader", "DictReader"))
+                    of_csv = (isinstance(node.value, ast.Name)
+                              and node.value.id == "csv")
+                    read = (node.attr == "read_csv_rows"
+                            or of_csv and node.attr in ("reader",
+                                                        "DictReader"))
+                    write = of_csv and node.attr in ("writer", "DictWriter")
                 elif isinstance(node, ast.Name):
-                    hit = node.id == "read_csv_rows"
+                    read, write = node.id == "read_csv_rows", False
                 elif isinstance(node, ast.ImportFrom):
-                    hit = (node.module == "csv"
-                           or any(a.name == "read_csv_rows"
-                                  for a in node.names))
+                    read = write = node.module == "csv"
+                    read |= any(a.name == "read_csv_rows" for a in node.names)
                 else:
                     continue
-                if hit:
-                    found.add((path.stem, getattr(top, "name", None)))
-    assert ("io", "_StatusReader") in found
-    assert {stem for stem, name in found
-            if (stem, name) != ("io", "_StatusReader")} <= {"common"}
+                if read:
+                    readers.add((path.stem, name))
+                if write:
+                    writers.add((path.stem, name))
+    scanner = ("io", "_StatusReader._read_block")
+    assert scanner in readers
+    assert {where for where in readers if where[0] != "common"} == {scanner}
+    assert writers and {stem for stem, _ in writers} == {"common"}
