@@ -1,8 +1,9 @@
 """Golden outputs: one mid-sized synthetic population, pinned by digest.
 
 Speed work must leave every output byte-identical under a fixed seed.  This
-test pins the sha256 of the three per-run CSVs for two seeds, so a change
-that alters any output fails here.  A change that alters outputs on purpose
+test pins the sha256 of the three per-run CSVs for two seeds, and of the
+offer trace that ``etkasim run --trace`` writes for one, so a change that
+alters any output fails here.  A change that alters outputs on purpose
 updates the digests and says which outputs change and why.
 """
 
@@ -15,6 +16,7 @@ import pytest
 
 from etkasim import reporting
 from etkasim.batch import run_once
+from etkasim.cli import main
 from etkasim.io import load_inputs, load_settings
 from etkasim.synthetic import generate_population
 
@@ -33,15 +35,22 @@ GOLDEN = {
             "dd0db013f5c2aaecd339a0a7558fb0054d7dae9016860a7389412c9dd1b8911c"},
 }
 
+# the offer trace of seed 1, written through the command line
+GOLDEN_TRACE = (
+    "97a6e4fe04cfa422772a0a021da7ba7eaa1444bc5e2173d2b2bce4974243585e")
+
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
+def settings_path(tmp_path_factory):
     pop = tmp_path_factory.mktemp("golden")
-    settings = generate_population(pop, n_candidates=3000, n_donors=300,
-                                   start=date(2021, 4, 1),
-                                   end=date(2022, 4, 1), seed=31,
-                                   unplaced_mode="force")
-    return load_inputs(load_settings(settings))
+    return generate_population(pop, n_candidates=3000, n_donors=300,
+                               start=date(2021, 4, 1), end=date(2022, 4, 1),
+                               seed=31, unplaced_mode="force")
+
+
+@pytest.fixture(scope="module")
+def inputs(settings_path):
+    return load_inputs(load_settings(settings_path))
 
 
 def _digests(inputs, seed, out_dir) -> dict[str, str]:
@@ -55,3 +64,10 @@ def _digests(inputs, seed, out_dir) -> dict[str, str]:
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_outputs_match_golden_digests(inputs, seed, tmp_path):
     assert _digests(inputs, seed, tmp_path) == GOLDEN[seed]
+
+
+def test_offer_trace_matches_golden_digest(settings_path, tmp_path):
+    assert main(["run", "--settings", str(settings_path), "--seed", "1",
+                 "--out", str(tmp_path), "--trace"]) == 0
+    trace = (tmp_path / "offer_trace.csv").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == GOLDEN_TRACE
