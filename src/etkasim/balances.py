@@ -88,9 +88,6 @@ class BalanceLedger:
     def regional_net_export(self, region: str, group: str) -> int:
         return self._regional.get((region, group), 0)
 
-    def group_sum(self, group: str) -> int:
-        return sum(self._net[(c, group)] for c in self.countries)
-
     def check_transfer(self, event: BalanceEvent) -> str:
         """The donor age group ``record_transfer`` books ``event`` under;
         raises UnknownCountryError or ValueError if it cannot book it."""

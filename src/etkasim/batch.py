@@ -27,9 +27,8 @@ from .engine import SimState, SimulationOutput, initialize, run
 from .io import SimulationInputs, load_registrations, load_status_updates
 
 
-def run_once(inputs: SimulationInputs, seed: int,
-             collect_trace: bool = False) -> SimulationOutput:
-    return run(initialize(inputs, seed, collect_trace=collect_trace))
+def run_once(inputs: SimulationInputs, seed: int) -> SimulationOutput:
+    return run(initialize(inputs, seed))
 
 
 def _inputs_for_run(inputs: SimulationInputs, run_index: int) -> SimulationInputs:

@@ -10,8 +10,9 @@ from pathlib import Path
 from . import batch as batch_mod
 from . import reporting
 from .common import InputError, read_table
-from .engine import initialize, verify_replay
+from .engine import initialize, run, verify_replay
 from .io import load_inputs, load_settings
+from .offering import UNPLACED_MODES
 from .policy import PolicyError, load_policy
 
 
@@ -45,12 +46,14 @@ def cmd_run(args) -> int:
         settings = replace(settings, unplaced_mode=args.unplaced)
     policy = load_policy(args.policy) if args.policy else None
     inputs = load_inputs(settings, policy=policy)
-    seed = args.seed if args.seed is not None else settings.seed
-    trace = args.trace or settings.write_trace
-    output = batch_mod.run_once(inputs, seed, collect_trace=trace)
+    state = initialize(inputs, args.seed if args.seed is not None
+                       else settings.seed)
+    if args.trace or settings.write_trace:
+        state.offer_trace = []
+    output = run(state)
     stats = reporting.stats_from_output(output)
     out = _out_dir(args, settings)
-    reporting.write_run_files(out, output, stats, trace=trace)
+    reporting.write_run_files(out, output, stats)
     problems = verify_replay(output)
     if problems:
         print("replay check failed: " + "; ".join(problems), file=sys.stderr)
@@ -162,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trace", action="store_true",
                    help="write the full offer trace")
-    p.add_argument("--unplaced", choices=("discard", "force"), default=None)
+    p.add_argument("--unplaced", choices=UNPLACED_MODES, default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("batch", help="repeated runs with summary statistics")

@@ -71,17 +71,17 @@ def age_years(now_days, birth_days):
     return (now_days - birth_days) * 4 // 1461
 
 
-def parse_date(text: str, path=None, line=None) -> date:
+def parse_date(text: str, path=None) -> date:
     try:
         return date.fromisoformat(text.strip())
     except ValueError:
-        raise InputError(f"invalid date {text!r} (expected YYYY-MM-DD)", path, line)
+        raise InputError(f"invalid date {text!r} (expected YYYY-MM-DD)", path)
 
 
-def parse_day(text: str, path=None, line=None) -> int:
+def parse_day(text: str) -> int:
     """The day (since the epoch) of a YYYY-MM-DD text, as parse_date reads
     it: the one place input text becomes an event or registration day."""
-    return to_days(parse_date(text, path, line))
+    return to_days(parse_date(text))
 
 
 _DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9]  # YYYY-MM-DD
@@ -110,13 +110,13 @@ def iso_day_rows(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok, first + day - 1, 0), ok
 
 
-def parse_bool(text: str, path=None, line=None) -> bool:
+def parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "y"):
         return True
     if t in ("0", "false", "no", "n", ""):
         return False
-    raise InputError(f"invalid boolean {text!r}", path, line)
+    raise InputError(f"invalid boolean {text!r}")
 
 
 def read_csv_header(fh) -> tuple[int, list[str]] | None:

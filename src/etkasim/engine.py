@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import copy
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .balances import (AUSTRIA, DONOR_AGE_GROUPS, BalanceEvent,
-                       BalanceLedger, UnknownCountryError)
+from .balances import (AUSTRIA, BalanceEvent, BalanceLedger,
+                       UnknownCountryError)
 from .common import (DAYS_PER_YEAR, InputError, age_years, day_text,
                      from_days, to_days)
 from .entities import (ETKAS, GEOGRAPHY_CLASSES, TERMINAL_CODES, DonorArrival,
@@ -84,22 +84,23 @@ class SimulationOutput:
     event_log: list[tuple]
     init_statuses: dict[str, tuple[str, int]]
     init_ledger: BalanceLedger  # shared with the state: never written
-    offer_traces: list[tuple] = field(default_factory=list)
-    invariant_failures: list[str] = field(default_factory=list)
+    offer_trace: list[tuple] | None  # run_allocation's rows, if traced
 
 
 class SimState:
-    """Everything one run mutates: candidate store, ledger, FES, counters."""
+    """Everything one run mutates: candidate store, ledger, FES, counters.
 
-    def __init__(self, inputs: SimulationInputs, seed: int,
-                 check_invariants: bool = False, collect_trace: bool = False):
+    ``offer_trace`` is the run's offer-trace sink: None, or a list that
+    collects every offer decision; set it to ``[]`` before ``run`` to trace.
+    """
+
+    def __init__(self, inputs: SimulationInputs, seed: int):
         self.inputs = inputs
         self.policy = inputs.policy
         self.rng = np.random.default_rng(seed)
         self.start_days = to_days(inputs.settings.window_start)
         self.end_days = to_days(inputs.settings.window_end)
-        self.check_invariants = check_invariants
-        self.collect_trace = collect_trace
+        self.offer_trace: list[tuple] | None = None
 
         self.hla_index = HlaIndex(inputs.antigen_table)
         self.store = CandidateStore(
@@ -136,8 +137,8 @@ class SimState:
     def _new_outputs(self) -> None:
         self.transplants: list[TransplantRecord] = []
         self.event_log: list[tuple] = []
-        self.offer_traces: list[tuple] = []
-        self.invariant_failures: list[str] = []
+        if self.offer_trace is not None:
+            self.offer_trace = []
 
     def fork(self, seed: int) -> SimState:
         """An independent state that runs on from this one under ``seed``.
@@ -146,8 +147,9 @@ class SimState:
         row and person bookkeeping and the counters.  What no run writes is
         shared: the inputs, the HLA index, the FES payloads, the update
         lists, the donor memo and the initial snapshots.  Outputs start
-        empty.  A fork of a freshly initialized state runs exactly as a
-        fresh ``initialize(inputs, seed)`` would.
+        empty, the offer trace too: a traced state's forks trace, each
+        into its own list.  A fork of a freshly initialized state runs
+        exactly as a fresh ``initialize(inputs, seed)`` would.
         """
         new = copy.copy(self)
         new.rng = np.random.default_rng(seed)
@@ -196,9 +198,7 @@ class SimState:
             self.counters["wl.removals"] += 1
 
 
-def initialize(inputs: SimulationInputs, seed: int = 1,
-               check_invariants: bool = False,
-               collect_trace: bool = False) -> SimState:
+def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
     """Build the initial system state and future event set.
 
     Pre-window status updates fold into candidate states, and each row's
@@ -209,7 +209,7 @@ def initialize(inputs: SimulationInputs, seed: int = 1,
     registrations whose previous transplant falls inside the window are
     excluded - the simulation itself generates those re-listings.
     """
-    state = SimState(inputs, seed, check_invariants, collect_trace)
+    state = SimState(inputs, seed)
     store = state.store
     start, end = state.start_days, state.end_days
 
@@ -360,8 +360,6 @@ def run(state: SimState) -> SimulationOutput:
             _handle_donor(state, payload[0], when)
         else:  # pragma: no cover
             raise AssertionError(f"unknown event kind {kind!r}")
-        if state.check_invariants:
-            _check_conservation(state)
 
     final_states = [(store.ids[row], store.status_code(row),
                      state.status_day.get(row, state.start_days))
@@ -378,17 +376,8 @@ def run(state: SimState) -> SimulationOutput:
         event_log=state.event_log,
         init_statuses=state.init_statuses,
         init_ledger=state.init_ledger,
-        offer_traces=state.offer_traces,
-        invariant_failures=state.invariant_failures,
+        offer_trace=state.offer_trace,
     )
-
-
-def _check_conservation(state: SimState) -> None:
-    for group in DONOR_AGE_GROUPS:
-        total = state.ledger.group_sum(group)
-        if total != 0:
-            state.invariant_failures.append(
-                f"ledger sum {total} != 0 in group {group}")
 
 
 def _handle_balance(state: SimState, event: BalanceEvent, when: int) -> None:
@@ -533,17 +522,9 @@ def _handle_donor(state: SimState, index: int, when: int) -> None:
         return center_offer_features(donor, donor_feats, center_code,
                                      inputs.centers, store.countries)
 
-    outcome = run_allocation(
-        offers, donor, k_max, models, state.rng,
-        unplaced_mode=inputs.settings.unplaced_mode,
-        center_features=center_feats,
-        collect_trace=state.collect_trace, donor_feats=donor_feats)
-
-    if state.collect_trace:
-        for entry in outcome.trace:
-            state.offer_traces.append(
-                (donor.id, entry.candidate_id, entry.center, entry.stage,
-                 entry.decision, entry.probability))
+    outcome = run_allocation(offers, donor, k_max, models, state.rng,
+                             inputs.settings.unplaced_mode, center_feats,
+                             donor_feats, state.offer_trace)
 
     for acc in outcome.acceptances:
         _record_transplant(state, donor, donor_feats, arrays, acc.index, acc,

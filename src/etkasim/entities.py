@@ -83,7 +83,7 @@ class AllocationProfile:
     accept_hbsag_positive: bool = True
 
 
-def parse_profile(text: str, path=None, line=None) -> AllocationProfile | None:
+def parse_profile(text: str) -> AllocationProfile | None:
     """Parse 'key=value;key=value' profile payloads; empty text clears it."""
     text = text.strip()
     if not text:
@@ -103,17 +103,16 @@ def parse_profile(text: str, path=None, line=None) -> AllocationProfile | None:
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in mapping:
-            raise InputError(f"unknown profile key {key!r}", path, line)
+            raise InputError(f"unknown profile key {key!r}")
         attr, conv = mapping[key]
         try:
             kwargs[attr] = conv(value.strip())
         except ValueError:
-            raise InputError(f"bad profile value {value!r} for {key}", path, line)
+            raise InputError(f"bad profile value {value!r} for {key}")
     return AllocationProfile(**kwargs)
 
 
-def expand_mm_patterns(spec: str, path=None,
-                       line=None) -> frozenset[tuple[int, int, int]]:
+def expand_mm_patterns(spec: str) -> frozenset[tuple[int, int, int]]:
     """Expand HLA mismatch criteria like '222' or '**2' into (a,b,dr) triples.
 
     Each pattern is three characters over digits 0-2 or '*' (any), in
@@ -123,7 +122,7 @@ def expand_mm_patterns(spec: str, path=None,
     for token in spec.split():
         if len(token) != 3:
             raise InputError(f"mismatch pattern {token!r} must have 3 "
-                             "characters", path, line)
+                             "characters")
         choices = []
         for ch in token:
             if ch == "*":
@@ -132,7 +131,7 @@ def expand_mm_patterns(spec: str, path=None,
                 choices.append((int(ch),))
             else:
                 raise InputError(f"bad character {ch!r} in mismatch pattern "
-                                 f"{token!r}", path, line)
+                                 f"{token!r}")
         for a in choices[0]:
             for b in choices[1]:
                 for dr in choices[2]:

@@ -589,7 +589,6 @@ class MatchArrays:
     comp_mmp: np.ndarray
     comp_balance: np.ndarray
     comp_distance: np.ndarray
-    filter_fraction: np.ndarray
     age: np.ndarray
 
     def __len__(self) -> int:
@@ -691,7 +690,7 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         filtered = profile_ok & ~(pattern_hit
                                   if cfg.filtering.apply_hla_mismatch_criteria
                                   else np.zeros(len(rows), dtype=bool))
-        total, comps, fraction = _etkas_points_arrays(
+        total, comps = _etkas_points_arrays(
             store, donor, ledger, cfg, rows, age, mm_a, mm_b, mm_dr, geo_idx,
             same_country, dial)
         tier = _etkas_tier_array(store, donor, cfg, rows, age, mm_total)
@@ -708,7 +707,6 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         total = dial.astype(np.float64)
         comps = {name: np.zeros(len(rows)) for name in POINT_COMPONENTS}
         comps["dialysis"] = total.copy()
-        fraction = np.ones(len(rows))
 
     regional = np.zeros(len(rows), dtype=np.int32)
     if program == ETKAS and store.austrian_regions:
@@ -731,8 +729,7 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         comp_dialysis=comps["dialysis"][order], comp_hla=comps["hla"][order],
         comp_pediatric=comps["pediatric"][order], comp_hu=comps["hu"][order],
         comp_mmp=comps["mmp"][order], comp_balance=comps["balance"][order],
-        comp_distance=comps["distance"][order],
-        filter_fraction=fraction[order], age=age[order])
+        comp_distance=comps["distance"][order], age=age[order])
 
 
 def _rank_order(store, rows, tier, total, regional, reg_days) -> np.ndarray:
@@ -793,8 +790,7 @@ def _empty_arrays(donor: DonorArrival, program: str) -> MatchArrays:
         donor=donor, program=program, rows=zi, filtered=zb,
         tier=np.zeros(0, dtype=np.int16), total=z, mm_a=zi, mm_b=zi,
         mm_dr=zi, geo_idx=zi, dial_days=zi,
-        **{f"comp_{name}": z for name in POINT_COMPONENTS},
-        filter_fraction=z, age=zi)
+        **{f"comp_{name}": z for name in POINT_COMPONENTS}, age=zi)
 
 
 def _etkas_tier_array(store, donor, cfg, rows, age, mm_total):
@@ -812,7 +808,6 @@ def _etkas_tier_array(store, donor, cfg, rows, age, mm_total):
 
 def _etkas_points_arrays(store, donor, ledger, cfg, rows, age, mm_a, mm_b,
                          mm_dr, geo_idx, same_country, dial):
-    n = len(rows)
     comp_dial = cfg.dialysis_points_per_year * dial / DAYS_PER_YEAR
     hla = (cfg.hla_base_points + mm_a * cfg.hla_mm_beta_a
            + mm_b * cfg.hla_mm_beta_b + mm_dr * cfg.hla_mm_beta_dr)
@@ -840,18 +835,17 @@ def _etkas_points_arrays(store, donor, ledger, cfg, rows, age, mm_a, mm_b,
         dist_table[i, 1] = schedule.get(NATIONAL, 0.0)
     comp_dist = dist_table[store.country_idx[rows], geo_idx] * same_country
 
-    raw_total = (comp_dial + hla + comp_ped + comp_hu + comp_mmp + comp_bal
-                 + comp_dist)
-    fraction = np.ones(n)
+    total = (comp_dial + hla + comp_ped + comp_hu + comp_mmp + comp_bal
+             + comp_dist)
     if cfg.age_filter.enabled:
+        # the age-filter fraction scales the whole total
         xs = np.array([x for x, _ in sorted(cfg.age_filter.curve)])
         ys = np.array([y for _, y in sorted(cfg.age_filter.curve)])
-        fraction = np.interp(age - donor.age, xs, ys)
-    total = fraction * raw_total
+        total *= np.interp(age - donor.age, xs, ys)
     comps = {"dialysis": comp_dial, "hla": hla, "pediatric": comp_ped,
              "hu": comp_hu, "mmp": comp_mmp, "balance": comp_bal,
              "distance": comp_dist}
-    return total, comps, fraction
+    return total, comps
 
 
 def _esp_tier_array(store, donor, cfg, rows, age, d_sub, same_region,

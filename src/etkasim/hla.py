@@ -48,7 +48,7 @@ class AntigenTable:
     checks each row); an error names ``path``, the file they came from.
     """
 
-    def __init__(self, antigens: Iterable[Antigen], path=None):
+    def __init__(self, antigens: Iterable[Antigen], path: str | Path | None):
         self._by_code = {a.code: a for a in antigens}
         for a in self._by_code.values():
             parent = self._by_code.get(a.broad)
@@ -88,14 +88,13 @@ class AntigenTable:
     def codes(self) -> Iterable[str]:
         return self._by_code.keys()
 
-    def check_unacceptables(self, codes: Iterable[str], path=None,
-                            line=None) -> None:
+    def check_unacceptables(self, codes: Iterable[str]) -> None:
         """Raise InputError if a code of a set of unacceptable antigens is
         not in the table."""
         unknown = set(codes).difference(self._by_code)
         if unknown:
             raise InputError(f"unacceptable antigen {min(unknown)!r} not in "
-                             "the antigen table", path, line)
+                             "the antigen table")
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,8 @@ class HlaTyping:
             by_locus.setdefault(table.locus_of(code), []).append(code)
         return cls({loc: tuple(v) for loc, v in by_locus.items()})
 
-    def validate(self, table: AntigenTable, loci: Sequence[str] = LOCI) -> None:
-        for loc in loci:
+    def validate(self, table: AntigenTable) -> None:
+        for loc in LOCI:
             if loc not in self.antigens:
                 raise ValueError(f"typing lacks locus {loc}")
             for code in self.antigens[loc]:
@@ -222,7 +221,8 @@ class DonorPanel:
     InputError naming ``path``, the file it came from.
     """
 
-    def __init__(self, typings: Sequence[HlaTyping], path=None):
+    def __init__(self, typings: Sequence[HlaTyping],
+                 path: str | Path | None):
         if not typings:
             raise InputError("donor panel must be nonempty", path)
         self._typings = tuple(typings)
@@ -263,7 +263,8 @@ class FrequencyTable:
     came from.
     """
 
-    def __init__(self, freqs: Mapping[str, Mapping[str, float]], path=None):
+    def __init__(self, freqs: Mapping[str, Mapping[str, float]],
+                 path: str | Path | None):
         self._freqs: dict[str, dict[str, float]] = {}
         for locus, table in freqs.items():
             total = sum(table.values())
@@ -290,10 +291,11 @@ class FrequencyTable:
     def locus(self, locus: str) -> dict[str, float]:
         return self._freqs[locus]
 
-    def sample_codes(self, locus: str, rng, k: int = 2) -> list[str]:
+    def sample_codes(self, locus: str, rng) -> list[str]:
+        """Two codes of ``locus``, drawn independently: a genotype."""
         codes = sorted(self._freqs[locus])
         weights = [self._freqs[locus][c] for c in codes]
-        return list(rng.choice(codes, size=k, p=weights))
+        return list(rng.choice(codes, size=2, p=weights))
 
 
 # ---------------------------------------------------------------------------

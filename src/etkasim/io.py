@@ -24,7 +24,8 @@ from .entities import (CandidateRegistration, CenterRegistry, DonorArrival,
 from .hla import (HLA_COLUMNS, AntigenTable, BloodGroupFrequencies,
                   DonorPanel, FrequencyTable, TypingReader)
 from .offering import (DUAL_FEATURES, PATIENT_FEATURES, AcceptanceModels,
-                       CoxSampler, LogisticModel, center_vocabulary)
+                       UNPLACED_MODES, CoxSampler, LogisticModel,
+                       center_vocabulary)
 from .policy import PolicyConfig, load_policy
 from .posttransplant import RelistCurveSet, RelistingPool, WeibullModel
 
@@ -98,18 +99,35 @@ def load_settings(path: str | Path) -> SimulationSettings:
     unknown = sorted(set(paths) - _PATH_KEYS)
     if unknown:
         raise InputError(f"unknown path key(s): {', '.join(unknown)}", path)
-    seeds = doc.get("seeds")
+
+    def check(key, default, valid, expected):
+        value = doc.get(key, default)
+        if not valid(value):
+            raise InputError(f"{key} must be {expected}, got {value!r}", path)
+        return value
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    seeds = check("seeds", None, lambda v: v is None or (
+        isinstance(v, list) and all(map(is_int, v))), "a list of integers")
+    p_immunized = check("de_novo_immunization_p", 0.20, lambda v: (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and 0.0 <= v <= 1.0), "a probability between 0 and 1")
     return SimulationSettings(
         window_start=as_date(window["start"]),
         window_end=as_date(window["end"]),
         paths=paths,
         base_dir=path.parent,
-        seed=int(doc.get("seed", 1)),
-        seeds=tuple(int(s) for s in seeds) if seeds else None,
-        unplaced_mode=str(doc.get("unplaced_mode", "discard")),
+        seed=check("seed", 1, is_int, "an integer"),
+        seeds=tuple(seeds) if seeds else None,
+        unplaced_mode=check("unplaced_mode", "discard",
+                            lambda v: v in UNPLACED_MODES,
+                            " or ".join(map(repr, UNPLACED_MODES))),
         output_dir=str(doc.get("output_dir", "out")),
-        write_trace=bool(doc.get("write_trace", False)),
-        de_novo_immunization_p=float(doc.get("de_novo_immunization_p", 0.20)),
+        write_trace=check("write_trace", False,
+                          lambda v: isinstance(v, bool), "true or false"),
+        de_novo_immunization_p=float(p_immunized),
     )
 
 

@@ -102,8 +102,7 @@ class CoxSampler:
     """
 
     def __init__(self, coefficients: Mapping[str, float],
-                 baselines: Mapping[str, StepSurvival],
-                 model_id: str = "max_offers"):
+                 baselines: Mapping[str, StepSurvival], model_id: str):
         self.coefficients = dict(coefficients)
         self.baselines = dict(baselines)
         self.model_id = model_id
@@ -273,14 +272,8 @@ DECISION_DECLINE = "decline"
 DECISION_ACCEPT = "accept"
 DECISION_FORCED = "forced_accept"
 
-
-@dataclass(frozen=True)
-class TraceEntry:
-    candidate_id: str
-    center: str
-    stage: str
-    decision: str
-    probability: float | None = None
+# what becomes of kidneys the walk leaves unplaced
+UNPLACED_MODES = ("discard", "force")
 
 
 @dataclass(frozen=True)
@@ -300,7 +293,6 @@ class Acceptance:
 class AllocationOutcome:
     acceptances: list[Acceptance] = field(default_factory=list)
     unplaced: int = 0
-    trace: list[TraceEntry] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -311,12 +303,11 @@ class AcceptanceModels:
 
 
 def run_allocation(offers, donor: DonorArrival,
-                   k_max: int | None, models: AcceptanceModels,
-                   rng, unplaced_mode: str = "discard",
-                   center_features: Callable[[str], Mapping[str, float]] | None = None,
-                   collect_trace: bool = True,
-                   donor_feats: Mapping[str, float] | None = None
-                   ) -> AllocationOutcome:
+                   k_max: int | None, models: AcceptanceModels, rng,
+                   unplaced_mode: str,
+                   center_features: Callable[[str], Mapping[str, float]],
+                   donor_feats: Mapping[str, float],
+                   trace: list[tuple] | None) -> AllocationOutcome:
     """Walk the match list per the offering rules and return who accepted.
 
     ``offers`` reads the list in unfiltered match-list order: its length,
@@ -324,16 +315,12 @@ def run_allocation(offers, donor: DonorArrival,
     the patient-level acceptance ``probability``, plus ``vicinity_order``
     for the non-standard phase.  The engine passes ``engine.ArrayOffers``;
     the tests' record-at-a-time accessor is in ``tests/oracle/offering.py``.
-    ``center_features`` supplies the feature mapping for a center code
-    (defaults to empty, for intercept-only models), and ``donor_feats``
-    the donor's ``donor_features`` (computed here if not given) for dual
-    decisions.  ``unplaced_mode`` is 'discard' or 'force'.
+    ``center_features`` supplies the feature mapping for a center code,
+    and ``donor_feats`` the donor's ``donor_features`` for dual decisions.
+    ``unplaced_mode`` is 'discard' or 'force'.  Each offer decision is
+    appended to ``trace``, unless it is None, as (donor id, candidate id,
+    center, stage, decision, probability).
     """
-    if unplaced_mode not in ("discard", "force"):
-        raise ValueError(f"unplaced_mode must be 'discard' or 'force', "
-                         f"got {unplaced_mode!r}")
-    if donor_feats is None:
-        donor_feats = donor_features(donor)
     n = len(offers)
     outcome = AllocationOutcome()
     kidneys_left = donor.kidneys_available
@@ -343,17 +330,15 @@ def run_allocation(offers, donor: DonorArrival,
 
     def center_decision(center: str) -> bool:
         if center not in center_willing:
-            feats = center_features(center) if center_features else {}
-            p = models.center.predict(feats)
+            p = models.center.predict(center_features(center))
             center_willing[center] = float(rng.random()) < p
         return center_willing[center]
 
     def note(i: int, stage: str, decision: str,
              probability: float | None = None) -> None:
-        if collect_trace:
-            outcome.trace.append(TraceEntry(offers.candidate_id(i),
-                                            offers.center(i), stage,
-                                            decision, probability))
+        if trace is not None:
+            trace.append((donor.id, offers.candidate_id(i), offers.center(i),
+                          stage, decision, probability))
 
     def try_candidate(i: int, stage: str) -> str:
         """Returns 'accept', 'decline', 'center', or 'center_known'."""

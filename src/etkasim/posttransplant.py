@@ -325,9 +325,9 @@ def _candidate_matches(profile: RecipientProfile,
     return matches  # may be short or empty after full relaxation
 
 
-def mahalanobis_top_m(profile: RecipientProfile, matches: Sequence[PoolEntry],
-                      m: int = NEAREST_M) -> list[PoolEntry]:
-    """The m entries closest to (r, t) in Mahalanobis distance.
+def mahalanobis_top_m(profile: RecipientProfile,
+                      matches: Sequence[PoolEntry]) -> list[PoolEntry]:
+    """The NEAREST_M entries closest to (r, t) in Mahalanobis distance.
 
     The covariance comes from the match set itself; with fewer than two
     matches (or a degenerate covariance) distances fall back to Euclidean on
@@ -353,7 +353,7 @@ def mahalanobis_top_m(profile: RecipientProfile, matches: Sequence[PoolEntry],
         diffs = (pts - target) / scale
         d2 = (diffs ** 2).sum(axis=1)
     order = sorted(range(len(matches)), key=lambda i: (d2[i], matches[i].id))
-    return [matches[i] for i in order[:m]]
+    return [matches[i] for i in order[:NEAREST_M]]
 
 
 def select_pool_match(profile: RecipientProfile, pool: RelistingPool,

@@ -142,7 +142,7 @@ def percentile_bounds(values: Sequence[float]) -> tuple[float, float]:
 
 
 def summarize(per_run_stats: Sequence[Mapping[str, float]],
-              actual: Mapping[str, float] | None = None) -> SummaryTable:
+              actual: Mapping[str, float] | None) -> SummaryTable:
     """Per-statistic mean and 95%-IQR (2.5th / 97.5th percentile) across
     runs, with a calibration column when actual values are supplied."""
     if not per_run_stats:
@@ -176,7 +176,7 @@ def _stars(p: float | None) -> str:
 
 def compare_policies(baseline: Sequence[Mapping[str, float]],
                      variant: Sequence[Mapping[str, float]],
-                     paired: bool = True) -> list[DeltaRow]:
+                     paired: bool) -> list[DeltaRow]:
     """Mean differences per statistic with t-test significance.
 
     Paired mode requires equal run counts (common random numbers pair run i
@@ -324,15 +324,15 @@ def write_trace_csv(path: Path, traces: Sequence[tuple]) -> None:
 
 
 def write_run_files(out_dir: Path, output: SimulationOutput,
-                    stats: Mapping[str, float], trace: bool = False) -> None:
+                    stats: Mapping[str, float]) -> None:
     """Write one run's transplants.csv, final_states.csv and stats.csv into
-    ``out_dir`` (created if missing), and offer_trace.csv with ``trace``."""
+    ``out_dir`` (created if missing), and offer_trace.csv if it was traced."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_transplants_csv(out_dir / "transplants.csv", output.transplants)
     write_final_states_csv(out_dir / "final_states.csv", output)
     write_stats_csv(out_dir / "stats.csv", stats)
-    if trace:
-        write_trace_csv(out_dir / "offer_trace.csv", output.offer_traces)
+    if output.offer_trace is not None:
+        write_trace_csv(out_dir / "offer_trace.csv", output.offer_trace)
 
 
 def write_summary_csv(path: Path, table: SummaryTable) -> None:

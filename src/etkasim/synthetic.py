@@ -37,16 +37,12 @@ def _choice(rng, items, p=None):
 class PopulationBuilder:
     """Writes a full, parseable input directory for the simulator."""
 
-    def __init__(self, out_dir: str | Path, seed: int = 20210401,
-                 centers_path: Path | None = None,
-                 frequencies_path: Path | None = None):
+    def __init__(self, out_dir: str | Path, seed: int):
         self.out = Path(out_dir)
         os.makedirs(self.out, exist_ok=True)
         self.rng = np.random.default_rng(seed)
-        self.centers = CenterRegistry.from_file(
-            centers_path or data_path("centers.csv"))
-        self.freqs = FrequencyTable.from_file(
-            frequencies_path or data_path("hla_frequencies.csv"))
+        self.centers = CenterRegistry.from_file(data_path("centers.csv"))
+        self.freqs = FrequencyTable.from_file(data_path("hla_frequencies.csv"))
         self.countries = [c for c in COUNTRY_WEIGHTS
                           if c in self.centers.countries]
         weights = np.array([COUNTRY_WEIGHTS[c] for c in self.countries])
@@ -63,7 +59,7 @@ class PopulationBuilder:
     def _typing_codes(self) -> list[str]:
         codes = []
         for locus in ("A", "B", "DR"):
-            pair = self.freqs.sample_codes(locus, self.rng, k=2)
+            pair = self.freqs.sample_codes(locus, self.rng)
             codes.append(sorted(set(pair)))
         return codes
 
@@ -97,8 +93,7 @@ class PopulationBuilder:
 
     # -- candidate stream ---------------------------------------------------
 
-    def write_candidates(self, n: int, start: date, end: date,
-                         immunized_boost: float = 1.0) -> None:
+    def write_candidates(self, n: int, start: date, end: date) -> None:
         rng = self.rng
         start_d, end_d = to_days(start), to_days(end)
         window = end_d - start_d
@@ -217,15 +212,14 @@ class PopulationBuilder:
 
     # -- donor stream ---------------------------------------------------
 
-    def write_donors(self, n: int, start: date, end: date,
-                     esp_share: float = 0.25) -> None:
+    def write_donors(self, n: int, start: date, end: date) -> None:
         rng = self.rng
         start_d, end_d = to_days(start), to_days(end)
         rows = []
         for i in range(n):
             did = f"D{i:05d}"
             country, center = self._country_center()
-            if rng.random() < esp_share:
+            if rng.random() < 0.25:  # ESP-aged
                 age = rng.uniform(65, 88)
             elif rng.random() < 0.04:
                 age = rng.uniform(1, 17)
@@ -260,19 +254,20 @@ class PopulationBuilder:
 
     # -- balance history and panel ----------------------------------------
 
-    def write_balances(self, start: date, end: date, n_history: int = 200,
-                       per_month: float = 6.0) -> None:
+    def write_balances(self, start: date, end: date) -> None:
+        """200 draws of pre-window transfers, six a month in the window;
+        draws within one country are dropped."""
         rng = self.rng
         start_d, end_d = to_days(start), to_days(end)
         rows = []
-        for _ in range(n_history):
+        for _ in range(200):
             d_country = _choice(rng, self.countries, self.country_p)
             r_country = _choice(rng, self.countries, self.country_p)
             if d_country == r_country:
                 continue
             when = start_d - int(rng.integers(1, 3 * 365))
             rows.append(self._balance_row(when, d_country, r_country))
-        n_window = int((end_d - start_d) / 30.44 * per_month)
+        n_window = int((end_d - start_d) / 30.44 * 6.0)
         for _ in range(n_window):
             d_country = _choice(rng, self.countries, self.country_p)
             r_country = _choice(rng, self.countries, self.country_p)
@@ -297,15 +292,14 @@ class PopulationBuilder:
         return [_iso(when), d_country, r_country, int(rng.integers(1, 80)),
                 _choice(rng, ("AM", "combined")), d_region, r_region]
 
-    def write_panel(self, n: int = 2000) -> None:
+    def write_panel(self, n: int) -> None:
         write_table(self.out / "panel.csv", HLA_COLUMNS,
                     (_hla_cols(self._typing_codes()) for _ in range(n)))
 
     # -- settings -----------------------------------------------------------
 
-    def write_settings(self, start: date, end: date, seed: int = 1,
-                       unplaced_mode: str = "force",
-                       policy_file: str | None = None) -> Path:
+    def write_settings(self, start: date, end: date,
+                       unplaced_mode: str) -> Path:
         doc = {
             "window": {"start": start.isoformat(), "end": end.isoformat()},
             "paths": {
@@ -315,12 +309,10 @@ class PopulationBuilder:
                 "balances": "balances.csv",
                 "panel": "panel.csv",
             },
-            "seed": seed,
+            "seed": 1,
             "unplaced_mode": unplaced_mode,
             "output_dir": "out",
         }
-        if policy_file:
-            doc["paths"]["policy"] = policy_file
         path = self.out / "settings.yaml"
         with open(path, "w", encoding="utf-8") as fh:
             yaml.safe_dump(doc, fh, sort_keys=False)
@@ -349,17 +341,16 @@ def generate_population(out_dir: str | Path, n_candidates: int, n_donors: int,
     builder.write_donors(n_donors, start, end)
     builder.write_balances(start, end)
     builder.write_panel(panel_size)
-    return builder.write_settings(start, end, unplaced_mode=unplaced_mode)
+    return builder.write_settings(start, end, unplaced_mode)
 
 
 # ---------------------------------------------------------------------------
 # Default model files (shipped as package data; regenerate with this module)
 
-def write_model_files(out_dir: str | Path, countries=None, seed: int = 7) -> None:
+def write_model_files(out_dir: str | Path) -> None:
     out = Path(out_dir)
     os.makedirs(out, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    countries = list(countries or COUNTRY_WEIGHTS)
+    rng = np.random.default_rng(7)
 
     def coef_file(name: str, model_id: str, rows: dict[str, float]) -> None:
         write_table(out / name, ["name", "value"], rows.items(), model_id)
@@ -370,7 +361,8 @@ def write_model_files(out_dir: str | Path, countries=None, seed: int = 7) -> Non
         "donor_smoking": 0.05, "donor_proteinuria": 0.10, "donor_hcv": 0.6,
         "donor_death_cva": 0.05,
     })
-    strata = [f"ETKAS:{c}" for c in countries] + ["ETKAS:default", "ESP"]
+    strata = [f"ETKAS:{c}" for c in COUNTRY_WEIGHTS] + ["ETKAS:default",
+                                                         "ESP"]
     baselines = []
     for stratum in strata:
         rate = 0.055 if stratum != "ESP" else 0.075
@@ -424,7 +416,7 @@ def write_model_files(out_dir: str | Path, countries=None, seed: int = 7) -> Non
 
     _write_relist_curves(out / "relist_curves.csv")
     _write_relist_pool(out / "relist_pool.csv",
-                       out / "relist_pool_updates.csv", rng, countries)
+                       out / "relist_pool_updates.csv", rng)
 
 
 _PLATEAU_BY_AGE = {"0-17": 0.10, "18-39": 0.18, "40-49": 0.28, "50-54": 0.38,
@@ -448,11 +440,11 @@ def _write_relist_curves(path: Path) -> None:
     write_table(path, ["t_bucket", "age_bucket", "s", "survival"], rows)
 
 
-def _write_relist_pool(entries_path: Path, updates_path: Path, rng,
-                       countries) -> None:
+def _write_relist_pool(entries_path: Path, updates_path: Path, rng) -> None:
     entries = []
     updates = []
-    weights = np.array([COUNTRY_WEIGHTS.get(c, 0.05) for c in countries])
+    countries = list(COUNTRY_WEIGHTS)
+    weights = np.array(list(COUNTRY_WEIGHTS.values()))
     weights = weights / weights.sum()
     for i in range(240):
         pid = f"P{i:04d}"

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from etkasim.balances import DONOR_AGE_GROUPS, BalanceLedger
 from etkasim.common import to_days
 from etkasim.entities import (CandidateRegistration, DonorArrival,
                               StatusUpdate)
@@ -31,6 +32,37 @@ START_DAY = to_days(WINDOW_START)
 END_DAY = to_days(WINDOW_END)
 
 
+def group_sum(ledger: BalanceLedger, group: str) -> int:
+    """The national net exports of donor age group ``group``, summed over
+    the countries: zero while every transfer books one export and one
+    import."""
+    return sum(n for (_, g), n in ledger.snapshot().items() if g == group)
+
+
+def watch_conservation(monkeypatch) -> list[str]:
+    """Check every group sum after each ``BalanceLedger.record_transfer``,
+    the only way a ledger changes, for the rest of the test.  Returns the
+    list the failures are appended to."""
+    failures: list[str] = []
+    record_transfer = BalanceLedger.record_transfer
+
+    def checked(ledger, event):
+        record_transfer(ledger, event)
+        for group in DONOR_AGE_GROUPS:
+            total = group_sum(ledger, group)
+            if total != 0:
+                failures.append(f"ledger sum {total} != 0 in group {group}")
+
+    monkeypatch.setattr(BalanceLedger, "record_transfer", checked)
+    return failures
+
+
+def traced(state):
+    """``state`` with an empty offer-trace sink attached."""
+    state.offer_trace = []
+    return state
+
+
 def constant_logistic(p: float, model_id: str) -> LogisticModel:
     if p <= 0.0:
         lp = -745.0
@@ -46,7 +78,8 @@ def flat_cox(mean_offers: int = 20) -> CoxSampler:
     rate = 1.0 / mean_offers
     s0 = tuple(float(np.exp(-rate * k)) for k in ks)
     base = StepSurvival(ks=ks, s0=s0)
-    return CoxSampler({}, {"ETKAS:default": base, "ESP": base})
+    return CoxSampler({}, {"ETKAS:default": base, "ESP": base},
+                      model_id="max_offers")
 
 
 def no_relist_curves() -> RelistCurveSet:

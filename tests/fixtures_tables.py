@@ -71,7 +71,7 @@ def build_antigen_table() -> AntigenTable:
         rows.append(Antigen(code=code, locus="B", broad=code))
     for code in DR_CODES:
         rows.append(Antigen(code=code, locus="DR", broad=code))
-    return AntigenTable(rows)
+    return AntigenTable(rows, path=None)
 
 
 def build_frequency_table() -> FrequencyTable:
@@ -79,7 +79,7 @@ def build_frequency_table() -> FrequencyTable:
         "A": {c: 1.0 / 8 for c in A_CODES},
         "B": {c: 1.0 / 8 for c in B_CODES},
         "DR": {c: 1.0 / 8 for c in DR_CODES},
-    })
+    }, path=None)
 
 
 def build_centers() -> CenterRegistry:
@@ -130,7 +130,7 @@ def build_panel(table: AntigenTable) -> DonorPanel:
                 break
         typings.append(HlaTyping({"A": tuple(a), "B": ("B5", "B7"),
                                   "DR": ("DR1", "DR4")}))
-    return DonorPanel(typings)
+    return DonorPanel(typings, path=None)
 
 
 def stripes_for(k: int) -> frozenset[str]:

@@ -289,6 +289,17 @@ def _zero_frequencies(locus: str):
                            for x in lines], None)
 
 
+def _setting(key: str, value):
+    """Set a top-level key of the settings file."""
+    def mutate(root: Path, cid: str) -> str:
+        settings_path = root / "settings.yaml"
+        doc = yaml.safe_load(settings_path.read_text())
+        doc[key] = value
+        settings_path.write_text(yaml.safe_dump(doc))
+        return "settings.yaml: "
+    return mutate
+
+
 def _header_only_panel(root: Path, cid: str) -> str:
     path = root / "panel.csv"
     path.write_text(path.read_text().splitlines()[0] + "\n")
@@ -412,6 +423,20 @@ MALFORMED = [
                              _zero_frequencies("DR")),
                  "locus DR: frequencies sum to 0.0",
                  id="hla-frequencies-zero-sum"),
+    pytest.param(_setting("unplaced_mode", "panic"),
+                 "unplaced_mode must be 'discard' or 'force', got 'panic'",
+                 id="settings-unplaced-mode"),
+    pytest.param(_setting("seed", "abc"),
+                 "seed must be an integer, got 'abc'", id="settings-seed"),
+    pytest.param(_setting("seeds", [1, "abc"]),
+                 "seeds must be a list of integers, got [1, 'abc']",
+                 id="settings-seeds"),
+    pytest.param(_setting("de_novo_immunization_p", 1.5),
+                 "de_novo_immunization_p must be a probability between 0 "
+                 "and 1, got 1.5", id="settings-immunization-p"),
+    pytest.param(_setting("write_trace", "no"),
+                 "write_trace must be true or false, got 'no'",
+                 id="settings-write-trace"),
 ]
 
 

@@ -210,16 +210,13 @@ class ReferenceLists:
             **{f"comp_{name}": column((getattr(r.points, name)
                                        for r in recs), np.float64)
                for name in POINT_COMPONENTS},
-            filter_fraction=column((r.age_filter_fraction for r in recs),
-                                   np.float64),
             age=column((candidate_age(by_id[r.candidate_id], now_day)
                         for r in recs), np.int32))
 
 
 EXACT_COLUMNS = ("filtered", "tier", "mm_a", "mm_b", "mm_dr", "geo_idx",
                  "dial_days", "age")
-POINT_COLUMNS = ("total", "filter_fraction",
-                 *(f"comp_{name}" for name in POINT_COMPONENTS))
+POINT_COLUMNS = ("total", *(f"comp_{name}" for name in POINT_COMPONENTS))
 
 
 def _logged(build_lists, log: list):

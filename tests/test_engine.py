@@ -15,7 +15,8 @@ from etkasim.engine import (ArrayOffers, initialize, run,
                             store_unacceptables, verify_replay)
 from etkasim.entities import StatusUpdate, expand_mm_patterns, parse_profile
 from etkasim.fastmatch import _COLUMNS, build_match_arrays
-from etkasim.offering import AcceptanceModels, run_allocation
+from etkasim.offering import (AcceptanceModels, donor_features,
+                              run_allocation)
 from etkasim.posttransplant import PoolEntry, RelistingPool
 from etkasim import posttransplant, reporting
 
@@ -23,8 +24,8 @@ from engine_fixture import (END_DAY, START_DAY, WINDOW_END, WINDOW_START,
                             always_relist_curves, candidate,
                             constant_logistic, donor, fresh_screenings,
                             make_inputs, quick_failure_weibull,
-                            screening_days,
-                            terminal_updates)
+                            screening_days, terminal_updates, traced,
+                            watch_conservation)
 from oracle.offering import OfferRecord, SequenceOffers
 
 
@@ -288,7 +289,7 @@ class TestConservation:
                              unplaced_mode=unplaced,
                              weibull=quick_failure_weibull(200.0),
                              curves=always_relist_curves(0.5))
-        return run(initialize(inputs, seed=seed, check_invariants=True))
+        return run(initialize(inputs, seed=seed))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_kidney_accounting_discard_mode(self, seed):
@@ -298,9 +299,10 @@ class TestConservation:
                 == c["kidneys.available"])
 
     @pytest.mark.parametrize("seed", [4, 5])
-    def test_ledger_conservation_every_event(self, seed):
-        output = self._run(seed)
-        assert output.invariant_failures == []
+    def test_ledger_conservation_every_event(self, seed, monkeypatch):
+        failures = watch_conservation(monkeypatch)
+        self._run(seed)
+        assert failures == []
 
     @pytest.mark.parametrize("seed", [1, 6])
     def test_replay_reproduces_final_state(self, seed):
@@ -563,11 +565,11 @@ class TestDeterminism:
 
     def test_same_seed_bit_identical(self):
         inputs = self._inputs()
-        out1 = run(initialize(inputs, seed=11, collect_trace=True))
-        out2 = run(initialize(inputs, seed=11, collect_trace=True))
+        out1, out2 = (run(traced(initialize(inputs, seed=11)))
+                      for _ in range(2))
         assert out1.event_log == out2.event_log
         assert out1.final_states == out2.final_states
-        assert out1.offer_traces == out2.offer_traces
+        assert out1.offer_trace == out2.offer_trace
         assert ([t.__dict__ for t in out1.transplants]
                 == [t.__dict__ for t in out2.transplants])
 
@@ -727,31 +729,36 @@ class TestArrayOffers:
         models = AcceptanceModels(center=constant_logistic(0.6, "center"),
                                   patient=constant_logistic(0.5, "patient"),
                                   dual=constant_logistic(0.5, "dual"))
-        outcomes = [
-            run_allocation(offers, arrival, 3, models,
-                           np.random.default_rng(seed), unplaced_mode=mode,
-                           collect_trace=True)
-            for offers in (ArrayOffers(state.store, arrays, probs),
-                           SequenceOffers(records, models.patient))]
+        outcomes = []
+        for offers in (ArrayOffers(state.store, arrays, probs),
+                       SequenceOffers(records, models.patient)):
+            trace: list[tuple] = []
+            outcome = run_allocation(offers, arrival, 3, models,
+                                     np.random.default_rng(seed), mode,
+                                     lambda center: {},
+                                     donor_features(arrival), trace)
+            outcomes.append((outcome, trace))
         return outcomes
 
     @staticmethod
-    def _assert_same(a, s):
+    def _assert_same(walks):
+        """The outcome and trace of the array walk, once they are found
+        equal to the record walk's."""
+        (a, a_trace), (s, s_trace) = walks
         assert a.acceptances == s.acceptances
-        assert a.trace == s.trace
+        assert a_trace == s_trace
         assert a.unplaced == s.unplaced
+        return a, a_trace
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_non_standard_phase(self, seed):
-        a, s = self._walk_both(seed, "discard", 0.15)
-        self._assert_same(a, s)
+        a, _ = self._assert_same(self._walk_both(seed, "discard", 0.15))
         assert any(acc.mechanism == "non_standard" and not acc.forced
                    for acc in a.acceptances)
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_force_mode(self, seed):
-        a, s = self._walk_both(seed, "force", 0.002)
-        self._assert_same(a, s)
+        a, trace = self._assert_same(self._walk_both(seed, "force", 0.002))
         assert any(acc.forced for acc in a.acceptances)
-        assert any(e.stage == "non_standard" and e.decision == "decline"
-                   for e in a.trace)
+        assert any(stage == "non_standard" and decision == "decline"
+                   for _, _, _, stage, decision, _ in trace)

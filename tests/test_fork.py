@@ -20,17 +20,19 @@ from etkasim.fastmatch import _COLUMNS
 from etkasim.io import load_inputs, load_settings
 from etkasim.synthetic import generate_population
 
+from engine_fixture import traced
+
 START, END = date(2021, 4, 1), date(2022, 4, 1)
 SEEDS = [3, 4, 3, 5]
 
 # What a fork shares with its template: what no run writes (the inputs, the
 # lookups and bit layouts derived from them, the donor memo and the initial
 # snapshots) and immutable scalars.  Everything else must be copied, so an
-# attribute added later has to be placed in one group or the other.
+# attribute added later has to be placed in one group or the other.  The
+# outputs, the offer-trace sink among them, start anew in every fork.
 SHARED_BY_STATE = {
     "inputs", "policy", "hla_index", "donor_memo", "init_statuses",
-    "init_ledger", "start_days", "end_days", "check_invariants",
-    "collect_trace", "_seq"}
+    "init_ledger", "start_days", "end_days", "_seq"}
 SHARED_BY_STORE = {
     "hla_index", "centers", "panel", "freq_table", "bg_freqs", "policy",
     "countries", "country_of", "regions", "region_of", "subregion_of",
@@ -143,11 +145,24 @@ def _shared(template, fork) -> set[str]:
 
 
 def test_a_fork_shares_only_what_runs_do_not_write(inputs):
-    template = initialize(inputs)
+    template = traced(initialize(inputs))
     fork = template.fork(1)
     assert _shared(template, fork) == SHARED_BY_STATE
     assert _shared(template.store, fork.store) == SHARED_BY_STORE
     assert _shared(template.ledger, fork.ledger) == SHARED_BY_LEDGER
+
+
+def test_a_fork_of_a_traced_template_traces_into_its_own_list(inputs):
+    template = traced(initialize(inputs))
+    template.offer_trace.append(("template",))
+    fork = template.fork(3)
+    assert fork.offer_trace == []
+    output = run(fork)
+    assert output.offer_trace
+    assert template.offer_trace == [("template",)]
+    assert output.offer_trace == run(
+        traced(initialize(inputs, seed=3))).offer_trace
+    assert initialize(inputs).fork(3).offer_trace is None
 
 
 def test_writes_to_a_fork_stay_in_the_fork(inputs):

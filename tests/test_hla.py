@@ -106,23 +106,23 @@ class TestHomozygosity:
 
 class TestVpra:
     def test_empty_set_is_zero(self, table):
-        panel = DonorPanel([typing(["A1"], ["B5"], ["DR1"])] * 5)
+        panel = DonorPanel([typing(["A1"], ["B5"], ["DR1"])] * 5, path=None)
         assert compute_vpra(frozenset(), panel, table) == 0.0
 
     def test_saturation_is_one(self, table):
         panel = DonorPanel([typing(["A1"], ["B5"], ["DR1"]),
-                            typing(["A2"], ["B7"], ["DR4"])])
+                            typing(["A2"], ["B7"], ["DR4"])], path=None)
         assert compute_vpra(frozenset({"A1", "A2"}), panel, table) == 1.0
 
     def test_toy_panel_fraction(self, table):
         rows = [typing(["A1", "A2"], ["B5"], ["DR1"])] * 37
         rows += [typing(["A3", "A9"], ["B5"], ["DR1"])] * 63
-        panel = DonorPanel(rows)
+        panel = DonorPanel(rows, path=None)
         assert compute_vpra(frozenset({"A1"}), panel,
                             table) == pytest.approx(0.37)
 
     def test_broad_unacceptable_blocks_split_typed_donor(self, table):
-        panel = DonorPanel([typing(["A23", "A2"], ["B5"], ["DR1"])])
+        panel = DonorPanel([typing(["A23", "A2"], ["B5"], ["DR1"])], path=None)
         assert compute_vpra(frozenset({"A9"}), panel, table) == 1.0
 
     def test_brute_force_equality_on_random_panels(self, table):
@@ -136,7 +136,7 @@ class TestVpra:
         for trial in range(20):
             rows = [typing(rng.choice(codes["A"], 2), rng.choice(codes["B"], 2),
                            rng.choice(codes["DR"], 2)) for _ in range(200)]
-            panel = DonorPanel(rows)
+            panel = DonorPanel(rows, path=None)
             for _ in range(50):
                 n = int(rng.integers(0, 6))
                 unacc = frozenset(
@@ -161,7 +161,7 @@ class TestVpra:
                        rng.choice(["B5", "B7", "B8"], 2),
                        rng.choice(["DR1", "DR4", "DR7"], 2))
                 for _ in range(60)]
-        panel = DonorPanel(rows)
+        panel = DonorPanel(rows, path=None)
         smaller = compute_vpra(frozenset(base), panel, table)
         larger = compute_vpra(frozenset(base) | {extra}, panel, table)
         assert larger >= smaller
@@ -170,13 +170,13 @@ class TestVpra:
 class TestPLeq1mm:
     def test_panel_of_clones_gives_one(self, table):
         cand = typing(["A1", "A2"], ["B5", "B7"], ["DR1", "DR4"])
-        panel = DonorPanel([cand] * 40)
+        panel = DonorPanel([cand] * 40, path=None)
         assert p_leq1mm_empirical(table, cand, frozenset(), panel) == 1.0
 
     def test_all_far_panel_gives_zero(self, table):
         cand = typing(["A1", "A2"], ["B5", "B7"], ["DR1", "DR4"])
         far = typing(["A3", "A9"], ["B8", "B12"], ["DR7", "DR8"])
-        panel = DonorPanel([far] * 40)
+        panel = DonorPanel([far] * 40, path=None)
         assert p_leq1mm_empirical(table, cand, frozenset(), panel) == 0.0
 
     def test_fifty_donor_recount_oracle(self, table):
@@ -189,7 +189,7 @@ class TestPLeq1mm:
         cand = typing(["A1", "A2"], ["B5", "B7"], ["DR1", "DR4"])
         rows = [typing(rng.choice(codes["A"], 2), rng.choice(codes["B"], 2),
                        rng.choice(codes["DR"], 2)) for _ in range(50)]
-        panel = DonorPanel(rows)
+        panel = DonorPanel(rows, path=None)
         expected = sum(
             1 for t in rows
             if count_mismatches(table, t, cand).total <= 1) / 50
@@ -203,7 +203,7 @@ class TestPLeq1mm:
                        rng.choice(["B5", "B7", "B8"], 2),
                        rng.choice(["DR1", "DR4", "DR7"], 2))
                 for _ in range(80)]
-        panel = DonorPanel(rows)
+        panel = DonorPanel(rows, path=None)
         for _ in range(20):
             unacc = frozenset(
                 str(c) for c in rng.choice(codes, int(rng.integers(0, 4)),
@@ -221,7 +221,7 @@ class TestPAnalytic:
             "A": {"A1": 0.5, "A2": 0.5},
             "B": {"B5": 0.5, "B7": 0.5},
             "DR": {"DR1": 0.5, "DR4": 0.5},
-        })
+        }, path=None)
         assert p_leq1mm_analytic(table, cand, freq) == pytest.approx(1.0)
 
     def _enumeration_oracle(self, table, cand, freq):
@@ -254,7 +254,7 @@ class TestPAnalytic:
             freq = FrequencyTable({
                 locus: {c: float(w) for c, w in
                         zip(cs, rng.dirichlet(np.ones(len(cs))))}
-                for locus, cs in codes.items()})
+                for locus, cs in codes.items()}, path=None)
             cand = typing(rng.choice(codes["A"], 2), rng.choice(codes["B"], 2),
                           rng.choice(codes["DR"], 2))
             got = p_leq1mm_analytic(table, cand, freq)
@@ -267,7 +267,7 @@ class TestPAnalytic:
             "A": {"A1": 0.0, "A2": 0.5, "A3": 0.5},
             "B": {"B5": 0.0, "B7": 0.5, "B8": 0.5},
             "DR": {"DR1": 0.0, "DR4": 0.5, "DR7": 0.5},
-        })
+        }, path=None)
         got = p_leq1mm_analytic(table, cand, freq)
         want = self._enumeration_oracle(table, cand, freq)
         assert got == pytest.approx(want, abs=1e-12)
@@ -279,7 +279,7 @@ class TestPAnalytic:
             "A": {"A1": 1.0},
             "B": {"B5": 0.5, "B7": 0.5},
             "DR": {"DR1": 0.5, "DR4": 0.5},
-        })
+        }, path=None)
         with pytest.raises(Exception, match="A2"):
             p_leq1mm_analytic(table, cand, freq)
 

@@ -199,7 +199,7 @@ def test_frequency_check_raises_at_each_offending_row(inputs):
                  & r.hla.normalized(inputs.antigen_table, "A"))
     index = HlaIndex(inputs.antigen_table)
     for _ in range(2):  # a second store sharing the index checks again
-        store = _store(inputs, index, FrequencyTable(freqs))
+        store = _store(inputs, index, FrequencyTable(freqs, path=None))
         store.add(other)
         for n in range(2):
             with pytest.raises(InputError,

@@ -12,7 +12,8 @@ import pytest
 
 from etkasim import common
 from etkasim.common import (InputError, csv_blocks, from_days, iso_day_rows,
-                            parse_bool, parse_date, read_csv_header, to_days)
+                            parse_bool, parse_day, read_csv_header,
+                            to_days)
 from etkasim.entities import (CandidateRegistration, DonorArrival,
                               StatusUpdate, expand_mm_patterns, parse_profile)
 from etkasim.hla import AntigenTable, HlaTyping
@@ -139,38 +140,36 @@ def _registration_reference(path, table):
                     country=row["country"].strip(),
                     center=row["center"].strip(),
                     blood_group=row["bg"].strip(),
-                    birth_day=_day(row["dob"], path, line),
-                    registration_day=_day(row["registration_date"], path,
-                                          line),
+                    birth_day=parse_day(row["dob"]),
+                    registration_day=parse_day(row["registration_date"]),
                     hla=hla,
                     unacceptables=_known_unacceptables(
-                        table, row.get("unacceptables", ""), path, line),
+                        table, row.get("unacceptables", "")),
                     dialysis_start_day=(
-                        _day(row["dialysis_start"], path, line)
+                        parse_day(row["dialysis_start"])
                         if row.get("dialysis_start", "").strip() else None),
-                    prior_transplant=parse_bool(row.get("prior_tx", "0"),
-                                                path, line),
+                    prior_transplant=parse_bool(row.get("prior_tx", "0")),
                     previous_transplant_day=(
-                        _day(row["prev_tx_date"], path, line)
+                        parse_day(row["prev_tx_date"])
                         if row.get("prev_tx_date", "").strip() else None),
                     last_screening_day=(
-                        _day(row["screening_date"], path, line)
+                        parse_day(row["screening_date"])
                         if row.get("screening_date", "").strip() else None),
                     initial_urgency=(row.get("urgency", "").strip() or "NT"),
-                    profile=parse_profile(row.get("profile", ""), path,
-                                          line),
+                    profile=parse_profile(row.get("profile", "")),
                     mm_criteria=expand_mm_patterns(
-                        row.get("mm_criteria", ""), path, line),
-                    am_program=parse_bool(row.get("am", "0"), path, line),
-                    kaoo=parse_bool(row.get("kaoo", "0"), path, line),
+                        row.get("mm_criteria", "")),
+                    am_program=parse_bool(row.get("am", "0")),
+                    kaoo=parse_bool(row.get("kaoo", "0")),
                     esp_extended_opt_in=parse_bool(
-                        row.get("esp_opt_in", "0"), path, line),
+                        row.get("esp_opt_in", "0")),
                     german_program_choice=(
                         row.get("program_choice", "").strip() or None),
                 ))
             except (KeyError, ValueError) as exc:
+                # the parsers name no file; the reader adds it and the line
                 if isinstance(exc, InputError):
-                    raise
+                    raise InputError(str(exc), path, line) from None
                 raise InputError(f"malformed registration: {exc}", path,
                                  line)
     except InputError as exc:
@@ -179,12 +178,16 @@ def _registration_reference(path, table):
 
 
 def _day(text, path, line):
-    return to_days(parse_date(text, path, line))
+    """``parse_day``, with its error at ``path``:``line``."""
+    try:
+        return parse_day(text)
+    except InputError as exc:
+        raise InputError(str(exc), path, line) from None
 
 
-def _known_unacceptables(table, text, path, line):
+def _known_unacceptables(table, text):
     codes = frozenset(text.split())
-    table.check_unacceptables(codes, path, line)
+    table.check_unacceptables(codes)
     return codes
 
 
@@ -935,7 +938,7 @@ def _donor_reference(path, table):
                 hla.validate(table)
                 donors.append(DonorArrival(
                     id=row["id"].strip(),
-                    report_day=_day(row["report_date"], path, line),
+                    report_day=parse_day(row["report_date"]),
                     age=int(row["age"]),
                     blood_group=row["bg"].strip(),
                     country=row["country"].strip(),
@@ -943,27 +946,22 @@ def _donor_reference(path, table):
                     hla=hla,
                     death_cause=(row.get("death_cause", "").strip()
                                  or "other"),
-                    dcd=parse_bool(row.get("dcd", "0"), path, line),
+                    dcd=parse_bool(row.get("dcd", "0")),
                     last_creatinine=float(row.get("creatinine", "1.0")
                                           or 1.0),
-                    diabetes=parse_bool(row.get("diabetes", "0"), path, line),
-                    smoking=parse_bool(row.get("smoking", "0"), path, line),
-                    proteinuria=parse_bool(row.get("proteinuria", "0"), path,
-                                           line),
-                    hypertension=parse_bool(row.get("hypertension", "0"),
-                                            path, line),
-                    malignancy=parse_bool(row.get("malignancy", "0"), path,
-                                          line),
-                    hcv_positive=parse_bool(row.get("hcv", "0"), path, line),
-                    hbsag_positive=parse_bool(row.get("hbs", "0"), path,
-                                              line),
-                    extended_criteria=parse_bool(row.get("extended", "0"),
-                                                 path, line),
+                    diabetes=parse_bool(row.get("diabetes", "0")),
+                    smoking=parse_bool(row.get("smoking", "0")),
+                    proteinuria=parse_bool(row.get("proteinuria", "0")),
+                    hypertension=parse_bool(row.get("hypertension", "0")),
+                    malignancy=parse_bool(row.get("malignancy", "0")),
+                    hcv_positive=parse_bool(row.get("hcv", "0")),
+                    hbsag_positive=parse_bool(row.get("hbs", "0")),
+                    extended_criteria=parse_bool(row.get("extended", "0")),
                     kidneys_available=int(row.get("kidneys", "2") or 2),
                 ))
             except (KeyError, ValueError) as exc:
                 if isinstance(exc, InputError):
-                    raise
+                    raise InputError(str(exc), path, line) from None
                 raise InputError(f"malformed donor: {exc}", path, line)
     except InputError as exc:
         return str(exc)
@@ -1189,6 +1187,14 @@ class TestSettings:
                         "sede: 5\n")
         with pytest.raises(InputError, match="sede"):
             load_settings(path)
+
+    def test_bad_unplaced_mode(self, tmp_path):
+        path = tmp_path / "settings.yaml"
+        path.write_text("window: {start: 2021-04-01, end: 2024-01-01}\n"
+                        "unplaced_mode: panic\n")
+        with pytest.raises(InputError, match="unplaced_mode must be") as exc:
+            load_settings(path)
+        assert exc.value.path == str(path)
 
     def test_unknown_path_key_rejected(self, tmp_path):
         path = tmp_path / "settings.yaml"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -66,10 +67,32 @@ def models(center_p=1.0, patient_p=1.0, dual=None):
                             dual=dual)
 
 
-def run_allocation(records, donor, k_max, models, rng, **kwargs):
-    """``offering.run_allocation`` over a list of OfferRecord."""
-    return offering.run_allocation(SequenceOffers(records, models.patient),
-                                   donor, k_max, models, rng, **kwargs)
+class Offer(NamedTuple):
+    """One row of the offer trace."""
+    donor_id: str
+    candidate_id: str
+    center: str
+    stage: str
+    decision: str
+    probability: float | None
+
+
+class Walk(NamedTuple):
+    acceptances: list
+    unplaced: int
+    trace: list[Offer]
+
+
+def run_allocation(records, donor, k_max, models, rng,
+                   unplaced_mode="discard") -> Walk:
+    """``offering.run_allocation`` over a list of OfferRecord, with
+    intercept-only center models, and the offer trace it writes."""
+    trace: list[tuple] = []
+    outcome = offering.run_allocation(
+        SequenceOffers(records, models.patient), donor, k_max, models, rng,
+        unplaced_mode, lambda center: {}, donor_features(donor), trace)
+    return Walk(outcome.acceptances, outcome.unplaced,
+                [Offer(*entry) for entry in trace])
 
 
 def record(i, center="C1", filtered=True, same_region=True,
@@ -160,7 +183,8 @@ class TestCoxSampler:
         s0 = s0 or StepSurvival(ks=tuple(range(1, 41)),
                                 s0=tuple(np.exp(-0.1 * k)
                                          for k in range(1, 41)))
-        return CoxSampler(coefs or {}, {"ETKAS:BE": s0, "ESP": s0})
+        return CoxSampler(coefs or {}, {"ETKAS:BE": s0, "ESP": s0},
+                          model_id="max_offers")
 
     def test_unknown_stratum(self):
         sampler = self._sampler()
@@ -173,7 +197,7 @@ class TestCoxSampler:
 
     def test_step_walk_oracle(self):
         s0 = StepSurvival(ks=(1, 2, 3), s0=(0.8, 0.5, 0.2))
-        sampler = CoxSampler({}, {"ETKAS:BE": s0})
+        sampler = CoxSampler({}, {"ETKAS:BE": s0}, model_id="max_offers")
         # u above S(1): k=1; between S(2) and S(1): k=2; below S(3): None
         assert sampler.sample("ETKAS", "BE", {}, FixedRng([0.9])) == 1
         assert sampler.sample("ETKAS", "BE", {}, FixedRng([0.8])) == 1
@@ -184,7 +208,8 @@ class TestCoxSampler:
     def test_lp_zero_matches_baseline_distribution(self):
         ks = tuple(range(1, 61))
         s0 = tuple(float(np.exp(-0.08 * k)) for k in ks)
-        sampler = CoxSampler({}, {"ESP": StepSurvival(ks=ks, s0=s0)})
+        sampler = CoxSampler({}, {"ESP": StepSurvival(ks=ks, s0=s0)},
+                             model_id="max_offers")
         rng = np.random.default_rng(99)
         draws = []
         for _ in range(10_000):
@@ -202,7 +227,8 @@ class TestCoxSampler:
         ks = tuple(range(1, 61))
         s0 = tuple(float(np.exp(-0.08 * k)) for k in ks)
         sampler = CoxSampler({"donor_extended": 1.0},
-                             {"ESP": StepSurvival(ks=ks, s0=s0)})
+                             {"ESP": StepSurvival(ks=ks, s0=s0)},
+                             model_id="max_offers")
         rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
         base = [sampler.sample("ESP", "", {"donor_extended": 0.0}, rng1)
                 or 99 for _ in range(2000)]
@@ -326,11 +352,6 @@ class TestRunAllocation:
             assert placed + out.unplaced == donor.kidneys_available
             ids = [a.candidate_id for a in out.acceptances]
             assert len(ids) == len(set(ids))
-
-    def test_bad_unplaced_mode(self):
-        with pytest.raises(ValueError):
-            run_allocation([], make_donor(1), 1, models(), FixedRng([0.5]),
-                           unplaced_mode="panic")
 
 
 class TestDual:

@@ -336,7 +336,7 @@ class TestPoolMatching:
                        [(300, 1000), (320, 1050), (500, 1400), (450, 1100),
                         (380, 1300), (340, 980), (410, 1210)])]
         prof = profile(r=360.0, t=1120.0)
-        top = mahalanobis_top_m(prof, entries, m=5)
+        top = mahalanobis_top_m(prof, entries)
         # oracle: explicit covariance and distance computation
         pts = np.array([[e.r_days, e.t_days] for e in entries])
         cov = np.cov(pts.T)
@@ -348,7 +348,7 @@ class TestPoolMatching:
         assert [e.id for e in top] == want
 
     def test_fewer_than_two_matches_uses_standardized_euclidean(self):
-        top = mahalanobis_top_m(profile(), [entry("ONLY")], m=5)
+        top = mahalanobis_top_m(profile(), [entry("ONLY")])
         assert [e.id for e in top] == ["ONLY"]
 
     def test_pool_entry_requires_terminal_status(self):

@@ -47,20 +47,20 @@ class TestBands:
 
 class TestSummarize:
     def test_single_run_collapses_to_point(self):
-        table = summarize([{"a": 5.0, "b": 2.0}])
+        table = summarize([{"a": 5.0, "b": 2.0}], actual=None)
         row = table.row("a")
         assert (row.mean, row.lo, row.hi) == (5.0, 5.0, 5.0)
 
     def test_constant_statistic_has_degenerate_band(self):
         runs = [{"a": 3.0} for _ in range(50)]
-        row = summarize(runs).row("a")
+        row = summarize(runs, actual=None).row("a")
         assert (row.lo, row.hi) == (3.0, 3.0)
 
     def test_percentiles_match_sort_based_oracle(self):
         rng = np.random.default_rng(0)
         values = list(rng.normal(100, 15, size=200))
         runs = [{"x": v} for v in values]
-        row = summarize(runs).row("x")
+        row = summarize(runs, actual=None).row("x")
 
         def sort_percentile(vals, q):
             # linear interpolation between order statistics
@@ -83,12 +83,12 @@ class TestSummarize:
         assert table.row("a").calibrated is False
 
     def test_missing_keys_read_as_zero(self):
-        table = summarize([{"a": 2.0}, {}])
+        table = summarize([{"a": 2.0}, {}], actual=None)
         assert table.row("a").mean == 1.0
 
     def test_requires_runs(self):
         with pytest.raises(ValueError):
-            summarize([])
+            summarize([], actual=None)
 
 
 def _runs(n: int):
