@@ -306,9 +306,11 @@ def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
             if donor.center not in inputs.centers:
                 raise InputError(f"donor {donor.id!r}: unknown center code "
                                  f"{donor.center!r}")
-            if donor.country not in store.country_of:
-                raise InputError(f"donor {donor.id!r}: unknown country "
-                                 f"{donor.country!r}")
+            country = inputs.centers.get(donor.center).country
+            if donor.country != country:
+                raise InputError(f"donor {donor.id!r}: country "
+                                 f"{donor.country!r} is not the country of "
+                                 f"its center {donor.center!r} ({country})")
             state.schedule(donor.report_day, PRIO_DONOR, "donor", i)
 
     store.finalize_derived_values()

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .common import InputError, parse_day, read_table, text_or
 from .hla import BLOOD_GROUPS, HlaTyping
@@ -181,24 +180,20 @@ class CandidateRegistration:
                              f"{self.german_program_choice!r}")
 
 
-# status file kinds: URG urgency change, PRF allocation profile, UNA
-# unacceptable antigens, MMC HLA mismatch criteria, SCR antibody screening
-# (loaded as screening days, not as a StatusUpdate), DIA dialysis start, CHO
-# program choice / ESP extended-allocation opt-in.
-UPDATE_KINDS = ("URG", "PRF", "UNA", "MMC", "SCR", "DIA", "CHO")
 ETKAS, ESP = "ETKAS", "ESP"  # the two allocation programs
 GERMANY = "DE"  # the one country whose candidates choose a program
 CHOICE_PAYLOADS = (ETKAS, ESP, "EXT_OPT_IN", "EXT_OPT_OUT")
 
 
-@lru_cache(maxsize=1 << 16)
 def parse_payload(kind: str, text: str):
-    """The value a status update of ``kind`` sets: an urgency code, an
-    AllocationProfile or None, a set of antigen codes (not checked against
-    a table), the disallowed mismatch patterns, a dialysis start day (since
-    1970-01-01) or None, one of CHOICE_PAYLOADS.  Raises InputError, without
-    a location, if ``text`` is malformed.  Each distinct pair is parsed once
-    per process.
+    """The value a status update of ``kind`` sets: an urgency code (URG),
+    an AllocationProfile or None (PRF), a set of unacceptable antigen codes,
+    not checked against a table (UNA), the disallowed mismatch patterns
+    (MMC), a dialysis start day (since 1970-01-01) or None (DIA), one of
+    CHOICE_PAYLOADS (CHO: program choice or ESP extended-allocation
+    opt-in).  Raises InputError, without a location, if ``text`` is
+    malformed or ``kind`` is none of these; an ``SCR`` antibody screening
+    carries no value.
     """
     if kind == "URG":
         code = text.strip()
@@ -225,29 +220,17 @@ def parse_payload(kind: str, text: str):
     raise InputError(f"unknown update kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class StatusUpdate:
+class StatusUpdate(NamedTuple):
     """One status change of a candidate, on ``day`` (days since 1970-01-01,
-    as every event time the engine schedules).  ``SCR`` screening refreshes
-    are not status updates: they load as ``SimulationInputs.screenings``."""
+    as every event time the engine schedules): ``value`` is what
+    ``parse_payload(kind, ...)`` gives.  ``SCR`` screening refreshes are not
+    status updates: they load as ``SimulationInputs.screenings``, and
+    ``CandidateStore.apply_update`` rejects them, as any other kind."""
 
     candidate_id: str
     day: int
     kind: str
-    payload: str = ""
-
-    def __post_init__(self):
-        if self.kind not in UPDATE_KINDS:
-            raise ValueError(f"unknown update kind {self.kind!r}")
-        if self.kind == "SCR":
-            raise ValueError("SCR screening refreshes are screenings, not "
-                             "status updates")
-
-    @property
-    def value(self):
-        """The parsed payload: ``parse_payload``, which parses each distinct
-        pair once (``io.load_status_updates`` checks every one on load)."""
-        return parse_payload(self.kind, self.payload)
+    value: object
 
     @property
     def ends_spell(self) -> bool:

@@ -270,7 +270,7 @@ class CandidateStore:
     GROW = 256
 
     def __init__(self, hla_index: HlaIndex, centers: CenterRegistry,
-                 panel: DonorPanel | None, freq_table: FrequencyTable | None,
+                 panel: DonorPanel, freq_table: FrequencyTable,
                  bg_freqs: BloodGroupFrequencies, policy: PolicyConfig):
         self.hla_index = hla_index
         self.centers = centers
@@ -298,27 +298,22 @@ class CandidateStore:
         # regional tie-break reads from the ledger
         self.austrian_regions: set[int] = set()
 
-        if panel is not None:
-            self._panel_carriers = _carriers(hla_index.words.unpack(
-                [hla_index.carried(t) for t in panel]))
-            self._panel_locus_bits = {}
-            for locus in ("A", "B", "DR"):
-                bits = [hla_index.locus(locus, t.antigens[locus]).bits
-                        for t in panel]
-                self._panel_locus_bits[locus] = (
-                    np.array([b[0] for b in bits], dtype=np.uint64),
-                    np.array([b[-1] for b in bits], dtype=np.uint64))
-        else:
-            self._panel_carriers = None
+        self._panel_carriers = _carriers(hla_index.words.unpack(
+            [hla_index.carried(t) for t in panel]))
+        self._panel_locus_bits = {}
+        for locus in ("A", "B", "DR"):
+            bits = [hla_index.locus(locus, t.antigens[locus]).bits
+                    for t in panel]
+            self._panel_locus_bits[locus] = (
+                np.array([b[0] for b in bits], dtype=np.uint64),
+                np.array([b[-1] for b in bits], dtype=np.uint64))
 
-        self._freq_bits = None
         # (locus, raw codes) of candidate loci already checked against the
         # frequency table
         self._freq_checked: set[tuple[str, tuple[str, ...]]] = set()
-        if freq_table is not None:
-            self._freq_bits = {
-                locus: _freq_by_bit(hla_index.bits[locus], freq_table.locus(locus))
-                for locus in ("A", "B", "DR")}
+        self._freq_bits = {
+            locus: _freq_by_bit(hla_index.bits[locus], freq_table.locus(locus))
+            for locus in ("A", "B", "DR")}
 
         self._alloc(1024)
 
@@ -371,9 +366,10 @@ class CandidateStore:
         self.row_of[reg.id] = row
 
         center = self.centers.get(reg.center)
-        if reg.country not in self.country_of:
-            raise InputError(f"registration {reg.id!r}: unknown country "
-                             f"{reg.country!r}")
+        if reg.country != center.country:
+            raise InputError(f"registration {reg.id!r}: country "
+                             f"{reg.country!r} is not the country of its "
+                             f"center {reg.center!r} ({center.country})")
         code = initial_status if initial_status is not None else reg.initial_urgency
         self.status[row] = PRE if code == "PRE" else STATUS_CODES[code]
         self.bg[row] = BG_CODES[reg.blood_group]
@@ -414,18 +410,17 @@ class CandidateStore:
         self.homo_level[row] = a.homozygous + b.homozygous + dr.homozygous
         self.homo_b[row] = b.homozygous
         self.homo_dr[row] = dr.homozygous
-        if self.freq_table is not None:
-            for locus, entry in zip(("A", "B", "DR"), (a, b, dr)):
-                key = (locus, antigens[locus])
-                if key in self._freq_checked:
-                    continue
-                dist = self.freq_table.locus(locus)
-                for code in entry.normalized:
-                    if code not in dist:
-                        raise InputError(
-                            f"candidate antigen {code!r} missing from "
-                            f"frequency table at locus {locus}")
-                self._freq_checked.add(key)
+        for locus, entry in zip(("A", "B", "DR"), (a, b, dr)):
+            key = (locus, antigens[locus])
+            if key in self._freq_checked:
+                continue
+            dist = self.freq_table.locus(locus)
+            for code in entry.normalized:
+                if code not in dist:
+                    raise InputError(
+                        f"candidate antigen {code!r} missing from "
+                        f"frequency table at locus {locus}")
+            self._freq_checked.add(key)
 
     def _p1mm_batch(self, rows: np.ndarray) -> None:
         shifts = np.arange(64, dtype=np.uint64)[None, :]
@@ -474,24 +469,22 @@ class CandidateStore:
             return
         rows = np.array(sorted(self._pending), dtype=np.int64)
         self._pending.clear()
-        if self._freq_bits is not None:
-            with_hla = rows[self.hla_known[rows]]
-            for lo in range(0, len(with_hla), _DERIVE_CHUNK):
-                self._p1mm_batch(with_hla[lo:lo + _DERIVE_CHUNK])
-        if self._panel_carriers is not None:
-            has_unacc = self.unacc[rows].any(axis=1)
-            # a runtime update can empty the set of unacceptables
-            self.vpra[rows[~has_unacc]] = 0.0
-            need = rows[has_unacc]
-            for lo in range(0, len(need), _DERIVE_CHUNK):
-                sub = need[lo:lo + _DERIVE_CHUNK]
-                # per row, the OR of its unacceptable codes' carrier sets
-                pair_row, code = np.nonzero(_bits(self.unacc[sub]))
-                starts = np.searchsorted(pair_row, np.arange(len(sub)))
-                hits = np.bitwise_or.reduceat(self._panel_carriers[code],
-                                              starts, axis=0)
-                self.vpra[sub] = (_BIT_COUNT[hits.view(np.uint8)].sum(axis=1)
-                                  / len(self.panel))
+        with_hla = rows[self.hla_known[rows]]
+        for lo in range(0, len(with_hla), _DERIVE_CHUNK):
+            self._p1mm_batch(with_hla[lo:lo + _DERIVE_CHUNK])
+        has_unacc = self.unacc[rows].any(axis=1)
+        # a runtime update can empty the set of unacceptables
+        self.vpra[rows[~has_unacc]] = 0.0
+        need = rows[has_unacc]
+        for lo in range(0, len(need), _DERIVE_CHUNK):
+            sub = need[lo:lo + _DERIVE_CHUNK]
+            # per row, the OR of its unacceptable codes' carrier sets
+            pair_row, code = np.nonzero(_bits(self.unacc[sub]))
+            starts = np.searchsorted(pair_row, np.arange(len(sub)))
+            hits = np.bitwise_or.reduceat(self._panel_carriers[code],
+                                          starts, axis=0)
+            self.vpra[sub] = (_BIT_COUNT[hits.view(np.uint8)].sum(axis=1)
+                              / len(self.panel))
         cfg = self.policy
         if cfg.sliding_scale.enabled:
             for row in rows.tolist():
@@ -510,8 +503,6 @@ class CandidateStore:
 
     def _f1mm_row(self, row: int) -> float:
         """Empirical fraction of panel donors with <= 1 ABDR mismatch."""
-        if self.panel is None:
-            return 0.0
         total = np.zeros(len(self.panel), dtype=np.int8)
         for locus, mask_arr in (("A", self.mask_a), ("B", self.mask_b),
                                 ("DR", self.mask_dr)):
@@ -524,7 +515,8 @@ class CandidateStore:
     def apply_update(self, row: int, update: StatusUpdate) -> None:
         """Write one status update's parsed ``value`` into the row.  Screening
         refreshes (``SCR``) are not updates here: the engine writes their
-        days into ``screening``."""
+        days into ``screening``.  Raises ValueError for an ``SCR`` or an
+        unknown kind."""
         kind, value = update.kind, update.value
         if kind == "URG":
             self.status[row] = STATUS_CODES[value]
@@ -541,6 +533,8 @@ class CandidateStore:
                 self.choice[row] = _CHOICES[value]
             else:
                 self.opt_in[row] = value == "EXT_OPT_IN"
+        else:
+            raise ValueError(f"{kind!r} is not a status update kind")
 
     def set_status(self, row: int, code: str) -> None:
         self.status[row] = STATUS_CODES[code] if code != "PRE" else PRE
@@ -618,8 +612,6 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
     status = store.status[:n]
     offerable = (status == T) | (status == HU)
     cand = np.flatnonzero(offerable & (store.bg[:n] == BG_CODES[donor.blood_group]))
-    if len(cand) == 0:
-        return _empty_arrays(donor, program)
 
     age = age_years(now_days, store.dob_days[cand]).astype(np.int32,
                                                        copy=False)
@@ -644,8 +636,6 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         elig &= (age >= cfg.esp_candidate_age_from) | store.opt_in[cand]
 
     rows = cand[elig]
-    if len(rows) == 0:
-        return _empty_arrays(donor, program)
     age = age[elig]
 
     # per-locus mismatches
@@ -780,17 +770,6 @@ def _break_full_ties_by_id(store, rows, order, tied, regional,
         order[lo:hi + 1] = sorted(order[lo:hi + 1].tolist(),
                                   key=lambda k: ids[rows[k]])
     return order
-
-
-def _empty_arrays(donor: DonorArrival, program: str) -> MatchArrays:
-    z = np.zeros(0)
-    zi = np.zeros(0, dtype=np.int64)
-    zb = np.zeros(0, dtype=bool)
-    return MatchArrays(
-        donor=donor, program=program, rows=zi, filtered=zb,
-        tier=np.zeros(0, dtype=np.int16), total=z, mm_a=zi, mm_b=zi,
-        mm_dr=zi, geo_idx=zi, dial_days=zi,
-        **{f"comp_{name}": z for name in POINT_COMPONENTS}, age=zi)
 
 
 def _etkas_tier_array(store, donor, cfg, rows, age, mm_total):

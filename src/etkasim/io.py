@@ -17,7 +17,7 @@ import yaml
 from .balances import BalanceEvent, read_balance_events
 from .common import (InputError, TableParser, cut_block, gc_paused,
                      iso_day_rows, parse_bool, parse_date, parse_day,
-                     read_csv_header, read_table, text_or)
+                     read_csv_header, read_table, text_or, to_days)
 from .entities import (CandidateRegistration, CenterRegistry, DonorArrival,
                        StatusUpdate, expand_mm_patterns, parse_payload,
                        parse_profile)
@@ -114,9 +114,13 @@ def load_settings(path: str | Path) -> SimulationSettings:
     p_immunized = check("de_novo_immunization_p", 0.20, lambda v: (
         isinstance(v, (int, float)) and not isinstance(v, bool)
         and 0.0 <= v <= 1.0), "a probability between 0 and 1")
+    start, end = as_date(window["start"]), as_date(window["end"])
+    if to_days(end) < to_days(start):
+        raise InputError(f"window.end {end} is before window.start {start}",
+                         path)
     return SimulationSettings(
-        window_start=as_date(window["start"]),
-        window_end=as_date(window["end"]),
+        window_start=start,
+        window_end=end,
         paths=paths,
         base_dir=path.parent,
         seed=check("seed", 1, is_int, "an integer"),
@@ -232,21 +236,22 @@ def load_status_updates(path: str | Path, table: AntigenTable
 
 
 def _status_fields(table: AntigenTable):
-    """The fields of a status row: its candidate id, day, kind and stripped
+    """The fields of a status row: its candidate id, day, kind and parsed
     payload, the fields of a StatusUpdate.  The payload of a row of another
     kind than ``SCR`` must be one ``parse_payload`` accepts, with ``UNA``
-    antigens in ``table``."""
-    def payload(texts: tuple[str, str]) -> str:
+    antigens in ``table``; an ``SCR`` row's value is None."""
+    def payload(texts: tuple[str, str]):
         kind, text = map(str.strip, texts)
-        if kind != "SCR":
-            try:
-                value = parse_payload(kind, text)
-                if kind == "UNA":
-                    table.check_unacceptables(value)
-            except InputError as exc:
-                # read_table reports it as a malformed status update
-                raise ValueError(str(exc)) from None
-        return text
+        if kind == "SCR":
+            return None
+        try:
+            value = parse_payload(kind, text)
+            if kind == "UNA":
+                table.check_unacceptables(value)
+        except InputError as exc:
+            # read_table reports it as a malformed status update
+            raise ValueError(str(exc)) from None
+        return value
 
     return (("candidate_id", None, str.strip), ("date", None, parse_day),
             ("kind", None, str.strip), (("kind", "payload"), "", payload))

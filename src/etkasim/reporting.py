@@ -128,12 +128,6 @@ class SummaryRow:
 class SummaryTable:
     rows: list[SummaryRow]
 
-    def row(self, name: str) -> SummaryRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 def percentile_bounds(values: Sequence[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)

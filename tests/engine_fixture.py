@@ -215,3 +215,12 @@ def make_inputs(regs, donors, updates=None, screenings=None,
         relist_curves=curves or no_relist_curves(),
         relist_pool=pool or default_pool(),
     )
+
+
+def summary_row(table, name: str):
+    """The row of a ``reporting.SummaryTable`` that holds statistic
+    ``name``."""
+    for row in table.rows:
+        if row.name == name:
+            return row
+    raise KeyError(name)

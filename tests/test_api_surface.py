@@ -2,7 +2,9 @@
 
 Every name ``src/etkasim`` defines at module level or in a class body must
 be referenced somewhere in the package: as a name, an attribute or a
-keyword argument.  The check goes by name only, so a reference to any
+keyword argument.  A method (a function defined in a class body) must be
+read as an attribute (``x.name``), since a local variable of the same name
+does not use it.  The check goes by name only, so a reference to any
 attribute of the same name counts.  The names below are the package's
 entry points for users and tools, which nothing inside it calls.
 
@@ -52,24 +54,28 @@ ALLOWED_PARAMS = {
 
 
 def _defined(body, owner=None):
-    """(owner class or None, name) of the definitions in ``body``."""
+    """(owner class or None, name, whether it is a method) of the
+    definitions in ``body``."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            yield owner, node.name
+            yield owner, node.name, (owner is not None
+                                     and not isinstance(node, ast.ClassDef))
             if isinstance(node, ast.ClassDef):
                 yield from _defined(node.body, node.name)
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
-                    yield owner, target.id
+                    yield owner, target.id, False
         elif (isinstance(node, ast.AnnAssign)
               and isinstance(node.target, ast.Name)):
-            yield owner, node.target.id
+            yield owner, node.target.id, False
 
 
-def _referenced(trees) -> set[str]:
-    names = set()
+def _referenced(trees) -> tuple[set[str], set[str]]:
+    """(every name read as a name, an attribute or a keyword argument, the
+    names read as attributes)."""
+    names, attributes = set(), set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx,
@@ -77,22 +83,23 @@ def _referenced(trees) -> set[str]:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and not isinstance(
                     node.ctx, ast.Store):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.keyword) and node.arg:
                 names.add(node.arg)
-    return names
+    return names | attributes, attributes
 
 
 def unreferenced(src: Path) -> list[tuple[str, str | None, str]]:
     """(module, owner class or None, name) of each name the modules of
-    ``src`` define and never reference, dunder names aside."""
+    ``src`` define and never reference, and of each method they never read
+    as an attribute, dunder names aside."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
-    referenced = _referenced(trees.values())
+    referenced, attributes = _referenced(trees.values())
     return [(module, owner, name)
             for module, tree in trees.items()
-            for owner, name in _defined(tree.body)
-            if name not in referenced
+            for owner, name, method in _defined(tree.body)
+            if name not in (attributes if method else referenced)
             and not (name.startswith("__") and name.endswith("__"))]
 
 
@@ -114,6 +121,17 @@ def test_the_scan_finds_a_name_only_tests_read(tmp_path):
         "        return self.x\n\n    def unused(self):\n"
         "        return 1\n\n\ndef main():\n    return A().used()\n")
     assert unreferenced(tmp_path) == [("mod.py", "A", "unused"),
+                                      ("mod.py", None, "main")]
+
+
+def test_the_scan_finds_a_method_read_only_as_a_local_name(tmp_path):
+    # ``row`` is read as a name, but no code reads the method ``A.row``
+    (tmp_path / "mod.py").write_text(
+        "class A:\n    def row(self):\n        return 1\n\n"
+        "    def size(self):\n        return 2\n\n\n"
+        "def main(rows):\n    for row in rows:\n        print(row)\n"
+        "    return A().size()\n")
+    assert unreferenced(tmp_path) == [("mod.py", "A", "row"),
                                       ("mod.py", None, "main")]
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import etkasim
 from etkasim.cli import main
 from etkasim.engine import initialize
-from etkasim.entities import UPDATE_KINDS
+from etkasim.entities import CenterRegistry
 from etkasim.io import data_path, load_inputs, load_settings
 from etkasim.synthetic import generate_population
 
@@ -159,6 +159,22 @@ def _duplicate_registration(root: Path, cid: str) -> None:
     row = next(line for line in path.read_text().splitlines()
                if line.startswith(cid + ","))
     _append(path, row)
+
+
+def _country_not_its_centers(name: str, what: str):
+    """Give the listed registration (``what`` "registration") or the first
+    donor (``what`` "donor") of ``name`` a known country that is not its
+    center's; the record the error names."""
+    def mutate(root: Path, cid: str) -> str:
+        key = cid if what == "registration" else None
+        with open(root / name, newline="") as fh:
+            row = next(r for r in csv.DictReader(fh)
+                       if key is None or r["id"] == key)
+        country = CenterRegistry.from_file(data_path("centers.csv")).get(
+            row["center"].strip()).country
+        _edit(root / name, key, "country", "BE" if country == "DE" else "DE")
+        return f"{what} {row['id']!r}: "
+    return mutate
 
 
 def _donor(column: str, value: str, located: bool):
@@ -307,7 +323,8 @@ def _header_only_panel(root: Path, cid: str) -> str:
 
 
 # each: how to break a copy of the fixture (returning the file:line the
-# error names, if it is found on load), and what the error says
+# error names, if it is found on load, or the record it names), and what
+# the error says
 MALFORMED = [
     pytest.param(_status_row("URG", "XX"), "bad urgency payload 'XX'",
                  id="urg"),
@@ -336,13 +353,22 @@ MALFORMED = [
     pytest.param(_registration("center", "XXX", located=False),
                  "unknown center code 'XXX'", id="registration-center"),
     pytest.param(_registration("country", "XX", located=False),
-                 "unknown country 'XX'", id="registration-country"),
+                 "country 'XX' is not the country of its center",
+                 id="registration-country"),
+    pytest.param(_country_not_its_centers("registrations.csv",
+                                          "registration"),
+                 "is not the country of its center",
+                 id="registration-country-not-its-centers"),
     pytest.param(_duplicate_registration, "duplicate registration id",
                  id="registration-duplicate"),
     pytest.param(_donor("center", "XXX", located=False),
                  "unknown center code 'XXX'", id="donor-center"),
     pytest.param(_donor("country", "XX", located=False),
-                 "unknown country 'XX'", id="donor-country"),
+                 "country 'XX' is not the country of its center",
+                 id="donor-country"),
+    pytest.param(_country_not_its_centers("donors.csv", "donor"),
+                 "is not the country of its center",
+                 id="donor-country-not-its-centers"),
     pytest.param(_donor("death_cause", "stroke", located=True),
                  "death cause 'stroke' is not one of cva, trauma, anoxia, "
                  "other", id="donor-death-cause"),
@@ -437,6 +463,10 @@ MALFORMED = [
     pytest.param(_setting("write_trace", "no"),
                  "write_trace must be true or false, got 'no'",
                  id="settings-write-trace"),
+    pytest.param(_setting("window", {"start": "2021-04-01",
+                                     "end": "2021-01-01"}),
+                 "window.end 2021-01-01 is before window.start 2021-04-01",
+                 id="settings-window-order"),
 ]
 
 
@@ -483,6 +513,8 @@ def small_population(tmp_path_factory) -> tuple[Path, list[str]]:
     return out, ids
 
 
+# every kind of a status file row
+KINDS = ("URG", "PRF", "UNA", "MMC", "SCR", "DIA", "CHO")
 PAYLOADS = ["T", " HU ", "NT", "R", "FU", "", "   ", "XX", "min_age=18",
             "accept_dcd=0;max_age=70", "max=1", "A1 B8", "A1  ", "Z99",
             "A1 Z99", "222 **2", "22", "2021-05-01", " 2020-02-29",
@@ -490,7 +522,7 @@ PAYLOADS = ["T", " HU ", "NT", "R", "FU", "", "   ", "XX", "min_age=18",
 
 
 @settings(max_examples=25, deadline=None)
-@given(kind=st.sampled_from(UPDATE_KINDS), payload=st.sampled_from(PAYLOADS),
+@given(kind=st.sampled_from(KINDS), payload=st.sampled_from(PAYLOADS),
        index=st.integers(0, 99), offset=st.integers(-400, 800))
 def test_check_inputs_accepts_exactly_what_run_accepts(
         small_population, kind, payload, index, offset):

@@ -76,8 +76,8 @@ def _perturbed(inputs, tweak: int):
     rng = np.random.default_rng(tweak)
     registrations = [replace(reg, kaoo=True) if rng.random() < 0.1 else reg
                      for reg in inputs.registrations]
-    updates = {cid: [replace(u, payload="HU")
-                     if (u.kind, u.payload) == ("URG", "T")
+    updates = {cid: [u._replace(value="HU")
+                     if (u.kind, u.value) == ("URG", "T")
                      and rng.random() < 0.05 else u for u in stream]
                for cid, stream in inputs.updates.items()}
     screenings = {cid: days[::2] if rng.random() < 0.3 else days

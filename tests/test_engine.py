@@ -10,10 +10,11 @@ import pytest
 
 from etkasim.balances import BalanceEvent
 from etkasim.batch import run_batch, run_once
-from etkasim.common import InputError, day_text, to_days
+from etkasim.common import InputError, to_days
 from etkasim.engine import (ArrayOffers, initialize, run,
                             store_unacceptables, verify_replay)
-from etkasim.entities import StatusUpdate, expand_mm_patterns, parse_profile
+from etkasim.entities import (StatusUpdate, expand_mm_patterns,
+                               parse_payload, parse_profile)
 from etkasim.fastmatch import _COLUMNS, build_match_arrays
 from etkasim.offering import (AcceptanceModels, donor_features,
                               run_allocation)
@@ -24,8 +25,8 @@ from engine_fixture import (END_DAY, START_DAY, WINDOW_END, WINDOW_START,
                             always_relist_curves, candidate,
                             constant_logistic, donor, fresh_screenings,
                             make_inputs, quick_failure_weibull,
-                            screening_days, terminal_updates, traced,
-                            watch_conservation)
+                            screening_days, summary_row, terminal_updates,
+                            traced, watch_conservation)
 from oracle.offering import OfferRecord, SequenceOffers
 
 
@@ -157,7 +158,8 @@ def test_update_writes_what_a_registration_sets(kind, payload, fields):
     base = candidate("C1")
     regs = [base, dc_replace(base, id="C2", patient_id="C2", **fields)]
     store = initialize(make_inputs(regs, [])).store
-    store.apply_update(0, StatusUpdate("C1", START_DAY, kind, payload))
+    store.apply_update(0, StatusUpdate("C1", START_DAY, kind,
+                                       parse_payload(kind, payload)))
     store.finalize_derived_values()
     for name, *_ in _COLUMNS:
         np.testing.assert_array_equal(getattr(store, name)[0],
@@ -434,8 +436,7 @@ class TestPostTransplantFlow:
         reg = candidate("C1", dialysis_days=0)
         assert reg.dialysis_start_day is None
         updates = {"C1": [
-            StatusUpdate("C1", START_DAY - 30, "DIA",
-                         day_text(START_DAY - 700)),
+            StatusUpdate("C1", START_DAY - 30, "DIA", START_DAY - 700),
             StatusUpdate("C1", END_DAY + 900, "URG", "R")]}
         out = run(initialize(make_inputs(
             [reg], [donor("D1", 10, kidneys=1)], updates=updates,
@@ -587,7 +588,7 @@ class TestBatch:
         stats = reporting.stats_from_output(run_once(inputs, 42))
         assert result.per_run_stats == [stats]
         table = result.summary()
-        row = table.row("transplants.total")
+        row = summary_row(table, "transplants.total")
         assert row.mean == row.lo == row.hi == stats["transplants.total"]
 
     def test_identical_seeds_identical_outputs(self):
@@ -677,7 +678,7 @@ class TestBatch:
         result = run_batch(inputs, seeds=list(range(24)))
         table = result.summary()
         for name in ("transplants.total", "kidneys.discarded"):
-            row = table.row(name)
+            row = summary_row(table, name)
             values = [s.get(name, 0.0) for s in result.per_run_stats]
             assert row.lo <= np.mean(values) <= row.hi
             # oracle: plain sorted-order percentile via numpy linear method

@@ -48,10 +48,10 @@ def _with_unacceptable_updates(inputs):
     updates = dict(inputs.updates)
     for reg in inputs.registrations[::7]:
         day = to_days(START) + int(rng.integers(0, 180))
-        payload = " ".join(rng.choice(codes, int(rng.integers(0, 3)),
-                                      replace=False))
+        unacceptables = frozenset(rng.choice(codes, int(rng.integers(0, 3)),
+                                             replace=False).tolist())
         stream = [*updates.get(reg.id, []),
-                  StatusUpdate(reg.id, day, "UNA", payload)]
+                  StatusUpdate(reg.id, day, "UNA", unacceptables)]
         updates[reg.id] = sorted(stream, key=lambda u: u.day)
     return replace(inputs, updates=updates)
 
@@ -116,7 +116,7 @@ def _fingerprint(state) -> dict:
 def test_population_covers_growth_and_unacceptable_updates(inputs, fresh):
     capacity = len(initialize(inputs).store.status)
     assert max(fresh[2]) > capacity
-    assert any(u.kind == "UNA" and not u.payload
+    assert any(u.kind == "UNA" and not u.value
                for ups in inputs.updates.values() for u in ups)
 
 

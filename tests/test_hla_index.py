@@ -112,8 +112,7 @@ def test_unacceptable_updates(inputs, store):
     for row in range(0, dup.n, 3):
         unacc = sets[int(rng.integers(0, len(sets)))]
         chosen[row] = unacc
-        dup.apply_update(row, StatusUpdate(dup.ids[row], day, "UNA",
-                                           " ".join(sorted(unacc))))
+        dup.apply_update(row, StatusUpdate(dup.ids[row], day, "UNA", unacc))
     dup.finalize_derived_values()
     for row, unacc in chosen.items():
         assert dup.unacc[row].tolist() == _words(table, unacc)
@@ -151,7 +150,7 @@ def test_derivation_memory_does_not_grow_with_pending_rows(inputs, store):
 def test_unknown_unacceptable_rejected_every_time(inputs, store):
     dup = store.copy()
     update = StatusUpdate(dup.ids[0], to_days(date(2021, 6, 1)), "UNA",
-                          "A1 Z99")
+                          frozenset({"A1", "Z99"}))
     for _ in range(2):
         with pytest.raises(InputError, match="unacceptable antigen 'Z99'"):
             dup.apply_update(0, update)

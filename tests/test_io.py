@@ -14,14 +14,17 @@ from etkasim import common
 from etkasim.common import (InputError, csv_blocks, from_days, iso_day_rows,
                             parse_bool, parse_day, read_csv_header,
                             to_days)
+from etkasim.engine import initialize
 from etkasim.entities import (CandidateRegistration, DonorArrival,
-                              StatusUpdate, expand_mm_patterns, parse_profile)
+                              StatusUpdate, expand_mm_patterns, parse_payload,
+                              parse_profile)
 from etkasim.hla import AntigenTable, HlaTyping
 from etkasim import io as io_module
 from etkasim.io import (data_path, load_donors, load_registrations,
                         load_settings, load_status_updates)
 from etkasim.synthetic import generate_population
 
+from engine_fixture import candidate, make_inputs
 from oracle.matchlist import CandidateState
 
 
@@ -385,11 +388,11 @@ def _row_reference(path, table):
                 kind = row["kind"].strip()
                 upd = None  # an SCR row is a screening day
                 if kind != "SCR":
-                    upd = StatusUpdate(cid, day, kind,
-                                       row.get("payload", "").strip())
-                    value = upd.value  # parses the payload
-                    if upd.kind == "UNA":
+                    value = parse_payload(kind,
+                                          row.get("payload", "").strip())
+                    if kind == "UNA":
                         table.check_unacceptables(value)
+                    upd = StatusUpdate(cid, day, kind, value)
             except (KeyError, ValueError) as exc:
                 if isinstance(exc, InputError) and exc.path is not None:
                     raise
@@ -453,17 +456,21 @@ class TestStatusUpdates:
         path.write_text(SORT_CASE)
         updates, screenings = load_status_updates(path, table)
         # dates sorted, ties kept in input order
-        assert [(u.day, u.kind, u.payload) for u in updates["C1"]] == [
-            (to_days(date(2021, 3, 1)), "PRF", ""),
+        assert [(u.day, u.kind, u.value) for u in updates["C1"]] == [
+            (to_days(date(2021, 3, 1)), "PRF", None),
             (to_days(date(2021, 5, 1)), "URG", "NT"),
             (to_days(date(2021, 5, 1)), "URG", "T")]
         assert screenings["C1"].tolist() == [to_days(date(2021, 1, 15)),
                                              to_days(date(2021, 2, 1))]
 
     def test_scr_rows_are_not_status_updates(self):
-        # screenings load as day arrays; no StatusUpdate carries one
-        with pytest.raises(ValueError, match="SCR"):
-            StatusUpdate("C1", to_days(date(2021, 5, 1)), "SCR")
+        # screenings load as day arrays; a StatusUpdate of kind SCR, as of
+        # an unknown kind, fails when it is applied
+        store = initialize(make_inputs([candidate("C1")], [])).store
+        for kind in ("SCR", "XXX"):
+            with pytest.raises(ValueError, match=kind):
+                store.apply_update(0, StatusUpdate(
+                    "C1", to_days(date(2021, 5, 1)), kind, None))
 
     def test_bad_kind_rejected(self, tmp_path, table):
         path = tmp_path / "updates.csv"
@@ -499,7 +506,7 @@ class TestStatusParity:
                         "C2,\t2021-02-01\t, SCR ,\n"
                         " C1,2021-01-01 ,SCR,  \n")
         updates, screenings = _assert_parity(path, table)
-        assert updates["C1"][0].payload == "T"
+        assert updates["C1"][0].value == "T"
         assert screenings == {"C2": [to_days(date(2021, 2, 1))],
                               "C1": [to_days(date(2021, 1, 1))]}
 

@@ -656,8 +656,9 @@ class TestRuntimeDerivedValues:
                                           getattr(fresh, name)[:n],
                                           err_msg=name)
 
-    @pytest.mark.parametrize("payload", ["AX3 AX7", ""])
-    def test_unacceptables_update(self, fx, cfg, payload):
+    @pytest.mark.parametrize("unacceptables",
+                             [frozenset({"AX3", "AX7"}), frozenset()])
+    def test_unacceptables_update(self, fx, cfg, unacceptables):
         regs = _random_population(fx, 60, np.random.default_rng(4),
                                   MATCH_DAY)
         store = self._store(fx, regs, cfg)
@@ -665,16 +666,15 @@ class TestRuntimeDerivedValues:
         before = float(store.vpra[row])
         store.apply_update(row, StatusUpdate(regs[row].id,
                                              MATCH_DAY, "UNA",
-                                             payload))
+                                             unacceptables))
         build_match_arrays(
             store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
             fx["ledger"], cfg, MATCH_DAY)
-        regs[row] = replace(regs[row],
-                            unacceptables=frozenset(payload.split()))
+        regs[row] = replace(regs[row], unacceptables=unacceptables)
         fresh = self._store(fx, regs, cfg)
         self._assert_same_derived(store, fresh)
         assert float(store.vpra[row]) != before
-        if not payload:
+        if not unacceptables:
             assert store.vpra[row] == 0.0
 
     def test_runtime_add(self, fx, cfg):

@@ -14,6 +14,8 @@ from etkasim.reporting import (DeltaRow, age_diff_band, compare_policies,
                                homozygosity_class, match_quality_level,
                                summarize, vpra_band)
 
+from engine_fixture import summary_row
+
 
 class TestBands:
     @pytest.mark.parametrize("vpra,band", [
@@ -48,19 +50,19 @@ class TestBands:
 class TestSummarize:
     def test_single_run_collapses_to_point(self):
         table = summarize([{"a": 5.0, "b": 2.0}], actual=None)
-        row = table.row("a")
+        row = summary_row(table, "a")
         assert (row.mean, row.lo, row.hi) == (5.0, 5.0, 5.0)
 
     def test_constant_statistic_has_degenerate_band(self):
         runs = [{"a": 3.0} for _ in range(50)]
-        row = summarize(runs, actual=None).row("a")
+        row = summary_row(summarize(runs, actual=None), "a")
         assert (row.lo, row.hi) == (3.0, 3.0)
 
     def test_percentiles_match_sort_based_oracle(self):
         rng = np.random.default_rng(0)
         values = list(rng.normal(100, 15, size=200))
         runs = [{"x": v} for v in values]
-        row = summarize(runs, actual=None).row("x")
+        row = summary_row(summarize(runs, actual=None), "x")
 
         def sort_percentile(vals, q):
             # linear interpolation between order statistics
@@ -78,13 +80,13 @@ class TestSummarize:
     def test_calibration_flag(self):
         runs = [{"a": float(v)} for v in range(100)]
         table = summarize(runs, actual={"a": 50.0})
-        assert table.row("a").calibrated is True
+        assert summary_row(table, "a").calibrated is True
         table = summarize(runs, actual={"a": 1000.0})
-        assert table.row("a").calibrated is False
+        assert summary_row(table, "a").calibrated is False
 
     def test_missing_keys_read_as_zero(self):
         table = summarize([{"a": 2.0}, {}], actual=None)
-        assert table.row("a").mean == 1.0
+        assert summary_row(table, "a").mean == 1.0
 
     def test_requires_runs(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ class TestGeneratedPopulation:
     def test_every_stream_terminates(self, inputs):
         for reg in inputs.registrations:
             stream = inputs.updates[reg.id]
-            urgencies = [u.payload for u in stream if u.kind == "URG"]
+            urgencies = [u.value for u in stream if u.kind == "URG"]
             assert urgencies[-1] in ("R", "D"), reg.id
 
     def test_screenings_keep_candidates_fresh(self, inputs):
