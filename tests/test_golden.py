@@ -129,20 +129,23 @@ def every_kind_settings(tmp_path_factory):
     return settings
 
 
+@pytest.fixture(scope="module")
+def every_kind_inputs(every_kind_settings):
+    return load_inputs(load_settings(every_kind_settings))
+
+
 def test_every_kind_population_updates_before_and_inside_the_window(
-        every_kind_settings):
-    inputs = load_inputs(load_settings(every_kind_settings))
+        every_kind_inputs):
     start, end = to_days(START), to_days(END)
     seen = {(u.kind, start <= u.day <= end)
-            for stream in inputs.updates.values() for u in stream}
+            for stream in every_kind_inputs.updates.values() for u in stream}
     assert seen >= {(kind, inside) for kind, _ in OTHER_KINDS
                     for inside in (False, True)}
 
 
-def test_every_update_kind_matches_golden_digests(every_kind_settings,
+def test_every_update_kind_matches_golden_digests(every_kind_inputs,
                                                   tmp_path):
-    inputs = load_inputs(load_settings(every_kind_settings))
-    output = run_once(inputs, 1)
+    output = run_once(every_kind_inputs, 1)
     reporting.write_run_files(tmp_path, output,
                               reporting.stats_from_output(output))
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
