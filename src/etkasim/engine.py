@@ -9,6 +9,14 @@ events process balance first, then patient, then donor, with an insertion
 sequence number as the final tie-break, so replays under a fixed seed are
 bit-identical.
 
+Every random draw of a run comes from its ``Draws``, one method per kind
+of draw over one ``default_rng(seed)`` stream: the Cox maximum number of
+offers, center, patient and dual-kidney acceptance, graft failure,
+re-listing time, the re-listing pool entry and de novo immunization.  A
+policy comparison gives a run index the same seed under both policies, but
+the draws are read in event order, so a policy change that alters one
+offer walk shifts every later draw.
+
 ``initialize`` draws no random numbers: its state is the same for every
 seed.  A batch builds it once per process and input stream and starts each
 run from ``SimState.fork(seed)``, a copy of what runs write that shares
@@ -87,6 +95,24 @@ class SimulationOutput:
     offer_trace: list[tuple] | None  # run_allocation's rows, if traced
 
 
+class Draws:
+    """A run's random draws, one method per kind, all read from one
+    ``default_rng(seed)`` stream in the order the events ask for them."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+
+    def max_offers(self) -> float:
+        """A uniform on [0, 1); every kind but ``pool_entry`` is one."""
+        return self._rng.random()
+
+    center = patient = dual = failure = relist = immunization = max_offers
+
+    def pool_entry(self, n: int) -> int:
+        """An index drawn uniformly from ``range(n)``."""
+        return int(self._rng.integers(0, n))
+
+
 class SimState:
     """Everything one run mutates: candidate store, ledger, FES, counters.
 
@@ -97,7 +123,7 @@ class SimState:
     def __init__(self, inputs: SimulationInputs, seed: int):
         self.inputs = inputs
         self.policy = inputs.policy
-        self.rng = np.random.default_rng(seed)
+        self.draws = Draws(seed)
         self.start_days = to_days(inputs.settings.window_start)
         self.end_days = to_days(inputs.settings.window_end)
         self.offer_trace: list[tuple] | None = None
@@ -152,7 +178,7 @@ class SimState:
         exactly as a fresh ``initialize(inputs, seed)`` would.
         """
         new = copy.copy(self)
-        new.rng = np.random.default_rng(seed)
+        new.draws = Draws(seed)
         new.store = self.store.copy()
         new.ledger = self.ledger.copy()
         new.fes = list(self.fes)
@@ -515,7 +541,8 @@ def _handle_donor(state: SimState, index: int, when: int) -> None:
                                 when))
         return
 
-    k_max = inputs.cox.sample(program, donor.country, donor_feats, state.rng)
+    k_max = inputs.cox.sample(program, donor.country, donor_feats,
+                              state.draws.max_offers())
     probs = _patient_prob_vector(models.patient, donor_feats, arrays, store,
                                  cfg)
     offers = ArrayOffers(store, arrays, probs)
@@ -524,7 +551,7 @@ def _handle_donor(state: SimState, index: int, when: int) -> None:
         return center_offer_features(donor, donor_feats, center_code,
                                      inputs.centers, store.countries)
 
-    outcome = run_allocation(offers, donor, k_max, models, state.rng,
+    outcome = run_allocation(offers, donor, k_max, models, state.draws,
                              inputs.settings.unplaced_mode, center_feats,
                              donor_feats, state.offer_trace)
 
@@ -619,14 +646,14 @@ def _post_transplant(state: SimState, donor: DonorArrival,
         from_days(when).year - inputs.settings.window_start.year,
     ), strict=True))
     t_days = sample_failure_time(features, reg.country, inputs.weibull,
-                                 state.rng)
+                                 state.draws.failure())
     failure_days = when + max(1, int(round(t_days)))
     tx_count = state.person_tx_count[reg.patient_id]
     state.schedule(failure_days, PRIO_PATIENT, "failure", reg.patient_id,
                    tx_count)
 
     r_days = sample_relist_time(max(t_days, 1.0), record.cand_age,
-                                inputs.relist_curves, state.rng)
+                                inputs.relist_curves, state.draws.relist())
     if r_days is None:
         return
     relist_days = when + max(1, int(round(r_days)))
@@ -640,7 +667,7 @@ def _post_transplant(state: SimState, donor: DonorArrival,
         reg, current_unacc, when, record.dialysis_days, t_days,
         float(relist_days - when), donor.hla, inputs.relist_pool,
         inputs.antigen_table, inputs.settings.de_novo_immunization_p,
-        state.rng, new_id=f"{reg.patient_id}.r{serial}")
+        state.draws, new_id=f"{reg.patient_id}.r{serial}")
     if built is None:
         state.counters["relists.no_pool_match"] += 1
         return

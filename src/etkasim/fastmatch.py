@@ -365,6 +365,9 @@ class CandidateStore:
             raise InputError(f"duplicate registration id {reg.id!r}")
         self.row_of[reg.id] = row
 
+        if reg.center not in self.centers:
+            raise InputError(f"registration {reg.id!r}: unknown center code "
+                             f"{reg.center!r}")
         center = self.centers.get(reg.center)
         if reg.country != center.country:
             raise InputError(f"registration {reg.id!r}: country "

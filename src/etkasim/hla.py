@@ -291,12 +291,6 @@ class FrequencyTable:
     def locus(self, locus: str) -> dict[str, float]:
         return self._freqs[locus]
 
-    def sample_codes(self, locus: str, rng) -> list[str]:
-        """Two codes of ``locus``, drawn independently: a genotype."""
-        codes = sorted(self._freqs[locus])
-        weights = [self._freqs[locus][c] for c in codes]
-        return list(rng.choice(codes, size=2, p=weights))
-
 
 # ---------------------------------------------------------------------------
 # HLA-only mismatch probability (HMPP)

@@ -97,8 +97,9 @@ class CoxSampler:
 
     S(k) = S0(k) ** exp(lp) with per-stratum baselines (program, and donor
     country within ETKAS) and shared coefficients.  Sampling inverts the
-    step function: the smallest k with S(k) <= u, or None when the curve
-    never crosses (no switch to non-standard before list exhaustion).
+    step function at a uniform u: the smallest k with S(k) <= u, or None
+    when the curve never crosses (no switch to non-standard before list
+    exhaustion).
     """
 
     def __init__(self, coefficients: Mapping[str, float],
@@ -120,11 +121,10 @@ class CoxSampler:
         return base
 
     def sample(self, program: str, donor_country: str,
-               features: Mapping[str, float], rng) -> int | None:
+               features: Mapping[str, float], u: float) -> int | None:
         base = self.baseline(program, donor_country)
         rel_risk = math.exp(linear_predictor(0.0, self.coefficients, features,
                                              self.model_id))
-        u = float(rng.random())
         # S0 is non-increasing, so S0**rr is too; find first index with
         # S(k) <= u via bisect over the negated values.
         survival = [s ** rel_risk for s in base.s0]
@@ -254,12 +254,6 @@ def dual_features(donor_feats: Mapping[str, float], candidate_age: float,
         _DUAL_EXTRA, (candidate_age, float(non_standard)), strict=True))}
 
 
-def simulate_dual(features: Mapping[str, float], model: LogisticModel,
-                  rng) -> bool:
-    """Bernoulli draw for transplanting both kidneys into one candidate."""
-    return float(rng.random()) < model.predict(features)
-
-
 # ---------------------------------------------------------------------------
 # The allocation walk
 
@@ -299,11 +293,11 @@ class AllocationOutcome:
 class AcceptanceModels:
     center: LogisticModel
     patient: LogisticModel
-    dual: LogisticModel | None = None
+    dual: LogisticModel
 
 
 def run_allocation(offers, donor: DonorArrival,
-                   k_max: int | None, models: AcceptanceModels, rng,
+                   k_max: int | None, models: AcceptanceModels, draws,
                    unplaced_mode: str,
                    center_features: Callable[[str], Mapping[str, float]],
                    donor_feats: Mapping[str, float],
@@ -315,6 +309,8 @@ def run_allocation(offers, donor: DonorArrival,
     the patient-level acceptance ``probability``, plus ``vicinity_order``
     for the non-standard phase.  The engine passes ``engine.ArrayOffers``;
     the tests' record-at-a-time accessor is in ``tests/oracle/offering.py``.
+    ``draws`` is the run's ``engine.Draws``; a center, patient or dual
+    decision fires when its uniform falls below the model's probability.
     ``center_features`` supplies the feature mapping for a center code,
     and ``donor_feats`` the donor's ``donor_features`` for dual decisions.
     ``unplaced_mode`` is 'discard' or 'force'.  Each offer decision is
@@ -331,8 +327,16 @@ def run_allocation(offers, donor: DonorArrival,
     def center_decision(center: str) -> bool:
         if center not in center_willing:
             p = models.center.predict(center_features(center))
-            center_willing[center] = float(rng.random()) < p
+            center_willing[center] = draws.center() < p
         return center_willing[center]
+
+    def kidneys_for(i: int, non_standard: bool) -> int:
+        """2 when both kidneys are left and the dual model places them
+        together with candidate ``i``, else 1."""
+        if kidneys_left == 2 and draws.dual() < models.dual.predict(
+                dual_features(donor_feats, offers.age(i), non_standard)):
+            return 2
+        return 1
 
     def note(i: int, stage: str, decision: str,
              probability: float | None = None) -> None:
@@ -350,16 +354,11 @@ def run_allocation(offers, donor: DonorArrival,
                  else DECISION_CENTER_DECLINE)
             return "center_known" if known else "center"
         p = offers.probability(i)
-        if float(rng.random()) >= p:
+        if draws.patient() >= p:
             note(i, stage, DECISION_DECLINE, p)
             touched.add(i)
             return "decline"
-        kidneys = 1
-        if kidneys_left == 2 and models.dual is not None:
-            if simulate_dual(dual_features(donor_feats, offers.age(i),
-                                           stage == NON_STANDARD),
-                             models.dual, rng):
-                kidneys = 2
+        kidneys = kidneys_for(i, stage == NON_STANDARD)
         note(i, stage, DECISION_ACCEPT, p)
         touched.add(i)
         accepted.add(i)
@@ -402,11 +401,7 @@ def run_allocation(offers, donor: DonorArrival,
                 if kidneys_left == 0:
                     break
                 p = offers.probability(i)
-                kidneys = kidneys_left if (
-                    kidneys_left == 2 and models.dual is not None
-                    and simulate_dual(
-                        dual_features(donor_feats, offers.age(i), True),
-                        models.dual, rng)) else 1
+                kidneys = kidneys_for(i, True)
                 note(i, NON_STANDARD, DECISION_FORCED, p)
                 accepted.add(i)
                 kidneys_left -= kidneys

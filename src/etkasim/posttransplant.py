@@ -61,10 +61,15 @@ class WeibullModel:
     @classmethod
     def from_file(cls, path: str | Path) -> "WeibullModel":
         """``coef`` rows over FAILURE_FEATURES, and ``shape`` rows by
-        country, ``default`` for the rest (``common.read_coefficients``)."""
+        country, ``default`` for the rest (``common.read_coefficients``),
+        each positive and finite."""
         model_id, intercept, coefs, other = read_coefficients(
             path, FAILURE_FEATURES, kinds=("shape",))
         shapes = other["shape"]
+        for country, k in shapes.items():
+            if not 0.0 < k < math.inf:
+                raise InputError(f"shape {country!r}: {k!r} is not a "
+                                 "positive finite number", path)
         default_shape = shapes.pop("default", 1.0)
         return cls(coefficients=coefs, shape_by_country=shapes,
                    intercept=intercept, default_shape=default_shape,
@@ -72,8 +77,9 @@ class WeibullModel:
 
 
 def sample_failure_time(features: Mapping[str, float], country: str,
-                        model: WeibullModel, rng) -> float:
-    """Inverse-transform draw: t = lambda * (-log u)^(1/k), in days."""
+                        model: WeibullModel, u: float) -> float:
+    """Inverse transform of a uniform u: t = lambda * (-log u)^(1/k), in
+    days."""
     lam = linear_predictor(model.intercept, model.coefficients, features,
                            model.model_id)
     if lam <= 0:
@@ -81,7 +87,6 @@ def sample_failure_time(features: Mapping[str, float], country: str,
             f"non-positive Weibull scale {lam!r}; coefficients and covariates "
             "are inconsistent")
     k = model.shape(country)
-    u = float(rng.random())
     if u <= 0.0:
         u = np.nextafter(0.0, 1.0)
     return lam * (-math.log(u)) ** (1.0 / k)
@@ -176,17 +181,16 @@ class RelistCurveSet:
 
 
 def sample_relist_time(t_days: float, age: float, curves: RelistCurveSet,
-                       rng) -> float | None:
+                       u: float) -> float | None:
     """Re-listing time in days, or None for death without re-listing.
 
-    Inverse transform on the stratum's r/t curve: draw u, take the first
-    grid ratio s whose cumulative probability reaches u, and scale by t.
-    The ratio grid lives strictly below 1, so r < t whenever r exists.
+    Inverse transform of a uniform u on the stratum's r/t curve: take the
+    first grid ratio s whose cumulative probability reaches u, and scale by
+    t.  The ratio grid lives strictly below 1, so r < t whenever r exists.
     """
     if t_days <= 0:
         raise ValueError("failure time must be positive")
     curve = curves.curve(t_days, age)
-    u = float(rng.random())
     s = curve.crossing(u)
     if s is None or s >= 1.0:
         return None
@@ -198,9 +202,10 @@ def sample_relist_time(t_days: float, age: float, curves: RelistCurveSet,
 
 def simulate_de_novo_immunization(table: AntigenTable, donor: HlaTyping,
                                   candidate: HlaTyping, p: float,
-                                  rng) -> frozenset[str]:
+                                  draws) -> frozenset[str]:
     """Mismatched donor antigens that become unacceptable, each with
-    probability p (default policy: 0.20), independently per antigen."""
+    probability p (default policy: 0.20), independently per antigen: when
+    its ``draws.immunization()`` falls below p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"immunization probability {p} outside [0, 1]")
     additions = []
@@ -208,7 +213,7 @@ def simulate_de_novo_immunization(table: AntigenTable, donor: HlaTyping,
         mismatched = sorted(donor.normalized(table, locus)
                             - candidate.normalized(table, locus))
         for code in mismatched:
-            if float(rng.random()) < p:
+            if draws.immunization() < p:
                 additions.append(code)
     return frozenset(additions)
 
@@ -357,18 +362,17 @@ def mahalanobis_top_m(profile: RecipientProfile,
 
 
 def select_pool_match(profile: RecipientProfile, pool: RelistingPool,
-                      rng) -> PoolEntry | None:
+                      draws) -> PoolEntry | None:
     """Pick one pool entry: caliper match, m nearest by Mahalanobis on
-    (r, t), then a uniform draw among them.  None when nothing matches even
-    after full caliper relaxation."""
+    (r, t), then ``draws.pool_entry`` among them.  None when nothing
+    matches even after full caliper relaxation."""
     matches = _candidate_matches(profile, pool)
     if not matches:
         log.info("no pool match for re-listing (country=%s, r=%.0fd, t=%.0fd)",
                  profile.country, profile.r_days, profile.t_days)
         return None
     top = mahalanobis_top_m(profile, matches)
-    idx = int(rng.integers(0, len(top)))
-    return top[idx]
+    return top[draws.pool_entry(len(top))]
 
 
 def build_synthetic_relisting(recipient: CandidateRegistration,
@@ -377,7 +381,7 @@ def build_synthetic_relisting(recipient: CandidateRegistration,
                               t_days: float, r_days: float,
                               donor_hla: HlaTyping, pool: RelistingPool,
                               table: AntigenTable, immunization_p: float,
-                              rng, new_id: str):
+                              draws, new_id: str):
     """Combine the recipient's static data with a matched pool entry's
     urgency stream into a repeat registration.
 
@@ -397,11 +401,11 @@ def build_synthetic_relisting(recipient: CandidateRegistration,
         dialysis_days_at_relist=dialysis_days,
         r_days=float(r_days),
         t_days=float(t_days))
-    match = select_pool_match(profile, pool, rng)
+    match = select_pool_match(profile, pool, draws)
     if match is None:
         return None
     additions = simulate_de_novo_immunization(
-        table, donor_hla, recipient.hla, immunization_p, rng)
+        table, donor_hla, recipient.hla, immunization_p, draws)
     registration = CandidateRegistration(
         id=new_id,
         patient_id=recipient.patient_id,

@@ -59,7 +59,10 @@ class PopulationBuilder:
     def _typing_codes(self) -> list[str]:
         codes = []
         for locus in ("A", "B", "DR"):
-            pair = self.freqs.sample_codes(locus, self.rng)
+            dist = self.freqs.locus(locus)
+            names = sorted(dist)
+            # two codes drawn independently: a genotype
+            pair = self.rng.choice(names, size=2, p=[dist[c] for c in names])
             codes.append(sorted(set(pair)))
         return codes
 

@@ -183,7 +183,8 @@ class TestCriterion4SamplingCorrectness:
             model = WeibullModel(coefficients={}, intercept=2000.0,
                                  shape_by_country={"DE": 1.5})
             rng = np.random.default_rng(41)
-            draws = np.sort([sample_failure_time({}, "DE", model, rng)
+            draws = np.sort([sample_failure_time({}, "DE", model,
+                                                 rng.random())
                              for _ in range(10_000)])
             emp = np.arange(1, 10_001) / 10_000
             theo = 1.0 - np.exp(-(draws / 2000.0) ** 1.5)
@@ -194,8 +195,8 @@ class TestCriterion4SamplingCorrectness:
             sampler = CoxSampler({}, {"ESP": StepSurvival(ks=ks, s0=s0)},
                                  model_id="max_offers")
             rng = np.random.default_rng(42)
-            draws = np.array([sampler.sample("ESP", "", {}, rng) or 81
-                              for _ in range(10_000)])
+            draws = np.array([sampler.sample("ESP", "", {}, rng.random())
+                              or 81 for _ in range(10_000)])
             ks_dist = max(abs(float((draws <= k).mean()) - (1.0 - s))
                           for k, s in zip(ks, s0))
             assert ks_dist < 0.02
@@ -204,21 +205,14 @@ class TestCriterion4SamplingCorrectness:
             curves = RelistCurveSet({(tb, ab): curve for tb in TIME_BUCKETS
                                      for ab in AGE_BUCKETS})
 
-            class U:
-                def __init__(self, u):
-                    self.u = u
-
-                def random(self):
-                    return self.u
-
             # exact crossing points of the hand-built step curve
-            assert sample_relist_time(1000, 50, curves, U(0.10)) == 250.0
-            assert sample_relist_time(1000, 50, curves, U(0.40)) == 250.0
-            assert sample_relist_time(1000, 50, curves, U(0.45)) == 500.0
-            assert sample_relist_time(1000, 50, curves, U(0.60)) == 500.0
-            assert sample_relist_time(1000, 50, curves, U(0.65)) == 750.0
-            assert sample_relist_time(1000, 50, curves, U(0.70)) == 750.0
-            assert sample_relist_time(1000, 50, curves, U(0.75)) is None
+            assert sample_relist_time(1000, 50, curves, 0.10) == 250.0
+            assert sample_relist_time(1000, 50, curves, 0.40) == 250.0
+            assert sample_relist_time(1000, 50, curves, 0.45) == 500.0
+            assert sample_relist_time(1000, 50, curves, 0.60) == 500.0
+            assert sample_relist_time(1000, 50, curves, 0.65) == 750.0
+            assert sample_relist_time(1000, 50, curves, 0.70) == 750.0
+            assert sample_relist_time(1000, 50, curves, 0.75) is None
 
 
 class TestCriterion5ConservationAndReplay:

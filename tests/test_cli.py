@@ -148,9 +148,12 @@ def _status_row(kind: str, payload: str, when: str = "2021-06-01"):
 
 
 def _registration(column: str, value: str, located: bool):
-    def mutate(root: Path, cid: str) -> str | None:
+    """Set ``column`` of the listed registration; the file:line the error
+    names if it is ``located``, else the registration it names."""
+    def mutate(root: Path, cid: str) -> str:
         line = _edit(root / "registrations.csv", cid, column, value)
-        return f"registrations.csv:{line}: " if located else None
+        return (f"registrations.csv:{line}: " if located
+                else f"registration {cid!r}: ")
     return mutate
 
 
@@ -298,6 +301,12 @@ def _whole_file(edit):
     return lambda lines: (edit(lines)[0], None)
 
 
+def _zero_shapes(lines):
+    """Set every Weibull shape to 0, an error of the whole file."""
+    return [f"{x.rpartition(',')[0]},0" if x.startswith("shape,") else x
+            for x in lines], None
+
+
 def _zero_frequencies(locus: str):
     """Set every frequency of ``locus`` to 0, an error of the whole file."""
     return lambda lines: ([f"{locus},{x.split(',')[1]},0"
@@ -389,6 +398,10 @@ MALFORMED = [
                                            "coef,mm_drr,-40.0")),
                  "model 'post_transplant_failure' has no feature 'mm_drr'",
                  id="weibull-unknown-feature"),
+    pytest.param(_model_file("weibull", "weibull_post_transplant.csv",
+                             _zero_shapes),
+                 "shape 'default': 0.0 is not a positive finite number",
+                 id="weibull-zero-shape"),
     pytest.param(_model_file("dual_model", "dual.csv",
                              _replace_line("donor_age_dec,0.32",
                                            "donor_age_dec,abc")),

@@ -11,7 +11,7 @@ import pytest
 from etkasim.balances import BalanceEvent
 from etkasim.batch import run_batch, run_once
 from etkasim.common import InputError, to_days
-from etkasim.engine import (ArrayOffers, initialize, run,
+from etkasim.engine import (ArrayOffers, Draws, initialize, run,
                             store_unacceptables, verify_replay)
 from etkasim.entities import (StatusUpdate, expand_mm_patterns,
                                parse_payload, parse_profile)
@@ -428,9 +428,9 @@ class TestPostTransplantFlow:
         profiles = []
         real = posttransplant.select_pool_match
 
-        def spy(profile, pool, rng):
+        def spy(profile, pool, draws):
             profiles.append(profile)
-            return real(profile, pool, rng)
+            return real(profile, pool, draws)
 
         monkeypatch.setattr(posttransplant, "select_pool_match", spy)
         reg = candidate("C1", dialysis_days=0)
@@ -735,7 +735,7 @@ class TestArrayOffers:
                        SequenceOffers(records, models.patient)):
             trace: list[tuple] = []
             outcome = run_allocation(offers, arrival, 3, models,
-                                     np.random.default_rng(seed), mode,
+                                     Draws(seed), mode,
                                      lambda center: {},
                                      donor_features(arrival), trace)
             outcomes.append((outcome, trace))

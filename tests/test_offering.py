@@ -16,8 +16,9 @@ from etkasim.offering import (DONOR_FEATURES, PATIENT_FEATURES,
                               AcceptanceModels, CoxSampler, LogisticModel,
                               MissingFeatureError, StepSurvival,
                               UnknownStratumError, center_vocabulary,
-                              donor_features, simulate_dual)
+                              donor_features)
 
+from fake_draws import FixedDraws
 from oracle.offering import (OfferContext, OfferRecord, SequenceOffers,
                              patient_offer_features)
 
@@ -30,22 +31,6 @@ def make_donor(kidneys=2, age=45):
         hla=HlaTyping({"A": ("A1", "A2"), "B": ("B5", "B7"),
                        "DR": ("DR1", "DR4")}),
         kidneys_available=kidneys)
-
-
-class FixedRng:
-    """Deterministic uniform stream for decision-path tests."""
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.i = 0
-
-    def random(self):
-        v = self.values[self.i % len(self.values)]
-        self.i += 1
-        return v
-
-    def integers(self, lo, hi):
-        return lo
 
 
 def constant_model(p: float, model_id="const") -> LogisticModel:
@@ -61,7 +46,7 @@ def constant_model(p: float, model_id="const") -> LogisticModel:
                          coefficients={})
 
 
-def models(center_p=1.0, patient_p=1.0, dual=None):
+def models(center_p=1.0, patient_p=1.0, dual=constant_model(0.5, "dual")):
     return AcceptanceModels(center=constant_model(center_p, "center"),
                             patient=constant_model(patient_p, "patient"),
                             dual=dual)
@@ -83,13 +68,13 @@ class Walk(NamedTuple):
     trace: list[Offer]
 
 
-def run_allocation(records, donor, k_max, models, rng,
+def run_allocation(records, donor, k_max, models, draws,
                    unplaced_mode="discard") -> Walk:
     """``offering.run_allocation`` over a list of OfferRecord, with
     intercept-only center models, and the offer trace it writes."""
     trace: list[tuple] = []
     outcome = offering.run_allocation(
-        SequenceOffers(records, models.patient), donor, k_max, models, rng,
+        SequenceOffers(records, models.patient), donor, k_max, models, draws,
         unplaced_mode, lambda center: {}, donor_features(donor), trace)
     return Walk(outcome.acceptances, outcome.unplaced,
                 [Offer(*entry) for entry in trace])
@@ -189,21 +174,21 @@ class TestCoxSampler:
     def test_unknown_stratum(self):
         sampler = self._sampler()
         with pytest.raises(UnknownStratumError):
-            sampler.sample("ETKAS", "XX", {}, FixedRng([0.5]))
+            sampler.sample("ETKAS", "XX", {}, 0.5)
 
     def test_immediate_crossing_for_u_near_one(self):
         sampler = self._sampler()
-        assert sampler.sample("ETKAS", "BE", {}, FixedRng([0.999999])) == 1
+        assert sampler.sample("ETKAS", "BE", {}, 0.999999) == 1
 
     def test_step_walk_oracle(self):
         s0 = StepSurvival(ks=(1, 2, 3), s0=(0.8, 0.5, 0.2))
         sampler = CoxSampler({}, {"ETKAS:BE": s0}, model_id="max_offers")
         # u above S(1): k=1; between S(2) and S(1): k=2; below S(3): None
-        assert sampler.sample("ETKAS", "BE", {}, FixedRng([0.9])) == 1
-        assert sampler.sample("ETKAS", "BE", {}, FixedRng([0.8])) == 1
-        assert sampler.sample("ETKAS", "BE", {}, FixedRng([0.7])) == 2
-        assert sampler.sample("ETKAS", "BE", {}, FixedRng([0.3])) == 3
-        assert sampler.sample("ETKAS", "BE", {}, FixedRng([0.1])) is None
+        assert sampler.sample("ETKAS", "BE", {}, 0.9) == 1
+        assert sampler.sample("ETKAS", "BE", {}, 0.8) == 1
+        assert sampler.sample("ETKAS", "BE", {}, 0.7) == 2
+        assert sampler.sample("ETKAS", "BE", {}, 0.3) == 3
+        assert sampler.sample("ETKAS", "BE", {}, 0.1) is None
 
     def test_lp_zero_matches_baseline_distribution(self):
         ks = tuple(range(1, 61))
@@ -213,7 +198,7 @@ class TestCoxSampler:
         rng = np.random.default_rng(99)
         draws = []
         for _ in range(10_000):
-            k = sampler.sample("ESP", "", {}, rng)
+            k = sampler.sample("ESP", "", {}, rng.random())
             draws.append(k if k is not None else ks[-1] + 1)
         draws = np.array(draws)
         # KS distance between the empirical CDF and 1 - S0
@@ -230,9 +215,11 @@ class TestCoxSampler:
                              {"ESP": StepSurvival(ks=ks, s0=s0)},
                              model_id="max_offers")
         rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-        base = [sampler.sample("ESP", "", {"donor_extended": 0.0}, rng1)
+        base = [sampler.sample("ESP", "", {"donor_extended": 0.0},
+                               rng1.random())
                 or 99 for _ in range(2000)]
-        fast = [sampler.sample("ESP", "", {"donor_extended": 1.0}, rng2)
+        fast = [sampler.sample("ESP", "", {"donor_extended": 1.0},
+                               rng2.random())
                 or 99 for _ in range(2000)]
         assert np.mean(fast) < np.mean(base)
 
@@ -241,7 +228,7 @@ class TestRunAllocation:
     def test_all_accepting_takes_the_top(self):
         recs = [record(i) for i in range(1, 6)]
         out = run_allocation(recs, make_donor(2), k_max=10,
-                             models=models(1.0, 1.0), rng=FixedRng([0.5]))
+                             models=models(1.0, 1.0), draws=FixedDraws([0.5]))
         assert [a.candidate_id for a in out.acceptances] == ["K01", "K02"]
         assert all(a.mechanism == "standard" for a in out.acceptances)
         assert out.unplaced == 0
@@ -249,7 +236,7 @@ class TestRunAllocation:
     def test_all_declining_discard_mode(self):
         recs = [record(i) for i in range(1, 6)]
         out = run_allocation(recs, make_donor(2), k_max=100,
-                             models=models(1.0, 0.0), rng=FixedRng([0.5]),
+                             models=models(1.0, 0.0), draws=FixedDraws([0.5]),
                              unplaced_mode="discard")
         assert out.acceptances == []
         assert out.unplaced == 2
@@ -262,7 +249,8 @@ class TestRunAllocation:
         probs = rng.uniform(0.0, 0.9, size=12)
         recs = [record(i + 1, prob=float(p)) for i, p in enumerate(probs)]
         out = run_allocation(recs, make_donor(1), k_max=None,
-                             models=models(1.0, 0.5), rng=FixedRng([0.999]),
+                             models=models(1.0, 0.5),
+                             draws=FixedDraws([0.999]),
                              unplaced_mode="force")
         assert len(out.acceptances) == 1
         acc = out.acceptances[0]
@@ -273,7 +261,8 @@ class TestRunAllocation:
     def test_force_accept_tie_breaks_by_rank(self):
         recs = [record(i, prob=0.0) for i in range(1, 5)]
         out = run_allocation(recs, make_donor(1), k_max=None,
-                             models=models(1.0, 0.5), rng=FixedRng([0.999]),
+                             models=models(1.0, 0.5),
+                             draws=FixedDraws([0.999]),
                              unplaced_mode="force")
         assert out.acceptances[0].candidate_id == "K01"
 
@@ -282,9 +271,9 @@ class TestRunAllocation:
                 record(3, center="C2")]
         # center draw for C1 fails (u=0.9 >= p=0.5), C2 succeeds (u=0.1),
         # then its patient accepts (u=0.1 < 1.0)
-        rng = FixedRng([0.9, 0.1, 0.1])
+        draws = FixedDraws([0.9, 0.1, 0.1])
         out = run_allocation(recs, make_donor(1), k_max=10,
-                             models=models(0.5, 1.0), rng=rng)
+                             models=models(0.5, 1.0), draws=draws)
         assert [a.candidate_id for a in out.acceptances] == ["K03"]
         decisions = [(t.candidate_id, t.decision) for t in out.trace]
         assert decisions == [("K01", "center_decline"), ("K02", "center_skip"),
@@ -295,9 +284,9 @@ class TestRunAllocation:
                 record(3, center="C1"), record(4, center="C2")]
         # k_max=1: the single center-level decline exhausts standard
         # allocation; K04 is then reached in the non-standard phase
-        rng = FixedRng([0.9, 0.1, 0.1])
+        draws = FixedDraws([0.9, 0.1, 0.1])
         out = run_allocation(recs, make_donor(1), k_max=1,
-                             models=models(0.5, 1.0), rng=rng)
+                             models=models(0.5, 1.0), draws=draws)
         assert out.acceptances[0].candidate_id == "K04"
         assert out.acceptances[0].mechanism == "non_standard"
 
@@ -311,9 +300,9 @@ class TestRunAllocation:
         # patient model p=0.4: first two offers decline (u=0.5), k_max=2
         # reached; then the walk re-orders remaining records by vicinity so
         # K04 (same region) is offered before K03, accepting at u=0.1
-        rng = FixedRng([0.1, 0.5, 0.1, 0.5, 0.1, 0.1])
+        draws = FixedDraws([0.1, 0.5, 0.1, 0.5, 0.1, 0.1])
         out = run_allocation(recs, make_donor(1), k_max=2,
-                             models=models(1.0, 0.4), rng=rng)
+                             models=models(1.0, 0.4), draws=draws)
         assert [a.candidate_id for a in out.acceptances] == ["K04"]
         assert out.acceptances[0].mechanism == "non_standard"
 
@@ -321,7 +310,7 @@ class TestRunAllocation:
         recs = [record(1, filtered=False, prob=1.0), record(2, prob=0.0),
                 record(3, prob=0.0)]
         out = run_allocation(recs, make_donor(1), k_max=5,
-                             models=models(1.0, 0.5), rng=FixedRng([0.5]))
+                             models=models(1.0, 0.5), draws=FixedDraws([0.5]))
         assert [a.candidate_id for a in out.acceptances] == ["K01"]
         assert out.acceptances[0].mechanism == "non_standard"
         # standard-phase trace entries only reference filtered records
@@ -334,7 +323,8 @@ class TestRunAllocation:
                 for i in range(1, 15)]
         out = run_allocation(recs, make_donor(2), k_max=6,
                              models=models(0.7, 0.3),
-                             rng=np.random.default_rng(5))
+                             draws=FixedDraws(
+                                 np.random.default_rng(5).random(1000)))
         filtered_ids = [r.candidate_id for r in recs if r.filtered_visible]
         standard_ids = [t.candidate_id for t in out.trace
                         if t.stage == "standard"]
@@ -342,11 +332,11 @@ class TestRunAllocation:
 
     def test_acceptances_never_exceed_kidneys(self):
         for seed in range(20):
-            rng = np.random.default_rng(seed)
+            draws = FixedDraws(np.random.default_rng(seed).random(1000))
             recs = [record(i, center=f"C{i % 3}") for i in range(1, 10)]
             donor = make_donor(2 if seed % 2 else 1)
             out = run_allocation(recs, donor, k_max=4,
-                                 models=models(0.6, 0.4), rng=rng,
+                                 models=models(0.6, 0.4), draws=draws,
                                  unplaced_mode="force")
             placed = sum(a.kidneys for a in out.acceptances)
             assert placed + out.unplaced == donor.kidneys_available
@@ -360,7 +350,7 @@ class TestDual:
         out = run_allocation(recs, make_donor(2), k_max=5,
                              models=models(1.0, 1.0,
                                            dual=constant_model(1.0, "dual")),
-                             rng=FixedRng([0.5]))
+                             draws=FixedDraws([0.5], dual=0.5))
         assert len(out.acceptances) == 1
         assert out.acceptances[0].kidneys == 2
         assert out.unplaced == 0
@@ -371,14 +361,17 @@ class TestDual:
         out = run_allocation(recs, make_donor(1), k_max=5,
                              models=models(1.0, 1.0,
                                            dual=constant_model(1.0, "dual")),
-                             rng=FixedRng([0.5]))
+                             draws=FixedDraws([0.5], dual=0.5))
         assert [a.kidneys for a in out.acceptances] == [1]
 
-    def test_simulate_dual_is_bernoulli(self):
-        m = constant_model(1.0, "dual")
-        assert simulate_dual({}, m, FixedRng([0.99])) is True
-        m0 = constant_model(0.0, "dual")
-        assert simulate_dual({}, m0, FixedRng([0.5])) is False
+    def test_dual_fires_when_its_uniform_is_below_p(self):
+        recs = [record(1), record(2)]
+        for p, u, kidneys in ((1.0, 0.99, [2]), (0.0, 0.5, [1, 1])):
+            out = run_allocation(recs, make_donor(2), k_max=5,
+                                 models=models(1.0, 1.0, dual=constant_model(
+                                     p, "dual")),
+                                 draws=FixedDraws([0.5], dual=u))
+            assert [a.kidneys for a in out.acceptances] == kidneys
 
 
 class TestFeatureExtraction:

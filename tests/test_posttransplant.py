@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from etkasim.common import to_days
+from etkasim.engine import Draws
 from etkasim.entities import AllocationProfile, CandidateRegistration
 from etkasim.hla import HlaTyping
 from etkasim.posttransplant import (AGE_BUCKETS, TIME_BUCKETS, InvalidScaleError,
@@ -20,21 +21,8 @@ from etkasim.posttransplant import (AGE_BUCKETS, TIME_BUCKETS, InvalidScaleError
                                     simulate_de_novo_immunization, time_bucket)
 from etkasim.posttransplant import _candidate_matches
 
+from fake_draws import FixedDraws
 from fixtures_tables import TYPING_BY_MM, build_antigen_table
-
-
-class FixedRng:
-    def __init__(self, values):
-        self.values = list(values)
-        self.i = 0
-
-    def random(self):
-        v = self.values[self.i % len(self.values)]
-        self.i += 1
-        return v
-
-    def integers(self, lo, hi):
-        return lo
 
 
 class TestWeibull:
@@ -45,31 +33,30 @@ class TestWeibull:
 
     def test_u_exp_minus_one_gives_scale(self):
         m = self._model()
-        t = sample_failure_time({"x": 0.0}, "DE", m,
-                                FixedRng([math.exp(-1.0)]))
+        t = sample_failure_time({"x": 0.0}, "DE", m, math.exp(-1.0))
         assert t == pytest.approx(2000.0, rel=1e-12)
 
     def test_u_near_one_gives_near_zero(self):
         m = self._model()
-        t = sample_failure_time({"x": 0.0}, "DE", m,
-                                FixedRng([1.0 - 1e-12]))
+        t = sample_failure_time({"x": 0.0}, "DE", m, 1.0 - 1e-12)
         assert t < 1.0
 
     def test_non_positive_scale_rejected(self):
         m = self._model()
         with pytest.raises(InvalidScaleError):
-            sample_failure_time({"x": -20.0}, "DE", m, FixedRng([0.5]))
+            sample_failure_time({"x": -20.0}, "DE", m, 0.5)
 
     def test_missing_feature_rejected(self):
         m = self._model()
         with pytest.raises(Exception, match="x"):
-            sample_failure_time({}, "DE", m, FixedRng([0.5]))
+            sample_failure_time({}, "DE", m, 0.5)
 
     def test_ks_distance_against_closed_form(self):
         # 10k draws with k = 1.5, lambda = 2000 days
         m = self._model(shape=1.5)
         rng = np.random.default_rng(31)
-        draws = np.array([sample_failure_time({"x": 0.0}, "DE", m, rng)
+        draws = np.array([sample_failure_time({"x": 0.0}, "DE", m,
+                                              rng.random())
                           for _ in range(10_000)])
         ts = np.sort(draws)
         emp = np.arange(1, len(ts) + 1) / len(ts)
@@ -82,8 +69,8 @@ class TestWeibull:
         m = WeibullModel(coefficients={}, intercept=1000.0,
                          shape_by_country={"DE": 1.0, "NL": 2.0})
         u = 0.2
-        t_de = sample_failure_time({}, "DE", m, FixedRng([u]))
-        t_nl = sample_failure_time({}, "NL", m, FixedRng([u]))
+        t_de = sample_failure_time({}, "DE", m, u)
+        t_nl = sample_failure_time({}, "NL", m, u)
         expected = (-math.log(u)) ** (1.0 - 0.5)
         assert t_de / t_nl == pytest.approx(expected, rel=1e-12)
 
@@ -129,28 +116,28 @@ class TestRelistSampling:
         curves = curve_set_with(curve)
         t = 1000.0
         # u within the first jump's mass -> s = 0.2
-        assert sample_relist_time(t, 50, curves, FixedRng([0.10])) == 200.0
-        assert sample_relist_time(t, 50, curves, FixedRng([0.30])) == 200.0
+        assert sample_relist_time(t, 50, curves, 0.10) == 200.0
+        assert sample_relist_time(t, 50, curves, 0.30) == 200.0
         # u in (0.3, 0.7] -> s = 0.5
-        assert sample_relist_time(t, 50, curves, FixedRng([0.50])) == 500.0
-        assert sample_relist_time(t, 50, curves, FixedRng([0.70])) == 500.0
+        assert sample_relist_time(t, 50, curves, 0.50) == 500.0
+        assert sample_relist_time(t, 50, curves, 0.70) == 500.0
         # u in (0.7, 0.9] -> s = 0.8
-        assert sample_relist_time(t, 50, curves, FixedRng([0.85])) == 800.0
+        assert sample_relist_time(t, 50, curves, 0.85) == 800.0
         # u beyond the curve's total mass -> death without re-listing
-        assert sample_relist_time(t, 50, curves, FixedRng([0.95])) is None
+        assert sample_relist_time(t, 50, curves, 0.95) is None
 
     def test_step_to_zero_at_half(self):
         curve = StepCurve(grid=(0.5,), survival=(0.0,))
         curves = curve_set_with(curve)
         assert sample_relist_time(800.0, 50, curves,
-                                  FixedRng([0.3])) == pytest.approx(400.0)
+                                  0.3) == pytest.approx(400.0)
 
     def test_plateau_means_no_relisting(self):
         curve = StepCurve(grid=(0.4,), survival=(0.9,))
         curves = curve_set_with(curve)
-        assert sample_relist_time(1000.0, 50, curves, FixedRng([0.95])) is None
+        assert sample_relist_time(1000.0, 50, curves, 0.95) is None
         assert sample_relist_time(1000.0, 50, curves,
-                                  FixedRng([0.05])) == pytest.approx(400.0)
+                                  0.05) == pytest.approx(400.0)
 
     def test_relist_time_always_below_failure_time(self):
         curve = StepCurve(grid=(0.1, 0.5, 0.9), survival=(0.6, 0.3, 0.2))
@@ -158,7 +145,7 @@ class TestRelistSampling:
         rng = np.random.default_rng(3)
         for _ in range(500):
             t = float(rng.uniform(10, 5000))
-            r = sample_relist_time(t, 40, curves, rng)
+            r = sample_relist_time(t, 40, curves, rng.random())
             if r is not None:
                 assert r < t
 
@@ -172,19 +159,20 @@ class TestRelistSampling:
         rng = np.random.default_rng(4)
         relists = sum(
             1 for _ in range(10_000)
-            if sample_relist_time(1000.0, 80, curves, rng) is not None)
+            if sample_relist_time(1000.0, 80, curves,
+                                  rng.random()) is not None)
         assert relists / 10_000 == pytest.approx(0.03, abs=0.01)
 
     def test_missing_stratum_is_an_error(self):
         curves = RelistCurveSet({("lt180d", "0-17"):
                                  StepCurve(grid=(0.5,), survival=(0.5,))})
         with pytest.raises(Exception, match="stratum"):
-            sample_relist_time(5000.0, 50, curves, FixedRng([0.5]))
+            sample_relist_time(5000.0, 50, curves, 0.5)
 
     def test_invalid_failure_time(self):
         curves = curve_set_with(StepCurve(grid=(0.5,), survival=(0.5,)))
         with pytest.raises(ValueError):
-            sample_relist_time(0.0, 50, curves, FixedRng([0.5]))
+            sample_relist_time(0.0, 50, curves, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -204,20 +192,21 @@ class TestDeNovoImmunization:
     def test_no_mismatches_no_additions(self, table):
         t = HlaTyping({"A": ("A1", "A2"), "B": ("B5", "B7"),
                        "DR": ("DR1", "DR4")})
-        got = simulate_de_novo_immunization(table, t, t, 1.0, FixedRng([0.5]))
+        got = simulate_de_novo_immunization(table, t, t, 1.0,
+                                            FixedDraws([0.5]))
         assert got == frozenset()
 
     def test_probability_one_adds_every_mismatch(self, table):
         donor, cand = self._pair()
         got = simulate_de_novo_immunization(table, donor, cand, 1.0,
-                                            FixedRng([0.5]))
+                                            FixedDraws([0.5]))
         assert got == frozenset({"A2", "B5", "B7", "DR1", "DR4"})
 
     def test_binomial_mean_at_default_probability(self, table):
         donor, cand = self._pair()
-        rng = np.random.default_rng(8)
+        draws = Draws(8)
         total = sum(len(simulate_de_novo_immunization(table, donor, cand,
-                                                      0.2, rng))
+                                                      0.2, draws))
                     for _ in range(10_000))
         assert total / 10_000 == pytest.approx(1.0, abs=0.03)
 
@@ -225,7 +214,7 @@ class TestDeNovoImmunization:
         donor, cand = self._pair()
         with pytest.raises(ValueError):
             simulate_de_novo_immunization(table, donor, cand, 1.2,
-                                          FixedRng([0.5]))
+                                          FixedDraws([0.5]))
 
 
 def entry(eid, country="DE", age=55.0, dial=800, r=400.0, t=1200.0,
@@ -245,13 +234,13 @@ def profile(country="DE", age=55.0, dial=800, r=400.0, t=1200.0):
 class TestPoolMatching:
     def test_single_in_caliper_entry_always_chosen(self):
         pool = RelistingPool([entry("P1")])
-        got = select_pool_match(profile(), pool, FixedRng([0.0]))
+        got = select_pool_match(profile(), pool, FixedDraws([0.0]))
         assert got is not None and got.id == "P1"
 
     def test_no_match_after_full_relaxation(self):
         pool = RelistingPool([entry("P1", r=300.0, t=900.0)])
         got = select_pool_match(profile(r=3000.0, t=9000.0), pool,
-                                FixedRng([0.0]))
+                                FixedDraws([0.0]))
         assert got is None
 
     def test_caliper_bounds(self):
@@ -262,9 +251,9 @@ class TestPoolMatching:
         out_t = entry("T", t=1200.0 + 366.0)
         out_dial = entry("DIAL", dial=800 + int(3 * 365.25) + 1)
         pool = RelistingPool([in_cal, out_age, out_r, out_t, out_dial])
-        rng = np.random.default_rng(0)
+        draws = Draws(0)
         for _ in range(10):
-            got = select_pool_match(base, pool, rng)
+            got = select_pool_match(base, pool, draws)
             assert got.id == "IN"
 
     def test_country_relaxed_before_flag(self):
@@ -277,7 +266,7 @@ class TestPoolMatching:
             entry("NLX", country="NL", r=200.0, within=True),
         ])
         got = select_pool_match(profile(country="DE", r=400.0), pool,
-                                np.random.default_rng(1))
+                                Draws(1))
         assert got.id.startswith("NL")
         assert got.relisted_within_1y is False
 
@@ -362,8 +351,8 @@ class TestPoolMatching:
         entries = [entry(f"P{i}", r=300.0 + i, t=1000.0 + i)
                    for i in range(8)]
         pool = RelistingPool(entries)
-        rng = np.random.default_rng(7)
-        seen = {select_pool_match(profile(r=300.0, t=1000.0), pool, rng).id
+        draws = Draws(7)
+        seen = {select_pool_match(profile(r=300.0, t=1000.0), pool, draws).id
                 for _ in range(200)}
         assert len(seen) == 5
 
@@ -394,7 +383,7 @@ class TestBuildSyntheticRelisting:
             recipient, recipient.unacceptables, tx_day,
             tx_day - recipient.dialysis_start_day, t_days=1200.0,
             r_days=400.0, donor_hla=self._donor_hla(), pool=pool,
-            table=table, immunization_p=1.0, rng=FixedRng([0.5]),
+            table=table, immunization_p=1.0, draws=FixedDraws([0.5]),
             new_id="C9.r1")
         assert built is not None
         synthetic, match = built
@@ -425,5 +414,5 @@ class TestBuildSyntheticRelisting:
             recipient, frozenset(), to_days(date(2021, 6, 1)), 1461,
             t_days=9000.0, r_days=8000.0, donor_hla=self._donor_hla(),
             pool=pool, table=table, immunization_p=0.2,
-            rng=FixedRng([0.5]), new_id="C9.r1")
+            draws=FixedDraws([0.5]), new_id="C9.r1")
         assert built is None
