@@ -20,7 +20,11 @@ offer walk shifts every later draw.
 ``initialize`` draws no random numbers: its state is the same for every
 seed.  A batch builds it once per process and input stream and starts each
 run from ``SimState.fork(seed)``, a copy of what runs write that shares
-what they only read.
+what they only read.  Among what they share is the donor memo: per donor,
+what its arrival derives from the donor and the shared inputs alone (its
+HLA layouts and model features, and every center-level and dual-kidney
+acceptance probability a walk has asked for), so a batch evaluates each
+once per donor, not once per run.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import copy
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,13 +42,14 @@ from .common import (DAYS_PER_YEAR, InputError, age_years, day_text,
                      from_days, to_days)
 from .entities import (ETKAS, GEOGRAPHY_CLASSES, TERMINAL_CODES, DonorArrival,
                        StatusUpdate)
-from .fastmatch import (ACTIVE_CODES, CandidateStore, HlaIndex,
+from .fastmatch import (ACTIVE_CODES, CandidateStore, DonorHla, HlaIndex,
                         POINT_COMPONENTS, MatchArrays, build_match_arrays)
 from .io import SimulationInputs
 from .offering import (PATIENT_COLUMNS, center_offer_features, donor_features,
-                       linear_predictor, run_allocation)
-from .posttransplant import (TRANSPLANT_FEATURES, build_synthetic_relisting,
-                             sample_failure_time, sample_relist_time)
+                       dual_features, linear_predictor, run_allocation)
+from .posttransplant import (TRANSPLANT_FEATURES, InvalidScaleError,
+                             build_synthetic_relisting, sample_failure_time,
+                             sample_relist_time)
 
 # event type priorities within one day
 PRIO_BALANCE = 0
@@ -113,6 +119,18 @@ class Draws:
         return int(self._rng.integers(0, n))
 
 
+class DonorMemo(NamedTuple):
+    """What a donor's arrival derives from the donor and from what every
+    fork shares (inputs, policy, models), each part filled on first use."""
+
+    hla: DonorHla
+    features: dict[str, float]  # donor_features
+    # center code -> center-level acceptance probability
+    center_p: dict[str, float]
+    # (candidate age, rescue) -> dual-kidney probability
+    dual_p: dict[tuple[float, bool], float]
+
+
 class SimState:
     """Everything one run mutates: candidate store, ledger, FES, counters.
 
@@ -137,9 +155,9 @@ class SimState:
                                    if c.country == AUSTRIA})
         self.ledger = BalanceLedger(inputs.centers.countries, austrian_regions)
 
-        # per input donor: (DonorHla, donor_features), filled on first use
-        # and shared by every fork, since both depend on the donor alone
-        self.donor_memo: list[tuple | None] = [None] * len(inputs.donors)
+        # per input donor: its DonorMemo, built at its first arrival and
+        # shared by every fork, which all evaluate the same models on it
+        self.donor_memo: list[DonorMemo | None] = [None] * len(inputs.donors)
 
         self.fes: list[tuple] = []
         self._seq = 0
@@ -172,10 +190,13 @@ class SimState:
         What a run writes is copied: the store, the ledger, the FES, the
         row and person bookkeeping and the counters.  What no run writes is
         shared: the inputs, the HLA index, the FES payloads, the update
-        lists, the donor memo and the initial snapshots.  Outputs start
-        empty, the offer trace too: a traced state's forks trace, each
-        into its own list.  A fork of a freshly initialized state runs
-        exactly as a fresh ``initialize(inputs, seed)`` would.
+        lists, the donor memo and the initial snapshots.  The donor memo
+        fills as runs go, but it holds only values derived from the donor
+        and the shared inputs, so every fork reads the same values
+        whichever run filled them.  Outputs start empty, the offer trace
+        too: a traced state's forks trace, each into its own list.  A fork
+        of a freshly initialized state runs exactly as a fresh
+        ``initialize(inputs, seed)`` would.
         """
         new = copy.copy(self)
         new.draws = Draws(seed)
@@ -524,13 +545,13 @@ def _handle_donor(state: SimState, index: int, when: int) -> None:
     donor = inputs.donors[index]
     memo = state.donor_memo[index]
     if memo is None:
-        memo = state.donor_memo[index] = (state.hla_index.donor_hla(donor.hla),
-                                          donor_features(donor))
-    donor_hla, donor_feats = memo
+        memo = state.donor_memo[index] = DonorMemo(
+            state.hla_index.donor_hla(donor.hla), donor_features(donor), {}, {})
+    donor_feats = memo.features
     state.counters["donors.seen"] += 1
     state.counters["kidneys.available"] += donor.kidneys_available
 
-    arrays = build_match_arrays(store, donor, donor_hla, state.ledger, cfg,
+    arrays = build_match_arrays(store, donor, memo.hla, state.ledger, cfg,
                                 when)
     program = arrays.program
     models = inputs.etkas_models if program == ETKAS else inputs.esp_models
@@ -546,14 +567,25 @@ def _handle_donor(state: SimState, index: int, when: int) -> None:
     probs = _patient_prob_vector(models.patient, donor_feats, arrays, store,
                                  cfg)
     offers = ArrayOffers(store, arrays, probs)
+    center_p, dual_p = memo.center_p, memo.dual_p
 
-    def center_feats(center_code: str):
-        return center_offer_features(donor, donor_feats, center_code,
-                                     inputs.centers, store.countries)
+    def center_probability(center: str) -> float:
+        p = center_p.get(center)
+        if p is None:
+            p = center_p[center] = models.center.predict(center_offer_features(
+                donor, donor_feats, center, inputs.centers, store.countries))
+        return p
 
-    outcome = run_allocation(offers, donor, k_max, models, state.draws,
-                             inputs.settings.unplaced_mode, center_feats,
-                             donor_feats, state.offer_trace)
+    def dual_probability(age: float, rescue: bool) -> float:
+        p = dual_p.get((age, rescue))
+        if p is None:
+            p = dual_p[age, rescue] = models.dual.predict(
+                dual_features(donor_feats, age, rescue))
+        return p
+
+    outcome = run_allocation(offers, donor, k_max, state.draws,
+                             inputs.settings.unplaced_mode, center_probability,
+                             dual_probability, state.offer_trace)
 
     for acc in outcome.acceptances:
         _record_transplant(state, donor, donor_feats, arrays, acc.index, acc,
@@ -645,8 +677,13 @@ def _post_transplant(state: SimState, donor: DonorArrival,
         float(record.mechanism == "non_standard"),
         from_days(when).year - inputs.settings.window_start.year,
     ), strict=True))
-    t_days = sample_failure_time(features, reg.country, inputs.weibull,
-                                 state.draws.failure())
+    try:
+        t_days = sample_failure_time(features, reg.country, inputs.weibull,
+                                     state.draws.failure())
+    except InvalidScaleError as exc:
+        raise InvalidScaleError(
+            f"transplant of donor {donor.id!r} to candidate {reg.id!r} on "
+            f"{day_text(when)}: {exc}") from None
     failure_days = when + max(1, int(round(t_days)))
     tx_count = state.person_tx_count[reg.patient_id]
     state.schedule(failure_days, PRIO_PATIENT, "failure", reg.patient_id,

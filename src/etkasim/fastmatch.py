@@ -204,9 +204,13 @@ class HlaIndex:
         return x
 
     def donor_hla(self, typing: HlaTyping) -> DonorHla:
-        return DonorHla(self.words.unpack([self.carried(typing)])[0],
-                        {locus: self.locus(locus, typing.antigens[locus]).bits
-                         for locus in ("A", "B", "DR")})
+        words = self.words.unpack([self.carried(typing)])[0]
+        loci = {locus: self.locus(locus, typing.antigens[locus])
+                for locus in ("A", "B", "DR")}
+        return DonorHla(
+            tuple((w, words[w]) for w in np.flatnonzero(words).tolist()),
+            {locus: entry.bits for locus, entry in loci.items()},
+            all(entry.homozygous for entry in loci.values()))
 
     def unacceptable_words(self, codes: frozenset[str]) -> np.ndarray:
         """The read-only ``unacc`` row of a set of unacceptable antigens."""
@@ -219,11 +223,15 @@ class HlaIndex:
 
 @dataclass(frozen=True)
 class DonorHla:
-    """A donor's typing in the bit layouts of an HlaIndex.  It depends on
-    the typing alone, so one value can serve every run that sees the donor."""
+    """A donor's typing in the bit layouts of an HlaIndex, and what the
+    match build derives from it alone.  It depends on the typing alone, so
+    one value can serve every run that sees the donor."""
 
-    words: np.ndarray  # carried codes, laid out as ``unacc``
+    # (index, word) of each word of the ``unacc`` layout that holds a
+    # carried code
+    occupied: tuple[tuple[int, np.uint64], ...]
     locus_bits: dict[str, tuple[int, ...]]  # A, B, DR: one bit per antigen
+    homozygous: bool  # at A, B and DR
 
 
 def _bits(words: np.ndarray) -> np.ndarray:
@@ -624,9 +632,8 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
     elig &= store.screening[cand] >= now_days - cfg.screening_max_age_days
     # one test per word the donor's antigens occupy, not a reduction over
     # every word of every row
-    donor_words = donor_hla.words
-    for w in np.flatnonzero(donor_words):
-        elig &= (store.unacc[:, w][cand] & donor_words[w]) == 0
+    for w, word in donor_hla.occupied:
+        elig &= (store.unacc[:, w][cand] & word) == 0
     elig &= ~store.am[cand]
     if program == ETKAS:
         if GERMANY in store.country_of:
@@ -684,9 +691,10 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
                                   if cfg.filtering.apply_hla_mismatch_criteria
                                   else np.zeros(len(rows), dtype=bool))
         total, comps = _etkas_points_arrays(
-            store, donor, ledger, cfg, rows, age, mm_a, mm_b, mm_dr, geo_idx,
-            same_country, dial)
-        tier = _etkas_tier_array(store, donor, cfg, rows, age, mm_total)
+            store, donor, dc.country, ledger, cfg, rows, age, mm_a, mm_b,
+            mm_dr, geo_idx, dial)
+        tier = _etkas_tier_array(store, donor, donor_hla.homozygous, cfg,
+                                 rows, age, mm_total)
     else:
         under_65 = age < cfg.esp_candidate_age_from
         german_etkas = np.zeros(len(rows), dtype=bool)
@@ -775,7 +783,7 @@ def _break_full_ties_by_id(store, rows, order, tied, regional,
     return order
 
 
-def _etkas_tier_array(store, donor, cfg, rows, age, mm_total):
+def _etkas_tier_array(store, donor, homozygous, cfg, rows, age, mm_total):
     tier = np.ones(len(rows), dtype=np.int16)
     cand_ped = age < cfg.pediatric_candidate_age_below
     if donor.age < cfg.pediatric_donor_age_below:
@@ -783,13 +791,13 @@ def _etkas_tier_array(store, donor, cfg, rows, age, mm_total):
     zero = mm_total == 0
     tier[zero] = 3
     tier = tier.astype(np.int16) * 4
-    if all(donor.hla.is_homozygous(loc) for loc in ("A", "B", "DR")):
+    if homozygous:
         tier[zero] += store.homo_level[rows[zero]]
     return tier
 
 
-def _etkas_points_arrays(store, donor, ledger, cfg, rows, age, mm_a, mm_b,
-                         mm_dr, geo_idx, same_country, dial):
+def _etkas_points_arrays(store, donor, donor_country, ledger, cfg, rows,
+                         age, mm_a, mm_b, mm_dr, geo_idx, dial):
     comp_dial = cfg.dialysis_points_per_year * dial / DAYS_PER_YEAR
     hla = (cfg.hla_base_points + mm_a * cfg.hla_mm_beta_a
            + mm_b * cfg.hla_mm_beta_b + mm_dr * cfg.hla_mm_beta_dr)
@@ -809,13 +817,10 @@ def _etkas_points_arrays(store, donor, ledger, cfg, rows, age, mm_a, mm_b,
         bal_by_country[i] = (export - floor) * cfg.balance_weight(country)
     comp_bal = bal_by_country[store.country_idx[rows]]
 
-    # international rows get no distance points
-    dist_table = np.zeros((len(store.countries), 3))
-    for i, country in enumerate(store.countries):
-        schedule = cfg.distance_schedule(country)
-        dist_table[i, 0] = schedule.get(LOCAL_REGIONAL, 0.0)
-        dist_table[i, 1] = schedule.get(NATIONAL, 0.0)
-    comp_dist = dist_table[store.country_idx[rows], geo_idx] * same_country
+    # the donor country's schedule by geo_idx; international rows get none
+    schedule = cfg.distance_schedule(donor_country)
+    comp_dist = np.array([schedule.get(LOCAL_REGIONAL, 0.0),
+                          schedule.get(NATIONAL, 0.0), 0.0])[geo_idx]
 
     total = (comp_dial + hla + comp_ped + comp_hu + comp_mmp + comp_bal
              + comp_dist)

@@ -137,9 +137,6 @@ class HlaTyping:
         """Counting-level antigen set at a locus."""
         return frozenset(table.normalize(c) for c in self.antigens[locus])
 
-    def is_homozygous(self, locus: str) -> bool:
-        return len(set(self.antigens.get(locus, ()))) == 1
-
 
 #: Typing columns of candidate, donor and panel files, two per locus; a
 #: blank second column means homozygous.

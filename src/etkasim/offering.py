@@ -125,11 +125,10 @@ class CoxSampler:
         base = self.baseline(program, donor_country)
         rel_risk = math.exp(linear_predictor(0.0, self.coefficients, features,
                                              self.model_id))
-        # S0 is non-increasing, so S0**rr is too; find first index with
-        # S(k) <= u via bisect over the negated values.
-        survival = [s ** rel_risk for s in base.s0]
-        idx = bisect_left([-s for s in survival], -u)
-        if idx >= len(survival):
+        # S0 is non-increasing, so S0**rr is too; find the first index with
+        # S(k) <= u by bisecting the negated curve, evaluated where probed
+        idx = bisect_left(base.s0, -u, key=lambda s: -(s ** rel_risk))
+        if idx >= len(base.s0):
             return None
         return base.ks[idx]
 
@@ -296,11 +295,10 @@ class AcceptanceModels:
     dual: LogisticModel
 
 
-def run_allocation(offers, donor: DonorArrival,
-                   k_max: int | None, models: AcceptanceModels, draws,
+def run_allocation(offers, donor: DonorArrival, k_max: int | None, draws,
                    unplaced_mode: str,
-                   center_features: Callable[[str], Mapping[str, float]],
-                   donor_feats: Mapping[str, float],
+                   center_probability: Callable[[str], float],
+                   dual_probability: Callable[[float, bool], float],
                    trace: list[tuple] | None) -> AllocationOutcome:
     """Walk the match list per the offering rules and return who accepted.
 
@@ -310,12 +308,14 @@ def run_allocation(offers, donor: DonorArrival,
     for the non-standard phase.  The engine passes ``engine.ArrayOffers``;
     the tests' record-at-a-time accessor is in ``tests/oracle/offering.py``.
     ``draws`` is the run's ``engine.Draws``; a center, patient or dual
-    decision fires when its uniform falls below the model's probability.
-    ``center_features`` supplies the feature mapping for a center code,
-    and ``donor_feats`` the donor's ``donor_features`` for dual decisions.
-    ``unplaced_mode`` is 'discard' or 'force'.  Each offer decision is
-    appended to ``trace``, unless it is None, as (donor id, candidate id,
-    center, stage, decision, probability).
+    decision fires when its uniform falls below its probability.  The walk
+    evaluates no model: ``center_probability(center)`` gives the
+    center-level acceptance probability of a center code for this donor,
+    and ``dual_probability(age, rescue)`` the probability that a candidate
+    of that age takes both kidneys, ``rescue`` being whether the offer is
+    made outside the standard phase.  ``unplaced_mode`` is 'discard' or
+    'force'.  Each offer decision is appended to ``trace``, unless it is
+    None, as (donor id, candidate id, center, stage, decision, probability).
     """
     n = len(offers)
     outcome = AllocationOutcome()
@@ -326,15 +326,15 @@ def run_allocation(offers, donor: DonorArrival,
 
     def center_decision(center: str) -> bool:
         if center not in center_willing:
-            p = models.center.predict(center_features(center))
+            p = center_probability(center)
             center_willing[center] = draws.center() < p
         return center_willing[center]
 
     def kidneys_for(i: int, non_standard: bool) -> int:
         """2 when both kidneys are left and the dual model places them
         together with candidate ``i``, else 1."""
-        if kidneys_left == 2 and draws.dual() < models.dual.predict(
-                dual_features(donor_feats, offers.age(i), non_standard)):
+        if kidneys_left == 2 and draws.dual() < dual_probability(
+                offers.age(i), non_standard):
             return 2
         return 1
 

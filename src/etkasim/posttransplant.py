@@ -139,9 +139,8 @@ class StepCurve:
         None when the curve never accumulates that much mass, i.e. the draw
         lands in the never-relists plateau.
         """
-        cdf = [1.0 - s for s in self.survival]
-        idx = bisect_left(cdf, u)
-        if idx >= len(cdf):
+        idx = bisect_left(self.survival, u, key=lambda s: 1.0 - s)
+        if idx >= len(self.survival):
             return None
         return self.grid[idx]
 

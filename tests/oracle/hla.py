@@ -39,9 +39,13 @@ def count_mismatches(table: AntigenTable, donor: HlaTyping,
                            for locus in LOCI))
 
 
+def is_homozygous(typing: HlaTyping, locus: str) -> bool:
+    return len(set(typing.antigens.get(locus, ()))) == 1
+
+
 def homozygosity_level(candidate: HlaTyping) -> tuple[int, dict[str, bool]]:
     """Number of A/B/DR loci with a single antigen, plus per-locus flags."""
-    flags = {loc: candidate.is_homozygous(loc) for loc in LOCI}
+    flags = {loc: is_homozygous(candidate, loc) for loc in LOCI}
     return sum(flags.values()), flags
 
 

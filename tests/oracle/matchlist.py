@@ -23,7 +23,8 @@ from etkasim.hla import (AntigenTable, BloodGroupFrequencies, FrequencyTable,
 from etkasim.policy import PolicyConfig, sliding_scale_points
 
 from .hla import (MismatchCount, MmpInputs, carried_codes, compute_mmp,
-                  count_mismatches, homozygosity_level, p_leq1mm_analytic)
+                  count_mismatches, homozygosity_level, is_homozygous,
+                  p_leq1mm_analytic)
 
 OFFERABLE_CODES = ("T", "HU")
 
@@ -199,7 +200,7 @@ def etkas_tier(state: CandidateState, donor: DonorArrival, mm: MismatchCount,
     """
     if mm.total == 0:
         subtier = 0
-        if all(donor.hla.is_homozygous(loc) for loc in ("A", "B", "DR")):
+        if all(is_homozygous(donor.hla, loc) for loc in ("A", "B", "DR")):
             level, _ = homozygosity_level(state.registration.hla)
             subtier = level
         return (3, subtier)

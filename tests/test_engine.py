@@ -16,9 +16,11 @@ from etkasim.engine import (ArrayOffers, Draws, initialize, run,
 from etkasim.entities import (StatusUpdate, expand_mm_patterns,
                                parse_payload, parse_profile)
 from etkasim.fastmatch import _COLUMNS, build_match_arrays
+from etkasim.io import data_path
 from etkasim.offering import (AcceptanceModels, donor_features,
-                              run_allocation)
-from etkasim.posttransplant import PoolEntry, RelistingPool
+                              dual_features, run_allocation)
+from etkasim.posttransplant import (InvalidScaleError, PoolEntry,
+                                    RelistingPool, WeibullModel)
 from etkasim import posttransplant, reporting
 
 from engine_fixture import (END_DAY, START_DAY, WINDOW_END, WINDOW_START,
@@ -381,6 +383,21 @@ class TestPostTransplantFlow:
                         if e[0] == "status" and e[1].startswith("C1.r")]
         assert log_statuses
 
+    def test_non_positive_failure_scale_names_the_transplant(self):
+        # the packaged model's creatinine coefficient (-50 per unit) drives
+        # the scale far below zero for a creatinine of 400
+        weibull = WeibullModel.from_file(
+            data_path("weibull_post_transplant.csv"))
+        inputs = make_inputs([candidate("C1")],
+                             [donor("D1", 10, kidneys=1,
+                                    last_creatinine=400.0)],
+                             weibull=weibull)
+        with pytest.raises(InvalidScaleError,
+                           match=r"^transplant of donor 'D1' to candidate "
+                                 r"'C1' on 2021-04-11: non-positive Weibull "
+                                 r"scale -"):
+            run(initialize(inputs, seed=1))
+
     def test_failure_event_kills_relisted_candidate(self):
         # failure lands ~200 days after transplant; pool streams terminate
         # at 1500+ days, so the death fires first
@@ -734,10 +751,12 @@ class TestArrayOffers:
         for offers in (ArrayOffers(state.store, arrays, probs),
                        SequenceOffers(records, models.patient)):
             trace: list[tuple] = []
-            outcome = run_allocation(offers, arrival, 3, models,
-                                     Draws(seed), mode,
-                                     lambda center: {},
-                                     donor_features(arrival), trace)
+            outcome = run_allocation(
+                offers, arrival, 3, Draws(seed), mode,
+                lambda center: models.center.predict({}),
+                lambda age, rescue: models.dual.predict(
+                    dual_features(donor_features(arrival), age, rescue)),
+                trace)
             outcomes.append((outcome, trace))
         return outcomes
 

@@ -18,6 +18,7 @@ from etkasim.engine import initialize, run
 from etkasim.entities import StatusUpdate
 from etkasim.fastmatch import _COLUMNS
 from etkasim.io import load_inputs, load_settings
+from etkasim.offering import center_offer_features, dual_features
 from etkasim.synthetic import generate_population
 
 from engine_fixture import traced
@@ -163,6 +164,40 @@ def test_a_fork_of_a_traced_template_traces_into_its_own_list(inputs):
     assert output.offer_trace == run(
         traced(initialize(inputs, seed=3))).offer_trace
     assert initialize(inputs).fork(3).offer_trace is None
+
+
+def test_a_fork_reads_the_donor_memo_an_earlier_fork_filled(
+        inputs, fresh, tmp_path):
+    template = traced(initialize(inputs))
+    run(template.fork(3))
+    filled = {i: memo for i, memo in enumerate(template.donor_memo)
+              if memo is not None}
+    assert any(memo.center_p for memo in filled.values())
+    assert any(memo.dual_p for memo in filled.values())
+    # each probability is the one its model gives for its key
+    countries = template.store.countries
+    for i, memo in filled.items():
+        donor = inputs.donors[i]
+        models = (inputs.esp_models
+                  if donor.age >= inputs.policy.esp_donor_age_from
+                  else inputs.etkas_models)
+        assert memo.center_p == {center: models.center.predict(
+            center_offer_features(donor, memo.features, center,
+                                  inputs.centers, countries))
+            for center in memo.center_p}
+        assert memo.dual_p == {(age, rescue): models.dual.predict(
+            dual_features(memo.features, age, rescue))
+            for age, rescue in memo.dual_p}
+    output = run(template.fork(4))
+    assert all(template.donor_memo[i] is memo for i, memo in filled.items())
+    expected = run(traced(initialize(inputs, seed=4)))
+    assert output.offer_trace == expected.offer_trace
+    stats = reporting.stats_from_output(output)
+    assert stats == fresh[0][SEEDS.index(4)]
+    reporting.write_run_files(tmp_path / "fork", output, stats)
+    reporting.write_run_files(tmp_path / "fresh", expected,
+                              reporting.stats_from_output(expected))
+    assert _files(tmp_path / "fork") == _files(tmp_path / "fresh")
 
 
 def test_writes_to_a_fork_stay_in_the_fork(inputs):

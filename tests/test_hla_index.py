@@ -19,7 +19,7 @@ from etkasim.io import load_inputs, load_settings
 from etkasim.synthetic import generate_population
 
 from oracle.hla import (MmpInputs, carried_codes, compute_mmp, compute_vpra,
-                        p_leq1mm_analytic)
+                        is_homozygous, p_leq1mm_analytic)
 
 LOCI = ("A", "B", "DR")
 
@@ -76,7 +76,7 @@ def test_candidate_columns(inputs, store):
         for locus, column in zip(LOCI, masks):
             assert int(column[row]) == index.bits[locus].mask(
                 typing.normalized(table, locus))
-        homo = [typing.is_homozygous(locus) for locus in LOCI]
+        homo = [is_homozygous(typing, locus) for locus in LOCI]
         assert (int(store.homo_level[row]), bool(store.homo_b[row]),
                 bool(store.homo_dr[row])) == (sum(homo), homo[1], homo[2])
         assert store.unacc[row].tolist() == _words(table, reg.unacceptables)
@@ -180,9 +180,11 @@ def test_donor_layouts(inputs, store):
     table, index = inputs.antigen_table, store.hla_index
     for donor in inputs.donors:
         got = index.donor_hla(donor.hla)
-        assert not got.words.flags.writeable
-        assert got.words.tolist() == _words(table,
-                                            carried_codes(table, donor.hla))
+        words = _words(table, carried_codes(table, donor.hla))
+        assert [(w, int(word)) for w, word in got.occupied] == [
+            (w, word) for w, word in enumerate(words) if word]
+        assert got.homozygous == all(is_homozygous(donor.hla, locus)
+                                     for locus in LOCI)
         assert {locus: list(bits) for locus, bits in got.locus_bits.items()} \
             == {locus: _locus_bits(index, donor.hla, locus) for locus in LOCI}
 

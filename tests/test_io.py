@@ -25,6 +25,7 @@ from etkasim.io import (data_path, load_donors, load_registrations,
 from etkasim.synthetic import generate_population
 
 from engine_fixture import candidate, make_inputs
+from oracle.hla import is_homozygous
 from oracle.matchlist import CandidateState
 
 
@@ -97,7 +98,7 @@ class TestRegistrations:
             "A1,,B5,B7,DR1,DR4,,,0,,2021-01-01,T,,,0,0,0,\n"))
         reg = load_registrations(path, table)[0]
         assert reg.hla.antigens["A"] == ("A1",)
-        assert reg.hla.is_homozygous("A")
+        assert is_homozygous(reg.hla, "A")
 
     def test_unknown_typing_left_none(self, tmp_path, table):
         path = tmp_path / "regs.csv"

@@ -16,7 +16,7 @@ from etkasim.offering import (DONOR_FEATURES, PATIENT_FEATURES,
                               AcceptanceModels, CoxSampler, LogisticModel,
                               MissingFeatureError, StepSurvival,
                               UnknownStratumError, center_vocabulary,
-                              donor_features)
+                              donor_features, dual_features)
 
 from fake_draws import FixedDraws
 from oracle.offering import (OfferContext, OfferRecord, SequenceOffers,
@@ -73,9 +73,12 @@ def run_allocation(records, donor, k_max, models, draws,
     """``offering.run_allocation`` over a list of OfferRecord, with
     intercept-only center models, and the offer trace it writes."""
     trace: list[tuple] = []
+    feats = donor_features(donor)
     outcome = offering.run_allocation(
-        SequenceOffers(records, models.patient), donor, k_max, models, draws,
-        unplaced_mode, lambda center: {}, donor_features(donor), trace)
+        SequenceOffers(records, models.patient), donor, k_max, draws,
+        unplaced_mode, lambda center: models.center.predict({}),
+        lambda age, rescue: models.dual.predict(
+            dual_features(feats, age, rescue)), trace)
     return Walk(outcome.acceptances, outcome.unplaced,
                 [Offer(*entry) for entry in trace])
 
