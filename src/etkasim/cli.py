@@ -9,11 +9,12 @@ from pathlib import Path
 
 from . import batch as batch_mod
 from . import reporting
-from .common import InputError, read_table
+from .common import DAYS_PER_YEAR, InputError, age_years, read_table, to_days
 from .engine import initialize, run, verify_replay
-from .io import load_inputs, load_settings
+from .io import SimulationInputs, load_inputs, load_settings
 from .offering import UNPLACED_MODES
 from .policy import PolicyError, load_policy
+from .posttransplant import TRANSPLANT_FEATURES, check_scale_bound
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -146,10 +147,41 @@ def cmd_check_inputs(args) -> int:
         return 1
     # the engine's own checks on every record
     initialize(inputs)
+    _check_failure_scale(inputs)
     print(f"inputs ok: {len(inputs.registrations)} registrations, "
           f"{len(inputs.donors)} donors, {len(inputs.balance_events)} "
           f"balance events, panel of {len(inputs.panel)}")
     return 0
+
+
+def _check_failure_scale(inputs: SimulationInputs) -> None:
+    """Every in-window donor's graft-failure scale must stay positive over
+    the transplant features the inputs allow: candidate age and dialysis
+    years from 0 to their maxima at the window end (a re-listing's
+    dialysis time starts from a pool entry's, inside the window), 0-6
+    mismatches, 0-2 at DR, flags 0 or 1, and transplant years from 0 to the
+    window's length."""
+    settings = inputs.settings
+    start = to_days(settings.window_start)
+    end = to_days(settings.window_end)
+    regs = inputs.registrations
+    dialysis_starts = [
+        *(reg.dialysis_start_day for reg in regs
+          if reg.dialysis_start_day is not None),
+        *(u.value for stream in inputs.updates.values() for u in stream
+          if u.kind == "DIA" and u.value is not None)]
+    dialysis_days = max(
+        end - min(dialysis_starts, default=end),
+        end - start + int(inputs.relist_pool.dialysis_days.max(initial=0)))
+    highs = (float(age_years(end, min((r.birth_day for r in regs),
+                                      default=end))),
+             dialysis_days / DAYS_PER_YEAR, 1.0, 6.0, 2.0, 1.0, 1.0,
+             float(settings.window_end.year - settings.window_start.year))
+    check_scale_bound(
+        inputs.weibull,
+        [d for d in inputs.donors if start <= d.report_day <= end],
+        {name: (0.0, high)
+         for name, high in zip(TRANSPLANT_FEATURES, highs, strict=True)})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import copy
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -42,14 +44,17 @@ from .common import (DAYS_PER_YEAR, InputError, age_years, day_text,
                      from_days, to_days)
 from .entities import (ETKAS, GEOGRAPHY_CLASSES, TERMINAL_CODES, DonorArrival,
                        StatusUpdate)
-from .fastmatch import (ACTIVE_CODES, CandidateStore, DonorHla, HlaIndex,
-                        POINT_COMPONENTS, MatchArrays, build_match_arrays)
+from .fastmatch import (ACTIVE_CODES, STATUS_NAMES, CandidateStore, DonorHla,
+                        HlaIndex, POINT_COMPONENTS, MatchArrays,
+                        build_match_arrays)
 from .io import SimulationInputs
 from .offering import (PATIENT_COLUMNS, center_offer_features, donor_features,
                        dual_features, linear_predictor, run_allocation)
 from .posttransplant import (TRANSPLANT_FEATURES, InvalidScaleError,
                              build_synthetic_relisting, sample_failure_time,
                              sample_relist_time)
+
+_DAY = attrgetter("day")  # of a StatusUpdate
 
 # event type priorities within one day
 PRIO_BALANCE = 0
@@ -211,18 +216,27 @@ class SimState:
 
     # -- future event set -----------------------------------------------
 
-    def schedule(self, when_days: int, prio: int, kind: str, *payload) -> None:
+    def event(self, when_days: int, prio: int, kind: str, *payload) -> tuple:
+        """An FES entry, with the next insertion sequence number."""
         self._seq += 1
-        heapq.heappush(self.fes, (when_days, prio, self._seq, kind, payload))
+        return (when_days, prio, self._seq, kind, payload)
 
-    def schedule_screenings(self, days: np.ndarray, rows: np.ndarray) -> None:
+    def schedule(self, when_days: int, prio: int, kind: str, *payload) -> None:
+        heapq.heappush(self.fes, self.event(when_days, prio, kind, *payload))
+
+    def screening_events(self, days: np.ndarray,
+                         rows: np.ndarray) -> list[tuple]:
         """One screening event per distinct day up to the window end; its
         payload holds the rows refreshed that day.  ``days`` is sorted."""
         n = int(np.searchsorted(days, self.end_days, side="right"))
         starts = np.flatnonzero(np.diff(days[:n], prepend=days[:1] - 1))
-        for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), n]):
-            self.schedule(int(days[lo]), PRIO_PATIENT, "screening",
-                          rows[lo:hi])
+        return [self.event(int(days[lo]), PRIO_PATIENT, "screening",
+                           rows[lo:hi])
+                for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), n])]
+
+    def schedule_screenings(self, days: np.ndarray, rows: np.ndarray) -> None:
+        for event in self.screening_events(days, rows):
+            heapq.heappush(self.fes, event)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -248,89 +262,108 @@ class SimState:
 def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
     """Build the initial system state and future event set.
 
-    Pre-window status updates fold into candidate states, and each row's
-    screening date becomes its last pre-window refresh; pre-window balance
-    events fold into the ledger; each candidate gets exactly one pending
-    patient event (their first in-window update); in-window screening
-    refreshes, donors and balance updates are scheduled.  Repeat
+    Registrations are taken in two passes.  The first picks the ones the
+    run lists and finds each one's first in-window status update: repeat
     registrations whose previous transplant falls inside the window are
-    excluded - the simulation itself generates those re-listings.
+    excluded (the simulation itself generates those re-listings), and so
+    are registrations dated after the window or whose spell ends before it.
+    The store takes the picked ones in one ``extend``.  The second pass
+    folds each row's pre-window updates into its state, in file order, and
+    gives it exactly one pending patient event (its first in-window
+    update).  Each row's screening date becomes its last pre-window
+    refresh; pre-window balance events fold into the ledger; in-window
+    screening refreshes, donors and balance updates are scheduled.
+
+    The FES is seeded as a plain list, with the sequence numbers one push
+    per event would give, and heapified once: the numbers are unique, so
+    the events pop in the same order.  The first registration in file
+    order that fails a check raises: a duplicate id, status updates out
+    of order, or a check of the store (``CandidateStore.extend``).
     """
     state = SimState(inputs, seed)
     store = state.store
     start, end = state.start_days, state.end_days
 
-    seen_ids: dict[str, int] = {}
-    spells: dict[str, list[tuple[int, int, str]]] = {}
-    scr_rows: list[int] = []  # rows with screenings, and their days
-    scr_days: list[np.ndarray] = []
-
+    # pass 1: the listed registrations, each with its status updates and
+    # the index of its first in-window one (len(updates) if none)
+    seen_ids: set[str] = set()
+    kept, initial, streams, firsts = [], [], [], []
+    fault = None
     for reg in inputs.registrations:
         if reg.id in seen_ids:
-            raise InputError(f"duplicate registration id {reg.id!r}")
-        seen_ids[reg.id] = 1
+            fault = InputError(f"duplicate registration id {reg.id!r}")
+            break
+        seen_ids.add(reg.id)
         updates = inputs.updates.get(reg.id, [])
         for a, b in zip(updates, updates[1:]):
             if a.day > b.day:
-                raise InputError("status updates out of order after sorting")
+                fault = InputError("status updates out of order after sorting")
+                break
+        if fault is not None:
+            break
 
         if (reg.previous_transplant_day is not None
                 and start <= reg.previous_transplant_day <= end):
             continue
-        reg_days = reg.registration_day
-        if reg_days > end:
+        if reg.registration_day > end:
             continue
-
-        # fold pre-window updates; find the first in-window one
-        urgency = reg.initial_urgency
-        folded: list = []
-        first_pending: int | None = None
-        for i, upd in enumerate(updates):
-            if upd.day < start:
-                folded.append(upd)
-            else:
-                first_pending = i
-                break
-        if any(u.ends_spell for u in folded):
+        first = bisect_left(updates, start, key=_DAY)
+        if any(u.ends_spell for u in updates[:first]):
             continue
-
+        kept.append(reg)
         # registrations dated inside the window are not listed yet; their
         # first status update (at the registration date) activates them
-        initial = "PRE" if reg_days > start else None
-        row = store.add(reg, initial_status=initial)
-        state.person_tx_count.setdefault(reg.patient_id, 0)
-        state.person_active_row[reg.patient_id] = row
-        for upd in folded:
-            store.apply_update(row, upd)
+        initial.append("PRE" if reg.registration_day > start else None)
+        streams.append(updates)
+        firsts.append(first)
+    # the store checks the registrations before the fault first
+    rows = store.extend(kept, initial)
+    if fault is not None:
+        raise fault
+
+    # pass 2: fold, book and seed each row in file order
+    fes = state.fes
+    person_active_row = state.person_active_row
+    spells: dict[str, list[int]] = {}  # rows of patients listed repeatedly
+    scr_rows: list[int] = []  # rows with screenings, and their days
+    scr_days: list[np.ndarray] = []
+    for row, reg, updates, first in zip(rows, kept, streams, firsts):
+        pid = reg.patient_id
+        state.person_tx_count.setdefault(pid, 0)
+        before = person_active_row.get(pid)
+        if before is not None:
+            spells.setdefault(pid, [before]).append(row)
+        person_active_row[pid] = row
+        for i in range(first):
+            store.apply_update(row, updates[i])
         days = inputs.screenings.get(reg.id)
         if days is not None and len(days):
             scr_rows.append(row)
             scr_days.append(days)
         state.updates_of[row] = updates
-        if first_pending is not None:
-            upd = updates[first_pending]
-            state.schedule(upd.day, PRIO_PATIENT, "patient", row,
-                           first_pending)
-        state._mark_listed(row)
+        if first < len(updates):
+            fes.append(state.event(updates[first].day, PRIO_PATIENT,
+                                   "patient", row, first))
+    listed = np.flatnonzero(np.isin(store.status[:store.n], ACTIVE_CODES))
+    state._listed.update(listed.tolist())
+    state.counters["wl.listings"] += len(listed)
 
-        # overlapping spells for one patient are an input error
-        pid = reg.patient_id
-        spells.setdefault(pid, []).append((reg_days, row, reg.id))
-
-    for pid, entries in spells.items():
-        if len(entries) > 1:
-            entries.sort()
-            for (a_start, a_row, a_id), (b_start, b_row, b_id) in zip(
-                    entries, entries[1:]):
-                a_updates = state.updates_of.get(a_row, [])
-                a_end = None
-                for u in a_updates:
-                    if u.ends_spell:
-                        a_end = u.day
-                if a_end is not None and b_start < a_end:
-                    raise InputError(
-                        f"registrations {a_id!r} and {b_id!r} for patient "
-                        f"{pid!r} overlap in time")
+    # overlapping spells for one patient are an input error; patients are
+    # checked in the order of their first row
+    for patient_rows in sorted(spells.values()):
+        entries = sorted((store.registrations[row].registration_day, row)
+                         for row in patient_rows)
+        for (a_start, a_row), (b_start, b_row) in zip(entries, entries[1:]):
+            a_end = None
+            for u in state.updates_of[a_row]:
+                if u.ends_spell:
+                    a_end = u.day
+            if a_end is not None and b_start < a_end:
+                raise InputError(
+                    f"registrations {store.ids[a_row]!r} and "
+                    f"{store.ids[b_row]!r} for patient "
+                    f"{store.registrations[a_row].patient_id!r} overlap in "
+                    "time")
 
     if scr_rows:
         _fold_screenings(state, np.array(scr_rows, dtype=np.int64), scr_days)
@@ -346,7 +379,7 @@ def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
         if event.day <= start:
             state.ledger.record_transfer(event)
         elif event.day <= end:
-            state.schedule(event.day, PRIO_BALANCE, "balance", event)
+            fes.append(state.event(event.day, PRIO_BALANCE, "balance", event))
 
     for i, donor in enumerate(inputs.donors):
         if start <= donor.report_day <= end:
@@ -358,12 +391,13 @@ def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
                 raise InputError(f"donor {donor.id!r}: country "
                                  f"{donor.country!r} is not the country of "
                                  f"its center {donor.center!r} ({country})")
-            state.schedule(donor.report_day, PRIO_DONOR, "donor", i)
+            fes.append(state.event(donor.report_day, PRIO_DONOR, "donor", i))
+    heapq.heapify(fes)
 
     store.finalize_derived_values()
-    state.init_statuses = {
-        store.ids[row]: (store.status_code(row), start)
-        for row in range(store.n)}
+    state.init_statuses = dict(zip(
+        store.ids, [(STATUS_NAMES[code], start)
+                    for code in store.status[:store.n].tolist()]))
     state.init_ledger = state.ledger.copy()
     return state
 
@@ -371,8 +405,9 @@ def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
 def _fold_screenings(state: SimState, rows: np.ndarray,
                      days_of: list[np.ndarray]) -> None:
     """Set each row's screening date to its last pre-window refresh, and
-    schedule the in-window refreshes; ``days_of[i]`` holds the sorted,
-    non-empty refresh days of ``rows[i]``."""
+    add the in-window refreshes' events to the unordered FES that
+    ``initialize`` seeds; ``days_of[i]`` holds the sorted, non-empty
+    refresh days of ``rows[i]``."""
     lens = np.fromiter(map(len, days_of), dtype=np.int64, count=len(days_of))
     firsts = np.cumsum(lens) - lens
     days = np.concatenate(days_of)
@@ -384,7 +419,7 @@ def _fold_screenings(state: SimState, rows: np.ndarray,
     later = np.repeat(rows, lens)[~before]
     days = days[~before]
     order = np.argsort(days, kind="stable")
-    state.schedule_screenings(days[order], later[order])
+    state.fes.extend(state.screening_events(days[order], later[order]))
 
 
 def run(state: SimState) -> SimulationOutput:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -25,7 +26,7 @@ from .entities import (ESP, ETKAS, GERMANY, LOCAL_REGIONAL, NATIONAL,
                        AllocationProfile, CandidateRegistration,
                        CenterRegistry, DonorArrival, StatusUpdate,
                        URGENCY_CODES)
-from .hla import (BLOOD_GROUPS, AntigenTable, BloodGroupFrequencies,
+from .hla import (BLOOD_GROUPS, LOCI, AntigenTable, BloodGroupFrequencies,
                   DonorPanel, FrequencyTable, HlaTyping,
                   compute_hmpp_fraction)
 from .policy import PolicyConfig, sliding_scale_points
@@ -35,6 +36,7 @@ STATUS_CODES = {code: i for i, code in enumerate(URGENCY_CODES)}
 PRE = len(URGENCY_CODES)
 T, NT, HU, I, R, D, FU = (STATUS_CODES[c] for c in ("T", "NT", "HU", "I", "R",
                                                     "D", "FU"))
+STATUS_NAMES = (*URGENCY_CODES, "PRE")  # by status code
 ACTIVE_CODES = (T, NT, HU, I)
 BG_CODES = {bg: i for i, bg in enumerate(BLOOD_GROUPS)}
 _CHOICES = {None: 0, ETKAS: 1, ESP: 2}  # the ``choice`` column
@@ -79,6 +81,24 @@ _COLUMNS = (
     ("immun_pts", 0.0, np.float64, ()),
     ("f_bg", 0.0, np.float64, ()),
 )
+
+# the columns a registration sets, in the order ``CandidateStore._read``
+# gives their values; the others keep their fill until a derivation or an
+# update writes them
+_INTAKE = ("status", "bg", "country_idx", "region_idx", "subregion_idx",
+           "dob_days", "reg_days", "dial_start", "screening", "prior_tx", "am",
+           "kaoo", "opt_in", "choice", "hla_known", "mask_a", "mask_b",
+           "mask_dr", "homo_level", "homo_b", "homo_dr", "patmask",
+           "prof_min_age", "prof_max_age", "prof_dcd", "prof_ext", "prof_hcv",
+           "prof_hbs", "f_bg", "unacc")
+# their fills but ``unacc``'s, which ``add`` always writes
+_INTAKE_FILLS = tuple(map({name: fill for name, fill, *_ in _COLUMNS}.get,
+                          _INTAKE[:-1]))
+_PROFILE = _INTAKE[_INTAKE.index("prof_min_age"):_INTAKE.index("f_bg")]
+# the values of ``hla_known`` to ``homo_dr`` of a registration without an
+# HLA typing
+_NO_HLA = (False, 0, 0, 0, 0, False, False)
+_ALL_ACCEPTING = AllocationProfile()
 
 
 class LocusBits:
@@ -249,33 +269,55 @@ def _carriers(panel_words: np.ndarray) -> np.ndarray:
     return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view("<u8")
 
 
-# rows per step of ``finalize_derived_values``, so that its temporaries (a
-# rows x 64 matrix per locus for p<=1mm, bit rows and panel words for vPRA)
-# scale with this, not with the pending rows: every row at a run's start
+# rows per vPRA step of ``finalize_derived_values``, so that its temporaries
+# (a row's unacceptable bits, 64 W bytes, and the panel words of each of its
+# codes) scale with this, not with the pending rows: every row at a run's
+# start
 _DERIVE_CHUNK = 512
 
 # set bits per byte value
 _BIT_COUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def _freq_by_bit(bits: LocusBits, dist: Mapping[str, float]) -> np.ndarray:
-    out = np.zeros(64)
-    for code, f in dist.items():
-        if code in bits.bit_of:
-            out[bits.bit_of[code]] = f
-    return out
+def _freq_by_slot(bits: Mapping[str, LocusBits], freq_table: FrequencyTable
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frequencies of the A, B and DR antigens and their squares by
+    slot, and each locus's sum of squares (a 3 x 1 column).  Locus i holds
+    slots ``65 i`` to ``65 i + 64``: its padding slot, 0.0, then one slot per
+    bit, bit b at slot ``65 i + b + 1``."""
+    freq = np.zeros((3, 65))
+    for i, locus in enumerate(LOCI):
+        for code, f in freq_table.locus(locus).items():
+            if code in bits[locus].bit_of:
+                freq[i, bits[locus].bit_of[code] + 1] = f
+    sq = freq ** 2
+    sq_all = np.array([[float(sq[i, 1:].sum())] for i in range(3)])
+    return freq.ravel(), sq.ravel(), sq_all
+
+
+# the first slot of each locus in ``_freq_by_slot``'s arrays
+_LOCUS_SLOT = np.array([[0], [65], [130]])
+
+
+def _profile_values(profile: AllocationProfile | None) -> tuple:
+    """A profile's ``prof_*`` column values, in ``_INTAKE`` order."""
+    p = profile or _ALL_ACCEPTING
+    return (p.min_donor_age, p.max_donor_age, p.accept_dcd,
+            p.accept_extended_criteria, p.accept_hcv_positive,
+            p.accept_hbsag_positive)
 
 
 class CandidateStore:
     """Structure-of-arrays over all registrations in a run (single-writer).
 
-    ``add`` and ``apply_update`` only mark rows whose HLA or unacceptables
-    changed; their p<=1mm, vPRA and immunization points are derived later,
-    ``_DERIVE_CHUNK`` rows at a time, by ``finalize_derived_values``, which
+    Registrations come in through ``extend`` (many rows, one write per
+    column) or ``add`` (one row); both read a registration through
+    ``_read``, the one definition of what its row holds.  ``add``,
+    ``extend`` and ``apply_update`` only mark rows whose HLA or
+    unacceptables changed; their p<=1mm, vPRA and immunization points are
+    derived later by ``finalize_derived_values``, which
     ``build_match_arrays`` calls before it reads them.
     """
-
-    GROW = 256
 
     def __init__(self, hla_index: HlaIndex, centers: CenterRegistry,
                  panel: DonorPanel, freq_table: FrequencyTable,
@@ -319,9 +361,7 @@ class CandidateStore:
         # (locus, raw codes) of candidate loci already checked against the
         # frequency table
         self._freq_checked: set[tuple[str, tuple[str, ...]]] = set()
-        self._freq_bits = {
-            locus: _freq_by_bit(hla_index.bits[locus], freq_table.locus(locus))
-            for locus in ("A", "B", "DR")}
+        self._freq_bits = _freq_by_slot(hla_index.bits, freq_table)
 
         self._alloc(1024)
 
@@ -339,8 +379,13 @@ class CandidateStore:
         self._cap = cap
 
     def _ensure(self, extra: int) -> None:
-        if self.n + extra > self._cap:
-            self._alloc(max(self._cap * 2, self.n + extra + self.GROW))
+        """Room for ``extra`` more rows: the capacity doubles until they fit,
+        so it follows the rows, not how they came in."""
+        cap = self._cap
+        while self.n + extra > cap:
+            cap *= 2
+        if cap != self._cap:
+            self._alloc(cap)
 
     def copy(self) -> CandidateStore:
         """An independent store with the same rows.  Columns and row
@@ -363,16 +408,50 @@ class CandidateStore:
     def add(self, reg: CandidateRegistration, initial_status: str | None = None) -> int:
         """Append a row for ``reg`` and return its index: the registration's
         day numbers are stored as they stand, and ``initial_status`` ("PRE":
-        not listed yet), when given, overrides its urgency."""
+        not listed yet), when given, overrides its urgency.  Raises what
+        ``_read`` raises.  Rows past ``n`` are never written, so the new row
+        holds every column's fill, and only values that differ from it are
+        written (a re-listing adds a row during a run)."""
+        values = self._read(reg, initial_status)
         self._ensure(1)
         row = self.n
-        self.n += 1
-        self.registrations.append(reg)
-        self.ids.append(reg.id)
+        columns = vars(self)
+        for name, value, fill in zip(_INTAKE, values, _INTAKE_FILLS):
+            if value != fill:
+                columns[name][row] = value
+        self.unacc[row] = values[-1]
+        self.n = row + 1
+        return row
+
+    def extend(self, registrations: Iterable[CandidateRegistration],
+               initial_statuses: Iterable[str | None]) -> range:
+        """Append a row per registration, in order, as ``add`` does each
+        with its initial status, and return their indices.  Every
+        registration is read first, then each column is written once; the
+        first faulty registration raises, and a store that raised is not
+        to be used."""
+        base = self.n
+        rows = [self._read(reg, status) for reg, status
+                in zip(registrations, initial_statuses, strict=True)]
+        if rows:
+            self._ensure(len(rows))
+            end = base + len(rows)
+            columns = vars(self)
+            for name, column in zip(_INTAKE, zip(*rows)):
+                columns[name][base:end] = column
+            self.n = end
+        return range(base, self.n)
+
+    def _read(self, reg: CandidateRegistration,
+              initial_status: str | None) -> tuple:
+        """Check ``reg``, book it as the next row (its id, center and
+        registration, and a pending derivation) and return its values of
+        the ``_INTAKE`` columns.  Raises InputError, before booking, for
+        the first of: a duplicate id, an unknown center, a country not its
+        center's, an antigen missing from the frequency table, a blood group
+        without a frequency, an unacceptable antigen not in the table."""
         if reg.id in self.row_of:
             raise InputError(f"duplicate registration id {reg.id!r}")
-        self.row_of[reg.id] = row
-
         if reg.center not in self.centers:
             raise InputError(f"registration {reg.id!r}: unknown center code "
                              f"{reg.center!r}")
@@ -381,47 +460,53 @@ class CandidateStore:
             raise InputError(f"registration {reg.id!r}: country "
                              f"{reg.country!r} is not the country of its "
                              f"center {reg.center!r} ({center.country})")
-        code = initial_status if initial_status is not None else reg.initial_urgency
-        self.status[row] = PRE if code == "PRE" else STATUS_CODES[code]
-        self.bg[row] = BG_CODES[reg.blood_group]
-        self.country_idx[row] = self.country_of[reg.country]
-        self.region_idx[row] = self.region_of[center.region]
-        if reg.country == AUSTRIA:
-            self.austrian_regions.add(self.region_of[center.region])
-        self.subregion_idx[row] = self.subregion_of.get(center.esp_subregion, -1)
-        self.center_codes.append(reg.center)
-        self.dob_days[row] = reg.birth_day
-        self.reg_days[row] = reg.registration_day
-        if reg.dialysis_start_day is not None:
-            self.dial_start[row] = reg.dialysis_start_day
-        if reg.last_screening_day is not None:
-            self.screening[row] = reg.last_screening_day
-        self.prior_tx[row] = reg.prior_transplant
-        self.am[row] = reg.am_program
-        self.kaoo[row] = reg.kaoo
-        self.opt_in[row] = reg.esp_extended_opt_in
-        self.choice[row] = _CHOICES[reg.german_program_choice]
-        if reg.hla is not None:
-            self._set_hla(row, reg.hla)
-        self._set_profile(row, reg.profile)
-        self.patmask[row] = _pattern_mask(reg.mm_criteria)
-        self.f_bg[row] = self.bg_freqs.freq_of(reg.blood_group)
-        self._set_unacceptables(row, reg.unacceptables)
-        return row
+        hla = _NO_HLA if reg.hla is None else self._hla_values(reg.hla)
+        f_bg = self.bg_freqs.freq_of(reg.blood_group)
+        unacc = self.hla_index.unacceptable_words(reg.unacceptables)
 
-    def _set_hla(self, row: int, typing: HlaTyping) -> None:
+        row = len(self.ids)
+        self.registrations.append(reg)
+        self.ids.append(reg.id)
+        self.center_codes.append(reg.center)
+        self.row_of[reg.id] = row
+        self._pending.add(row)
+        region = self.region_of[center.region]
+        if reg.country == AUSTRIA:
+            self.austrian_regions.add(region)
+        code = initial_status if initial_status is not None else reg.initial_urgency
+        return (
+            PRE if code == "PRE" else STATUS_CODES[code],
+            BG_CODES[reg.blood_group],
+            self.country_of[reg.country],
+            region,
+            self.subregion_of.get(center.esp_subregion, -1),
+            reg.birth_day,
+            reg.registration_day,
+            _NO_DATE if reg.dialysis_start_day is None
+            else reg.dialysis_start_day,
+            _NO_DATE if reg.last_screening_day is None
+            else reg.last_screening_day,
+            reg.prior_transplant,
+            reg.am_program,
+            reg.kaoo,
+            reg.esp_extended_opt_in,
+            _CHOICES[reg.german_program_choice],
+            *hla,
+            _pattern_mask(reg.mm_criteria),
+            *_profile_values(reg.profile),
+            f_bg,
+            unacc,
+        )
+
+    def _hla_values(self, typing: HlaTyping) -> tuple:
+        """A typing's ``hla_known`` to ``homo_dr`` values, in ``_INTAKE``
+        order.  Raises InputError for a counting-level antigen missing from
+        the frequency table."""
         idx, antigens = self.hla_index, typing.antigens
         a = idx.locus("A", antigens["A"])
         b = idx.locus("B", antigens["B"])
         dr = idx.locus("DR", antigens["DR"])
-        self.hla_known[row] = True
-        self.mask_a[row] = a.mask
-        self.mask_b[row] = b.mask
-        self.mask_dr[row] = dr.mask
-        self.homo_level[row] = a.homozygous + b.homozygous + dr.homozygous
-        self.homo_b[row] = b.homozygous
-        self.homo_dr[row] = dr.homozygous
-        for locus, entry in zip(("A", "B", "DR"), (a, b, dr)):
+        for locus, entry in zip(LOCI, (a, b, dr)):
             key = (locus, antigens[locus])
             if key in self._freq_checked:
                 continue
@@ -432,38 +517,32 @@ class CandidateStore:
                         f"candidate antigen {code!r} missing from "
                         f"frequency table at locus {locus}")
             self._freq_checked.add(key)
+        return (True, a.mask, b.mask, dr.mask,
+                a.homozygous + b.homozygous + dr.homozygous,
+                b.homozygous, dr.homozygous)
 
     def _p1mm_batch(self, rows: np.ndarray) -> None:
-        shifts = np.arange(64, dtype=np.uint64)[None, :]
-        probs = []
-        for locus, mask_arr in (("A", self.mask_a), ("B", self.mask_b),
-                                ("DR", self.mask_dr)):
-            fb = self._freq_bits[locus]
-            bits = ((mask_arr[rows][:, None] >> shifts)
-                    & np.uint64(1)).astype(np.float64)
-            s = bits @ fb
-            sq_all = float((fb ** 2).sum())
-            sq_in = bits @ (fb ** 2)
-            p0 = s * s
-            p1 = 2.0 * s * (1.0 - s) + (sq_all - sq_in)
-            probs.append((p0, p1))
-        p = probs[0][0] * probs[1][0] * probs[2][0]
-        for i in range(3):
-            term = probs[i][1].copy()
-            for j in range(3):
-                if j != i:
-                    term *= probs[j][0]
-            p += term
-        self.p1mm[rows] = p
+        """p<=1mm of ``rows``.  A row's mask holds one or two bits per locus
+        (a typing has one or two antigens there), so the sums of its
+        antigens' frequencies and of their squares are sums of two terms,
+        the second 0.0 for one antigen, whose value no summation order
+        changes.  ``frexp`` gives bit b, 2**b, the exponent b + 1, and no
+        bit the exponent 0: its slot in the frequency arrays."""
+        freq, freq_sq, sq_all = self._freq_bits
+        masks = np.stack((self.mask_a[rows], self.mask_b[rows],
+                          self.mask_dr[rows]))
+        low = masks & (~masks + np.uint64(1))
+        lo = np.frexp(low.astype(np.float64))[1] + _LOCUS_SLOT
+        hi = np.frexp((masks ^ low).astype(np.float64))[1] + _LOCUS_SLOT
+        s = freq[lo] + freq[hi]
+        p0 = s * s
+        p1 = 2.0 * s * (1.0 - s) + (sq_all - (freq_sq[lo] + freq_sq[hi]))
+        self.p1mm[rows] = (p0[0] * p0[1] * p0[2] + p1[0] * p0[1] * p0[2]
+                           + p1[1] * p0[0] * p0[2] + p1[2] * p0[0] * p0[1])
 
     def _set_profile(self, row: int, profile: AllocationProfile | None) -> None:
-        p = profile or AllocationProfile()
-        self.prof_min_age[row] = p.min_donor_age
-        self.prof_max_age[row] = p.max_donor_age
-        self.prof_dcd[row] = p.accept_dcd
-        self.prof_ext[row] = p.accept_extended_criteria
-        self.prof_hcv[row] = p.accept_hcv_positive
-        self.prof_hbs[row] = p.accept_hbsag_positive
+        for name, value in zip(_PROFILE, _profile_values(profile)):
+            getattr(self, name)[row] = value
 
     def _set_unacceptables(self, row: int, unacc: frozenset[str]) -> None:
         self.unacc[row] = self.hla_index.unacceptable_words(unacc)
@@ -474,15 +553,13 @@ class CandidateStore:
     def finalize_derived_values(self) -> None:
         """Derive p<=1mm, vPRA and the immunization points (unrounded;
         reports round per component) of every row added or given new
-        unacceptables since the last call, ``_DERIVE_CHUNK`` rows at a
-        time."""
+        unacceptables since the last call: p<=1mm in one pass over the rows
+        with a typing, vPRA ``_DERIVE_CHUNK`` rows at a time."""
         if not self._pending:
             return
         rows = np.array(sorted(self._pending), dtype=np.int64)
         self._pending.clear()
-        with_hla = rows[self.hla_known[rows]]
-        for lo in range(0, len(with_hla), _DERIVE_CHUNK):
-            self._p1mm_batch(with_hla[lo:lo + _DERIVE_CHUNK])
+        self._p1mm_batch(rows[self.hla_known[rows]])
         has_unacc = self.unacc[rows].any(axis=1)
         # a runtime update can empty the set of unacceptables
         self.vpra[rows[~has_unacc]] = 0.0
@@ -551,11 +628,11 @@ class CandidateStore:
         self.status[row] = STATUS_CODES[code] if code != "PRE" else PRE
 
     def status_code(self, row: int) -> str:
-        s = int(self.status[row])
-        return "PRE" if s == PRE else URGENCY_CODES[s]
+        return STATUS_NAMES[self.status[row]]
 
 
 
+@lru_cache(maxsize=None)
 def _pattern_mask(patterns: frozenset[tuple[int, int, int]]) -> int:
     mask = 0
     for a, b, dr in patterns:

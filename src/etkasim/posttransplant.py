@@ -22,9 +22,9 @@ import numpy as np
 
 from .common import (DAYS_PER_YEAR, InputError, age_years, one_of,
                      read_coefficients, read_table)
-from .entities import CandidateRegistration, parse_payload
+from .entities import CandidateRegistration, DonorArrival, parse_payload
 from .hla import AntigenTable, HlaTyping
-from .offering import DONOR_FEATURES, linear_predictor
+from .offering import DONOR_FEATURES, donor_features, linear_predictor
 
 log = logging.getLogger(__name__)
 
@@ -90,6 +90,44 @@ def sample_failure_time(features: Mapping[str, float], country: str,
     if u <= 0.0:
         u = np.nextafter(0.0, 1.0)
     return lam * (-math.log(u)) ** (1.0 / k)
+
+
+def check_scale_bound(model: WeibullModel, donors: Sequence[DonorArrival],
+                      box: Mapping[str, tuple[float, float]]) -> None:
+    """Raise InputError naming the first of ``donors`` whose Weibull scale
+    can be non-positive for some transplant features in ``box`` (each of
+    TRANSPLANT_FEATURES -> its lowest and highest value), and the covariate
+    whose term is smallest there.
+
+    The scale is linear in the features, so its minimum over the box is its
+    value at each feature's end that makes the feature's term smaller: one
+    evaluation over all donors at once.  The box is wider than what a run
+    reaches, so a rejected donor need not make such a transplant."""
+    if not donors:
+        return
+    rows = [donor_features(d) for d in donors]
+    features: dict[str, np.ndarray | float] = {
+        name: np.array([row[name] for row in rows]) for name in DONOR_FEATURES}
+    for name, (low, high) in box.items():
+        features[name] = high if model.coefficients.get(name, 0.0) < 0 else low
+    bound = np.broadcast_to(linear_predictor(
+        model.intercept, model.coefficients, features, model.model_id),
+        (len(donors),))
+    bad = np.flatnonzero(bound <= 0)
+    if not len(bad):
+        return
+    i = int(bad[0])
+    values = {name: float(np.broadcast_to(features[name], (len(donors),))[i])
+              for name in model.coefficients}
+    worst = min(model.coefficients,
+                 key=lambda name: model.coefficients[name] * values[name])
+    raise InputError(
+        f"donor {donors[i].id!r}: non-positive Weibull scale possible, down "
+        f"to {bound[i]:.1f} days, driven by {worst} = {values[worst]:g} "
+        f"(term {model.coefficients[worst] * values[worst]:.1f}); the "
+        "bound takes candidate age and dialysis years up to their maxima at "
+        "the window end, 0-6 mismatches (0-2 at DR), every flag and every "
+        "transplant year, a box wider than what a run reaches")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Mapping
+
+import numpy as np
 
 from etkasim.common import InputError, round_half_up
 from etkasim.hla import (LOCI, AntigenTable, DonorPanel, FrequencyTable,
@@ -131,6 +134,34 @@ def p_leq1mm_analytic(table: AntigenTable, candidate: HlaTyping,
                 term *= p0_j
         p_exactly1 += term
     return p_all0 + p_exactly1
+
+
+def p_leq1mm_bit_matrix(freq_by_bit: Mapping[str, np.ndarray],
+                        masks: Mapping[str, np.ndarray]) -> np.ndarray:
+    """``p_leq1mm_analytic`` of rows of A, B and DR masks, as the engine
+    derived it from a rows x 64 matrix of each locus's bits:
+    ``freq_by_bit[locus][b]`` is the frequency of the antigen at bit b (0.0
+    for an unused bit), ``masks[locus]`` the rows' uint64 masks."""
+    shifts = np.arange(64, dtype=np.uint64)[None, :]
+    probs = []
+    for locus in LOCI:
+        fb = freq_by_bit[locus]
+        bits = ((masks[locus][:, None] >> shifts)
+                & np.uint64(1)).astype(np.float64)
+        s = bits @ fb
+        sq_all = float((fb ** 2).sum())
+        sq_in = bits @ (fb ** 2)
+        p0 = s * s
+        p1 = 2.0 * s * (1.0 - s) + (sq_all - sq_in)
+        probs.append((p0, p1))
+    p = probs[0][0] * probs[1][0] * probs[2][0]
+    for i in range(3):
+        term = probs[i][1].copy()
+        for j in range(3):
+            if j != i:
+                term *= probs[j][0]
+        p += term
+    return p
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,18 @@ def _donor(column: str, value: str, located: bool):
     return mutate
 
 
+def _every_donor(column: str, value: str):
+    def mutate(root: Path, cid: str) -> None:
+        path = root / "donors.csv"
+        lines = path.read_text().splitlines()
+        at = lines[0].split(",").index(column)
+        rows = [line.split(",") for line in lines[1:]]
+        for fields in rows:
+            fields[at] = value
+        path.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
+    return mutate
+
+
 def _balance_row(when: str):
     def mutate(root: Path, cid: str) -> None:
         _append(root / "balances.csv", f"{when},DE,XX,40,combined,,")
@@ -378,6 +390,10 @@ MALFORMED = [
     pytest.param(_country_not_its_centers("donors.csv", "donor"),
                  "is not the country of its center",
                  id="donor-country-not-its-centers"),
+    # check-inputs bounds the scale over every transplant a donor could
+    # make; run finds it at the first transplant
+    pytest.param(_every_donor("creatinine", "400"),
+                 "non-positive Weibull scale", id="donor-failure-scale"),
     pytest.param(_donor("death_cause", "stroke", located=True),
                  "death cause 'stroke' is not one of cva, trauma, anoxia, "
                  "other", id="donor-death-cause"),

@@ -19,7 +19,7 @@ from etkasim.io import load_inputs, load_settings
 from etkasim.synthetic import generate_population
 
 from oracle.hla import (MmpInputs, carried_codes, compute_mmp, compute_vpra,
-                        is_homozygous, p_leq1mm_analytic)
+                        is_homozygous, p_leq1mm_analytic, p_leq1mm_bit_matrix)
 
 LOCI = ("A", "B", "DR")
 
@@ -145,6 +145,52 @@ def test_derivation_memory_does_not_grow_with_pending_rows(inputs, store):
         column = getattr(store, name)[:n]
         assert np.array_equal(getattr(big, name)[:big.n],
                               np.tile(column, copies)), name
+
+
+def _freq_by_bit(index, freq_table) -> dict[str, np.ndarray]:
+    """Each locus's antigen frequencies by bit, 0.0 for an unused bit."""
+    out = {}
+    for locus in LOCI:
+        out[locus] = np.zeros(64)
+        for code, f in freq_table.locus(locus).items():
+            if code in index.bits[locus].bit_of:
+                out[locus][index.bits[locus].bit_of[code]] = f
+    return out
+
+
+@pytest.mark.parametrize("rows, antigens", [
+    (1, (1,)), (1, (2,)), (2, (1,)), (2, (2,)), (2, (1, 2)), (600, (1, 2))])
+def test_p1mm_from_bit_positions_equals_bit_matrix(inputs, rows, antigens):
+    """p<=1mm read from each row's one or two bit positions per locus is
+    bit for bit the rows x 64 matrix product."""
+    store = _store(inputs)
+    rng = np.random.default_rng(rows)
+    masks = {}
+    for locus, column in zip(LOCI, (store.mask_a, store.mask_b,
+                                    store.mask_dr)):
+        n_bits = len(store.hla_index.bits[locus].bit_of)
+        assert n_bits >= 2
+        # random bits, the locus's lowest and highest among them
+        first = rng.integers(0, n_bits, rows)
+        first[:2] = [0, n_bits - 1][:rows]
+        second = (first + rng.integers(1, n_bits, rows)) % n_bits
+        two = np.resize(np.array(antigens) == 2, rows)
+        mask = np.uint64(1) << first.astype(np.uint64)
+        mask[two] |= np.uint64(1) << second[two].astype(np.uint64)
+        masks[locus] = mask
+        column[:rows] = mask
+    store._p1mm_batch(np.arange(rows))
+    want = p_leq1mm_bit_matrix(
+        _freq_by_bit(store.hla_index, inputs.freq_table), masks)
+    assert store.p1mm[:rows].tobytes() == want.tobytes()
+
+
+def test_population_p1mm_equals_bit_matrix(inputs, store):
+    masks = {locus: column[:store.n] for locus, column in zip(
+        LOCI, (store.mask_a, store.mask_b, store.mask_dr))}
+    want = p_leq1mm_bit_matrix(
+        _freq_by_bit(store.hla_index, inputs.freq_table), masks)
+    assert store.p1mm[:store.n].tobytes() == want.tobytes()
 
 
 def test_unknown_unacceptable_rejected_every_time(inputs, store):

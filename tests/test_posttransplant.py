@@ -2,25 +2,31 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from datetime import date
 
 import numpy as np
 import pytest
 
-from etkasim.common import to_days
+from etkasim.common import InputError, to_days
 from etkasim.engine import Draws
 from etkasim.entities import AllocationProfile, CandidateRegistration
 from etkasim.hla import HlaTyping
-from etkasim.posttransplant import (AGE_BUCKETS, TIME_BUCKETS, InvalidScaleError,
+from etkasim.io import data_path
+from etkasim.offering import donor_features, linear_predictor
+from etkasim.posttransplant import (AGE_BUCKETS, TIME_BUCKETS,
+                                    TRANSPLANT_FEATURES, InvalidScaleError,
                                     PoolEntry, RecipientProfile, RelistCurveSet,
                                     RelistingPool, StepCurve, WeibullModel,
                                     age_bucket, build_synthetic_relisting,
-                                    mahalanobis_top_m, sample_failure_time,
-                                    sample_relist_time, select_pool_match,
+                                    check_scale_bound, mahalanobis_top_m,
+                                    sample_failure_time, sample_relist_time,
+                                    select_pool_match,
                                     simulate_de_novo_immunization, time_bucket)
 from etkasim.posttransplant import _candidate_matches
 
+from engine_fixture import donor
 from fake_draws import FixedDraws
 from fixtures_tables import TYPING_BY_MM, build_antigen_table
 
@@ -50,6 +56,32 @@ class TestWeibull:
         m = self._model()
         with pytest.raises(Exception, match="x"):
             sample_failure_time({}, "DE", m, 0.5)
+
+    def test_scale_bound_is_the_lowest_corner_of_the_box(self):
+        model = WeibullModel.from_file(
+            data_path("weibull_post_transplant.csv"))
+        box = dict(zip(TRANSPLANT_FEATURES, [(0.0, 90.0), (0.0, 12.0),
+                                             (0.0, 1.0), (0.0, 6.0),
+                                             (0.0, 2.0), (0.0, 1.0),
+                                             (0.0, 1.0), (0.0, 3.0)]))
+        donors = [donor(f"D{i}", 0, age=age, last_creatinine=creatinine)
+                  for i, (age, creatinine) in enumerate(
+                      [(40, 1.0), (75, 30.0), (60, 120.0), (70, 400.0)])]
+
+        def lowest(d):
+            return min(linear_predictor(
+                model.intercept, model.coefficients,
+                {**donor_features(d), **dict(zip(box, corner))},
+                model.model_id) for corner in itertools.product(*box.values()))
+
+        assert [lowest(d) > 0 for d in donors] == [True, True, False, False]
+        check_scale_bound(model, donors[:2], box)
+        with pytest.raises(InputError) as caught:
+            check_scale_bound(model, donors, box)
+        assert str(caught.value).startswith(
+            f"donor 'D2': non-positive Weibull scale possible, down to "
+            f"{lowest(donors[2]):.1f} days, driven by donor_creatinine = 120 "
+            "(term -6000.0); ")
 
     def test_ks_distance_against_closed_form(self):
         # 10k draws with k = 1.5, lambda = 2000 days

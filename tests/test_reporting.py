@@ -152,8 +152,11 @@ class TestComparePolicies:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 res = sps.ttest_ind(var, base, equal_var=False)
-            assert row.t_stat == float(res.statistic)
-            assert row.p_value == float(res.pvalue)
+            # equal, NaN included: two constant samples whose float std is
+            # not 0 give NaN on both sides
+            np.testing.assert_equal(
+                (row.t_stat, row.p_value),
+                (float(res.statistic), float(res.pvalue)))
 
     def test_star_thresholds(self):
         assert DeltaRow("s", 0, 0, 0, 0, 0.04, "").p_value < 0.05
