@@ -147,23 +147,26 @@ def cmd_check_inputs(args) -> int:
         return 1
     # the engine's own checks on every record
     initialize(inputs)
-    _check_failure_scale(inputs)
+    _check_model_bounds(inputs)
     print(f"inputs ok: {len(inputs.registrations)} registrations, "
           f"{len(inputs.donors)} donors, {len(inputs.balance_events)} "
           f"balance events, panel of {len(inputs.panel)}")
     return 0
 
 
-def _check_failure_scale(inputs: SimulationInputs) -> None:
-    """Every in-window donor's graft-failure scale must stay positive over
-    the transplant features the inputs allow: candidate age and dialysis
-    years from 0 to their maxima at the window end (a re-listing's
-    dialysis time starts from a pool entry's, inside the window), 0-6
-    mismatches, 0-2 at DR, flags 0 or 1, and transplant years from 0 to the
-    window's length."""
+def _check_model_bounds(inputs: SimulationInputs) -> None:
+    """Every in-window donor's max-offer Cox predictor must not overflow
+    (it reads donor features only, so this is exact), and its graft-failure
+    scale must stay positive over the transplant features the inputs allow:
+    candidate age and dialysis years from 0 to their maxima at the window
+    end (a re-listing's dialysis time starts from a pool entry's, inside the
+    window), 0-6 mismatches, 0-2 at DR, flags 0 or 1, and transplant years
+    from 0 to the window's length."""
     settings = inputs.settings
     start = to_days(settings.window_start)
     end = to_days(settings.window_end)
+    donors = [d for d in inputs.donors if start <= d.report_day <= end]
+    inputs.cox.check_bound(donors)
     regs = inputs.registrations
     dialysis_starts = [
         *(reg.dialysis_start_day for reg in regs
@@ -178,8 +181,7 @@ def _check_failure_scale(inputs: SimulationInputs) -> None:
              dialysis_days / DAYS_PER_YEAR, 1.0, 6.0, 2.0, 1.0, 1.0,
              float(settings.window_end.year - settings.window_start.year))
     check_scale_bound(
-        inputs.weibull,
-        [d for d in inputs.donors if start <= d.report_day <= end],
+        inputs.weibull, donors,
         {name: (0.0, high)
          for name, high in zip(TRANSPLANT_FEATURES, highs, strict=True)})
 

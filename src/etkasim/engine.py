@@ -40,16 +40,15 @@ import numpy as np
 
 from .balances import (AUSTRIA, BalanceEvent, BalanceLedger,
                        UnknownCountryError)
-from .common import (DAYS_PER_YEAR, InputError, age_years, day_text,
-                     from_days, to_days)
+from .common import DAYS_PER_YEAR, InputError, day_text, from_days, to_days
 from .entities import (ETKAS, GEOGRAPHY_CLASSES, TERMINAL_CODES, DonorArrival,
                        StatusUpdate)
 from .fastmatch import (ACTIVE_CODES, STATUS_NAMES, CandidateStore, DonorHla,
-                        HlaIndex, POINT_COMPONENTS, MatchArrays,
-                        build_match_arrays)
+                        HlaIndex, MatchArrays, build_match_arrays)
 from .io import SimulationInputs
-from .offering import (PATIENT_COLUMNS, center_offer_features, donor_features,
-                       dual_features, linear_predictor, run_allocation)
+from .offering import (PATIENT_COLUMNS, PredictorOverflowError,
+                       center_offer_features, donor_features, dual_features,
+                       linear_predictor, run_allocation)
 from .posttransplant import (TRANSPLANT_FEATURES, InvalidScaleError,
                              build_synthetic_relisting, sample_failure_time,
                              sample_relist_time)
@@ -477,9 +476,7 @@ def _handle_patient(state: SimState, row: int, upd_idx: int, when: int) -> None:
     current = store.status_code(row)
     if current in TERMINAL_CODES:
         return  # spell already ended (e.g. transplanted by the simulation)
-    updates = state.updates_of.get(row, [])
-    if upd_idx >= len(updates):
-        return
+    updates = state.updates_of[row]
     upd = updates[upd_idx]
     old = current
     store.apply_update(row, upd)
@@ -597,8 +594,11 @@ def _handle_donor(state: SimState, index: int, when: int) -> None:
                                 when))
         return
 
-    k_max = inputs.cox.sample(program, donor.country, donor_feats,
-                              state.draws.max_offers())
+    try:
+        k_max = inputs.cox.sample(program, donor.country, donor_feats,
+                                  state.draws.max_offers())
+    except PredictorOverflowError as exc:
+        raise PredictorOverflowError(f"donor {donor.id!r}: {exc}") from None
     probs = _patient_prob_vector(models.patient, donor_feats, arrays, store,
                                  cfg)
     offers = ArrayOffers(store, arrays, probs)
@@ -623,22 +623,26 @@ def _handle_donor(state: SimState, index: int, when: int) -> None:
                              dual_probability, state.offer_trace)
 
     for acc in outcome.acceptances:
-        _record_transplant(state, donor, donor_feats, arrays, acc.index, acc,
-                           when)
+        _transplant(state, donor, donor_feats, arrays, acc, when)
 
     if outcome.unplaced:
         state.counters["kidneys.discarded"] += outcome.unplaced
         state.event_log.append(("discard", donor.id, outcome.unplaced, when))
 
 
-def _record_transplant(state: SimState, donor: DonorArrival,
-                       donor_feats: dict[str, float], arrays: MatchArrays,
-                       i: int, acc, when: int) -> None:
+def _transplant(state: SimState, donor: DonorArrival,
+                donor_feats: dict[str, float], arrays: MatchArrays, acc,
+                when: int) -> None:
+    """Carry out the accepted offer ``acc`` of ``arrays``: record the
+    transplant, book a cross-border balance, draw the failure time and
+    build any re-listing.  Each value is read once, from ``arrays`` (which
+    holds the candidate's age and dialysis time on ``when``) or the store."""
     store = state.store
     inputs = state.inputs
+    i = acc.index
     row = int(arrays.rows[i])
     reg = store.registrations[row]
-    cand_age = age_years(when, int(store.dob_days[row]))
+    person = reg.patient_id
 
     record = TransplantRecord(
         donor_id=donor.id,
@@ -654,11 +658,10 @@ def _record_transplant(state: SimState, donor: DonorArrival,
         mm_dr=int(arrays.mm_dr[i]),
         geography=GEOGRAPHY_CLASSES[int(arrays.geo_idx[i])],
         total_points=float(arrays.total[i]),
-        comp={name: float(getattr(arrays, f"comp_{name}")[i])
-              for name in POINT_COMPONENTS},
+        comp={name: float(col[i]) for name, col in arrays.comp.items()},
         cand_country=reg.country,
         donor_country=donor.country,
-        cand_age=cand_age,
+        cand_age=int(arrays.age[i]),
         donor_age=donor.age,
         dialysis_days=int(arrays.dial_days[i]),
         vpra=float(store.vpra[row]),
@@ -672,13 +675,14 @@ def _record_transplant(state: SimState, donor: DonorArrival,
 
     store.set_status(row, "FU")
     state.log_status(row, "FU", when)
-    state.person_active_row.pop(reg.patient_id, None)
-    state.person_tx_count[reg.patient_id] = (
-        state.person_tx_count.get(reg.patient_id, 0) + 1)
+    state.person_active_row.pop(person, None)
+    tx_count = state.person_tx_count.get(person, 0) + 1
+    state.person_tx_count[person] = tx_count
 
     # cross-border transplants move the kidney balance (and the Austrian
     # regional sub-balance when an Austrian side is involved)
-    if donor.country != reg.country:
+    cross_border = donor.country != reg.country
+    if cross_border:
         donor_center = inputs.centers.get(donor.center)
         cand_center = inputs.centers.get(reg.center)
         event = BalanceEvent(
@@ -691,25 +695,11 @@ def _record_transplant(state: SimState, donor: DonorArrival,
                               if reg.country == AUSTRIA else None))
         _handle_balance(state, event, when)
 
-    _post_transplant(state, donor, donor_feats, row, record, when)
-
-
-def _post_transplant(state: SimState, donor: DonorArrival,
-                     donor_feats: dict[str, float], row: int,
-                     record: TransplantRecord, when: int) -> None:
-    inputs = state.inputs
-    store = state.store
-    reg = store.registrations[row]
-
     features = dict(donor_feats)
     features.update(zip(TRANSPLANT_FEATURES, (
-        float(record.cand_age),
-        record.dialysis_days / DAYS_PER_YEAR,
-        float(record.prior_transplant),
-        float(record.mm_total),
-        float(record.mm_dr),
-        float(donor.country != reg.country),
-        float(record.mechanism == "non_standard"),
+        record.cand_age, record.dialysis_days / DAYS_PER_YEAR,
+        record.prior_transplant, record.mm_total, record.mm_dr, cross_border,
+        acc.mechanism == "non_standard",
         from_days(when).year - inputs.settings.window_start.year,
     ), strict=True))
     try:
@@ -719,47 +709,45 @@ def _post_transplant(state: SimState, donor: DonorArrival,
         raise InvalidScaleError(
             f"transplant of donor {donor.id!r} to candidate {reg.id!r} on "
             f"{day_text(when)}: {exc}") from None
-    failure_days = when + max(1, int(round(t_days)))
-    tx_count = state.person_tx_count[reg.patient_id]
-    state.schedule(failure_days, PRIO_PATIENT, "failure", reg.patient_id,
-                   tx_count)
+    failure_day = when + max(1, int(round(t_days)))
+    state.schedule(failure_day, PRIO_PATIENT, "failure", person, tx_count)
 
     r_days = sample_relist_time(max(t_days, 1.0), record.cand_age,
                                 inputs.relist_curves, state.draws.relist())
     if r_days is None:
         return
-    relist_days = when + max(1, int(round(r_days)))
-    if relist_days >= failure_days or relist_days > state.end_days:
+    relist_day = when + max(1, int(round(r_days)))
+    if relist_day >= failure_day or relist_day > state.end_days:
         return
 
-    serial = state.relist_serial.get(reg.patient_id, 0) + 1
-    state.relist_serial[reg.patient_id] = serial
-    current_unacc = frozenset(store_unacceptables(store, row))
+    serial = state.relist_serial.get(person, 0) + 1
+    state.relist_serial[person] = serial
     built = build_synthetic_relisting(
-        reg, current_unacc, when, record.dialysis_days, t_days,
-        float(relist_days - when), donor.hla, inputs.relist_pool,
-        inputs.antigen_table, inputs.settings.de_novo_immunization_p,
-        state.draws, new_id=f"{reg.patient_id}.r{serial}")
+        reg, frozenset(store_unacceptables(store, row)), when,
+        record.dialysis_days, t_days, relist_day, donor.hla,
+        inputs.relist_pool, inputs.antigen_table,
+        inputs.settings.de_novo_immunization_p, state.draws,
+        new_id=f"{person}.r{serial}")
     if built is None:
         state.counters["relists.no_pool_match"] += 1
         return
     synthetic, match = built
     new_row = store.add(synthetic, initial_status="PRE")
-    state.status_day[new_row] = relist_days
-    state.person_active_row[reg.patient_id] = new_row
+    state.status_day[new_row] = relist_day
+    state.person_active_row[person] = new_row
     state.counters["wl.relists_created"] += 1
-    state.event_log.append(("relist", synthetic.id, relist_days))
+    state.event_log.append(("relist", synthetic.id, relist_day))
 
     # copied urgency stream, with a screening refresh at every status so the
     # synthetic spell stays visible to eligibility the way a followed-up
     # repeat candidate would
     state.updates_of[new_row] = [
-        StatusUpdate(synthetic.id, relist_days + offset, "URG", code)
+        StatusUpdate(synthetic.id, relist_day + offset, "URG", code)
         for offset, code in match.status_updates]
-    days = np.unique([relist_days + offset
+    days = np.unique([relist_day + offset
                       for offset, _ in match.status_updates])
     state.schedule_screenings(days, np.full(len(days), new_row))
-    state.schedule(relist_days + match.status_updates[0][0], PRIO_PATIENT,
+    state.schedule(relist_day + match.status_updates[0][0], PRIO_PATIENT,
                    "patient", new_row, 0)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -269,6 +270,9 @@ class DonorArrival:
     def __post_init__(self):
         if self.age < 0:
             raise ValueError(f"{self.id}: negative donor age")
+        if not 0.0 < self.last_creatinine < math.inf:
+            raise ValueError(f"{self.id}: creatinine {self.last_creatinine!r} "
+                             "is not a positive finite number")
         if self.kidneys_available not in (1, 2):
             raise ValueError(f"{self.id}: kidneys_available must be 1 or 2")
         if self.blood_group not in BLOOD_GROUPS:

@@ -405,10 +405,11 @@ class CandidateStore:
 
     # -- registration and updates -------------------------------------------
 
-    def add(self, reg: CandidateRegistration, initial_status: str | None = None) -> int:
+    def add(self, reg: CandidateRegistration,
+            initial_status: str | None) -> int:
         """Append a row for ``reg`` and return its index: the registration's
         day numbers are stored as they stand, and ``initial_status`` ("PRE":
-        not listed yet), when given, overrides its urgency.  Raises what
+        not listed yet), unless None, overrides its urgency.  Raises what
         ``_read`` raises.  Rows past ``n`` are never written, so the new row
         holds every column's fill, and only values that differ from it are
         written (a re-listing adds a row during a run)."""
@@ -643,7 +644,7 @@ def _pattern_mask(patterns: frozenset[tuple[int, int, int]]) -> int:
 # ---------------------------------------------------------------------------
 # Vectorized match-list construction
 
-# the ETKAS point components; MatchArrays holds each as ``comp_<name>``
+# the ETKAS point components, in the order of MatchArrays' ``comp`` mapping
 POINT_COMPONENTS = ("dialysis", "hla", "pediatric", "hu", "mmp", "balance",
                     "distance")
 
@@ -651,7 +652,8 @@ POINT_COMPONENTS = ("dialysis", "hla", "pediatric", "hu", "mmp", "balance",
 @dataclass
 class MatchArrays:
     """One donor's ordered match list in columnar form (eligible rows only,
-    already sorted by rank; components are unrounded floats)."""
+    already sorted by rank; ``comp`` maps each of POINT_COMPONENTS, in
+    order, to its column of unrounded points)."""
 
     donor: DonorArrival
     program: str
@@ -664,14 +666,8 @@ class MatchArrays:
     mm_dr: np.ndarray
     geo_idx: np.ndarray       # index into GEOGRAPHY_CLASSES
     dial_days: np.ndarray
-    comp_dialysis: np.ndarray
-    comp_hla: np.ndarray
-    comp_pediatric: np.ndarray
-    comp_hu: np.ndarray
-    comp_mmp: np.ndarray
-    comp_balance: np.ndarray
-    comp_distance: np.ndarray
-    age: np.ndarray
+    comp: dict[str, np.ndarray]
+    age: np.ndarray           # age_years on the match day
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -784,7 +780,7 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
                                same_region, same_country)
         total = dial.astype(np.float64)
         comps = {name: np.zeros(len(rows)) for name in POINT_COMPONENTS}
-        comps["dialysis"] = total.copy()
+        comps["dialysis"] = total
 
     regional = np.zeros(len(rows), dtype=np.int32)
     if program == ETKAS and store.austrian_regions:
@@ -804,10 +800,8 @@ def build_match_arrays(store: CandidateStore, donor: DonorArrival,
         total=total[order],
         mm_a=mm_a[order], mm_b=mm_b[order], mm_dr=mm_dr[order],
         geo_idx=geo_idx[order], dial_days=dial[order],
-        comp_dialysis=comps["dialysis"][order], comp_hla=comps["hla"][order],
-        comp_pediatric=comps["pediatric"][order], comp_hu=comps["hu"][order],
-        comp_mmp=comps["mmp"][order], comp_balance=comps["balance"][order],
-        comp_distance=comps["distance"][order], age=age[order])
+        comp={name: col[order] for name, col in comps.items()},
+        age=age[order])
 
 
 def _rank_order(store, rows, tier, total, regional, reg_days) -> np.ndarray:

@@ -13,6 +13,7 @@ continues until the kidneys are placed or the list is exhausted.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,15 @@ class MissingFeatureError(InputError):
 
 class UnknownStratumError(InputError):
     pass
+
+
+class PredictorOverflowError(InputError):
+    """A Cox linear predictor above EXP_LIMIT: its relative risk is not a
+    finite float."""
+
+
+# the largest x whose math.exp(x) is finite
+EXP_LIMIT = math.log(sys.float_info.max)
 
 
 def linear_predictor(start, coefficients: Mapping[str, float],
@@ -120,11 +130,36 @@ class CoxSampler:
                                       f"{key!r}")
         return base
 
+    def relative_risk(self, features: Mapping[str, float]) -> float:
+        """exp of the linear predictor; PredictorOverflowError, naming the
+        feature with the largest term, when the predictor is above
+        EXP_LIMIT."""
+        lp = linear_predictor(0.0, self.coefficients, features, self.model_id)
+        if lp > EXP_LIMIT:
+            terms = {name: beta * features[name]
+                     for name, beta in self.coefficients.items()}
+            worst = max(terms, key=terms.__getitem__)
+            raise PredictorOverflowError(
+                f"max-offer Cox predictor {lp:.1f} overflows exp above "
+                f"{EXP_LIMIT:.1f}, driven by {worst} = {features[worst]:g} "
+                f"(term {terms[worst]:.1f})")
+        return math.exp(lp)
+
+    def check_bound(self, donors: Sequence[DonorArrival]) -> None:
+        """Raise PredictorOverflowError naming the first of ``donors`` whose
+        relative risk overflows.  The predictor reads donor features only,
+        so the check is exact: a donor passes iff ``sample`` can take it."""
+        for donor in donors:
+            try:
+                self.relative_risk(donor_features(donor))
+            except PredictorOverflowError as exc:
+                raise PredictorOverflowError(
+                    f"donor {donor.id!r}: {exc}") from None
+
     def sample(self, program: str, donor_country: str,
                features: Mapping[str, float], u: float) -> int | None:
         base = self.baseline(program, donor_country)
-        rel_risk = math.exp(linear_predictor(0.0, self.coefficients, features,
-                                             self.model_id))
+        rel_risk = self.relative_risk(features)
         # S0 is non-increasing, so S0**rr is too; find the first index with
         # S(k) <= u by bisecting the negated curve, evaluated where probed
         idx = bisect_left(base.s0, -u, key=lambda s: -(s ** rel_risk))

@@ -34,7 +34,7 @@ class InvalidScaleError(InputError):
 
 
 # the graft-failure model's features beyond the donor's: what
-# ``engine._post_transplant`` knows of a transplant, in this order
+# ``engine._transplant`` knows of a transplant, in this order
 TRANSPLANT_FEATURES = ("cand_age", "cand_dialysis_years", "cand_prior_tx",
                        "mm_total", "mm_dr", "cross_border", "non_standard",
                        "tx_year_index")
@@ -415,28 +415,28 @@ def select_pool_match(profile: RecipientProfile, pool: RelistingPool,
 def build_synthetic_relisting(recipient: CandidateRegistration,
                               current_unacceptables: frozenset[str],
                               transplant_day: int, dialysis_days: int,
-                              t_days: float, r_days: float,
+                              t_days: float, relist_day: int,
                               donor_hla: HlaTyping, pool: RelistingPool,
                               table: AntigenTable, immunization_p: float,
                               draws, new_id: str):
     """Combine the recipient's static data with a matched pool entry's
     urgency stream into a repeat registration.
 
-    ``transplant_day`` is the transplant's day since 1970-01-01 and
-    ``dialysis_days`` the recipient's accrued dialysis time on it, which the
-    pool matcher compares.  The recipient keeps their HLA, blood group,
-    country, and center; the unacceptable set grows by simulated de novo
-    immunization against the mismatched donor antigens; the initial dialysis
-    time at re-listing comes from the matched entry, as does the
-    urgency-status stream (and nothing else).  Returns (registration,
-    matched entry) or None when no pool entry survives caliper matching.
+    ``transplant_day`` and ``relist_day``, which dates the registration, are
+    days since 1970-01-01; ``dialysis_days`` is the recipient's accrued
+    dialysis time on the transplant day, which the pool matcher compares.
+    The recipient keeps their HLA, blood group, country, and center; the
+    unacceptable set grows by simulated de novo immunization against the
+    mismatched donor antigens; the initial dialysis time at re-listing comes
+    from the matched entry, as does the urgency-status stream (and nothing
+    else).  Returns (registration, matched entry) or None when no pool
+    entry survives caliper matching.
     """
-    relist_day = transplant_day + int(round(r_days))
     profile = RecipientProfile(
         country=recipient.country,
         age_at_relist=float(age_years(relist_day, recipient.birth_day)),
         dialysis_days_at_relist=dialysis_days,
-        r_days=float(r_days),
+        r_days=float(relist_day - transplant_day),
         t_days=float(t_days))
     match = select_pool_match(profile, pool, draws)
     if match is None:

@@ -252,7 +252,7 @@ def write_match_list_csv(path: Path, arrays: MatchArrays,
                   "dialysis_years", "total", *names, "geography", "filtered"]
 
         def etkas_row(i, row, days, geo, filtered):
-            comp = [round_half_up(float(getattr(arrays, f"comp_{name}")[i]))
+            comp = [round_half_up(float(arrays.comp[name][i]))
                     for name in names]
             tier = {3: "0MM", 2: "PED"}.get(int(arrays.tier[i]) // 4, ">0MM")
             quality = f"{arrays.mm_a[i]}{arrays.mm_b[i]}{arrays.mm_dr[i]}"

@@ -91,8 +91,8 @@ class TestCriterion1MatchListFidelity:
                      "distance", "mmp")
             for i, row in enumerate(ETKAS_ROWS):
                 _, _, mm, dial_pts, ped, bal, dist, mmp_pts, total = row
-                got = {name: round_half_up(float(
-                    getattr(arrays, f"comp_{name}")[i])) for name in names}
+                got = {name: round_half_up(float(arrays.comp[name][i]))
+                       for name in names}
                 assert (int(arrays.mm_a[i]), int(arrays.mm_b[i]),
                         int(arrays.mm_dr[i])) == mm
                 assert abs(got["dialysis"] - dial_pts) <= 1

@@ -199,6 +199,16 @@ def _every_donor(column: str, value: str):
     return mutate
 
 
+def _first_donor(mutate):
+    """``mutate``, for an error that names the first donor of the file (in
+    this fixture, the first in-window donor and the first with a list)."""
+    def named(root: Path, cid: str) -> str:
+        mutate(root, cid)
+        with open(root / "donors.csv", newline="") as fh:
+            return f"donor {next(csv.DictReader(fh))['id']!r}: "
+    return named
+
+
 def _balance_row(when: str):
     def mutate(root: Path, cid: str) -> None:
         _append(root / "balances.csv", f"{when},DE,XX,40,combined,,")
@@ -394,6 +404,15 @@ MALFORMED = [
     # make; run finds it at the first transplant
     pytest.param(_every_donor("creatinine", "400"),
                  "non-positive Weibull scale", id="donor-failure-scale"),
+    pytest.param(_every_donor("creatinine", "nan"),
+                 "creatinine nan is not a positive finite number",
+                 id="donor-creatinine-nan"),
+    # the max-offer predictor reads donor features only: check-inputs
+    # bounds it exactly, and run meets it at the donor's first list
+    pytest.param(_first_donor(_model_file(
+        "cox_coefficients", "cox_max_offers.csv",
+        _replace_line("donor_age_dec,0.06", "donor_age_dec,200"))),
+                 "max-offer Cox predictor", id="cox-predictor-overflow"),
     pytest.param(_donor("death_cause", "stroke", located=True),
                  "death cause 'stroke' is not one of cva, trauma, anoxia, "
                  "other", id="donor-death-cause"),

@@ -207,16 +207,15 @@ class ReferenceLists:
             geo_idx=column((GEOGRAPHY_CLASSES.index(r.geography)
                             for r in recs), np.int8),
             dial_days=column((r.dialysis_days for r in recs), np.int64),
-            **{f"comp_{name}": column((getattr(r.points, name)
-                                       for r in recs), np.float64)
-               for name in POINT_COMPONENTS},
+            comp={name: column((getattr(r.points, name) for r in recs),
+                               np.float64)
+                  for name in POINT_COMPONENTS},
             age=column((candidate_age(by_id[r.candidate_id], now_day)
                         for r in recs), np.int32))
 
 
 EXACT_COLUMNS = ("filtered", "tier", "mm_a", "mm_b", "mm_dr", "geo_idx",
                  "dial_days", "age")
-POINT_COLUMNS = ("total", *(f"comp_{name}" for name in POINT_COMPONENTS))
 
 
 def _logged(build_lists, log: list):
@@ -268,9 +267,11 @@ def test_engine_runs_as_the_reference_rules(population, pop_seed, tweak,
         for name in EXACT_COLUMNS:
             np.testing.assert_array_equal(getattr(ours, name),
                                           getattr(ref, name), f"{where} {name}")
-        for name in POINT_COLUMNS:
-            np.testing.assert_allclose(getattr(ours, name), getattr(ref, name),
-                                       rtol=0, atol=1e-9,
+        for name, got, want in (
+                ("total", ours.total, ref.total),
+                *((name, ours.comp[name], ref.comp[name])
+                  for name in POINT_COMPONENTS)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
                                        err_msg=f"{where} {name}")
 
     assert engine_run.transplants, "the case transplants no one"

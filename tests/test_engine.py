@@ -10,7 +10,7 @@ import pytest
 
 from etkasim.balances import BalanceEvent
 from etkasim.batch import run_batch, run_once
-from etkasim.common import InputError, to_days
+from etkasim.common import InputError, age_years, to_days
 from etkasim.engine import (ArrayOffers, Draws, initialize, run,
                             store_unacceptables, verify_replay)
 from etkasim.entities import (StatusUpdate, expand_mm_patterns,
@@ -272,7 +272,10 @@ class TestRun:
 
 
 class TestConservation:
-    def _run(self, seed, unplaced="discard"):
+    def _run(self, seed):
+        return run(self._state(seed))
+
+    def _state(self, seed):
         rng = np.random.default_rng(seed)
         regs = []
         for i in range(60):
@@ -290,10 +293,9 @@ class TestConservation:
                         kidneys=2 if j % 3 else 1)
                   for j in range(20)]
         inputs = make_inputs(regs, donors, center_p=0.8, patient_p=0.5,
-                             unplaced_mode=unplaced,
                              weibull=quick_failure_weibull(200.0),
                              curves=always_relist_curves(0.5))
-        return run(initialize(inputs, seed=seed))
+        return initialize(inputs, seed=seed)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_kidney_accounting_discard_mode(self, seed):
@@ -310,8 +312,23 @@ class TestConservation:
 
     @pytest.mark.parametrize("seed", [1, 6])
     def test_replay_reproduces_final_state(self, seed):
-        output = self._run(seed)
+        state = self._state(seed)
+        output = run(state)
         assert verify_replay(output) == []
+        # the transplant step reads each value once: a re-listing's row and
+        # registration carry the day its event is logged, and a recipient's
+        # age is their age on the transplant day
+        store = state.store
+        relists = [event[1:] for event in output.event_log
+                   if event[0] == "relist"]
+        assert relists
+        for cand_id, day in relists:
+            row = store.row_of[cand_id]
+            assert int(store.reg_days[row]) == day
+            assert store.registrations[row].registration_day == day
+        for t in output.transplants:
+            reg = store.registrations[store.row_of[t.candidate_id]]
+            assert t.cand_age == age_years(t.when_days, reg.birth_day)
 
     def test_candidates_transplanted_at_most_once(self):
         output = self._run(7)

@@ -71,10 +71,10 @@ class TestEtkasTable:
         for rank in range(1, 15):
             row = ETKAS_ROWS[rank - 1]
             i = rank - 1
-            assert round_half_up(float(arrays.comp_dialysis[i])) == row[3]
-            assert round_half_up(float(arrays.comp_balance[i])) == row[5]
-            assert round_half_up(float(arrays.comp_distance[i])) == row[6]
-            assert round_half_up(float(arrays.comp_mmp[i])) == row[7]
+            assert round_half_up(float(arrays.comp["dialysis"][i])) == row[3]
+            assert round_half_up(float(arrays.comp["balance"][i])) == row[5]
+            assert round_half_up(float(arrays.comp["distance"][i])) == row[6]
+            assert round_half_up(float(arrays.comp["mmp"][i])) == row[7]
             assert (int(arrays.mm_a[i]), int(arrays.mm_b[i]),
                     int(arrays.mm_dr[i])) == row[2]
 

@@ -1053,6 +1053,11 @@ class TestDonorParity:
         ({"dcd": "maybe"}, "donors.csv:3: invalid boolean 'maybe'"),
         ({"hbs": "2"}, "invalid boolean '2'"),
         ({"creatinine": " "}, "could not convert string to float: ' '"),
+        ({"creatinine": "nan"},
+         "malformed donor: D2: creatinine nan is not a positive finite "
+         "number"),
+        ({"creatinine": "inf"}, "D2: creatinine inf is not a positive"),
+        ({"creatinine": "0"}, "D2: creatinine 0.0 is not a positive"),
         ({"kidneys": "x"}, "invalid literal for int()"),
         ({"kidneys": "3"}, "kidneys_available must be 1 or 2"),
         ({"bg": "X"}, "D2: bad blood group 'X'"),
@@ -1117,7 +1122,7 @@ class TestDonorParity:
             "dr2": (["", "DR4", "DR11"], ["B9"]),
             "death_cause": (["", "cva", "trauma", " anoxia"], ["stroke"]),
             "dcd": (["0", "1", "yes", ""], ["maybe"]),
-            "creatinine": (["", "1.0", "0.7", "2"], ["high"]),
+            "creatinine": (["", "1.0", "0.7", "2"], ["high", "nan", "-1"]),
             "hcv": (["0", "1", "n"], ["?"]),
             "kidneys": (["", "1", "2"], ["0", "two"]),
         }

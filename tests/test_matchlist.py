@@ -14,7 +14,8 @@ from etkasim.common import to_days
 from etkasim.entities import (AllocationProfile, CandidateRegistration,
                               Center, CenterRegistry, StatusUpdate,
                               expand_mm_patterns)
-from etkasim.fastmatch import CandidateStore, HlaIndex, build_match_arrays
+from etkasim.fastmatch import (POINT_COMPONENTS, CandidateStore, HlaIndex,
+                               build_match_arrays)
 from etkasim.hla import HlaTyping
 from etkasim.policy import AgeFilterConfig
 
@@ -489,12 +490,13 @@ class TestScalarVectorEquivalence:
         store = CandidateStore(index, fx["centers"], fx["panel"], fx["freq"],
                                fx["bg"], fx["policy"])
         for reg in regs:
-            store.add(reg)
+            store.add(reg, None)
         arrays = build_match_arrays(store, donor,
                                     store.hla_index.donor_hla(donor.hla),
                                     fx["ledger"], fx["policy"], MATCH_DAY)
 
         assert arrays.program == ml.program
+        assert tuple(arrays.comp) == POINT_COMPONENTS
         vec_ids = [store.ids[int(r)] for r in arrays.rows]
         assert vec_ids == [r.candidate_id for r in ml.records]
         for i, rec in enumerate(ml.records):
@@ -502,13 +504,7 @@ class TestScalarVectorEquivalence:
             assert float(arrays.total[i]) == pytest.approx(rec.total)
             assert (int(arrays.mm_a[i]), int(arrays.mm_b[i]),
                     int(arrays.mm_dr[i])) == rec.mm.as_tuple()
-            for name, col in (("dialysis", arrays.comp_dialysis),
-                              ("hla", arrays.comp_hla),
-                              ("pediatric", arrays.comp_pediatric),
-                              ("hu", arrays.comp_hu),
-                              ("mmp", arrays.comp_mmp),
-                              ("balance", arrays.comp_balance),
-                              ("distance", arrays.comp_distance)):
+            for name, col in arrays.comp.items():
                 assert float(col[i]) == pytest.approx(
                     getattr(rec.points, name)), (name, rec.candidate_id)
 
@@ -539,7 +535,7 @@ class TestScalarVectorEquivalence:
         store = CandidateStore(index, fx["centers"], fx["panel"], fx["freq"],
                                fx["bg"], cfg)
         for reg in regs:
-            store.add(reg)
+            store.add(reg, None)
         arrays = build_match_arrays(
             store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
             fx["ledger"], cfg, MATCH_DAY)
@@ -547,7 +543,8 @@ class TestScalarVectorEquivalence:
         assert vec_ids == [r.candidate_id for r in ml.records]
         for i, rec in enumerate(ml.records):
             assert float(arrays.total[i]) == pytest.approx(rec.total)
-            assert float(arrays.comp_mmp[i]) == pytest.approx(rec.points.mmp)
+            assert float(arrays.comp["mmp"][i]) == pytest.approx(
+                rec.points.mmp)
 
     @pytest.mark.parametrize("donor_age", [45, 70])
     @pytest.mark.parametrize("seed", [11, 12])
@@ -605,7 +602,7 @@ class TestScalarVectorEquivalence:
         store = CandidateStore(HlaIndex(fx["table"]), centers, fx["panel"],
                                fx["freq"], fx["bg"], fx["policy"])
         for reg in regs:
-            store.add(reg)
+            store.add(reg, None)
         arrays = build_match_arrays(store, donor,
                                     store.hla_index.donor_hla(donor.hla),
                                     ledger, fx["policy"], MATCH_DAY)
@@ -643,7 +640,7 @@ class TestRuntimeDerivedValues:
         store = CandidateStore(HlaIndex(fx["table"]), fx["centers"],
                                fx["panel"], fx["freq"], fx["bg"], cfg)
         for reg in regs:
-            store.add(reg)
+            store.add(reg, None)
         store.finalize_derived_values()
         return store
 
@@ -683,7 +680,7 @@ class TestRuntimeDerivedValues:
         regs.append(replace(regs[0], id="LATE", patient_id="LATE",
                             unacceptables=frozenset({"AX1", "AX4"})))
         store = self._store(fx, regs[:-1], cfg)
-        store.add(regs[-1])
+        store.add(regs[-1], None)
         build_match_arrays(
             store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
             fx["ledger"], cfg, MATCH_DAY)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date
 from typing import NamedTuple
 
@@ -14,7 +15,8 @@ from etkasim.hla import HlaTyping
 from etkasim import offering
 from etkasim.offering import (DONOR_FEATURES, PATIENT_FEATURES,
                               AcceptanceModels, CoxSampler, LogisticModel,
-                              MissingFeatureError, StepSurvival,
+                              EXP_LIMIT, MissingFeatureError,
+                              PredictorOverflowError, StepSurvival,
                               UnknownStratumError, center_vocabulary,
                               donor_features, dual_features)
 
@@ -225,6 +227,34 @@ class TestCoxSampler:
                                rng2.random())
                 or 99 for _ in range(2000)]
         assert np.mean(fast) < np.mean(base)
+
+    def test_overflow_bound_is_exact(self):
+        # math.exp overflows just above EXP_LIMIT and nowhere below it
+        at = self._sampler(coefs={"donor_dcd": EXP_LIMIT})
+        assert at.relative_risk({"donor_dcd": 1.0}) < float("inf")
+        above = self._sampler(coefs={"donor_dcd": np.nextafter(EXP_LIMIT,
+                                                               np.inf)})
+        with pytest.raises(PredictorOverflowError):
+            above.relative_risk({"donor_dcd": 1.0})
+
+    def test_overflow_names_the_donor_and_its_largest_term(self):
+        # donor_age_dec is the age in decades: at 200 a decade, a donor of
+        # 35 stays below EXP_LIMIT and one of 80 does not
+        sampler = self._sampler(coefs={"donor_age_dec": 200.0,
+                                       "donor_extended": 5.0})
+        young = make_donor(age=35)
+        old = replace(make_donor(age=80), id="D2", extended_criteria=True)
+        sampler.check_bound([young])
+        assert sampler.sample("ETKAS", "BE", donor_features(young), 0.5) == 1
+        with pytest.raises(PredictorOverflowError) as caught:
+            sampler.check_bound([young, old])
+        message = ("max-offer Cox predictor 1605.0 overflows exp above "
+                   "709.8, driven by donor_age_dec = 8 (term 1600.0)")
+        assert str(caught.value) == f"donor 'D2': {message}"
+        # the engine's own draw meets the same bound, with the same words
+        with pytest.raises(PredictorOverflowError) as caught:
+            sampler.sample("ETKAS", "BE", donor_features(old), 0.5)
+        assert str(caught.value) == message
 
 
 class TestRunAllocation:

@@ -414,7 +414,7 @@ class TestBuildSyntheticRelisting:
         built = build_synthetic_relisting(
             recipient, recipient.unacceptables, tx_day,
             tx_day - recipient.dialysis_start_day, t_days=1200.0,
-            r_days=400.0, donor_hla=self._donor_hla(), pool=pool,
+            relist_day=tx_day + 400, donor_hla=self._donor_hla(), pool=pool,
             table=table, immunization_p=1.0, draws=FixedDraws([0.5]),
             new_id="C9.r1")
         assert built is not None
@@ -442,9 +442,10 @@ class TestBuildSyntheticRelisting:
     def test_returns_none_when_pool_exhausted(self, table):
         recipient = self._recipient()
         pool = RelistingPool([entry("M1", r=300.0, t=900.0)])
+        tx_day = to_days(date(2021, 6, 1))
         built = build_synthetic_relisting(
-            recipient, frozenset(), to_days(date(2021, 6, 1)), 1461,
-            t_days=9000.0, r_days=8000.0, donor_hla=self._donor_hla(),
-            pool=pool, table=table, immunization_p=0.2,
-            draws=FixedDraws([0.5]), new_id="C9.r1")
+            recipient, frozenset(), tx_day, 1461, t_days=9000.0,
+            relist_day=tx_day + 8000, donor_hla=self._donor_hla(), pool=pool,
+            table=table, immunization_p=0.2, draws=FixedDraws([0.5]),
+            new_id="C9.r1")
         assert built is None
