@@ -4,10 +4,11 @@ Three event kinds drive a run: balance updates (international transplants
 outside the simulated programs), patient status updates, and donor arrivals.
 Antibody-screening refreshes ride along as one patient-priority event per
 day, which writes that day into the screening column of every row refreshed
-on it; post-transplant failures are patient events too.  Same-timestamp
-events process balance first, then patient, then donor, with an insertion
-sequence number as the final tie-break, so replays under a fixed seed are
-bit-identical.
+on it; post-transplant failures are patient events too.  A status-update
+event carries its row's update list and the index of the update due, and
+schedules the next one.  Same-timestamp events process balance first, then
+patient, then donor, with an insertion sequence number as the final
+tie-break, so replays under a fixed seed are bit-identical.
 
 Every random draw of a run comes from its ``Draws``, one method per kind
 of draw over one ``default_rng(seed)`` stream: the Cox maximum number of
@@ -41,10 +42,10 @@ import numpy as np
 from .balances import (AUSTRIA, BalanceEvent, BalanceLedger,
                        UnknownCountryError)
 from .common import DAYS_PER_YEAR, InputError, day_text, from_days, to_days
-from .entities import (ETKAS, GEOGRAPHY_CLASSES, TERMINAL_CODES, DonorArrival,
-                       StatusUpdate)
-from .fastmatch import (ACTIVE_CODES, STATUS_NAMES, CandidateStore, DonorHla,
-                        HlaIndex, MatchArrays, build_match_arrays)
+from .entities import ETKAS, GEOGRAPHY_CLASSES, DonorArrival, StatusUpdate
+from .fastmatch import (ACTIVE_CODES, ENDED_CODES, FU, PRE, STATUS_NAMES, D, R,
+                        CandidateStore, DonorHla, HlaIndex, MatchArrays,
+                        build_match_arrays)
 from .io import SimulationInputs
 from .offering import (PATIENT_COLUMNS, PredictorOverflowError,
                        center_offer_features, donor_features, dual_features,
@@ -165,9 +166,10 @@ class SimState:
 
         self.fes: list[tuple] = []
         self._seq = 0
-        self.updates_of: dict[int, list] = {}
+        # per patient the run has transplanted: transplants so far, the
+        # re-listing row a graft failure kills, re-listings built
         self.person_tx_count: dict[str, int] = {}
-        self.person_active_row: dict[str, int] = {}
+        self.relist_row: dict[str, int] = {}
         self.relist_serial: dict[str, int] = {}
 
         self._new_outputs()
@@ -177,8 +179,6 @@ class SimState:
             "wl.removals": 0, "wl.deaths": 0, "donors.seen": 0,
             "relists.no_pool_match": 0,
         }
-        self._listed = set()
-        self.status_day: dict[int, int] = {}
         self.init_statuses: dict[str, tuple[str, int]] = {}
         self.init_ledger: BalanceLedger | None = None
 
@@ -191,24 +191,25 @@ class SimState:
     def fork(self, seed: int) -> SimState:
         """An independent state that runs on from this one under ``seed``.
 
-        What a run writes is copied: the store, the ledger, the FES, the
-        row and person bookkeeping and the counters.  What no run writes is
-        shared: the inputs, the HLA index, the FES payloads, the update
-        lists, the donor memo and the initial snapshots.  The donor memo
-        fills as runs go, but it holds only values derived from the donor
-        and the shared inputs, so every fork reads the same values
-        whichever run filled them.  Outputs start empty, the offer trace
-        too: a traced state's forks trace, each into its own list.  A fork
-        of a freshly initialized state runs exactly as a fresh
-        ``initialize(inputs, seed)`` would.
+        What a run writes is copied: the store (which holds every row's
+        state), the ledger, the FES, the counters and the three per-patient
+        maps, which hold only patients the run has transplanted.  What no
+        run writes is shared: the inputs, the HLA index, the FES payloads
+        (among them each patient event's update list), the donor memo and
+        the initial snapshots.  The donor memo fills as runs go, but it
+        holds only values derived from the donor and the shared inputs, so
+        every fork reads the same values whichever run filled them.
+        Outputs start empty, the offer trace too: a traced state's forks
+        trace, each into its own list.  A fork of a freshly initialized
+        state runs exactly as a fresh ``initialize(inputs, seed)`` would.
         """
         new = copy.copy(self)
         new.draws = Draws(seed)
         new.store = self.store.copy()
         new.ledger = self.ledger.copy()
         new.fes = list(self.fes)
-        for name in ("updates_of", "person_tx_count", "person_active_row",
-                     "relist_serial", "counters", "status_day", "_listed"):
+        for name in ("person_tx_count", "relist_row", "relist_serial",
+                     "counters"):
             setattr(new, name, copy.copy(getattr(self, name)))
         new._new_outputs()
         return new
@@ -237,26 +238,6 @@ class SimState:
         for event in self.screening_events(days, rows):
             heapq.heappush(self.fes, event)
 
-    # -- bookkeeping ------------------------------------------------------
-
-    def _mark_listed(self, row: int) -> None:
-        if row not in self._listed and int(self.store.status[row]) in ACTIVE_CODES:
-            self._listed.add(row)
-            self.counters["wl.listings"] += 1
-
-    def log_status(self, row: int, code: str, when_days: int) -> None:
-        self.event_log.append(("status", self.store.ids[row], code, when_days))
-        self.status_day[row] = when_days
-
-    def apply_urgency_counters(self, row: int, old: str, new: str) -> None:
-        if new == "D" and old not in TERMINAL_CODES:
-            self.counters["wl.deaths"] += 1
-            country = self.store.registrations[row].country
-            self.counters[f"country.{country}.wl_deaths"] = (
-                self.counters.get(f"country.{country}.wl_deaths", 0) + 1)
-        if new == "R" and old not in TERMINAL_CODES:
-            self.counters["wl.removals"] += 1
-
 
 def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
     """Build the initial system state and future event set.
@@ -269,9 +250,11 @@ def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
     The store takes the picked ones in one ``extend``.  The second pass
     folds each row's pre-window updates into its state, in file order, and
     gives it exactly one pending patient event (its first in-window
-    update).  Each row's screening date becomes its last pre-window
-    refresh; pre-window balance events fold into the ledger; in-window
-    screening refreshes, donors and balance updates are scheduled.
+    update), which carries the row's update list on to the next one.  Each
+    row's status day is the window start, and its screening date its last
+    pre-window refresh; pre-window balance events fold into the ledger;
+    in-window screening refreshes, donors and balance updates are
+    scheduled.
 
     The FES is seeded as a plain list, with the sequence numbers one push
     per event would give, and heapified once: the numbers are unique, so
@@ -322,39 +305,31 @@ def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
 
     # pass 2: fold, book and seed each row in file order
     fes = state.fes
-    person_active_row = state.person_active_row
-    spells: dict[str, list[int]] = {}  # rows of patients listed repeatedly
+    spells: dict[str, list[int]] = {}  # each patient's rows
     scr_rows: list[int] = []  # rows with screenings, and their days
     scr_days: list[np.ndarray] = []
     for row, reg, updates, first in zip(rows, kept, streams, firsts):
-        pid = reg.patient_id
-        state.person_tx_count.setdefault(pid, 0)
-        before = person_active_row.get(pid)
-        if before is not None:
-            spells.setdefault(pid, [before]).append(row)
-        person_active_row[pid] = row
+        spells.setdefault(reg.patient_id, []).append(row)
         for i in range(first):
             store.apply_update(row, updates[i])
         days = inputs.screenings.get(reg.id)
         if days is not None and len(days):
             scr_rows.append(row)
             scr_days.append(days)
-        state.updates_of[row] = updates
         if first < len(updates):
             fes.append(state.event(updates[first].day, PRIO_PATIENT,
-                                   "patient", row, first))
-    listed = np.flatnonzero(np.isin(store.status[:store.n], ACTIVE_CODES))
-    state._listed.update(listed.tolist())
-    state.counters["wl.listings"] += len(listed)
+                                   "patient", row, updates, first))
+    store.status_day[:store.n] = start
+    state.counters["wl.listings"] += _n_active(store)
 
     # overlapping spells for one patient are an input error; patients are
     # checked in the order of their first row
-    for patient_rows in sorted(spells.values()):
+    for patient_rows in sorted(r for r in spells.values() if len(r) > 1):
         entries = sorted((store.registrations[row].registration_day, row)
                          for row in patient_rows)
         for (a_start, a_row), (b_start, b_row) in zip(entries, entries[1:]):
             a_end = None
-            for u in state.updates_of[a_row]:
+            for u in streams[a_row]:  # rows count from 0, as streams do
                 if u.ends_spell:
                     a_end = u.day
             if a_end is not None and b_start < a_end:
@@ -394,11 +369,22 @@ def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
     heapq.heapify(fes)
 
     store.finalize_derived_values()
-    state.init_statuses = dict(zip(
-        store.ids, [(STATUS_NAMES[code], start)
-                    for code in store.status[:store.n].tolist()]))
+    state.init_statuses = {cid: (code, day)
+                           for cid, code, day in _statuses(store)}
     state.init_ledger = state.ledger.copy()
     return state
+
+
+def _statuses(store: CandidateStore) -> zip:
+    """(id, status, status day) of every row, in row order."""
+    return zip(store.ids,
+               map(STATUS_NAMES.__getitem__, store.status[:store.n].tolist()),
+               store.status_day[:store.n].tolist())
+
+
+def _n_active(store: CandidateStore) -> int:
+    """The rows with an active status."""
+    return int(np.isin(store.status[:store.n], ACTIVE_CODES).sum())
 
 
 def _fold_screenings(state: SimState, rows: np.ndarray,
@@ -436,24 +422,19 @@ def run(state: SimState) -> SimulationOutput:
         elif kind == "screening":
             store.screening[payload[0]] = when
         elif kind == "patient":
-            _handle_patient(state, payload[0], payload[1], when)
+            _handle_patient(state, *payload, when)
         elif kind == "failure":
-            _handle_failure(state, payload[0], payload[1], when)
+            _handle_failure(state, *payload, when)
         elif kind == "donor":
             _handle_donor(state, payload[0], when)
         else:  # pragma: no cover
             raise AssertionError(f"unknown event kind {kind!r}")
 
-    final_states = [(store.ids[row], store.status_code(row),
-                     state.status_day.get(row, state.start_days))
-                    for row in range(store.n)]
     counters = dict(state.counters)
-    counters["wl.final_active"] = sum(
-        1 for row in range(store.n)
-        if int(store.status[row]) in ACTIVE_CODES)
+    counters["wl.final_active"] = _n_active(store)
     return SimulationOutput(
         transplants=state.transplants,
-        final_states=final_states,
+        final_states=list(_statuses(store)),
         counters=counters,
         ledger=state.ledger,
         event_log=state.event_log,
@@ -471,27 +452,45 @@ def _handle_balance(state: SimState, event: BalanceEvent, when: int) -> None:
                             event.recipient_region, when))
 
 
-def _handle_patient(state: SimState, row: int, upd_idx: int, when: int) -> None:
+def _book_status(state: SimState, row: int, old: int, when: int) -> None:
+    """Book the change of ``row``'s status on ``when``, from ``old``, which
+    has not ended, to the code the row now holds: the status day, the log
+    entry and the counters.  Leaving PRE for an active code is the row's
+    first listing, since nothing writes PRE to a row and an ended row takes
+    no change.  A removal or a death of any of the patient's rows drops the
+    patient's re-listing row, which a graft failure then no longer kills."""
     store = state.store
-    current = store.status_code(row)
-    if current in TERMINAL_CODES:
+    new = int(store.status[row])
+    store.status_day[row] = when
+    state.event_log.append(("status", store.ids[row], STATUS_NAMES[new], when))
+    counters = state.counters
+    if new == D or new == R:
+        reg = store.registrations[row]
+        if new == D:
+            counters["wl.deaths"] += 1
+            key = f"country.{reg.country}.wl_deaths"
+            counters[key] = counters.get(key, 0) + 1
+        else:
+            counters["wl.removals"] += 1
+        state.relist_row.pop(reg.patient_id, None)
+    elif old == PRE and new in ACTIVE_CODES:
+        counters["wl.listings"] += 1
+
+
+def _handle_patient(state: SimState, row: int, updates: list[StatusUpdate],
+                    index: int, when: int) -> None:
+    """Apply ``updates[index]`` to ``row`` and schedule the next one."""
+    store = state.store
+    old = int(store.status[row])
+    if old in ENDED_CODES:
         return  # spell already ended (e.g. transplanted by the simulation)
-    updates = state.updates_of[row]
-    upd = updates[upd_idx]
-    old = current
+    upd = updates[index]
     store.apply_update(row, upd)
-    if row not in state._listed:
-        state._mark_listed(row)
     if upd.kind == "URG":
-        new = store.status_code(row)
-        state.log_status(row, new, when)
-        state.apply_urgency_counters(row, old, new)
-        if new in ("R", "D"):
-            state.person_active_row.pop(
-                store.registrations[row].patient_id, None)
-    if upd_idx + 1 < len(updates):
-        nxt = updates[upd_idx + 1]
-        state.schedule(nxt.day, PRIO_PATIENT, "patient", row, upd_idx + 1)
+        _book_status(state, row, old, when)
+    if index + 1 < len(updates):
+        state.schedule(updates[index + 1].day, PRIO_PATIENT, "patient", row,
+                       updates, index + 1)
 
 
 def _handle_failure(state: SimState, person_id: str, expected_count: int,
@@ -499,18 +498,15 @@ def _handle_failure(state: SimState, person_id: str, expected_count: int,
     """Post-transplant failure: the person dies now unless re-transplanted."""
     if state.person_tx_count.get(person_id) != expected_count:
         return  # a later transplant re-drew the failure time
-    row = state.person_active_row.get(person_id)
+    row = state.relist_row.get(person_id)
     if row is None:
-        return  # never re-listed (death happens off the waiting list)
+        return  # not listed again (death happens off the waiting list)
     store = state.store
-    current = store.status_code(row)
-    if current in TERMINAL_CODES:
+    old = int(store.status[row])
+    if old in ENDED_CODES:
         return
-    old = current
-    store.set_status(row, "D")
-    state.log_status(row, "D", when)
-    state.apply_urgency_counters(row, old, "D")
-    state.person_active_row.pop(person_id, None)
+    store.status[row] = D
+    _book_status(state, row, old, when)
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +669,10 @@ def _transplant(state: SimState, donor: DonorArrival,
     state.counters["kidneys.transplanted"] += acc.kidneys
     state.event_log.append(("transplant", donor.id, reg.id, when, acc.kidneys))
 
-    store.set_status(row, "FU")
-    state.log_status(row, "FU", when)
-    state.person_active_row.pop(person, None)
+    old = int(store.status[row])
+    store.status[row] = FU
+    _book_status(state, row, old, when)
+    state.relist_row.pop(person, None)
     tx_count = state.person_tx_count.get(person, 0) + 1
     state.person_tx_count[person] = tx_count
 
@@ -732,23 +729,21 @@ def _transplant(state: SimState, donor: DonorArrival,
         state.counters["relists.no_pool_match"] += 1
         return
     synthetic, match = built
-    new_row = store.add(synthetic, initial_status="PRE")
-    state.status_day[new_row] = relist_day
-    state.person_active_row[person] = new_row
+    new_row = store.extend([synthetic], ["PRE"])[0]
+    store.status_day[new_row] = relist_day
+    state.relist_row[person] = new_row
     state.counters["wl.relists_created"] += 1
     state.event_log.append(("relist", synthetic.id, relist_day))
 
     # copied urgency stream, with a screening refresh at every status so the
     # synthetic spell stays visible to eligibility the way a followed-up
     # repeat candidate would
-    state.updates_of[new_row] = [
-        StatusUpdate(synthetic.id, relist_day + offset, "URG", code)
-        for offset, code in match.status_updates]
-    days = np.unique([relist_day + offset
-                      for offset, _ in match.status_updates])
+    updates = [StatusUpdate(synthetic.id, relist_day + offset, "URG", code)
+               for offset, code in match.status_updates]
+    days = np.unique([u.day for u in updates])
     state.schedule_screenings(days, np.full(len(days), new_row))
-    state.schedule(relist_day + match.status_updates[0][0], PRIO_PATIENT,
-                   "patient", new_row, 0)
+    state.schedule(updates[0].day, PRIO_PATIENT, "patient", new_row,
+                   updates, 0)
 
 
 def store_unacceptables(store: CandidateStore, row: int) -> set[str]:

@@ -38,6 +38,7 @@ T, NT, HU, I, R, D, FU = (STATUS_CODES[c] for c in ("T", "NT", "HU", "I", "R",
                                                     "D", "FU"))
 STATUS_NAMES = (*URGENCY_CODES, "PRE")  # by status code
 ACTIVE_CODES = (T, NT, HU, I)
+ENDED_CODES = (R, D, FU)  # a row that holds one takes no more updates
 BG_CODES = {bg: i for i, bg in enumerate(BLOOD_GROUPS)}
 _CHOICES = {None: 0, ETKAS: 1, ESP: 2}  # the ``choice`` column
 
@@ -47,6 +48,7 @@ _NO_DATE = np.int32(-(2 ** 31) + 1)
 # ("words": one per 64-bit word of the antigen table's code bits)
 _COLUMNS = (
     ("status", NT, np.int8, ()),
+    ("status_day", 0, np.int32, ()),  # day the engine last set ``status``
     ("bg", 0, np.int8, ()),
     ("country_idx", 0, np.int16, ()),
     ("region_idx", 0, np.int16, ()),
@@ -83,17 +85,14 @@ _COLUMNS = (
 )
 
 # the columns a registration sets, in the order ``CandidateStore._read``
-# gives their values; the others keep their fill until a derivation or an
-# update writes them
+# gives their values; the others keep their fill until a derivation, an
+# update or the engine writes them
 _INTAKE = ("status", "bg", "country_idx", "region_idx", "subregion_idx",
            "dob_days", "reg_days", "dial_start", "screening", "prior_tx", "am",
            "kaoo", "opt_in", "choice", "hla_known", "mask_a", "mask_b",
            "mask_dr", "homo_level", "homo_b", "homo_dr", "patmask",
            "prof_min_age", "prof_max_age", "prof_dcd", "prof_ext", "prof_hcv",
            "prof_hbs", "f_bg", "unacc")
-# their fills but ``unacc``'s, which ``add`` always writes
-_INTAKE_FILLS = tuple(map({name: fill for name, fill, *_ in _COLUMNS}.get,
-                          _INTAKE[:-1]))
 _PROFILE = _INTAKE[_INTAKE.index("prof_min_age"):_INTAKE.index("f_bg")]
 # the values of ``hla_known`` to ``homo_dr`` of a registration without an
 # HLA typing
@@ -310,13 +309,13 @@ def _profile_values(profile: AllocationProfile | None) -> tuple:
 class CandidateStore:
     """Structure-of-arrays over all registrations in a run (single-writer).
 
-    Registrations come in through ``extend`` (many rows, one write per
-    column) or ``add`` (one row); both read a registration through
-    ``_read``, the one definition of what its row holds.  ``add``,
-    ``extend`` and ``apply_update`` only mark rows whose HLA or
-    unacceptables changed; their p<=1mm, vPRA and immunization points are
-    derived later by ``finalize_derived_values``, which
-    ``build_match_arrays`` calls before it reads them.
+    Registrations come in through ``extend``, one write per column however
+    many rows it appends; it reads each registration through ``_read``, the
+    one definition of what its row holds.  ``extend`` and ``apply_update``
+    only mark rows whose HLA or unacceptables changed; their p<=1mm, vPRA
+    and immunization points are derived later by
+    ``finalize_derived_values``, which ``build_match_arrays`` calls before
+    it reads them.  The engine writes ``status_day`` itself.
     """
 
     def __init__(self, hla_index: HlaIndex, centers: CenterRegistry,
@@ -405,32 +404,15 @@ class CandidateStore:
 
     # -- registration and updates -------------------------------------------
 
-    def add(self, reg: CandidateRegistration,
-            initial_status: str | None) -> int:
-        """Append a row for ``reg`` and return its index: the registration's
-        day numbers are stored as they stand, and ``initial_status`` ("PRE":
-        not listed yet), unless None, overrides its urgency.  Raises what
-        ``_read`` raises.  Rows past ``n`` are never written, so the new row
-        holds every column's fill, and only values that differ from it are
-        written (a re-listing adds a row during a run)."""
-        values = self._read(reg, initial_status)
-        self._ensure(1)
-        row = self.n
-        columns = vars(self)
-        for name, value, fill in zip(_INTAKE, values, _INTAKE_FILLS):
-            if value != fill:
-                columns[name][row] = value
-        self.unacc[row] = values[-1]
-        self.n = row + 1
-        return row
-
     def extend(self, registrations: Iterable[CandidateRegistration],
                initial_statuses: Iterable[str | None]) -> range:
-        """Append a row per registration, in order, as ``add`` does each
-        with its initial status, and return their indices.  Every
-        registration is read first, then each column is written once; the
-        first faulty registration raises, and a store that raised is not
-        to be used."""
+        """Append a row per registration, in order, and return their
+        indices.  A row holds its registration's day numbers as they stand,
+        and its initial status ("PRE": not listed yet), unless None,
+        overrides the registration's urgency.  Every registration is read
+        first, then each column is written once; the first faulty
+        registration raises what ``_read`` raises, and a store that raised
+        is not to be used."""
         base = self.n
         rows = [self._read(reg, status) for reg, status
                 in zip(registrations, initial_statuses, strict=True)]
@@ -624,13 +606,6 @@ class CandidateStore:
                 self.opt_in[row] = value == "EXT_OPT_IN"
         else:
             raise ValueError(f"{kind!r} is not a status update kind")
-
-    def set_status(self, row: int, code: str) -> None:
-        self.status[row] = STATUS_CODES[code] if code != "PRE" else PRE
-
-    def status_code(self, row: int) -> str:
-        return STATUS_NAMES[self.status[row]]
-
 
 
 @lru_cache(maxsize=None)

@@ -323,7 +323,7 @@ def build_engine_list(fx):
     store = CandidateStore(HlaIndex(fx["table"]), fx["centers"], fx["panel"],
                            fx["freq"], fx["bg"], fx["policy"])
     for reg in fx["regs"]:
-        store.add(reg, None)
+        store.extend([reg], [None])
     arrays = build_match_arrays(
         store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
         fx["ledger"], fx["policy"], MATCH_DAY)

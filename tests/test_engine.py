@@ -15,7 +15,8 @@ from etkasim.engine import (ArrayOffers, Draws, initialize, run,
                             store_unacceptables, verify_replay)
 from etkasim.entities import (StatusUpdate, expand_mm_patterns,
                                parse_payload, parse_profile)
-from etkasim.fastmatch import _COLUMNS, build_match_arrays
+from etkasim.fastmatch import (_COLUMNS, ACTIVE_CODES, STATUS_NAMES,
+                               build_match_arrays)
 from etkasim.io import data_path
 from etkasim.offering import (AcceptanceModels, donor_features,
                               dual_features, run_allocation)
@@ -51,7 +52,7 @@ class TestInitialization:
         state = initialize(make_inputs([reg], [], updates=updates,
                                        screenings=screenings), seed=1)
         row = state.store.row_of["C1"]
-        assert state.store.status_code(row) == "NT"
+        assert STATUS_NAMES[state.store.status[row]] == "NT"
         # exactly one pending patient event, timed at the first in-window one
         patient_events = [e for e in state.fes if e[3] == "patient"]
         assert len(patient_events) == 1
@@ -99,10 +100,12 @@ class TestInitialization:
                   donor("D2", END_DAY - START_DAY + 1)]
         state = initialize(make_inputs([reg], donors, updates=updates,
                                        balance_events=events))
-        assert state.store.status_code(state.store.row_of["C1"]) == "T"
+        store = state.store
+        assert STATUS_NAMES[store.status[store.row_of["C1"]]] == "T"
         assert state.ledger.net_export("AT", "18-49") == 1
         assert sorted((e[0], e[3], e[4]) for e in state.fes) == [
-            (START_DAY, "donor", (0,)), (START_DAY, "patient", (0, 0)),
+            (START_DAY, "donor", (0,)),
+            (START_DAY, "patient", (0, updates["C1"], 0)),
             (START_DAY + 1, "balance", (events[1],)),
             (END_DAY, "balance", (events[2],)), (END_DAY, "donor", (1,))]
 
@@ -140,7 +143,8 @@ class TestInitialization:
         ])
         assert got == want
         # C3 folded to NT before the window
-        assert state.store.status_code(state.store.row_of["C3"]) == "NT"
+        store = state.store
+        assert STATUS_NAMES[store.status[store.row_of["C3"]]] == "NT"
 
 
 @pytest.mark.parametrize("kind, payload, fields", [
@@ -200,7 +204,8 @@ class TestRun:
                              screenings={"C1": screening_days(START_DAY
                                                               + 100)})
         state = initialize(inputs, seed=1)
-        assert state.store.status_code(state.store.row_of["C1"]) == "PRE"
+        store = state.store
+        assert STATUS_NAMES[store.status[store.row_of["C1"]]] == "PRE"
         output = run(state)
         assert [t.donor_id for t in output.transplants] == ["D2"]
         assert output.counters["kidneys.discarded"] == 1
@@ -275,7 +280,7 @@ class TestConservation:
     def _run(self, seed):
         return run(self._state(seed))
 
-    def _state(self, seed):
+    def _state(self, seed, two_spells=False):
         rng = np.random.default_rng(seed)
         regs = []
         for i in range(60):
@@ -292,7 +297,21 @@ class TestConservation:
                         bg=("A" if j % 4 else "O"),
                         kidneys=2 if j % 3 else 1)
                   for j in range(20)]
-        inputs = make_inputs(regs, donors, center_p=0.8, patient_p=0.5,
+        updates = screenings = None
+        if two_spells:
+            # one patient listed twice: removed early in the window, then
+            # registered again, listed and dead before its end
+            regs += [candidate("P1", reg_offset=-300),
+                     candidate("P1.2", patient_id="P1", reg_offset=120)]
+            updates = terminal_updates(regs)
+            updates["P1"] = [StatusUpdate("P1", START_DAY + 60, "URG", "R")]
+            updates["P1.2"] = [
+                StatusUpdate("P1.2", START_DAY + 120, "URG", "T"),
+                StatusUpdate("P1.2", START_DAY + 250, "URG", "D")]
+            screenings = fresh_screenings(regs)
+        inputs = make_inputs(regs, donors, updates=updates,
+                             screenings=screenings, center_p=0.8,
+                             patient_p=0.5,
                              weibull=quick_failure_weibull(200.0),
                              curves=always_relist_curves(0.5))
         return initialize(inputs, seed=seed)
@@ -312,9 +331,29 @@ class TestConservation:
 
     @pytest.mark.parametrize("seed", [1, 6])
     def test_replay_reproduces_final_state(self, seed):
-        state = self._state(seed)
+        state = self._state(seed, two_spells=True)
         output = run(state)
         assert verify_replay(output) == []
+        # the counters the status changes book agree with the statuses: a
+        # listing per id that is ever active, a removal or a death per
+        # logged R or D, and the final active rows
+        active = {STATUS_NAMES[code] for code in ACTIVE_CODES}
+        logged = [event[1:3] for event in output.event_log
+                  if event[0] == "status"]
+        listed = {cid for cid, (code, _) in output.init_statuses.items()
+                  if code in active}
+        listed.update(cid for cid, code in logged if code in active)
+        assert output.init_statuses["P1.2"][0] == "PRE"
+        assert "P1.2" in listed
+        c = output.counters
+        assert c["wl.listings"] == len(listed)
+        assert c["wl.removals"] == sum(code == "R" for _, code in logged) > 0
+        assert c["wl.deaths"] == sum(code == "D" for _, code in logged) > 0
+        assert c["wl.deaths"] == sum(
+            value for name, value in c.items()
+            if name.startswith("country.") and name.endswith(".wl_deaths"))
+        assert c["wl.final_active"] == sum(
+            code in active for _, code, _ in output.final_states)
         # the transplant step reads each value once: a re-listing's row and
         # registration carry the day its event is logged, and a recipient's
         # age is their age on the transplant day

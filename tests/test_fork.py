@@ -103,12 +103,9 @@ def _fingerprint(state) -> dict:
         "fes": [(*entry[:4], tuple(map(_plain, entry[4])))
                 for entry in state.fes],
         "ledger": (state.ledger.snapshot(), state.ledger.regional_snapshot()),
-        "updates_of": {row: list(ups) for row, ups in state.updates_of.items()},
-        "people": (dict(state.person_tx_count), dict(state.person_active_row),
+        "people": (dict(state.person_tx_count), dict(state.relist_row),
                    dict(state.relist_serial)),
         "counters": dict(state.counters),
-        "status_day": dict(state.status_day),
-        "listed": sorted(state._listed),
         "initial": (dict(state.init_statuses), state.init_ledger.snapshot(),
                     state.init_ledger.regional_snapshot()),
     }
@@ -151,6 +148,22 @@ def test_a_fork_shares_only_what_runs_do_not_write(inputs):
     assert _shared(template, fork) == SHARED_BY_STATE
     assert _shared(template.store, fork.store) == SHARED_BY_STORE
     assert _shared(template.ledger, fork.ledger) == SHARED_BY_LEDGER
+
+
+def test_a_fresh_template_holds_no_per_patient_entries(inputs):
+    # row state lives in the store's columns and update lists in the
+    # patient events, so the only containers a fork copies are the counters
+    # and the per-patient maps, which hold transplanted patients only
+    template = initialize(inputs)
+    fork = template.fork(1)
+    copied = {name for name, value in vars(template).items()
+              if isinstance(value, (dict, set))
+              and getattr(fork, name) is not value}
+    assert copied == {"counters", "person_tx_count", "relist_row",
+                      "relist_serial"}
+    assert template.person_tx_count == {}
+    assert template.relist_row == {}
+    assert template.relist_serial == {}
 
 
 def test_a_fork_of_a_traced_template_traces_into_its_own_list(inputs):
@@ -218,12 +231,8 @@ def test_writes_to_a_fork_stay_in_the_fork(inputs):
     fork.ledger.record_transfer(BalanceEvent(
         to_days(START), countries[0], countries[1], 40, donor_region="new"))
     fork.schedule(0, 0, "balance", None)
-    fork.updates_of[0] = []
-    fork.updates_of[-1] = []
     fork.person_tx_count["new"] = 1
-    fork.person_active_row["new"] = 0
+    fork.relist_row["new"] = 0
     fork.relist_serial["new"] = 1
     fork.counters["new"] = 1
-    fork.status_day[-1] = 0
-    fork._listed.add(-1)
     assert _fingerprint(template) == before

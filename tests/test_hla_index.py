@@ -45,7 +45,7 @@ def _store(inputs, index=None, freq_table=None) -> CandidateStore:
 def store(inputs):
     store = _store(inputs)
     for reg in inputs.registrations:
-        store.add(reg, None)
+        store.extend([reg], [None])
     store.finalize_derived_values()
     return store
 
@@ -131,7 +131,7 @@ def test_derivation_memory_does_not_grow_with_pending_rows(inputs, store):
     big = _store(inputs)
     for k in range(copies):
         for reg in inputs.registrations:
-            big.add(replace(reg, id=f"{reg.id}.{k}"), None)
+            big.extend([replace(reg, id=f"{reg.id}.{k}")], [None])
     assert big.n >= 5000
     tracemalloc.start()
     try:
@@ -247,9 +247,9 @@ def test_frequency_check_raises_at_each_offending_row(inputs):
     index = HlaIndex(inputs.antigen_table)
     for _ in range(2):  # a second store sharing the index checks again
         store = _store(inputs, index, FrequencyTable(freqs, path=None))
-        store.add(other, None)
+        store.extend([other], [None])
         for n in range(2):
             with pytest.raises(InputError,
                                match="missing from frequency table at "
                                      "locus A"):
-                store.add(replace(reg, id=f"{reg.id}.{n}"), None)
+                store.extend([replace(reg, id=f"{reg.id}.{n}")], [None])

@@ -1,6 +1,7 @@
-"""How registrations enter a run: ``CandidateStore.extend`` writes what one
-``add`` per registration writes, and ``initialize`` reports the first
-faulty registration in file order, whichever check finds its fault."""
+"""How registrations enter a run: ``CandidateStore.extend`` writes the same
+rows whether it takes them one at a time or in one batch, and
+``initialize`` reports the first faulty registration in file order,
+whichever check finds its fault."""
 
 from __future__ import annotations
 
@@ -59,7 +60,8 @@ def _contents(store: CandidateStore) -> dict:
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_extend_writes_what_one_add_per_registration_writes(inputs, data):
+def test_one_batch_writes_what_one_extend_per_registration_writes(inputs,
+                                                                 data):
     regs = inputs.registrations
     picks = data.draw(st.lists(st.integers(0, len(regs) - 1), unique=True,
                                max_size=80), label="picks")
@@ -67,32 +69,32 @@ def test_extend_writes_what_one_add_per_registration_writes(inputs, data):
               regs[i] for i in picks]
     statuses = [data.draw(st.sampled_from([None, "PRE", "HU"]))
                 for _ in chosen]
-    # rows added one at a time before the batch, to both stores
+    # rows taken one at a time before the batch, by both stores
     ahead = data.draw(st.integers(0, len(chosen)), label="ahead")
-    by_add, by_extend = _store(inputs), _store(inputs)
-    for store in (by_add, by_extend):
+    by_row, by_batch = _store(inputs), _store(inputs)
+    for store in (by_row, by_batch):
         for reg, status in zip(chosen[:ahead], statuses[:ahead]):
-            store.add(reg, status)
+            store.extend([reg], [status])
     for reg, status in zip(chosen[ahead:], statuses[ahead:]):
-        by_add.add(reg, status)
-    rows = by_extend.extend(chosen[ahead:], statuses[ahead:])
+        by_row.extend([reg], [status])
+    rows = by_batch.extend(chosen[ahead:], statuses[ahead:])
     assert rows == range(ahead, len(chosen))
-    assert _contents(by_extend) == _contents(by_add)
+    assert _contents(by_batch) == _contents(by_row)
 
 
-def test_extend_past_the_capacity_grows_as_adds_do(inputs):
+def test_one_batch_past_the_capacity_grows_as_one_row_extends_do(inputs):
     regs = [replace(reg, id=f"{reg.id}.{k}")
             for k in range(4) for reg in inputs.registrations]
     statuses = [None, "PRE"] * (len(regs) // 2)
-    by_add, by_extend = _store(inputs), _store(inputs)
+    by_row, by_batch = _store(inputs), _store(inputs)
     for reg, status in zip(regs, statuses):
-        by_add.add(reg, status)
-    by_extend.extend(regs, statuses)
-    assert by_extend._cap > 1024
-    assert _contents(by_extend) == _contents(by_add)
-    by_add.finalize_derived_values()
-    by_extend.finalize_derived_values()
-    assert _contents(by_extend) == _contents(by_add)
+        by_row.extend([reg], [status])
+    by_batch.extend(regs, statuses)
+    assert by_batch._cap > 1024
+    assert _contents(by_batch) == _contents(by_row)
+    by_row.finalize_derived_values()
+    by_batch.finalize_derived_values()
+    assert _contents(by_batch) == _contents(by_row)
 
 
 # -- the first faulty registration wins ----------------------------------

@@ -490,7 +490,7 @@ class TestScalarVectorEquivalence:
         store = CandidateStore(index, fx["centers"], fx["panel"], fx["freq"],
                                fx["bg"], fx["policy"])
         for reg in regs:
-            store.add(reg, None)
+            store.extend([reg], [None])
         arrays = build_match_arrays(store, donor,
                                     store.hla_index.donor_hla(donor.hla),
                                     fx["ledger"], fx["policy"], MATCH_DAY)
@@ -535,7 +535,7 @@ class TestScalarVectorEquivalence:
         store = CandidateStore(index, fx["centers"], fx["panel"], fx["freq"],
                                fx["bg"], cfg)
         for reg in regs:
-            store.add(reg, None)
+            store.extend([reg], [None])
         arrays = build_match_arrays(
             store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
             fx["ledger"], cfg, MATCH_DAY)
@@ -602,7 +602,7 @@ class TestScalarVectorEquivalence:
         store = CandidateStore(HlaIndex(fx["table"]), centers, fx["panel"],
                                fx["freq"], fx["bg"], fx["policy"])
         for reg in regs:
-            store.add(reg, None)
+            store.extend([reg], [None])
         arrays = build_match_arrays(store, donor,
                                     store.hla_index.donor_hla(donor.hla),
                                     ledger, fx["policy"], MATCH_DAY)
@@ -640,7 +640,7 @@ class TestRuntimeDerivedValues:
         store = CandidateStore(HlaIndex(fx["table"]), fx["centers"],
                                fx["panel"], fx["freq"], fx["bg"], cfg)
         for reg in regs:
-            store.add(reg, None)
+            store.extend([reg], [None])
         store.finalize_derived_values()
         return store
 
@@ -680,7 +680,7 @@ class TestRuntimeDerivedValues:
         regs.append(replace(regs[0], id="LATE", patient_id="LATE",
                             unacceptables=frozenset({"AX1", "AX4"})))
         store = self._store(fx, regs[:-1], cfg)
-        store.add(regs[-1], None)
+        store.extend([regs[-1]], [None])
         build_match_arrays(
             store, fx["donor"], store.hla_index.donor_hla(fx["donor"].hla),
             fx["ledger"], cfg, MATCH_DAY)
