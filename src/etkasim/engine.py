@@ -452,14 +452,29 @@ def _handle_balance(state: SimState, event: BalanceEvent, when: int) -> None:
                             event.recipient_region, when))
 
 
-def _book_status(state: SimState, row: int, old: int, when: int) -> None:
-    """Book the change of ``row``'s status on ``when``, from ``old``, which
-    has not ended, to the code the row now holds: the status day, the log
-    entry and the counters.  Leaving PRE for an active code is the row's
-    first listing, since nothing writes PRE to a row and an ended row takes
-    no change.  A removal or a death of any of the patient's rows drops the
-    patient's re-listing row, which a graft failure then no longer kills."""
+def _change_status(state: SimState, row: int, when: int, *,
+                   update: StatusUpdate | None = None,
+                   code: int | None = None) -> bool:
+    """The one path of an in-run change to ``row`` on ``when``: apply
+    ``update`` through ``CandidateStore.apply_update``, or write the status
+    ``code``, then book a status change: the status day, the log entry and
+    the counters.  An update of another kind than URG books nothing.  The
+    store's ``extend`` and ``apply_update`` and this function are the only
+    writers of ``status``.  Returns False, changing nothing, when the row's
+    spell has ended (e.g. by a transplant).  Leaving PRE for an active code
+    is the row's first listing, since nothing writes PRE to a row.  A
+    removal or a death of any of the patient's rows drops the patient's
+    re-listing row, which a graft failure then no longer kills."""
     store = state.store
+    old = int(store.status[row])
+    if old in ENDED_CODES:
+        return False
+    if update is None:
+        store.status[row] = code
+    else:
+        store.apply_update(row, update)
+        if update.kind != "URG":
+            return True
     new = int(store.status[row])
     store.status_day[row] = when
     state.event_log.append(("status", store.ids[row], STATUS_NAMES[new], when))
@@ -475,20 +490,14 @@ def _book_status(state: SimState, row: int, old: int, when: int) -> None:
         state.relist_row.pop(reg.patient_id, None)
     elif old == PRE and new in ACTIVE_CODES:
         counters["wl.listings"] += 1
+    return True
 
 
 def _handle_patient(state: SimState, row: int, updates: list[StatusUpdate],
                     index: int, when: int) -> None:
     """Apply ``updates[index]`` to ``row`` and schedule the next one."""
-    store = state.store
-    old = int(store.status[row])
-    if old in ENDED_CODES:
-        return  # spell already ended (e.g. transplanted by the simulation)
-    upd = updates[index]
-    store.apply_update(row, upd)
-    if upd.kind == "URG":
-        _book_status(state, row, old, when)
-    if index + 1 < len(updates):
+    if (_change_status(state, row, when, update=updates[index])
+            and index + 1 < len(updates)):
         state.schedule(updates[index + 1].day, PRIO_PATIENT, "patient", row,
                        updates, index + 1)
 
@@ -499,14 +508,8 @@ def _handle_failure(state: SimState, person_id: str, expected_count: int,
     if state.person_tx_count.get(person_id) != expected_count:
         return  # a later transplant re-drew the failure time
     row = state.relist_row.get(person_id)
-    if row is None:
-        return  # not listed again (death happens off the waiting list)
-    store = state.store
-    old = int(store.status[row])
-    if old in ENDED_CODES:
-        return
-    store.status[row] = D
-    _book_status(state, row, old, when)
+    if row is not None:  # else death happens off the waiting list
+        _change_status(state, row, when, code=D)
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +672,7 @@ def _transplant(state: SimState, donor: DonorArrival,
     state.counters["kidneys.transplanted"] += acc.kidneys
     state.event_log.append(("transplant", donor.id, reg.id, when, acc.kidneys))
 
-    old = int(store.status[row])
-    store.status[row] = FU
-    _book_status(state, row, old, when)
+    _change_status(state, row, when, code=FU)
     state.relist_row.pop(person, None)
     tx_count = state.person_tx_count.get(person, 0) + 1
     state.person_tx_count[person] = tx_count

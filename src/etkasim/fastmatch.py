@@ -25,7 +25,7 @@ from .common import DAYS_PER_YEAR, InputError, age_years
 from .entities import (ESP, ETKAS, GERMANY, LOCAL_REGIONAL, NATIONAL,
                        AllocationProfile, CandidateRegistration,
                        CenterRegistry, DonorArrival, StatusUpdate,
-                       URGENCY_CODES)
+                       TERMINAL_CODES, URGENCY_CODES)
 from .hla import (BLOOD_GROUPS, LOCI, AntigenTable, BloodGroupFrequencies,
                   DonorPanel, FrequencyTable, HlaTyping,
                   compute_hmpp_fraction)
@@ -38,7 +38,8 @@ T, NT, HU, I, R, D, FU = (STATUS_CODES[c] for c in ("T", "NT", "HU", "I", "R",
                                                     "D", "FU"))
 STATUS_NAMES = (*URGENCY_CODES, "PRE")  # by status code
 ACTIVE_CODES = (T, NT, HU, I)
-ENDED_CODES = (R, D, FU)  # a row that holds one takes no more updates
+# a row that holds one of these takes no more updates
+ENDED_CODES = tuple(STATUS_CODES[c] for c in TERMINAL_CODES)
 BG_CODES = {bg: i for i, bg in enumerate(BLOOD_GROUPS)}
 _CHOICES = {None: 0, ETKAS: 1, ESP: 2}  # the ``choice`` column
 
@@ -315,7 +316,8 @@ class CandidateStore:
     only mark rows whose HLA or unacceptables changed; their p<=1mm, vPRA
     and immunization points are derived later by
     ``finalize_derived_values``, which ``build_match_arrays`` calls before
-    it reads them.  The engine writes ``status_day`` itself.
+    it reads them.  The engine writes ``status_day`` itself, and writes
+    ``status`` directly only in ``engine._change_status``.
     """
 
     def __init__(self, hla_index: HlaIndex, centers: CenterRegistry,

@@ -87,7 +87,11 @@ def _files(root: Path) -> dict[str, bytes]:
 
 
 def _plain(value):
-    return tuple(value.tolist()) if isinstance(value, np.ndarray) else value
+    """``value`` as a comparable copy: an array's or a list's items (a
+    patient event's update list, shared by the template and its forks)."""
+    if isinstance(value, np.ndarray):
+        return tuple(value.tolist())
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _fingerprint(state) -> dict:
