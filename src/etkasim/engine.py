@@ -33,6 +33,7 @@ from __future__ import annotations
 import copy
 import heapq
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
@@ -41,7 +42,8 @@ import numpy as np
 
 from .balances import (AUSTRIA, BalanceEvent, BalanceLedger,
                        UnknownCountryError)
-from .common import DAYS_PER_YEAR, InputError, day_text, from_days, to_days
+from .common import (DAYS_PER_YEAR, InputError, day_text, from_days,
+                     gc_paused, to_days)
 from .entities import ETKAS, GEOGRAPHY_CLASSES, DonorArrival, StatusUpdate
 from .fastmatch import (ACTIVE_CODES, ENDED_CODES, FU, PRE, STATUS_NAMES, D, R,
                         CandidateStore, DonorHla, HlaIndex, MatchArrays,
@@ -55,6 +57,7 @@ from .posttransplant import (TRANSPLANT_FEATURES, InvalidScaleError,
                              sample_relist_time)
 
 _DAY = attrgetter("day")  # of a StatusUpdate
+_PATIENT_ID = attrgetter("patient_id")  # of a CandidateRegistration
 
 # event type priorities within one day
 PRIO_BALANCE = 0
@@ -98,6 +101,7 @@ class TransplantRecord:
 class SimulationOutput:
     transplants: list[TransplantRecord]
     final_states: list[tuple[str, str, int]]  # id, status, status day
+    patient_ids: list[str]  # of each row, in the order of final_states
     counters: dict[str, float]
     ledger: BalanceLedger
     event_log: list[tuple]
@@ -239,6 +243,7 @@ class SimState:
             heapq.heappush(self.fes, event)
 
 
+@gc_paused()  # set-up leaves no cyclic garbage
 def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
     """Build the initial system state and future event set.
 
@@ -322,8 +327,9 @@ def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
     store.status_day[:store.n] = start
     state.counters["wl.listings"] += _n_active(store)
 
-    # overlapping spells for one patient are an input error; patients are
-    # checked in the order of their first row
+    # overlapping spells for one patient are an input error, and a spell
+    # that never ends overlaps every later one; patients are checked in the
+    # order of their first row
     for patient_rows in sorted(r for r in spells.values() if len(r) > 1):
         entries = sorted((store.registrations[row].registration_day, row)
                          for row in patient_rows)
@@ -332,7 +338,7 @@ def initialize(inputs: SimulationInputs, seed: int = 1) -> SimState:
             for u in streams[a_row]:  # rows count from 0, as streams do
                 if u.ends_spell:
                     a_end = u.day
-            if a_end is not None and b_start < a_end:
+            if a_end is None or b_start < a_end:
                 raise InputError(
                     f"registrations {store.ids[a_row]!r} and "
                     f"{store.ids[b_row]!r} for patient "
@@ -435,6 +441,7 @@ def run(state: SimState) -> SimulationOutput:
     return SimulationOutput(
         transplants=state.transplants,
         final_states=list(_statuses(store)),
+        patient_ids=list(map(_PATIENT_ID, store.registrations)),
         counters=counters,
         ledger=state.ledger,
         event_log=state.event_log,
@@ -461,14 +468,21 @@ def _change_status(state: SimState, row: int, when: int, *,
     the counters.  An update of another kind than URG books nothing.  The
     store's ``extend`` and ``apply_update`` and this function are the only
     writers of ``status``.  Returns False, changing nothing, when the row's
-    spell has ended (e.g. by a transplant).  Leaving PRE for an active code
-    is the row's first listing, since nothing writes PRE to a row.  A
-    removal or a death of any of the patient's rows drops the patient's
-    re-listing row, which a graft failure then no longer kills."""
+    spell has ended (e.g. by a transplant), or when the row is not listed
+    yet and belongs to a patient the run has transplanted, unless it is the
+    patient's re-listing row: only the simulated re-listing brings a
+    transplanted patient back, and a later input registration never lists.
+    Leaving PRE for an active code is the row's first listing, since
+    nothing writes PRE to a row."""
     store = state.store
     old = int(store.status[row])
     if old in ENDED_CODES:
         return False
+    if old == PRE:
+        person = store.registrations[row].patient_id
+        if (person in state.person_tx_count
+                and state.relist_row.get(person) != row):
+            return False
     if update is None:
         store.status[row] = code
     else:
@@ -480,14 +494,12 @@ def _change_status(state: SimState, row: int, when: int, *,
     state.event_log.append(("status", store.ids[row], STATUS_NAMES[new], when))
     counters = state.counters
     if new == D or new == R:
-        reg = store.registrations[row]
         if new == D:
             counters["wl.deaths"] += 1
-            key = f"country.{reg.country}.wl_deaths"
+            key = f"country.{store.registrations[row].country}.wl_deaths"
             counters[key] = counters.get(key, 0) + 1
         else:
             counters["wl.removals"] += 1
-        state.relist_row.pop(reg.patient_id, None)
     elif old == PRE and new in ACTIVE_CODES:
         counters["wl.listings"] += 1
     return True
@@ -504,7 +516,9 @@ def _handle_patient(state: SimState, row: int, updates: list[StatusUpdate],
 
 def _handle_failure(state: SimState, person_id: str, expected_count: int,
                     when: int) -> None:
-    """Post-transplant failure: the person dies now unless re-transplanted."""
+    """Post-transplant failure: the person dies now unless re-transplanted.
+    Their re-listing row, if any, ends in a death, unless its spell has
+    ended already."""
     if state.person_tx_count.get(person_id) != expected_count:
         return  # a later transplant re-drew the failure time
     row = state.relist_row.get(person_id)
@@ -781,7 +795,8 @@ def replay_final_state(output: SimulationOutput
 
 
 def verify_replay(output: SimulationOutput) -> list[str]:
-    """Differences between the replayed log and the recorded final state."""
+    """Differences between the replayed log and the recorded final state,
+    and patients listed twice at once (``_double_listings``)."""
     statuses, ledger = replay_final_state(output)
     problems = []
     final = {cid: (code, day) for cid, code, day in output.final_states}
@@ -794,4 +809,43 @@ def verify_replay(output: SimulationOutput) -> list[str]:
         problems.append("ledger mismatch after replay")
     if ledger.regional_snapshot() != output.ledger.regional_snapshot():
         problems.append("Austrian regional ledger mismatch after replay")
+    doubles = _double_listings(output)
+    if doubles:
+        problems.append(f"{len(doubles)} patients with two active rows on "
+                        f"one day (e.g. {doubles[:3]})")
     return problems
+
+
+def _double_listings(output: SimulationOutput) -> list[str]:
+    """The patients, sorted, that have two active rows at the end of some
+    day, by the run's initial statuses and its logged status changes.
+    Only patients with more than one row are followed."""
+    rows = Counter(output.patient_ids)
+    patient_of = {cid: person for (cid, _, _), person
+                  in zip(output.final_states, output.patient_ids)
+                  if rows[person] > 1}
+    active_names = {STATUS_NAMES[code] for code in ACTIVE_CODES}
+    init = output.init_statuses
+    active = {cid for cid in patient_of
+              if cid in init and init[cid][0] in active_names}
+    n_active = Counter(map(patient_of.__getitem__, active))
+    doubles = {person for person, n in n_active.items() if n > 1}
+    day, touched = None, []
+    for _, cid, code, when in [entry for entry in output.event_log
+                               if entry[0] == "status"
+                               and entry[1] in patient_of]:
+        if when != day:
+            doubles.update(p for p in touched if n_active[p] > 1)
+            day, touched = when, []
+        now = code in active_names
+        if now != (cid in active):
+            person = patient_of[cid]
+            if now:
+                active.add(cid)
+                n_active[person] += 1
+            else:
+                active.remove(cid)
+                n_active[person] -= 1
+            touched.append(person)
+    doubles.update(p for p in touched if n_active[p] > 1)
+    return sorted(doubles)

@@ -529,6 +529,7 @@ class SimulationInputs:
         return replace(self, policy=policy)
 
 
+@gc_paused()  # loading leaves no cyclic garbage
 def load_inputs(settings: SimulationSettings,
                 policy: PolicyConfig | None = None) -> SimulationInputs:
     table = AntigenTable.from_file(settings.resolve("antigens", "antigens.csv"))

@@ -161,11 +161,35 @@ class DeltaRow:
     t_stat: float | None
     p_value: float | None
     stars: str
+    # paired mode only: SD(paired difference) / sqrt(var_A + var_B), both
+    # with ddof 1 (None at zero spread); 1 means pairing removed no variance
+    sd_ratio: float | None = None
+    # paired mode only: the paired runs the observed delta would need for
+    # p < 0.05, were it and the SD of the differences exact (None where
+    # the test is undefined or the delta is 0); unstable near a zero delta
+    runs_needed: int | None = None
 
 
 def _stars(p: float | None) -> str:
     """One star for p < 0.05, two for p < 0.01, three for p < 0.001."""
     return "" if p is None else "*" * ((p < 0.05) + (p < 0.01) + (p < 0.001))
+
+
+def _runs_needed(mean: float, sd: float, stdtr) -> int | None:
+    """The fewest paired runs n >= 2 at which a paired t-test of mean
+    difference ``mean`` and SD ``sd`` > 0 gives p < 0.05; None if ``mean``
+    is 0, or so small against ``sd`` that the count overflows a float.  No
+    n below (z_0.975 * sd / mean)^2 can, since t quantiles exceed normal
+    ones."""
+    if mean == 0:
+        return None
+    root = 1.959963984540054 * sd / abs(mean)
+    if not math.isfinite(root * root):
+        return None
+    n = max(2, int(root * root))
+    while 2.0 * stdtr(n - 1, -abs(mean) * math.sqrt(n) / sd) >= 0.05:
+        n += 1
+    return n
 
 
 def compare_policies(baseline: Sequence[Mapping[str, float]],
@@ -174,7 +198,8 @@ def compare_policies(baseline: Sequence[Mapping[str, float]],
     """Mean differences per statistic with t-test significance.
 
     Paired mode requires equal run counts (common random numbers pair run i
-    with run i); unpaired mode falls back to Welch's test.
+    with run i), and reports what pairing bought: each row's ``sd_ratio``
+    and ``runs_needed``.  Unpaired mode falls back to Welch's test.
     """
     if paired and len(baseline) != len(variant):
         raise ValueError("paired comparison needs equal run counts, got "
@@ -192,15 +217,21 @@ def compare_policies(baseline: Sequence[Mapping[str, float]],
         base = np.array([float(r.get(name, 0.0)) for r in baseline])
         var = np.array([float(r.get(name, 0.0)) for r in variant])
         delta = float(var.mean() - base.mean())
-        t_stat = p_value = None
+        t_stat = p_value = sd_ratio = runs_needed = None
         if paired:
             diffs = var - base
             sd = diffs.std(ddof=1) if len(diffs) > 1 else 0.0
             if sd > 0:
                 t_stat = float(diffs.mean() / (sd / math.sqrt(len(diffs))))
                 p_value = float(2.0 * stdtr(len(diffs) - 1, -abs(t_stat)))
+                runs_needed = _runs_needed(float(diffs.mean()), float(sd),
+                                           stdtr)
             elif np.allclose(diffs, 0.0):
                 t_stat, p_value = 0.0, 1.0
+            if len(diffs) > 1:
+                spread = base.var(ddof=1) + var.var(ddof=1)
+                if spread > 0:
+                    sd_ratio = float(sd / math.sqrt(spread))
         else:
             if len(base) > 1 and len(var) > 1 and (base.std() > 0 or var.std() > 0):
                 from scipy import stats
@@ -209,7 +240,8 @@ def compare_policies(baseline: Sequence[Mapping[str, float]],
         rows.append(DeltaRow(name=name, baseline_mean=float(base.mean()),
                              variant_mean=float(var.mean()), delta=delta,
                              t_stat=t_stat, p_value=p_value,
-                             stars=_stars(p_value)))
+                             stars=_stars(p_value), sd_ratio=sd_ratio,
+                             runs_needed=runs_needed))
     return rows
 
 
@@ -351,21 +383,30 @@ def render_summary_text(table: SummaryTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _or_blank(value, spec: str) -> str:
+    return "" if value is None else format(value, spec)
+
+
 def write_delta_csv(path: Path, rows: Sequence[DeltaRow]) -> None:
     write_table(path, ["statistic", "baseline_mean", "variant_mean", "delta",
-                       "t", "p", "stars"],
+                       "t", "p", "stars", "sd_ratio", "runs_needed"],
                 ([r.name, _fmt(r.baseline_mean), _fmt(r.variant_mean),
-                  _fmt(r.delta), "" if r.t_stat is None else f"{r.t_stat:.4f}",
-                  "" if r.p_value is None else f"{r.p_value:.6g}", r.stars]
+                  _fmt(r.delta), _or_blank(r.t_stat, ".4f"),
+                  _or_blank(r.p_value, ".6g"), r.stars,
+                  _or_blank(r.sd_ratio, ".4f"), _or_blank(r.runs_needed, "d")]
                  for r in rows))
 
 
 def render_delta_text(rows: Sequence[DeltaRow]) -> str:
     lines = [f"{'statistic':<44} {'baseline':>10} {'variant':>10} "
-             f"{'delta':>10} {'p':>10}"]
+             f"{'delta':>10} {'p':>10} {'sd_ratio':>8} {'runs':>6}"]
     for r in rows:
-        p = "" if r.p_value is None else f"{r.p_value:.4g}"
         lines.append(f"{r.name:<44} {_fmt(r.baseline_mean):>10} "
                      f"{_fmt(r.variant_mean):>10} {_fmt(r.delta):>10} "
-                     f"{p:>10} {r.stars}")
+                     f"{_or_blank(r.p_value, '.4g'):>10} "
+                     f"{_or_blank(r.sd_ratio, '.3f'):>8} "
+                     f"{_or_blank(r.runs_needed, 'd'):>6} {r.stars}")
+    if any(r.runs_needed is not None for r in rows):
+        lines.append("runs: paired runs the delta would need for p < 0.05 "
+                     "if it and its SD held; unstable for deltas near 0")
     return "\n".join(lines) + "\n"

@@ -84,6 +84,16 @@ class TestInitialization:
         with pytest.raises(InputError, match="overlap"):
             initialize(inputs, seed=1)
 
+    def test_open_spell_overlaps_a_later_registration(self):
+        # a's stream never ends, so a is still listed when b starts
+        a = candidate("C1", reg_offset=-400)
+        b = candidate("C1b", patient_id="C1", reg_offset=-100)
+        updates = {"C1": [StatusUpdate("C1", START_DAY + 10, "URG", "NT")],
+                   **terminal_updates([b])}
+        inputs = make_inputs([a, b], [], updates=updates)
+        with pytest.raises(InputError, match="overlap"):
+            initialize(inputs, seed=1)
+
     def test_window_bounds(self):
         # an update on the window start stays pending (only earlier ones
         # fold); a balance event on the start folds (events up to and
@@ -343,8 +353,10 @@ class TestConservation:
         listed = {cid for cid, (code, _) in output.init_statuses.items()
                   if code in active}
         listed.update(cid for cid, code in logged if code in active)
+        # P1.2 lists unless the run transplanted P1 before it
+        transplanted = {t.candidate_id for t in output.transplants}
         assert output.init_statuses["P1.2"][0] == "PRE"
-        assert "P1.2" in listed
+        assert ("P1.2" in listed) == ("P1" not in transplanted)
         c = output.counters
         assert c["wl.listings"] == len(listed)
         assert c["wl.removals"] == sum(code == "R" for _, code in logged) > 0
@@ -378,6 +390,55 @@ class TestConservation:
         output = self._run(8)
         stats = reporting.stats_from_output(output)
         assert reporting.reconciliation_problems(stats) == []
+
+
+class TestOneListedSpell:
+    """Once the run transplants a patient, only its simulated re-listing
+    lists them again: a later input registration never lists."""
+
+    def _output(self, seed):
+        # P is transplanted on day 10, so its input removal on day 200 does
+        # not apply; its second registration P.2 would be listed on days
+        # 250-300, while the re-listing P.r1 is; P.r1's drawn failure falls
+        # after day 300 under both seeds used
+        regs = [candidate("P"),
+                candidate("P.2", patient_id="P", reg_offset=250)]
+        updates = {"P": [StatusUpdate("P", START_DAY + 200, "URG", "R")],
+                   "P.2": [StatusUpdate("P.2", START_DAY + 250, "URG", "T"),
+                           StatusUpdate("P.2", START_DAY + 300, "URG", "R")]}
+        inputs = make_inputs(regs, [donor("D1", 10, kidneys=1)],
+                             updates=updates,
+                             screenings=fresh_screenings(regs),
+                             weibull=quick_failure_weibull(330.0),
+                             curves=always_relist_curves(0.5))
+        return run(initialize(inputs, seed=seed))
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_later_registration_never_lists(self, seed):
+        output = self._output(seed)
+        final = {cid: (code, day - START_DAY)
+                 for cid, code, day in output.final_states}
+        assert final["P"] == ("FU", 10)
+        assert final["P.2"] == ("PRE", 0)
+        assert [e for e in output.event_log
+                if e[0] == "status" and e[1] == "P.2"] == []
+        # the graft failure still ends the re-listing
+        code, day = final["P.r1"]
+        assert code == "D" and day > 300
+        assert output.counters["wl.deaths"] == 1
+        assert output.counters["wl.removals"] == 0
+        assert verify_replay(output) == []
+
+    def test_replay_reports_a_patient_listed_twice(self):
+        output = self._output(3)
+        log = output.event_log
+        # P.2 listed while P.r1 is
+        death = log.index(next(e for e in log if e[:3] == ("status", "P.r1",
+                                                           "D")))
+        log.insert(death, ("status", "P.2", "T", START_DAY + 250))
+        problems = verify_replay(output)
+        assert ("1 patients with two active rows on one day (e.g. ['P'])"
+                in problems)
 
 
 class TestRegionalReplay:

@@ -167,6 +167,53 @@ class TestComparePolicies:
         assert _stars(0.2) == ""
         assert _stars(None) == ""
 
+    def test_what_pairing_bought_by_hand(self):
+        # diffs 2, 3, 0.5, 2, 1: mean 1.7, variance 0.95; the baseline's
+        # variance is 2.5 and the variant's 4.45
+        base = [{"x": v} for v in (10.0, 12.0, 9.0, 11.0, 13.0)]
+        var = [{"x": v} for v in (12.0, 15.0, 9.5, 13.0, 14.0)]
+        row, = compare_policies(base, var, paired=True)
+        assert row.sd_ratio == pytest.approx(math.sqrt(0.95 / 6.95))
+        # t = 1.7 sqrt(n) / sqrt(0.95): 3.02 at n = 3 is below t(2)'s
+        # 97.5% quantile 4.30; 3.49 at n = 4 is above t(3)'s 3.18
+        assert row.runs_needed == 4
+        unpaired, = compare_policies(base, var, paired=False)
+        assert (unpaired.sd_ratio, unpaired.runs_needed) == (None, None)
+
+    def test_what_pairing_bought_at_zero_variance(self):
+        same = [{"x": v} for v in (1.0, 2.0, 3.0)]
+        shifted = [{"x": v} for v in (2.0, 3.0, 4.0)]
+        constant = [{"x": 5.0}] * 3
+        # pairs that move together: no variance left in the differences,
+        # and the test is undefined
+        row, = compare_policies(same, shifted, paired=True)
+        assert (row.sd_ratio, row.t_stat, row.runs_needed) == (0.0, None,
+                                                                None)
+        # no spread on either side
+        for variant in (constant, [{"x": 6.0}] * 3):
+            row, = compare_policies(constant, variant, paired=True)
+            assert (row.sd_ratio, row.runs_needed) == (None, None)
+        # pairs that move against each other (diffs 2, 0, -2): pairing
+        # doubles the variance; a zero mean difference needs no count
+        row, = compare_policies(same, same[::-1], paired=True)
+        assert row.sd_ratio == pytest.approx(math.sqrt(2.0))
+        assert row.runs_needed is None
+
+    def test_delta_outputs_carry_what_pairing_bought(self, tmp_path):
+        import csv as _csv
+        from etkasim.reporting import render_delta_text, write_delta_csv
+        base = [{"x": v} for v in (10.0, 12.0, 9.0, 11.0, 13.0)]
+        var = [{"x": v} for v in (12.0, 15.0, 9.5, 13.0, 14.0)]
+        rows = compare_policies(base, var, paired=True)
+        write_delta_csv(tmp_path / "delta.csv", rows)
+        with open(tmp_path / "delta.csv") as fh:
+            row, = _csv.DictReader(fh)
+        assert (row["sd_ratio"], row["runs_needed"]) == ("0.3697", "4")
+        header, line, note = render_delta_text(rows).splitlines()
+        assert header.split()[-2:] == ["sd_ratio", "runs"]
+        assert line.split()[-3:] == ["0.370", "4", "*"]
+        assert note.startswith("runs: ")
+
     def test_paired_requires_equal_counts(self):
         with pytest.raises(ValueError):
             compare_policies([{"a": 1.0}], [{"a": 1.0}, {"a": 2.0}],
