@@ -820,10 +820,10 @@ def _double_listings(output: SimulationOutput) -> list[str]:
     """The patients, sorted, that have two active rows at the end of some
     day, by the run's initial statuses and its logged status changes.
     Only patients with more than one row are followed."""
-    rows = Counter(output.patient_ids)
+    n_rows = Counter(output.patient_ids)
     patient_of = {cid: person for (cid, _, _), person
                   in zip(output.final_states, output.patient_ids)
-                  if rows[person] > 1}
+                  if n_rows[person] > 1}
     active_names = {STATUS_NAMES[code] for code in ACTIVE_CODES}
     init = output.init_statuses
     active = {cid for cid in patient_of
@@ -839,13 +839,9 @@ def _double_listings(output: SimulationOutput) -> list[str]:
             day, touched = when, []
         now = code in active_names
         if now != (cid in active):
+            (active.add if now else active.remove)(cid)
             person = patient_of[cid]
-            if now:
-                active.add(cid)
-                n_active[person] += 1
-            else:
-                active.remove(cid)
-                n_active[person] -= 1
+            n_active[person] += 1 if now else -1
             touched.append(person)
     doubles.update(p for p in touched if n_active[p] > 1)
     return sorted(doubles)
