@@ -44,7 +44,8 @@ from .balances import (AUSTRIA, BalanceEvent, BalanceLedger,
                        UnknownCountryError)
 from .common import (DAYS_PER_YEAR, InputError, day_text, from_days,
                      gc_paused, to_days)
-from .entities import ETKAS, GEOGRAPHY_CLASSES, DonorArrival, StatusUpdate
+from .entities import (ETKAS, GEOGRAPHY_CLASSES, CandidateRegistration,
+                       DonorArrival, StatusUpdate)
 from .fastmatch import (ACTIVE_CODES, ENDED_CODES, FU, PRE, STATUS_NAMES, D, R,
                         CandidateStore, DonorHla, HlaIndex, MatchArrays,
                         build_match_arrays)
@@ -58,6 +59,7 @@ from .posttransplant import (TRANSPLANT_FEATURES, InvalidScaleError,
 
 _DAY = attrgetter("day")  # of a StatusUpdate
 _PATIENT_ID = attrgetter("patient_id")  # of a CandidateRegistration
+_ACTIVE_NAMES = frozenset(STATUS_NAMES[code] for code in ACTIVE_CODES)
 
 # event type priorities within one day
 PRIO_BALANCE = 0
@@ -101,7 +103,9 @@ class TransplantRecord:
 class SimulationOutput:
     transplants: list[TransplantRecord]
     final_states: list[tuple[str, str, int]]  # id, status, status day
-    patient_ids: list[str]  # of each row, in the order of final_states
+    # each row's registration, in the order of final_states (the store's
+    # own list, not a copy)
+    registrations: list[CandidateRegistration]
     counters: dict[str, float]
     ledger: BalanceLedger
     event_log: list[tuple]
@@ -441,7 +445,7 @@ def run(state: SimState) -> SimulationOutput:
     return SimulationOutput(
         transplants=state.transplants,
         final_states=list(_statuses(store)),
-        patient_ids=list(map(_PATIENT_ID, store.registrations)),
+        registrations=store.registrations,
         counters=counters,
         ledger=state.ledger,
         event_log=state.event_log,
@@ -769,35 +773,59 @@ def store_unacceptables(store: CandidateStore, row: int) -> set[str]:
 # ---------------------------------------------------------------------------
 # Replay check: fold the event log back into a final state
 
-def replay_final_state(output: SimulationOutput
-                       ) -> tuple[dict, BalanceLedger]:
+def replay_final_state(output: SimulationOutput, patient_of: dict[str, str]
+                       ) -> tuple[dict, BalanceLedger, list[str]]:
     """Fold the run's event log over the initial state.
 
-    Returns (statuses, ledger), which must equal the run's own final state
-    exactly; any divergence means the engine mutated state without logging
-    it (or vice versa).  Balance entries fold into a copy of the initial
-    ledger through ``BalanceLedger.record_transfer``.
+    Returns (statuses, ledger, doubles).  The statuses and the ledger must
+    equal the run's own final state exactly; any divergence means the
+    engine mutated state without logging it (or vice versa).  Balance
+    entries fold into a copy of the initial ledger through
+    ``BalanceLedger.record_transfer``.  The same pass follows the rows in
+    ``patient_of`` (row id -> patient): ``doubles`` are the patients among
+    them, sorted, that have two active rows at the end of some day.
     """
     statuses: dict[str, tuple[str, int]] = dict(output.init_statuses)
     ledger = output.init_ledger.copy()
+    active = {cid for cid in patient_of
+              if cid in statuses and statuses[cid][0] in _ACTIVE_NAMES}
+    n_active = Counter(map(patient_of.__getitem__, active))
+    doubles = {person for person, n in n_active.items() if n > 1}
+    day, touched = None, []
     for entry in output.event_log:
         kind = entry[0]
         if kind == "status":
             _, cand_id, code, when = entry
             statuses[cand_id] = (code, when)
+            person = patient_of.get(cand_id)
+            if person is None:
+                continue
+            if when != day:
+                doubles.update(p for p in touched if n_active[p] > 1)
+                day, touched = when, []
+            now = code in _ACTIVE_NAMES
+            if now != (cand_id in active):
+                (active.add if now else active.remove)(cand_id)
+                n_active[person] += 1 if now else -1
+                touched.append(person)
         elif kind == "relist":
             _, cand_id, when = entry
             statuses[cand_id] = ("PRE", when)
         elif kind == "balance":
             # (kind, BalanceEvent's fields but its day, day)
             ledger.record_transfer(BalanceEvent(entry[-1], *entry[1:-1]))
-    return statuses, ledger
+    doubles.update(p for p in touched if n_active[p] > 1)
+    return statuses, ledger, sorted(doubles)
 
 
 def verify_replay(output: SimulationOutput) -> list[str]:
     """Differences between the replayed log and the recorded final state,
-    and patients listed twice at once (``_double_listings``)."""
-    statuses, ledger = replay_final_state(output)
+    and patients with two active rows at the end of some day.  Only the
+    rows of patients with more than one row are followed."""
+    n_rows = Counter(map(_PATIENT_ID, output.registrations))
+    patient_of = {reg.id: reg.patient_id for reg in output.registrations
+                  if n_rows[reg.patient_id] > 1}
+    statuses, ledger, doubles = replay_final_state(output, patient_of)
     problems = []
     final = {cid: (code, day) for cid, code, day in output.final_states}
     if statuses != final:
@@ -809,39 +837,7 @@ def verify_replay(output: SimulationOutput) -> list[str]:
         problems.append("ledger mismatch after replay")
     if ledger.regional_snapshot() != output.ledger.regional_snapshot():
         problems.append("Austrian regional ledger mismatch after replay")
-    doubles = _double_listings(output)
     if doubles:
         problems.append(f"{len(doubles)} patients with two active rows on "
                         f"one day (e.g. {doubles[:3]})")
     return problems
-
-
-def _double_listings(output: SimulationOutput) -> list[str]:
-    """The patients, sorted, that have two active rows at the end of some
-    day, by the run's initial statuses and its logged status changes.
-    Only patients with more than one row are followed."""
-    n_rows = Counter(output.patient_ids)
-    patient_of = {cid: person for (cid, _, _), person
-                  in zip(output.final_states, output.patient_ids)
-                  if n_rows[person] > 1}
-    active_names = {STATUS_NAMES[code] for code in ACTIVE_CODES}
-    init = output.init_statuses
-    active = {cid for cid in patient_of
-              if cid in init and init[cid][0] in active_names}
-    n_active = Counter(map(patient_of.__getitem__, active))
-    doubles = {person for person, n in n_active.items() if n > 1}
-    day, touched = None, []
-    for _, cid, code, when in [entry for entry in output.event_log
-                               if entry[0] == "status"
-                               and entry[1] in patient_of]:
-        if when != day:
-            doubles.update(p for p in touched if n_active[p] > 1)
-            day, touched = when, []
-        now = code in active_names
-        if now != (cid in active):
-            (active.add if now else active.remove)(cid)
-            person = patient_of[cid]
-            n_active[person] += 1 if now else -1
-            touched.append(person)
-    doubles.update(p for p in touched if n_active[p] > 1)
-    return sorted(doubles)

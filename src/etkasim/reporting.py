@@ -166,7 +166,8 @@ class DeltaRow:
     sd_ratio: float | None = None
     # paired mode only: the paired runs the observed delta would need for
     # p < 0.05, were it and the SD of the differences exact (None where
-    # the test is undefined or the delta is 0); unstable near a zero delta
+    # the test is undefined, or more than MAX_RUNS_NEEDED would be needed);
+    # unstable near a zero delta
     runs_needed: int | None = None
 
 
@@ -175,21 +176,28 @@ def _stars(p: float | None) -> str:
     return "" if p is None else "*" * ((p < 0.05) + (p < 0.01) + (p < 0.001))
 
 
-def _runs_needed(mean: float, sd: float, stdtr) -> int | None:
+# the most paired runs a delta is reported to need: a delta that needs more
+# is round-off next to the spread of the differences, or as good as zero
+MAX_RUNS_NEEDED = 10**9
+
+
+def _runs_needed(mean: float, sd: float) -> int | None:
     """The fewest paired runs n >= 2 at which a paired t-test of mean
-    difference ``mean`` and SD ``sd`` > 0 gives p < 0.05; None if ``mean``
-    is 0, or so small against ``sd`` that the count overflows a float.  No
-    n below (z_0.975 * sd / mean)^2 can, since t quantiles exceed normal
-    ones."""
+    difference ``mean`` and SD ``sd`` > 0 gives p < 0.05; None if more
+    than ``MAX_RUNS_NEEDED`` would be needed, as for a ``mean`` of 0 or
+    one that is round-off next to ``sd``.  No n below
+    (z_0.975 * sd / mean)^2 can, since t quantiles exceed normal ones."""
+    from scipy.special import stdtr  # see compare_policies
+
     if mean == 0:
         return None
     root = 1.959963984540054 * sd / abs(mean)
-    if not math.isfinite(root * root):
+    if not root * root <= MAX_RUNS_NEEDED:
         return None
     n = max(2, int(root * root))
     while 2.0 * stdtr(n - 1, -abs(mean) * math.sqrt(n) / sd) >= 0.05:
         n += 1
-    return n
+    return n if n <= MAX_RUNS_NEEDED else None
 
 
 def compare_policies(baseline: Sequence[Mapping[str, float]],
@@ -224,8 +232,7 @@ def compare_policies(baseline: Sequence[Mapping[str, float]],
             if sd > 0:
                 t_stat = float(diffs.mean() / (sd / math.sqrt(len(diffs))))
                 p_value = float(2.0 * stdtr(len(diffs) - 1, -abs(t_stat)))
-                runs_needed = _runs_needed(float(diffs.mean()), float(sd),
-                                           stdtr)
+                runs_needed = _runs_needed(float(diffs.mean()), float(sd))
             elif np.allclose(diffs, 0.0):
                 t_stat, p_value = 0.0, 1.0
             if len(diffs) > 1:

@@ -199,6 +199,26 @@ class TestComparePolicies:
         assert row.sd_ratio == pytest.approx(math.sqrt(2.0))
         assert row.runs_needed is None
 
+    def test_a_round_off_delta_needs_no_count(self):
+        # diffs 0.1, 0.2, -0.3 cancel to a mean of ~1.85e-17 against an SD
+        # of ~0.26, which would take ~1e33 runs: more than the count
+        # reports, and more than a float can step through one by one
+        base = [{"x": 0.0}] * 3
+        var = [{"x": v} for v in (0.1, 0.2, -0.3)]
+        row, = compare_policies(base, var, paired=True)
+        assert 0 < abs(row.delta) < 1e-16
+        assert row.runs_needed is None
+
+    def test_runs_needed_stops_at_its_cap(self):
+        from etkasim.reporting import MAX_RUNS_NEEDED, _runs_needed
+        z = 1.959963984540054
+        sd = math.sqrt(MAX_RUNS_NEEDED) / z
+        # a delta needing just over (z sd / mean)^2 = 0.98^2 * cap runs
+        n = _runs_needed(1.0, 0.98 * sd)
+        assert 0.98 ** 2 * MAX_RUNS_NEEDED < n <= MAX_RUNS_NEEDED
+        assert _runs_needed(1.0, 1.001 * sd) is None
+        assert _runs_needed(0.0, 1.0) is None
+
     def test_delta_outputs_carry_what_pairing_bought(self, tmp_path):
         import csv as _csv
         from etkasim.reporting import render_delta_text, write_delta_csv
